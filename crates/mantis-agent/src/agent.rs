@@ -30,7 +30,7 @@ use crate::ctx::{CtxError, ReactionCtx, Snapshot};
 use crate::driver_api::{CheckpointToken, DriverApi, LocalDriver};
 use crate::logical::{LogicalEntry, LogicalTable, Staged, StagedOp};
 use mantis_faults::{BreakerConfig, BreakerState, CircuitBreaker, FaultPlan, RetryPolicy};
-use mantis_telemetry::{scopes, Scope, Telemetry, TelemetryConfig};
+use mantis_telemetry::{scopes, CounterId, HistId, NameId, Scope, Telemetry, TelemetryConfig};
 use p4_ast::MatchKind;
 use p4_ast::Value;
 use p4r_compiler::entry::{expand_entry, ExpandError, PhysEntry, PhysKey};
@@ -448,8 +448,48 @@ pub struct MantisAgent {
     /// fault-free runs record nothing extra (telemetry determinism).
     had_quarantine: bool,
     telemetry: Arc<Telemetry>,
+    metrics: AgentMetrics,
     last_report: IterationReport,
     prologue_done: bool,
+}
+
+/// Telemetry handles behind the records every dialogue iteration makes,
+/// resolved once per attached registry.
+#[derive(Clone, Copy, Debug, Default)]
+struct AgentMetrics {
+    span_iteration: NameId,
+    span_measure: NameId,
+    span_react: NameId,
+    span_update: NameId,
+    span_sync: NameId,
+    iterations: CounterId,
+    busy_ns: CounterId,
+    staged_table_ops: CounterId,
+    hist_iteration: HistId,
+    hist_measure: HistId,
+    hist_react: HistId,
+    hist_update: HistId,
+    hist_sync: HistId,
+}
+
+impl AgentMetrics {
+    fn resolve(tel: &Telemetry) -> Self {
+        AgentMetrics {
+            span_iteration: tel.intern(scopes::SPAN_ITERATION),
+            span_measure: tel.intern(scopes::SPAN_MEASURE),
+            span_react: tel.intern(scopes::SPAN_REACT),
+            span_update: tel.intern(scopes::SPAN_UPDATE),
+            span_sync: tel.intern(scopes::SPAN_SYNC),
+            iterations: tel.register_counter(scopes::CTR_ITERATIONS),
+            busy_ns: tel.register_counter(scopes::CTR_BUSY_NS),
+            staged_table_ops: tel.register_counter(scopes::CTR_STAGED_TABLE_OPS),
+            hist_iteration: tel.register_hist(scopes::HIST_ITERATION_NS),
+            hist_measure: tel.register_hist(scopes::HIST_MEASURE_NS),
+            hist_react: tel.register_hist(scopes::HIST_REACT_NS),
+            hist_update: tel.register_hist(scopes::HIST_UPDATE_NS),
+            hist_sync: tel.register_hist(scopes::HIST_SYNC_NS),
+        }
+    }
 }
 
 impl fmt::Debug for MantisAgent {
@@ -523,6 +563,7 @@ impl MantisAgent {
         // are always registry-sourced; `set_telemetry` swaps in a
         // shared handle when the caller wants the full trace.
         let telemetry = Arc::new(Telemetry::new(TelemetryConfig::default()));
+        let metrics = AgentMetrics::resolve(&telemetry);
         driver.set_telemetry(telemetry.clone());
 
         let master = iface
@@ -670,6 +711,7 @@ impl MantisAgent {
             iteration_count: 0,
             had_quarantine: false,
             telemetry,
+            metrics,
             last_report: IterationReport::default(),
             prologue_done: false,
         }
@@ -679,6 +721,7 @@ impl MantisAgent {
     /// is re-pointed too. Counters accumulated so far are not migrated.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.driver.set_telemetry(telemetry.clone());
+        self.metrics = AgentMetrics::resolve(&telemetry);
         self.telemetry = telemetry;
     }
 
@@ -689,8 +732,8 @@ impl MantisAgent {
     /// Cumulative stats, read back from the telemetry registry.
     pub fn stats(&self) -> AgentStats {
         AgentStats {
-            iterations: self.telemetry.counter(scopes::CTR_ITERATIONS) as u64,
-            busy_ns: self.telemetry.counter(scopes::CTR_BUSY_NS) as Nanos,
+            iterations: self.telemetry.counter_value(self.metrics.iterations) as u64,
+            busy_ns: self.telemetry.counter_value(self.metrics.busy_ns) as Nanos,
             last: self.last_report.clone(),
         }
     }
@@ -1375,13 +1418,14 @@ impl MantisAgent {
     pub fn dialogue_iteration(&mut self) -> Result<IterationReport, AgentError> {
         let iter = self.iteration_count;
         let tel = self.telemetry.clone();
+        let m = self.metrics;
         let mut retries = 0u32;
         let mut rollbacks = 0u32;
         let t0 = self.clock.now();
-        tel.span_begin(Scope::Agent, scopes::SPAN_ITERATION, t0);
+        tel.begin(Scope::Agent, m.span_iteration, t0);
 
         // ── measurement flip: freeze the current working copy ──
-        tel.span_begin(Scope::Agent, scopes::SPAN_MEASURE, t0);
+        tel.begin(Scope::Agent, m.span_measure, t0);
         let frozen = self.mv;
         self.mv ^= 1;
         let measured = self
@@ -1399,27 +1443,27 @@ impl MantisAgent {
             self.mv = frozen;
             self.restore_master();
             let t_err = self.clock.now();
-            tel.span_end(Scope::Agent, scopes::SPAN_MEASURE, t_err);
-            tel.span_end(Scope::Agent, scopes::SPAN_ITERATION, t_err);
+            tel.end(Scope::Agent, m.span_measure, t_err);
+            tel.end(Scope::Agent, m.span_iteration, t_err);
             return Err(e.in_phase(AgentPhase::Measure).at_iteration(iter));
         }
         let t_measured = self.clock.now();
-        tel.span_end(Scope::Agent, scopes::SPAN_MEASURE, t_measured);
+        tel.end(Scope::Agent, m.span_measure, t_measured);
 
         // ── run reactions against the frozen snapshot ──
         // Failures are contained: the failing reaction's partial staging
         // is discarded and its breaker advances; the iteration continues
         // with whatever the healthy reactions staged.
-        tel.span_begin(Scope::Agent, scopes::SPAN_REACT, t_measured);
+        tel.begin(Scope::Agent, m.span_react, t_measured);
         let (reaction_failures, quarantine_skips) = self.run_reactions(iter);
         let t_reacted = self.clock.now();
-        tel.span_end(Scope::Agent, scopes::SPAN_REACT, t_reacted);
+        tel.end(Scope::Agent, m.span_react, t_reacted);
 
         // ── prepare / commit / mirror (transactional) ──
         let staged_ops = self.staged.table_ops.len();
         let applied = self.apply_staged(&mut retries, &mut rollbacks);
         let t1 = self.clock.now();
-        tel.span_end(Scope::Agent, scopes::SPAN_ITERATION, t1);
+        tel.end(Scope::Agent, m.span_iteration, t1);
         let (update_ns, sync_ns) = match applied {
             Ok(v) => v,
             Err(e) => return Err(e.in_phase(AgentPhase::Update).at_iteration(iter)),
@@ -1446,14 +1490,16 @@ impl MantisAgent {
             reaction_failures,
         };
         self.iteration_count += 1;
-        tel.counter_add(scopes::CTR_ITERATIONS, 1);
-        tel.counter_add(scopes::CTR_BUSY_NS, i128::from(report.duration_ns));
-        tel.counter_add(scopes::CTR_STAGED_TABLE_OPS, staged_ops as i128);
-        tel.hist_record(scopes::HIST_ITERATION_NS, report.duration_ns);
-        tel.hist_record(scopes::HIST_MEASURE_NS, report.measure_ns);
-        tel.hist_record(scopes::HIST_REACT_NS, report.react_ns);
-        tel.hist_record(scopes::HIST_UPDATE_NS, report.update_ns);
-        tel.hist_record(scopes::HIST_SYNC_NS, report.sync_ns);
+        if let Some(mut rec) = tel.recorder() {
+            rec.add(m.iterations, 1);
+            rec.add(m.busy_ns, i128::from(report.duration_ns));
+            rec.add(m.staged_table_ops, staged_ops as i128);
+            rec.record(m.hist_iteration, report.duration_ns);
+            rec.record(m.hist_measure, report.measure_ns);
+            rec.record(m.hist_react, report.react_ns);
+            rec.record(m.hist_update, report.update_ns);
+            rec.record(m.hist_sync, report.sync_ns);
+        }
         self.last_report = report.clone();
         Ok(report)
     }
@@ -1471,13 +1517,13 @@ impl MantisAgent {
     /// utilization in `[0, 1]`.
     pub fn run_paced(&mut self, n: usize, sleep_ns: Nanos) -> Result<f64, AgentError> {
         let start = self.clock.now();
-        let busy0 = self.telemetry.counter(scopes::CTR_BUSY_NS);
+        let busy0 = self.telemetry.counter_value(self.metrics.busy_ns);
         for _ in 0..n {
             self.dialogue_iteration()?;
             self.clock.advance(sleep_ns);
         }
         // Busy time comes out of the registry, not ad-hoc accumulation.
-        let busy = (self.telemetry.counter(scopes::CTR_BUSY_NS) - busy0) as u64;
+        let busy = (self.telemetry.counter_value(self.metrics.busy_ns) - busy0) as u64;
         let span = self.clock.now() - start;
         Ok(if span == 0 {
             1.0
@@ -1918,21 +1964,22 @@ impl MantisAgent {
     /// Does not consume `self.staged` (the transactional wrapper does).
     fn apply_staged_once(&mut self, retries: &mut u32) -> Result<(Nanos, Nanos), ApplyFailure> {
         let tel = self.telemetry.clone();
+        let m = self.metrics;
         // All pipes hold equal vv between iterations; pipe 0 names the
         // shared shadow copy.
         let shadow = self.vv[0] ^ 1;
         let t_update = self.clock.now();
-        tel.span_begin(Scope::Agent, scopes::SPAN_UPDATE, t_update);
+        tel.begin(Scope::Agent, m.span_update, t_update);
         if let Err(f) = self.apply_prepare_commit(shadow, retries) {
-            tel.span_end(Scope::Agent, scopes::SPAN_UPDATE, self.clock.now());
+            tel.end(Scope::Agent, m.span_update, self.clock.now());
             return Err(f.in_phase(AgentPhase::Update));
         }
         let t_sync = self.clock.now();
-        tel.span_end(Scope::Agent, scopes::SPAN_UPDATE, t_sync);
-        tel.span_begin(Scope::Agent, scopes::SPAN_SYNC, t_sync);
+        tel.end(Scope::Agent, m.span_update, t_sync);
+        tel.begin(Scope::Agent, m.span_sync, t_sync);
         let old = shadow ^ 1;
         if let Err(f) = self.apply_mirror(old, retries) {
-            tel.span_end(Scope::Agent, scopes::SPAN_SYNC, self.clock.now());
+            tel.end(Scope::Agent, m.span_sync, self.clock.now());
             return Err(f.in_phase(AgentPhase::Sync));
         }
         // Drain pipelined driver work before declaring the iteration synced
@@ -1940,11 +1987,11 @@ impl MantisAgent {
         // flush discards the remote batch, so recovery must replay the whole
         // attempt via the transactional rollback, not re-flush emptiness.
         if let Err(e) = self.driver.flush() {
-            tel.span_end(Scope::Agent, scopes::SPAN_SYNC, self.clock.now());
+            tel.end(Scope::Agent, m.span_sync, self.clock.now());
             return Err(ApplyFailure::unblamed(AgentError::from(e)).in_phase(AgentPhase::Sync));
         }
         let t_done = self.clock.now();
-        tel.span_end(Scope::Agent, scopes::SPAN_SYNC, t_done);
+        tel.end(Scope::Agent, m.span_sync, t_done);
         Ok((t_sync - t_update, t_done - t_sync))
     }
 

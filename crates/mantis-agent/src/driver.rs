@@ -12,7 +12,7 @@
 
 use crate::costmodel::CostModel;
 use mantis_faults::{FaultInjector, FaultPlan, Injection};
-use mantis_telemetry::{scopes, Scope, Telemetry};
+use mantis_telemetry::{scopes, DriverOpId, Scope, Telemetry};
 use p4_ast::Value;
 use rmt_sim::{
     ActionId, Clock, DriverError, EntryHandle, KeyField, Nanos, RegisterId, Switch, TableId,
@@ -25,6 +25,48 @@ use std::sync::Arc;
 enum MemoKey {
     Table(TableId),
     InitDefault(TableId),
+}
+
+/// The op classes the driver accounts separately: each has its own cost
+/// rule, fault-plan name, `Scope::Driver` span and `driver.<op>_*` metrics.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Op {
+    TableAdd,
+    TableMod,
+    TableDel,
+    InitFlip,
+    SetDefault,
+    RegisterRead,
+    FieldWordRead,
+    RegisterWrite,
+    PortSet,
+    DefaultRead,
+    TableDump,
+    FieldPoll,
+    Rollback,
+}
+
+impl Op {
+    const COUNT: usize = Op::Rollback as usize + 1;
+
+    /// The name fault plans, errors and telemetry know the op by.
+    const fn name(self) -> &'static str {
+        match self {
+            Op::TableAdd => "table_add",
+            Op::TableMod => "table_mod",
+            Op::TableDel => "table_del",
+            Op::InitFlip => "init_flip",
+            Op::SetDefault => "set_default",
+            Op::RegisterRead => "register_read",
+            Op::FieldWordRead => "field_word_read",
+            Op::RegisterWrite => "register_write",
+            Op::PortSet => "port_set",
+            Op::DefaultRead => "default_read",
+            Op::TableDump => "table_dump",
+            Op::FieldPoll => "field_poll",
+            Op::Rollback => "rollback",
+        }
+    }
 }
 
 /// One physical table entry as read back from the device — the unit of
@@ -62,6 +104,9 @@ pub struct MantisDriver {
     lock_until: Nanos,
     pub stats: DriverStats,
     telemetry: Arc<Telemetry>,
+    /// Telemetry handles per op class (indexed by `Op as usize`), each
+    /// resolved by the first op of its class after the registry changes.
+    op_ids: [DriverOpId; Op::COUNT],
     injector: Option<FaultInjector>,
     /// Fabric switch this driver controls (`None` on single-switch
     /// testbeds); fault injectors inherit it so `FaultRule::on_switch`
@@ -83,6 +128,7 @@ impl MantisDriver {
             lock_until: 0,
             stats: DriverStats::default(),
             telemetry: Telemetry::disabled(),
+            op_ids: Default::default(),
             injector: None,
             fabric_index: None,
             stale_cache: HashMap::new(),
@@ -157,13 +203,14 @@ impl MantisDriver {
 
     /// Consult the fault plan for one op. Records `fault.injected` when a
     /// decision is made.
-    fn inject(&mut self, op: &'static str) -> Option<Injection> {
+    fn inject(&mut self, op: Op) -> Option<Injection> {
         self.inject_on(op, None)
     }
 
     /// Consult the fault plan for one op addressed at hardware pipe
     /// `pipe` (when `Some`), so pipe-scoped fault rules can target it.
-    fn inject_on(&mut self, op: &'static str, pipe: Option<u16>) -> Option<Injection> {
+    fn inject_on(&mut self, op: Op, pipe: Option<u16>) -> Option<Injection> {
+        let op = op.name();
         let inj = self
             .injector
             .as_mut()?
@@ -181,23 +228,21 @@ impl MantisDriver {
     /// Resolve an injection decision against a mutation op: returns
     /// `Err(Injected)` for failures (after spending the op's latency —
     /// the transport timed out) and scales the cost for delays.
-    fn gate(&mut self, op: &'static str, cost: &mut Nanos) -> Result<(), DriverError> {
+    fn gate(&mut self, op: Op, cost: &mut Nanos) -> Result<(), DriverError> {
         self.gate_on(op, None, cost)
     }
 
     /// Like `gate`, for an op addressed at one hardware pipe.
-    fn gate_on(
-        &mut self,
-        op: &'static str,
-        pipe: Option<u16>,
-        cost: &mut Nanos,
-    ) -> Result<(), DriverError> {
+    fn gate_on(&mut self, op: Op, pipe: Option<u16>, cost: &mut Nanos) -> Result<(), DriverError> {
         match self.inject_on(op, pipe) {
             Some(Injection::Fail { persistent }) => {
                 self.spend(op, *cost);
                 self.stats.injected_failures += 1;
                 self.telemetry.counter_add(scopes::CTR_DRIVER_INJECTED, 1);
-                Err(DriverError::Injected { op, persistent })
+                Err(DriverError::Injected {
+                    op: op.name(),
+                    persistent,
+                })
             }
             // Process death is instant: no latency is spent, no state
             // mutated. Whether the op "landed" is decided by where the
@@ -206,7 +251,7 @@ impl MantisDriver {
             Some(Injection::Crash) => {
                 self.stats.injected_failures += 1;
                 self.telemetry.counter_add(scopes::CTR_DRIVER_INJECTED, 1);
-                Err(DriverError::Crashed { op })
+                Err(DriverError::Crashed { op: op.name() })
             }
             Some(Injection::Delay { factor_milli }) => {
                 *cost = scale(*cost, factor_milli);
@@ -223,7 +268,7 @@ impl MantisDriver {
     /// Account one operation of the given duration: the clock advances, and
     /// the busy window extends. `op` names the operation class for
     /// telemetry (span + per-op histogram).
-    fn spend(&mut self, op: &'static str, dur: Nanos) {
+    fn spend(&mut self, op: Op, dur: Nanos) {
         let start = self.clock.now().max(self.busy_until);
         let end = start + dur;
         self.clock.advance_to(end);
@@ -236,9 +281,15 @@ impl MantisDriver {
         self.stats.ops += 1;
         self.stats.busy_ns += dur;
         if self.telemetry.is_enabled() {
-            self.telemetry.span_begin(Scope::Driver, op, start);
-            self.telemetry.span_end(Scope::Driver, op, end);
-            self.telemetry.driver_op(op, dur);
+            let id = &mut self.op_ids[op as usize];
+            if !self.telemetry.owns(id.span) {
+                *id = self.telemetry.register_driver_op(op.name());
+            }
+            if let Some(mut rec) = self.telemetry.recorder() {
+                rec.begin(Scope::Driver, id.span, start);
+                rec.end(Scope::Driver, id.span, end);
+                rec.driver_op(id, dur);
+            }
         }
     }
 
@@ -264,8 +315,8 @@ impl MantisDriver {
         data: Vec<Value>,
     ) -> Result<EntryHandle, DriverError> {
         let mut cost = self.table_op_cost(table);
-        self.gate("table_add", &mut cost)?;
-        self.spend("table_add", cost);
+        self.gate(Op::TableAdd, &mut cost)?;
+        self.spend(Op::TableAdd, cost);
         sw.table_add(table, key, priority, action, data)
     }
 
@@ -278,8 +329,8 @@ impl MantisDriver {
         data: Vec<Value>,
     ) -> Result<(), DriverError> {
         let mut cost = self.table_op_cost(table);
-        self.gate("table_mod", &mut cost)?;
-        self.spend("table_mod", cost);
+        self.gate(Op::TableMod, &mut cost)?;
+        self.spend(Op::TableMod, cost);
         sw.table_mod(table, handle, action, data)
     }
 
@@ -290,8 +341,8 @@ impl MantisDriver {
         handle: EntryHandle,
     ) -> Result<(), DriverError> {
         let mut cost = self.table_op_cost(table);
-        self.gate("table_del", &mut cost)?;
-        self.spend("table_del", cost);
+        self.gate(Op::TableDel, &mut cost)?;
+        self.spend(Op::TableDel, cost);
         sw.table_del(table, handle)
     }
 
@@ -331,16 +382,16 @@ impl MantisDriver {
         sw.table_set_default_on(pipe, table, action, data)
     }
 
-    fn set_default_cost(&mut self, table: TableId, is_init_flip: bool) -> (&'static str, Nanos) {
+    fn set_default_cost(&mut self, table: TableId, is_init_flip: bool) -> (Op, Nanos) {
         if is_init_flip {
             let cost = if self.memo.insert(MemoKey::InitDefault(table)) {
                 self.cost.table_update_cold_ns
             } else {
                 self.cost.init_update_ns
             };
-            ("init_flip", cost)
+            (Op::InitFlip, cost)
         } else {
-            ("set_default", self.table_op_cost(table))
+            (Op::SetDefault, self.table_op_cost(table))
         }
     }
 
@@ -365,14 +416,14 @@ impl MantisDriver {
         // the PCIe cost scales with `num_pipes` (identity at 1).
         let num_pipes = usize::from(sw.config().num_pipes);
         let mut cost = self.cost.register_read(n * width_bytes * num_pipes);
-        let effect = self.inject("register_read");
+        let effect = self.inject(Op::RegisterRead);
         if let Some(Injection::Delay { factor_milli }) = effect {
             cost = scale(cost, factor_milli);
         }
         self.stats.register_reads += 1;
         match effect {
             Some(Injection::Fail { persistent }) => {
-                self.spend("register_read", cost);
+                self.spend(Op::RegisterRead, cost);
                 self.stats.injected_failures += 1;
                 self.telemetry.counter_add(scopes::CTR_DRIVER_INJECTED, 1);
                 return Err(DriverError::Injected {
@@ -388,7 +439,7 @@ impl MantisDriver {
                 });
             }
             Some(Injection::Stale) => {
-                self.spend("register_read", cost);
+                self.spend(Op::RegisterRead, cost);
                 // Serve the previous snapshot of this range (zeros if it
                 // was never read): a checkpoint that missed the sync.
                 return Ok(self
@@ -398,7 +449,7 @@ impl MantisDriver {
                     .unwrap_or_else(|| vec![Value::zero(width); n]));
             }
             Some(Injection::Corrupt { xor }) => {
-                self.spend("register_read", cost);
+                self.spend(Op::RegisterRead, cost);
                 return Ok(sw
                     .register_read_range(reg, lo, hi)
                     .into_iter()
@@ -407,7 +458,7 @@ impl MantisDriver {
             }
             _ => {}
         }
-        self.spend("register_read", cost);
+        self.spend(Op::RegisterRead, cost);
         let vals = sw.register_read_range(reg, lo, hi);
         if self.injector.is_some() {
             self.stale_cache.insert((reg, lo, hi), vals.clone());
@@ -423,8 +474,8 @@ impl MantisDriver {
         index: u32,
     ) -> Result<Value, DriverError> {
         let mut cost = self.cost.pcie_base_ns + self.cost.field_word_read_ns;
-        self.gate("field_word_read", &mut cost)?;
-        self.spend("field_word_read", cost);
+        self.gate(Op::FieldWordRead, &mut cost)?;
+        self.spend(Op::FieldWordRead, cost);
         self.stats.field_reads += 1;
         Ok(sw
             .register_read_range(reg, index, index)
@@ -441,8 +492,8 @@ impl MantisDriver {
         value: Value,
     ) -> Result<(), DriverError> {
         let mut cost = self.cost.pcie_base_ns;
-        self.gate("register_write", &mut cost)?;
-        self.spend("register_write", cost);
+        self.gate(Op::RegisterWrite, &mut cost)?;
+        self.spend(Op::RegisterWrite, cost);
         sw.register_write(reg, index, value);
         Ok(())
     }
@@ -454,8 +505,8 @@ impl MantisDriver {
         up: bool,
     ) -> Result<(), DriverError> {
         let mut cost = self.cost.port_op_ns;
-        self.gate("port_set", &mut cost)?;
-        self.spend("port_set", cost);
+        self.gate(Op::PortSet, &mut cost)?;
+        self.spend(Op::PortSet, cost);
         sw.port_set_up(port, up)
     }
 
@@ -474,8 +525,8 @@ impl MantisDriver {
             return Err(DriverError::BadPipe(pipe));
         }
         let mut cost = self.cost.pcie_base_ns;
-        self.gate_on("default_read", Some(pipe), &mut cost)?;
-        self.spend("default_read", cost);
+        self.gate_on(Op::DefaultRead, Some(pipe), &mut cost)?;
+        self.spend(Op::DefaultRead, cost);
         let (action, data) = sw
             .table_ref_on(pipe, table)
             .default_action()
@@ -494,8 +545,8 @@ impl MantisDriver {
     ) -> Result<Vec<EntrySnapshot>, DriverError> {
         let n = sw.table_len(table).max(1);
         let mut cost = self.cost.register_read(n * 16);
-        self.gate("table_dump", &mut cost)?;
-        self.spend("table_dump", cost);
+        self.gate(Op::TableDump, &mut cost)?;
+        self.spend(Op::TableDump, cost);
         Ok(sw
             .table_ref(table)
             .entries()
@@ -514,8 +565,8 @@ impl MantisDriver {
     /// measurement registers as one batch).
     pub fn spend_external(&mut self, dur: Nanos) -> Result<(), DriverError> {
         let mut cost = dur;
-        self.gate("field_poll", &mut cost)?;
-        self.spend("field_poll", cost);
+        self.gate(Op::FieldPoll, &mut cost)?;
+        self.spend(Op::FieldPoll, cost);
         self.stats.field_reads += 1;
         Ok(())
     }
@@ -524,7 +575,7 @@ impl MantisDriver {
     /// after a failed transactional apply (one warm table update each).
     pub fn spend_rollback(&mut self, tables: usize) {
         let cost = self.cost.table_update_ns * tables as Nanos;
-        self.spend("rollback", cost);
+        self.spend(Op::Rollback, cost);
     }
 
     /// Simulate a *legacy* control-plane operation submitted at `at` (from

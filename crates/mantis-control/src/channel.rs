@@ -25,7 +25,7 @@
 use crate::plane::ControlPlane;
 use crate::wire::{decode_frame, encode_request_frame, DriverOp, DriverResponse, FrameBody};
 use mantis_faults::{FaultInjector, FaultPlan, Injection};
-use mantis_telemetry::{scopes, Telemetry};
+use mantis_telemetry::{scopes, CounterId, HistId, Telemetry};
 use rmt_sim::{Clock, DriverError, Nanos};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -83,6 +83,10 @@ pub struct Channel {
     client: u16,
     next_seq: u64,
     telemetry: Arc<Telemetry>,
+    /// Handles for the per-frame records, resolved in `set_telemetry`.
+    frames: CounterId,
+    bytes: CounterId,
+    rtt_ns: HistId,
 }
 
 impl Channel {
@@ -101,6 +105,9 @@ impl Channel {
             client,
             next_seq: 0,
             telemetry: Telemetry::disabled(),
+            frames: CounterId::default(),
+            bytes: CounterId::default(),
+            rtt_ns: HistId::default(),
         }
     }
 
@@ -114,6 +121,9 @@ impl Channel {
     }
 
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+        self.frames = telemetry.register_counter(scopes::CTR_CONTROL_FRAMES);
+        self.bytes = telemetry.register_counter(scopes::CTR_CONTROL_BYTES);
+        self.rtt_ns = telemetry.register_hist(scopes::HIST_CONTROL_RTT_NS);
         self.telemetry = telemetry;
     }
 
@@ -183,8 +193,7 @@ impl Channel {
         loop {
             match self.attempt(bytes) {
                 Ok(resp) => {
-                    self.telemetry
-                        .hist_record(scopes::HIST_CONTROL_RTT_NS, self.clock.now() - t0);
+                    self.telemetry.record(self.rtt_ns, self.clock.now() - t0);
                     return Ok(resp);
                 }
                 Err(
@@ -265,9 +274,10 @@ impl Channel {
         let cost =
             self.cfg.latency_ns + self.cfg.per_frame_ns + len as Nanos * self.cfg.per_byte_ns;
         self.clock.advance(cost);
-        self.telemetry.counter_add(scopes::CTR_CONTROL_FRAMES, 1);
-        self.telemetry
-            .counter_add(scopes::CTR_CONTROL_BYTES, len as i128);
+        if let Some(mut rec) = self.telemetry.recorder() {
+            rec.add(self.frames, 1);
+            rec.add(self.bytes, len as i128);
+        }
         cost
     }
 

@@ -34,7 +34,7 @@ use mantis_agent::costmodel::CostModel;
 use mantis_agent::driver::{DriverStats, EntrySnapshot};
 use mantis_agent::{CheckpointToken, DriverApi};
 use mantis_faults::FaultPlan;
-use mantis_telemetry::{scopes, Telemetry};
+use mantis_telemetry::{scopes, HistId, Telemetry};
 use p4_ast::Value;
 use rmt_sim::{
     ActionId, Clock, DataPlaneSpec, DriverError, EntryHandle, KeyField, Nanos, PortId, ReadAgg,
@@ -65,6 +65,8 @@ pub struct RemoteDriver {
     pending: Vec<DriverOp>,
     batching: bool,
     telemetry: Arc<Telemetry>,
+    /// Handle for `control.batch_size`, resolved in `set_telemetry`.
+    batch_size: HistId,
 }
 
 impl RemoteDriver {
@@ -100,6 +102,7 @@ impl RemoteDriver {
             pending: Vec::new(),
             batching,
             telemetry: Telemetry::disabled(),
+            batch_size: HistId::default(),
         }
     }
 
@@ -157,8 +160,7 @@ impl RemoteDriver {
     // -- batch plumbing ------------------------------------------------------
 
     fn send(&mut self, batch: &[DriverOp]) -> Result<Vec<DriverResponse>, SendFailure> {
-        self.telemetry
-            .hist_record(scopes::HIST_CONTROL_BATCH, batch.len() as u64);
+        self.telemetry.record(self.batch_size, batch.len() as u64);
         let rs = self
             .channel
             .request(batch)
@@ -467,6 +469,7 @@ impl DriverApi for RemoteDriver {
     fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.channel.set_telemetry(telemetry.clone());
         self.plane.borrow_mut().set_telemetry(telemetry.clone());
+        self.batch_size = telemetry.register_hist(scopes::HIST_CONTROL_BATCH);
         self.telemetry = telemetry;
     }
 

@@ -20,16 +20,27 @@
 //!   per-op histograms, so a single trace shows where a reaction
 //!   window went.
 //!
+//! Names are resolved once, not per record: a registry interns every
+//! metric and event name into a name table and hands out copyable
+//! handles ([`CounterId`], [`GaugeId`], [`HistId`], [`NameId`]). Values
+//! live in slots indexed by handle and trace events are fixed-size
+//! records, so a record call through a handle allocates nothing, formats
+//! nothing and compares no strings — cheap enough to leave on along the
+//! packet path. The by-name calls (`counter_add("x", 1)`) remain for
+//! set-up code, tests and one-off names; they intern and then take the
+//! same path (DESIGN.md §6).
+//!
 //! The handle is `Arc`-shared and internally mutexed, so the deterministic
 //! parallel fabric executor (DESIGN.md §12) can hand worker threads
-//! per-shard *staging* handles ([`Telemetry::staging`]) and merge them
-//! back into the main registry in canonical shard order at each epoch
-//! barrier ([`Telemetry::merge_from`]) — trace bytes stay identical to a
+//! per-shard *staging* handles ([`Telemetry::staging`]) that share the
+//! parent's name table, and merge them back into the main registry in
+//! canonical shard order at each epoch barrier
+//! ([`Telemetry::merge_from`]) — trace bytes stay identical to a
 //! sequential run at any worker count.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Virtual-clock timestamp, nanoseconds. Mirrors `rmt_sim::Nanos`
@@ -202,23 +213,157 @@ impl Default for TelemetryConfig {
     }
 }
 
+// -- names and handles ------------------------------------------------------
+
+/// An interned name: a metric or trace-event name resolved once against a
+/// registry's name table ([`Telemetry::intern`]). Handles are plain
+/// copyable indices; recording through one does no allocation, no
+/// formatting and no string comparison.
+///
+/// A handle is bound to the name table that issued it. Registries that
+/// share that table — a registry and every [`Telemetry::staging`] buffer
+/// derived from it — accept each other's handles; any other registry
+/// panics on it ([`Telemetry::owns`] is the check to run before reusing a
+/// cached handle against a new registry). `NameId::default()` is a
+/// placeholder owned by no table.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct NameId {
+    /// Tag of the issuing name table (0 = none).
+    table: u32,
+    idx: u32,
+}
+
+/// Handle to a counter ([`Telemetry::register_counter`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct CounterId(NameId);
+
+/// Handle to a gauge ([`Telemetry::register_gauge`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct GaugeId(NameId);
+
+/// Handle to a histogram ([`Telemetry::register_hist`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct HistId(NameId);
+
+impl From<CounterId> for NameId {
+    fn from(id: CounterId) -> NameId {
+        id.0
+    }
+}
+
+impl From<GaugeId> for NameId {
+    fn from(id: GaugeId) -> NameId {
+        id.0
+    }
+}
+
+impl From<HistId> for NameId {
+    fn from(id: HistId) -> NameId {
+        id.0
+    }
+}
+
+/// The three handles behind one driver op class: its `Scope::Driver` span
+/// name, `driver.<op>_calls` and `driver.<op>_ns`
+/// ([`Telemetry::register_driver_op`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DriverOpId {
+    pub span: NameId,
+    pub calls: CounterId,
+    pub ns: HistId,
+}
+
+/// Name-table tags; 0 is reserved for "no table". The counter publishes
+/// nothing but its own value.
+static NEXT_TABLE_TAG: AtomicU32 = AtomicU32::new(1);
+
+/// Append-only string interner shared by a registry and its stagings.
+/// Indices are assigned in first-intern order, which may differ between
+/// runs when worker threads intern concurrently — so nothing observable
+/// ever iterates in index order (exports sort by name).
+#[derive(Debug)]
+struct NameTable {
+    tag: u32,
+    names: Mutex<Names>,
+}
+
+#[derive(Debug, Default)]
+struct Names {
+    by_idx: Vec<Arc<str>>,
+    idx_of: HashMap<Arc<str>, u32>,
+}
+
+impl NameTable {
+    fn new() -> Arc<NameTable> {
+        Arc::new(NameTable {
+            tag: NEXT_TABLE_TAG.fetch_add(1, Ordering::Relaxed),
+            names: Mutex::new(Names::default()),
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Names> {
+        // Nothing under this lock can panic short of allocation failure
+        // (which aborts), so poison here means a bug in this module.
+        self.names
+            .lock()
+            .expect("Telemetry: name table poisoned (a thread panicked while interning)")
+    }
+
+    fn intern(&self, name: &str) -> u32 {
+        let mut names = self.lock();
+        if let Some(&idx) = names.idx_of.get(name) {
+            return idx;
+        }
+        let idx = u32::try_from(names.by_idx.len()).expect("fewer than 2^32 telemetry names");
+        let name: Arc<str> = Arc::from(name);
+        names.by_idx.push(name.clone());
+        names.idx_of.insert(name, idx);
+        idx
+    }
+
+    fn lookup(&self, name: &str) -> Option<u32> {
+        self.lock().idx_of.get(name).copied()
+    }
+}
+
 // -- trace events -----------------------------------------------------------
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Most `args` pairs one [`Telemetry::instant`] event can carry: ring
+/// records are fixed-size so that pushing one never allocates.
+pub const MAX_EVENT_ARGS: usize = 3;
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     Begin,
     End,
     Instant,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Event {
     t: Nanos,
+    /// Index into the registry's name table.
+    name: u32,
     scope: Scope,
     phase: Phase,
-    name: String,
-    /// Small numeric payload; rendered into Chrome-trace `args`.
-    args: Vec<(&'static str, i128)>,
+    nargs: u8,
+    /// Small numeric payload (first `nargs` pairs); rendered into
+    /// Chrome-trace `args`.
+    args: [(&'static str, i128); MAX_EVENT_ARGS],
+}
+
+// The default 2^16-event ring must stay within 8 MB.
+const _: () = assert!(std::mem::size_of::<Event>() <= 128);
+
+fn pack_args(args: &[(&'static str, i128)]) -> (u8, [(&'static str, i128); MAX_EVENT_ARGS]) {
+    assert!(
+        args.len() <= MAX_EVENT_ARGS,
+        "Telemetry: an instant event carries at most {MAX_EVENT_ARGS} args, got {}",
+        args.len()
+    );
+    let mut packed = [("", 0i128); MAX_EVENT_ARGS];
+    packed[..args.len()].copy_from_slice(args);
+    (args.len() as u8, packed)
 }
 
 // -- log-linear histogram ---------------------------------------------------
@@ -376,50 +521,87 @@ impl Snapshot {
 
 // -- the shared handle ------------------------------------------------------
 
+/// Ring buffer plus value slots. Slots are indexed by name-table index;
+/// `None` means "not touched since construction, [`Telemetry::reset`] or
+/// being drained by [`Telemetry::merge_from`]" and is invisible to every
+/// export — registering a name never changes a snapshot.
 #[derive(Debug, Default)]
 struct Inner {
-    config: TelemetryConfig,
+    trace_capacity: usize,
     events: VecDeque<Event>,
     events_dropped: u64,
-    counters: BTreeMap<String, i128>,
-    gauges: BTreeMap<String, i128>,
-    hists: BTreeMap<String, Histogram>,
+    counters: Vec<Option<i128>>,
+    gauges: Vec<Option<i128>>,
+    hists: Vec<Option<Histogram>>,
+}
+
+/// The slot for name `idx`, growing the vector on the first touch of a
+/// name interned after this registry last sized it.
+fn slot<T>(slots: &mut Vec<Option<T>>, idx: u32) -> &mut Option<T> {
+    let i = idx as usize;
+    if i >= slots.len() {
+        slots.resize_with(i + 1, || None);
+    }
+    &mut slots[i]
+}
+
+impl Inner {
+    fn push(&mut self, ev: Event) {
+        if self.trace_capacity == 0 {
+            self.events_dropped += 1;
+            return;
+        }
+        if self.events.len() >= self.trace_capacity {
+            self.events.pop_front();
+            self.events_dropped += 1;
+        }
+        self.events.push_back(ev);
+    }
+}
+
+/// Which registry a poison panic names.
+#[derive(Debug)]
+enum Label {
+    Registry,
+    /// A staging buffer, for fabric switch `i` when known.
+    Staging(Option<usize>),
 }
 
 /// The shared telemetry handle. Clone the `Arc` freely; all methods
 /// take `&self`.
+///
+/// Every record call exists twice: by handle ([`add`](Telemetry::add),
+/// [`set`](Telemetry::set), [`record`](Telemetry::record),
+/// [`begin`](Telemetry::begin), [`end`](Telemetry::end),
+/// [`mark`](Telemetry::mark)) for call sites that run per packet, per
+/// driver op or per iteration and resolve their names once, and by name
+/// ([`counter_add`](Telemetry::counter_add) …) for everything else. The
+/// by-name form interns the name and calls the by-handle form, so both
+/// write the same slots.
 #[derive(Debug)]
 pub struct Telemetry {
+    names: Arc<NameTable>,
     inner: Mutex<Inner>,
-    /// Names this registry in the poison panic, so a recorder thread
-    /// that dies mid-update points at the failing shard.
-    label: String,
-    /// Mirror of `config.enabled`, which is fixed at construction: the
-    /// packet hot path checks it before every record and must not pay a
-    /// mutex acquisition for a constant.
+    label: Label,
+    /// Fixed at construction and checked before anything else in every
+    /// record call: a disabled handle costs one flag read.
     enabled: bool,
 }
 
 impl Telemetry {
     pub fn new(config: TelemetryConfig) -> Self {
-        Telemetry::labeled(config, String::new())
+        Telemetry::with_names(NameTable::new(), config, Label::Registry)
     }
 
-    // NOTE: no derived `Default` — the cached `enabled` mirror must agree
-    // with the config inside the mutex, so construction always funnels
-    // through `labeled`.
-
-    /// A registry whose poison panic names `label` (e.g. which staging
-    /// shard it backs).
-    pub fn labeled(config: TelemetryConfig, label: impl Into<String>) -> Self {
-        let enabled = config.enabled;
+    fn with_names(names: Arc<NameTable>, config: TelemetryConfig, label: Label) -> Self {
         Telemetry {
+            names,
             inner: Mutex::new(Inner {
-                config,
+                trace_capacity: config.trace_capacity,
                 ..Inner::default()
             }),
-            label: label.into(),
-            enabled,
+            label,
+            enabled: config.enabled,
         }
     }
 
@@ -432,10 +614,10 @@ impl Telemetry {
                 // an unrelated conservation-oracle failure later — crash
                 // loudly here, naming the registry, so chaos-test
                 // failures point at the shard that died.
-                let who = if self.label.is_empty() {
-                    "shared registry"
-                } else {
-                    self.label.as_str()
+                let who = match self.label {
+                    Label::Registry => "shared registry".to_string(),
+                    Label::Staging(None) => "unnamed staging shard".to_string(),
+                    Label::Staging(Some(i)) => format!("staging shard for switch {i}"),
                 };
                 panic!(
                     "Telemetry: lock poisoned ({who}) — a recorder panicked \
@@ -459,83 +641,84 @@ impl Telemetry {
         }))
     }
 
-    /// A fresh per-shard staging handle mirroring this handle's master
-    /// switch: enabled iff `self` is, with an effectively unbounded ring so
+    /// A per-shard staging handle mirroring this handle's master switch:
+    /// enabled iff `self` is, with an effectively unbounded ring so
     /// *which* events get dropped stays a property of the main ring's
-    /// capacity, not of how the epoch was sharded. Worker threads record
-    /// into their shard's staging handle; the coordinator folds the
-    /// buffers back in canonical shard order with [`Telemetry::merge_from`].
+    /// capacity, not of how the epoch was sharded. It shares this
+    /// handle's name table, so handles resolved against either work on
+    /// both. Worker threads record into their shard's staging handle; the
+    /// coordinator folds the buffers back in canonical shard order with
+    /// [`Telemetry::merge_from`], which leaves the staging empty and
+    /// ready for the next epoch.
     pub fn staging(&self) -> Arc<Telemetry> {
-        self.staging_for("unnamed staging shard")
+        self.staging_labeled(None)
     }
 
-    /// [`Telemetry::staging`] with a shard label, named in the poison
-    /// panic if a worker dies while holding the staging registry.
-    pub fn staging_for(&self, label: impl Into<String>) -> Arc<Telemetry> {
-        let enabled = self.is_enabled();
-        Arc::new(Telemetry::labeled(
+    /// [`Telemetry::staging`] for fabric switch `switch`, named in the
+    /// poison panic if a worker dies while holding the staging registry.
+    pub fn staging_for_switch(&self, switch: usize) -> Arc<Telemetry> {
+        self.staging_labeled(Some(switch))
+    }
+
+    fn staging_labeled(&self, switch: Option<usize>) -> Arc<Telemetry> {
+        Arc::new(Telemetry::with_names(
+            self.names.clone(),
             TelemetryConfig {
-                enabled,
-                trace_capacity: if enabled { usize::MAX } else { 0 },
+                enabled: self.enabled,
+                trace_capacity: if self.enabled { usize::MAX } else { 0 },
             },
-            label,
+            Label::Staging(switch),
         ))
     }
 
-    /// Drain `staged` (a buffer produced via [`Telemetry::staging`]) into
-    /// this handle: trace events are appended in their recorded order
-    /// (subject to this handle's ring capacity, exactly as if they had
-    /// been recorded here directly), counters add, gauges take the staged
-    /// final value, and histograms fold bucket-wise. Calling this for
-    /// every shard in canonical `(switch, pipe)` order reproduces the
-    /// byte-exact sequential recording order.
+    /// Drain `staged` into this handle: trace events are appended in
+    /// their recorded order (subject to this handle's ring capacity,
+    /// exactly as if they had been recorded here directly), counters add,
+    /// gauges take the staged final value, and histograms fold
+    /// bucket-wise. Calling this for every shard in canonical
+    /// `(switch, pipe)` order reproduces the byte-exact sequential
+    /// recording order. `staged` keeps its buffers' capacity, so a
+    /// staging reused every epoch stops allocating once warm.
+    ///
+    /// Registries sharing a name table (a [`Telemetry::staging`] buffer
+    /// and its parent) merge index-wise; any other pair is merged by name.
     pub fn merge_from(&self, staged: &Telemetry) {
-        let mut src = staged.lock();
-        if !src.config.enabled {
+        if !self.enabled || !staged.enabled {
             return;
         }
-        let events: Vec<Event> = src.events.drain(..).collect();
-        let counters = std::mem::take(&mut src.counters);
-        let gauges = std::mem::take(&mut src.gauges);
-        let hists = std::mem::take(&mut src.hists);
-        let dropped = std::mem::take(&mut src.events_dropped);
-        drop(src);
-        {
-            let mut dst = self.lock();
-            if !dst.config.enabled {
-                return;
+        let mut src = staged.lock();
+        // Source index → destination index; `None` is the identity.
+        let xlat: Option<Vec<u32>> = if Arc::ptr_eq(&self.names, &staged.names) {
+            None
+        } else {
+            let names = staged.names.lock().by_idx.clone();
+            Some(names.iter().map(|n| self.names.intern(n)).collect())
+        };
+        let map = |idx: u32| xlat.as_ref().map_or(idx, |x| x[idx as usize]);
+        let mut dst = self.lock();
+        // Staging rings are unbounded, so `events_dropped` is 0 in
+        // practice; carry it anyway so accounting can never lose events
+        // silently.
+        dst.events_dropped += std::mem::take(&mut src.events_dropped);
+        for mut ev in src.events.drain(..) {
+            ev.name = map(ev.name);
+            dst.push(ev);
+        }
+        for (i, delta) in src.counters.iter_mut().enumerate() {
+            if let Some(delta) = delta.take() {
+                *slot(&mut dst.counters, map(i as u32)).get_or_insert(0) += delta;
             }
-            // Staging rings are unbounded, so `dropped` is 0 in practice;
-            // carry it anyway so accounting can never lose events silently.
-            dst.events_dropped += dropped;
-            for ev in events {
-                if dst.events.len() >= dst.config.trace_capacity {
-                    dst.events.pop_front();
-                    dst.events_dropped += 1;
-                }
-                if dst.config.trace_capacity > 0 {
-                    dst.events.push_back(ev);
-                } else {
-                    dst.events_dropped += 1;
-                }
+        }
+        for (i, value) in src.gauges.iter_mut().enumerate() {
+            if let Some(value) = value.take() {
+                *slot(&mut dst.gauges, map(i as u32)) = Some(value);
             }
-            for (name, delta) in counters {
-                match dst.counters.get_mut(&name) {
-                    Some(v) => *v += delta,
-                    None => {
-                        dst.counters.insert(name, delta);
-                    }
-                }
-            }
-            for (name, value) in gauges {
-                dst.gauges.insert(name, value);
-            }
-            for (name, h) in hists {
-                match dst.hists.get_mut(&name) {
+        }
+        for (i, h) in src.hists.iter_mut().enumerate() {
+            if let Some(h) = h.take() {
+                match slot(&mut dst.hists, map(i as u32)) {
                     Some(existing) => existing.merge(&h),
-                    None => {
-                        dst.hists.insert(name, h);
-                    }
+                    empty => *empty = Some(h),
                 }
             }
         }
@@ -550,148 +733,224 @@ impl Telemetry {
     /// price differs. Benchmark baselines that replicate the pre-cache
     /// engine call this so their per-packet cost shape stays faithful.
     pub fn is_enabled_uncached(&self) -> bool {
-        self.lock().config.enabled
+        let _guard = self.lock();
+        self.enabled
+    }
+
+    // -- name resolution ---------------------------------------------------
+
+    /// Resolve `name` against this registry's name table, adding it if
+    /// new. Registration alone is invisible to every export; a disabled
+    /// handle resolves nothing and returns the placeholder.
+    pub fn intern(&self, name: &str) -> NameId {
+        if !self.enabled {
+            return NameId::default();
+        }
+        NameId {
+            table: self.names.tag,
+            idx: self.names.intern(name),
+        }
+    }
+
+    pub fn register_counter(&self, name: &str) -> CounterId {
+        CounterId(self.intern(name))
+    }
+
+    pub fn register_gauge(&self, name: &str) -> GaugeId {
+        GaugeId(self.intern(name))
+    }
+
+    pub fn register_hist(&self, name: &str) -> HistId {
+        HistId(self.intern(name))
+    }
+
+    /// Handles for driver op class `op`: its span name plus
+    /// `driver.<op>_calls` / `driver.<op>_ns`.
+    pub fn register_driver_op(&self, op: &str) -> DriverOpId {
+        if !self.enabled {
+            return DriverOpId::default();
+        }
+        let prefix = scopes::DRIVER_OP_PREFIX;
+        DriverOpId {
+            span: self.intern(op),
+            calls: self.register_counter(&format!("{prefix}{op}_calls")),
+            ns: self.register_hist(&format!("{prefix}{op}_ns")),
+        }
+    }
+
+    /// Whether `id` was issued by this registry's name table (its own, or
+    /// the one it shares with its parent / stagings), i.e. whether a
+    /// cached handle may be used here or must be re-resolved.
+    pub fn owns(&self, id: impl Into<NameId>) -> bool {
+        id.into().table == self.names.tag
+    }
+
+    /// Lock the registry for a burst of by-handle records — the records of
+    /// one packet, one driver op, one iteration — so the burst pays for one
+    /// lock acquisition instead of one per record. `None` on a disabled
+    /// handle. The lock is not reentrant: drop the recorder before anything
+    /// else that records into this registry.
+    pub fn recorder(&self) -> Option<Recorder<'_>> {
+        self.enabled.then(|| Recorder {
+            inner: self.lock(),
+            table: self.names.tag,
+        })
     }
 
     // -- tracer ------------------------------------------------------------
 
+    pub fn begin(&self, scope: Scope, name: NameId, t: Nanos) {
+        if let Some(mut r) = self.recorder() {
+            r.begin(scope, name, t);
+        }
+    }
+
+    pub fn end(&self, scope: Scope, name: NameId, t: Nanos) {
+        if let Some(mut r) = self.recorder() {
+            r.end(scope, name, t);
+        }
+    }
+
+    /// A point event with at most [`MAX_EVENT_ARGS`] numeric args.
+    pub fn mark(&self, scope: Scope, name: NameId, t: Nanos, args: &[(&'static str, i128)]) {
+        if let Some(mut r) = self.recorder() {
+            r.mark(scope, name, t, args);
+        }
+    }
+
     pub fn span_begin(&self, scope: Scope, name: &str, t: Nanos) {
-        self.push(Event {
-            t,
-            scope,
-            phase: Phase::Begin,
-            name: name.to_string(),
-            args: Vec::new(),
-        });
+        self.begin(scope, self.intern(name), t);
     }
 
     pub fn span_end(&self, scope: Scope, name: &str, t: Nanos) {
-        self.push(Event {
-            t,
-            scope,
-            phase: Phase::End,
-            name: name.to_string(),
-            args: Vec::new(),
-        });
+        self.end(scope, self.intern(name), t);
     }
 
-    /// A point event with a small numeric payload.
+    /// By-name form of [`mark`](Telemetry::mark).
     pub fn instant(&self, scope: Scope, name: &str, t: Nanos, args: &[(&'static str, i128)]) {
-        self.push(Event {
-            t,
-            scope,
-            phase: Phase::Instant,
-            name: name.to_string(),
-            args: args.to_vec(),
-        });
-    }
-
-    fn push(&self, ev: Event) {
-        let mut inner = self.lock();
-        if !inner.config.enabled {
-            return;
-        }
-        if inner.events.len() >= inner.config.trace_capacity {
-            inner.events.pop_front();
-            inner.events_dropped += 1;
-        }
-        if inner.config.trace_capacity > 0 {
-            inner.events.push_back(ev);
-        } else {
-            inner.events_dropped += 1;
-        }
+        self.mark(scope, self.intern(name), t, args);
     }
 
     // -- metrics registry --------------------------------------------------
 
+    pub fn add(&self, id: CounterId, delta: i128) {
+        if let Some(mut r) = self.recorder() {
+            r.add(id, delta);
+        }
+    }
+
+    pub fn set(&self, id: GaugeId, value: i128) {
+        if let Some(mut r) = self.recorder() {
+            r.set(id, value);
+        }
+    }
+
+    pub fn record(&self, id: HistId, value: u64) {
+        if let Some(mut r) = self.recorder() {
+            r.record(id, value);
+        }
+    }
+
+    /// Record one driver op of class `op`: bumps `driver.<op>_calls` and
+    /// feeds `driver.<op>_ns`. This is the per-op accounting behind the
+    /// reaction-loop profile (batched register reads vs table writes
+    /// vs scalar updates all show up as separate histograms).
+    pub fn record_driver_op(&self, op: &DriverOpId, cost_ns: Nanos) {
+        if let Some(mut r) = self.recorder() {
+            r.driver_op(op, cost_ns);
+        }
+    }
+
     pub fn counter_add(&self, name: &str, delta: i128) {
-        let mut inner = self.lock();
-        if !inner.config.enabled {
-            return;
-        }
-        match inner.counters.get_mut(name) {
-            Some(v) => *v += delta,
-            None => {
-                inner.counters.insert(name.to_string(), delta);
-            }
-        }
+        self.add(self.register_counter(name), delta);
     }
 
     pub fn gauge_set(&self, name: &str, value: i128) {
-        let mut inner = self.lock();
-        if !inner.config.enabled {
-            return;
-        }
-        match inner.gauges.get_mut(name) {
-            Some(v) => *v = value,
-            None => {
-                inner.gauges.insert(name.to_string(), value);
-            }
-        }
+        self.set(self.register_gauge(name), value);
     }
 
     pub fn hist_record(&self, name: &str, value: u64) {
-        let mut inner = self.lock();
-        if !inner.config.enabled {
-            return;
-        }
-        match inner.hists.get_mut(name) {
-            Some(h) => h.record(value),
-            None => {
-                let mut h = Histogram::default();
-                h.record(value);
-                inner.hists.insert(name.to_string(), h);
-            }
-        }
+        self.record(self.register_hist(name), value);
     }
 
-    /// Record one driver op: bumps `driver.<op>_calls` and feeds
-    /// `driver.<op>_ns`. This is the per-op accounting behind the
-    /// reaction-loop profile (batched register reads vs table writes
-    /// vs scalar updates all show up as separate histograms).
+    /// By-name form of [`record_driver_op`](Telemetry::record_driver_op).
     pub fn driver_op(&self, op: &str, cost_ns: Nanos) {
-        {
-            let inner = self.lock();
-            if !inner.config.enabled {
-                return;
+        self.record_driver_op(&self.register_driver_op(op), cost_ns);
+    }
+
+    /// Current value of a counter by handle (0 if never touched).
+    pub fn counter_value(&self, id: CounterId) -> i128 {
+        match self.recorder() {
+            Some(r) => {
+                let idx = r.index(id.0) as usize;
+                r.inner.counters.get(idx).copied().flatten().unwrap_or(0)
             }
+            None => 0,
         }
-        self.counter_add(&format!("{}{}_calls", scopes::DRIVER_OP_PREFIX, op), 1);
-        self.hist_record(&format!("{}{}_ns", scopes::DRIVER_OP_PREFIX, op), cost_ns);
     }
 
     pub fn counter(&self, name: &str) -> i128 {
-        self.lock().counters.get(name).copied().unwrap_or(0)
-    }
-
-    pub fn gauge(&self, name: &str) -> i128 {
-        self.lock().gauges.get(name).copied().unwrap_or(0)
-    }
-
-    pub fn hist_quantile(&self, name: &str, q: f64) -> u64 {
-        self.lock()
-            .hists
-            .get(name)
-            .map(|h| h.quantile(q))
+        let Some(idx) = self.names.lookup(name) else {
+            return 0;
+        };
+        let inner = self.lock();
+        inner
+            .counters
+            .get(idx as usize)
+            .copied()
+            .flatten()
             .unwrap_or(0)
     }
 
-    pub fn snapshot(&self) -> Snapshot {
+    pub fn gauge(&self, name: &str) -> i128 {
+        let Some(idx) = self.names.lookup(name) else {
+            return 0;
+        };
         let inner = self.lock();
-        Snapshot {
-            counters: inner.counters.clone(),
-            gauges: inner.gauges.clone(),
-            hists: inner
-                .hists
+        inner
+            .gauges
+            .get(idx as usize)
+            .copied()
+            .flatten()
+            .unwrap_or(0)
+    }
+
+    pub fn hist_quantile(&self, name: &str, q: f64) -> u64 {
+        let Some(idx) = self.names.lookup(name) else {
+            return 0;
+        };
+        let inner = self.lock();
+        match inner.hists.get(idx as usize) {
+            Some(Some(h)) => h.quantile(q),
+            _ => 0,
+        }
+    }
+
+    pub fn snapshot(&self) -> Snapshot {
+        fn touched<T, U>(
+            names: &Names,
+            slots: &[Option<T>],
+            value: impl Fn(&T) -> U,
+        ) -> BTreeMap<String, U> {
+            slots
                 .iter()
-                .map(|(k, h)| (k.clone(), h.snapshot()))
-                .collect(),
+                .enumerate()
+                .filter_map(|(i, s)| Some((names.by_idx[i].to_string(), value(s.as_ref()?))))
+                .collect()
+        }
+        let inner = self.lock();
+        let names = self.names.lock();
+        Snapshot {
+            counters: touched(&names, &inner.counters, |v| *v),
+            gauges: touched(&names, &inner.gauges, |v| *v),
+            hists: touched(&names, &inner.hists, Histogram::snapshot),
             events_buffered: inner.events.len() as u64,
             events_dropped: inner.events_dropped,
         }
     }
 
-    /// Drop all recorded events and metrics (config is kept).
+    /// Drop all recorded events and metrics. Config, the name table and
+    /// every handle issued so far are kept.
     pub fn reset(&self) {
         let mut inner = self.lock();
         inner.events.clear();
@@ -709,6 +968,7 @@ impl Telemetry {
     /// output is byte-deterministic for a given event sequence.
     pub fn chrome_trace_json(&self) -> String {
         let inner = self.lock();
+        let names = self.names.lock();
         let mut out = String::new();
         out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
         let mut first = true;
@@ -743,14 +1003,15 @@ impl Telemetry {
                 ev.scope.tid(),
                 ev.t / 1_000,
                 ev.t % 1_000,
-                escape_json(&ev.name),
+                escape_json(&names.by_idx[ev.name as usize]),
             );
             if ev.phase == Phase::Instant {
                 out.push_str(",\"s\":\"t\"");
             }
-            if !ev.args.is_empty() {
+            let args = &ev.args[..usize::from(ev.nargs)];
+            if !args.is_empty() {
                 out.push_str(",\"args\":{");
-                for (i, (k, v)) in ev.args.iter().enumerate() {
+                for (i, (k, v)) in args.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
@@ -817,6 +1078,81 @@ impl Telemetry {
             snap.events_buffered, snap.events_dropped
         );
         out
+    }
+}
+
+/// A locked, enabled registry ([`Telemetry::recorder`]): every by-handle
+/// record call, minus the lock acquisition.
+pub struct Recorder<'a> {
+    inner: MutexGuard<'a, Inner>,
+    /// Tag of the registry's name table.
+    table: u32,
+}
+
+impl Recorder<'_> {
+    /// The slot index behind a handle issued by this registry's table.
+    fn index(&self, id: NameId) -> u32 {
+        assert!(
+            id.table == self.table,
+            "Telemetry: handle {id:?} was issued by another name table (this one is {}); \
+             re-resolve cached handles when the registry changes",
+            self.table
+        );
+        id.idx
+    }
+
+    fn push(
+        &mut self,
+        scope: Scope,
+        phase: Phase,
+        name: NameId,
+        t: Nanos,
+        args: &[(&'static str, i128)],
+    ) {
+        let (nargs, args) = pack_args(args);
+        let ev = Event {
+            t,
+            name: self.index(name),
+            scope,
+            phase,
+            nargs,
+            args,
+        };
+        self.inner.push(ev);
+    }
+
+    pub fn begin(&mut self, scope: Scope, name: NameId, t: Nanos) {
+        self.push(scope, Phase::Begin, name, t, &[]);
+    }
+
+    pub fn end(&mut self, scope: Scope, name: NameId, t: Nanos) {
+        self.push(scope, Phase::End, name, t, &[]);
+    }
+
+    pub fn mark(&mut self, scope: Scope, name: NameId, t: Nanos, args: &[(&'static str, i128)]) {
+        self.push(scope, Phase::Instant, name, t, args);
+    }
+
+    pub fn add(&mut self, id: CounterId, delta: i128) {
+        let idx = self.index(id.0);
+        *slot(&mut self.inner.counters, idx).get_or_insert(0) += delta;
+    }
+
+    pub fn set(&mut self, id: GaugeId, value: i128) {
+        let idx = self.index(id.0);
+        *slot(&mut self.inner.gauges, idx) = Some(value);
+    }
+
+    pub fn record(&mut self, id: HistId, value: u64) {
+        let idx = self.index(id.0);
+        slot(&mut self.inner.hists, idx)
+            .get_or_insert_with(Histogram::default)
+            .record(value);
+    }
+
+    pub fn driver_op(&mut self, op: &DriverOpId, cost_ns: Nanos) {
+        self.add(op.calls, 1);
+        self.record(op.ns, cost_ns);
     }
 }
 
@@ -1021,7 +1357,7 @@ mod tests {
     #[should_panic(expected = "lock poisoned (staging shard for switch 3)")]
     fn poisoned_registry_panics_loudly_naming_the_shard() {
         let main = Telemetry::shared();
-        let shard = main.staging_for("staging shard for switch 3");
+        let shard = main.staging_for_switch(3);
         let poisoner = shard.clone();
         // Poison the mutex: panic while holding the guard on another thread.
         let _ = std::thread::spawn(move || {

@@ -16,7 +16,7 @@
 //! no allocation, no name lookups, no boxed closures.
 
 use crate::sim::{EventKind, Simulator};
-use mantis_telemetry::Scope;
+use mantis_telemetry::{GaugeId, Scope};
 use rmt_sim::{Nanos, PacketDesc, PacketTemplate, PortId};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -98,6 +98,10 @@ pub struct TcpState {
     send_gen: u64,
     /// `cfg.fields` compiled against the target switch's spec at spawn.
     tmpl: PacketTemplate,
+    /// Handle for `netsim.flow{id}_rate_bps`, resolved by the first AIMD
+    /// tick that finds telemetry on (and again should the fabric's
+    /// registry be replaced afterwards).
+    rate_gauge: GaugeId,
 }
 
 impl TcpState {
@@ -158,6 +162,7 @@ pub fn spawn_tcp_on(sim: &mut Simulator, switch: usize, cfg: TcpConfig) -> Rc<Re
         backoff_factor: None,
         stopped: false,
         tmpl,
+        rate_gauge: GaugeId::default(),
     }));
     let flow = u32::try_from(sim.flows.tcp.len()).expect("tcp flow count fits u32");
     sim.flows.tcp.push(state.clone());
@@ -247,10 +252,11 @@ pub(crate) fn tcp_tick_event(sim: &mut Simulator, flow: u32, nominal: Nanos) {
         {
             let tel = sim.telemetry();
             if tel.is_enabled() {
-                tel.gauge_set(
-                    &format!("netsim.flow{}_rate_bps", st.flow_id),
-                    i128::from(st.rate_bps),
-                );
+                if !tel.owns(st.rate_gauge) {
+                    st.rate_gauge =
+                        tel.register_gauge(&format!("netsim.flow{}_rate_bps", st.flow_id));
+                }
+                tel.set(st.rate_gauge, i128::from(st.rate_bps));
             }
         }
         // If the send loop overslept at a previously tiny rate,

@@ -4,8 +4,8 @@
 //! Shards are whole switches, statically assigned to workers (switch `i` →
 //! worker `i % W` unless the assignment was scrambled for testing). Each
 //! drain is one epoch: the coordinator broadcasts a `Go`, every worker
-//! pumps its owned switches concurrently — recording telemetry into a
-//! fresh per-switch staging buffer — and replies with one
+//! pumps its owned switches concurrently — recording telemetry into that
+//! switch's staging buffer — and replies with one
 //! [`ShardResult`] per switch. The coordinator then merges stagings and
 //! routes transmit batches in canonical switch-index order, which is what
 //! makes the output byte-identical to the sequential engine at any worker
@@ -118,11 +118,17 @@ fn worker_loop(
     go_rx: &mpsc::Receiver<Msg>,
     reply_tx: &mpsc::Sender<Vec<ShardResult>>,
 ) {
+    // One `(main, staging)` pair per owned switch for the pool's lifetime:
+    // the staging shares the main registry's name table, so the handles
+    // the switch resolved against `main` stay valid across the swap, and
+    // `merge_from` leaves it empty (capacity kept) for the next epoch.
+    let mut stagings: Vec<Option<(Arc<Telemetry>, Arc<Telemetry>)>> = vec![None; owned.len()];
     while let Ok(Msg::Go) = go_rx.recv() {
         let results = owned
             .iter()
-            .filter(|(idx, _)| busy[*idx].load(Ordering::Relaxed))
-            .filter_map(|(idx, handle)| {
+            .zip(&mut stagings)
+            .filter(|((idx, _), _)| busy[*idx].load(Ordering::Relaxed))
+            .filter_map(|((idx, handle), slot)| {
                 let mut sw = handle.borrow_mut();
                 // Same provable-no-op skip as the serial drain: queued
                 // packets none of which can serve yet leave the switch
@@ -134,7 +140,16 @@ fn worker_loop(
                 // concurrent shards never interleave writes to the shared
                 // registry; the coordinator merges in switch-index order.
                 let main = sw.telemetry().clone();
-                let staging = main.staging_for(format!("staging shard for switch {idx}"));
+                let staging = match slot {
+                    Some((of, staging)) if Arc::ptr_eq(of, &main) => staging.clone(),
+                    // First epoch, or the switch was re-pointed at
+                    // another registry since.
+                    _ => {
+                        let staging = main.staging_for_switch(*idx);
+                        *slot = Some((main.clone(), staging.clone()));
+                        staging
+                    }
+                };
                 sw.set_telemetry(staging.clone());
                 let work = sw.pump();
                 sw.set_telemetry(main);

@@ -17,7 +17,7 @@ use crate::table::{EntryHandle, KeyField, Lookup, Table, TableError};
 use crate::{hash, spec};
 use mantis_telemetry::{
     scopes::{pipe_metric, switch_metric},
-    Scope, Telemetry,
+    CounterId, GaugeId, NameId, Scope, Telemetry,
 };
 use p4_ast::{CmpOp, Pipeline, Value};
 use std::collections::VecDeque;
@@ -271,6 +271,28 @@ struct GuardedApply {
     guards: Vec<(RBool, bool)>,
 }
 
+/// Telemetry handles behind the per-packet records, resolved against the
+/// attached registry once ([`Switch::resolve_metrics`]) so the packet path
+/// never formats or looks up a name.
+#[derive(Debug, Default)]
+struct SwitchMetrics {
+    rx: CounterId,
+    tx: CounterId,
+    /// `pipe{p}.switch.rx` / `.tx` per pipe; empty on a single-pipe switch.
+    pipe_rx: Vec<CounterId>,
+    pipe_tx: Vec<CounterId>,
+    /// `sw{i}.switch.rx` / `.tx` when the switch has a fabric index.
+    sw_rx: Option<CounterId>,
+    sw_tx: Option<CounterId>,
+    /// `tm.q{port}_depth_bytes` per front-panel port, each resolved by the
+    /// first packet the port queues (most ports of a fabric switch stay
+    /// idle, and set-up should not pay for their names).
+    qdepth: Vec<GaugeId>,
+    egress_pass: NameId,
+    drop_port_down: NameId,
+    drop_queue_full: NameId,
+}
+
 /// The simulated switch: `num_pipes` independent [`Pipe`]s sharing one
 /// compiled [`DataPlaneSpec`].
 pub struct Switch {
@@ -297,6 +319,7 @@ pub struct Switch {
     qdepth_register: Option<RegisterId>,
     pub stats: SwitchStats,
     telemetry: Arc<Telemetry>,
+    metrics: SwitchMetrics,
     /// This switch's index within a multi-switch fabric. `None` (the
     /// default, and always the case for single-switch testbeds) suppresses
     /// the `sw{i}.*` telemetry scope entirely so existing goldens stay
@@ -386,6 +409,7 @@ impl Switch {
             qdepth_register: None,
             stats: SwitchStats::default(),
             telemetry: Telemetry::disabled(),
+            metrics: SwitchMetrics::default(),
             fabric_index: None,
             apply_scratch: Vec::new(),
             hash_scratch: Vec::new(),
@@ -447,7 +471,50 @@ impl Switch {
     /// each egress pass is a `Scope::Switch` span on the virtual
     /// timeline.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+        // A registry sharing the old one's name table (the parallel
+        // drain's per-epoch staging swap) keeps the resolved handles.
+        let keep = telemetry.owns(self.metrics.rx);
         self.telemetry = telemetry;
+        if !keep {
+            self.resolve_metrics();
+        }
+    }
+
+    /// Resolve every name the packet path records under against the
+    /// attached registry. Registration is invisible to exports, so names
+    /// that never fire (idle ports, drops) never appear in a snapshot.
+    fn resolve_metrics(&mut self) {
+        let tel = &self.telemetry;
+        if !tel.is_enabled() {
+            self.metrics = SwitchMetrics::default();
+            return;
+        }
+        let pipes = if self.config.num_pipes > 1 {
+            0..self.config.num_pipes
+        } else {
+            0..0
+        };
+        self.metrics = SwitchMetrics {
+            rx: tel.register_counter("switch.rx"),
+            tx: tel.register_counter("switch.tx"),
+            pipe_rx: pipes
+                .clone()
+                .map(|p| tel.register_counter(&pipe_metric(p, "switch.rx")))
+                .collect(),
+            pipe_tx: pipes
+                .map(|p| tel.register_counter(&pipe_metric(p, "switch.tx")))
+                .collect(),
+            sw_rx: self
+                .fabric_index
+                .map(|sw| tel.register_counter(&switch_metric(sw, "switch.rx"))),
+            sw_tx: self
+                .fabric_index
+                .map(|sw| tel.register_counter(&switch_metric(sw, "switch.tx"))),
+            qdepth: vec![GaugeId::default(); usize::from(self.config.num_ports)],
+            egress_pass: tel.intern("egress_pass"),
+            drop_port_down: tel.intern("drop_port_down"),
+            drop_queue_full: tel.intern("drop_queue_full"),
+        };
     }
 
     pub fn telemetry(&self) -> &Arc<Telemetry> {
@@ -461,6 +528,7 @@ impl Switch {
     /// traces never contain `sw` labels.
     pub fn set_fabric_index(&mut self, index: Option<u16>) {
         self.fabric_index = index;
+        self.resolve_metrics();
     }
 
     /// The fabric index set by [`set_fabric_index`](Switch::set_fabric_index).
@@ -566,35 +634,28 @@ impl Switch {
         };
         let exec_pipe = self.pipe_of_port(in_port);
         if self.tel_on() {
-            self.telemetry.counter_add("switch.rx", 1);
-            if self.config.num_pipes > 1 {
-                self.telemetry
-                    .counter_add(&pipe_metric(exec_pipe, "switch.rx"), 1);
-            }
-            if let Some(sw) = self.fabric_index {
-                self.telemetry
-                    .counter_add(&switch_metric(sw, "switch.rx"), 1);
+            if let Some(mut rec) = self.telemetry.recorder() {
+                rec.add(self.metrics.rx, 1);
+                if let Some(&id) = self.metrics.pipe_rx.get(usize::from(exec_pipe)) {
+                    rec.add(id, 1);
+                }
+                if let Some(id) = self.metrics.sw_rx {
+                    rec.add(id, 1);
+                }
             }
         }
         if let Some((pipe, local)) = self.port_slot(in_port) {
             if !self.pipes[pipe].ports[local].up {
                 self.stats.dropped_port_down += 1;
                 if self.tel_on() {
-                    if self.config.num_pipes > 1 {
-                        self.telemetry.instant(
-                            Scope::Switch,
-                            "drop_port_down",
-                            self.clock.now(),
-                            &[("port", i128::from(in_port)), ("pipe", pipe as i128)],
-                        );
-                    } else {
-                        self.telemetry.instant(
-                            Scope::Switch,
-                            "drop_port_down",
-                            self.clock.now(),
-                            &[("port", i128::from(in_port))],
-                        );
-                    }
+                    let args = [("port", i128::from(in_port)), ("pipe", pipe as i128)];
+                    let nargs = if self.config.num_pipes > 1 { 2 } else { 1 };
+                    self.telemetry.mark(
+                        Scope::Switch,
+                        self.metrics.drop_port_down,
+                        self.clock.now(),
+                        &args[..nargs],
+                    );
                 }
                 self.phv_pool.put(phv);
                 return false;
@@ -687,28 +748,18 @@ impl Switch {
             self.stats.dropped_queue += 1;
             self.pipes[pipe].ports[local].queue_drops += 1;
             if self.tel_on() {
-                if self.config.num_pipes > 1 {
-                    self.telemetry.instant(
-                        Scope::TrafficManager,
-                        "drop_queue_full",
-                        self.clock.now(),
-                        &[
-                            ("port", i128::from(port)),
-                            ("depth_bytes", i128::from(depth)),
-                            ("pipe", pipe as i128),
-                        ],
-                    );
-                } else {
-                    self.telemetry.instant(
-                        Scope::TrafficManager,
-                        "drop_queue_full",
-                        self.clock.now(),
-                        &[
-                            ("port", i128::from(port)),
-                            ("depth_bytes", i128::from(depth)),
-                        ],
-                    );
-                }
+                let args = [
+                    ("port", i128::from(port)),
+                    ("depth_bytes", i128::from(depth)),
+                    ("pipe", pipe as i128),
+                ];
+                let nargs = if self.config.num_pipes > 1 { 3 } else { 2 };
+                self.telemetry.mark(
+                    Scope::TrafficManager,
+                    self.metrics.drop_queue_full,
+                    self.clock.now(),
+                    &args[..nargs],
+                );
             }
             self.phv_pool.put(phv);
             return false;
@@ -838,14 +889,17 @@ impl Switch {
                 };
                 let tx_time = tx_start.saturating_add(wire_ns);
                 self.pipes[pipe].queues[local].busy_until = tx_time;
-                self.mirror_qdepth(port);
+                let depth = self.mirror_qdepth_register(port);
                 if self.tel_on() {
-                    // The dequeue→wire window of this packet on the
-                    // virtual timeline.
-                    self.telemetry
-                        .span_begin(Scope::Switch, "egress_pass", tx_start);
-                    self.telemetry
-                        .span_end(Scope::Switch, "egress_pass", tx_time);
+                    let gauge = self.qdepth_gauge(port);
+                    if let Some(mut rec) = self.telemetry.recorder() {
+                        rec.set(gauge, i128::from(depth));
+                        // The dequeue→wire window of this packet on the
+                        // virtual timeline.
+                        let name = self.metrics.egress_pass;
+                        rec.begin(Scope::Switch, name, tx_start);
+                        rec.end(Scope::Switch, name, tx_time);
+                    }
                 }
 
                 let mut phv = phv;
@@ -876,14 +930,14 @@ impl Switch {
                 }
                 self.stats.tx += 1;
                 if self.tel_on() {
-                    self.telemetry.counter_add("switch.tx", 1);
-                    if self.config.num_pipes > 1 {
-                        self.telemetry
-                            .counter_add(&pipe_metric(pipe as u16, "switch.tx"), 1);
-                    }
-                    if let Some(sw) = self.fabric_index {
-                        self.telemetry
-                            .counter_add(&switch_metric(sw, "switch.tx"), 1);
+                    if let Some(mut rec) = self.telemetry.recorder() {
+                        rec.add(self.metrics.tx, 1);
+                        if let Some(&id) = self.metrics.pipe_tx.get(pipe) {
+                            rec.add(id, 1);
+                        }
+                        if let Some(id) = self.metrics.sw_tx {
+                            rec.add(id, 1);
+                        }
                     }
                 }
                 self.transmitted.push((
@@ -940,10 +994,22 @@ impl Switch {
             .unwrap_or(0)
     }
 
+    /// Publish front-panel `port`'s queue depth: into the qdepth register
+    /// (if one is bound) and the `tm.q{port}_depth_bytes` gauge.
     fn mirror_qdepth(&mut self, port: PortId) {
+        let depth = self.mirror_qdepth_register(port);
+        if self.tel_on() {
+            let gauge = self.qdepth_gauge(port);
+            self.telemetry.set(gauge, i128::from(depth));
+        }
+    }
+
+    /// The register half of [`mirror_qdepth`](Switch::mirror_qdepth);
+    /// returns the depth it mirrored.
+    fn mirror_qdepth_register(&mut self, port: PortId) -> u32 {
         let depth = self.queue_depth(port);
         let Some((pipe, _)) = self.port_slot(port) else {
-            return;
+            return depth;
         };
         if let Some(rid) = self.qdepth_register {
             // Only the owning pipe sees its ports' depths, at the *global*
@@ -952,10 +1018,19 @@ impl Switch {
             self.pipes[pipe].registers[rid.0 as usize]
                 .write(port as usize, Value::new(u128::from(depth), 64));
         }
-        if self.tel_on() {
-            self.telemetry
-                .gauge_set(&format!("tm.q{port}_depth_bytes"), i128::from(depth));
+        depth
+    }
+
+    /// The `tm.q{port}_depth_bytes` handle of a front-panel port, resolved
+    /// on first use. Call only with telemetry on.
+    fn qdepth_gauge(&mut self, port: PortId) -> GaugeId {
+        let id = &mut self.metrics.qdepth[usize::from(port)];
+        if !self.telemetry.owns(*id) {
+            *id = self
+                .telemetry
+                .register_gauge(&format!("tm.q{port}_depth_bytes"));
         }
+        *id
     }
 
     // -- staged execution -----------------------------------------------------

@@ -9,13 +9,21 @@
 //! PHVs, wire hops move buffers instead of copying, transmit batches
 //! reuse scratch capacity, and the capped tx log recycles exit buffers
 //! back to their emitting switch's freelist.
+//!
+//! The telemetry-on twin runs the same block with an enabled registry
+//! shared by every switch (DESIGN.md §6): once the ring has filled, the
+//! rx/tx counters, queue-depth gauges, `egress_pass` spans and
+//! `drop_queue_full` instants of the measured half are all recorded
+//! through pre-resolved handles into fixed-size ring records — still zero
+//! allocations.
 
 use mantis::netsim::{spawn_scale_flows, ScaleConfig, ScaleHost, Simulator, Topology, HOST_PORTS};
 use mantis::p4_ast::Value;
 use mantis::rmt_sim::{switch_from_source, KeyField, PortId};
-use mantis::{Clock, SharedSwitch, SwitchConfig};
+use mantis::{Clock, SharedSwitch, SwitchConfig, Telemetry, TelemetryConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 struct Counting;
 
@@ -38,6 +46,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
+/// The allocation counter is process-wide: the two blocks take turns.
+static ONE_BLOCK_AT_A_TIME: Mutex<()> = Mutex::new(());
+
 const ROUTE_P4: &str = r#"
 header_type ip_t { fields { src : 32; dst : 32; } }
 header ip_t ip;
@@ -59,12 +70,16 @@ fn host_addr(leaf: usize, h: usize) -> u64 {
     (leaf * HOST_PORTS as usize + h + 1) as u64
 }
 
-fn build_fabric() -> Simulator {
+fn build_fabric(config: &SwitchConfig, telemetry: Option<&Arc<Telemetry>>) -> Simulator {
     let clock = Clock::new();
     let mut switches = Vec::new();
-    for _ in 0..LEAVES + SPINES {
-        let sw = switch_from_source(ROUTE_P4, SwitchConfig::default(), clock.clone())
+    for i in 0..LEAVES + SPINES {
+        let mut sw = switch_from_source(ROUTE_P4, config.clone(), clock.clone())
             .expect("route program compiles");
+        if let Some(telemetry) = telemetry {
+            sw.set_fabric_index(Some(i as u16));
+            sw.set_telemetry(telemetry.clone());
+        }
         switches.push(SharedSwitch::new(sw));
     }
     for (i, handle) in switches.iter().enumerate() {
@@ -101,8 +116,18 @@ fn build_fabric() -> Simulator {
     sim
 }
 
-#[test]
-fn steady_state_packet_path_does_not_allocate() {
+/// What the measured (second) half of one block did.
+struct MeasuredHalf {
+    allocations: u64,
+    exited: u64,
+    queue_drops: u64,
+    planned: u64,
+}
+
+fn run_block(config: &SwitchConfig, telemetry: Option<&Arc<Telemetry>>) -> MeasuredHalf {
+    let _turn = ONE_BLOCK_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let hosts: Vec<ScaleHost> = (0..LEAVES)
         .flat_map(|leaf| {
             (0..HOST_PORTS as usize).map(move |h| ScaleHost {
@@ -119,25 +144,79 @@ fn steady_state_packet_path_does_not_allocate() {
         ..Default::default()
     };
 
-    let mut sim = build_fabric();
+    let mut sim = build_fabric(config, telemetry);
     let planned = spawn_scale_flows(&mut sim, &cfg, &hosts).expect("flows spawn");
     assert!(planned > 10_000, "block too small to exercise steady state");
+    let queue_drops = |sim: &Simulator| -> u64 {
+        (0..LEAVES + SPINES)
+            .map(|i| sim.switch_at(i).borrow().stats.dropped_queue)
+            .sum()
+    };
 
     // Warm-up half: freelists, wheel buckets, queue deques, and batch
-    // scratch all reach steady capacity.
+    // scratch all reach steady capacity (and, with telemetry on, the ring
+    // fills and every slot the traffic touches is sized).
     sim.run_until(cfg.duration_ns / 2);
+    let exited0 = sim.tx_count;
+    let drops0 = queue_drops(&sim);
 
     let before = ALLOCS.load(Ordering::Relaxed);
     sim.run_until(cfg.duration_ns + 100_000);
     let after = ALLOCS.load(Ordering::Relaxed);
 
-    let exited = sim.tx_count;
-    assert!(exited > 0, "no traffic crossed the fabric");
+    MeasuredHalf {
+        allocations: after - before,
+        exited: sim.tx_count - exited0,
+        queue_drops: queue_drops(&sim) - drops0,
+        planned,
+    }
+}
+
+#[test]
+fn steady_state_packet_path_does_not_allocate() {
+    let half = run_block(&SwitchConfig::default(), None);
+    assert!(half.exited > 0, "no traffic crossed the fabric");
     assert_eq!(
-        after - before,
-        0,
+        half.allocations, 0,
         "steady-state half allocated {} times (planned {} packets)",
-        after - before,
-        planned
+        half.allocations, half.planned
     );
+}
+
+#[test]
+fn steady_state_packet_path_does_not_allocate_with_telemetry_on() {
+    // A ring the warm-up half overfills several times, and queues two
+    // frames deep so that same-tick bursts overflow them.
+    let telemetry = Arc::new(Telemetry::new(TelemetryConfig {
+        trace_capacity: 4_096,
+        enabled: true,
+    }));
+    let config = SwitchConfig {
+        queue_capacity_bytes: 1_500,
+        ..Default::default()
+    };
+    let half = run_block(&config, Some(&telemetry));
+    assert!(half.exited > 0, "no traffic crossed the fabric");
+    assert!(
+        half.queue_drops > 0,
+        "no queue overflowed in the measured half: drop_queue_full went unexercised"
+    );
+    assert_eq!(
+        half.allocations, 0,
+        "telemetry-on steady-state half allocated {} times (planned {} packets)",
+        half.allocations, half.planned
+    );
+
+    // The block really did record: ring full and wrapped, counters under
+    // every scope, per-port gauges, spans. (Each queue drop counted above
+    // records its `drop_queue_full` instant in the same branch.)
+    let snap = telemetry.snapshot();
+    assert_eq!(snap.events_buffered, 4_096);
+    assert!(snap.events_dropped > 4_096);
+    assert!(snap.counter("switch.rx") > 0 && snap.counter("sw0.switch.rx") > 0);
+    assert!(snap.counter("switch.tx") > 0 && snap.counter("sw2.switch.tx") > 0);
+    assert!(snap.gauges.keys().any(|k| k.starts_with("tm.q")));
+    assert!(telemetry
+        .chrome_trace_json()
+        .contains("\"name\":\"egress_pass\""));
 }
