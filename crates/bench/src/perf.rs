@@ -155,8 +155,8 @@ fn lookup_bench(
     // Cross-check before timing: the index must agree with the reference
     // scan on every probe.
     for phv in probes {
-        let fast = table.lookup(spec, phv);
-        let slow = table.lookup_linear(spec, phv);
+        let fast = table.lookup(spec, phv).detach();
+        let slow = table.lookup_linear(spec, phv).detach();
         assert_eq!(fast, slow, "{workload}: indexed lookup diverged");
     }
 

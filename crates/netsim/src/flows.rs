@@ -196,11 +196,7 @@ pub(crate) fn tcp_send_event(sim: &mut Simulator, flow: u32, gen: u64) {
         }
         st.switch
     };
-    sim.mark_busy(switch);
-    let accepted = {
-        let st = state.borrow();
-        sim.switch_at(switch).borrow_mut().inject_template(&st.tmpl)
-    };
+    let accepted = sim.inject_on(switch, |sw, _| sw.inject(&state.borrow().tmpl));
     let next = {
         let mut st = state.borrow_mut();
         st.sent_pkts += 1;
@@ -400,11 +396,7 @@ pub(crate) fn udp_send_event(sim: &mut Simulator, flow: u32, nominal: Nanos) {
         state.borrow_mut().stopped = true;
         return;
     }
-    sim.mark_busy(switch);
-    let ok = sim
-        .switch_at(switch)
-        .borrow_mut()
-        .inject_template(&sim.flows.udp[i].tmpl);
+    let ok = sim.inject_on(switch, |sw, flows| sw.inject(&flows.udp[i].tmpl));
     {
         let mut st = state.borrow_mut();
         st.sent_pkts += 1;
@@ -485,10 +477,7 @@ pub(crate) fn hb_send_event(sim: &mut Simulator, flow: u32, nominal: Nanos) {
     if stop_ns.is_some_and(|t| sim.now() >= t) {
         return;
     }
-    sim.mark_busy(switch);
-    sim.switch_at(switch)
-        .borrow_mut()
-        .inject_template(&sim.flows.hb[i].tmpl);
+    sim.inject_on(switch, |sw, flows| sw.inject(&flows.hb[i].tmpl));
     let Some(next) = nominal.checked_add(interval.max(1)) else {
         return;
     };
@@ -738,30 +727,29 @@ pub(crate) fn flow_wake_event(sim: &mut Simulator, shard: u32) {
         .take()
         .expect("scale-shard/wake: shard checked out twice");
     let now = sim.now();
-    sim.mark_busy(sh.switch);
     let mut batch: u64 = 0;
-    while let Some(a) = sh.arrivals.get(sh.next) {
-        if a.at > now {
-            break;
+    // The whole wake batch goes in under one borrow of the shard's switch.
+    sim.inject_on(sh.switch, |sw, _| {
+        while let Some(a) = sh.arrivals.get(sh.next) {
+            if a.at > now {
+                break;
+            }
+            sh.next += 1;
+            sh.tmpl.set_value(0, u128::from(a.src));
+            sh.tmpl.set_value(1, u128::from(a.dst));
+            sh.tmpl.set_port(a.port);
+            sw.top_up_pool();
+            let ok = sw.inject(&sh.tmpl);
+            sh.stats.injected += 1;
+            if ok {
+                sh.stats.accepted += 1;
+            }
+            batch += 1;
+            if a.last {
+                sh.stats.live -= 1;
+            }
         }
-        sh.next += 1;
-        sh.tmpl.set_value(0, u128::from(a.src));
-        sh.tmpl.set_value(1, u128::from(a.dst));
-        sh.tmpl.set_port(a.port);
-        sim.rebalance_pool_for(sh.switch);
-        let ok = sim
-            .switch_at(sh.switch)
-            .borrow_mut()
-            .inject_template(&sh.tmpl);
-        sh.stats.injected += 1;
-        if ok {
-            sh.stats.accepted += 1;
-        }
-        batch += 1;
-        if a.last {
-            sh.stats.live -= 1;
-        }
-    }
+    });
     sh.stats.batches += 1;
     sh.stats.max_batch = sh.stats.max_batch.max(batch);
     let next_wake = sh.arrivals.get(sh.next).map(|a| a.at);

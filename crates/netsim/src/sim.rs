@@ -22,11 +22,13 @@ use crate::par::{ShardResult, WorkerPool};
 use crate::topo::{Endpoint, Link, Topology};
 use crate::wheel::TimingWheel;
 use mantis_telemetry::Telemetry;
-use rmt_sim::{Clock, Nanos, Phv, PortId, SharedSwitch, TransferMap, TxPacket};
+use rmt_sim::{
+    Clock, Nanos, PacketTemplate, Phv, PortId, SharedSwitch, Switch, TransferMap, TxPacket,
+};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 pub(crate) type EventFn = Box<dyn FnOnce(&mut Simulator)>;
 
@@ -106,6 +108,12 @@ pub struct ParStats {
     pub work_units: u64,
     /// Sum over drains of the slowest worker's load.
     pub critical_units: u64,
+    /// Times the serial drain took a switch's lock to look at it.
+    pub switch_visits: u64,
+    /// Serial-drain pumps that served no packet. The readiness index
+    /// keeps this at zero: a switch is pumped only once a queue head of
+    /// its is due.
+    pub zero_serve_pumps: u64,
 }
 
 impl ParStats {
@@ -116,6 +124,24 @@ impl ParStats {
         } else {
             self.work_units as f64 / self.critical_units as f64
         }
+    }
+}
+
+/// Readiness-index entry of a switch with nothing queued.
+const IDLE: Nanos = Nanos::MAX;
+/// Readiness-index entry of a switch whose state must be looked up.
+const UNKNOWN: Nanos = 0;
+
+/// `sw`'s readiness-index entry, read under its borrow: [`IDLE`], or the
+/// time its earliest queue head can transmit — held one short of the
+/// horizon, so that a head due at `u64::MAX` is not mistaken for idle (it
+/// is then looked at, and skipped, one nanosecond early).
+#[inline]
+fn ready_entry(sw: &Switch) -> Nanos {
+    if sw.tm_queued() == 0 {
+        IDLE
+    } else {
+        sw.next_ready_at().min(IDLE - 1)
     }
 }
 
@@ -150,6 +176,16 @@ pub struct Simulator {
     /// only); a spurious visit is a no-op pump, never a correctness
     /// issue.
     dirty: Vec<u64>,
+    /// The serial drain's readiness index: per switch, the virtual time
+    /// its earliest queue head can transmit
+    /// ([`Switch::next_ready_at`]), as of the last time this simulator
+    /// held its borrow — after an inject, a skip or a pump. [`IDLE`]:
+    /// nothing queued. [`UNKNOWN`]: code this simulator does not see
+    /// into (a closure event, the caller between runs, a pool worker) may
+    /// have touched the switch, so the next drain looks
+    /// ([`mark_all_busy`](Simulator::mark_all_busy)). A drain visits
+    /// switch `i` only once `now` has reached `ready_at[i]`.
+    ready_at: Vec<Nanos>,
     /// Packets that exited the fabric (transmitted out an *unlinked*
     /// port), tagged with the switch that emitted them; kept until taken
     /// by the experiment (capped to avoid unbounded growth when unused).
@@ -192,6 +228,9 @@ pub struct Simulator {
     /// output order.
     assignment: Option<Vec<usize>>,
     par_stats: ParStats,
+    /// Drain through [`drain_property`]'s index-free reference instead.
+    #[cfg(test)]
+    reference_drain: bool,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -257,6 +296,7 @@ impl Simulator {
                     }
                 })
                 .collect(),
+            ready_at: vec![UNKNOWN; n],
             tx_log: VecDeque::new(),
             tx_log_cap: 1 << 20,
             legacy_compat: false,
@@ -274,6 +314,8 @@ impl Simulator {
                 workers: 1,
                 ..ParStats::default()
             },
+            #[cfg(test)]
+            reference_drain: false,
         }
     }
 
@@ -519,10 +561,7 @@ impl Simulator {
                 port,
                 arrival,
                 phv,
-            } => {
-                self.mark_busy(dest);
-                self.deliver_wire(src, dest, port, arrival, phv);
-            }
+            } => self.deliver_wire(src, dest, port, arrival, phv),
             EventKind::TcpSend { flow, gen } => crate::flows::tcp_send_event(self, flow, gen),
             EventKind::TcpTick { flow, nominal } => {
                 crate::flows::tcp_tick_event(self, flow, nominal)
@@ -540,45 +579,33 @@ impl Simulator {
     /// the sender-side buffer.
     fn deliver_wire(&mut self, src: usize, dest: usize, port: PortId, arrival: Nanos, phv: Phv) {
         self.ensure_transfer_map(src, dest);
-        let identity = self.xfer[src][dest]
-            .as_deref()
-            .is_some_and(TransferMap::is_identity);
-        if identity {
+        let map = self.xfer[src][dest].as_deref().expect("just built");
+        let mut sw = self.switches[dest].borrow_mut();
+        if map.is_identity() {
             // Identical specs on both ends (the common fabric case): the
             // buffer itself crosses the wire. Wiping the metadata and
             // stamping the receiver intrinsics leaves exactly the state a
             // copy into a fresh PHV would have produced, minus the copy —
             // the buffer simply migrates from `src`'s freelist orbit to
             // `dest`'s.
-            let mut sw = self.switches[dest].borrow_mut();
             let mut phv = phv;
-            {
-                let spec = sw.spec();
-                phv.reset_metadata(spec);
-                let intr = spec.intr_ids().expect("intrinsic field");
-                phv.set_u64(intr.ingress_port, u64::from(port));
-                let len = phv.frame_len(spec);
-                phv.set_u64(intr.pkt_len, u64::from(len));
-            }
+            phv.reset_metadata(sw.spec());
+            phv.stamp_arrival(port, sw.spec());
             sw.inject_phv_at(phv, arrival);
-            return;
-        }
-        let map = self.xfer[src][dest].clone().expect("just built");
-        if src == dest {
-            // A self-loop link: one switch plays both ends.
-            let mut sw = self.switches[dest].borrow_mut();
+        } else {
             let mut dst_phv = sw.pool_take();
             map.apply(&phv, &mut dst_phv, port, sw.spec());
-            sw.recycle_phv(phv);
             sw.inject_phv_at(dst_phv, arrival);
-        } else {
-            let mut dsw = self.switches[dest].borrow_mut();
-            let mut dst_phv = dsw.pool_take();
-            map.apply(&phv, &mut dst_phv, port, dsw.spec());
-            dsw.inject_phv_at(dst_phv, arrival);
-            drop(dsw);
-            self.switches[src].borrow_mut().recycle_phv(phv);
+            if src == dest {
+                // A self-loop link: one switch plays both ends.
+                sw.recycle_phv(phv);
+            } else {
+                self.switches[src].borrow_mut().recycle_phv(phv);
+            }
         }
+        let ready = ready_entry(&sw);
+        drop(sw);
+        self.note_ready(dest, ready);
     }
 
     /// Build the `(src, dest)` transfer map on first use. Kept separate
@@ -607,13 +634,47 @@ impl Simulator {
             let bits = n - w * 64;
             *word = if bits >= 64 { !0 } else { (1u64 << bits) - 1 };
         }
+        self.ready_at.fill(UNKNOWN);
     }
 
-    /// Flag switch `i` as possibly having queued packets so the next
-    /// drain pumps it.
-    pub(crate) fn mark_busy(&mut self, i: usize) {
-        self.busy[i].store(true, Ordering::Relaxed);
-        self.dirty[i / 64] |= 1u64 << (i % 64);
+    /// Record switch `i`'s readiness entry, read under the borrow that just
+    /// changed it: with something queued the switch is in the drain's set,
+    /// due a visit at that time; with nothing queued it is out of it. So a
+    /// flagged switch's entry is never [`IDLE`].
+    #[inline]
+    fn note_ready(&mut self, i: usize, ready: Nanos) {
+        self.ready_at[i] = ready;
+        let queued = ready != IDLE;
+        self.busy[i].store(queued, Ordering::Relaxed);
+        let bit = 1u64 << (i % 64);
+        if queued {
+            self.dirty[i / 64] |= bit;
+        } else {
+            self.dirty[i / 64] &= !bit;
+        }
+    }
+
+    /// Inject into switch `i` under one borrow: `body` gets the held
+    /// switch as an [`Injector`] and the flow registry (where the typed
+    /// flows keep their templates). The switch's ready time is cached on
+    /// the way out, so the drain that follows knows whether and when to
+    /// come back without taking the lock to ask.
+    #[inline]
+    pub(crate) fn inject_on<R>(
+        &mut self,
+        i: usize,
+        body: impl FnOnce(&mut Injector<'_>, &FlowRegistry) -> R,
+    ) -> R {
+        let mut inj = Injector {
+            sw: self.switches[i].borrow_mut(),
+            fabric: &self.switches,
+            index: i,
+        };
+        let out = body(&mut inj, &self.flows);
+        let ready = ready_entry(&inj.sw);
+        drop(inj);
+        self.note_ready(i, ready);
+        out
     }
 
     /// Run for `dur` from the current time (clamped to the u64 horizon).
@@ -646,6 +707,10 @@ impl Simulator {
             // The pre-refactor drain pumped every switch unconditionally.
             self.mark_all_busy();
         }
+        #[cfg(test)]
+        if self.reference_drain {
+            return self.drain_reference();
+        }
         if self.workers > 1 && self.switches.len() > 1 {
             self.drain_parallel();
         } else {
@@ -653,40 +718,42 @@ impl Simulator {
         }
     }
 
-    /// The historical single-threaded drain (also the workers=1 path).
+    /// The single-threaded drain (also the workers=1 path), indexed by
+    /// readiness: a flagged switch is looked at only once the clock has
+    /// reached its cached ready time, and pumped only if a queue head is
+    /// due — so every visit either serves a packet or refreshes a stale
+    /// entry of the index.
     fn drain_serial(&mut self) {
+        let now = self.clock.now();
         let mut drain_work: u64 = 0;
         // The scratch buffer moves out of `self` for the loop's duration
         // so filling it can overlap the switch borrow; its capacity is
         // retained across drains.
         let mut batch = std::mem::take(&mut self.batch_scratch);
         for w in 0..self.dirty.len() {
-            let mut word = std::mem::take(&mut self.dirty[w]);
+            let mut word = self.dirty[w];
             while word != 0 {
-                let bit = word & word.wrapping_neg();
                 let i = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
+                if self.ready_at[i] > now {
+                    // Not due: the switch stays flagged and is revisited
+                    // once the clock reaches its ready time.
+                    continue;
+                }
                 // Collect this switch's transmissions first: scheduling
                 // the deliveries needs `&mut self` again.
                 batch.clear();
-                {
-                    let mut sw = self.switches[i].borrow_mut();
-                    // Queued packets whose egress/wire time hasn't
-                    // arrived yet make the pump a provable no-op — skip
-                    // it (the switch stays dirty and is revisited once
-                    // the clock reaches its readiness bound). The
-                    // pre-refactor engine pumped unconditionally; compat
-                    // mode keeps that.
-                    if !self.legacy_compat && sw.tm_queued() > 0 && !sw.tx_ready() {
-                        self.dirty[w] |= bit;
-                        continue;
-                    }
-                    drain_work += sw.pump();
-                    let queued = sw.tm_queued() > 0;
-                    self.busy[i].store(queued, Ordering::Relaxed);
-                    if queued {
-                        self.dirty[w] |= bit;
-                    }
+                let mut sw = self.switches[i].borrow_mut();
+                self.par_stats.switch_visits += 1;
+                // An idle pump has no side effects, and queued packets
+                // whose egress/wire time hasn't arrived yet make it a
+                // provable no-op: pump only when a head is due. The
+                // pre-refactor engine pumped unconditionally; compat mode
+                // keeps that.
+                if self.legacy_compat || (sw.tm_queued() > 0 && sw.tx_ready()) {
+                    let served = sw.pump();
+                    drain_work += served;
+                    self.par_stats.zero_serve_pumps += u64::from(served == 0);
                     if self.legacy_compat {
                         // Pre-refactor collection: take the Vec wholesale
                         // and re-collect with frame lengths (two fresh
@@ -700,6 +767,9 @@ impl Simulator {
                         sw.drain_transmitted_with_len(&mut batch);
                     }
                 }
+                let ready = ready_entry(&sw);
+                drop(sw);
+                self.note_ready(i, ready);
                 if !batch.is_empty() {
                     self.route_batch(i, &mut batch);
                 }
@@ -741,6 +811,8 @@ impl Simulator {
                 if r.queued > 0 {
                     self.dirty[slot / 64] |= 1u64 << (slot % 64);
                 }
+                // A worker pumped it: the serial index no longer knows.
+                self.ready_at[slot] = UNKNOWN;
                 per_switch[slot] = Some(r);
             }
         }
@@ -867,25 +939,52 @@ impl Simulator {
         self.switches.iter().map(|s| s.borrow().arena_bytes()).sum()
     }
 
-    /// Top up `dst`'s PHV freelist if it has run dry by moving one parked
-    /// buffer over from the richest identically shaped freelist in the
-    /// fabric. Identity wire transfer migrates buffers toward traffic
-    /// sinks — an exiting packet's buffer is recycled where it *exits*,
-    /// not where it was injected — so a switch sourcing more traffic than
-    /// it sinks slowly drains its pool and injection starts allocating
-    /// again. The non-empty check is one cheap borrow on the hot path;
-    /// the fabric scan runs only on a would-be pool miss.
-    pub(crate) fn rebalance_pool_for(&self, dst: usize) {
-        let (nf, nh) = {
-            let sw = self.switches[dst].borrow();
-            if sw.pool_parked() > 0 {
-                return;
-            }
-            (sw.spec().fields.len(), sw.spec().headers.len())
-        };
+    /// Take the transmitted-packet log (packets that exited the fabric).
+    pub fn take_tx(&mut self) -> Vec<TxPacket> {
+        self.tx_log.drain(..).map(|(_, pkt)| pkt).collect()
+    }
+
+    /// Like [`take_tx`](Simulator::take_tx), keeping the index of the
+    /// switch each packet exited from.
+    pub fn take_tx_tagged(&mut self) -> Vec<(usize, TxPacket)> {
+        self.tx_log.drain(..).collect()
+    }
+}
+
+/// One switch of the fabric, held for a burst of injections (see
+/// [`Simulator::inject_on`]).
+pub(crate) struct Injector<'a> {
+    sw: MutexGuard<'a, Switch>,
+    fabric: &'a [SharedSwitch],
+    index: usize,
+}
+
+impl Injector<'_> {
+    #[inline]
+    pub(crate) fn inject(&mut self, tmpl: &PacketTemplate) -> bool {
+        self.sw.inject_template(tmpl)
+    }
+
+    /// Top up the held switch's PHV freelist if it has run dry by moving
+    /// one parked buffer over from the richest identically shaped freelist
+    /// in the fabric. Identity wire transfer migrates buffers toward
+    /// traffic sinks — an exiting packet's buffer is recycled where it
+    /// *exits*, not where it was injected — so a switch sourcing more
+    /// traffic than it sinks slowly drains its pool and injection starts
+    /// allocating again. The check reads the held switch; the fabric scan
+    /// runs only on a would-be pool miss.
+    #[inline]
+    pub(crate) fn top_up_pool(&mut self) {
+        if self.sw.pool_parked() == 0 {
+            self.steal_from_richest();
+        }
+    }
+
+    fn steal_from_richest(&mut self) {
+        let (nf, nh) = (self.sw.spec().fields.len(), self.sw.spec().headers.len());
         let mut best: Option<(usize, usize)> = None; // (parked, index)
-        for (i, handle) in self.switches.iter().enumerate() {
-            if i == dst {
+        for (i, handle) in self.fabric.iter().enumerate() {
+            if i == self.index {
                 continue;
             }
             let sw = handle.borrow();
@@ -899,25 +998,17 @@ impl Simulator {
             }
         }
         if let Some((_, donor)) = best {
-            let phv = self.switches[donor]
+            let phv = self.fabric[donor]
                 .borrow_mut()
                 .pool_steal()
                 .expect("donor pool non-empty under the simulator's borrow");
-            self.switches[dst].borrow_mut().recycle_phv(phv);
+            self.sw.recycle_phv(phv);
         }
     }
-
-    /// Take the transmitted-packet log (packets that exited the fabric).
-    pub fn take_tx(&mut self) -> Vec<TxPacket> {
-        self.tx_log.drain(..).map(|(_, pkt)| pkt).collect()
-    }
-
-    /// Like [`take_tx`](Simulator::take_tx), keeping the index of the
-    /// switch each packet exited from.
-    pub fn take_tx_tagged(&mut self) -> Vec<(usize, TxPacket)> {
-        self.tx_log.drain(..).collect()
-    }
 }
+
+#[cfg(test)]
+mod drain_property;
 
 #[cfg(test)]
 mod tests {

@@ -27,11 +27,11 @@ impl Value {
     ///
     /// # Panics
     /// Panics if `width` is 0 or greater than [`MAX_WIDTH`].
+    #[inline]
     pub fn new(bits: u128, width: u16) -> Self {
-        assert!(
-            (1..=MAX_WIDTH).contains(&width),
-            "field width {width} out of range 1..={MAX_WIDTH}"
-        );
+        if !(1..=MAX_WIDTH).contains(&width) {
+            width_out_of_range(width);
+        }
         Value {
             bits: bits & Self::mask_for(width),
             width,
@@ -39,16 +39,19 @@ impl Value {
     }
 
     /// The all-zeros value of the given width.
+    #[inline]
     pub fn zero(width: u16) -> Self {
         Value::new(0, width)
     }
 
     /// The all-ones value of the given width.
+    #[inline]
     pub fn ones(width: u16) -> Self {
         Value::new(u128::MAX, width)
     }
 
     /// Bit mask selecting the low `width` bits.
+    #[inline]
     pub fn mask_for(width: u16) -> u128 {
         if width >= 128 {
             u128::MAX
@@ -58,57 +61,79 @@ impl Value {
     }
 
     /// Raw bits (already truncated to the width).
+    #[inline]
     pub fn bits(&self) -> u128 {
         self.bits
     }
 
     /// Declared width in bits.
+    #[inline]
     pub fn width(&self) -> u16 {
         self.width
     }
 
     /// Width in whole bytes, rounded up.
+    #[inline]
     pub fn byte_width(&self) -> usize {
         usize::from(self.width).div_ceil(8)
     }
 
     /// Reinterpret this value at a different width, truncating or
     /// zero-extending as needed.
+    #[inline]
     pub fn resize(&self, width: u16) -> Self {
         Value::new(self.bits, width)
     }
 
+    /// This container holding `bits` instead, truncated to its width — a
+    /// PHV or register-cell write. One mask and no width check: the width
+    /// was validated when `self` was built.
+    #[inline]
+    pub fn with_bits(self, bits: u128) -> Self {
+        Value {
+            bits: bits & Self::mask_for(self.width),
+            width: self.width,
+        }
+    }
+
     /// Wrapping addition modulo `2^width` (width of `self`).
+    #[inline]
     pub fn wrapping_add(&self, rhs: Value) -> Self {
         Value::new(self.bits.wrapping_add(rhs.bits), self.width)
     }
 
     /// Wrapping subtraction modulo `2^width` (width of `self`).
+    #[inline]
     pub fn wrapping_sub(&self, rhs: Value) -> Self {
         Value::new(self.bits.wrapping_sub(rhs.bits), self.width)
     }
 
     /// Bitwise AND; result takes the width of `self`.
+    #[inline]
     pub fn and(&self, rhs: Value) -> Self {
         Value::new(self.bits & rhs.bits, self.width)
     }
 
     /// Bitwise OR; result takes the width of `self`.
+    #[inline]
     pub fn or(&self, rhs: Value) -> Self {
         Value::new(self.bits | rhs.bits, self.width)
     }
 
     /// Bitwise XOR; result takes the width of `self`.
+    #[inline]
     pub fn xor(&self, rhs: Value) -> Self {
         Value::new(self.bits ^ rhs.bits, self.width)
     }
 
     /// Bitwise NOT within the width.
+    #[inline]
     pub fn not(&self) -> Self {
         Value::new(!self.bits, self.width)
     }
 
     /// Logical shift left within the width.
+    #[inline]
     pub fn shl(&self, amount: u32) -> Self {
         if amount >= 128 {
             Value::zero(self.width)
@@ -118,6 +143,7 @@ impl Value {
     }
 
     /// Logical shift right.
+    #[inline]
     pub fn shr(&self, amount: u32) -> Self {
         if amount >= 128 {
             Value::zero(self.width)
@@ -128,12 +154,14 @@ impl Value {
 
     /// Ternary match: does `self` match `pattern` under `mask`?
     /// A set bit in `mask` means the corresponding bit must match exactly.
+    #[inline]
     pub fn matches_ternary(&self, pattern: Value, mask: Value) -> bool {
         (self.bits & mask.bits) == (pattern.bits & mask.bits)
     }
 
     /// Longest-prefix match: does `self` match `pattern` in the top
     /// `prefix_len` bits of the field?
+    #[inline]
     pub fn matches_prefix(&self, pattern: Value, prefix_len: u16) -> bool {
         debug_assert!(prefix_len <= self.width);
         if prefix_len == 0 {
@@ -144,14 +172,24 @@ impl Value {
     }
 
     /// Convert to `u64`, truncating high bits if the value is wider.
+    #[inline]
     pub fn as_u64(&self) -> u64 {
         self.bits as u64
     }
 
     /// Convert to `usize`, truncating high bits if the value is wider.
+    #[inline]
     pub fn as_usize(&self) -> usize {
         self.bits as usize
     }
+}
+
+/// The width check's failure arm, kept out of line so the constructors
+/// and ALU ops above inline to a compare and a mask.
+#[cold]
+#[inline(never)]
+fn width_out_of_range(width: u16) -> ! {
+    panic!("field width {width} out of range 1..={MAX_WIDTH}");
 }
 
 impl fmt::Debug for Value {
@@ -257,6 +295,13 @@ mod tests {
         let v = Value::new(0x1234, 16);
         assert_eq!(v.resize(8).bits(), 0x34);
         assert_eq!(v.resize(32).bits(), 0x1234);
+    }
+
+    #[test]
+    fn with_bits_keeps_width_and_truncates() {
+        let v = Value::new(0x12, 8).with_bits(0x1ff);
+        assert_eq!(v, Value::new(0xff, 8));
+        assert_eq!(Value::zero(128).with_bits(u128::MAX), Value::ones(128));
     }
 
     proptest! {

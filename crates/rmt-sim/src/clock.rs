@@ -34,6 +34,7 @@ impl Clock {
     }
 
     /// Current virtual time.
+    #[inline]
     pub fn now(&self) -> Nanos {
         self.now.load(Ordering::Relaxed)
     }
@@ -49,6 +50,7 @@ impl Clock {
 
     /// Move time forward to `t`. Ignored if `t` is in the past — the clock
     /// is monotonic.
+    #[inline]
     pub fn advance_to(&self, t: Nanos) {
         if t > self.now.load(Ordering::Relaxed) {
             self.now.store(t, Ordering::Relaxed);

@@ -25,6 +25,7 @@
 
 pub mod clock;
 pub mod hash;
+mod kernel;
 pub mod parse;
 pub mod phv;
 pub mod registers;

@@ -20,43 +20,69 @@ pub struct Phv {
 impl Phv {
     /// A fresh PHV with metadata initialized and headers invalid.
     pub fn new(spec: &DataPlaneSpec) -> Self {
-        let values = spec.fields.iter().map(|f| f.init).collect();
-        let valid = spec.headers.iter().map(|h| h.is_metadata).collect();
+        let image = spec.image();
         Phv {
-            values,
-            valid,
+            values: image.values.clone(),
+            valid: image.valid.clone(),
             dropped: false,
             payload_len: 0,
         }
     }
 
+    #[inline]
     pub fn get(&self, id: FieldId) -> Value {
         self.values[id.0 as usize]
     }
 
     /// Store `v`, truncating/extending to the container width.
+    #[inline]
     pub fn set(&mut self, id: FieldId, v: Value) {
-        let w = self.values[id.0 as usize].width();
-        self.values[id.0 as usize] = v.resize(w);
+        self.set_bits(id, v.bits());
     }
 
+    /// Raw bits of a field (the width lives in the spec).
+    #[inline]
+    pub(crate) fn bits(&self, id: FieldId) -> u128 {
+        self.values[id.0 as usize].bits()
+    }
+
+    /// Store `bits` truncated to the container width: the one mask of a
+    /// PHV write.
+    #[inline]
+    pub(crate) fn set_bits(&mut self, id: FieldId, bits: u128) {
+        let slot = &mut self.values[id.0 as usize];
+        *slot = slot.with_bits(bits);
+    }
+
+    /// Store a value resolved to the container's width ahead of time (a
+    /// pre-masked constant, a template field): a plain copy, no mask.
+    #[inline]
+    pub(crate) fn store(&mut self, id: FieldId, v: Value) {
+        debug_assert_eq!(v.width(), self.values[id.0 as usize].width());
+        self.values[id.0 as usize] = v;
+    }
+
+    #[inline]
     pub fn is_valid(&self, header_idx: usize) -> bool {
         self.valid[header_idx]
     }
 
+    #[inline]
     pub fn set_valid(&mut self, header_idx: usize, valid: bool) {
         self.valid[header_idx] = valid;
     }
 
     /// Read a field as `u64` (hot-path form of `get(..).as_u64()`).
+    #[inline]
     pub fn get_u64(&self, id: FieldId) -> u64 {
-        self.get(id).as_u64()
+        self.values[id.0 as usize].as_u64()
     }
 
     /// Write a `u64`, truncating to the container width (the id-resolved
     /// form of [`Phv::set_intr`]).
+    #[inline]
     pub fn set_u64(&mut self, id: FieldId, v: u64) {
-        self.set(id, Value::new(u128::from(v), 64));
+        self.set_bits(id, u128::from(v));
     }
 
     /// Convenience: read an intrinsic field by name.
@@ -102,23 +128,28 @@ impl Phv {
     /// Restore this PHV to the state [`Phv::new`] produces, reusing its
     /// buffers. The shape must match `spec` — recycling a PHV across specs
     /// would silently corrupt field layout, so that is a hard invariant.
+    #[inline]
     pub fn reset(&mut self, spec: &DataPlaneSpec) {
-        assert!(
-            self.values.len() == spec.fields.len() && self.valid.len() == spec.headers.len(),
+        let image = spec.image();
+        if self.values.len() != image.values.len() || self.valid.len() != image.valid.len() {
+            self.shape_mismatch(spec);
+        }
+        self.values.copy_from_slice(&image.values);
+        self.valid.copy_from_slice(&image.valid);
+        self.dropped = false;
+        self.payload_len = 0;
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn shape_mismatch(&self, spec: &DataPlaneSpec) -> ! {
+        panic!(
             "phv-pool/spec-shape: recycled PHV ({}f/{}h) does not match spec ({}f/{}h)",
             self.values.len(),
             self.valid.len(),
             spec.fields.len(),
             spec.headers.len(),
         );
-        for (v, f) in self.values.iter_mut().zip(&spec.fields) {
-            *v = f.init;
-        }
-        for (b, h) in self.valid.iter_mut().zip(&spec.headers) {
-            *b = h.is_metadata;
-        }
-        self.dropped = false;
-        self.payload_len = 0;
     }
 
     /// Reset only the metadata headers' fields to their init values,
@@ -127,13 +158,23 @@ impl Phv {
     /// produces: [`TransferMap::apply`] into a fresh PHV copies the wire
     /// headers and nothing else, so moving the buffer and wiping the
     /// metadata is byte-equivalent — without the copy.
+    #[inline]
     pub fn reset_metadata(&mut self, spec: &DataPlaneSpec) {
-        for h in spec.headers.iter().filter(|h| h.is_metadata) {
-            for f in &h.fields {
-                self.values[f.0 as usize] = spec.fields[f.0 as usize].init;
-            }
+        let image = spec.image();
+        for &(start, end) in &image.metadata_runs {
+            self.values[start..end].copy_from_slice(&image.values[start..end]);
         }
         self.dropped = false;
+    }
+
+    /// Stamp the receiver-side intrinsics of a packet whose headers are in
+    /// place: the port it arrives on and its frame length.
+    #[inline]
+    pub fn stamp_arrival(&mut self, port: PortId, spec: &DataPlaneSpec) {
+        let intr = spec.intr_ids().expect("intrinsic field");
+        self.set_u64(intr.ingress_port, u64::from(port));
+        let len = self.frame_len(spec);
+        self.set_u64(intr.pkt_len, u64::from(len));
     }
 
     /// Heap bytes held by this PHV's buffers (arena accounting).
@@ -142,6 +183,7 @@ impl Phv {
     }
 
     /// Total frame length in bytes: parsed+valid headers plus payload.
+    #[inline]
     pub fn frame_len(&self, spec: &DataPlaneSpec) -> u32 {
         let mut bits = 0u32;
         for (i, &hb) in spec.wire_bits().iter().enumerate() {
@@ -232,9 +274,7 @@ impl PacketDesc {
                 phv.set_valid(h, true);
             }
         }
-        phv.set_intr(spec, "ingress_port", u64::from(self.port));
-        let len = phv.frame_len(spec);
-        phv.set_intr(spec, "pkt_len", u64::from(len));
+        phv.stamp_arrival(self.port, spec);
         phv
     }
 }
@@ -261,6 +301,7 @@ impl PhvPool {
     }
 
     /// A fresh PHV for `spec`, recycled when possible.
+    #[inline]
     pub fn take(&mut self, spec: &DataPlaneSpec) -> Phv {
         match self.free.pop() {
             Some(mut phv) => {
@@ -272,6 +313,7 @@ impl PhvPool {
     }
 
     /// Return a PHV to the freelist (dropped if the pool is full).
+    #[inline]
     pub fn put(&mut self, phv: Phv) {
         if self.free.len() < self.cap {
             self.free.push(phv);
@@ -284,6 +326,7 @@ impl PhvPool {
         self.free.pop()
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.free.len()
     }
@@ -299,13 +342,14 @@ impl PhvPool {
 }
 
 /// A [`PacketDesc`] pre-resolved against one spec: `(FieldId, value)`
-/// pairs plus the header-validity set. Compiled once per flow at spawn,
-/// then written into pooled PHVs per packet with zero name lookups and
-/// zero heap allocation.
+/// pairs with every value already truncated to its container's width,
+/// plus the header-validity set. Compiled once per flow at spawn, then
+/// written into pooled PHVs per packet as plain stores — zero name
+/// lookups, masks or heap allocation.
 #[derive(Clone, Debug)]
 pub struct PacketTemplate {
     port: PortId,
-    fields: Vec<(FieldId, u128)>,
+    fields: Vec<(FieldId, Value)>,
     valid_headers: Vec<usize>,
     payload_len: u32,
 }
@@ -319,7 +363,7 @@ impl PacketTemplate {
             let Some(id) = spec.field_id(inst, field) else {
                 return Err(format!("unknown field {inst}.{field}"));
             };
-            fields.push((id, *value));
+            fields.push((id, Value::new(*value, spec.field_width(id))));
             if let Some(h) = spec.header_idx(inst) {
                 if !valid_headers.contains(&h) {
                     valid_headers.push(h);
@@ -348,24 +392,24 @@ impl PacketTemplate {
 
     /// Overwrite the value of the `slot`-th compiled field (slots follow
     /// the order fields were added to the source [`PacketDesc`]).
+    #[inline]
     pub fn set_value(&mut self, slot: usize, value: u128) {
-        self.fields[slot].1 = value;
+        let v = &mut self.fields[slot].1;
+        *v = v.with_bits(value);
     }
 
     /// Write this template into a fresh PHV, mirroring
     /// [`PacketDesc::build`] exactly.
+    #[inline]
     pub fn write_into(&self, phv: &mut Phv, spec: &DataPlaneSpec) {
         phv.payload_len = self.payload_len;
-        for (id, value) in &self.fields {
-            phv.set(*id, Value::new(*value, 128));
+        for &(id, value) in &self.fields {
+            phv.store(id, value);
         }
         for h in &self.valid_headers {
             phv.set_valid(*h, true);
         }
-        let intr = spec.intr_ids().expect("intrinsic field");
-        phv.set(intr.ingress_port, Value::new(u128::from(self.port), 64));
-        let len = phv.frame_len(spec);
-        phv.set(intr.pkt_len, Value::new(u128::from(len), 64));
+        phv.stamp_arrival(self.port, spec);
     }
 }
 
@@ -374,9 +418,9 @@ impl PacketTemplate {
 /// Semantically identical to `describe(src_spec)` →
 /// `build_lossy(dst_spec)` — every field of every valid non-metadata
 /// sender header that the receiver's program also declares carries over,
-/// and those receiver headers become valid — but resolved to id pairs once
-/// per (sender spec, receiver spec) so per-hop delivery does no String
-/// work at all.
+/// and those receiver headers become valid — but resolved once per
+/// (sender spec, receiver spec) to slice copies, so per-hop delivery does
+/// no String work and masks only where the receiver's field is narrower.
 #[derive(Clone, Debug, Default)]
 pub struct TransferMap {
     headers: Vec<HeaderXfer>,
@@ -391,7 +435,12 @@ pub struct TransferMap {
 struct HeaderXfer {
     src_header: usize,
     dst_header: usize,
-    fields: Vec<(FieldId, FieldId)>,
+    /// `(src_start, dst_start, len)` runs of consecutive fields declared
+    /// at equal widths on both ends: the values copy over as they are.
+    runs: Vec<(usize, usize, usize)>,
+    /// `(src, dst)` pairs whose widths differ: the bits are re-truncated
+    /// to the receiver's container.
+    resized: Vec<(FieldId, FieldId)>,
 }
 
 /// Structural equality of two specs' PHV layouts: same headers (name,
@@ -423,21 +472,32 @@ impl TransferMap {
             if h.is_metadata {
                 continue;
             }
-            let mut fields = Vec::new();
+            let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+            let mut resized = Vec::new();
             for f in &h.fields {
                 let info = &src.fields[f.0 as usize];
-                if let Some(d) = dst.field_id(&info.instance, &info.field) {
-                    fields.push((*f, d));
+                let Some(d) = dst.field_id(&info.instance, &info.field) else {
+                    continue;
+                };
+                if info.width != dst.field_width(d) {
+                    resized.push((*f, d));
+                    continue;
+                }
+                let (s, d) = (f.0 as usize, d.0 as usize);
+                match runs.last_mut() {
+                    Some((rs, rd, len)) if *rs + *len == s && *rd + *len == d => *len += 1,
+                    _ => runs.push((s, d, 1)),
                 }
             }
-            if !fields.is_empty() {
+            if !runs.is_empty() || !resized.is_empty() {
                 let dst_header = dst
                     .header_idx(&h.name)
                     .expect("resolved field implies instance");
                 headers.push(HeaderXfer {
                     src_header: i,
                     dst_header,
-                    fields,
+                    runs,
+                    resized,
                 });
             }
         }
@@ -449,6 +509,7 @@ impl TransferMap {
 
     /// Whether this transfer is between structurally identical specs (see
     /// the `identity` field).
+    #[inline]
     pub fn is_identity(&self) -> bool {
         self.identity
     }
@@ -456,21 +517,22 @@ impl TransferMap {
     /// Copy the transferable headers of `src` into the fresh PHV `dst`,
     /// then stamp the receiver-side intrinsics (`ingress_port`,
     /// `pkt_len`) exactly as [`PacketDesc::build_lossy`] would.
+    #[inline]
     pub fn apply(&self, src: &Phv, dst: &mut Phv, port: PortId, dst_spec: &DataPlaneSpec) {
         dst.payload_len = src.payload_len;
         for hx in &self.headers {
             if !src.is_valid(hx.src_header) {
                 continue;
             }
-            for (s, d) in &hx.fields {
-                dst.set(*d, Value::new(src.get(*s).bits(), 128));
+            for &(s, d, len) in &hx.runs {
+                dst.values[d..d + len].copy_from_slice(&src.values[s..s + len]);
+            }
+            for &(s, d) in &hx.resized {
+                dst.set_bits(d, src.bits(s));
             }
             dst.set_valid(hx.dst_header, true);
         }
-        let intr = dst_spec.intr_ids().expect("intrinsic field");
-        dst.set(intr.ingress_port, Value::new(u128::from(port), 64));
-        let len = dst.frame_len(dst_spec);
-        dst.set(intr.pkt_len, Value::new(u128::from(len), 64));
+        dst.stamp_arrival(port, dst_spec);
     }
 }
 

@@ -37,6 +37,7 @@ impl RegisterArray {
 
     /// Data-plane read. Out-of-range indexes wrap (hardware masks the
     /// index), keeping packet processing total.
+    #[inline]
     pub fn read(&self, index: usize) -> Value {
         let n = self.cells.len();
         if n == 0 {
@@ -47,22 +48,33 @@ impl RegisterArray {
 
     /// Data-plane write; the value is truncated to the register width and
     /// the index wraps.
+    #[inline]
     pub fn write(&mut self, index: usize, v: Value) {
+        self.write_bits(index, v.bits());
+    }
+
+    /// [`write`](RegisterArray::write) from raw bits: one mask to the
+    /// cell width, the index wraps.
+    #[inline]
+    pub(crate) fn write_bits(&mut self, index: usize, bits: u128) {
         let n = self.cells.len();
         if n == 0 {
             return;
         }
-        self.cells[index % n] = v.resize(self.width);
+        let cell = &mut self.cells[index % n];
+        *cell = cell.with_bits(bits);
     }
 
     /// Data-plane read-modify-write increment (`count` primitive and
     /// timestamp registers).
+    #[inline]
     pub fn increment(&mut self, index: usize, by: u64) {
-        let cur = self.read(index);
-        self.write(
-            index,
-            cur.wrapping_add(Value::new(u128::from(by), self.width)),
-        );
+        let n = self.cells.len();
+        if n == 0 {
+            return;
+        }
+        let cell = &mut self.cells[index % n];
+        *cell = cell.with_bits(cell.bits().wrapping_add(u128::from(by)));
     }
 
     /// Control-plane range read (inclusive bounds, clamped to the array).

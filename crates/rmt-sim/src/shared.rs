@@ -42,45 +42,58 @@ impl SharedSwitch {
     /// would be wrong here). `Mutex` has no shared/exclusive distinction,
     /// so this takes the same lock as [`SharedSwitch::borrow_mut`] — the
     /// name records intent at the call site.
+    #[inline]
     pub fn borrow(&self) -> MutexGuard<'_, Switch> {
         self.lock("borrow")
     }
 
     /// Mutable access to the switch. Panics on contention (see
     /// [`SharedSwitch::borrow`]).
+    #[inline]
     pub fn borrow_mut(&self) -> MutexGuard<'_, Switch> {
         self.lock("borrow_mut")
     }
 
-    fn lock(&self, op: &str) -> MutexGuard<'_, Switch> {
+    #[inline]
+    fn lock(&self, op: &'static str) -> MutexGuard<'_, Switch> {
         match self.inner.try_lock() {
             Ok(guard) => guard,
-            Err(TryLockError::Poisoned(poisoned)) => {
-                // A worker panicked while holding this switch. Surfacing
-                // the recovered guard would let the run limp on over
-                // half-mutated state and fail somewhere unrelated —
-                // crash loudly here, naming the switch, so chaos-test
-                // failures point at the shard that died.
-                let guard = poisoned.into_inner();
-                let who = match guard.fabric_index() {
-                    Some(i) => format!("fabric switch {i}"),
-                    None => "single-switch testbed".to_string(),
-                };
-                panic!(
-                    "SharedSwitch::{op}: lock poisoned ({who}) — a worker \
-                     panicked mid-mutation; state is suspect, aborting"
-                );
-            }
-            Err(TryLockError::WouldBlock) => panic!(
-                "SharedSwitch::{op}: switch already locked — \
-                 two shards touched one switch in the same epoch"
-            ),
+            Err(e) => lock_failed(op, e),
         }
     }
 
     /// Two handles to the same underlying switch?
     pub fn ptr_eq(&self, other: &SharedSwitch) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
+    }
+}
+
+/// Both failure arms of a switch lock, out of line: the packet path takes
+/// this lock per hop and should inline to the uncontended `try_lock`.
+#[cold]
+#[inline(never)]
+fn lock_failed(op: &str, e: TryLockError<MutexGuard<'_, Switch>>) -> ! {
+    match e {
+        TryLockError::Poisoned(poisoned) => {
+            // A worker panicked while holding this switch. Surfacing
+            // the recovered guard would let the run limp on over
+            // half-mutated state and fail somewhere unrelated —
+            // crash loudly here, naming the switch, so chaos-test
+            // failures point at the shard that died.
+            let guard = poisoned.into_inner();
+            let who = match guard.fabric_index() {
+                Some(i) => format!("fabric switch {i}"),
+                None => "single-switch testbed".to_string(),
+            };
+            panic!(
+                "SharedSwitch::{op}: lock poisoned ({who}) — a worker \
+                 panicked mid-mutation; state is suspect, aborting"
+            );
+        }
+        TryLockError::WouldBlock => panic!(
+            "SharedSwitch::{op}: switch already locked — \
+             two shards touched one switch in the same epoch"
+        ),
     }
 }
 

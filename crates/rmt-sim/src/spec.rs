@@ -304,9 +304,48 @@ pub struct DataPlaneSpec {
     /// Per-header wire bit widths (0 for metadata headers), precomputed
     /// so [`crate::Phv::frame_len`] avoids walking field lists per packet.
     wire_bits: Vec<u32>,
+    /// The fresh-packet PHV, so pooled buffers reset by slice copy.
+    image: PhvImage,
     table_index: HashMap<String, TableId>,
     action_index: HashMap<String, ActionId>,
     register_index: HashMap<String, RegisterId>,
+}
+
+/// The PHV of a fresh packet under one spec — what [`crate::Phv::new`]
+/// produces — kept as flat slices, so taking a pooled PHV, resetting it
+/// and wiping its metadata at a wire hop are slice copies instead of
+/// walks over [`FieldInfo`]s.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PhvImage {
+    /// Every field's init value at its declared width.
+    pub values: Vec<Value>,
+    /// Header validity: metadata instances valid, wire headers not.
+    pub valid: Vec<bool>,
+    /// `start..end` field-index runs owned by metadata instances
+    /// (adjacent instances coalesced).
+    pub metadata_runs: Vec<(usize, usize)>,
+}
+
+impl PhvImage {
+    fn build(fields: &[FieldInfo], headers: &[HeaderInfo]) -> PhvImage {
+        let mut metadata_runs: Vec<(usize, usize)> = Vec::new();
+        for h in headers.iter().filter(|h| h.is_metadata) {
+            let Some(first) = h.fields.first() else {
+                continue;
+            };
+            // An instance's fields are allocated consecutively by `load`.
+            let (start, end) = (first.0 as usize, first.0 as usize + h.fields.len());
+            match metadata_runs.last_mut() {
+                Some(run) if run.1 == start => run.1 = end,
+                _ => metadata_runs.push((start, end)),
+            }
+        }
+        PhvImage {
+            values: fields.iter().map(|f| f.init).collect(),
+            valid: headers.iter().map(|h| h.is_metadata).collect(),
+            metadata_runs,
+        }
+    }
 }
 
 /// Per-pipeline latency model of the simulated ASIC.
@@ -363,6 +402,7 @@ impl DataPlaneSpec {
             .map(|pos| self.field_index[pos].2)
     }
 
+    #[inline]
     pub fn intr_ids(&self) -> Option<IntrIds> {
         self.intr
     }
@@ -387,13 +427,21 @@ impl DataPlaneSpec {
         self.header_index.get(name).copied()
     }
 
+    #[inline]
     pub fn field_width(&self, id: FieldId) -> u16 {
         self.fields[id.0 as usize].width
     }
 
     /// Wire bit width of each header (0 for metadata headers).
+    #[inline]
     pub fn wire_bits(&self) -> &[u32] {
         &self.wire_bits
+    }
+
+    /// The fresh-packet PHV image.
+    #[inline]
+    pub(crate) fn image(&self) -> &PhvImage {
+        &self.image
     }
 
     pub fn table(&self, id: TableId) -> &TableSpec {
@@ -476,6 +524,7 @@ pub fn load(prog: &Program) -> Result<DataPlaneSpec, LoadError> {
             }
         })
         .collect();
+    spec.image = PhvImage::build(&spec.fields, &spec.headers);
 
     // Registers.
     for r in &prog.registers {

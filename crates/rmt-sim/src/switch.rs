@@ -7,19 +7,17 @@
 //! interleave control-plane updates with in-flight packets.
 
 use crate::clock::{Clock, Nanos};
+use crate::kernel::Program;
 use crate::phv::{PacketDesc, PacketTemplate, Phv, PhvPool};
 use crate::registers::RegisterArray;
-use crate::spec::{
-    ActionId, DataPlaneSpec, FieldId, PipelineTiming, PortId, RBool, ROperand, RPrimitive, RStmt,
-    RegisterId, TableId,
-};
+use crate::spec;
+use crate::spec::{ActionId, DataPlaneSpec, FieldId, PipelineTiming, PortId, RegisterId, TableId};
 use crate::table::{EntryHandle, KeyField, Lookup, Table, TableError};
-use crate::{hash, spec};
 use mantis_telemetry::{
     scopes::{pipe_metric, switch_metric},
     CounterId, GaugeId, NameId, Scope, Telemetry,
 };
-use p4_ast::{CmpOp, Pipeline, Value};
+use p4_ast::{Pipeline, Value};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -103,6 +101,24 @@ struct Queued {
     /// Enqueue time (earliest the packet can reach the wire, modulo
     /// pipeline latency).
     enq_ns: Nanos,
+}
+
+/// How an inject ended; what its telemetry burst is written from.
+#[derive(Clone, Copy, Debug)]
+enum Fate {
+    /// Accepted into `port`'s queue, now `depth` bytes deep.
+    Queued { port: PortId, depth: u32 },
+    /// Arrived on a port that is down.
+    PortDown { port: PortId, pipe: usize },
+    /// Tail-dropped at `port`'s queue, `depth` bytes deep.
+    QueueFull {
+        port: PortId,
+        depth: u32,
+        pipe: usize,
+    },
+    /// Dropped by the program, the recirculation guard, or an egress spec
+    /// off the front panel.
+    Dropped,
 }
 
 /// Per-port FIFO queue.
@@ -261,16 +277,6 @@ impl From<TableError> for DriverError {
     }
 }
 
-/// One `apply` site flattened out of the control program, with the branch
-/// conditions guarding it.
-#[derive(Clone, Debug)]
-struct GuardedApply {
-    table: TableId,
-    stage: u32,
-    /// `(cond, polarity)` pairs: all must evaluate to `polarity`.
-    guards: Vec<(RBool, bool)>,
-}
-
 /// Telemetry handles behind the per-packet records, resolved against the
 /// attached registry once ([`Switch::resolve_metrics`]) so the packet path
 /// never formats or looks up a name.
@@ -307,10 +313,9 @@ pub struct Switch {
     /// Per-table next entry handle, shared across pipes so a fan-out
     /// `table_add` lands under the same handle in every pipe.
     next_handles: Vec<u64>,
-    /// Guarded applies bucketed by stage (outer index), so a stage step
-    /// touches only its own applies instead of filtering the whole plan.
-    ingress_plan: Vec<Vec<GuardedApply>>,
-    egress_plan: Vec<Vec<GuardedApply>>,
+    /// The spec's action bodies and control blocks lowered to micro-ops
+    /// ([`crate::kernel`]); what the packet path executes.
+    program: Program,
     /// Transmitted packets paired with their frame length in bytes
     /// (known exactly at enqueue — pipeline actions never change header
     /// validity, so the length is invariant through egress).
@@ -338,11 +343,13 @@ pub struct Switch {
     /// One bit per front-panel port: set while that port's queue is
     /// non-empty, so `pump` skips idle ports without touching their queues.
     queue_mask: Vec<u64>,
-    /// Lower bound on the earliest virtual time a queued packet can be
-    /// served: enqueues lower it, a full [`Switch::pump`] recomputes it
-    /// from the blocked queue heads. A pump before this instant is
+    /// Earliest virtual time a queued packet can be served — the minimum
+    /// over the queue heads of their transmit start: a packet that
+    /// becomes a head lowers it, a full [`Switch::pump`] recomputes it
+    /// from the heads it left blocked. A pump before this instant is
     /// provably a no-op (it only serves heads with `tx_start <= now`),
-    /// which lets fabric drains skip the switch outright.
+    /// which lets fabric drains skip the switch outright. Meaningful only
+    /// while something is queued; see [`Switch::next_ready_at`].
     next_ready: Nanos,
     /// One-entry `(bytes, ns)` memo for [`Switch::wire_time`]; starts at
     /// `(0, 0)`, which is itself the correct mapping for zero bytes.
@@ -393,8 +400,7 @@ impl Switch {
             })
             .collect();
         let next_handles = vec![1u64; spec.tables.len()];
-        let ingress_plan = bucket_by_stage(flatten(&spec, &spec.ingress), spec.ingress_stages);
-        let egress_plan = bucket_by_stage(flatten(&spec, &spec.egress), spec.egress_stages);
+        let program = Program::lower(&spec);
         let mask_words = usize::from(config.num_ports.div_ceil(64));
         Switch {
             spec,
@@ -403,8 +409,7 @@ impl Switch {
             pipes,
             ports_per_pipe,
             next_handles,
-            ingress_plan,
-            egress_plan,
+            program,
             transmitted: Vec::new(),
             qdepth_register: None,
             stats: SwitchStats::default(),
@@ -416,7 +421,7 @@ impl Switch {
             phv_pool: PhvPool::new(PHV_POOL_CAP),
             queued_pkts: 0,
             queue_mask: vec![0u64; mask_words],
-            next_ready: 0,
+            next_ready: Nanos::MAX,
             wire_memo: (0, 0),
             compat: false,
         }
@@ -450,6 +455,7 @@ impl Switch {
 
     /// Map a global port to `(pipe, local_port)`; `None` for ports outside
     /// the front panel (e.g. the recirculation port).
+    #[inline]
     pub fn port_slot(&self, port: PortId) -> Option<(usize, usize)> {
         if port >= self.config.num_ports {
             return None;
@@ -462,6 +468,7 @@ impl Switch {
 
     /// The pipe a port belongs to, clamping out-of-panel ports (like the
     /// recirculation port) to the last pipe — execution needs *some* pipe.
+    #[inline]
     pub fn pipe_of_port(&self, port: PortId) -> u16 {
         (port / self.ports_per_pipe).min(self.config.num_pipes - 1)
     }
@@ -608,6 +615,7 @@ impl Switch {
     /// Packets currently waiting in TM queues across all pipes. A switch
     /// with zero queued packets is guaranteed to transmit nothing from a
     /// pump, which is what lets the drain loop skip it entirely.
+    #[inline]
     pub fn tm_queued(&self) -> u64 {
         self.queued_pkts
     }
@@ -623,7 +631,7 @@ impl Switch {
     /// the packet with its true arrival keeps the downstream tx timeline
     /// exact — the TM already computes `tx_start` from per-packet
     /// `enq_ns`, not from the pump time.
-    pub fn inject_phv_at(&mut self, mut phv: Phv, at: Nanos) -> bool {
+    pub fn inject_phv_at(&mut self, phv: Phv, at: Nanos) -> bool {
         let intr = self.spec.intr_ids().expect("intrinsic field");
         self.stats.rx += 1;
         let in_port = if self.compat {
@@ -633,32 +641,26 @@ impl Switch {
             phv.get_u64(intr.ingress_port) as PortId
         };
         let exec_pipe = self.pipe_of_port(in_port);
+        let fate = self.ingress(phv, in_port, at);
         if self.tel_on() {
-            if let Some(mut rec) = self.telemetry.recorder() {
-                rec.add(self.metrics.rx, 1);
-                if let Some(&id) = self.metrics.pipe_rx.get(usize::from(exec_pipe)) {
-                    rec.add(id, 1);
-                }
-                if let Some(id) = self.metrics.sw_rx {
-                    rec.add(id, 1);
-                }
-            }
+            self.record_inject(exec_pipe, fate);
         }
+        matches!(fate, Fate::Queued { .. })
+    }
+
+    /// Everything between a packet's arrival and its queue: port state and
+    /// counters, the ingress pipeline (as often as it recirculates), the
+    /// traffic manager's admission.
+    fn ingress(&mut self, mut phv: Phv, in_port: PortId, at: Nanos) -> Fate {
+        let intr = self.spec.intr_ids().expect("intrinsic field");
         if let Some((pipe, local)) = self.port_slot(in_port) {
             if !self.pipes[pipe].ports[local].up {
                 self.stats.dropped_port_down += 1;
-                if self.tel_on() {
-                    let args = [("port", i128::from(in_port)), ("pipe", pipe as i128)];
-                    let nargs = if self.config.num_pipes > 1 { 2 } else { 1 };
-                    self.telemetry.mark(
-                        Scope::Switch,
-                        self.metrics.drop_port_down,
-                        self.clock.now(),
-                        &args[..nargs],
-                    );
-                }
                 self.phv_pool.put(phv);
-                return false;
+                return Fate::PortDown {
+                    port: in_port,
+                    pipe,
+                };
             }
             let rx_bytes = u64::from(if self.compat {
                 phv.frame_len_walk(&self.spec)
@@ -674,63 +676,95 @@ impl Switch {
         } else {
             phv.set_u64(intr.ts_ns, at);
         }
-
-        let mut exec = self.exec_start(phv, Pipeline::Ingress);
-        while !exec.done() {
-            self.exec_step(&mut exec);
+        loop {
+            let pipe = self.exec_pipe(&phv, Pipeline::Ingress);
+            self.run_stages(Pipeline::Ingress, pipe, &mut phv);
+            if phv.dropped {
+                break;
+            }
+            let out_port = if self.compat {
+                phv.egress_spec(&self.spec)
+            } else {
+                phv.get_u64(intr.egress_spec) as PortId
+            };
+            if out_port != self.config.recirc_port {
+                return self.enqueue(out_port, phv, at);
+            }
+            // Send the packet back through the ingress pipeline (bounded
+            // by the recirculation limit). Recirculation consumes pipeline
+            // bandwidth; the `recirculated` stat lets experiments account
+            // for the throughput penalty the paper discusses (§2).
+            let count = if self.compat {
+                phv.intr(&self.spec, "recirc_count").as_u64()
+            } else {
+                phv.get_u64(intr.recirc_count)
+            };
+            if count as u8 >= self.config.recirc_limit {
+                break;
+            }
+            if self.compat {
+                phv.set_intr(&self.spec, "recirc_count", count + 1);
+            } else {
+                phv.set_u64(intr.recirc_count, count + 1);
+            }
+            self.stats.recirculated += 1;
         }
-        self.after_ingress(exec.phv, at)
+        self.stats.dropped_ingress += 1;
+        self.phv_pool.put(phv);
+        Fate::Dropped
     }
 
-    /// Route an ingress-complete PHV into the TM (or drop/recirculate).
-    fn after_ingress(&mut self, phv: Phv, at: Nanos) -> bool {
-        if phv.dropped {
-            self.stats.dropped_ingress += 1;
-            self.phv_pool.put(phv);
-            return false;
-        }
-        let out_port = if self.compat {
-            phv.egress_spec(&self.spec)
-        } else {
-            let intr = self.spec.intr_ids().expect("intrinsic field");
-            phv.get_u64(intr.egress_spec) as PortId
+    /// The records of one inject, in the order the packet met them — rx
+    /// counters, then the drop it ran into or the depth of the queue it
+    /// joined — under one registry lock. Call only with telemetry on.
+    fn record_inject(&mut self, exec_pipe: u16, fate: Fate) {
+        let gauge = match fate {
+            Fate::Queued { port, .. } => self.qdepth_gauge(port),
+            _ => GaugeId::default(),
         };
-        if out_port == self.config.recirc_port {
-            return self.recirculate(phv, at);
-        }
-        self.enqueue(out_port, phv, at)
-    }
-
-    /// Send a packet back through the ingress pipeline (bounded by the
-    /// recirculation limit). Recirculation consumes pipeline bandwidth; the
-    /// `recirculated` stat lets experiments account for the throughput
-    /// penalty the paper discusses (§2).
-    fn recirculate(&mut self, mut phv: Phv, at: Nanos) -> bool {
-        let intr = self.spec.intr_ids().expect("intrinsic field");
-        let count = if self.compat {
-            phv.intr(&self.spec, "recirc_count").as_u64()
-        } else {
-            phv.get_u64(intr.recirc_count)
+        let Some(mut rec) = self.telemetry.recorder() else {
+            return;
         };
-        if count as u8 >= self.config.recirc_limit {
-            self.stats.dropped_ingress += 1;
-            self.phv_pool.put(phv);
-            return false;
+        rec.add(self.metrics.rx, 1);
+        if let Some(&id) = self.metrics.pipe_rx.get(usize::from(exec_pipe)) {
+            rec.add(id, 1);
         }
-        if self.compat {
-            phv.set_intr(&self.spec, "recirc_count", count + 1);
-        } else {
-            phv.set_u64(intr.recirc_count, count + 1);
+        if let Some(id) = self.metrics.sw_rx {
+            rec.add(id, 1);
         }
-        self.stats.recirculated += 1;
-        let mut exec = self.exec_start(phv, Pipeline::Ingress);
-        while !exec.done() {
-            self.exec_step(&mut exec);
+        let multi_pipe = self.config.num_pipes > 1;
+        match fate {
+            Fate::Queued { depth, .. } => rec.set(gauge, i128::from(depth)),
+            Fate::PortDown { port, pipe } => {
+                let args = [("port", i128::from(port)), ("pipe", pipe as i128)];
+                let nargs = if multi_pipe { 2 } else { 1 };
+                rec.mark(
+                    Scope::Switch,
+                    self.metrics.drop_port_down,
+                    self.clock.now(),
+                    &args[..nargs],
+                );
+            }
+            Fate::QueueFull { port, depth, pipe } => {
+                let args = [
+                    ("port", i128::from(port)),
+                    ("depth_bytes", i128::from(depth)),
+                    ("pipe", pipe as i128),
+                ];
+                let nargs = if multi_pipe { 3 } else { 2 };
+                rec.mark(
+                    Scope::TrafficManager,
+                    self.metrics.drop_queue_full,
+                    self.clock.now(),
+                    &args[..nargs],
+                );
+            }
+            Fate::Dropped => {}
         }
-        self.after_ingress(exec.phv, at)
     }
 
-    fn enqueue(&mut self, port: PortId, mut phv: Phv, at: Nanos) -> bool {
+    /// Admit an ingress-complete PHV to its egress port's queue.
+    fn enqueue(&mut self, port: PortId, mut phv: Phv, at: Nanos) -> Fate {
         let bytes = if self.compat {
             phv.frame_len_walk(&self.spec)
         } else {
@@ -739,7 +773,7 @@ impl Switch {
         let Some((pipe, local)) = self.port_slot(port) else {
             self.stats.dropped_ingress += 1;
             self.phv_pool.put(phv);
-            return false;
+            return Fate::Dropped;
         };
         let pipe_ns = self.egress_pipe_ns();
         let q = &mut self.pipes[pipe].queues[local];
@@ -747,22 +781,8 @@ impl Switch {
             let depth = q.depth_bytes;
             self.stats.dropped_queue += 1;
             self.pipes[pipe].ports[local].queue_drops += 1;
-            if self.tel_on() {
-                let args = [
-                    ("port", i128::from(port)),
-                    ("depth_bytes", i128::from(depth)),
-                    ("pipe", pipe as i128),
-                ];
-                let nargs = if self.config.num_pipes > 1 { 3 } else { 2 };
-                self.telemetry.mark(
-                    Scope::TrafficManager,
-                    self.metrics.drop_queue_full,
-                    self.clock.now(),
-                    &args[..nargs],
-                );
-            }
             self.phv_pool.put(phv);
-            return false;
+            return Fate::QueueFull { port, depth, pipe };
         }
         // Record the queue depth seen at enqueue (DCTCP-style marking uses
         // this).
@@ -775,16 +795,19 @@ impl Switch {
         }
         q.depth_bytes += bytes;
         let enq_ns = at;
-        // This packet cannot transmit before clearing the egress pipeline
-        // (and any wire backlog ahead of it); fold that into the switch's
-        // readiness lower bound so drains can skip provably-no-op pumps.
-        let bound = q.busy_until.max(enq_ns.saturating_add(pipe_ns));
+        if q.packets.is_empty() {
+            // A new queue head: it cannot transmit before clearing the
+            // egress pipeline and whatever the wire is still serializing.
+            // Only heads move the switch's ready time — a packet behind
+            // one waits for it — which keeps `next_ready` exact.
+            let tx_start = q.busy_until.max(enq_ns.saturating_add(pipe_ns));
+            self.next_ready = self.next_ready.min(tx_start);
+        }
         q.packets.push_back(Queued { phv, bytes, enq_ns });
-        self.next_ready = self.next_ready.min(bound);
         self.queued_pkts += 1;
         self.queue_mask[usize::from(port / 64)] |= 1u64 << (port % 64);
-        self.mirror_qdepth(port);
-        true
+        let depth = self.mirror_qdepth_register(port);
+        Fate::Queued { port, depth }
     }
 
     /// Serve all port queues up to the current virtual time: dequeue, run
@@ -810,12 +833,20 @@ impl Switch {
 
     /// Earliest virtual time at which a pump could serve a queued packet
     /// (`u64::MAX` when nothing is queued). A pump strictly before this
-    /// instant has zero side effects.
+    /// instant has zero side effects, and — unless
+    /// [`pump_pipe`](Switch::pump_pipe) blurred the bound — one at or
+    /// after it serves at least one packet.
+    #[inline]
     pub fn next_ready_at(&self) -> Nanos {
-        self.next_ready
+        if self.queued_pkts == 0 {
+            Nanos::MAX
+        } else {
+            self.next_ready
+        }
     }
 
     /// Whether a pump at the current virtual time could serve anything.
+    #[inline]
     pub fn tx_ready(&self) -> bool {
         self.clock.now() >= self.next_ready
     }
@@ -846,100 +877,91 @@ impl Switch {
         let mut served: u64 = 0;
         let lo = pipe_idx * self.ports_per_pipe;
         let hi = (lo + self.ports_per_pipe).min(self.config.num_ports);
-        let intr = self.spec.intr_ids().expect("intrinsic field");
-        for port in lo..hi {
-            // Idle ports (no queued packets) are invisible to a pump: no
-            // telemetry, no state changes — skipping them is byte-exact.
-            // The pre-refactor pump walked every port's queue; compat
-            // keeps that scan.
-            if !self.compat && self.queue_mask[usize::from(port / 64)] & (1u64 << (port % 64)) == 0
-            {
-                continue;
-            }
-            let (pipe, local) = match self.port_slot(port) {
-                Some(slot) => slot,
-                None => continue,
+        for w in usize::from(lo / 64)..usize::from(hi.div_ceil(64)) {
+            // This word's share of the pipe's ports `lo..hi`, as bits.
+            let base = (w * 64) as u16;
+            let below = |p: u16| match p.saturating_sub(base).min(64) {
+                64 => !0u64,
+                n => (1u64 << n) - 1,
             };
-            loop {
-                let q = &mut self.pipes[pipe].queues[local];
-                let Some(head) = q.packets.front() else {
-                    self.queue_mask[usize::from(port / 64)] &= !(1u64 << (port % 64));
-                    break;
-                };
-                // The wire serializes back-to-back; an idle wire waits for
-                // the packet to clear the egress pipeline. Saturating: a
-                // packet enqueued at the u64 horizon stays schedulable
-                // instead of wrapping into the past.
-                let tx_start = q.busy_until.max(head.enq_ns.saturating_add(pipe_ns));
-                if tx_start > now {
-                    self.next_ready = self.next_ready.min(tx_start);
-                    break;
-                }
-                let Some(Queued { phv, bytes, .. }) = q.packets.pop_front() else {
-                    break;
-                };
-                served += 1;
-                self.queued_pkts -= 1;
-                q.depth_bytes -= bytes;
-                let wire_ns = if self.compat {
-                    // Historical form: the u128 division every packet.
-                    self.wire_time(bytes)
-                } else {
-                    self.wire_time_memo(bytes)
-                };
-                let tx_time = tx_start.saturating_add(wire_ns);
-                self.pipes[pipe].queues[local].busy_until = tx_time;
-                let depth = self.mirror_qdepth_register(port);
-                if self.tel_on() {
-                    let gauge = self.qdepth_gauge(port);
-                    if let Some(mut rec) = self.telemetry.recorder() {
-                        rec.set(gauge, i128::from(depth));
-                        // The dequeue→wire window of this packet on the
-                        // virtual timeline.
-                        let name = self.metrics.egress_pass;
-                        rec.begin(Scope::Switch, name, tx_start);
-                        rec.end(Scope::Switch, name, tx_time);
-                    }
-                }
+            let mut word = below(hi) & !below(lo);
+            // Idle ports (no queued packets) are invisible to a pump: no
+            // telemetry, no state changes — walking only the set bits of
+            // the queue mask is byte-exact. The pre-refactor pump walked
+            // every port's queue; compat keeps that scan.
+            if !self.compat {
+                word &= self.queue_mask[w];
+            }
+            while word != 0 {
+                let port = base + word.trailing_zeros() as u16;
+                word &= word - 1;
+                served += self.serve_port(port, usize::from(pipe_idx), now, pipe_ns);
+            }
+        }
+        served
+    }
 
-                let mut phv = phv;
-                if self.compat {
-                    phv.set_intr(&self.spec, "egress_port", u64::from(port));
-                } else {
-                    phv.set_u64(intr.egress_port, u64::from(port));
-                }
-                let mut exec = self.exec_start(phv, Pipeline::Egress);
-                while !exec.done() {
-                    self.exec_step(&mut exec);
-                }
-                let phv = exec.phv;
-                if phv.dropped {
-                    self.stats.dropped_ingress += 1;
-                    self.phv_pool.put(phv);
-                    continue;
-                }
-                if !self.pipes[pipe].ports[local].up {
-                    self.stats.dropped_port_down += 1;
-                    self.phv_pool.put(phv);
-                    continue;
-                }
-                {
-                    let p = &mut self.pipes[pipe].ports[local];
-                    p.tx_packets += 1;
-                    p.tx_bytes += u64::from(bytes);
-                }
+    /// Serve `port`'s queue (in pipe `pipe`) up to `now`: dequeue, egress
+    /// pipeline, transmit. Returns the packets served.
+    fn serve_port(&mut self, port: PortId, pipe: usize, now: Nanos, pipe_ns: Nanos) -> u64 {
+        let local = usize::from(port % self.ports_per_pipe);
+        let intr = self.spec.intr_ids().expect("intrinsic field");
+        let mut served = 0;
+        loop {
+            let q = &mut self.pipes[pipe].queues[local];
+            let Some(head) = q.packets.front() else {
+                self.queue_mask[usize::from(port / 64)] &= !(1u64 << (port % 64));
+                break;
+            };
+            // The wire serializes back-to-back; an idle wire waits for
+            // the packet to clear the egress pipeline. Saturating: a
+            // packet enqueued at the u64 horizon stays schedulable
+            // instead of wrapping into the past.
+            let tx_start = q.busy_until.max(head.enq_ns.saturating_add(pipe_ns));
+            if tx_start > now {
+                self.next_ready = self.next_ready.min(tx_start);
+                break;
+            }
+            let Some(Queued { mut phv, bytes, .. }) = q.packets.pop_front() else {
+                break;
+            };
+            served += 1;
+            self.queued_pkts -= 1;
+            q.depth_bytes -= bytes;
+            let wire_ns = if self.compat {
+                // Historical form: the u128 division every packet.
+                self.wire_time(bytes)
+            } else {
+                self.wire_time_memo(bytes)
+            };
+            let tx_time = tx_start.saturating_add(wire_ns);
+            self.pipes[pipe].queues[local].busy_until = tx_time;
+            let depth = self.mirror_qdepth_register(port);
+
+            if self.compat {
+                phv.set_intr(&self.spec, "egress_port", u64::from(port));
+            } else {
+                phv.set_u64(intr.egress_port, u64::from(port));
+            }
+            let exec_pipe = self.exec_pipe(&phv, Pipeline::Egress);
+            self.run_stages(Pipeline::Egress, exec_pipe, &mut phv);
+            let transmitted = if phv.dropped {
+                self.stats.dropped_ingress += 1;
+                false
+            } else if !self.pipes[pipe].ports[local].up {
+                self.stats.dropped_port_down += 1;
+                false
+            } else {
+                let p = &mut self.pipes[pipe].ports[local];
+                p.tx_packets += 1;
+                p.tx_bytes += u64::from(bytes);
                 self.stats.tx += 1;
-                if self.tel_on() {
-                    if let Some(mut rec) = self.telemetry.recorder() {
-                        rec.add(self.metrics.tx, 1);
-                        if let Some(&id) = self.metrics.pipe_tx.get(pipe) {
-                            rec.add(id, 1);
-                        }
-                        if let Some(id) = self.metrics.sw_tx {
-                            rec.add(id, 1);
-                        }
-                    }
-                }
+                true
+            };
+            if self.tel_on() {
+                self.record_served(port, pipe, depth, tx_start, tx_time, transmitted);
+            }
+            if transmitted {
                 self.transmitted.push((
                     TxPacket {
                         port,
@@ -948,9 +970,43 @@ impl Switch {
                     },
                     bytes,
                 ));
+            } else {
+                self.phv_pool.put(phv);
             }
         }
         served
+    }
+
+    /// The records of one served packet, in the order it met them — the
+    /// depth of the queue it left, its dequeue→wire window on the virtual
+    /// timeline, then (if it made the wire) the tx counters — under one
+    /// registry lock. Call only with telemetry on.
+    fn record_served(
+        &mut self,
+        port: PortId,
+        pipe: usize,
+        depth: u32,
+        tx_start: Nanos,
+        tx_time: Nanos,
+        transmitted: bool,
+    ) {
+        let gauge = self.qdepth_gauge(port);
+        let Some(mut rec) = self.telemetry.recorder() else {
+            return;
+        };
+        rec.set(gauge, i128::from(depth));
+        let name = self.metrics.egress_pass;
+        rec.begin(Scope::Switch, name, tx_start);
+        rec.end(Scope::Switch, name, tx_time);
+        if transmitted {
+            rec.add(self.metrics.tx, 1);
+            if let Some(&id) = self.metrics.pipe_tx.get(pipe) {
+                rec.add(id, 1);
+            }
+            if let Some(id) = self.metrics.sw_tx {
+                rec.add(id, 1);
+            }
+        }
     }
 
     /// Wire serialization time for `bytes` at the port rate (saturating:
@@ -994,18 +1050,8 @@ impl Switch {
             .unwrap_or(0)
     }
 
-    /// Publish front-panel `port`'s queue depth: into the qdepth register
-    /// (if one is bound) and the `tm.q{port}_depth_bytes` gauge.
-    fn mirror_qdepth(&mut self, port: PortId) {
-        let depth = self.mirror_qdepth_register(port);
-        if self.tel_on() {
-            let gauge = self.qdepth_gauge(port);
-            self.telemetry.set(gauge, i128::from(depth));
-        }
-    }
-
-    /// The register half of [`mirror_qdepth`](Switch::mirror_qdepth);
-    /// returns the depth it mirrored.
+    /// Mirror front-panel `port`'s queue depth into the qdepth register
+    /// (if one is bound); returns the depth.
     fn mirror_qdepth_register(&mut self, port: PortId) -> u32 {
         let depth = self.queue_depth(port);
         let Some((pipe, _)) = self.port_slot(port) else {
@@ -1039,6 +1085,14 @@ impl Switch {
     /// derived from the packet's port: ingress port for ingress passes,
     /// the `egress_port` intrinsic for egress passes.
     pub fn exec_start(&self, phv: Phv, pipeline: Pipeline) -> Execution {
+        let pipe = self.exec_pipe(&phv, pipeline);
+        self.exec_start_on(phv, pipeline, pipe)
+    }
+
+    /// The pipe a packet executes `pipeline` in (see
+    /// [`exec_start`](Switch::exec_start)).
+    #[inline]
+    fn exec_pipe(&self, phv: &Phv, pipeline: Pipeline) -> u16 {
         let port = if self.compat {
             match pipeline {
                 Pipeline::Ingress => phv.ingress_port(&self.spec),
@@ -1051,7 +1105,7 @@ impl Switch {
                 Pipeline::Egress => phv.get_u64(intr.egress_port) as PortId,
             }
         };
-        self.exec_start_on(phv, pipeline, self.pipe_of_port(port))
+        self.pipe_of_port(port)
     }
 
     /// Begin a staged execution pinned to a specific pipe (out-of-range
@@ -1079,79 +1133,85 @@ impl Switch {
         }
         let stage = exec.next_stage;
         exec.next_stage += 1;
-        // Collect the tables to apply at this stage whose guards pass. All
-        // guards are evaluated against the pre-stage PHV (before any table
-        // at this stage runs), so the buffer is filled first. The buffer is
-        // switch-owned and reused across packets — no per-stage allocation.
-        let mut to_apply = std::mem::take(&mut self.apply_scratch);
-        to_apply.clear();
-        let plan = match exec.pipeline {
-            Pipeline::Ingress => &self.ingress_plan,
-            Pipeline::Egress => &self.egress_plan,
-        };
-        if let Some(bucket) = plan.get(stage as usize) {
-            to_apply.extend(
-                bucket
-                    .iter()
-                    .filter(|g| {
-                        g.guards
-                            .iter()
-                            .all(|(cond, pol)| eval_bool(&self.spec, &exec.phv, cond) == *pol)
-                    })
-                    .map(|g| g.table),
+        self.run_stage(exec.pipeline, stage, exec.pipe as usize, &mut exec.phv);
+    }
+
+    /// One stage of one pipeline over a PHV in pipe `pipe`: find the
+    /// tables whose guards pass, then match and act, in apply order.
+    #[inline]
+    fn run_stage(&mut self, pipeline: Pipeline, stage: u32, pipe: usize, phv: &mut Phv) {
+        // Split borrows: the spec and the lowered program are read-only
+        // while the pipe's tables and registers and the scratch buffers
+        // (switch-owned, reused across packets) are mutated.
+        let Switch {
+            spec,
+            program,
+            pipes,
+            apply_scratch,
+            hash_scratch,
+            ..
+        } = self;
+        program.passing_tables(pipeline == Pipeline::Egress, stage, phv, apply_scratch);
+        let Pipe {
+            tables, registers, ..
+        } = &mut pipes[pipe];
+        for tid in apply_scratch.iter() {
+            let t = tid.0 as usize;
+            let (action, data) = match tables[t].lookup(&spec.tables[t], phv) {
+                Lookup::Hit {
+                    action,
+                    action_data,
+                    ..
+                }
+                | Lookup::Default {
+                    action,
+                    action_data,
+                } => (action, action_data),
+                Lookup::Miss => continue,
+            };
+            program.run_action(
+                action.0 as usize,
+                &spec.calcs,
+                registers,
+                hash_scratch,
+                data,
+                phv,
             );
-        }
-        for &tid in &to_apply {
-            self.apply_table(tid, exec.pipe as usize, &mut exec.phv);
-            if exec.phv.dropped {
+            if phv.dropped {
                 break;
             }
         }
-        self.apply_scratch = to_apply;
+    }
+
+    /// Every stage of one pipeline, in place — the packet path's form of
+    /// [`exec_start_on`](Switch::exec_start_on) + [`exec_step`](Switch::exec_step)
+    /// until done, without moving the PHV in and out of an [`Execution`].
+    #[inline]
+    fn run_stages(&mut self, pipeline: Pipeline, pipe: u16, phv: &mut Phv) {
+        let stages = match pipeline {
+            Pipeline::Ingress => self.spec.ingress_stages,
+            Pipeline::Egress => self.spec.egress_stages,
+        };
+        let pipe = usize::from(pipe.min(self.config.num_pipes - 1));
+        for stage in 0..stages {
+            if phv.dropped {
+                break;
+            }
+            self.run_stage(pipeline, stage, pipe, phv);
+        }
     }
 
     /// Run a full pipeline over a PHV (fast path for tests/benches).
-    pub fn run_pipeline(&mut self, phv: Phv, pipeline: Pipeline) -> Phv {
-        let mut e = self.exec_start(phv, pipeline);
-        while !e.done() {
-            self.exec_step(&mut e);
-        }
-        e.phv
+    pub fn run_pipeline(&mut self, mut phv: Phv, pipeline: Pipeline) -> Phv {
+        let pipe = self.exec_pipe(&phv, pipeline);
+        self.run_stages(pipeline, pipe, &mut phv);
+        phv
     }
 
     /// Run a full pipeline over a PHV in a specific pipe.
-    pub fn run_pipeline_on(&mut self, phv: Phv, pipeline: Pipeline, pipe: u16) -> Phv {
-        let mut e = self.exec_start_on(phv, pipeline, pipe);
-        while !e.done() {
-            self.exec_step(&mut e);
-        }
-        e.phv
-    }
-
-    fn apply_table(&mut self, tid: TableId, pipe: usize, phv: &mut Phv) {
-        // Split borrows: the spec is read-only while the pipe's tables and
-        // registers and the shared hash scratch are mutated.
-        let spec = &self.spec;
-        let pipe_state = &mut self.pipes[pipe];
-        let tspec = &spec.tables[tid.0 as usize];
-        let result = pipe_state.tables[tid.0 as usize].lookup(tspec, phv);
-        let (action, data) = match result {
-            Lookup::Hit {
-                action,
-                action_data,
-                ..
-            }
-            | Lookup::Default {
-                action,
-                action_data,
-            } => (action, action_data),
-            Lookup::Miss => return,
-        };
-        let registers = &mut pipe_state.registers;
-        let hash_scratch = &mut self.hash_scratch;
-        for prim in &spec.actions[action.0 as usize].body {
-            run_primitive(spec, registers, hash_scratch, prim, &data, phv);
-        }
+    pub fn run_pipeline_on(&mut self, mut phv: Phv, pipeline: Pipeline, pipe: u16) -> Phv {
+        self.run_stages(pipeline, pipe, &mut phv);
+        phv
     }
 
     /// Execute an action body against a PHV (in pipe 0).
@@ -1161,12 +1221,14 @@ impl Switch {
 
     /// Execute an action body against a PHV in a specific pipe.
     pub fn run_action_on(&mut self, action: ActionId, data: &[Value], pipe: u16, phv: &mut Phv) {
-        let spec = &self.spec;
-        let registers = &mut self.pipes[pipe as usize].registers;
-        let hash_scratch = &mut self.hash_scratch;
-        for prim in &spec.actions[action.0 as usize].body {
-            run_primitive(spec, registers, hash_scratch, prim, data, phv);
-        }
+        self.program.run_action(
+            action.0 as usize,
+            &self.spec.calcs,
+            &mut self.pipes[pipe as usize].registers,
+            &mut self.hash_scratch,
+            data,
+            phv,
+        );
     }
 
     /// Publish per-table lookup/hit counters as telemetry gauges (no-op on
@@ -1481,182 +1543,6 @@ impl Switch {
 
     pub fn field_id(&self, instance: &str, field: &str) -> Option<FieldId> {
         self.spec.field_id(instance, field)
-    }
-}
-
-fn eval_operand(op: &ROperand, data: &[Value], phv: &Phv) -> Value {
-    match op {
-        ROperand::Const(v) => *v,
-        ROperand::Field(f) => phv.get(*f),
-        ROperand::Param(i) => data.get(*i).copied().unwrap_or(Value::zero(64)),
-    }
-}
-
-fn run_primitive(
-    spec: &DataPlaneSpec,
-    registers: &mut [RegisterArray],
-    hash_scratch: &mut Vec<Value>,
-    prim: &RPrimitive,
-    data: &[Value],
-    phv: &mut Phv,
-) {
-    use RPrimitive as P;
-    let ev = |op: &ROperand, phv: &Phv| eval_operand(op, data, phv);
-    match prim {
-        P::ModifyField { dst, src } => {
-            let v = ev(src, phv);
-            phv.set(*dst, v);
-        }
-        P::Add { dst, a, b } => {
-            let w = spec.field_width(*dst);
-            let r = ev(a, phv).resize(w).wrapping_add(ev(b, phv).resize(w));
-            phv.set(*dst, r);
-        }
-        P::Subtract { dst, a, b } => {
-            let w = spec.field_width(*dst);
-            let r = ev(a, phv).resize(w).wrapping_sub(ev(b, phv).resize(w));
-            phv.set(*dst, r);
-        }
-        P::BitAnd { dst, a, b } => {
-            let w = spec.field_width(*dst);
-            let r = ev(a, phv).resize(w).and(ev(b, phv).resize(w));
-            phv.set(*dst, r);
-        }
-        P::BitOr { dst, a, b } => {
-            let w = spec.field_width(*dst);
-            let r = ev(a, phv).resize(w).or(ev(b, phv).resize(w));
-            phv.set(*dst, r);
-        }
-        P::BitXor { dst, a, b } => {
-            let w = spec.field_width(*dst);
-            let r = ev(a, phv).resize(w).xor(ev(b, phv).resize(w));
-            phv.set(*dst, r);
-        }
-        P::ShiftLeft { dst, a, amount } => {
-            let w = spec.field_width(*dst);
-            let amt = ev(amount, phv).as_u64() as u32;
-            phv.set(*dst, ev(a, phv).resize(w).shl(amt));
-        }
-        P::ShiftRight { dst, a, amount } => {
-            let w = spec.field_width(*dst);
-            let amt = ev(amount, phv).as_u64() as u32;
-            phv.set(*dst, ev(a, phv).resize(w).shr(amt));
-        }
-        P::Drop => phv.dropped = true,
-        P::NoOp => {}
-        P::RegisterWrite {
-            register,
-            index,
-            value,
-        } => {
-            let idx = ev(index, phv).as_usize();
-            let v = ev(value, phv);
-            registers[register.0 as usize].write(idx, v);
-        }
-        P::RegisterRead {
-            dst,
-            register,
-            index,
-        } => {
-            let idx = ev(index, phv).as_usize();
-            let v = registers[register.0 as usize].read(idx);
-            phv.set(*dst, v);
-        }
-        P::Count { counter, index } => {
-            let idx = ev(index, phv).as_usize();
-            registers[counter.0 as usize].increment(idx, 1);
-        }
-        P::Hash {
-            dst,
-            base,
-            calc,
-            size,
-        } => {
-            let c = &spec.calcs[calc.0 as usize];
-            hash_scratch.clear();
-            hash_scratch.extend(c.inputs.iter().map(|f| phv.get(*f)));
-            let h = hash::compute(c.algorithm, hash_scratch, c.output_width);
-            let base = ev(base, phv);
-            let size = ev(size, phv).bits().max(1);
-            let w = spec.field_width(*dst);
-            let v = base.resize(w).wrapping_add(Value::new(h.bits() % size, w));
-            phv.set(*dst, v);
-        }
-    }
-}
-
-/// Group flattened applies by stage; applies whose stage is out of range
-/// for the pipeline's stage count keep their own (never-executed) bucket,
-/// matching the old filter-by-stage behavior.
-fn bucket_by_stage(plan: Vec<GuardedApply>, stages: u32) -> Vec<Vec<GuardedApply>> {
-    let max_stage = plan.iter().map(|g| g.stage + 1).max().unwrap_or(0);
-    let mut buckets: Vec<Vec<GuardedApply>> = Vec::new();
-    buckets.resize_with(stages.max(max_stage) as usize, Vec::new);
-    for g in plan {
-        buckets[g.stage as usize].push(g);
-    }
-    buckets
-}
-
-/// Flatten control statements into guarded applies with their stages.
-fn flatten(spec: &DataPlaneSpec, stmts: &[RStmt]) -> Vec<GuardedApply> {
-    fn walk(
-        spec: &DataPlaneSpec,
-        stmts: &[RStmt],
-        guards: &mut Vec<(RBool, bool)>,
-        out: &mut Vec<GuardedApply>,
-    ) {
-        for s in stmts {
-            match s {
-                RStmt::Apply(tid) => {
-                    out.push(GuardedApply {
-                        table: *tid,
-                        stage: spec.tables[tid.0 as usize].stage,
-                        guards: guards.clone(),
-                    });
-                }
-                RStmt::If { cond, then_, else_ } => {
-                    guards.push((cond.clone(), true));
-                    walk(spec, then_, guards, out);
-                    guards.pop();
-                    guards.push((cond.clone(), false));
-                    walk(spec, else_, guards, out);
-                    guards.pop();
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(spec, stmts, &mut Vec::new(), &mut out);
-    out
-}
-
-fn eval_bool(spec: &DataPlaneSpec, phv: &Phv, cond: &RBool) -> bool {
-    match cond {
-        RBool::Valid(h) => phv.is_valid(*h),
-        RBool::Cmp { lhs, op, rhs } => {
-            let l = eval_ctrl_operand(spec, phv, lhs);
-            let r = eval_ctrl_operand(spec, phv, rhs);
-            match op {
-                CmpOp::Eq => l == r,
-                CmpOp::Ne => l != r,
-                CmpOp::Lt => l < r,
-                CmpOp::Le => l <= r,
-                CmpOp::Gt => l > r,
-                CmpOp::Ge => l >= r,
-            }
-        }
-        RBool::And(a, b) => eval_bool(spec, phv, a) && eval_bool(spec, phv, b),
-        RBool::Or(a, b) => eval_bool(spec, phv, a) || eval_bool(spec, phv, b),
-        RBool::Not(a) => !eval_bool(spec, phv, a),
-    }
-}
-
-fn eval_ctrl_operand(_spec: &DataPlaneSpec, phv: &Phv, op: &ROperand) -> u128 {
-    match op {
-        ROperand::Const(v) => v.bits(),
-        ROperand::Field(f) => phv.get(*f).bits(),
-        ROperand::Param(_) => 0,
     }
 }
 

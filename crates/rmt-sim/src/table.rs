@@ -39,8 +39,8 @@
 //! scan with the `(prefix, priority, Reverse(seq))` ordering (property-
 //! tested in `tests/`), and nothing about the virtual-clock cost model
 //! changes. Lookups also reuse a per-table scratch buffer instead of
-//! allocating per packet, and hits hand out `Arc<[Value]>` action data
-//! instead of cloning a `Vec`.
+//! allocating per packet, and a [`Lookup`] borrows the winning entry's
+//! action data from the table — no clone, no reference-count traffic.
 
 use crate::phv::Phv;
 use crate::spec::{ActionId, TableSpec};
@@ -314,19 +314,40 @@ pub struct Table {
     scratch_key: Vec<u128>,
 }
 
-/// The outcome of a table lookup.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Lookup {
+/// The outcome of a table lookup; the action data is borrowed from the
+/// table for as long as the outcome is held.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Lookup<'a> {
     Hit {
         handle: EntryHandle,
         action: ActionId,
-        action_data: Arc<[Value]>,
+        action_data: &'a [Value],
     },
     Default {
         action: ActionId,
-        action_data: Arc<[Value]>,
+        action_data: &'a [Value],
     },
     Miss,
+}
+
+impl Lookup<'_> {
+    /// The outcome as owned parts — the matched handle (`None` unless a
+    /// hit) and the action with its data (`None` on a miss) — for holding
+    /// two lookups of one table side by side.
+    pub fn detach(&self) -> (Option<EntryHandle>, Option<(ActionId, Vec<Value>)>) {
+        match *self {
+            Lookup::Hit {
+                handle,
+                action,
+                action_data,
+            } => (Some(handle), Some((action, action_data.to_vec()))),
+            Lookup::Default {
+                action,
+                action_data,
+            } => (None, Some((action, action_data.to_vec()))),
+            Lookup::Miss => (None, None),
+        }
+    }
 }
 
 impl Table {
@@ -561,7 +582,8 @@ impl Table {
     }
 
     /// Look up the winning entry for the current PHV.
-    pub fn lookup(&mut self, spec: &TableSpec, phv: &Phv) -> Lookup {
+    #[inline]
+    pub fn lookup(&mut self, spec: &TableSpec, phv: &Phv) -> Lookup<'_> {
         self.lookups += 1;
         if spec.key.is_empty() {
             // Keyless tables always run their default action.
@@ -571,12 +593,11 @@ impl Table {
         // Static-masked field bits, reusing the table-owned scratch buffer.
         self.scratch_bits.clear();
         for k in &spec.key {
-            let v = phv.get(k.field);
-            let b = match k.static_mask {
-                Some(m) => v.bits() & m.bits(),
-                None => v.bits(),
-            };
-            self.scratch_bits.push(b);
+            let b = phv.bits(k.field);
+            self.scratch_bits.push(match k.static_mask {
+                Some(m) => b & m.bits(),
+                None => b,
+            });
         }
 
         let winner: Option<usize> = match &self.index {
@@ -590,22 +611,23 @@ impl Table {
         };
 
         if let Some(i) = winner {
-            let e = &self.entries[i];
             self.hits += 1;
+            let e = &self.entries[i];
             return Lookup::Hit {
                 handle: e.handle,
                 action: e.action,
-                action_data: Arc::clone(&e.action_data),
+                action_data: &e.action_data,
             };
         }
         self.default_lookup()
     }
 
-    fn default_lookup(&self) -> Lookup {
+    #[inline]
+    fn default_lookup(&self) -> Lookup<'_> {
         match &self.default_action {
             Some((a, d)) => Lookup::Default {
                 action: *a,
-                action_data: Arc::clone(d),
+                action_data: d,
             },
             None => Lookup::Miss,
         }
@@ -634,7 +656,7 @@ impl Table {
     /// differential property tests and the bench harness baseline; must
     /// always agree with [`Table::lookup`], including the exact-only
     /// duplicate-key rule (newest entry wins — see the module docs).
-    pub fn lookup_linear(&self, spec: &TableSpec, phv: &Phv) -> Lookup {
+    pub fn lookup_linear(&self, spec: &TableSpec, phv: &Phv) -> Lookup<'_> {
         if spec.key.is_empty() {
             return self.default_lookup();
         }
@@ -664,7 +686,7 @@ impl Table {
                 return Lookup::Hit {
                     handle: e.handle,
                     action: e.action,
-                    action_data: Arc::clone(&e.action_data),
+                    action_data: &e.action_data,
                 };
             }
             return self.default_lookup();
@@ -697,7 +719,7 @@ impl Table {
             return Lookup::Hit {
                 handle: e.handle,
                 action: e.action,
-                action_data: Arc::clone(&e.action_data),
+                action_data: &e.action_data,
             };
         }
         self.default_lookup()
@@ -1234,8 +1256,8 @@ mod tests {
         }
         for _ in 0..200 {
             let phv = phv_with(&[u128::from(next() & 0xffff), u128::from(next() as u32)]);
-            let fast = t.lookup(&spec, &phv);
-            let slow = t.lookup_linear(&spec, &phv);
+            let fast = t.lookup(&spec, &phv).detach();
+            let slow = t.lookup_linear(&spec, &phv).detach();
             assert_eq!(fast, slow);
         }
     }

@@ -8,6 +8,9 @@
 //!   switches leave every per-switch fingerprint unchanged (the
 //!   `(time, switch, seq)` ordering makes same-time work on different
 //!   switches commute), checked by proptest over random permutations;
+//! * the serial drain's readiness index holds on that workload at full
+//!   size — a count-based floor (switch visits per event, pumps that
+//!   served nothing) that does not depend on how fast the runner is;
 //! * `MANTIS_SWITCHES` (the CI sweep knob) is honored via
 //!   [`mantis::switches_from_env`];
 //! * switch-scoped telemetry labels (`sw{i}.*`) appear only when the
@@ -100,6 +103,51 @@ fn the_same_fabric_workload_runs_byte_identically_twice() {
         "{:?}",
         first.0
     );
+}
+
+/// The benchmark's `reactive_fabric` shape — 4×4 leaf–spine, `T_s` = 1 µs
+/// heartbeats, eight agents paced at `T_d` = 50 µs, twelve leaf-to-leaf
+/// flows — for 2 ms: the drain must find its work by the readiness index,
+/// not by polling. Before the index this slice took 5.7 switch visits per
+/// event and 87 % of its pumps served nothing.
+#[test]
+fn the_serial_drain_visits_switches_only_when_they_are_due() {
+    let mut tb = build_failover_fabric(4, 4, 1_000, 0.2);
+    schedule_fabric_agents(&mut tb.sim, &tb.agents, 50_000, 0);
+    for src in 0..4 {
+        for dst in (0..4).filter(|d| *d != src) {
+            spawn_udp_on(
+                &mut tb.sim,
+                src,
+                UdpConfig {
+                    ingress_port: EXIT_PORT,
+                    fields: vec![
+                        ("ethernet".into(), "ether_type".into(), 0x0800),
+                        ("ipv4".into(), "src_addr".into(), u128::from(leaf_host(src))),
+                        ("ipv4".into(), "dst_addr".into(), u128::from(leaf_host(dst))),
+                    ],
+                    payload_bytes: 1_250,
+                    rate_bps: 1_000_000_000,
+                    start_ns: (src * 4 + dst) as u64 * 700,
+                    stop_ns: None,
+                },
+            );
+        }
+    }
+    tb.sim.run_until(2_000_000);
+
+    let stats = tb.sim.par_stats();
+    // Every dispatched event is followed by one drain, and the horizon
+    // adds a last one: drains − 1 events.
+    let events = stats.drains - 1;
+    assert!(events > 50_000, "the slice did real work: {stats:?}");
+    assert!(stats.work_units > 30_000, "packets were served: {stats:?}");
+    assert!(
+        stats.switch_visits as f64 <= 1.5 * events as f64,
+        "{} switch visits for {events} events",
+        stats.switch_visits
+    );
+    assert_eq!(stats.zero_serve_pumps, 0, "{stats:?}");
 }
 
 /// A tiny relay program for the permutation property: count arrivals per

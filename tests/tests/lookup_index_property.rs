@@ -112,8 +112,8 @@ fn materialize_key(kinds: &[MatchKind], raw: &[(u32, u32, u16)]) -> Vec<KeyField
 fn check_parity(t: &mut Table, spec: &TableSpec, dps: &DataPlaneSpec, probes: &[Vec<u32>]) {
     for vals in probes {
         let phv = probe_phv(dps, &vals[..spec.key.len()]);
-        let fast = t.lookup(spec, &phv);
-        let slow = t.lookup_linear(spec, &phv);
+        let fast = t.lookup(spec, &phv).detach();
+        let slow = t.lookup_linear(spec, &phv).detach();
         assert_eq!(fast, slow, "index diverged from linear scan on {vals:?}");
     }
 }

@@ -16,10 +16,24 @@
 //! `drop_queue_full` instants of the measured half are all recorded
 //! through pre-resolved handles into fixed-size ring records — still zero
 //! allocations.
+//!
+//! The route program's fabric is one spec end to end, so its wire hops
+//! are identity transfers. The third block runs the failover fabric,
+//! whose leaves and spines run different programs: every hop there goes
+//! through a compiled [`TransferMap`](mantis::rmt_sim::TransferMap) into
+//! a PHV taken from the receiver's pool, spine heartbeats are relayed by
+//! an exact-match table and counted-and-dropped by a register ALU on the
+//! leaf, and data crosses leaf → spine → leaf over LPM routes — the PHV
+//! images, transfer runs and micro-op buffers all in play, none of them
+//! allocating.
 
-use mantis::netsim::{spawn_scale_flows, ScaleConfig, ScaleHost, Simulator, Topology, HOST_PORTS};
+use mantis::apps::fabric::{build_failover_fabric, leaf_host, EXIT_PORT};
+use mantis::netsim::{
+    spawn_scale_flows, spawn_udp_on, ScaleConfig, ScaleHost, Simulator, Topology, UdpConfig,
+    HOST_PORTS,
+};
 use mantis::p4_ast::Value;
-use mantis::rmt_sim::{switch_from_source, KeyField, PortId};
+use mantis::rmt_sim::{switch_from_source, KeyField, PortId, TransferMap};
 use mantis::{Clock, SharedSwitch, SwitchConfig, Telemetry, TelemetryConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +60,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
-/// The allocation counter is process-wide: the two blocks take turns.
+/// The allocation counter is process-wide: the blocks take turns.
 static ONE_BLOCK_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 const ROUTE_P4: &str = r#"
@@ -219,4 +233,72 @@ fn steady_state_packet_path_does_not_allocate_with_telemetry_on() {
     assert!(telemetry
         .chrome_trace_json()
         .contains("\"name\":\"egress_pass\""));
+}
+
+#[test]
+fn heartbeat_and_cross_program_hops_do_not_allocate() {
+    let _turn = ONE_BLOCK_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    // Four heartbeat streams at T_s = 1 µs; no agents (a dialogue loop
+    // allocates by design, and is not the packet path).
+    let mut tb = build_failover_fabric(2, 2, 1_000, 0.2);
+    tb.sim.tx_log_cap = 64;
+    {
+        let (leaf, spine) = (tb.sim.switch_at(0).borrow(), tb.sim.switch_at(2).borrow());
+        for (from, to) in [(&leaf, &spine), (&spine, &leaf)] {
+            assert!(
+                !TransferMap::build(from.spec(), to.spec()).is_identity(),
+                "leaf and spine programs must differ for this block to mean anything"
+            );
+        }
+    }
+    let flow = spawn_udp_on(
+        &mut tb.sim,
+        0,
+        UdpConfig {
+            ingress_port: EXIT_PORT,
+            fields: vec![
+                ("ethernet".into(), "ether_type".into(), 0x0800),
+                ("ipv4".into(), "src_addr".into(), u128::from(leaf_host(0))),
+                ("ipv4".into(), "dst_addr".into(), u128::from(leaf_host(1))),
+            ],
+            payload_bytes: 1_250,
+            rate_bps: 1_000_000_000,
+            start_ns: 0,
+            stop_ns: None,
+        },
+    );
+    let counted = |sim: &Simulator| -> u64 {
+        (0..2)
+            .map(|leaf| {
+                let sw = sim.switch_at(leaf).borrow();
+                let reg = sw.register_id("hb_count").expect("hb_count register");
+                sw.register_read_range(reg, 0, 31)
+                    .iter()
+                    .map(|v| v.as_u64())
+                    .sum::<u64>()
+            })
+            .sum()
+    };
+
+    tb.sim.run_until(1_000_000);
+    let (exits0, counted0) = (tb.sim.tx_count_on(1), counted(&tb.sim));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    tb.sim.run_until(2_000_000);
+    let after = ALLOCS.load(Ordering::Relaxed);
+
+    // Both paths ran in the measured half: ~4 000 heartbeats relayed,
+    // transferred, counted and dropped; ~100 data packets across three
+    // switches and two programs.
+    let heartbeats = counted(&tb.sim) - counted0;
+    assert!(heartbeats > 3_000, "{heartbeats} heartbeats counted");
+    assert!(tb.sim.tx_count_on(1) - exits0 > 50, "data did not cross");
+    assert_eq!(flow.borrow().dropped_pkts, 0);
+    assert_eq!(
+        after - before,
+        0,
+        "cross-program steady state allocated {} times",
+        after - before
+    );
 }
