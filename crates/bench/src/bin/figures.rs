@@ -350,13 +350,15 @@ fn main() {
         );
         for p in &r.points {
             println!(
-                "    workers {:>2}: speedup {:>5.2}x  ({} work units / {} critical)  \
-                 wall {:>8.1} ms  drains {} ({} parallel)",
+                "    workers {:>2}: model {:>5.2}x  ({} work units / {} critical)  \
+                 wall {:>8.1} ms = {:>5.2}x measured on {} cores  drains {} ({} parallel)",
                 p.workers,
                 p.speedup,
                 p.work_units,
                 p.critical_units,
                 p.wall_ms,
+                p.wall_speedup,
+                r.host_cores,
                 p.drains,
                 p.parallel_drains
             );
@@ -389,11 +391,6 @@ fn main() {
         println!(
             "    headline: {:>12.0} pkts/s  (wall {:.2} s, {} accepted)",
             r.headline.pkts_per_sec, r.headline.wall_secs, r.headline.accepted_pkts
-        );
-        println!(
-            "    engine speedup vs pre-refactor engine: {:.1}x  ({:.0}/s vs {:.0}/s, both on \
-             the full block)",
-            r.engine_speedup, r.headline.pkts_per_sec, r.baseline.pkts_per_sec
         );
         println!(
             "    deterministic across drains: {}   mean batch {:.1} (max {}), \

@@ -4,20 +4,22 @@
 //! A fixed workload — every leaf streaming UDP to every other leaf over
 //! the spines, plus the failover fabric's per-(spine, leaf) heartbeats
 //! and one Mantis agent per switch — runs to the same virtual horizon at
-//! each worker count. Per point we record the deterministic
-//! **critical-path speedup** (`work_units / critical_units` from
-//! [`netsim::ParStats`]: per-epoch work divided by the per-epoch maximum
-//! over workers of their owned-shard work, summed over all drains),
-//! wall-clock time, and a fingerprint of everything observable: exit
-//! packets, per-switch transmit counters, and the merged telemetry trace
-//! and snapshot. The fingerprints must match at every worker count —
-//! that is the determinism contract the barrier merge enforces.
+//! each worker count. Per point we record two speedups and a
+//! fingerprint of everything observable: exit packets, per-switch
+//! transmit counters, and the merged telemetry trace and snapshot. The
+//! fingerprints must match at every worker count — that is the
+//! determinism contract the barrier merge enforces.
 //!
-//! The critical-path metric equals wall-clock speedup on a host with at
-//! least `workers` cores and is exactly 1.0 for the serial drain; on
-//! smaller hosts (CI containers are often single-core — see
-//! `host_cores`) it still measures how well the epoch partitioning
-//! balances the shards, which wall time there cannot.
+//! * `speedup` is a **model**: `work_units / critical_units` from
+//!   [`netsim::ParStats`], per-epoch packets served divided by the
+//!   per-epoch maximum over workers of their owned-shard packets, summed
+//!   over all drains. It says how well the shard schedule balances
+//!   packets — deterministic, the same on any host, exactly 1.0 inline —
+//!   and nothing about time: it counts every packet as equal work and
+//!   leaves out the channel round trip and barrier every epoch pays.
+//! * `wall_speedup` is **measured**: `wall_ms` at one worker over
+//!   `wall_ms` at this count, one run each on this host. Read it beside
+//!   `host_cores` — with fewer cores than workers it can only fall.
 
 use mantis::apps::fabric::{build_failover_fabric, leaf_host, EXIT_PORT};
 use mantis::{netsim::spawn_udp_on, netsim::UdpConfig, Telemetry};
@@ -40,11 +42,14 @@ pub struct ParallelPoint {
     /// Effective worker count after the simulator's clamp.
     pub workers: usize,
     pub wall_ms: f64,
+    /// `wall_ms` of the one-worker point over this point's (1.0 there).
+    pub wall_speedup: f64,
     pub drains: u64,
     pub parallel_drains: u64,
     pub work_units: u64,
     pub critical_units: u64,
-    /// Deterministic critical-path speedup over the serial drain.
+    /// Modelled critical-path speedup over inline execution (see the
+    /// module docs) — shard balance, not time.
     pub speedup: f64,
     pub tx_count: u64,
     pub tx_bytes: u64,
@@ -62,14 +67,14 @@ pub struct ParallelBenchResult {
     pub flows: usize,
     pub td_ns: u64,
     pub ts_ns: u64,
-    /// Cores on the machine that produced the numbers: wall_ms only
-    /// reflects the speedup when `host_cores >= workers`.
+    /// Cores on the machine that produced the numbers: `wall_speedup`
+    /// can show a gain only where `host_cores >= workers`.
     pub host_cores: usize,
     pub metric: String,
     pub points: Vec<ParallelPoint>,
     /// All points produced byte-identical fingerprints.
     pub identical: bool,
-    /// Critical-path speedup at 4 workers (the acceptance headline).
+    /// Modelled critical-path speedup at 4 workers.
     pub speedup_at_4: f64,
 }
 
@@ -156,6 +161,7 @@ fn run_point(leaves: usize, spines: usize, duration_ns: u64, workers: usize) -> 
     ParallelPoint {
         workers: tb.sim.workers(),
         wall_ms,
+        wall_speedup: 1.0, // against the one-worker point; `run` fills it in
         drains: stats.drains,
         parallel_drains: stats.parallel_drains,
         work_units: stats.work_units,
@@ -177,10 +183,14 @@ pub fn run(quick: bool) -> ParallelBenchResult {
     };
     let counts: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
 
-    let points: Vec<ParallelPoint> = counts
+    let mut points: Vec<ParallelPoint> = counts
         .iter()
         .map(|&w| run_point(leaves, spines, duration_ns, w))
         .collect();
+    let serial_ms = points[0].wall_ms;
+    for p in &mut points {
+        p.wall_speedup = serial_ms / p.wall_ms.max(1e-9);
+    }
 
     let identical = points
         .windows(2)
@@ -210,8 +220,9 @@ pub fn run(quick: bool) -> ParallelBenchResult {
         host_cores: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        metric: "critical-path (work_units / critical_units); equals wall-clock speedup \
-                 when host_cores >= workers"
+        metric: "speedup: critical-path model (work_units / critical_units), shard balance \
+                 only — no per-epoch barrier or channel cost; wall_speedup: measured wall_ms \
+                 ratio against the 1-worker point on host_cores cores"
             .into(),
         points,
         identical,
@@ -240,6 +251,7 @@ mod tests {
                 p.workers
             );
             assert_eq!(p.work_units, serial.work_units);
+            assert!(p.wall_speedup > 0.0, "{p:?}");
             assert!(
                 p.speedup > 1.0,
                 "workers={} speedup {}",

@@ -4,24 +4,18 @@
 //! flows (~9 M packets) over 20 s of virtual time — across a leaf–spine
 //! fabric with exact-match IP routing on every switch.
 //!
-//! Three measurements come out of one invocation:
+//! Two measurements come out of one invocation:
 //!
-//! 1. **Headline throughput** — the full flow block on the new engine,
-//!    reported as injected packets per wall-clock second plus the flow
-//!    engine's own gauges (batching, wheel occupancy, arena bytes).
-//! 2. **Engine speedup** — the same full block driven the pre-refactor
-//!    way: one boxed closure per packet arrival scheduled on a
-//!    `BinaryHeap`, a [`PacketDesc`] materialized per injection,
-//!    string-described PHVs rebuilt at every wire hop, and the
-//!    historical per-packet costs re-enabled switch-side via
-//!    [`Simulator::set_legacy_compat`] (string-resolved intrinsics,
-//!    header-walk frame lengths, mutexed telemetry checks, full port
-//!    scans per pump). The replica's throughput was validated against a
-//!    build of the actual pre-refactor tree driving this same block
-//!    (within 10%). The acceptance bar is ≥ 5×.
-//! 3. **Determinism** — the calibration subset at one worker vs. the
-//!    worker-pool drain must produce byte-identical FNV-1a fingerprints
+//! 1. **Headline throughput** — the full flow block, reported as
+//!    injected packets per wall-clock second plus the flow engine's own
+//!    gauges (batching, wheel occupancy, arena bytes).
+//! 2. **Determinism** — the calibration subset drained inline vs. on
+//!    the worker pool must produce byte-identical FNV-1a fingerprints
 //!    over every per-switch transmit counter and fabric-exit packet.
+//!
+//! The speedup over the closure-heap engine this one replaced (6.5×,
+//! measured at PR 9) is history recorded in EXPERIMENTS.md; that engine
+//! is no longer in the tree to measure against.
 //!
 //! `MANTIS_FLOWS` overrides the flow count (hardened via
 //! [`mantis::flows_from_env`]); `MANTIS_BENCH_QUICK=1` shrinks the block
@@ -31,11 +25,7 @@ use netsim::{
     scale_totals, spawn_scale_flows, ScaleConfig, ScaleHost, Simulator, Topology, HOST_PORTS,
 };
 use p4_ast::Value;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rmt_sim::{
-    switch_from_source, Clock, KeyField, PacketDesc, PortId, SharedSwitch, SwitchConfig,
-};
+use rmt_sim::{switch_from_source, Clock, KeyField, PortId, SharedSwitch, SwitchConfig};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -96,21 +86,12 @@ pub struct ScaleBenchResult {
     pub spines: usize,
     pub hosts: usize,
     pub quick: bool,
-    /// The full-block run on the new engine.
+    /// The full-block run.
     pub headline: ScaleRun,
-    /// Calibration subset on the new engine (serial drain); re-run with
-    /// the pooled drain for the determinism check.
+    /// Calibration subset, visits inline; re-run on the worker pool for
+    /// the determinism check.
     pub calibration: ScaleRun,
-    /// The *same full block* as `headline`, driven the pre-refactor way:
-    /// one boxed closure per packet, string-described PHVs at every wire
-    /// hop, and every historical per-packet cost re-enabled
-    /// (`Simulator::set_legacy_compat`).
-    pub baseline: ScaleRun,
-    /// `headline.pkts_per_sec / baseline.pkts_per_sec`, both measured on
-    /// the full block — ≥ 5 is the acceptance bar for the engine
-    /// refactor.
-    pub engine_speedup: f64,
-    /// Serial and pooled drains of the calibration subset produced
+    /// Inline and pooled drains of the calibration subset produced
     /// byte-identical fingerprints.
     pub deterministic: bool,
     pub gauges: ScaleGauges,
@@ -252,127 +233,6 @@ fn run_engine(cfg: &ScaleConfig, workers: usize) -> (ScaleRun, ScaleGauges) {
     (run, gauges)
 }
 
-/// One closure-chain flow of the legacy driver.
-struct LegacyFlow {
-    switch: usize,
-    port: PortId,
-    src: u64,
-    dst: u64,
-    remaining: u32,
-    gap: u64,
-}
-
-/// Run the same schedule the pre-refactor way: one boxed closure per
-/// packet arrival, each materializing a fresh [`PacketDesc`] (string
-/// header/field names, per-packet `HashMap` PHV build). The flow list is
-/// generated with the same RNG discipline as [`spawn_scale_flows`] so the
-/// two engines face identical traffic.
-fn run_legacy(cfg: &ScaleConfig, hosts: &[ScaleHost]) -> ScaleRun {
-    let tick = cfg.tick_ns.max(1);
-    let duration = cfg.duration_ns.max(tick);
-    let min_pkts = cfg.min_pkts.max(1);
-    let max_pkts = cfg.max_pkts.max(min_pkts);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut planned = 0u64;
-    let mut starts: Vec<(u64, LegacyFlow)> = Vec::with_capacity(cfg.flows as usize);
-    for _ in 0..cfg.flows {
-        let s = rng.gen_range(0..hosts.len());
-        let mut d = rng.gen_range(0..hosts.len() - 1);
-        if d >= s {
-            d += 1;
-        }
-        let (src, dst) = (hosts[s], hosts[d]);
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let raw = f64::from(min_pkts) * u.powf(-1.0 / cfg.pareto_alpha.max(0.1));
-        let count = if raw >= f64::from(max_pkts) {
-            max_pkts
-        } else {
-            (raw as u32).clamp(min_pkts, max_pkts)
-        };
-        let start = rng.gen_range(0..duration) / tick * tick;
-        let gap = if count > 1 {
-            let span_ticks = (duration - start) / tick / u64::from(count - 1);
-            rng.gen_range(1..=span_ticks.max(1)) * tick
-        } else {
-            tick
-        };
-        planned += u64::from(count);
-        starts.push((
-            start,
-            LegacyFlow {
-                switch: src.switch,
-                port: src.port,
-                src: src.addr,
-                dst: dst.addr,
-                remaining: count,
-                gap,
-            },
-        ));
-    }
-
-    let mut sim = build_fabric();
-    // Full pre-refactor mechanics: string-describe + rebuild per wire hop,
-    // pump every switch after every event, and the historical per-packet
-    // switch costs (string intrinsics, header-walk lengths, mutexed
-    // telemetry checks, unmasked pumps).
-    sim.set_legacy_compat(true);
-    let injected = std::rc::Rc::new(std::cell::Cell::new((0u64, 0u64)));
-    let payload = cfg.payload_bytes;
-    let (header, src_f, dst_f) = (
-        cfg.header.clone(),
-        cfg.src_field.clone(),
-        cfg.dst_field.clone(),
-    );
-    for (start, flow) in starts {
-        let counters = injected.clone();
-        let (header, src_f, dst_f) = (header.clone(), src_f.clone(), dst_f.clone());
-        sim.schedule(start, move |s| {
-            legacy_send(s, flow, counters, payload, header, src_f, dst_f);
-        });
-    }
-    let t0 = Instant::now();
-    sim.run_until(cfg.duration_ns + 100_000);
-    let wall_secs = t0.elapsed().as_secs_f64();
-    let (inj, acc) = injected.get();
-    ScaleRun {
-        flows: u64::from(cfg.flows),
-        planned_pkts: planned,
-        injected_pkts: inj,
-        accepted_pkts: acc,
-        virtual_secs: cfg.duration_ns as f64 / 1e9,
-        wall_secs,
-        pkts_per_sec: inj as f64 / wall_secs.max(1e-9),
-        fingerprint: fingerprint(&mut sim),
-    }
-}
-
-/// One packet of a legacy closure-chain flow: materialize a fresh
-/// [`PacketDesc`], inject it, and box the next closure in the chain.
-fn legacy_send(
-    s: &mut Simulator,
-    mut flow: LegacyFlow,
-    counters: std::rc::Rc<std::cell::Cell<(u64, u64)>>,
-    payload: u32,
-    header: String,
-    src_f: String,
-    dst_f: String,
-) {
-    let desc = PacketDesc::new(flow.port)
-        .field(&header, &src_f, u128::from(flow.src))
-        .field(&header, &dst_f, u128::from(flow.dst))
-        .payload(payload);
-    let ok = s.switch_at(flow.switch).borrow_mut().inject(&desc);
-    let (inj, acc) = counters.get();
-    counters.set((inj + 1, acc + u64::from(ok)));
-    flow.remaining -= 1;
-    if flow.remaining > 0 {
-        let at = s.now() + flow.gap;
-        s.schedule(at, move |s| {
-            legacy_send(s, flow, counters, payload, header, src_f, dst_f);
-        });
-    }
-}
-
 /// Run the scale benchmark. `quick` trims the block for CI; the full run
 /// reproduces Fig. 14's ~370 K flows over 20 s of virtual time.
 pub fn run(quick: bool) -> ScaleBenchResult {
@@ -385,32 +245,24 @@ pub fn run(quick: bool) -> ScaleBenchResult {
     let full = scale_cfg(flows, duration_ns);
     let calib = scale_cfg((flows / 8).max(500), duration_ns / 8);
 
-    // Determinism on the calibration subset: serial vs pooled drains.
+    // Determinism on the calibration subset: inline vs pooled drains.
     let (calibration, _) = run_engine(&calib, 1);
     let (pooled, _) = run_engine(&calib, 4);
     let deterministic = calibration.fingerprint == pooled.fingerprint
         && calibration.injected_pkts == pooled.injected_pkts;
     assert!(
         deterministic,
-        "scale drains disagree: serial {} vs pooled {}",
+        "scale drains disagree: inline {} vs pooled {}",
         calibration.fingerprint, pooled.fingerprint
     );
 
-    // Engine speedup: old engine vs new engine on the *identical* full
-    // block. Measuring the baseline at a reduced scale would flatter it —
-    // the pre-refactor heap of boxed per-packet closures degrades as the
-    // pending-event set outgrows the cache, and that degradation at
-    // ~370 K pending events is precisely what the timing wheel removes.
-    let baseline = run_legacy(&full, &hosts());
-
     // The headline block. Worker count comes from `MANTIS_WORKERS`
     // (defaulting to the host's available parallelism): the epoch-barrier
-    // drain only beats the serial one on hosts with spare cores, and the
-    // per-event barrier is pure overhead on a single-core runner — the
+    // drain only beats the inline one on hosts with spare cores, and the
+    // per-epoch barrier is pure overhead on a single-core runner — the
     // calibration pair above already proves pooled output is
     // byte-identical.
     let (headline, gauges) = run_engine(&full, usize::from(mantis::workers_from_env()));
-    let engine_speedup = headline.pkts_per_sec / baseline.pkts_per_sec.max(1e-9);
 
     ScaleBenchResult {
         leaves: LEAVES,
@@ -419,8 +271,6 @@ pub fn run(quick: bool) -> ScaleBenchResult {
         quick,
         headline,
         calibration,
-        baseline,
-        engine_speedup,
         deterministic,
         gauges,
     }
@@ -437,14 +287,6 @@ mod tests {
         assert!(r.deterministic);
         assert_eq!(r.headline.planned_pkts, r.headline.injected_pkts);
         assert!(r.headline.accepted_pkts > 0);
-        // Same seed and block → headline and baseline saw the exact same
-        // traffic plan, so the speedup ratio compares like with like.
-        // (Exit *order* may differ between engines when same-tick packets
-        // share a switch, so fingerprints aren't compared across engines —
-        // only across worker counts.)
-        assert_eq!(r.headline.planned_pkts, r.baseline.planned_pkts);
-        assert_eq!(r.headline.injected_pkts, r.baseline.injected_pkts);
-        assert!(r.baseline.accepted_pkts > 0);
         assert!(r.gauges.shards == LEAVES);
         assert!(r.gauges.mean_batch >= 1.0);
     }

@@ -728,15 +728,6 @@ impl Telemetry {
         self.enabled
     }
 
-    /// [`is_enabled`](Telemetry::is_enabled) at its historical cost: a
-    /// mutex acquisition per check. The answer is identical; only the
-    /// price differs. Benchmark baselines that replicate the pre-cache
-    /// engine call this so their per-packet cost shape stays faithful.
-    pub fn is_enabled_uncached(&self) -> bool {
-        let _guard = self.lock();
-        self.enabled
-    }
-
     // -- name resolution ---------------------------------------------------
 
     /// Resolve `name` against this registry's name table, adding it if

@@ -18,16 +18,14 @@
 //! [`TransferMap`] — no per-hop name round-trip.
 
 use crate::flows::FlowRegistry;
-use crate::par::{ShardResult, WorkerPool};
+use crate::par::WorkerPool;
 use crate::topo::{Endpoint, Link, Topology};
 use crate::wheel::TimingWheel;
 use mantis_telemetry::Telemetry;
 use rmt_sim::{
     Clock, Nanos, PacketTemplate, Phv, PortId, SharedSwitch, Switch, TransferMap, TxPacket,
 };
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::VecDeque;
 use std::sync::{Arc, MutexGuard};
 
 pub(crate) type EventFn = Box<dyn FnOnce(&mut Simulator)>;
@@ -59,60 +57,36 @@ pub(crate) enum EventKind {
     FlowWake { shard: u32 },
 }
 
-/// Verbatim replica of the pre-refactor event-queue entry — one boxed
-/// closure per event, totally ordered by `(time, seq)` in a
-/// `BinaryHeap<Reverse<_>>`. Kept so `legacy_compat` measures the old
-/// engine's real scheduling cost (deep-heap percolation over boxed
-/// closures) instead of letting the baseline ride the timing wheel.
-struct LegacyScheduled {
-    at: Nanos,
-    seq: u64,
-    f: EventFn,
-}
-
-impl PartialEq for LegacyScheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for LegacyScheduled {}
-impl PartialOrd for LegacyScheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for LegacyScheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// Deterministic scaling accounting for the parallel drain.
+/// Deterministic scaling accounting for the drain.
 ///
 /// The work unit is one packet served by a pump. `critical_units` is the
 /// epoch-by-epoch makespan: per drain, each worker's load is the sum of
 /// work over the switches it owns, and the makespan is the slowest
-/// worker's load (the whole drain's work when running serially). So
-/// `speedup() = work / makespan` is the parallel speedup the shard
-/// schedule achieves on ≥ `workers` cores — measured, not modelled, and
-/// byte-reproducible across runs and host core counts.
+/// worker's load (the whole drain's work when running inline). So
+/// `speedup() = work / makespan` is a *model* of how well the shard
+/// schedule balances packets over `workers`: counted, byte-reproducible
+/// across runs and host core counts, and blind to what a pooled epoch
+/// costs on a real host — the channel round trip and barrier per drain,
+/// and the unequal cost of packets. Wall-clock speedup is a separate,
+/// measured number (`figures -- parallel` reports both).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParStats {
     /// Worker count this simulator is configured for.
     pub workers: usize,
-    /// Total drains executed (serial + parallel).
+    /// Total drains executed (inline + pooled).
     pub drains: u64,
-    /// Drains that went through the worker pool.
+    /// Drains that dispatched an epoch to the worker pool — those with a
+    /// non-empty due set at `workers > 1`.
     pub parallel_drains: u64,
     /// Total packets served by pumps.
     pub work_units: u64,
     /// Sum over drains of the slowest worker's load.
     pub critical_units: u64,
-    /// Times the serial drain took a switch's lock to look at it.
+    /// Times a drain — inline or a pool worker — took a switch's lock to
+    /// look at it.
     pub switch_visits: u64,
-    /// Serial-drain pumps that served no packet. The readiness index
-    /// keeps this at zero: a switch is pumped only once a queue head of
-    /// its is due.
+    /// Pumps that served no packet. The readiness index keeps this at
+    /// zero: a switch is pumped only once a queue head of its is due.
     pub zero_serve_pumps: u64,
 }
 
@@ -145,6 +119,37 @@ fn ready_entry(sw: &Switch) -> Nanos {
     }
 }
 
+/// What one [`visit`] did.
+pub(crate) struct Visit {
+    /// Whether a queue head was due, so the switch was pumped.
+    pub pumped: bool,
+    /// Packets the pump served.
+    pub served: u64,
+    /// The switch's readiness-index entry on the way out.
+    pub ready: Nanos,
+}
+
+/// One switch's step of a drain, under its borrow: pump if a queue head
+/// is due — an idle pump has no side effects, and queued packets whose
+/// egress/wire time has not arrived make it a provable no-op — and move
+/// what it transmitted, with frame lengths, onto `batch`. The one
+/// definition both executors run: [`Simulator::drain`] inline, the pool
+/// workers of [`crate::par`] on the switches they own.
+#[inline]
+pub(crate) fn visit(sw: &mut Switch, batch: &mut Vec<(TxPacket, u32)>) -> Visit {
+    let pumped = sw.tm_queued() > 0 && sw.tx_ready();
+    let mut served = 0;
+    if pumped {
+        served = sw.pump();
+        sw.drain_transmitted_with_len(batch);
+    }
+    Visit {
+        pumped,
+        served,
+        ready: ready_entry(sw),
+    }
+}
+
 /// The event-driven simulator.
 pub struct Simulator {
     clock: Clock,
@@ -163,26 +168,19 @@ pub struct Simulator {
     /// Lazily built `(src, dest)` → transfer map cache for wire
     /// deliveries.
     xfer: Vec<Vec<Option<Arc<TransferMap>>>>,
-    /// One flag per switch: set when the switch may have queued packets,
-    /// cleared when a pump leaves its TM empty. A pump of an idle switch
-    /// has zero side effects, so drains skip non-busy switches — the
-    /// shared `Arc` lets pool workers read the flags (the epoch barrier's
-    /// channel handoff orders the coordinator's writes before them).
-    busy: Arc<Vec<AtomicBool>>,
-    /// Serial-drain mirror of `busy` as a bitmask (word `i/64`, bit
-    /// `i%64`): the drain visits only flagged switches in index order
-    /// instead of scanning the whole fabric after every event. May hold
-    /// stale extra bits after a parallel drain (workers clear `busy`
-    /// only); a spurious visit is a no-op pump, never a correctness
-    /// issue.
+    /// One bit per switch (word `i/64`, bit `i%64`): set while the
+    /// switch may have queued packets, so the drain walks only flagged
+    /// switches in index order instead of scanning the whole fabric
+    /// after every event.
     dirty: Vec<u64>,
-    /// The serial drain's readiness index: per switch, the virtual time
-    /// its earliest queue head can transmit
-    /// ([`Switch::next_ready_at`]), as of the last time this simulator
-    /// held its borrow — after an inject, a skip or a pump. [`IDLE`]:
-    /// nothing queued. [`UNKNOWN`]: code this simulator does not see
-    /// into (a closure event, the caller between runs, a pool worker) may
-    /// have touched the switch, so the next drain looks
+    /// The drain's readiness index: per switch, the virtual time its
+    /// earliest queue head can transmit ([`Switch::next_ready_at`]), as
+    /// of the last borrow this simulator took or handed to a pool worker
+    /// — an inject, a wire delivery, a drain visit; only
+    /// [`note_ready`](Simulator::note_ready) writes it. [`IDLE`]: nothing
+    /// queued. [`UNKNOWN`]: code this simulator does not see into (a
+    /// closure event, the caller between runs) may have touched the
+    /// switch, so the next drain looks
     /// ([`mark_all_busy`](Simulator::mark_all_busy)). A drain visits
     /// switch `i` only once `now` has reached `ready_at[i]`.
     ready_at: Vec<Nanos>,
@@ -192,23 +190,10 @@ pub struct Simulator {
     tx_log: VecDeque<(usize, TxPacket)>,
     /// Cap on `tx_log` length; older packets are discarded first.
     pub tx_log_cap: usize,
-    /// Benchmark-only compatibility mode replicating the pre-refactor
-    /// engine's per-packet mechanics: wire hops re-describe the PHV into
-    /// string-keyed fields and rebuild it from scratch at delivery via a
-    /// boxed closure, every drain pumps every switch (no busy-flag
-    /// skip), and each switch runs its own historical cost shape (see
-    /// [`Switch::set_legacy_compat`](rmt_sim::Switch::set_legacy_compat)).
-    /// Semantically identical output, historically slow — the
-    /// `figures -- scale` baseline measures against it. Set via
-    /// [`Simulator::set_legacy_compat`] so the whole fabric flips
-    /// together. Not for normal use.
-    legacy_compat: bool,
-    /// Compat mode's event queue: the pre-refactor `BinaryHeap` of boxed
-    /// closures. Empty (and never touched) outside `legacy_compat`.
-    legacy_heap: BinaryHeap<Reverse<LegacyScheduled>>,
-    /// Reusable transmit-batch buffer for the serial drain; cleared and
-    /// refilled per pump so the pump → route handoff never allocates at
-    /// steady state.
+    /// Reusable due-set buffer of the drain.
+    due_scratch: Vec<usize>,
+    /// Reusable transmit-batch buffer for inline visits; refilled per
+    /// pump so the pump → route handoff never allocates at steady state.
     batch_scratch: Vec<(TxPacket, u32)>,
     /// Count of all packets ever transmitted by any switch, including
     /// hops over internal fabric links (not capped).
@@ -218,7 +203,7 @@ pub struct Simulator {
     tx_count_per_switch: Vec<u64>,
     tx_bytes_per_switch: Vec<u64>,
     next_flow_id: u64,
-    /// Configured worker count (1 = serial drain, the default).
+    /// Configured worker count (1 = visits run inline, the default).
     workers: usize,
     /// Lazily spawned worker pool; dropped (threads joined) whenever the
     /// worker count or shard assignment changes.
@@ -285,7 +270,6 @@ impl Simulator {
             flows: FlowRegistry::default(),
             peer_cache,
             xfer: vec![vec![None; n]; n],
-            busy: Arc::new((0..n).map(|_| AtomicBool::new(true)).collect()),
             dirty: (0..n.div_ceil(64))
                 .map(|w| {
                     let bits = n - w * 64;
@@ -299,8 +283,7 @@ impl Simulator {
             ready_at: vec![UNKNOWN; n],
             tx_log: VecDeque::new(),
             tx_log_cap: 1 << 20,
-            legacy_compat: false,
-            legacy_heap: BinaryHeap::new(),
+            due_scratch: Vec::new(),
             batch_scratch: Vec::new(),
             tx_count: 0,
             tx_bytes: 0,
@@ -319,9 +302,10 @@ impl Simulator {
         }
     }
 
-    /// Set the pump worker count. `1` (the default) keeps the historical
-    /// serial drain; `> 1` pumps switch shards on a fixed worker pool with
-    /// an epoch barrier per drain. Output is byte-identical either way —
+    /// Set the pump worker count. `1` (the default) runs every drain's
+    /// switch visits inline; `> 1` runs them on a fixed worker pool of
+    /// switch shards with an epoch barrier per drain. Output is
+    /// byte-identical either way —
     /// see DESIGN.md §12. Values are clamped to `[1, num_switches]`
     /// (a worker without a shard would just idle).
     pub fn set_workers(&mut self, workers: usize) {
@@ -335,16 +319,6 @@ impl Simulator {
 
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Enable (or disable) the pre-refactor cost-replication mode — see
-    /// the `legacy_compat` field. Propagates to every switch so the
-    /// per-switch hot paths flip to their historical form together.
-    pub fn set_legacy_compat(&mut self, on: bool) {
-        self.legacy_compat = on;
-        for sw in &self.switches {
-            sw.borrow_mut().set_legacy_compat(on);
-        }
     }
 
     /// Replace the canonical `i % workers` shard assignment with a seeded
@@ -437,16 +411,6 @@ impl Simulator {
     /// Schedule a one-shot event at absolute time `at` (events in the past
     /// run at the current time).
     pub fn schedule(&mut self, at: Nanos, f: impl FnOnce(&mut Simulator) + 'static) {
-        if self.legacy_compat {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.legacy_heap.push(Reverse(LegacyScheduled {
-                at,
-                seq,
-                f: Box::new(f),
-            }));
-            return;
-        }
         self.schedule_kind(at, EventKind::Closure(Box::new(f)));
     }
 
@@ -496,55 +460,20 @@ impl Simulator {
         // External code may have injected packets directly between runs.
         self.mark_all_busy();
         loop {
-            while let Some((at, kind)) = self.pop_due(until) {
+            while let Some((at, _seq, kind)) = self.wheel.pop_due(until) {
                 self.clock.advance_to(at);
                 self.dispatch(kind);
-                self.drain_tracked();
+                self.drain();
             }
             self.clock.advance_to(until);
-            self.drain_tracked();
+            self.drain();
             // The horizon drain may itself have put packets on a fabric
             // link with an arrival inside the horizon — deliver those too
             // before handing control back.
-            if !self.has_due(until) {
+            if !self.wheel.has_due(until) {
                 break;
             }
         }
-    }
-
-    /// Pop the earliest event due by `until` from whichever queue holds
-    /// it. Outside `legacy_compat` the heap is empty and this is a plain
-    /// wheel pop; in compat mode the wheel and the replica heap merge by
-    /// the shared `(time, seq)` order.
-    fn pop_due(&mut self, until: Nanos) -> Option<(Nanos, EventKind)> {
-        if self.legacy_heap.is_empty() {
-            return self.wheel.pop_due(until).map(|(at, _seq, kind)| (at, kind));
-        }
-        let heap_due = self
-            .legacy_heap
-            .peek()
-            .map(|Reverse(e)| (e.at, e.seq))
-            .filter(|&(at, _)| at <= until);
-        let take_heap = match (heap_due, self.wheel.peek_due(until)) {
-            (Some(h), Some(w)) => h < w,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if take_heap {
-            let Reverse(e) = self.legacy_heap.pop().expect("peeked");
-            Some((e.at, EventKind::Closure(e.f)))
-        } else {
-            self.wheel.pop_due(until).map(|(at, _seq, kind)| (at, kind))
-        }
-    }
-
-    /// Whether any event (wheel or compat heap) is due by `until`.
-    fn has_due(&mut self, until: Nanos) -> bool {
-        self.wheel.has_due(until)
-            || self
-                .legacy_heap
-                .peek()
-                .is_some_and(|Reverse(e)| e.at <= until)
     }
 
     /// Execute one event.
@@ -626,9 +555,6 @@ impl Simulator {
     }
 
     fn mark_all_busy(&mut self) {
-        for b in self.busy.iter() {
-            b.store(true, Ordering::Relaxed);
-        }
         let n = self.switches.len();
         for (w, word) in self.dirty.iter_mut().enumerate() {
             let bits = n - w * 64;
@@ -644,10 +570,8 @@ impl Simulator {
     #[inline]
     fn note_ready(&mut self, i: usize, ready: Nanos) {
         self.ready_at[i] = ready;
-        let queued = ready != IDLE;
-        self.busy[i].store(queued, Ordering::Relaxed);
         let bit = 1u64 << (i % 64);
-        if queued {
+        if ready != IDLE {
             self.dirty[i / 64] |= bit;
         } else {
             self.dirty[i / 64] &= !bit;
@@ -686,153 +610,121 @@ impl Simulator {
     /// Service every switch's queues and collect transmitted packets:
     /// linked ports schedule an rx event on the peer switch after the wire
     /// delay, unlinked ports append to the transmit log.
-    ///
-    /// Transmit batches are always *routed* in switch-index order — that
-    /// total `(time, switch_id, seq)` order on deliveries is the fabric
-    /// determinism contract. With `workers > 1` the *pumps* run
-    /// concurrently on the shard pool and everything merges at the epoch
-    /// barrier; output is byte-identical to the serial drain.
     pub fn drain_switch(&mut self) {
         // Public entry: callers may have injected into any switch since
-        // the last drain, so the busy flags are stale.
+        // the last drain, so the index is stale.
         self.mark_all_busy();
-        self.drain_tracked();
+        self.drain();
     }
 
-    /// The busy-tracked drain `run_until` uses between events: switches
-    /// whose TM queues are known-empty are skipped outright (an idle pump
-    /// has no side effects, so skipping is byte-exact).
-    fn drain_tracked(&mut self) {
-        if self.legacy_compat {
-            // The pre-refactor drain pumped every switch unconditionally.
-            self.mark_all_busy();
-        }
+    /// The drain `run_until` runs after every event, in three steps.
+    ///
+    /// 1. The *due set* is read off the readiness index, no lock taken: a
+    ///    flagged switch is due once the clock has reached its cached
+    ///    ready time. Everything else is skipped outright — an idle pump
+    ///    has no side effects, so skipping is byte-exact.
+    /// 2. Every due switch gets one [`visit`] — inline in index order at
+    ///    `workers == 1`, on the pool workers that own them otherwise —
+    ///    so every visit either serves a packet or refreshes a stale
+    ///    entry of the index.
+    /// 3. Each visit is settled in switch-index order: the index takes
+    ///    the switch's new entry, a pool worker's staging telemetry is
+    ///    folded in, and the transmit batch is routed. That total
+    ///    `(time, switch_id, seq)` order on deliveries is the fabric
+    ///    determinism contract; since both executors run the same visit
+    ///    on the same due set and settle in the same order, their output
+    ///    is byte-identical.
+    fn drain(&mut self) {
         #[cfg(test)]
         if self.reference_drain {
             return self.drain_reference();
         }
-        if self.workers > 1 && self.switches.len() > 1 {
-            self.drain_parallel();
-        } else {
-            self.drain_serial();
-        }
-    }
-
-    /// The single-threaded drain (also the workers=1 path), indexed by
-    /// readiness: a flagged switch is looked at only once the clock has
-    /// reached its cached ready time, and pumped only if a queue head is
-    /// due — so every visit either serves a packet or refreshes a stale
-    /// entry of the index.
-    fn drain_serial(&mut self) {
+        self.par_stats.drains += 1;
         let now = self.clock.now();
-        let mut drain_work: u64 = 0;
-        // The scratch buffer moves out of `self` for the loop's duration
-        // so filling it can overlap the switch borrow; its capacity is
-        // retained across drains.
-        let mut batch = std::mem::take(&mut self.batch_scratch);
-        for w in 0..self.dirty.len() {
-            let mut word = self.dirty[w];
+        let mut due = std::mem::take(&mut self.due_scratch);
+        for (w, &flagged) in self.dirty.iter().enumerate() {
+            let mut word = flagged;
             while word != 0 {
                 let i = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                if self.ready_at[i] > now {
-                    // Not due: the switch stays flagged and is revisited
-                    // once the clock reaches its ready time.
-                    continue;
-                }
-                // Collect this switch's transmissions first: scheduling
-                // the deliveries needs `&mut self` again.
-                batch.clear();
-                let mut sw = self.switches[i].borrow_mut();
-                self.par_stats.switch_visits += 1;
-                // An idle pump has no side effects, and queued packets
-                // whose egress/wire time hasn't arrived yet make it a
-                // provable no-op: pump only when a head is due. The
-                // pre-refactor engine pumped unconditionally; compat mode
-                // keeps that.
-                if self.legacy_compat || (sw.tm_queued() > 0 && sw.tx_ready()) {
-                    let served = sw.pump();
-                    drain_work += served;
-                    self.par_stats.zero_serve_pumps += u64::from(served == 0);
-                    if self.legacy_compat {
-                        // Pre-refactor collection: take the Vec wholesale
-                        // and re-collect with frame lengths (two fresh
-                        // allocations per productive pump).
-                        let pkts = sw.take_transmitted();
-                        batch.extend(pkts.into_iter().map(|pkt| {
-                            let bytes = pkt.phv.frame_len_walk(sw.spec());
-                            (pkt, bytes)
-                        }));
-                    } else {
-                        sw.drain_transmitted_with_len(&mut batch);
-                    }
-                }
-                let ready = ready_entry(&sw);
-                drop(sw);
-                self.note_ready(i, ready);
-                if !batch.is_empty() {
-                    self.route_batch(i, &mut batch);
+                // Not due: the switch stays flagged and is looked at
+                // once the clock reaches its ready time.
+                if self.ready_at[i] <= now {
+                    due.push(i);
                 }
             }
         }
-        self.batch_scratch = batch;
-        self.par_stats.drains += 1;
-        self.par_stats.work_units += drain_work;
-        // One worker does everything: the critical path is all the work.
-        self.par_stats.critical_units += drain_work;
+        if !due.is_empty() {
+            // `(work, makespan)`: packets served, and by the slowest
+            // worker.
+            let (work, makespan) = if self.workers > 1 {
+                self.visit_pooled(&due)
+            } else {
+                self.visit_inline(&due)
+            };
+            self.par_stats.work_units += work;
+            self.par_stats.critical_units += makespan;
+        }
+        due.clear();
+        self.due_scratch = due;
     }
 
-    /// The epoch-barrier drain: pump shards on the worker pool, then merge
-    /// telemetry and route batches serially in switch-index order.
-    fn drain_parallel(&mut self) {
-        if !self.busy.iter().any(|b| b.load(Ordering::Relaxed)) {
-            // Nothing can transmit: the epoch would be a fleet of no-op
-            // pumps. Still counts as a drain for the scaling stats.
-            self.par_stats.drains += 1;
-            self.par_stats.parallel_drains += 1;
-            return;
+    /// Visit `due` on this thread. One worker does everything: the
+    /// critical path is all the work.
+    fn visit_inline(&mut self, due: &[usize]) -> (u64, u64) {
+        // The scratch buffer moves out of `self` so that filling it can
+        // overlap the switch borrow; its capacity is kept across drains.
+        let mut batch = std::mem::take(&mut self.batch_scratch);
+        let mut work = 0;
+        for &i in due {
+            let seen = visit(&mut self.switches[i].borrow_mut(), &mut batch);
+            work += seen.served;
+            self.settle(i, &seen, &mut batch);
         }
-        if self.pool.is_none() {
-            self.pool = Some(self.build_pool());
-        }
-        let replies = self.pool.as_ref().expect("pool built").run_epoch();
+        self.batch_scratch = batch;
+        (work, work)
+    }
 
-        let n = self.switches.len();
-        let mut per_switch: Vec<Option<ShardResult>> = (0..n).map(|_| None).collect();
-        let mut makespan: u64 = 0;
-        let mut total: u64 = 0;
-        for reply in replies {
-            let load: u64 = reply.iter().map(|r| r.work).sum();
-            makespan = makespan.max(load);
-            total += load;
-            for r in reply {
-                let slot = r.switch;
-                self.busy[slot].store(r.queued > 0, Ordering::Relaxed);
-                if r.queued > 0 {
-                    self.dirty[slot / 64] |= 1u64 << (slot % 64);
-                }
-                // A worker pumped it: the serial index no longer knows.
-                self.ready_at[slot] = UNKNOWN;
-                per_switch[slot] = Some(r);
-            }
-        }
-        self.par_stats.drains += 1;
+    /// Visit `due` on the pool — one epoch — then settle every reply at
+    /// the barrier. Workers record into per-switch staging registries,
+    /// so folding those in switch-index order reproduces the inline
+    /// recording order byte for byte.
+    fn visit_pooled(&mut self, due: &[usize]) -> (u64, u64) {
         self.par_stats.parallel_drains += 1;
-        self.par_stats.work_units += total;
-        self.par_stats.critical_units += makespan;
-
-        // Barrier merge, phase 1: fold staging telemetry in switch-index
-        // order — reproduces the serial recording order byte-for-byte.
-        let telemetry = self.telemetry();
-        for r in per_switch.iter().flatten() {
-            telemetry.merge_from(&r.staging);
+        let replies = self
+            .pool
+            .get_or_insert_with(|| {
+                WorkerPool::new(&self.switches, self.workers, self.assignment.as_deref())
+            })
+            .run_epoch(due);
+        let (mut work, mut makespan) = (0, 0);
+        let mut results = Vec::with_capacity(due.len());
+        for reply in replies {
+            let load: u64 = reply.iter().map(|r| r.visit.served).sum();
+            work += load;
+            makespan = makespan.max(load);
+            results.extend(reply);
         }
-        // Phase 2: route cross-shard effects (wire deliveries, fabric
-        // exits) in the same canonical order.
-        for (i, slot) in per_switch.iter_mut().enumerate() {
-            if let Some(mut r) = slot.take() {
-                self.route_batch(i, &mut r.batch);
+        results.sort_unstable_by_key(|r| r.switch);
+        let telemetry = self.telemetry();
+        for mut r in results {
+            if r.visit.pumped {
+                telemetry.merge_from(&r.staging);
             }
+            self.settle(r.switch, &r.visit, &mut r.batch);
+        }
+        (work, makespan)
+    }
+
+    /// Take one visit's outcome into the coordinator's state: counters,
+    /// the readiness index, and the cross-switch effects of what the
+    /// switch transmitted.
+    fn settle(&mut self, i: usize, seen: &Visit, batch: &mut Vec<(TxPacket, u32)>) {
+        self.par_stats.switch_visits += 1;
+        self.par_stats.zero_serve_pumps += u64::from(seen.pumped && seen.served == 0);
+        self.note_ready(i, seen.ready);
+        if !batch.is_empty() {
+            self.route_batch(i, batch);
         }
     }
 
@@ -851,25 +743,6 @@ impl Simulator {
             {
                 Some((peer, link)) => {
                     let arrival = pkt.time.saturating_add(link.wire_delay(bytes));
-                    if self.legacy_compat {
-                        // Pre-refactor hop: re-describe the PHV into
-                        // string-keyed field assignments, box a closure,
-                        // and rebuild the PHV by name resolution at
-                        // delivery.
-                        let mut desc = {
-                            let sw = self.switches[i].borrow();
-                            pkt.phv.describe(sw.spec())
-                        };
-                        desc.port = peer.port;
-                        let dest = peer.switch;
-                        self.switches[i].borrow_mut().recycle_phv(pkt.phv);
-                        self.schedule(arrival, move |s| {
-                            let mut sw = s.switches[dest].borrow_mut();
-                            let phv = desc.build_lossy(sw.spec());
-                            sw.inject_phv_at(phv, arrival);
-                        });
-                        continue;
-                    }
                     // The PHV travels as transmitted (its values are
                     // frozen — nothing mutates an in-flight packet) and
                     // is re-materialized on the peer at dispatch via the
@@ -906,22 +779,6 @@ impl Simulator {
         }
     }
 
-    /// Build the worker pool from the current assignment (canonical
-    /// `i % workers` unless scrambled).
-    fn build_pool(&self) -> WorkerPool {
-        let n = self.switches.len();
-        let w = self.workers;
-        let mut shards: Vec<Vec<(usize, SharedSwitch)>> = (0..w).map(|_| Vec::new()).collect();
-        for i in 0..n {
-            let owner = match &self.assignment {
-                Some(a) => a[i] % w,
-                None => i % w,
-            };
-            shards[owner].push((i, self.switches[i].clone()));
-        }
-        WorkerPool::new(shards, self.busy.clone())
-    }
-
     /// Number of currently occupied timing-wheel slots (a telemetry gauge
     /// for scale scenarios; cheap — counts set occupancy bits).
     pub fn wheel_slots(&self) -> usize {
@@ -930,7 +787,7 @@ impl Simulator {
 
     /// Pending (scheduled, not yet executed) event count.
     pub fn pending_events(&self) -> usize {
-        self.wheel.len() + self.legacy_heap.len()
+        self.wheel.len()
     }
 
     /// Heap bytes parked across every switch's PHV freelist (the packet

@@ -341,16 +341,6 @@ impl<T> TimingWheel<T> {
         self.expose_due(until)
     }
 
-    /// The `(at, seq)` key of the earliest pending event if it is due by
-    /// `until`, without removing it. Like [`TimingWheel::has_due`] this may
-    /// cascade slots internally.
-    pub fn peek_due(&mut self, until: Nanos) -> Option<(Nanos, u64)> {
-        if !self.expose_due(until) {
-            return None;
-        }
-        self.near.peek().map(|NearEntry(e)| (e.at, e.seq))
-    }
-
     /// Pop the earliest pending event if it is due by `until`.
     pub fn pop_due(&mut self, until: Nanos) -> Option<(Nanos, u64, T)> {
         if !self.expose_due(until) {

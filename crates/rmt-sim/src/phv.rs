@@ -107,10 +107,11 @@ impl Phv {
     /// Describe this PHV spec-independently: every field of every valid
     /// non-metadata header as `(instance, field, value)` assignments, plus
     /// the payload length. The result can be re-materialized against a
-    /// *different* spec with [`PacketDesc::build_lossy`] — this is how a
-    /// fabric carries a packet from one switch's program to its peer's.
-    /// Intrinsic metadata (ports, timestamps) deliberately does not
-    /// survive the wire; the caller sets the new ingress port.
+    /// *different* spec with [`PacketDesc::build_lossy`] — what carrying a
+    /// packet from one switch's program to its peer's means; fabric links
+    /// do it through a precompiled [`TransferMap`]. Intrinsic metadata
+    /// (ports, timestamps) deliberately does not survive the wire; the
+    /// caller sets the new ingress port.
     pub fn describe(&self, spec: &DataPlaneSpec) -> PacketDesc {
         let mut desc = PacketDesc::new(0).payload(self.payload_len);
         for (i, h) in spec.headers.iter().enumerate() {
@@ -193,23 +194,6 @@ impl Phv {
         }
         bits / 8 + self.payload_len
     }
-
-    /// [`frame_len`](Phv::frame_len) at its historical cost: walk every
-    /// header's field list and sum the widths, instead of reading the
-    /// spec's precomputed per-header totals. Same answer, per-packet
-    /// price — the legacy-compat benchmark baseline uses it to keep the
-    /// pre-refactor engine's cost shape.
-    pub fn frame_len_walk(&self, spec: &DataPlaneSpec) -> u32 {
-        let mut bits = 0u32;
-        for (i, h) in spec.headers.iter().enumerate() {
-            if !h.is_metadata && self.valid[i] {
-                for f in &h.fields {
-                    bits += u32::from(spec.field_width(*f));
-                }
-            }
-        }
-        bits / 8 + self.payload_len
-    }
 }
 
 /// A builder for injecting packets without going through byte parsing.
@@ -251,10 +235,10 @@ impl PacketDesc {
     }
 
     /// Like [`build`](PacketDesc::build), but fields the spec does not
-    /// know are silently skipped instead of panicking. A fabric link uses
-    /// this to deliver a packet described against the sender's program
-    /// into a receiver running a *different* program: the shared headers
-    /// transfer, the rest is payload the receiver's parser cannot see.
+    /// know are silently skipped instead of panicking: a packet described
+    /// against the sender's program lands in a receiver running a
+    /// *different* program — the shared headers transfer, the rest is
+    /// payload the receiver's parser cannot see.
     pub fn build_lossy(&self, spec: &DataPlaneSpec) -> Phv {
         self.materialize(spec, true)
     }
@@ -541,6 +525,7 @@ mod tests {
     use super::*;
     use crate::spec::load;
     use p4r_lang::parse_program;
+    use proptest::prelude::*;
 
     fn spec() -> DataPlaneSpec {
         let prog = parse_program(
@@ -742,5 +727,70 @@ header v_t v;
         let mut got2 = Phv::new(&dst);
         map.apply(&empty, &mut got2, 1, &dst);
         assert!(!got2.is_valid(dst.header_idx("eth").unwrap()));
+    }
+
+    /// What [`Phv::frame_len`] means, without the spec's precomputed
+    /// per-header totals: walk every valid wire header's field list and
+    /// sum the widths.
+    fn frame_len_walk(phv: &Phv, spec: &DataPlaneSpec) -> u32 {
+        let mut bits = 0u32;
+        for (i, h) in spec.headers.iter().enumerate() {
+            if !h.is_metadata && phv.valid[i] {
+                for f in &h.fields {
+                    bits += u32::from(spec.field_width(*f));
+                }
+            }
+        }
+        bits / 8 + phv.payload_len
+    }
+
+    /// Headers `h0..`, each a `(is_metadata, field widths)` pair. Two
+    /// generated specs share header and field names, so a transfer
+    /// between them carries some fields, resizes others and drops the
+    /// rest.
+    fn spec_of(headers: &[(bool, Vec<u16>)]) -> DataPlaneSpec {
+        use std::fmt::Write;
+        let mut src = String::new();
+        for (i, (is_metadata, widths)) in headers.iter().enumerate() {
+            write!(src, "header_type h{i}_t {{ fields {{").unwrap();
+            for (f, w) in widths.iter().enumerate() {
+                write!(src, " f{f} : {w};").unwrap();
+            }
+            let kind = if *is_metadata { "metadata" } else { "header" };
+            writeln!(src, " }} }}\n{kind} h{i}_t h{i};").unwrap();
+        }
+        load(&parse_program(&src).unwrap()).unwrap()
+    }
+
+    fn headers() -> impl Strategy<Value = Vec<(bool, Vec<u16>)>> {
+        prop::collection::vec(
+            (any::<bool>(), prop::collection::vec(1u16..=128, 1..5)),
+            1..6,
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn frame_len_matches_the_header_walk(
+            src_headers in headers(),
+            dst_headers in headers(),
+            valid in prop::collection::vec(any::<bool>(), 5),
+            payload in 0u32..(1 << 20),
+        ) {
+            let src = spec_of(&src_headers);
+            let mut phv = Phv::new(&src);
+            phv.payload_len = payload;
+            for (i, (is_metadata, _)) in src_headers.iter().enumerate() {
+                if !is_metadata {
+                    phv.set_valid(src.header_idx(&format!("h{i}")).unwrap(), valid[i]);
+                }
+            }
+            prop_assert_eq!(phv.frame_len(&src), frame_len_walk(&phv, &src));
+
+            let dst = spec_of(&dst_headers);
+            let mut got = Phv::new(&dst);
+            TransferMap::build(&src, &dst).apply(&phv, &mut got, 3, &dst);
+            prop_assert_eq!(got.frame_len(&dst), frame_len_walk(&got, &dst));
+        }
     }
 }

@@ -354,15 +354,6 @@ pub struct Switch {
     /// One-entry `(bytes, ns)` memo for [`Switch::wire_time`]; starts at
     /// `(0, 0)`, which is itself the correct mapping for zero bytes.
     wire_memo: (u32, Nanos),
-    /// Benchmark-only fidelity mode: per-packet paths take their
-    /// *historical* form — string-resolved intrinsic fields, full
-    /// header-walk frame lengths, an unmemoized wire-time division, a
-    /// mutexed telemetry check, and a pump that scans every port queue
-    /// instead of skipping idle ones. Output is byte-identical either
-    /// way; only the cost shape changes. The `figures -- scale` baseline
-    /// sets this so the speedup it reports is measured against what the
-    /// pre-refactor engine actually paid.
-    compat: bool,
 }
 
 impl fmt::Debug for Switch {
@@ -423,26 +414,6 @@ impl Switch {
             queue_mask: vec![0u64; mask_words],
             next_ready: Nanos::MAX,
             wire_memo: (0, 0),
-            compat: false,
-        }
-    }
-
-    /// Enable (or disable) the legacy cost-fidelity mode — see the
-    /// `compat` field. Simulator-level compat propagates this so a whole
-    /// fabric flips together.
-    pub fn set_legacy_compat(&mut self, on: bool) {
-        self.compat = on;
-    }
-
-    /// Telemetry enablement at the mode's cost: compat pays the
-    /// historical mutex acquisition per check, normal mode reads the
-    /// cached flag.
-    #[inline]
-    fn tel_on(&self) -> bool {
-        if self.compat {
-            self.telemetry.is_enabled_uncached()
-        } else {
-            self.telemetry.is_enabled()
         }
     }
 
@@ -634,15 +605,10 @@ impl Switch {
     pub fn inject_phv_at(&mut self, phv: Phv, at: Nanos) -> bool {
         let intr = self.spec.intr_ids().expect("intrinsic field");
         self.stats.rx += 1;
-        let in_port = if self.compat {
-            // Historical form: resolve the intrinsic by string name.
-            phv.ingress_port(&self.spec)
-        } else {
-            phv.get_u64(intr.ingress_port) as PortId
-        };
+        let in_port = phv.get_u64(intr.ingress_port) as PortId;
         let exec_pipe = self.pipe_of_port(in_port);
         let fate = self.ingress(phv, in_port, at);
-        if self.tel_on() {
+        if self.telemetry.is_enabled() {
             self.record_inject(exec_pipe, fate);
         }
         matches!(fate, Fate::Queued { .. })
@@ -662,31 +628,19 @@ impl Switch {
                     pipe,
                 };
             }
-            let rx_bytes = u64::from(if self.compat {
-                phv.frame_len_walk(&self.spec)
-            } else {
-                phv.frame_len(&self.spec)
-            });
+            let rx_bytes = u64::from(phv.frame_len(&self.spec));
             let p = &mut self.pipes[pipe].ports[local];
             p.rx_packets += 1;
             p.rx_bytes += rx_bytes;
         }
-        if self.compat {
-            phv.set_intr(&self.spec, "ts_ns", at);
-        } else {
-            phv.set_u64(intr.ts_ns, at);
-        }
+        phv.set_u64(intr.ts_ns, at);
         loop {
             let pipe = self.exec_pipe(&phv, Pipeline::Ingress);
             self.run_stages(Pipeline::Ingress, pipe, &mut phv);
             if phv.dropped {
                 break;
             }
-            let out_port = if self.compat {
-                phv.egress_spec(&self.spec)
-            } else {
-                phv.get_u64(intr.egress_spec) as PortId
-            };
+            let out_port = phv.get_u64(intr.egress_spec) as PortId;
             if out_port != self.config.recirc_port {
                 return self.enqueue(out_port, phv, at);
             }
@@ -694,19 +648,11 @@ impl Switch {
             // by the recirculation limit). Recirculation consumes pipeline
             // bandwidth; the `recirculated` stat lets experiments account
             // for the throughput penalty the paper discusses (§2).
-            let count = if self.compat {
-                phv.intr(&self.spec, "recirc_count").as_u64()
-            } else {
-                phv.get_u64(intr.recirc_count)
-            };
+            let count = phv.get_u64(intr.recirc_count);
             if count as u8 >= self.config.recirc_limit {
                 break;
             }
-            if self.compat {
-                phv.set_intr(&self.spec, "recirc_count", count + 1);
-            } else {
-                phv.set_u64(intr.recirc_count, count + 1);
-            }
+            phv.set_u64(intr.recirc_count, count + 1);
             self.stats.recirculated += 1;
         }
         self.stats.dropped_ingress += 1;
@@ -765,11 +711,7 @@ impl Switch {
 
     /// Admit an ingress-complete PHV to its egress port's queue.
     fn enqueue(&mut self, port: PortId, mut phv: Phv, at: Nanos) -> Fate {
-        let bytes = if self.compat {
-            phv.frame_len_walk(&self.spec)
-        } else {
-            phv.frame_len(&self.spec)
-        };
+        let bytes = phv.frame_len(&self.spec);
         let Some((pipe, local)) = self.port_slot(port) else {
             self.stats.dropped_ingress += 1;
             self.phv_pool.put(phv);
@@ -786,13 +728,8 @@ impl Switch {
         }
         // Record the queue depth seen at enqueue (DCTCP-style marking uses
         // this).
-        if self.compat {
-            let depth = u64::from(q.depth_bytes);
-            phv.set_intr(&self.spec, "deq_qdepth", depth);
-        } else {
-            let intr = self.spec.intr_ids().expect("intrinsic field");
-            phv.set_u64(intr.deq_qdepth, u64::from(q.depth_bytes));
-        }
+        let intr = self.spec.intr_ids().expect("intrinsic field");
+        phv.set_u64(intr.deq_qdepth, u64::from(q.depth_bytes));
         q.depth_bytes += bytes;
         let enq_ns = at;
         if q.packets.is_empty() {
@@ -884,14 +821,10 @@ impl Switch {
                 64 => !0u64,
                 n => (1u64 << n) - 1,
             };
-            let mut word = below(hi) & !below(lo);
             // Idle ports (no queued packets) are invisible to a pump: no
             // telemetry, no state changes — walking only the set bits of
-            // the queue mask is byte-exact. The pre-refactor pump walked
-            // every port's queue; compat keeps that scan.
-            if !self.compat {
-                word &= self.queue_mask[w];
-            }
+            // the queue mask is byte-exact.
+            let mut word = below(hi) & !below(lo) & self.queue_mask[w];
             while word != 0 {
                 let port = base + word.trailing_zeros() as u16;
                 word &= word - 1;
@@ -928,21 +861,12 @@ impl Switch {
             served += 1;
             self.queued_pkts -= 1;
             q.depth_bytes -= bytes;
-            let wire_ns = if self.compat {
-                // Historical form: the u128 division every packet.
-                self.wire_time(bytes)
-            } else {
-                self.wire_time_memo(bytes)
-            };
+            let wire_ns = self.wire_time_memo(bytes);
             let tx_time = tx_start.saturating_add(wire_ns);
             self.pipes[pipe].queues[local].busy_until = tx_time;
             let depth = self.mirror_qdepth_register(port);
 
-            if self.compat {
-                phv.set_intr(&self.spec, "egress_port", u64::from(port));
-            } else {
-                phv.set_u64(intr.egress_port, u64::from(port));
-            }
+            phv.set_u64(intr.egress_port, u64::from(port));
             let exec_pipe = self.exec_pipe(&phv, Pipeline::Egress);
             self.run_stages(Pipeline::Egress, exec_pipe, &mut phv);
             let transmitted = if phv.dropped {
@@ -958,7 +882,7 @@ impl Switch {
                 self.stats.tx += 1;
                 true
             };
-            if self.tel_on() {
+            if self.telemetry.is_enabled() {
                 self.record_served(port, pipe, depth, tx_start, tx_time, transmitted);
             }
             if transmitted {
@@ -1093,17 +1017,10 @@ impl Switch {
     /// [`exec_start`](Switch::exec_start)).
     #[inline]
     fn exec_pipe(&self, phv: &Phv, pipeline: Pipeline) -> u16 {
-        let port = if self.compat {
-            match pipeline {
-                Pipeline::Ingress => phv.ingress_port(&self.spec),
-                Pipeline::Egress => phv.intr(&self.spec, "egress_port").as_u64() as PortId,
-            }
-        } else {
-            let intr = self.spec.intr_ids().expect("intrinsic field");
-            match pipeline {
-                Pipeline::Ingress => phv.get_u64(intr.ingress_port) as PortId,
-                Pipeline::Egress => phv.get_u64(intr.egress_port) as PortId,
-            }
+        let intr = self.spec.intr_ids().expect("intrinsic field");
+        let port = match pipeline {
+            Pipeline::Ingress => phv.get_u64(intr.ingress_port) as PortId,
+            Pipeline::Egress => phv.get_u64(intr.egress_port) as PortId,
         };
         self.pipe_of_port(port)
     }

@@ -8,9 +8,10 @@
 //!   switches leave every per-switch fingerprint unchanged (the
 //!   `(time, switch, seq)` ordering makes same-time work on different
 //!   switches commute), checked by proptest over random permutations;
-//! * the serial drain's readiness index holds on that workload at full
-//!   size — a count-based floor (switch visits per event, pumps that
-//!   served nothing) that does not depend on how fast the runner is;
+//! * the drain's readiness index holds on that workload at full size,
+//!   visits run inline and on a two-worker pool — a count-based floor
+//!   (switch visits per event, pumps that served nothing, epochs
+//!   dispatched) that does not depend on how fast the runner is;
 //! * `MANTIS_SWITCHES` (the CI sweep knob) is honored via
 //!   [`mantis::switches_from_env`];
 //! * switch-scoped telemetry labels (`sw{i}.*`) appear only when the
@@ -110,9 +111,9 @@ fn the_same_fabric_workload_runs_byte_identically_twice() {
 /// flows — for 2 ms: the drain must find its work by the readiness index,
 /// not by polling. Before the index this slice took 5.7 switch visits per
 /// event and 87 % of its pumps served nothing.
-#[test]
-fn the_serial_drain_visits_switches_only_when_they_are_due() {
+fn readiness_slice(workers: usize) -> mantis::netsim::ParStats {
     let mut tb = build_failover_fabric(4, 4, 1_000, 0.2);
+    tb.sim.set_workers(workers);
     schedule_fabric_agents(&mut tb.sim, &tb.agents, 50_000, 0);
     for src in 0..4 {
         for dst in (0..4).filter(|d| *d != src) {
@@ -137,6 +138,7 @@ fn the_serial_drain_visits_switches_only_when_they_are_due() {
     tb.sim.run_until(2_000_000);
 
     let stats = tb.sim.par_stats();
+    assert_eq!(stats.workers, workers);
     // Every dispatched event is followed by one drain, and the horizon
     // adds a last one: drains − 1 events.
     let events = stats.drains - 1;
@@ -148,6 +150,34 @@ fn the_serial_drain_visits_switches_only_when_they_are_due() {
         stats.switch_visits
     );
     assert_eq!(stats.zero_serve_pumps, 0, "{stats:?}");
+    stats
+}
+
+#[test]
+fn the_serial_drain_visits_switches_only_when_they_are_due() {
+    assert_eq!(readiness_slice(1).parallel_drains, 0);
+}
+
+/// The same bounds hold when pool workers run the visits, and the pool is
+/// woken only for a non-empty due set: every epoch visits a switch, and
+/// most drains of this slice find nothing due.
+#[test]
+fn the_pooled_drain_visits_switches_only_when_they_are_due() {
+    let serial = readiness_slice(1);
+    let stats = readiness_slice(2);
+    assert_eq!(
+        (stats.switch_visits, stats.work_units),
+        (serial.switch_visits, serial.work_units)
+    );
+    assert!(stats.parallel_drains > 0, "the pool ran: {stats:?}");
+    assert!(
+        stats.parallel_drains <= stats.switch_visits,
+        "an epoch was dispatched on an empty due set: {stats:?}"
+    );
+    assert!(
+        stats.parallel_drains < stats.drains,
+        "this slice has drains with nothing due: {stats:?}"
+    );
 }
 
 /// A tiny relay program for the permutation property: count arrivals per
