@@ -27,7 +27,8 @@
 
 use crate::costmodel::CostModel;
 use crate::ctx::{CtxError, ReactionCtx, Snapshot};
-use crate::driver_api::{CheckpointToken, DriverApi, LocalDriver};
+use crate::driver::LocalDriver;
+use crate::driver_api::{CheckpointToken, DriverApi, DriverOp, DriverResponse};
 use crate::logical::{LogicalEntry, LogicalTable, Staged, StagedOp};
 use mantis_faults::{BreakerConfig, BreakerState, CircuitBreaker, FaultPlan, RetryPolicy};
 use mantis_telemetry::{scopes, CounterId, HistId, NameId, Scope, Telemetry, TelemetryConfig};
@@ -39,7 +40,8 @@ use p4r_compiler::Compiled;
 use p4r_lang::creact::Body;
 use reaction_interp::{CompiledReaction, InterpError, Interpreter, ReactionSlots};
 use rmt_sim::{
-    Clock, DriverError, EntryHandle, KeyField, Nanos, PortId, ReadAgg, SharedSwitch, TableId,
+    Clock, DriverError, EntryHandle, KeyField, Nanos, PortId, ReadAgg, RegisterId, SharedSwitch,
+    TableId,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -511,21 +513,21 @@ fn skips_mirror_pass(info: &TableInfo, mirror: bool) -> bool {
     info.vv_col.is_none() && mirror
 }
 
-/// Run one driver op, retrying transient failures with bounded
+/// Submit one driver op, retrying transient failures with bounded
 /// exponential backoff on the virtual clock. Free function so callers
 /// can hold disjoint borrows of other agent fields.
-fn retry_op<T>(
+fn retry_submit(
     driver: &mut dyn DriverApi,
     clock: &Clock,
     tel: &Telemetry,
     policy: RetryPolicy,
     retries: &mut u32,
-    mut op: impl FnMut(&mut dyn DriverApi) -> Result<T, AgentError>,
-) -> Result<T, AgentError> {
+    op: DriverOp,
+) -> Result<DriverResponse, AgentError> {
     let mut attempt = 0u32;
     loop {
-        match op(driver) {
-            Ok(v) => return Ok(v),
+        match driver.submit(op.clone()) {
+            Ok(r) => return Ok(r),
             Err(e) if e.is_transient() && policy.allows(attempt) => {
                 let backoff = policy.backoff(attempt);
                 attempt += 1;
@@ -534,7 +536,7 @@ fn retry_op<T>(
                 tel.hist_record(scopes::HIST_RETRY_BACKOFF_NS, backoff);
                 clock.advance(backoff);
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         }
     }
 }
@@ -1088,14 +1090,12 @@ impl MantisAgent {
     }
 
     /// Swap a reaction implementation at runtime (the paper's dynamic
-    /// `.so` reload). `reset_state` clears interpreted statics. The
-    /// reaction's breaker is reset: a reload is the operator's fix for a
-    /// quarantined reaction.
+    /// `.so` reload). The reaction's breaker is reset: a reload is the
+    /// operator's fix for a quarantined reaction.
     pub fn swap_reaction(
         &mut self,
         name: &str,
         imp: Box<dyn NativeReaction>,
-        _reset_state: bool,
     ) -> Result<(), AgentError> {
         let cfg = self.breaker_cfg;
         let r = self
@@ -1541,6 +1541,22 @@ impl MantisAgent {
         Ok(())
     }
 
+    /// [`retry_submit`] under this agent's clock, telemetry and policy.
+    fn retry_submit(
+        &mut self,
+        retries: &mut u32,
+        op: DriverOp,
+    ) -> Result<DriverResponse, AgentError> {
+        retry_submit(
+            self.driver.as_mut(),
+            &self.clock,
+            &self.telemetry,
+            self.retry,
+            retries,
+            op,
+        )
+    }
+
     /// Write one pipe's master init default: `[vv[pipe], mv, slots...]`.
     /// The write is a single atomic set_default, so a packet in this pipe
     /// observes either the old or the new config version, never a blend.
@@ -1549,18 +1565,14 @@ impl MantisAgent {
         data[0] = Value::new(u128::from(self.vv[pipe as usize]), 1);
         data[1] = Value::new(u128::from(self.mv), 1);
         self.master_data = data.clone();
-        let (mt, ma) = (self.master_table, self.master_action);
-        retry_op(
-            self.driver.as_mut(),
-            &self.clock,
-            &self.telemetry,
-            self.retry,
-            retries,
-            |d| {
-                d.table_set_default_on(pipe, mt, ma, data.clone(), true)
-                    .map_err(AgentError::from)
-            },
-        )
+        let op = DriverOp::SetDefaultOn {
+            pipe,
+            table: self.master_table,
+            action: self.master_action,
+            data,
+            is_init_flip: true,
+        };
+        self.retry_submit(retries, op).map(drop)
     }
 
     /// Re-write the master init default from current agent state over a
@@ -1577,8 +1589,18 @@ impl MantisAgent {
         }
     }
 
+    fn read_range(
+        &mut self,
+        retries: &mut u32,
+        reg: RegisterId,
+        lo: u32,
+        hi: u32,
+    ) -> Result<Vec<Value>, AgentError> {
+        let read = DriverOp::RegisterReadRange { reg, lo, hi };
+        Ok(self.retry_submit(retries, read)?.into_values())
+    }
+
     fn read_measurements(&mut self, frozen: u8, retries: &mut u32) -> Result<(), AgentError> {
-        let retry = self.retry;
         let reactions: Vec<(String, ReactionBinding)> = self
             .reactions
             .iter()
@@ -1597,14 +1619,7 @@ impl MantisAgent {
                     .driver
                     .cost()
                     .field_read(binding.packed_words.max(1) * num_pipes);
-                retry_op(
-                    self.driver.as_mut(),
-                    &self.clock,
-                    &self.telemetry,
-                    retry,
-                    retries,
-                    |d| d.spend_external(cost).map_err(AgentError::from),
-                )?;
+                self.retry_submit(retries, DriverOp::SpendExternal { dur: cost })?;
                 for mf in &binding.fields {
                     let rid = self
                         .driver
@@ -1613,25 +1628,18 @@ impl MantisAgent {
                     // Field measurements are last-written data-plane values,
                     // not counters: take the max across pipes rather than a
                     // sum (identical at num_pipes = 1).
-                    let v = retry_op(
-                        self.driver.as_mut(),
-                        &self.clock,
-                        &self.telemetry,
-                        retry,
-                        retries,
-                        |d| {
-                            d.register_read_agg(
-                                rid,
-                                u32::from(frozen),
-                                u32::from(frozen),
-                                ReadAgg::Max,
-                            )
-                            .map_err(AgentError::from)
-                        },
-                    )?
-                    .into_iter()
-                    .next()
-                    .unwrap_or(Value::zero(mf.width));
+                    let read = DriverOp::RegisterReadAgg {
+                        reg: rid,
+                        lo: u32::from(frozen),
+                        hi: u32::from(frozen),
+                        agg: ReadAgg::Max,
+                    };
+                    let v = self
+                        .retry_submit(retries, read)?
+                        .into_values()
+                        .into_iter()
+                        .next()
+                        .unwrap_or(Value::zero(mf.width));
                     snap.scalars.insert(mf.binding.clone(), v.bits() as i128);
                 }
             }
@@ -1641,17 +1649,7 @@ impl MantisAgent {
                     // Externally fed register (e.g. TM queue depths): read
                     // the live values directly.
                     let rid = self.driver.register_id(&mr.register)?;
-                    let vals = retry_op(
-                        self.driver.as_mut(),
-                        &self.clock,
-                        &self.telemetry,
-                        retry,
-                        retries,
-                        |d| {
-                            d.register_read_range(rid, mr.lo, mr.hi)
-                                .map_err(AgentError::from)
-                        },
-                    )?;
+                    let vals = self.read_range(retries, rid, mr.lo, mr.hi)?;
                     snap.arrays.insert(
                         mr.binding.clone(),
                         (
@@ -1664,28 +1662,8 @@ impl MantisAgent {
                 let dup = self.driver.register_id(&mr.dup_register)?;
                 let tsr = self.driver.register_id(&mr.ts_register)?;
                 let base = u32::from(frozen) << mr.stride_log2;
-                let vals = retry_op(
-                    self.driver.as_mut(),
-                    &self.clock,
-                    &self.telemetry,
-                    retry,
-                    retries,
-                    |d| {
-                        d.register_read_range(dup, base + mr.lo, base + mr.hi)
-                            .map_err(AgentError::from)
-                    },
-                )?;
-                let tss = retry_op(
-                    self.driver.as_mut(),
-                    &self.clock,
-                    &self.telemetry,
-                    retry,
-                    retries,
-                    |d| {
-                        d.register_read_range(tsr, base + mr.lo, base + mr.hi)
-                            .map_err(AgentError::from)
-                    },
-                )?;
+                let vals = self.read_range(retries, dup, base + mr.lo, base + mr.hi)?;
+                let tss = self.read_range(retries, tsr, base + mr.lo, base + mr.hi)?;
                 let n = (mr.hi - mr.lo + 1) as usize;
                 let cache = self
                     .reg_caches
@@ -2019,20 +1997,12 @@ impl MantisAgent {
         // Port ops and default-action changes are single atomic driver ops;
         // they ride along with the commit point.
         let port_ops = self.staged.port_ops.clone();
-        let retry = self.retry;
         for (i, (port, up)) in port_ops.into_iter().enumerate() {
-            retry_op(
-                self.driver.as_mut(),
-                &self.clock,
-                &self.telemetry,
-                retry,
-                retries,
-                |d| d.port_set_up(port, up).map_err(AgentError::from),
-            )
-            .map_err(|err| ApplyFailure {
-                err,
-                blame: Blame::PortOp(i),
-            })?;
+            self.retry_submit(retries, DriverOp::PortSetUp { port, up })
+                .map_err(|err| ApplyFailure {
+                    err,
+                    blame: Blame::PortOp(i),
+                })?;
         }
         self.apply_set_defaults(retries)?;
         Ok(())
@@ -2085,14 +2055,15 @@ impl MantisAgent {
                         .ok_or_else(|| fail_at(AgentError::unknown_table(table)))?;
                     let tid = lt.table_id;
                     let mut handles = Vec::with_capacity(phys.len());
-                    for pe in &phys {
-                        let h = retry_op(
+                    for pe in phys {
+                        let h = add_phys(
                             self.driver.as_mut(),
                             &self.clock,
                             &self.telemetry,
                             retry,
                             retries,
-                            |d| add_phys(d, tid, pe),
+                            tid,
+                            pe,
                         )
                         .map_err(fail_at)?;
                         handles.push(h);
@@ -2151,13 +2122,16 @@ impl MantisAgent {
                     }
                     let tid = lt.table_id;
                     for h in std::mem::take(&mut entry.phys[copy as usize]) {
-                        retry_op(
+                        retry_submit(
                             self.driver.as_mut(),
                             &self.clock,
                             &self.telemetry,
                             retry,
                             retries,
-                            |d| d.table_del(tid, h).map_err(AgentError::from),
+                            DriverOp::TableDel {
+                                table: tid,
+                                handle: h,
+                            },
                         )
                         .map_err(fail_at)?;
                     }
@@ -2217,41 +2191,47 @@ impl MantisAgent {
         if entry.action == action && entry.phys[copy as usize].len() == phys.len() {
             // Same action: in-place modify of each physical entry.
             let handles = entry.phys[copy as usize].clone();
-            for (h, pe) in handles.iter().zip(phys.iter()) {
-                let aid = self.driver.action_id(&pe.action)?;
-                retry_op(
+            for (handle, pe) in handles.into_iter().zip(phys) {
+                let op = DriverOp::TableMod {
+                    table: tid,
+                    handle,
+                    action: self.driver.action_id(&pe.action)?,
+                    data: pe.action_data,
+                };
+                retry_submit(
                     self.driver.as_mut(),
                     &self.clock,
                     &self.telemetry,
                     retry,
                     retries,
-                    |d| {
-                        d.table_mod(tid, *h, aid, pe.action_data.clone())
-                            .map_err(AgentError::from)
-                    },
+                    op,
                 )?;
             }
         } else {
             // Action changed: replace the physical set.
             for h in std::mem::take(&mut entry.phys[copy as usize]) {
-                retry_op(
+                retry_submit(
                     self.driver.as_mut(),
                     &self.clock,
                     &self.telemetry,
                     retry,
                     retries,
-                    |d| d.table_del(tid, h).map_err(AgentError::from),
+                    DriverOp::TableDel {
+                        table: tid,
+                        handle: h,
+                    },
                 )?;
             }
             let mut handles = Vec::with_capacity(phys.len());
-            for pe in &phys {
-                let h = retry_op(
+            for pe in phys {
+                let h = add_phys(
                     self.driver.as_mut(),
                     &self.clock,
                     &self.telemetry,
                     retry,
                     retries,
-                    |d| add_phys(d, tid, pe),
+                    tid,
+                    pe,
                 )?;
                 handles.push(h);
             }
@@ -2272,8 +2252,7 @@ impl MantisAgent {
 
     fn apply_set_defaults(&mut self, retries: &mut u32) -> Result<(), ApplyFailure> {
         let ops = self.staged.table_ops.clone();
-        let retry = self.retry;
-        for (i, op) in ops.iter().enumerate() {
+        for (i, op) in ops.into_iter().enumerate() {
             let fail_at = |err: AgentError| ApplyFailure {
                 err,
                 blame: Blame::TableOp(i),
@@ -2286,32 +2265,30 @@ impl MantisAgent {
             {
                 let info = self
                     .iface
-                    .table(table)
-                    .ok_or_else(|| fail_at(AgentError::unknown_table(table)))?;
-                let av = info.action(action).ok_or_else(|| {
+                    .table(&table)
+                    .ok_or_else(|| fail_at(AgentError::unknown_table(&table)))?;
+                let av = info.action(&action).ok_or_else(|| {
                     fail_at(AgentError::from(CtxError::UnknownAction {
                         table: table.clone(),
                         action: action.clone(),
                     }))
                 })?;
                 let variant = av.variants[0].clone();
-                let tid = self.driver.table_id(table).map_err(|e| fail_at(e.into()))?;
+                let tid = self
+                    .driver
+                    .table_id(&table)
+                    .map_err(|e| fail_at(e.into()))?;
                 let aid = self
                     .driver
                     .action_id(&variant)
                     .map_err(|e| fail_at(e.into()))?;
-                retry_op(
-                    self.driver.as_mut(),
-                    &self.clock,
-                    &self.telemetry,
-                    retry,
-                    retries,
-                    |d| {
-                        d.table_set_default(tid, aid, action_data.clone(), false)
-                            .map_err(AgentError::from)
-                    },
-                )
-                .map_err(fail_at)?;
+                let set = DriverOp::SetDefault {
+                    table: tid,
+                    action: aid,
+                    data: action_data,
+                    is_init_flip: false,
+                };
+                self.retry_submit(retries, set).map_err(fail_at)?;
             }
         }
         Ok(())
@@ -2350,30 +2327,27 @@ impl MantisAgent {
                 dirty.push(loc.init_table - 1);
             }
         }
-        let retry = self.retry;
         for i in dirty {
-            let (tid, h, action, data) = {
-                let ei = &self.extra_inits[i];
-                (
-                    ei.table_id,
-                    ei.handles[shadow as usize],
-                    ei.action,
-                    ei.data.clone(),
-                )
-            };
-            retry_op(
-                self.driver.as_mut(),
-                &self.clock,
-                &self.telemetry,
-                retry,
-                retries,
-                |d| {
-                    d.table_mod(tid, h, action, data.clone())
-                        .map_err(AgentError::from)
-                },
-            )?;
+            self.write_extra_init(i, shadow, retries)?;
         }
         Ok(())
+    }
+
+    /// Write extra init table `i`'s current data to its `copy` entry.
+    fn write_extra_init(
+        &mut self,
+        i: usize,
+        copy: u8,
+        retries: &mut u32,
+    ) -> Result<(), AgentError> {
+        let ei = &self.extra_inits[i];
+        let op = DriverOp::TableMod {
+            table: ei.table_id,
+            handle: ei.handles[copy as usize],
+            action: ei.action,
+            data: ei.data.clone(),
+        };
+        self.retry_submit(retries, op).map(drop)
     }
 
     fn mirror_extra_init_writes(&mut self, old: u8, retries: &mut u32) -> Result<(), AgentError> {
@@ -2389,28 +2363,8 @@ impl MantisAgent {
                 }
             }
         }
-        let retry = self.retry;
         for i in dirty {
-            let (tid, h, action, data) = {
-                let ei = &self.extra_inits[i];
-                (
-                    ei.table_id,
-                    ei.handles[old as usize],
-                    ei.action,
-                    ei.data.clone(),
-                )
-            };
-            retry_op(
-                self.driver.as_mut(),
-                &self.clock,
-                &self.telemetry,
-                retry,
-                retries,
-                |d| {
-                    d.table_mod(tid, h, action, data.clone())
-                        .map_err(AgentError::from)
-                },
-            )?;
+            self.write_extra_init(i, old, retries)?;
         }
         Ok(())
     }
@@ -2431,11 +2385,15 @@ impl MantisAgent {
 }
 
 /// Convert an expanded physical entry into driver key fields for the
-/// switch's physical column kinds, and install it.
+/// switch's physical column kinds, and install it (see [`retry_submit`]).
 fn add_phys(
     driver: &mut dyn DriverApi,
+    clock: &Clock,
+    tel: &Telemetry,
+    policy: RetryPolicy,
+    retries: &mut u32,
     table: TableId,
-    pe: &PhysEntry,
+    pe: PhysEntry,
 ) -> Result<EntryHandle, AgentError> {
     let kinds: Vec<(MatchKind, u16)> = driver
         .spec()
@@ -2476,6 +2434,12 @@ fn add_phys(
             },
         })
         .collect();
-    let aid = driver.action_id(&pe.action)?;
-    Ok(driver.table_add(table, key, pe.priority, aid, pe.action_data.clone())?)
+    let op = DriverOp::TableAdd {
+        table,
+        key,
+        priority: pe.priority,
+        action: driver.action_id(&pe.action)?,
+        data: pe.action_data,
+    };
+    Ok(retry_submit(driver, clock, tel, policy, retries, op)?.into_handle())
 }

@@ -1,21 +1,28 @@
-//! The optimized Mantis driver: a wrapper over the raw switch driver that
-//! accounts virtual-time costs, memoizes repeated operations (§6,
-//! "caching/memoization of device instructions"), and exposes the busy
-//! window that concurrent legacy control-plane operations queue behind
-//! (Fig. 12).
+//! The in-process Mantis driver: carries out [`DriverOp`]s on a switch
+//! that lives in this process, accounting virtual-time costs, memoizing
+//! repeated operations (§6, "caching/memoization of device
+//! instructions"), and exposing the busy window that concurrent legacy
+//! control-plane operations queue behind (Fig. 12).
 //!
-//! Every operation consults an optional [`FaultInjector`] *before*
-//! touching the device: an injected failure consumes the op's modeled
-//! latency (the transport timed out) but mutates nothing, so a retried op
-//! lands exactly as it would have in a fault-free run. Recovery code
-//! suspends injection while it replays the driver's software shadow.
+//! [`LocalDriver::submit`] is the one place an op is validated, costed,
+//! fault-gated and applied, in that order. Validation comes first because
+//! ops also arrive from outside the process (the control plane decodes
+//! them off the wire): an id, pipe or token the device does not have is
+//! refused before it costs anything. The optional [`FaultInjector`] is
+//! consulted *before* the device is touched: an injected failure consumes
+//! the op's modeled latency (the transport timed out) but mutates nothing,
+//! so a retried op lands exactly as it would have in a fault-free run.
+//! Recovery code suspends injection while it replays the driver's software
+//! shadow.
 
 use crate::costmodel::CostModel;
+use crate::driver_api::{CheckpointToken, DriverApi, DriverOp, DriverResponse};
 use mantis_faults::{FaultInjector, FaultPlan, Injection};
 use mantis_telemetry::{scopes, DriverOpId, Scope, Telemetry};
 use p4_ast::Value;
 use rmt_sim::{
-    ActionId, Clock, DriverError, EntryHandle, KeyField, Nanos, RegisterId, Switch, TableId,
+    ActionId, Clock, DataPlaneSpec, DriverError, EntryHandle, KeyField, Nanos, RegisterId,
+    SharedSwitch, TableCheckpoint, TableError, TableId,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -37,7 +44,6 @@ enum Op {
     InitFlip,
     SetDefault,
     RegisterRead,
-    FieldWordRead,
     RegisterWrite,
     PortSet,
     DefaultRead,
@@ -58,7 +64,6 @@ impl Op {
             Op::InitFlip => "init_flip",
             Op::SetDefault => "set_default",
             Op::RegisterRead => "register_read",
-            Op::FieldWordRead => "field_word_read",
             Op::RegisterWrite => "register_write",
             Op::PortSet => "port_set",
             Op::DefaultRead => "default_read",
@@ -70,7 +75,7 @@ impl Op {
 }
 
 /// One physical table entry as read back from the device — the unit of
-/// the reconcile path's [`MantisDriver::table_dump`].
+/// the reconcile path's [`DriverOp::TableDump`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EntrySnapshot {
     pub handle: EntryHandle,
@@ -92,17 +97,24 @@ pub struct DriverStats {
     pub injected_failures: u64,
 }
 
-/// The cost-accounted driver.
+/// The in-process, cost-accounted driver. Every op applies synchronously;
+/// barriers are trivial. This is the paper's deployment shape (agent on
+/// the switch CPU), the device end of the control plane, and the reference
+/// the remote path is differentially tested against.
 #[derive(Debug)]
-pub struct MantisDriver {
-    pub cost: CostModel,
+pub struct LocalDriver {
+    cost: CostModel,
     clock: Clock,
+    switch: SharedSwitch,
+    /// Client-side spec copy so metadata lookups never borrow the switch.
+    spec: DataPlaneSpec,
+    num_pipes: u16,
     memo: HashSet<MemoKey>,
     busy_until: Nanos,
     /// Device-lock critical section of the most recent operation.
     lock_start: Nanos,
     lock_until: Nanos,
-    pub stats: DriverStats,
+    stats: DriverStats,
     telemetry: Arc<Telemetry>,
     /// Telemetry handles per op class (indexed by `Op as usize`), each
     /// resolved by the first op of its class after the registry changes.
@@ -115,13 +127,23 @@ pub struct MantisDriver {
     /// Last successfully read values per register range, served back by a
     /// `StaleRead` injection. Only maintained while an injector is set.
     stale_cache: HashMap<(RegisterId, u32, u32), Vec<Value>>,
+    /// Live table checkpoints, each with the table it was taken of.
+    checkpoints: HashMap<CheckpointToken, (TableId, TableCheckpoint)>,
+    next_token: CheckpointToken,
 }
 
-impl MantisDriver {
-    pub fn new(cost: CostModel, clock: Clock) -> Self {
-        MantisDriver {
+impl LocalDriver {
+    pub fn new(switch: SharedSwitch, cost: CostModel) -> Self {
+        let (clock, spec, num_pipes) = {
+            let sw = switch.borrow();
+            (sw.clock().clone(), sw.spec().clone(), sw.num_pipes())
+        };
+        LocalDriver {
             cost,
             clock,
+            switch,
+            spec,
+            num_pipes,
             memo: HashSet::new(),
             busy_until: 0,
             lock_start: 0,
@@ -132,84 +154,62 @@ impl MantisDriver {
             injector: None,
             fabric_index: None,
             stale_cache: HashMap::new(),
+            checkpoints: HashMap::new(),
+            next_token: 0,
         }
     }
 
-    /// Route per-op accounting into a shared telemetry handle: each op
-    /// records a `Scope::Driver` span plus a `driver.<op>_ns` histogram
-    /// sample and a `driver.<op>_calls` counter.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = telemetry;
-    }
-
-    /// Install a fault plan (driver-op rules; link flaps are scheduled by
-    /// `netsim`). Replaces any previous plan and resets its budgets.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        let mut injector = FaultInjector::new(plan);
-        injector.set_switch(self.fabric_index);
-        self.injector = Some(injector);
-        self.stale_cache.clear();
-    }
-
-    /// Declare which fabric switch this driver controls. Applied to the
-    /// current injector (if any) and inherited by later plans.
-    pub fn set_fabric_index(&mut self, index: Option<u16>) {
-        self.fabric_index = index;
-        if let Some(inj) = self.injector.as_mut() {
-            inj.set_switch(index);
+    /// Refuse an op that names a table, action, register, pipe or
+    /// checkpoint this device does not have. `Switch` indexes by id
+    /// unchecked, and ops reach here from the wire.
+    fn validate(&self, op: &DriverOp) -> Result<(), DriverError> {
+        let (table, action, reg, pipe) = match *op {
+            DriverOp::TableAdd { table, action, .. }
+            | DriverOp::TableMod { table, action, .. }
+            | DriverOp::SetDefault { table, action, .. } => (Some(table), Some(action), None, None),
+            DriverOp::SetDefaultOn {
+                pipe,
+                table,
+                action,
+                ..
+            } => (Some(table), Some(action), None, Some(pipe)),
+            DriverOp::TableDel { table, .. }
+            | DriverOp::TableCheckpoint { table }
+            | DriverOp::TableDump { table } => (Some(table), None, None, None),
+            DriverOp::TableRestore { table, token } => {
+                // A dead token, or one taken of another table, names no
+                // checkpoint of this table.
+                if self.checkpoints.get(&token).map(|c| c.0) != Some(table) {
+                    let token = EntryHandle(token);
+                    return Err(DriverError::Table(TableError::UnknownHandle(token)));
+                }
+                (Some(table), None, None, None)
+            }
+            DriverOp::TableDefaultOn { pipe, table } => (Some(table), None, None, Some(pipe)),
+            DriverOp::RegisterWrite { reg, .. }
+            | DriverOp::RegisterReadRange { reg, .. }
+            | DriverOp::RegisterReadAgg { reg, .. } => (None, None, Some(reg), None),
+            _ => return Ok(()),
+        };
+        if let Some(t) = table.filter(|t| t.0 as usize >= self.spec.tables.len()) {
+            return Err(DriverError::UnknownTable(format!("#{}", t.0)));
         }
-    }
-
-    pub fn fabric_index(&self) -> Option<u16> {
-        self.fabric_index
-    }
-
-    /// Remove fault injection entirely.
-    pub fn clear_fault_plan(&mut self) {
-        self.injector = None;
-        self.stale_cache.clear();
-    }
-
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
-    }
-
-    /// Enter a fault-free recovery section (nestable): ops are counted
-    /// but nothing injects. Models rollback replaying the driver's
-    /// journaled shadow state over a known-good path.
-    pub fn suspend_faults(&mut self) {
-        if let Some(inj) = self.injector.as_mut() {
-            inj.suspend();
+        if let Some(a) = action.filter(|a| a.0 as usize >= self.spec.actions.len()) {
+            return Err(DriverError::UnknownAction(format!("#{}", a.0)));
         }
-    }
-
-    /// Leave a fault-free recovery section.
-    pub fn resume_faults(&mut self) {
-        if let Some(inj) = self.injector.as_mut() {
-            inj.resume();
+        if let Some(r) = reg.filter(|r| r.0 as usize >= self.spec.registers.len()) {
+            return Err(DriverError::UnknownRegister(format!("#{}", r.0)));
         }
-    }
-
-    /// End of the driver's current busy window — a concurrent legacy
-    /// operation issued before this time queues until it.
-    pub fn busy_until(&self) -> Nanos {
-        self.busy_until
-    }
-
-    /// The shared virtual clock this driver accounts on.
-    pub fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
-    /// Consult the fault plan for one op. Records `fault.injected` when a
-    /// decision is made.
-    fn inject(&mut self, op: Op) -> Option<Injection> {
-        self.inject_on(op, None)
+        match pipe.filter(|p| *p >= self.num_pipes) {
+            Some(p) => Err(DriverError::BadPipe(p)),
+            None => Ok(()),
+        }
     }
 
     /// Consult the fault plan for one op addressed at hardware pipe
     /// `pipe` (when `Some`), so pipe-scoped fault rules can target it.
-    fn inject_on(&mut self, op: Op, pipe: Option<u16>) -> Option<Injection> {
+    /// Records `fault.injected` when a decision is made.
+    fn inject(&mut self, op: Op, pipe: Option<u16>) -> Option<Injection> {
         let op = op.name();
         let inj = self
             .injector
@@ -225,24 +225,26 @@ impl MantisDriver {
         Some(inj)
     }
 
-    /// Resolve an injection decision against a mutation op: returns
-    /// `Err(Injected)` for failures (after spending the op's latency —
-    /// the transport timed out) and scales the cost for delays.
-    fn gate(&mut self, op: Op, cost: &mut Nanos) -> Result<(), DriverError> {
-        self.gate_on(op, None, cost)
-    }
-
-    /// Like `gate`, for an op addressed at one hardware pipe.
-    fn gate_on(&mut self, op: Op, pipe: Option<u16>, cost: &mut Nanos) -> Result<(), DriverError> {
-        match self.inject_on(op, pipe) {
+    /// Resolve an injection decision against one op, then account it:
+    /// `Err(Injected)` for failures (after spending the op's latency — the
+    /// transport timed out), a scaled cost for delays. Any other effect
+    /// is handed back: only a read has a use for it.
+    fn account(
+        &mut self,
+        op: Op,
+        pipe: Option<u16>,
+        mut cost: Nanos,
+    ) -> Result<Option<Injection>, DriverError> {
+        let effect = self.inject(op, pipe);
+        match effect {
             Some(Injection::Fail { persistent }) => {
-                self.spend(op, *cost);
+                self.spend(op, cost);
                 self.stats.injected_failures += 1;
                 self.telemetry.counter_add(scopes::CTR_DRIVER_INJECTED, 1);
-                Err(DriverError::Injected {
+                return Err(DriverError::Injected {
                     op: op.name(),
                     persistent,
-                })
+                });
             }
             // Process death is instant: no latency is spent, no state
             // mutated. Whether the op "landed" is decided by where the
@@ -251,18 +253,13 @@ impl MantisDriver {
             Some(Injection::Crash) => {
                 self.stats.injected_failures += 1;
                 self.telemetry.counter_add(scopes::CTR_DRIVER_INJECTED, 1);
-                Err(DriverError::Crashed { op: op.name() })
+                return Err(DriverError::Crashed { op: op.name() });
             }
-            Some(Injection::Delay { factor_milli }) => {
-                *cost = scale(*cost, factor_milli);
-                Ok(())
-            }
-            // Read and channel effects are meaningless on mutations.
-            Some(Injection::Stale)
-            | Some(Injection::Corrupt { .. })
-            | Some(Injection::Duplicate)
-            | None => Ok(()),
+            Some(Injection::Delay { factor_milli }) => cost = scale(cost, factor_milli),
+            _ => {}
         }
+        self.spend(op, cost);
+        Ok(effect)
     }
 
     /// Account one operation of the given duration: the clock advances, and
@@ -270,7 +267,8 @@ impl MantisDriver {
     /// telemetry (span + per-op histogram).
     fn spend(&mut self, op: Op, dur: Nanos) {
         let start = self.clock.now().max(self.busy_until);
-        let end = start + dur;
+        // Saturating: `SpendExternal` carries a duration off the wire.
+        let end = start.saturating_add(dur);
         self.clock.advance_to(end);
         self.busy_until = end;
         // Only the PCIe transaction itself holds the device lock; the rest
@@ -279,7 +277,7 @@ impl MantisDriver {
         self.lock_start = start;
         self.lock_until = start + self.cost.device_lock_ns.min(dur);
         self.stats.ops += 1;
-        self.stats.busy_ns += dur;
+        self.stats.busy_ns = self.stats.busy_ns.saturating_add(dur);
         if self.telemetry.is_enabled() {
             let id = &mut self.op_ids[op as usize];
             if !self.telemetry.owns(id.span) {
@@ -303,85 +301,9 @@ impl MantisDriver {
         }
     }
 
-    // -- table operations -----------------------------------------------------
-
-    pub fn table_add(
-        &mut self,
-        sw: &mut Switch,
-        table: TableId,
-        key: Vec<KeyField>,
-        priority: u32,
-        action: ActionId,
-        data: Vec<Value>,
-    ) -> Result<EntryHandle, DriverError> {
-        let mut cost = self.table_op_cost(table);
-        self.gate(Op::TableAdd, &mut cost)?;
-        self.spend(Op::TableAdd, cost);
-        sw.table_add(table, key, priority, action, data)
-    }
-
-    pub fn table_mod(
-        &mut self,
-        sw: &mut Switch,
-        table: TableId,
-        handle: EntryHandle,
-        action: ActionId,
-        data: Vec<Value>,
-    ) -> Result<(), DriverError> {
-        let mut cost = self.table_op_cost(table);
-        self.gate(Op::TableMod, &mut cost)?;
-        self.spend(Op::TableMod, cost);
-        sw.table_mod(table, handle, action, data)
-    }
-
-    pub fn table_del(
-        &mut self,
-        sw: &mut Switch,
-        table: TableId,
-        handle: EntryHandle,
-    ) -> Result<(), DriverError> {
-        let mut cost = self.table_op_cost(table);
-        self.gate(Op::TableDel, &mut cost)?;
-        self.spend(Op::TableDel, cost);
-        sw.table_del(table, handle)
-    }
-
-    /// Update a table's default action in every pipe (fan-out). The
-    /// master init table's default is the most frequently updated object
-    /// in Mantis (the vv/mv flip), so it gets its own memoized (cheapest)
-    /// cost class.
-    pub fn table_set_default(
-        &mut self,
-        sw: &mut Switch,
-        table: TableId,
-        action: ActionId,
-        data: Vec<Value>,
-        is_init_flip: bool,
-    ) -> Result<(), DriverError> {
-        let (op, mut cost) = self.set_default_cost(table, is_init_flip);
-        self.gate(op, &mut cost)?;
-        self.spend(op, cost);
-        sw.table_set_default(table, action, data)
-    }
-
-    /// Update a table's default action in a *single* pipe — the per-pipe
-    /// version-variable flip. One device op per pipe, visible to
-    /// pipe-scoped fault rules.
-    pub fn table_set_default_on(
-        &mut self,
-        sw: &mut Switch,
-        pipe: u16,
-        table: TableId,
-        action: ActionId,
-        data: Vec<Value>,
-        is_init_flip: bool,
-    ) -> Result<(), DriverError> {
-        let (op, mut cost) = self.set_default_cost(table, is_init_flip);
-        self.gate_on(op, Some(pipe), &mut cost)?;
-        self.spend(op, cost);
-        sw.table_set_default_on(pipe, table, action, data)
-    }
-
+    /// The master init table's default is the most frequently updated
+    /// object in Mantis (the vv/mv flip), so it gets its own memoized
+    /// (cheapest) cost class.
     fn set_default_cost(&mut self, table: TableId, is_init_flip: bool) -> (Op, Nanos) {
         if is_init_flip {
             let cost = if self.memo.insert(MemoKey::InitDefault(table)) {
@@ -395,196 +317,269 @@ impl MantisDriver {
         }
     }
 
-    // -- register operations ----------------------------------------------------
-
     /// Batched range read of a register array. Fallible: the transport
     /// can fail, and injected `StaleRead`/`CorruptRead` effects distort
     /// the returned values without failing the op (measurement noise, not
     /// a retryable error).
-    pub fn register_read_range(
+    fn register_read_range(
         &mut self,
-        sw: &Switch,
         reg: RegisterId,
         lo: u32,
         hi: u32,
     ) -> Result<Vec<Value>, DriverError> {
-        let width = sw.spec().register(reg).width;
+        let width = self.spec.register(reg).width;
         let width_bytes = usize::from(width).div_ceil(8);
-        let n = (hi.saturating_sub(lo) + 1) as usize;
+        let n = hi.saturating_sub(lo) as usize + 1;
         // One logical read touches every pipe's copy: the driver DMAs
         // each pipe's range and aggregates in software (RBFRT-style), so
         // the PCIe cost scales with `num_pipes` (identity at 1).
-        let num_pipes = usize::from(sw.config().num_pipes);
-        let mut cost = self.cost.register_read(n * width_bytes * num_pipes);
-        let effect = self.inject(Op::RegisterRead);
-        if let Some(Injection::Delay { factor_milli }) = effect {
-            cost = scale(cost, factor_milli);
-        }
+        let cost = self
+            .cost
+            .register_read(n * width_bytes * usize::from(self.num_pipes));
         self.stats.register_reads += 1;
-        match effect {
-            Some(Injection::Fail { persistent }) => {
-                self.spend(Op::RegisterRead, cost);
-                self.stats.injected_failures += 1;
-                self.telemetry.counter_add(scopes::CTR_DRIVER_INJECTED, 1);
-                return Err(DriverError::Injected {
-                    op: "register_read",
-                    persistent,
-                });
-            }
-            Some(Injection::Crash) => {
-                self.stats.injected_failures += 1;
-                self.telemetry.counter_add(scopes::CTR_DRIVER_INJECTED, 1);
-                return Err(DriverError::Crashed {
-                    op: "register_read",
-                });
-            }
-            Some(Injection::Stale) => {
-                self.spend(Op::RegisterRead, cost);
-                // Serve the previous snapshot of this range (zeros if it
-                // was never read): a checkpoint that missed the sync.
-                return Ok(self
-                    .stale_cache
-                    .get(&(reg, lo, hi))
-                    .cloned()
-                    .unwrap_or_else(|| vec![Value::zero(width); n]));
-            }
-            Some(Injection::Corrupt { xor }) => {
-                self.spend(Op::RegisterRead, cost);
-                return Ok(sw
-                    .register_read_range(reg, lo, hi)
-                    .into_iter()
-                    .map(|v| Value::new(v.bits() ^ u128::from(xor), width))
-                    .collect());
-            }
-            _ => {}
+        let effect = self.account(Op::RegisterRead, None, cost)?;
+        if let Some(Injection::Stale) = effect {
+            // Serve the previous snapshot of this range (zeros if it
+            // was never read): a checkpoint that missed the sync.
+            let cached = self.stale_cache.get(&(reg, lo, hi)).cloned();
+            return Ok(cached.unwrap_or_else(|| vec![Value::zero(width); n]));
         }
-        self.spend(Op::RegisterRead, cost);
-        let vals = sw.register_read_range(reg, lo, hi);
-        if self.injector.is_some() {
+        let mut vals = self.switch.borrow().register_read_range(reg, lo, hi);
+        if let Some(Injection::Corrupt { xor }) = effect {
+            for v in &mut vals {
+                *v = Value::new(v.bits() ^ u128::from(xor), width);
+            }
+        } else if self.injector.is_some() {
             self.stale_cache.insert((reg, lo, hi), vals.clone());
         }
         Ok(vals)
     }
+}
 
-    /// Poll one packed field word (a 2-entry measurement register).
-    pub fn field_word_read(
-        &mut self,
-        sw: &Switch,
-        reg: RegisterId,
-        index: u32,
-    ) -> Result<Value, DriverError> {
-        let mut cost = self.cost.pcie_base_ns + self.cost.field_word_read_ns;
-        self.gate(Op::FieldWordRead, &mut cost)?;
-        self.spend(Op::FieldWordRead, cost);
-        self.stats.field_reads += 1;
-        Ok(sw
-            .register_read_range(reg, index, index)
-            .into_iter()
-            .next()
-            .unwrap_or(Value::zero(32)))
+/// Scale a cost by an integer milli-factor (3000 = ×3).
+fn scale(cost: Nanos, factor_milli: u32) -> Nanos {
+    (u128::from(cost) * u128::from(factor_milli) / 1_000) as Nanos
+}
+
+impl DriverApi for LocalDriver {
+    fn spec(&self) -> &DataPlaneSpec {
+        &self.spec
     }
 
-    pub fn register_write(
-        &mut self,
-        sw: &mut Switch,
-        reg: RegisterId,
-        index: u32,
-        value: Value,
-    ) -> Result<(), DriverError> {
-        let mut cost = self.cost.pcie_base_ns;
-        self.gate(Op::RegisterWrite, &mut cost)?;
-        self.spend(Op::RegisterWrite, cost);
-        sw.register_write(reg, index, value);
-        Ok(())
+    fn num_pipes(&self) -> u16 {
+        self.num_pipes
     }
 
-    pub fn port_set_up(
-        &mut self,
-        sw: &mut Switch,
-        port: rmt_sim::PortId,
-        up: bool,
-    ) -> Result<(), DriverError> {
-        let mut cost = self.cost.port_op_ns;
-        self.gate(Op::PortSet, &mut cost)?;
-        self.spend(Op::PortSet, cost);
-        sw.port_set_up(port, up)
+    fn cost(&self) -> &CostModel {
+        &self.cost
     }
 
-    // -- read-back (reconcile) --------------------------------------------------
+    fn clock(&self) -> &Clock {
+        &self.clock
+    }
 
-    /// Read back one pipe's default action of a table — the reconcile
-    /// path's master-state read (a restarted agent recovering vv/mv and
-    /// the committed slot values from the device).
-    pub fn table_default_on(
-        &mut self,
-        sw: &Switch,
-        pipe: u16,
-        table: TableId,
-    ) -> Result<(ActionId, Vec<Value>), DriverError> {
-        if pipe >= sw.num_pipes() {
-            return Err(DriverError::BadPipe(pipe));
+    fn submit(&mut self, op: DriverOp) -> Result<DriverResponse, DriverError> {
+        self.validate(&op)?;
+        Ok(match op {
+            DriverOp::TableAdd {
+                table,
+                key,
+                priority,
+                action,
+                data,
+            } => {
+                let cost = self.table_op_cost(table);
+                self.account(Op::TableAdd, None, cost)?;
+                let mut sw = self.switch.borrow_mut();
+                DriverResponse::Handle(sw.table_add(table, key, priority, action, data)?)
+            }
+            DriverOp::TableMod {
+                table,
+                handle,
+                action,
+                data,
+            } => {
+                let cost = self.table_op_cost(table);
+                self.account(Op::TableMod, None, cost)?;
+                let mut sw = self.switch.borrow_mut();
+                sw.table_mod(table, handle, action, data)?;
+                DriverResponse::Ok
+            }
+            DriverOp::TableDel { table, handle } => {
+                let cost = self.table_op_cost(table);
+                self.account(Op::TableDel, None, cost)?;
+                self.switch.borrow_mut().table_del(table, handle)?;
+                DriverResponse::Ok
+            }
+            DriverOp::SetDefault {
+                table,
+                action,
+                data,
+                is_init_flip,
+            } => {
+                let (class, cost) = self.set_default_cost(table, is_init_flip);
+                self.account(class, None, cost)?;
+                let mut sw = self.switch.borrow_mut();
+                sw.table_set_default(table, action, data)?;
+                DriverResponse::Ok
+            }
+            // One device op per pipe, visible to pipe-scoped fault rules.
+            DriverOp::SetDefaultOn {
+                pipe,
+                table,
+                action,
+                data,
+                is_init_flip,
+            } => {
+                let (class, cost) = self.set_default_cost(table, is_init_flip);
+                self.account(class, Some(pipe), cost)?;
+                let mut sw = self.switch.borrow_mut();
+                sw.table_set_default_on(pipe, table, action, data)?;
+                DriverResponse::Ok
+            }
+            DriverOp::RegisterWrite { reg, index, value } => {
+                self.account(Op::RegisterWrite, None, self.cost.pcie_base_ns)?;
+                self.switch.borrow_mut().register_write(reg, index, value);
+                DriverResponse::Ok
+            }
+            DriverOp::PortSetUp { port, up } => {
+                self.account(Op::PortSet, None, self.cost.port_op_ns)?;
+                self.switch.borrow_mut().port_set_up(port, up)?;
+                DriverResponse::Ok
+            }
+            DriverOp::RegisterReadRange { reg, lo, hi } => {
+                DriverResponse::Values(self.register_read_range(reg, lo, hi)?)
+            }
+            DriverOp::RegisterReadAgg { reg, lo, hi, agg } => {
+                DriverResponse::Values(self.switch.borrow().register_read_agg(reg, lo, hi, agg))
+            }
+            DriverOp::PortUp { port } => {
+                DriverResponse::PortState(self.switch.borrow().port(port).map(|st| st.up))
+            }
+            DriverOp::SpendExternal { dur } => {
+                self.account(Op::FieldPoll, None, dur)?;
+                self.stats.field_reads += 1;
+                DriverResponse::Ok
+            }
+            // One warm table update per restored table shadow.
+            DriverOp::SpendRollback { tables } => {
+                self.spend(
+                    Op::Rollback,
+                    self.cost.table_update_ns * Nanos::from(tables),
+                );
+                DriverResponse::Ok
+            }
+            DriverOp::TableCheckpoint { table } => {
+                let ckpt = self.switch.borrow().table_checkpoint(table);
+                let token = self.next_token;
+                self.next_token += 1;
+                self.checkpoints.insert(token, (table, ckpt));
+                DriverResponse::Token(token)
+            }
+            DriverOp::TableRestore { table, token } => {
+                let ckpt = self.checkpoints[&token].1.clone();
+                self.switch.borrow_mut().table_restore(table, ckpt);
+                DriverResponse::Ok
+            }
+            DriverOp::CheckpointDiscard { token } => {
+                self.checkpoints.remove(&token);
+                DriverResponse::Ok
+            }
+            DriverOp::TableDefaultOn { pipe, table } => {
+                self.account(Op::DefaultRead, Some(pipe), self.cost.pcie_base_ns)?;
+                let sw = self.switch.borrow();
+                let (action, data) = match sw.table_ref_on(pipe, table).default_action() {
+                    Some((action, data)) => (*action, data.to_vec()),
+                    None => (ActionId(0), Vec::new()),
+                };
+                DriverResponse::DefaultAction { action, data }
+            }
+            // Cost scales with the entry count like a batched register read.
+            DriverOp::TableDump { table } => {
+                let n = self.switch.borrow().table_len(table).max(1);
+                self.account(Op::TableDump, None, self.cost.register_read(n * 16))?;
+                let sw = self.switch.borrow();
+                let entries = sw.table_ref(table).entries().map(|e| EntrySnapshot {
+                    handle: e.handle,
+                    key: e.key.clone(),
+                    priority: e.priority,
+                    action: e.action,
+                    data: e.action_data.to_vec(),
+                });
+                DriverResponse::Entries(entries.collect())
+            }
+            DriverOp::MasterClaim { .. } | DriverOp::MasterProbe => {
+                panic!(
+                    "invariant: mastership is arbitrated by the control plane, not a device driver"
+                )
+            }
+        })
+    }
+
+    /// Install a fault plan (driver-op rules; link flaps are scheduled by
+    /// `netsim`). Replaces any previous plan and resets its budgets.
+    fn set_fault_plan(&mut self, plan: FaultPlan) {
+        let mut injector = FaultInjector::new(plan);
+        injector.set_switch(self.fabric_index);
+        self.injector = Some(injector);
+        self.stale_cache.clear();
+    }
+
+    fn clear_fault_plan(&mut self) {
+        self.injector = None;
+        self.stale_cache.clear();
+    }
+
+    /// Ops are still counted but nothing injects: models rollback
+    /// replaying the driver's journaled shadow state over a known-good
+    /// path.
+    fn suspend_faults(&mut self) {
+        if let Some(inj) = self.injector.as_mut() {
+            inj.suspend();
         }
-        let mut cost = self.cost.pcie_base_ns;
-        self.gate_on(Op::DefaultRead, Some(pipe), &mut cost)?;
-        self.spend(Op::DefaultRead, cost);
-        let (action, data) = sw
-            .table_ref_on(pipe, table)
-            .default_action()
-            .cloned()
-            .unwrap_or((ActionId(0), std::sync::Arc::from(Vec::new())));
-        Ok((action, data.to_vec()))
     }
 
-    /// Dump every physical entry of a table (pipe 0's view; symmetric ops
-    /// keep all pipes equal) — the reconcile path's table read-back. Cost
-    /// scales with the entry count like a batched register read.
-    pub fn table_dump(
-        &mut self,
-        sw: &Switch,
-        table: TableId,
-    ) -> Result<Vec<EntrySnapshot>, DriverError> {
-        let n = sw.table_len(table).max(1);
-        let mut cost = self.cost.register_read(n * 16);
-        self.gate(Op::TableDump, &mut cost)?;
-        self.spend(Op::TableDump, cost);
-        Ok(sw
-            .table_ref(table)
-            .entries()
-            .map(|e| EntrySnapshot {
-                handle: e.handle,
-                key: e.key.clone(),
-                priority: e.priority,
-                action: e.action,
-                data: e.action_data.to_vec(),
-            })
-            .collect())
+    fn resume_faults(&mut self) {
+        if let Some(inj) = self.injector.as_mut() {
+            inj.resume();
+        }
     }
 
-    /// Account an externally computed cost (e.g. the packed-word cost of a
-    /// field-argument poll, where the agent reads several 2-entry
-    /// measurement registers as one batch).
-    pub fn spend_external(&mut self, dur: Nanos) -> Result<(), DriverError> {
-        let mut cost = dur;
-        self.gate(Op::FieldPoll, &mut cost)?;
-        self.spend(Op::FieldPoll, cost);
-        self.stats.field_reads += 1;
-        Ok(())
+    /// Applied to the current injector (if any) and inherited by later
+    /// plans.
+    fn set_fabric_index(&mut self, index: Option<u16>) {
+        self.fabric_index = index;
+        if let Some(inj) = self.injector.as_mut() {
+            inj.set_switch(index);
+        }
     }
 
-    /// Account the recovery work of restoring `tables` table shadows
-    /// after a failed transactional apply (one warm table update each).
-    pub fn spend_rollback(&mut self, tables: usize) {
-        let cost = self.cost.table_update_ns * tables as Nanos;
-        self.spend(Op::Rollback, cost);
+    fn fabric_index(&self) -> Option<u16> {
+        self.fabric_index
     }
 
-    /// Simulate a *legacy* control-plane operation submitted at `at` (from
-    /// another core). The underlying driver is thread-safe and the Mantis
-    /// loop is single-threaded, so the legacy op queues behind *at most
-    /// one* in-flight device-lock critical section (§6). Returns its
-    /// completion time; latency = completion - at. Does not advance the
-    /// shared clock (the caller models its own timeline).
-    pub fn legacy_table_update_at(&mut self, at: Nanos) -> Nanos {
+    /// Each op records a `Scope::Driver` span plus a `driver.<op>_ns`
+    /// histogram sample and a `driver.<op>_calls` counter.
+    fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+        self.telemetry = telemetry;
+    }
+
+    fn stats(&self) -> DriverStats {
+        self.stats.clone()
+    }
+
+    /// A concurrent legacy operation issued before this time queues until
+    /// it.
+    fn busy_until(&self) -> Nanos {
+        self.busy_until
+    }
+
+    /// The underlying driver is thread-safe and the Mantis loop is
+    /// single-threaded, so the legacy op queues behind *at most one*
+    /// in-flight device-lock critical section (§6). Latency = completion -
+    /// `at`. Does not advance the shared clock (the caller models its own
+    /// timeline).
+    fn legacy_table_update_at(&mut self, at: Nanos) -> Nanos {
         let start = if at >= self.lock_start && at < self.lock_until {
             self.lock_until
         } else {
@@ -595,18 +590,13 @@ impl MantisDriver {
     }
 }
 
-/// Scale a cost by an integer milli-factor (3000 = ×3).
-fn scale(cost: Nanos, factor_milli: u32) -> Nanos {
-    (u128::from(cost) * u128::from(factor_milli) / 1_000) as Nanos
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mantis_faults::{FaultOp, FaultWindow};
+    use mantis_faults::{FaultEffect, FaultOp, FaultRule, FaultWindow};
     use rmt_sim::{switch_from_source, SwitchConfig};
 
-    fn mk() -> (Switch, MantisDriver, Clock) {
+    fn mk() -> (SharedSwitch, LocalDriver, Clock) {
         let clock = Clock::new();
         let sw = switch_from_source(
             r#"
@@ -621,47 +611,38 @@ control ingress { apply(t); }
             clock.clone(),
         )
         .unwrap();
-        let d = MantisDriver::new(CostModel::default(), clock.clone());
+        let sw = SharedSwitch::new(sw);
+        let d = LocalDriver::new(sw.clone(), CostModel::default());
         (sw, d, clock)
+    }
+
+    /// Add the entry keyed `key` to table `t` with action `nop`.
+    fn add(d: &mut LocalDriver, key: u128) -> Result<EntryHandle, DriverError> {
+        let t = d.table_id("t").unwrap();
+        let nop = d.action_id("nop").unwrap();
+        let key = vec![KeyField::Exact(Value::new(key, 32))];
+        d.table_add(t, key, 0, nop, vec![])
     }
 
     #[test]
     fn ops_advance_clock_and_busy_window() {
-        let (mut sw, mut d, clock) = mk();
-        let t = sw.table_id("t").unwrap();
-        let nop = sw.action_id("nop").unwrap();
+        let (_sw, mut d, clock) = mk();
         assert_eq!(clock.now(), 0);
-        d.table_add(
-            &mut sw,
-            t,
-            vec![KeyField::Exact(Value::new(1, 32))],
-            0,
-            nop,
-            vec![],
-        )
-        .unwrap();
+        add(&mut d, 1).unwrap();
         let after_cold = clock.now();
         assert_eq!(after_cold, d.cost.table_update_cold_ns);
         assert_eq!(d.busy_until(), after_cold);
         // Second op is memoized (warm).
-        d.table_add(
-            &mut sw,
-            t,
-            vec![KeyField::Exact(Value::new(2, 32))],
-            0,
-            nop,
-            vec![],
-        )
-        .unwrap();
+        add(&mut d, 2).unwrap();
         assert_eq!(clock.now() - after_cold, d.cost.table_update_ns);
     }
 
     #[test]
     fn register_range_read_costs_by_bytes() {
-        let (sw, mut d, clock) = mk();
-        let r = sw.register_id("r").unwrap();
+        let (_sw, mut d, clock) = mk();
+        let r = d.register_id("r").unwrap();
         let t0 = clock.now();
-        let vals = d.register_read_range(&sw, r, 0, 15).unwrap();
+        let vals = d.register_read_range(r, 0, 15).unwrap();
         assert_eq!(vals.len(), 16);
         let dur = clock.now() - t0;
         assert_eq!(dur, d.cost.register_read(16 * 4));
@@ -669,18 +650,8 @@ control ingress { apply(t); }
 
     #[test]
     fn legacy_update_queues_behind_device_lock_only() {
-        let (mut sw, mut d, clock) = mk();
-        let t = sw.table_id("t").unwrap();
-        let nop = sw.action_id("nop").unwrap();
-        d.table_add(
-            &mut sw,
-            t,
-            vec![KeyField::Exact(Value::new(1, 32))],
-            0,
-            nop,
-            vec![],
-        )
-        .unwrap();
+        let (_sw, mut d, _clock) = mk();
+        add(&mut d, 1).unwrap();
         let busy = d.busy_until();
         let op_start = busy - d.cost.table_update_cold_ns;
         // A legacy op landing inside the PCIe critical section waits for
@@ -696,96 +667,68 @@ control ingress { apply(t); }
             free,
             op_start + d.cost.device_lock_ns + 50 + d.cost.table_update_ns
         );
-        let _ = clock;
     }
 
     #[test]
     fn injected_failure_spends_latency_but_mutates_nothing() {
-        let (mut sw, mut d, clock) = mk();
-        let t = sw.table_id("t").unwrap();
-        let nop = sw.action_id("nop").unwrap();
+        let (sw, mut d, clock) = mk();
+        let t = d.table_id("t").unwrap();
         d.set_fault_plan(FaultPlan::new().fail_transient(
             FaultOp::Named("table_add"),
             FaultWindow::Always,
             1,
         ));
         let t0 = clock.now();
-        let err = d
-            .table_add(
-                &mut sw,
-                t,
-                vec![KeyField::Exact(Value::new(1, 32))],
-                0,
-                nop,
-                vec![],
-            )
-            .unwrap_err();
+        let err = add(&mut d, 1).unwrap_err();
         assert!(err.is_transient(), "{err}");
         assert!(clock.now() > t0, "a failed op still costs transport time");
-        assert_eq!(sw.table_len(t), 0, "failed op must not touch the device");
-        // Budget spent: the retry lands.
-        d.table_add(
-            &mut sw,
-            t,
-            vec![KeyField::Exact(Value::new(1, 32))],
+        assert_eq!(
+            sw.borrow().table_len(t),
             0,
-            nop,
-            vec![],
-        )
-        .unwrap();
-        assert_eq!(sw.table_len(t), 1);
+            "failed op must not touch the device"
+        );
+        // Budget spent: the retry lands.
+        add(&mut d, 1).unwrap();
+        assert_eq!(sw.borrow().table_len(t), 1);
         assert_eq!(d.stats.injected_failures, 1);
     }
 
     #[test]
     fn stale_read_serves_previous_snapshot_and_corrupt_flips_bits() {
-        let (mut sw, mut d, _clock) = mk();
-        let r = sw.register_id("r").unwrap();
+        let (sw, mut d, _clock) = mk();
+        let r = d.register_id("r").unwrap();
         d.set_fault_plan(
             FaultPlan::new()
-                .rule(mantis_faults::FaultRule::new(
+                .rule(FaultRule::new(
                     FaultOp::Named("register_read"),
-                    mantis_faults::FaultEffect::StaleRead,
+                    FaultEffect::StaleRead,
                     FaultWindow::Ops { lo: 1, hi: 2 },
                     Some(1),
                 ))
-                .rule(mantis_faults::FaultRule::new(
+                .rule(FaultRule::new(
                     FaultOp::Named("register_read"),
-                    mantis_faults::FaultEffect::CorruptRead { xor: 0xff },
+                    FaultEffect::CorruptRead { xor: 0xff },
                     FaultWindow::Ops { lo: 2, hi: 3 },
                     Some(1),
                 )),
         );
-        sw.register_write(r, 0, Value::new(7, 32));
+        sw.borrow_mut().register_write(r, 0, Value::new(7, 32));
         // Op 0: clean read, primes the stale cache.
-        assert_eq!(d.register_read_range(&sw, r, 0, 0).unwrap()[0].bits(), 7);
-        sw.register_write(r, 0, Value::new(9, 32));
+        assert_eq!(d.register_read_range(r, 0, 0).unwrap()[0].bits(), 7);
+        sw.borrow_mut().register_write(r, 0, Value::new(9, 32));
         // Op 1: stale — still sees 7.
-        assert_eq!(d.register_read_range(&sw, r, 0, 0).unwrap()[0].bits(), 7);
+        assert_eq!(d.register_read_range(r, 0, 0).unwrap()[0].bits(), 7);
         // Op 2: corrupt — 9 ^ 0xff.
-        assert_eq!(
-            d.register_read_range(&sw, r, 0, 0).unwrap()[0].bits(),
-            9 ^ 0xff
-        );
+        assert_eq!(d.register_read_range(r, 0, 0).unwrap()[0].bits(), 9 ^ 0xff);
         // Op 3: clean again.
-        assert_eq!(d.register_read_range(&sw, r, 0, 0).unwrap()[0].bits(), 9);
+        assert_eq!(d.register_read_range(r, 0, 0).unwrap()[0].bits(), 9);
     }
 
     #[test]
     fn delay_injection_scales_op_cost() {
-        let (mut sw, mut d, clock) = mk();
-        let t = sw.table_id("t").unwrap();
-        let nop = sw.action_id("nop").unwrap();
+        let (_sw, mut d, clock) = mk();
         // Warm the memo first, fault-free.
-        d.table_add(
-            &mut sw,
-            t,
-            vec![KeyField::Exact(Value::new(1, 32))],
-            0,
-            nop,
-            vec![],
-        )
-        .unwrap();
+        add(&mut d, 1).unwrap();
         d.set_fault_plan(FaultPlan::new().delay(
             FaultOp::Named("table_add"),
             FaultWindow::Always,
@@ -793,44 +736,80 @@ control ingress { apply(t); }
             1,
         ));
         let t0 = clock.now();
-        d.table_add(
-            &mut sw,
-            t,
-            vec![KeyField::Exact(Value::new(2, 32))],
-            0,
-            nop,
-            vec![],
-        )
-        .unwrap();
+        add(&mut d, 2).unwrap();
         assert_eq!(clock.now() - t0, 3 * d.cost.table_update_ns);
     }
 
     #[test]
     fn suspended_faults_do_not_inject() {
-        let (mut sw, mut d, _clock) = mk();
-        let t = sw.table_id("t").unwrap();
-        let nop = sw.action_id("nop").unwrap();
+        let (_sw, mut d, _clock) = mk();
         d.set_fault_plan(FaultPlan::new().fail_persistent(FaultOp::Any, FaultWindow::Always));
         d.suspend_faults();
-        d.table_add(
-            &mut sw,
-            t,
-            vec![KeyField::Exact(Value::new(1, 32))],
-            0,
-            nop,
-            vec![],
-        )
-        .unwrap();
+        add(&mut d, 1).unwrap();
         d.resume_faults();
-        assert!(d
-            .table_add(
-                &mut sw,
-                t,
-                vec![KeyField::Exact(Value::new(2, 32))],
-                0,
-                nop,
-                vec![],
-            )
-            .is_err());
+        assert!(add(&mut d, 2).is_err());
+    }
+
+    #[test]
+    fn ops_naming_what_the_device_lacks_are_refused_before_any_cost() {
+        let (sw, mut d, clock) = mk();
+        let t = d.table_id("t").unwrap();
+        let r = d.register_id("r").unwrap();
+        let nop = d.action_id("nop").unwrap();
+        let token = d.table_checkpoint(t).unwrap();
+        let refused = [
+            (
+                DriverOp::TableDel {
+                    table: TableId(9),
+                    handle: EntryHandle(1),
+                },
+                DriverError::UnknownTable("#9".into()),
+            ),
+            (
+                DriverOp::TableMod {
+                    table: t,
+                    handle: EntryHandle(1),
+                    action: ActionId(9),
+                    data: vec![],
+                },
+                DriverError::UnknownAction("#9".into()),
+            ),
+            (
+                DriverOp::RegisterReadRange {
+                    reg: RegisterId(r.0 + 1),
+                    lo: 0,
+                    hi: 0,
+                },
+                DriverError::UnknownRegister(format!("#{}", r.0 + 1)),
+            ),
+            (
+                DriverOp::SetDefaultOn {
+                    pipe: 7,
+                    table: t,
+                    action: nop,
+                    data: vec![],
+                    is_init_flip: true,
+                },
+                DriverError::BadPipe(7),
+            ),
+            (
+                DriverOp::TableRestore {
+                    table: t,
+                    token: token + 1,
+                },
+                DriverError::Table(TableError::UnknownHandle(EntryHandle(token + 1))),
+            ),
+        ];
+        for (op, want) in refused {
+            assert_eq!(d.submit(op.clone()), Err(want), "{op:?}");
+        }
+        assert_eq!(clock.now(), 0, "a refused op costs nothing");
+        assert_eq!(d.stats.ops, 0);
+        // An inverted range is an empty read, not a slice panic.
+        assert_eq!(d.register_read_range(r, 5, 3).unwrap(), vec![]);
+        // The live token still restores.
+        add(&mut d, 1).unwrap();
+        d.table_restore(t, token).unwrap();
+        assert_eq!(sw.borrow().table_len(t), 0);
     }
 }

@@ -1,29 +1,30 @@
-//! The agent-facing driver abstraction.
+//! The agent-facing driver vocabulary.
 //!
-//! [`MantisAgent`](crate::agent::MantisAgent) drives the switch through an
-//! object-safe trait rather than a concrete [`MantisDriver`], so the same
-//! dialogue loop can run either *on* the switch CPU (the paper's
-//! deployment — [`LocalDriver`], in-process, zero transport cost) or
-//! *remotely* over a control channel (`mantis-control`'s `RemoteDriver`,
-//! which encodes each call into the wire protocol and pipelines batches).
+//! What an agent can ask of a switch is one value type, [`DriverOp`],
+//! answered by one [`DriverResponse`]. [`DriverApi::submit`] carries an op
+//! out; the typed calls (`table_add`, `register_read_range`, …) are sugar
+//! written once on the trait: build the op, submit it, unpack the answer.
+//! The same dialogue loop therefore runs *on* the switch CPU (the paper's
+//! deployment — [`LocalDriver`](crate::driver::LocalDriver), in-process,
+//! zero transport cost) or *remotely* over a control channel
+//! (`mantis-control`'s `RemoteDriver`, which puts the very same op values
+//! on the wire and pipelines batches).
 //!
-//! The trait deliberately has no `&mut Switch` parameters: the driver owns
-//! its access path to the device. Mutations are allowed to be *deferred*
-//! by a batching implementation; any read, checkpoint, or init-table flip
-//! is a **barrier** that must observe every mutation issued before it, and
-//! [`DriverApi::flush`] forces pending work to complete. [`LocalDriver`]
-//! applies everything synchronously, so its barriers are trivial.
+//! The driver owns its access path to the device. A batching
+//! implementation may *defer* the ops [`DriverOp::deferrable`] names;
+//! every other op is a **barrier** that observes every op issued before
+//! it, and [`DriverApi::flush`] forces pending work to complete. The
+//! local driver applies everything synchronously.
 
 use crate::costmodel::CostModel;
-use crate::driver::{DriverStats, EntrySnapshot, MantisDriver};
+use crate::driver::{DriverStats, EntrySnapshot};
 use mantis_faults::FaultPlan;
 use mantis_telemetry::Telemetry;
 use p4_ast::Value;
 use rmt_sim::{
     ActionId, Clock, DataPlaneSpec, DriverError, EntryHandle, KeyField, Nanos, PortId, ReadAgg,
-    RegisterId, SharedSwitch, TableCheckpoint, TableId,
+    RegisterId, TableId,
 };
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Opaque handle to a server-held table checkpoint. The checkpoint bytes
@@ -31,10 +32,193 @@ use std::sync::Arc;
 /// wire); the driver keeps them and restores by token.
 pub type CheckpointToken = u64;
 
+/// One driver operation: what [`DriverApi::submit`] carries out and what a
+/// request frame carries.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum DriverOp {
+    /// Install one physical entry; the handle is device-assigned.
+    TableAdd {
+        table: TableId,
+        key: Vec<KeyField>,
+        priority: u32,
+        action: ActionId,
+        data: Vec<Value>,
+    },
+    TableMod {
+        table: TableId,
+        handle: EntryHandle,
+        action: ActionId,
+        data: Vec<Value>,
+    },
+    TableDel {
+        table: TableId,
+        handle: EntryHandle,
+    },
+    /// Fan-out default-action update. `is_init_flip` marks the master
+    /// init table's vv/mv flip: the cheapest cost class, and a barrier.
+    SetDefault {
+        table: TableId,
+        action: ActionId,
+        data: Vec<Value>,
+        is_init_flip: bool,
+    },
+    /// Single-pipe default-action update (the per-pipe version flip).
+    SetDefaultOn {
+        pipe: u16,
+        table: TableId,
+        action: ActionId,
+        data: Vec<Value>,
+        is_init_flip: bool,
+    },
+    RegisterWrite {
+        reg: RegisterId,
+        index: u32,
+        value: Value,
+    },
+    PortSetUp {
+        port: PortId,
+        up: bool,
+    },
+    /// Batched, cost-accounted range read.
+    RegisterReadRange {
+        reg: RegisterId,
+        lo: u32,
+        hi: u32,
+    },
+    /// Cross-pipe aggregated read of the *sync protocol* — free of device
+    /// cost (the values ride along with an accounted poll), but a remote
+    /// driver still pays its channel costs.
+    RegisterReadAgg {
+        reg: RegisterId,
+        lo: u32,
+        hi: u32,
+        agg: ReadAgg,
+    },
+    /// Admin state of a port (`None` for an unknown port).
+    PortUp {
+        port: PortId,
+    },
+    /// Account an externally computed measurement cost (the packed-word
+    /// field poll).
+    SpendExternal {
+        dur: Nanos,
+    },
+    /// Account the recovery work of restoring `tables` table shadows.
+    SpendRollback {
+        tables: u32,
+    },
+    /// Snapshot a table's device shadow (free: the driver journals its own
+    /// software shadow).
+    TableCheckpoint {
+        table: TableId,
+    },
+    /// Restore a table to a checkpoint. The token stays valid (rollback
+    /// may restore the same checkpoint across several apply attempts).
+    TableRestore {
+        table: TableId,
+        token: CheckpointToken,
+    },
+    /// Drop a checkpoint the transaction no longer needs.
+    CheckpointDiscard {
+        token: CheckpointToken,
+    },
+    /// Claim (or renew) switch mastership for `controller`, leasing it
+    /// until `now + lease_ns` (P4Runtime-style arbitration). Answered by
+    /// the control plane, never by a device driver.
+    MasterClaim {
+        controller: u16,
+        lease_ns: Nanos,
+    },
+    /// Read the current mastership state without claiming it.
+    MasterProbe,
+    /// Read one pipe's current default action (crash-recovery read-back:
+    /// a restarted agent recovers the per-pipe version bits, the
+    /// measurement version and the committed slot values from it).
+    TableDefaultOn {
+        pipe: u16,
+        table: TableId,
+    },
+    /// Dump every installed entry of a table (pipe 0's view; symmetric ops
+    /// keep all pipes equal) — how a restarted agent discovers what the
+    /// dead one left installed.
+    TableDump {
+        table: TableId,
+    },
+}
+
+impl DriverOp {
+    /// May a batching driver queue this op instead of sending it now?
+    /// True for the mutations with no client-visible result; everything
+    /// whose answer the caller needs at once — device-assigned handles,
+    /// reads, checkpoints and restores, init-table flips (the RBFRT-style
+    /// flush point), port admin changes, mastership — is a barrier.
+    pub fn deferrable(&self) -> bool {
+        match self {
+            DriverOp::TableMod { .. }
+            | DriverOp::TableDel { .. }
+            | DriverOp::RegisterWrite { .. }
+            | DriverOp::CheckpointDiscard { .. } => true,
+            DriverOp::SetDefault { is_init_flip, .. }
+            | DriverOp::SetDefaultOn { is_init_flip, .. } => !is_init_flip,
+            _ => false,
+        }
+    }
+}
+
+/// The answer to one [`DriverOp`]. On the wire a failed batch is
+/// truncated: the server stops at the first error, so the *last* response
+/// of a short batch is the failing op's error.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum DriverResponse {
+    Ok,
+    Handle(EntryHandle),
+    Values(Vec<Value>),
+    PortState(Option<bool>),
+    Token(CheckpointToken),
+    Master {
+        granted: bool,
+        master: Option<u16>,
+        expires: Nanos,
+    },
+    /// A pipe's default action: `(action, data)`. An uninitialized
+    /// default comes back as `ActionId(0)` with empty data.
+    DefaultAction {
+        action: ActionId,
+        data: Vec<Value>,
+    },
+    /// A full table dump.
+    Entries(Vec<EntrySnapshot>),
+    Err(DriverError),
+}
+
+impl DriverResponse {
+    /// Every op has exactly one answer shape; a driver that answers with
+    /// another is broken.
+    fn unexpected(self, want: &str) -> ! {
+        panic!("invariant: driver answered {self:?} where {want} was due")
+    }
+
+    pub(crate) fn into_handle(self) -> EntryHandle {
+        match self {
+            DriverResponse::Handle(h) => h,
+            other => other.unexpected("Handle"),
+        }
+    }
+
+    pub(crate) fn into_values(self) -> Vec<Value> {
+        match self {
+            DriverResponse::Values(vs) => vs,
+            other => other.unexpected("Values"),
+        }
+    }
+}
+
 /// Every operation the Mantis agent needs from a switch driver.
 ///
-/// Implementations: [`LocalDriver`] (in-process, the paper's shape) and
-/// `mantis_control::RemoteDriver` (wire-encoded, batching).
+/// Implementations: [`LocalDriver`](crate::driver::LocalDriver)
+/// (in-process, the paper's shape) and `mantis_control::RemoteDriver`
+/// (wire-encoded, batching). Both implement [`submit`](Self::submit); the
+/// typed calls below are provided.
 pub trait DriverApi {
     // -- static metadata (client-side; pushed at session setup like a
     //    P4Runtime pipeline config) -----------------------------------------
@@ -69,10 +253,14 @@ pub trait DriverApi {
             .ok_or_else(|| DriverError::UnknownRegister(name.to_string()))
     }
 
-    // -- mutations (deferrable by a batching driver) ------------------------
+    // -- the one operation --------------------------------------------------
 
-    /// Install one physical entry. Always a barrier: the returned handle
-    /// is device-assigned.
+    /// Carry out one op and answer it. Never answers
+    /// [`DriverResponse::Err`]: a failure is the `Err` of the result.
+    fn submit(&mut self, op: DriverOp) -> Result<DriverResponse, DriverError>;
+
+    // -- typed calls: build the op, submit, unpack --------------------------
+
     fn table_add(
         &mut self,
         table: TableId,
@@ -80,7 +268,16 @@ pub trait DriverApi {
         priority: u32,
         action: ActionId,
         data: Vec<Value>,
-    ) -> Result<EntryHandle, DriverError>;
+    ) -> Result<EntryHandle, DriverError> {
+        let op = DriverOp::TableAdd {
+            table,
+            key,
+            priority,
+            action,
+            data,
+        };
+        Ok(self.submit(op)?.into_handle())
+    }
 
     fn table_mod(
         &mut self,
@@ -88,22 +285,36 @@ pub trait DriverApi {
         handle: EntryHandle,
         action: ActionId,
         data: Vec<Value>,
-    ) -> Result<(), DriverError>;
+    ) -> Result<(), DriverError> {
+        let op = DriverOp::TableMod {
+            table,
+            handle,
+            action,
+            data,
+        };
+        self.submit(op).map(drop)
+    }
 
-    fn table_del(&mut self, table: TableId, handle: EntryHandle) -> Result<(), DriverError>;
+    fn table_del(&mut self, table: TableId, handle: EntryHandle) -> Result<(), DriverError> {
+        self.submit(DriverOp::TableDel { table, handle }).map(drop)
+    }
 
-    /// Fan-out default-action update. `is_init_flip` marks the master
-    /// init table's vv/mv flip — a **barrier** for batching drivers
-    /// (RBFRT-style flush point) besides being the cheapest op class.
     fn table_set_default(
         &mut self,
         table: TableId,
         action: ActionId,
         data: Vec<Value>,
         is_init_flip: bool,
-    ) -> Result<(), DriverError>;
+    ) -> Result<(), DriverError> {
+        let op = DriverOp::SetDefault {
+            table,
+            action,
+            data,
+            is_init_flip,
+        };
+        self.submit(op).map(drop)
+    }
 
-    /// Single-pipe default-action update (the per-pipe version flip).
     fn table_set_default_on(
         &mut self,
         pipe: u16,
@@ -111,77 +322,109 @@ pub trait DriverApi {
         action: ActionId,
         data: Vec<Value>,
         is_init_flip: bool,
-    ) -> Result<(), DriverError>;
+    ) -> Result<(), DriverError> {
+        let op = DriverOp::SetDefaultOn {
+            pipe,
+            table,
+            action,
+            data,
+            is_init_flip,
+        };
+        self.submit(op).map(drop)
+    }
 
     fn register_write(
         &mut self,
         reg: RegisterId,
         index: u32,
         value: Value,
-    ) -> Result<(), DriverError>;
+    ) -> Result<(), DriverError> {
+        self.submit(DriverOp::RegisterWrite { reg, index, value })
+            .map(drop)
+    }
 
-    fn port_set_up(&mut self, port: PortId, up: bool) -> Result<(), DriverError>;
+    fn port_set_up(&mut self, port: PortId, up: bool) -> Result<(), DriverError> {
+        self.submit(DriverOp::PortSetUp { port, up }).map(drop)
+    }
 
-    // -- reads (barriers) ---------------------------------------------------
-
-    /// Batched, cost-accounted range read.
     fn register_read_range(
         &mut self,
         reg: RegisterId,
         lo: u32,
         hi: u32,
-    ) -> Result<Vec<Value>, DriverError>;
+    ) -> Result<Vec<Value>, DriverError> {
+        Ok(self
+            .submit(DriverOp::RegisterReadRange { reg, lo, hi })?
+            .into_values())
+    }
 
-    /// Cross-pipe aggregated read of the *sync protocol* — free of device
-    /// cost locally (the values ride along with an accounted poll), but a
-    /// remote driver still pays its channel costs.
     fn register_read_agg(
         &mut self,
         reg: RegisterId,
         lo: u32,
         hi: u32,
         agg: ReadAgg,
-    ) -> Result<Vec<Value>, DriverError>;
+    ) -> Result<Vec<Value>, DriverError> {
+        Ok(self
+            .submit(DriverOp::RegisterReadAgg { reg, lo, hi, agg })?
+            .into_values())
+    }
 
-    /// Admin state of a port (`None` for an unknown port).
-    fn port_up(&mut self, port: PortId) -> Result<Option<bool>, DriverError>;
+    fn port_up(&mut self, port: PortId) -> Result<Option<bool>, DriverError> {
+        match self.submit(DriverOp::PortUp { port })? {
+            DriverResponse::PortState(st) => Ok(st),
+            other => other.unexpected("PortState"),
+        }
+    }
 
-    // -- read-back (reconcile) ----------------------------------------------
-
-    /// Read back one pipe's default action of a table. The reconcile path
-    /// of a restarted agent recovers the per-pipe version bits, the
-    /// measurement version, and the committed slot values from the master
-    /// init table's defaults. Barrier for batching drivers.
     fn table_default_on(
         &mut self,
         pipe: u16,
         table: TableId,
-    ) -> Result<(ActionId, Vec<Value>), DriverError>;
+    ) -> Result<(ActionId, Vec<Value>), DriverError> {
+        match self.submit(DriverOp::TableDefaultOn { pipe, table })? {
+            DriverResponse::DefaultAction { action, data } => Ok((action, data)),
+            other => other.unexpected("DefaultAction"),
+        }
+    }
 
-    /// Dump every physical entry of a table (pipe 0's view; symmetric ops
-    /// keep all pipes equal) — how a restarted agent discovers what the
-    /// dead one left installed. Barrier for batching drivers.
-    fn table_dump(&mut self, table: TableId) -> Result<Vec<EntrySnapshot>, DriverError>;
+    fn table_dump(&mut self, table: TableId) -> Result<Vec<EntrySnapshot>, DriverError> {
+        match self.submit(DriverOp::TableDump { table })? {
+            DriverResponse::Entries(es) => Ok(es),
+            other => other.unexpected("Entries"),
+        }
+    }
 
-    /// Account an externally computed measurement cost (the packed-word
-    /// field poll).
-    fn spend_external(&mut self, dur: Nanos) -> Result<(), DriverError>;
+    fn spend_external(&mut self, dur: Nanos) -> Result<(), DriverError> {
+        self.submit(DriverOp::SpendExternal { dur }).map(drop)
+    }
 
-    /// Account the recovery work of restoring `tables` table shadows.
-    fn spend_rollback(&mut self, tables: usize);
+    /// Infallible by contract: it only runs inside a fault-suspended
+    /// recovery section, where neither a channel nor the device driver
+    /// injects.
+    fn spend_rollback(&mut self, tables: usize) {
+        let tables = tables as u32;
+        let _ = self.submit(DriverOp::SpendRollback { tables });
+    }
 
-    // -- transactions -------------------------------------------------------
+    fn table_checkpoint(&mut self, table: TableId) -> Result<CheckpointToken, DriverError> {
+        match self.submit(DriverOp::TableCheckpoint { table })? {
+            DriverResponse::Token(t) => Ok(t),
+            other => other.unexpected("Token"),
+        }
+    }
 
-    /// Snapshot a table's device shadow (free: the driver journals its own
-    /// software shadow). Barrier for batching drivers.
-    fn table_checkpoint(&mut self, table: TableId) -> Result<CheckpointToken, DriverError>;
+    fn table_restore(&mut self, table: TableId, token: CheckpointToken) -> Result<(), DriverError> {
+        self.submit(DriverOp::TableRestore { table, token })
+            .map(drop)
+    }
 
-    /// Restore a table to a checkpoint. The token stays valid (rollback
-    /// may restore the same checkpoint across several apply attempts).
-    fn table_restore(&mut self, table: TableId, token: CheckpointToken) -> Result<(), DriverError>;
-
-    /// Drop a checkpoint the transaction no longer needs.
-    fn checkpoint_discard(&mut self, token: CheckpointToken);
+    /// No client-visible result; a (rare) transient loss on a remote
+    /// driver in one-op-per-frame mode merely leaks a server-side
+    /// checkpoint.
+    fn checkpoint_discard(&mut self, token: CheckpointToken) {
+        let _ = self.submit(DriverOp::CheckpointDiscard { token });
+    }
 
     // -- batching -----------------------------------------------------------
 
@@ -220,252 +463,4 @@ pub trait DriverApi {
     /// Simulate a concurrent legacy control-plane op submitted at `at`
     /// (Fig. 12); returns its completion time.
     fn legacy_table_update_at(&mut self, at: Nanos) -> Nanos;
-}
-
-/// The in-process driver: [`MantisDriver`] plus a shared handle to the
-/// switch it controls. Every call applies synchronously; barriers are
-/// trivial. This is the paper's deployment shape (agent on the switch
-/// CPU) and the reference the remote path is differentially tested
-/// against.
-#[derive(Debug)]
-pub struct LocalDriver {
-    inner: MantisDriver,
-    switch: SharedSwitch,
-    /// Client-side spec copy so metadata lookups never borrow the switch.
-    spec: DataPlaneSpec,
-    num_pipes: u16,
-    checkpoints: HashMap<CheckpointToken, TableCheckpoint>,
-    next_token: CheckpointToken,
-}
-
-impl LocalDriver {
-    pub fn new(switch: SharedSwitch, cost: CostModel) -> Self {
-        let clock = switch.borrow().clock().clone();
-        let (spec, num_pipes) = {
-            let sw = switch.borrow();
-            (sw.spec().clone(), sw.num_pipes())
-        };
-        LocalDriver {
-            inner: MantisDriver::new(cost, clock),
-            switch,
-            spec,
-            num_pipes,
-            checkpoints: HashMap::new(),
-            next_token: 0,
-        }
-    }
-
-    /// The wrapped cost-accounted driver.
-    pub fn driver(&self) -> &MantisDriver {
-        &self.inner
-    }
-
-    pub fn driver_mut(&mut self) -> &mut MantisDriver {
-        &mut self.inner
-    }
-}
-
-impl DriverApi for LocalDriver {
-    fn spec(&self) -> &DataPlaneSpec {
-        &self.spec
-    }
-
-    fn num_pipes(&self) -> u16 {
-        self.num_pipes
-    }
-
-    fn cost(&self) -> &CostModel {
-        &self.inner.cost
-    }
-
-    fn clock(&self) -> &Clock {
-        self.inner.clock()
-    }
-
-    fn table_add(
-        &mut self,
-        table: TableId,
-        key: Vec<KeyField>,
-        priority: u32,
-        action: ActionId,
-        data: Vec<Value>,
-    ) -> Result<EntryHandle, DriverError> {
-        let switch = self.switch.clone();
-        let mut sw = switch.borrow_mut();
-        self.inner
-            .table_add(&mut sw, table, key, priority, action, data)
-    }
-
-    fn table_mod(
-        &mut self,
-        table: TableId,
-        handle: EntryHandle,
-        action: ActionId,
-        data: Vec<Value>,
-    ) -> Result<(), DriverError> {
-        let switch = self.switch.clone();
-        let mut sw = switch.borrow_mut();
-        self.inner.table_mod(&mut sw, table, handle, action, data)
-    }
-
-    fn table_del(&mut self, table: TableId, handle: EntryHandle) -> Result<(), DriverError> {
-        let switch = self.switch.clone();
-        let mut sw = switch.borrow_mut();
-        self.inner.table_del(&mut sw, table, handle)
-    }
-
-    fn table_set_default(
-        &mut self,
-        table: TableId,
-        action: ActionId,
-        data: Vec<Value>,
-        is_init_flip: bool,
-    ) -> Result<(), DriverError> {
-        let switch = self.switch.clone();
-        let mut sw = switch.borrow_mut();
-        self.inner
-            .table_set_default(&mut sw, table, action, data, is_init_flip)
-    }
-
-    fn table_set_default_on(
-        &mut self,
-        pipe: u16,
-        table: TableId,
-        action: ActionId,
-        data: Vec<Value>,
-        is_init_flip: bool,
-    ) -> Result<(), DriverError> {
-        let switch = self.switch.clone();
-        let mut sw = switch.borrow_mut();
-        self.inner
-            .table_set_default_on(&mut sw, pipe, table, action, data, is_init_flip)
-    }
-
-    fn register_write(
-        &mut self,
-        reg: RegisterId,
-        index: u32,
-        value: Value,
-    ) -> Result<(), DriverError> {
-        let switch = self.switch.clone();
-        let mut sw = switch.borrow_mut();
-        self.inner.register_write(&mut sw, reg, index, value)
-    }
-
-    fn port_set_up(&mut self, port: PortId, up: bool) -> Result<(), DriverError> {
-        let switch = self.switch.clone();
-        let mut sw = switch.borrow_mut();
-        self.inner.port_set_up(&mut sw, port, up)
-    }
-
-    fn register_read_range(
-        &mut self,
-        reg: RegisterId,
-        lo: u32,
-        hi: u32,
-    ) -> Result<Vec<Value>, DriverError> {
-        let switch = self.switch.clone();
-        let sw = switch.borrow();
-        self.inner.register_read_range(&sw, reg, lo, hi)
-    }
-
-    fn register_read_agg(
-        &mut self,
-        reg: RegisterId,
-        lo: u32,
-        hi: u32,
-        agg: ReadAgg,
-    ) -> Result<Vec<Value>, DriverError> {
-        Ok(self.switch.borrow().register_read_agg(reg, lo, hi, agg))
-    }
-
-    fn port_up(&mut self, port: PortId) -> Result<Option<bool>, DriverError> {
-        Ok(self.switch.borrow().port(port).map(|st| st.up))
-    }
-
-    fn table_default_on(
-        &mut self,
-        pipe: u16,
-        table: TableId,
-    ) -> Result<(ActionId, Vec<Value>), DriverError> {
-        let switch = self.switch.clone();
-        let sw = switch.borrow();
-        self.inner.table_default_on(&sw, pipe, table)
-    }
-
-    fn table_dump(&mut self, table: TableId) -> Result<Vec<EntrySnapshot>, DriverError> {
-        let switch = self.switch.clone();
-        let sw = switch.borrow();
-        self.inner.table_dump(&sw, table)
-    }
-
-    fn spend_external(&mut self, dur: Nanos) -> Result<(), DriverError> {
-        self.inner.spend_external(dur)
-    }
-
-    fn spend_rollback(&mut self, tables: usize) {
-        self.inner.spend_rollback(tables);
-    }
-
-    fn table_checkpoint(&mut self, table: TableId) -> Result<CheckpointToken, DriverError> {
-        let ckpt = self.switch.borrow().table_checkpoint(table);
-        let token = self.next_token;
-        self.next_token += 1;
-        self.checkpoints.insert(token, ckpt);
-        Ok(token)
-    }
-
-    fn table_restore(&mut self, table: TableId, token: CheckpointToken) -> Result<(), DriverError> {
-        let ckpt = self
-            .checkpoints
-            .get(&token)
-            .expect("invariant: restore only uses live checkpoint tokens")
-            .clone();
-        self.switch.borrow_mut().table_restore(table, ckpt);
-        Ok(())
-    }
-
-    fn checkpoint_discard(&mut self, token: CheckpointToken) {
-        self.checkpoints.remove(&token);
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.inner.set_fault_plan(plan);
-    }
-
-    fn clear_fault_plan(&mut self) {
-        self.inner.clear_fault_plan();
-    }
-
-    fn suspend_faults(&mut self) {
-        self.inner.suspend_faults();
-    }
-
-    fn resume_faults(&mut self) {
-        self.inner.resume_faults();
-    }
-
-    fn set_fabric_index(&mut self, index: Option<u16>) {
-        self.inner.set_fabric_index(index);
-    }
-
-    fn fabric_index(&self) -> Option<u16> {
-        self.inner.fabric_index()
-    }
-
-    fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.inner.set_telemetry(telemetry);
-    }
-
-    fn stats(&self) -> DriverStats {
-        self.inner.stats.clone()
-    }
-
-    fn busy_until(&self) -> Nanos {
-        self.inner.busy_until()
-    }
-
-    fn legacy_table_update_at(&mut self, at: Nanos) -> Nanos {
-        self.inner.legacy_table_update_at(at)
-    }
 }

@@ -10,9 +10,12 @@
 //!
 //! * [`costmodel`] — virtual-time latencies of driver operations,
 //!   calibrated to the shapes of the paper's Fig. 10;
-//! * [`driver`] — memoized, cost-accounted wrapper over the raw switch
-//!   driver, including the busy-window model for concurrent legacy
-//!   operations (Fig. 12);
+//! * [`driver_api`] — the driver vocabulary: one [`driver_api::DriverOp`] value per
+//!   thing an agent can ask of a switch, one `submit`, typed calls as
+//!   sugar over it;
+//! * [`driver`] — the in-process driver: validated, memoized,
+//!   cost-accounted ops on the raw switch, including the busy-window model
+//!   for concurrent legacy operations (Fig. 12);
 //! * [`logical`] — logical-entry bookkeeping for the three-phase
 //!   (prepare/commit/mirror) update protocol of §5.1.2;
 //! * [`ctx`] — the staging context handed to reactions (native Rust or
@@ -35,8 +38,8 @@ pub use agent::{
 };
 pub use costmodel::CostModel;
 pub use ctx::{CtxError, ReactionCtx, Snapshot};
-pub use driver::MantisDriver;
-pub use driver_api::{CheckpointToken, DriverApi, LocalDriver};
+pub use driver::LocalDriver;
+pub use driver_api::{CheckpointToken, DriverApi};
 pub use logical::{LogicalHandle, Staged, StagedOp};
 pub use sched::{schedule_agent, schedule_fabric_agents, schedule_paced_agent};
 

@@ -200,7 +200,7 @@ pub fn restart_fabric_agent(
         );
         det.events = tb.events[index].clone();
         det.set_route_handles(handles);
-        agent.swap_reaction("detect_failures", Box::new(det), true)?;
+        agent.swap_reaction("detect_failures", Box::new(det))?;
     } else {
         install_spine_routes(&mut agent, tb.leaves)?;
     }

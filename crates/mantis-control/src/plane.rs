@@ -2,11 +2,14 @@
 //!
 //! A [`ControlPlane`] sits next to one switch and owns the in-process
 //! [`LocalDriver`] for it. Request frames arriving over a
-//! [`Channel`](crate::Channel) are decoded and applied **in order,
-//! stopping at the first error** — the response batch is then shorter
-//! than the request batch and its last element carries the error, which
-//! is what lets the client-side [`RemoteDriver`](crate::RemoteDriver)
-//! compute exactly which prefix of a failed batch was applied.
+//! [`Channel`](crate::Channel) are decoded and each op handed to
+//! [`LocalDriver::submit`](DriverApi::submit), which validates it: a
+//! frame naming what the device lacks gets an error response, not a
+//! panic. A batch is applied **in order, stopping at the first error** —
+//! the response batch is then shorter than the request batch and its
+//! last element carries the error, which is what lets the client-side
+//! [`RemoteDriver`](crate::RemoteDriver) compute exactly which prefix of
+//! a failed batch was applied.
 //!
 //! Exactly-once semantics over an at-least-once channel come from
 //! sequence-number dedup: responses are cached per `(client, seq)`, and
@@ -134,7 +137,7 @@ impl ControlPlane {
         }
 
         let mut resps = Vec::with_capacity(ops.len());
-        for op in &ops {
+        for op in ops {
             let r = self.apply(op);
             let failed = matches!(r, DriverResponse::Err(_));
             resps.push(r);
@@ -157,114 +160,20 @@ impl ControlPlane {
         }
     }
 
-    fn apply(&mut self, op: &DriverOp) -> DriverResponse {
-        fn ok_or(r: Result<(), rmt_sim::DriverError>) -> DriverResponse {
-            match r {
-                Ok(()) => DriverResponse::Ok,
-                Err(e) => DriverResponse::Err(e),
-            }
-        }
+    /// Answer the mastership ops here; every other op is the device
+    /// driver's, handed over by value.
+    fn apply(&mut self, op: DriverOp) -> DriverResponse {
         match op {
-            DriverOp::TableAdd {
-                table,
-                key,
-                priority,
-                action,
-                data,
-            } => match self
-                .driver
-                .table_add(*table, key.clone(), *priority, *action, data.clone())
-            {
-                Ok(h) => DriverResponse::Handle(h),
-                Err(e) => DriverResponse::Err(e),
-            },
-            DriverOp::TableMod {
-                table,
-                handle,
-                action,
-                data,
-            } => ok_or(
-                self.driver
-                    .table_mod(*table, *handle, *action, data.clone()),
-            ),
-            DriverOp::TableDel { table, handle } => ok_or(self.driver.table_del(*table, *handle)),
-            DriverOp::SetDefault {
-                table,
-                action,
-                data,
-                is_init_flip,
-            } => ok_or(
-                self.driver
-                    .table_set_default(*table, *action, data.clone(), *is_init_flip),
-            ),
-            DriverOp::SetDefaultOn {
-                pipe,
-                table,
-                action,
-                data,
-                is_init_flip,
-            } => ok_or(self.driver.table_set_default_on(
-                *pipe,
-                *table,
-                *action,
-                data.clone(),
-                *is_init_flip,
-            )),
-            DriverOp::RegisterWrite { reg, index, value } => {
-                ok_or(self.driver.register_write(*reg, *index, *value))
-            }
-            DriverOp::PortSetUp { port, up } => ok_or(self.driver.port_set_up(*port, *up)),
-            DriverOp::RegisterReadRange { reg, lo, hi } => {
-                match self.driver.register_read_range(*reg, *lo, *hi) {
-                    Ok(vs) => DriverResponse::Values(vs),
-                    Err(e) => DriverResponse::Err(e),
-                }
-            }
-            DriverOp::RegisterReadAgg { reg, lo, hi, agg } => {
-                match self.driver.register_read_agg(*reg, *lo, *hi, *agg) {
-                    Ok(vs) => DriverResponse::Values(vs),
-                    Err(e) => DriverResponse::Err(e),
-                }
-            }
-            DriverOp::PortUp { port } => match self.driver.port_up(*port) {
-                Ok(st) => DriverResponse::PortState(st),
-                Err(e) => DriverResponse::Err(e),
-            },
-            DriverOp::SpendExternal { dur } => ok_or(self.driver.spend_external(*dur)),
-            DriverOp::SpendRollback { tables } => {
-                self.driver.spend_rollback(*tables as usize);
-                DriverResponse::Ok
-            }
-            DriverOp::TableCheckpoint { table } => match self.driver.table_checkpoint(*table) {
-                Ok(t) => DriverResponse::Token(t),
-                Err(e) => DriverResponse::Err(e),
-            },
-            DriverOp::TableRestore { table, token } => {
-                ok_or(self.driver.table_restore(*table, *token))
-            }
-            DriverOp::CheckpointDiscard { token } => {
-                self.driver.checkpoint_discard(*token);
-                DriverResponse::Ok
-            }
             DriverOp::MasterClaim {
                 controller,
                 lease_ns,
-            } => self.master_claim(*controller, *lease_ns),
+            } => self.master_claim(controller, lease_ns),
             DriverOp::MasterProbe => DriverResponse::Master {
                 granted: false,
                 master: self.master.map(|(c, _)| c),
                 expires: self.master.map_or(0, |(_, exp)| exp),
             },
-            DriverOp::TableDefaultOn { pipe, table } => {
-                match self.driver.table_default_on(*pipe, *table) {
-                    Ok((action, data)) => DriverResponse::DefaultAction { action, data },
-                    Err(e) => DriverResponse::Err(e),
-                }
-            }
-            DriverOp::TableDump { table } => match self.driver.table_dump(*table) {
-                Ok(es) => DriverResponse::Entries(es),
-                Err(e) => DriverResponse::Err(e),
-            },
+            op => self.driver.submit(op).unwrap_or_else(DriverResponse::Err),
         }
     }
 
@@ -284,7 +193,7 @@ impl ControlPlane {
                 }
             }
             prev => {
-                let expires = now + lease_ns;
+                let expires = now.saturating_add(lease_ns);
                 self.master = Some((controller, expires));
                 self.had_master = true;
                 DriverResponse::Master {
@@ -304,5 +213,105 @@ impl std::fmt::Debug for ControlPlane {
             .field("master", &self.master)
             .field("duplicates_seen", &self.duplicates_seen)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::encode_request_frame;
+    use p4_ast::Value;
+    use rmt_sim::{
+        switch_from_source, DriverError, EntryHandle, KeyField, RegisterId, SwitchConfig,
+        TableError, TableId,
+    };
+
+    fn request(plane: &mut ControlPlane, seq: u64, ops: &[DriverOp]) -> Vec<DriverResponse> {
+        let out = plane
+            .handle_frame(0, &encode_request_frame(seq, ops))
+            .expect("a well-formed frame is answered");
+        match decode_frame(&out).expect("response decodes").body {
+            FrameBody::Response(rs) => rs,
+            FrameBody::Request(_) => panic!("plane answered with a request frame"),
+        }
+    }
+
+    /// Frames are bytes from outside the process: naming a table,
+    /// checkpoint or range the device lacks must cost an error response,
+    /// never the plane.
+    #[test]
+    fn frames_naming_what_the_device_lacks_get_errors_and_the_plane_stays_up() {
+        let sw = switch_from_source(
+            r#"
+header_type h_t { fields { a : 32; } }
+header h_t h;
+register r { width : 32; instance_count : 8; }
+action nop() { no_op(); }
+table t { reads { h.a : exact; } actions { nop; } size : 16; }
+control ingress { apply(t); }
+"#,
+            SwitchConfig::default(),
+            Clock::new(),
+        )
+        .unwrap();
+        let switch = SharedSwitch::new(sw);
+        let mut plane = ControlPlane::new(switch.clone(), CostModel::default());
+        let (t, nop) = {
+            let d = plane.driver();
+            (d.table_id("t").unwrap(), d.action_id("nop").unwrap())
+        };
+
+        let bad_table = DriverOp::TableMod {
+            table: TableId(999),
+            handle: EntryHandle(1),
+            action: nop,
+            data: vec![],
+        };
+        assert_eq!(
+            request(&mut plane, 1, &[bad_table]),
+            [DriverResponse::Err(DriverError::UnknownTable(
+                "#999".into()
+            ))]
+        );
+        let dead_token = DriverOp::TableRestore {
+            table: t,
+            token: 77,
+        };
+        assert_eq!(
+            request(&mut plane, 2, &[dead_token]),
+            [DriverResponse::Err(DriverError::Table(
+                TableError::UnknownHandle(EntryHandle(77))
+            ))]
+        );
+        assert_eq!(plane.clock().now(), 0, "a refused op costs nothing");
+        let inverted = DriverOp::RegisterReadRange {
+            reg: RegisterId(0),
+            lo: 5,
+            hi: 3,
+        };
+        let forever = DriverOp::MasterClaim {
+            controller: 1,
+            lease_ns: u64::MAX,
+        };
+        let rs = request(&mut plane, 3, &[inverted, forever]);
+        assert_eq!(rs[0], DriverResponse::Values(vec![]));
+        assert!(matches!(
+            rs[1],
+            DriverResponse::Master { granted: true, .. }
+        ));
+
+        // The plane is still up: a valid frame on it is applied.
+        let add = DriverOp::TableAdd {
+            table: t,
+            key: vec![KeyField::Exact(Value::new(1, 32))],
+            priority: 0,
+            action: nop,
+            data: vec![],
+        };
+        assert!(matches!(
+            request(&mut plane, 4, &[add])[..],
+            [DriverResponse::Handle(_)]
+        ));
+        assert_eq!(switch.borrow().table_len(t), 1);
     }
 }

@@ -3,15 +3,13 @@
 //!
 //! ## Batching model
 //!
-//! Mutations with no client-visible result (`table_mod`, `table_del`,
-//! non-init `set_default`, `register_write`, `checkpoint_discard`) are
-//! **deferred** into a pending batch. Everything whose result the agent
-//! needs immediately — `table_add` (device-assigned handle), every read,
-//! checkpoints/restores, init-table flips, port admin changes — is a
-//! **barrier**: the pending batch is sent with the barrier op appended,
-//! one frame for the lot. [`DriverApi::flush`] is an explicit barrier
-//! with no op. With batching disabled every mutation is its own frame
-//! (the one-op-per-frame baseline the bench compares against).
+//! The ops [`DriverOp::deferrable`] names (mutations with no
+//! client-visible result) are **deferred** into a pending batch. Every
+//! other op is a **barrier**: the pending batch is sent with the barrier
+//! op appended, one frame for the lot. [`DriverApi::flush`] is an
+//! explicit barrier with no op. With batching disabled every mutation is
+//! its own frame (the one-op-per-frame baseline the bench compares
+//! against).
 //!
 //! ## Deferred-error protocol
 //!
@@ -31,15 +29,11 @@ use crate::channel::{Channel, ChannelConfig};
 use crate::plane::ControlPlane;
 use crate::wire::{DriverOp, DriverResponse};
 use mantis_agent::costmodel::CostModel;
-use mantis_agent::driver::{DriverStats, EntrySnapshot};
-use mantis_agent::{CheckpointToken, DriverApi};
+use mantis_agent::driver::DriverStats;
+use mantis_agent::DriverApi;
 use mantis_faults::FaultPlan;
 use mantis_telemetry::{scopes, HistId, Telemetry};
-use p4_ast::Value;
-use rmt_sim::{
-    ActionId, Clock, DataPlaneSpec, DriverError, EntryHandle, KeyField, Nanos, PortId, ReadAgg,
-    RegisterId, TableId,
-};
+use rmt_sim::{Clock, DataPlaneSpec, DriverError, Nanos};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -251,179 +245,14 @@ impl DriverApi for RemoteDriver {
         &self.clock
     }
 
-    fn table_add(
-        &mut self,
-        table: TableId,
-        key: Vec<KeyField>,
-        priority: u32,
-        action: ActionId,
-        data: Vec<Value>,
-    ) -> Result<EntryHandle, DriverError> {
-        match self.barrier(DriverOp::TableAdd {
-            table,
-            key,
-            priority,
-            action,
-            data,
-        })? {
-            DriverResponse::Handle(h) => Ok(h),
-            other => panic!("invariant: TableAdd answers Handle, got {other:?}"),
-        }
-    }
-
-    fn table_mod(
-        &mut self,
-        table: TableId,
-        handle: EntryHandle,
-        action: ActionId,
-        data: Vec<Value>,
-    ) -> Result<(), DriverError> {
-        self.defer(DriverOp::TableMod {
-            table,
-            handle,
-            action,
-            data,
-        })
-    }
-
-    fn table_del(&mut self, table: TableId, handle: EntryHandle) -> Result<(), DriverError> {
-        self.defer(DriverOp::TableDel { table, handle })
-    }
-
-    fn table_set_default(
-        &mut self,
-        table: TableId,
-        action: ActionId,
-        data: Vec<Value>,
-        is_init_flip: bool,
-    ) -> Result<(), DriverError> {
-        let op = DriverOp::SetDefault {
-            table,
-            action,
-            data,
-            is_init_flip,
-        };
-        if is_init_flip {
-            self.barrier(op).map(|_| ())
+    /// With batching off a deferrable op is still queued first, so its
+    /// frame carries exactly that op.
+    fn submit(&mut self, op: DriverOp) -> Result<DriverResponse, DriverError> {
+        if op.deferrable() {
+            self.defer(op).map(|()| DriverResponse::Ok)
         } else {
-            self.defer(op)
+            self.barrier(op)
         }
-    }
-
-    fn table_set_default_on(
-        &mut self,
-        pipe: u16,
-        table: TableId,
-        action: ActionId,
-        data: Vec<Value>,
-        is_init_flip: bool,
-    ) -> Result<(), DriverError> {
-        let op = DriverOp::SetDefaultOn {
-            pipe,
-            table,
-            action,
-            data,
-            is_init_flip,
-        };
-        if is_init_flip {
-            self.barrier(op).map(|_| ())
-        } else {
-            self.defer(op)
-        }
-    }
-
-    fn register_write(
-        &mut self,
-        reg: RegisterId,
-        index: u32,
-        value: Value,
-    ) -> Result<(), DriverError> {
-        self.defer(DriverOp::RegisterWrite { reg, index, value })
-    }
-
-    fn port_set_up(&mut self, port: PortId, up: bool) -> Result<(), DriverError> {
-        self.barrier(DriverOp::PortSetUp { port, up }).map(|_| ())
-    }
-
-    fn register_read_range(
-        &mut self,
-        reg: RegisterId,
-        lo: u32,
-        hi: u32,
-    ) -> Result<Vec<Value>, DriverError> {
-        match self.barrier(DriverOp::RegisterReadRange { reg, lo, hi })? {
-            DriverResponse::Values(vs) => Ok(vs),
-            other => panic!("invariant: RegisterReadRange answers Values, got {other:?}"),
-        }
-    }
-
-    fn register_read_agg(
-        &mut self,
-        reg: RegisterId,
-        lo: u32,
-        hi: u32,
-        agg: ReadAgg,
-    ) -> Result<Vec<Value>, DriverError> {
-        match self.barrier(DriverOp::RegisterReadAgg { reg, lo, hi, agg })? {
-            DriverResponse::Values(vs) => Ok(vs),
-            other => panic!("invariant: RegisterReadAgg answers Values, got {other:?}"),
-        }
-    }
-
-    fn port_up(&mut self, port: PortId) -> Result<Option<bool>, DriverError> {
-        match self.barrier(DriverOp::PortUp { port })? {
-            DriverResponse::PortState(st) => Ok(st),
-            other => panic!("invariant: PortUp answers PortState, got {other:?}"),
-        }
-    }
-
-    fn table_default_on(
-        &mut self,
-        pipe: u16,
-        table: TableId,
-    ) -> Result<(ActionId, Vec<Value>), DriverError> {
-        match self.barrier(DriverOp::TableDefaultOn { pipe, table })? {
-            DriverResponse::DefaultAction { action, data } => Ok((action, data)),
-            other => panic!("invariant: TableDefaultOn answers DefaultAction, got {other:?}"),
-        }
-    }
-
-    fn table_dump(&mut self, table: TableId) -> Result<Vec<EntrySnapshot>, DriverError> {
-        match self.barrier(DriverOp::TableDump { table })? {
-            DriverResponse::Entries(es) => Ok(es),
-            other => panic!("invariant: TableDump answers Entries, got {other:?}"),
-        }
-    }
-
-    fn spend_external(&mut self, dur: Nanos) -> Result<(), DriverError> {
-        self.barrier(DriverOp::SpendExternal { dur }).map(|_| ())
-    }
-
-    fn spend_rollback(&mut self, tables: usize) {
-        // Infallible by contract; it only runs inside a fault-suspended
-        // recovery section, where neither the channel nor the device
-        // driver injects.
-        let _ = self.barrier(DriverOp::SpendRollback {
-            tables: tables as u32,
-        });
-    }
-
-    fn table_checkpoint(&mut self, table: TableId) -> Result<CheckpointToken, DriverError> {
-        match self.barrier(DriverOp::TableCheckpoint { table })? {
-            DriverResponse::Token(t) => Ok(t),
-            other => panic!("invariant: TableCheckpoint answers Token, got {other:?}"),
-        }
-    }
-
-    fn table_restore(&mut self, table: TableId, token: CheckpointToken) -> Result<(), DriverError> {
-        self.barrier(DriverOp::TableRestore { table, token })
-            .map(|_| ())
-    }
-
-    fn checkpoint_discard(&mut self, token: CheckpointToken) {
-        // No client-visible result; a (rare) transient loss in
-        // one-op-per-frame mode merely leaks a server-side checkpoint.
-        let _ = self.defer(DriverOp::CheckpointDiscard { token });
     }
 
     fn flush(&mut self) -> Result<(), DriverError> {
@@ -496,5 +325,107 @@ impl std::fmt::Debug for RemoteDriver {
             .field("pending", &self.pending.len())
             .field("batching", &self.batching)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use p4_ast::Value;
+    use rmt_sim::{ActionId, EntryHandle, ReadAgg, RegisterId, TableId};
+
+    /// The deferral table, pinned. `defers` has no wildcard arm, so a new
+    /// `DriverOp` variant does not compile until it is classified here.
+    #[test]
+    fn deferral_table_is_pinned_for_every_op() {
+        fn defers(op: &DriverOp) -> bool {
+            match op {
+                DriverOp::TableMod { .. }
+                | DriverOp::TableDel { .. }
+                | DriverOp::RegisterWrite { .. }
+                | DriverOp::CheckpointDiscard { .. } => true,
+                DriverOp::SetDefault { is_init_flip, .. }
+                | DriverOp::SetDefaultOn { is_init_flip, .. } => !*is_init_flip,
+                DriverOp::TableAdd { .. }
+                | DriverOp::PortSetUp { .. }
+                | DriverOp::RegisterReadRange { .. }
+                | DriverOp::RegisterReadAgg { .. }
+                | DriverOp::PortUp { .. }
+                | DriverOp::SpendExternal { .. }
+                | DriverOp::SpendRollback { .. }
+                | DriverOp::TableCheckpoint { .. }
+                | DriverOp::TableRestore { .. }
+                | DriverOp::MasterClaim { .. }
+                | DriverOp::MasterProbe
+                | DriverOp::TableDefaultOn { .. }
+                | DriverOp::TableDump { .. } => false,
+            }
+        }
+        let (table, action, reg) = (TableId(0), ActionId(0), RegisterId(0));
+        let handle = EntryHandle(1);
+        let set_default = |is_init_flip| DriverOp::SetDefault {
+            table,
+            action,
+            data: vec![],
+            is_init_flip,
+        };
+        let set_default_on = |is_init_flip| DriverOp::SetDefaultOn {
+            pipe: 0,
+            table,
+            action,
+            data: vec![],
+            is_init_flip,
+        };
+        let every_op = [
+            DriverOp::TableAdd {
+                table,
+                key: vec![],
+                priority: 0,
+                action,
+                data: vec![],
+            },
+            DriverOp::TableMod {
+                table,
+                handle,
+                action,
+                data: vec![],
+            },
+            DriverOp::TableDel { table, handle },
+            set_default(false),
+            set_default(true),
+            set_default_on(false),
+            set_default_on(true),
+            DriverOp::RegisterWrite {
+                reg,
+                index: 0,
+                value: Value::zero(8),
+            },
+            DriverOp::PortSetUp { port: 0, up: true },
+            DriverOp::RegisterReadRange { reg, lo: 0, hi: 0 },
+            DriverOp::RegisterReadAgg {
+                reg,
+                lo: 0,
+                hi: 0,
+                agg: ReadAgg::Sum,
+            },
+            DriverOp::PortUp { port: 0 },
+            DriverOp::SpendExternal { dur: 1 },
+            DriverOp::SpendRollback { tables: 1 },
+            DriverOp::TableCheckpoint { table },
+            DriverOp::TableRestore { table, token: 0 },
+            DriverOp::CheckpointDiscard { token: 0 },
+            DriverOp::MasterClaim {
+                controller: 0,
+                lease_ns: 1,
+            },
+            DriverOp::MasterProbe,
+            DriverOp::TableDefaultOn { pipe: 0, table },
+            DriverOp::TableDump { table },
+        ];
+        let deferred = every_op.iter().filter(|op| op.deferrable()).count();
+        assert_eq!(deferred, 6);
+        for op in &every_op {
+            assert_eq!(op.deferrable(), defers(op), "{op:?}");
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! The versioned control-plane wire protocol (DESIGN.md §11).
 //!
-//! Every [`DriverApi`](mantis_agent::DriverApi) operation has a compact
-//! binary encoding. Frames carry *batches*: a fixed header (magic,
+//! The driver vocabulary — [`DriverOp`] and [`DriverResponse`], defined
+//! beside [`DriverApi`](mantis_agent::DriverApi) and re-exported here — has
+//! a compact binary encoding. Frames carry *batches*: a fixed header (magic,
 //! version, direction, sequence number) followed by a length-prefixed
 //! body holding a count of length-prefixed items. Length prefixes make
 //! the stream self-delimiting, so a [`FrameDecoder`] can be fed bytes at
@@ -15,10 +16,10 @@
 //! simulation always speak the same [`VERSION`].
 
 use mantis_agent::driver::EntrySnapshot;
+pub use mantis_agent::driver_api::{DriverOp, DriverResponse};
 use p4_ast::{MatchKind, Value};
 use rmt_sim::{
-    ActionId, DriverError, EntryHandle, KeyField, Nanos, PortId, ReadAgg, RegisterId, TableError,
-    TableId,
+    ActionId, DriverError, EntryHandle, KeyField, ReadAgg, RegisterId, TableError, TableId,
 };
 use std::fmt;
 
@@ -37,123 +38,6 @@ pub const HEADER_LEN: usize = 18;
 /// reject it *before* buffering toward it — otherwise four junk bytes
 /// commit the receiver to reserving up to 4 GiB.
 pub const MAX_FRAME_BODY: usize = 1 << 20;
-
-/// One driver operation, as carried by a request frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DriverOp {
-    TableAdd {
-        table: TableId,
-        key: Vec<KeyField>,
-        priority: u32,
-        action: ActionId,
-        data: Vec<Value>,
-    },
-    TableMod {
-        table: TableId,
-        handle: EntryHandle,
-        action: ActionId,
-        data: Vec<Value>,
-    },
-    TableDel {
-        table: TableId,
-        handle: EntryHandle,
-    },
-    SetDefault {
-        table: TableId,
-        action: ActionId,
-        data: Vec<Value>,
-        is_init_flip: bool,
-    },
-    SetDefaultOn {
-        pipe: u16,
-        table: TableId,
-        action: ActionId,
-        data: Vec<Value>,
-        is_init_flip: bool,
-    },
-    RegisterWrite {
-        reg: RegisterId,
-        index: u32,
-        value: Value,
-    },
-    PortSetUp {
-        port: PortId,
-        up: bool,
-    },
-    RegisterReadRange {
-        reg: RegisterId,
-        lo: u32,
-        hi: u32,
-    },
-    RegisterReadAgg {
-        reg: RegisterId,
-        lo: u32,
-        hi: u32,
-        agg: ReadAgg,
-    },
-    PortUp {
-        port: PortId,
-    },
-    SpendExternal {
-        dur: Nanos,
-    },
-    SpendRollback {
-        tables: u32,
-    },
-    TableCheckpoint {
-        table: TableId,
-    },
-    TableRestore {
-        table: TableId,
-        token: u64,
-    },
-    CheckpointDiscard {
-        token: u64,
-    },
-    /// Claim (or renew) switch mastership for `controller`, leasing it
-    /// until `now + lease_ns` (P4Runtime-style arbitration).
-    MasterClaim {
-        controller: u16,
-        lease_ns: Nanos,
-    },
-    /// Read the current mastership state without claiming it.
-    MasterProbe,
-    /// Read one pipe's current default action (crash-recovery read-back).
-    TableDefaultOn {
-        pipe: u16,
-        table: TableId,
-    },
-    /// Dump every installed entry of a table (crash-recovery read-back).
-    TableDump {
-        table: TableId,
-    },
-}
-
-/// The response to one [`DriverOp`], in batch order. A failed batch is
-/// truncated: the server stops at the first error, so the *last* response
-/// of a short batch is the failing op's error.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DriverResponse {
-    Ok,
-    Handle(EntryHandle),
-    Values(Vec<Value>),
-    PortState(Option<bool>),
-    Token(u64),
-    Master {
-        granted: bool,
-        master: Option<u16>,
-        expires: Nanos,
-    },
-    /// A pipe's default action: `(action, data)`. An uninitialized
-    /// default comes back as `ActionId(0)` with empty data.
-    DefaultAction {
-        action: ActionId,
-        data: Vec<Value>,
-    },
-    /// A full table dump.
-    Entries(Vec<EntrySnapshot>),
-    Err(DriverError),
-}
 
 /// Decoded frame body: a request batch or a response batch.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -218,6 +102,8 @@ const OP_NAMES: &[&str] = &[
     "set_default",
     "init_flip",
     "register_read",
+    // No driver op carries this label any more; the slot stays so the
+    // indices of the labels after it do not shift on the wire.
     "field_word_read",
     "field_poll",
     "register_write",

@@ -1,17 +1,29 @@
-//! Property test: the wire codec is a faithful roundtrip under arbitrary
-//! transport fragmentation. Random request/response batches are encoded,
+//! Property tests over random [`DriverOp`]s.
+//!
+//! The wire codec is a faithful roundtrip under arbitrary transport
+//! fragmentation: random request/response batches are encoded,
 //! concatenated into one byte stream, split at random boundaries, and fed
 //! chunk-by-chunk to a [`FrameDecoder`] — the decoded frames must equal
 //! the originals exactly, regardless of where the splits fall (including
 //! mid-header and mid-length-prefix).
+//!
+//! The two drivers agree op for op: the same generator, its ids fitted to
+//! a small fixed program, drives a `LocalDriver` and a `RemoteDriver` at
+//! RTT 0 — equal answers, equal device state, equal `DriverStats`; and
+//! with a share of ids and tokens the device lacks, equal errors and no
+//! panic on either side.
 
+use mantis_agent::{CostModel, DriverApi, LocalDriver};
 use mantis_control::wire::{encode_request_frame, encode_response_frame, Frame, FrameBody};
-use mantis_control::{DriverOp, DriverResponse, FrameDecoder};
+use mantis_control::{
+    ChannelConfig, ControlPlane, DriverOp, DriverResponse, FrameDecoder, RemoteDriver,
+};
 use p4_ast::{MatchKind, Value};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rmt_sim::{
-    ActionId, DriverError, EntryHandle, KeyField, PortId, ReadAgg, RegisterId, TableError, TableId,
+    switch_from_source, ActionId, Clock, DriverError, EntryHandle, KeyField, PortId, ReadAgg,
+    RegisterId, SharedSwitch, Switch, SwitchConfig, TableError, TableId,
 };
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -120,6 +132,11 @@ fn driver_op_strategy() -> impl Strategy<Value = DriverOp> {
             lease_ns,
         }),
         Just(DriverOp::MasterProbe),
+        (any::<u16>(), any::<u32>()).prop_map(|(pipe, t)| DriverOp::TableDefaultOn {
+            pipe,
+            table: TableId(t),
+        }),
+        any::<u32>().prop_map(|t| DriverOp::TableDump { table: TableId(t) }),
     ]
 }
 
@@ -225,7 +242,312 @@ fn frame_strategy() -> impl Strategy<Value = (u64, Frame, Vec<u8>)> {
     prop_oneof![request, response]
 }
 
+// -- local vs remote ---------------------------------------------------------
+
+/// Two tables of different key shape and action sets, two registers of
+/// different width; the switch has two pipes and [`NUM_PORTS`] ports.
+const PROGRAM: &str = r#"
+header_type h_t { fields { a : 32; b : 16; } }
+header h_t h;
+register r0 { width : 32; instance_count : 8; }
+register r1 { width : 16; instance_count : 4; }
+action nop() { no_op(); }
+action set_b(v) { modify_field(h.b, v); }
+table t0 { reads { h.a : exact; } actions { nop; set_b; } size : 64; }
+table t1 { reads { h.a : ternary; h.b : exact; } actions { set_b; } size : 64; }
+control ingress { apply(t0); apply(t1); }
+"#;
+
+const NUM_PORTS: u16 = 4;
+
+fn fresh_switch() -> SharedSwitch {
+    let config = SwitchConfig {
+        num_ports: NUM_PORTS,
+        num_pipes: 2,
+        ..SwitchConfig::default()
+    };
+    SharedSwitch::new(switch_from_source(PROGRAM, config, Clock::new()).unwrap())
+}
+
+/// `x` folded onto `0..n + slack`: with `slack` 1, `n` itself — one past
+/// the last thing the device has — comes up too. An empty range folds
+/// onto 0, which is past its end as well.
+fn fold(x: u64, n: usize, slack: u64) -> usize {
+    (x % (n as u64 + slack).max(1)) as usize
+}
+
+/// Fit a generated op to `sw`, the local device as it stands now: table,
+/// action, register, pipe and port ids in range, the handle a live one,
+/// the token one of `tokens` (the live checkpoints), key and action data
+/// of the table's shape — so that with `slack` 0 the op succeeds. With
+/// `slack` 1 each of those may also name what the device lacks. `None`
+/// for an op with nothing to address (no live entry, no live token) and
+/// for the mastership ops, which a device driver does not answer.
+fn fit(
+    raw: DriverOp,
+    i: usize,
+    sw: &Switch,
+    tokens: &[(TableId, u64)],
+    slack: u64,
+) -> Option<DriverOp> {
+    let spec = sw.spec();
+    let table = |t: TableId| TableId(fold(t.0.into(), spec.tables.len(), slack) as u32);
+    let reg = |r: RegisterId| RegisterId(fold(r.0.into(), spec.registers.len(), slack) as u32);
+    let pipe = |p: u16| fold(p.into(), sw.num_pipes().into(), slack) as u16;
+    let port = |p: PortId| fold(p.into(), NUM_PORTS.into(), slack) as PortId;
+    // An action bound to the table with data of its arity, or (slack) any
+    // action id up to one past the last with the data as generated.
+    let action = |t: TableId, a: ActionId, data: Vec<Value>| match spec.tables.get(t.0 as usize) {
+        Some(ts) if slack == 0 => {
+            let a = ts.actions[a.0 as usize % ts.actions.len()];
+            let widths = &spec.actions[a.0 as usize].param_widths;
+            (
+                a,
+                widths.iter().map(|w| Value::new(i as u128, *w)).collect(),
+            )
+        }
+        _ => (
+            ActionId(fold(a.0.into(), spec.actions.len(), 1) as u32),
+            data,
+        ),
+    };
+    // A live handle of the table; with slack also a dead one.
+    let handle = |t: TableId, h: EntryHandle| {
+        let live: Vec<EntryHandle> = match spec.tables.get(t.0 as usize) {
+            Some(_) => sw.table_ref(t).entries().map(|e| e.handle).collect(),
+            None => Vec::new(),
+        };
+        match live.get(fold(h.0, live.len(), slack)) {
+            Some(h) => Some(*h),
+            None if slack == 1 => Some(EntryHandle(h.0 | 1 << 40)),
+            None => None,
+        }
+    };
+    let token = |tok: u64| match tokens.get(fold(tok, tokens.len(), slack)) {
+        Some(live) => Some(*live),
+        None if slack == 1 => Some((TableId(tok as u32 % 2), tok | 1 << 40)),
+        None => None,
+    };
+    Some(match raw {
+        DriverOp::TableAdd {
+            table: t,
+            priority,
+            action: a,
+            data,
+            ..
+        } => {
+            let t = table(t);
+            let (action, data) = action(t, a, data);
+            // A well-formed key no other entry has.
+            let key = spec.tables.get(t.0 as usize).map_or(Vec::new(), |ts| {
+                let field = |k: &rmt_sim::spec::KeySpec| match k.kind {
+                    MatchKind::Exact => KeyField::Exact(Value::new(i as u128, k.width)),
+                    MatchKind::Ternary => KeyField::Ternary {
+                        value: Value::new(i as u128, k.width),
+                        mask: Value::ones(k.width),
+                    },
+                    MatchKind::Lpm => KeyField::Lpm {
+                        value: Value::new(i as u128, k.width),
+                        prefix_len: k.width,
+                    },
+                };
+                ts.key.iter().map(field).collect()
+            });
+            DriverOp::TableAdd {
+                table: t,
+                key,
+                priority: priority % 8,
+                action,
+                data,
+            }
+        }
+        DriverOp::TableMod {
+            table: t,
+            handle: h,
+            action: a,
+            data,
+        } => {
+            let t = table(t);
+            let (action, data) = action(t, a, data);
+            DriverOp::TableMod {
+                table: t,
+                handle: handle(t, h)?,
+                action,
+                data,
+            }
+        }
+        DriverOp::TableDel {
+            table: t,
+            handle: h,
+        } => {
+            let t = table(t);
+            DriverOp::TableDel {
+                table: t,
+                handle: handle(t, h)?,
+            }
+        }
+        DriverOp::SetDefault {
+            table: t,
+            action: a,
+            data,
+            is_init_flip,
+        } => {
+            let t = table(t);
+            let (action, data) = action(t, a, data);
+            DriverOp::SetDefault {
+                table: t,
+                action,
+                data,
+                is_init_flip,
+            }
+        }
+        DriverOp::SetDefaultOn {
+            pipe: p,
+            table: t,
+            action: a,
+            data,
+            is_init_flip,
+        } => {
+            let t = table(t);
+            let (action, data) = action(t, a, data);
+            DriverOp::SetDefaultOn {
+                pipe: pipe(p),
+                table: t,
+                action,
+                data,
+                is_init_flip,
+            }
+        }
+        DriverOp::RegisterWrite {
+            reg: r,
+            index,
+            value,
+        } => DriverOp::RegisterWrite {
+            reg: reg(r),
+            index: index % 10,
+            value,
+        },
+        DriverOp::PortSetUp { port: p, up } => DriverOp::PortSetUp { port: port(p), up },
+        DriverOp::RegisterReadRange { reg: r, lo, hi } => DriverOp::RegisterReadRange {
+            reg: reg(r),
+            lo: lo % 10,
+            hi: hi % 10,
+        },
+        DriverOp::RegisterReadAgg {
+            reg: r,
+            lo,
+            hi,
+            agg,
+        } => DriverOp::RegisterReadAgg {
+            reg: reg(r),
+            lo: lo % 10,
+            hi: hi % 10,
+            agg,
+        },
+        DriverOp::PortUp { port: p } => DriverOp::PortUp { port: port(p) },
+        DriverOp::SpendExternal { dur } => DriverOp::SpendExternal { dur: dur % 100_000 },
+        DriverOp::SpendRollback { tables } => DriverOp::SpendRollback { tables: tables % 8 },
+        DriverOp::TableCheckpoint { table: t } => DriverOp::TableCheckpoint { table: table(t) },
+        DriverOp::TableRestore { token: tok, .. } => {
+            let (table, token) = token(tok)?;
+            DriverOp::TableRestore { table, token }
+        }
+        DriverOp::CheckpointDiscard { token: tok } => DriverOp::CheckpointDiscard {
+            token: token(tok)?.1,
+        },
+        DriverOp::TableDefaultOn { pipe: p, table: t } => DriverOp::TableDefaultOn {
+            pipe: pipe(p),
+            table: table(t),
+        },
+        DriverOp::TableDump { table: t } => DriverOp::TableDump { table: table(t) },
+        DriverOp::MasterClaim { .. } | DriverOp::MasterProbe => return None,
+    })
+}
+
+/// Everything a driver op can change on a device, per pipe.
+fn device_state(sw: &Switch) -> Vec<String> {
+    let spec = sw.spec();
+    let mut out = Vec::new();
+    for pipe in 0..sw.num_pipes() {
+        for t in 0..spec.tables.len() as u32 {
+            let table = sw.table_ref_on(pipe, TableId(t));
+            let entries: Vec<_> = table.entries().collect();
+            out.push(format!("{:?} {entries:?}", table.default_action()));
+        }
+        for (r, rs) in spec.registers.iter().enumerate() {
+            let r = RegisterId(r as u32);
+            out.push(format!(
+                "{:?}",
+                sw.register_read_range_on(pipe, r, 0, rs.count)
+            ));
+        }
+    }
+    out.extend((0..NUM_PORTS).map(|p| format!("{:?}", sw.port(p).map(|st| st.up))));
+    out
+}
+
+/// Drive `raws`, fitted, through a local and a remote driver in lockstep.
+/// With `slack` 0 the remote batches and is flushed once at the end;
+/// with `slack` 1 it is flushed after every op, so that a deferred op's
+/// error surfaces at that op, and after an error the batch the driver
+/// retained for a retry is dropped as the agent's rollback drops it.
+fn local_and_remote_agree(raws: Vec<DriverOp>, slack: u64) -> Result<(), TestCaseError> {
+    let (sw_l, sw_r) = (fresh_switch(), fresh_switch());
+    let mut local = LocalDriver::new(sw_l.clone(), CostModel::default());
+    let plane = ControlPlane::shared(sw_r.clone(), CostModel::default());
+    let mut remote = RemoteDriver::new(plane, ChannelConfig::default());
+    let mut tokens: Vec<(TableId, u64)> = Vec::new();
+    for (i, raw) in raws.into_iter().enumerate() {
+        let Some(op) = fit(raw, i, &sw_l.borrow(), &tokens, slack) else {
+            continue;
+        };
+        let l = local.submit(op.clone());
+        let mut r = remote.submit(op.clone());
+        if slack == 1 {
+            r = r.and_then(|resp| remote.flush().map(|()| resp));
+            if r.is_err() {
+                remote.suspend_faults();
+                remote.resume_faults();
+            }
+        } else {
+            prop_assert!(l.is_ok(), "fitted op {:?} failed: {:?}", op, l);
+        }
+        prop_assert_eq!(&l, &r, "{:?}", op);
+        match (&op, &l) {
+            (DriverOp::TableCheckpoint { table }, Ok(DriverResponse::Token(t))) => {
+                tokens.push((*table, *t));
+            }
+            (DriverOp::CheckpointDiscard { token }, _) => tokens.retain(|(_, t)| t != token),
+            _ => {}
+        }
+    }
+    prop_assert_eq!(remote.flush(), Ok(()));
+    prop_assert_eq!(remote.pending_len(), 0);
+    prop_assert_eq!(device_state(&sw_l.borrow()), device_state(&sw_r.borrow()));
+    prop_assert_eq!(
+        format!("{:?}", local.stats()),
+        format!("{:?}", remote.stats())
+    );
+    prop_assert_eq!(sw_l.borrow().clock().now(), sw_r.borrow().clock().now());
+    Ok(())
+}
+
 proptest! {
+    /// Valid ops, batching on: every barrier answers as the local driver
+    /// does, and after the final flush the two devices and the two
+    /// drivers' statistics are equal.
+    #[test]
+    fn local_and_remote_agree_on_valid_ops(raws in vec(driver_op_strategy(), 1..48)) {
+        local_and_remote_agree(raws, 0)?;
+    }
+
+    /// With ids, handles and tokens the device lacks in the mix, neither
+    /// side panics and both report the same error.
+    #[test]
+    fn local_and_remote_refuse_alike(raws in vec(driver_op_strategy(), 1..48)) {
+        local_and_remote_agree(raws, 1)?;
+    }
+
     /// Any stream of encoded frames, cut at any byte boundaries, decodes
     /// back to exactly the frames that went in.
     #[test]

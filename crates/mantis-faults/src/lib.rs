@@ -43,10 +43,10 @@ pub type Nanos = u64;
 // -- fault plan --------------------------------------------------------------
 
 /// Which driver operation class a rule applies to. Driver ops are named
-/// by the same `&'static str` labels `MantisDriver` uses for telemetry
-/// (`table_add`, `table_mod`, `table_del`, `set_default`, `init_flip`,
-/// `register_read`, `field_word_read`, `field_poll`, `register_write`,
-/// `port_set`).
+/// by the same `&'static str` labels `mantis-agent`'s `LocalDriver`
+/// accounts them under (`table_add`, `table_mod`, `table_del`,
+/// `set_default`, `init_flip`, `register_read`, `field_poll`,
+/// `register_write`, `port_set`, `default_read`, `table_dump`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultOp {
     /// Any driver operation.
@@ -54,8 +54,7 @@ pub enum FaultOp {
     /// Any table mutation (`table_add`/`table_mod`/`table_del`/
     /// `set_default`/`init_flip`).
     AnyTableOp,
-    /// Any register/field read (`register_read`/`field_word_read`/
-    /// `field_poll`).
+    /// Any register/field read (`register_read`/`field_poll`).
     AnyRead,
     /// Any control-plane channel frame (`control_req`/`control_resp` —
     /// the op labels `mantis-control`'s `Channel` consults the injector
@@ -75,7 +74,7 @@ impl FaultOp {
                 "table_add" | "table_mod" | "table_del" | "set_default" | "init_flip"
             ),
             FaultOp::AnyRead => {
-                matches!(op, "register_read" | "field_word_read" | "field_poll")
+                matches!(op, "register_read" | "field_poll")
             }
             FaultOp::Control => matches!(op, "control_req" | "control_resp"),
             FaultOp::Named(n) => *n == op,

@@ -80,7 +80,7 @@ impl RegisterArray {
     /// Control-plane range read (inclusive bounds, clamped to the array).
     pub fn read_range(&self, lo: u32, hi: u32) -> Vec<Value> {
         let n = self.cells.len() as u32;
-        if n == 0 || lo >= n {
+        if n == 0 || lo >= n || lo > hi {
             return Vec::new();
         }
         let hi = hi.min(n - 1);

@@ -137,7 +137,6 @@ control ingress { apply(t); }
         .swap_reaction(
             "r",
             Box::new(|ctx: &mut mantis::ReactionCtx<'_>| ctx.set_mbl("knob", 42)),
-            true,
         )
         .unwrap();
     tb.agent.borrow_mut().dialogue_iteration().unwrap();

@@ -58,7 +58,6 @@ control ingress { apply(t); }
         .swap_reaction(
             "bad",
             Box::new(|ctx: &mut mantis::ReactionCtx<'_>| ctx.set_mbl("k", 7)),
-            true,
         )
         .unwrap();
     tb.agent.borrow_mut().dialogue_iteration().unwrap();
