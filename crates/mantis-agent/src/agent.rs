@@ -26,23 +26,20 @@
 //!   half-open probe after the cooldown.
 
 use crate::costmodel::CostModel;
-use crate::ctx::{CtxError, ReactionCtx, Snapshot};
+use crate::ctx::{bind_name, CtxError, Names, ReactionCtx, Slot};
 use crate::driver::LocalDriver;
 use crate::driver_api::{CheckpointToken, DriverApi, DriverOp, DriverResponse};
-use crate::logical::{LogicalEntry, LogicalTable, Staged, StagedOp};
+use crate::logical::{LogicalTable, LogicalUndo, Staged, StagedOp};
+use crate::measure::{MeasurePlan, Snapshot};
 use mantis_faults::{BreakerConfig, BreakerState, CircuitBreaker, FaultPlan, RetryPolicy};
 use mantis_telemetry::{scopes, CounterId, HistId, NameId, Scope, Telemetry, TelemetryConfig};
-use p4_ast::MatchKind;
 use p4_ast::Value;
-use p4r_compiler::entry::{expand_entry, ExpandError, PhysEntry, PhysKey};
-use p4r_compiler::iface::{ControlInterface, ReactionBinding, TableInfo};
+use p4r_compiler::entry::ExpandError;
+use p4r_compiler::iface::ControlInterface;
 use p4r_compiler::Compiled;
 use p4r_lang::creact::Body;
 use reaction_interp::{CompiledReaction, InterpError, Interpreter, ReactionSlots};
-use rmt_sim::{
-    Clock, DriverError, EntryHandle, KeyField, Nanos, PortId, ReadAgg, RegisterId, SharedSwitch,
-    TableId,
-};
+use rmt_sim::{Clock, DriverError, EntryHandle, KeyField, Nanos, PortId, SharedSwitch, TableId};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -171,11 +168,7 @@ impl AgentError {
         self
     }
 
-    fn unknown_table(name: &str) -> Self {
-        AgentErrorKind::UnknownTable(name.to_string()).into()
-    }
-
-    fn missing_entry(table: &str, handle: u64) -> Self {
+    pub(crate) fn missing_entry(table: &str, handle: u64) -> Self {
         AgentErrorKind::MissingEntry {
             table: table.to_string(),
             handle,
@@ -273,17 +266,20 @@ impl fmt::Debug for ReactionImpl {
 #[derive(Debug)]
 struct RegisteredReaction {
     name: String,
-    binding: ReactionBinding,
+    /// What the measure phase polls for it, lowered from its binding...
+    plan: MeasurePlan,
+    /// ...and where the polled arguments land, refilled in place.
+    snapshot: Snapshot,
     imp: ReactionImpl,
     breaker: CircuitBreaker,
 }
 
-/// Which reaction staged which slice of the iteration's staged ops —
-/// used to attribute a mid-apply driver failure back to its reaction's
-/// circuit breaker.
+/// Which reaction (by index) staged which slice of the iteration's staged
+/// ops — used to attribute a mid-apply driver failure back to its
+/// reaction's circuit breaker.
 #[derive(Clone, Debug)]
 struct ReactionRange {
-    name: String,
+    reaction: usize,
     table_ops: Range<usize>,
     port_ops: Range<usize>,
 }
@@ -317,27 +313,24 @@ impl ApplyFailure {
     }
 }
 
-/// Checkpoints taken before the first driver op of a transactional
-/// apply: the touched tables' device shadows (handle-stable `Table`
-/// clones — the driver's software shadow) plus the agent bookkeeping
-/// they correspond to.
+/// What a transactional apply must be able to take back. On the device:
+/// one checkpoint per touched table — a mark on the driver's undo journal
+/// of that table, held only for the transaction — and the prior port
+/// states. In the agent: the inverse of every bookkeeping change, recorded
+/// as the apply makes it. Nothing is copied wholesale, and the buffers
+/// are reused from one iteration to the next.
+#[derive(Debug, Default)]
 struct Txn {
+    /// Device tables the staged update can touch, sorted, each once.
+    touched: Vec<TableId>,
+    /// The checkpoints open on them.
     tables: Vec<(TableId, CheckpointToken)>,
-    logical: Vec<(String, LogicalTable)>,
-    master_data: Vec<Value>,
-    /// Per-pipe config version at checkpoint time.
-    vv: Vec<u8>,
-    slots: HashMap<String, i128>,
-    extra_inits: Vec<ExtraInit>,
     ports: Vec<(PortId, bool)>,
-}
-
-/// Control-plane cache for one measured register slice (§5.2): holds the
-/// freshest value per entry, refreshed only when the write counter moved.
-#[derive(Clone, Debug)]
-struct RegCache {
-    vals: Vec<i128>,
-    ts_seen: [Vec<u64>; 2],
+    /// Config version at checkpoint time (equal in every pipe).
+    vv: u8,
+    /// Committed value of each slot a staged write is about to replace.
+    slots: Vec<(usize, i128)>,
+    logical: Vec<LogicalUndo>,
 }
 
 /// Extra (non-master) init table runtime state.
@@ -348,14 +341,6 @@ struct ExtraInit {
     data: Vec<Value>,
     /// Entry handles for vv=0 and vv=1.
     handles: [EntryHandle; 2],
-}
-
-/// Slot placement metadata.
-#[derive(Clone, Debug)]
-struct SlotLoc {
-    init_table: usize,
-    param_idx: usize,
-    width: u16,
 }
 
 /// Per-iteration report. Timing fields are a convenience copy of what
@@ -378,7 +363,9 @@ pub struct IterationReport {
     pub rollbacks: u32,
     /// Reactions skipped because their breaker was open.
     pub quarantine_skips: usize,
-    /// Reactions that failed this iteration (contained, not fatal).
+    /// Reactions that failed this iteration (contained, not fatal). They
+    /// go to the caller of the iteration; the copy of the report kept for
+    /// [`AgentStats::last`] leaves this empty.
     pub reaction_failures: Vec<ReactionFailure>,
 }
 
@@ -425,13 +412,13 @@ pub struct MantisAgent {
     master_table: TableId,
     master_action: rmt_sim::ActionId,
     extra_inits: Vec<ExtraInit>,
-    /// Committed slot values (values: raw; fields: alt index).
-    slots: HashMap<String, i128>,
-    slot_locs: HashMap<String, SlotLoc>,
-    tables: HashMap<String, LogicalTable>,
-    action_arity: HashMap<String, usize>,
-    reg_caches: HashMap<(String, String), RegCache>,
-    snapshots: HashMap<String, Snapshot>,
+    /// Malleable slots by slot id (values, then fields): the committed
+    /// value and where its data cell lives.
+    slots: Vec<Slot>,
+    /// Logical tables by table id, each with its resolved driver plan.
+    tables: Vec<LogicalTable>,
+    /// Name → slot id / table id, for the public edge.
+    names: Names,
     reactions: Vec<RegisteredReaction>,
     /// Pre-parsed reaction bodies and static slots from the compiler IR,
     /// keyed by reaction name. Registration consumes these instead of
@@ -443,6 +430,7 @@ pub struct MantisAgent {
     vm_fallbacks: Vec<(String, String)>,
     staged: Staged,
     reaction_ranges: Vec<ReactionRange>,
+    txn: Txn,
     retry: RetryPolicy,
     breaker_cfg: BreakerConfig,
     iteration_count: u64,
@@ -505,40 +493,54 @@ impl fmt::Debug for MantisAgent {
     }
 }
 
-/// Unversioned tables (no vv column) keep a single physical entry set,
-/// installed during the prepare pass; the mirror pass must skip the
-/// physical writes for them entirely. All apply paths (Add/Mod/Del) share
-/// this one predicate so the skip rule cannot drift between op kinds.
-fn skips_mirror_pass(info: &TableInfo, mirror: bool) -> bool {
-    info.vv_col.is_none() && mirror
+/// A driver under an agent's retry discipline: every op submitted through
+/// it is retried on transient failure with bounded exponential backoff on
+/// the virtual clock. A bundle of borrows, so the loop's phases can hold
+/// it beside the agent state they walk.
+pub(crate) struct Submitter<'a> {
+    driver: &'a mut dyn DriverApi,
+    clock: &'a Clock,
+    tel: &'a Telemetry,
+    policy: RetryPolicy,
+    retries: &'a mut u32,
 }
 
-/// Submit one driver op, retrying transient failures with bounded
-/// exponential backoff on the virtual clock. Free function so callers
-/// can hold disjoint borrows of other agent fields.
-fn retry_submit(
-    driver: &mut dyn DriverApi,
-    clock: &Clock,
-    tel: &Telemetry,
-    policy: RetryPolicy,
-    retries: &mut u32,
-    op: DriverOp,
-) -> Result<DriverResponse, AgentError> {
-    let mut attempt = 0u32;
-    loop {
-        match driver.submit(op.clone()) {
-            Ok(r) => return Ok(r),
-            Err(e) if e.is_transient() && policy.allows(attempt) => {
-                let backoff = policy.backoff(attempt);
-                attempt += 1;
-                *retries += 1;
-                tel.counter_add(scopes::CTR_RETRIES, 1);
-                tel.hist_record(scopes::HIST_RETRY_BACKOFF_NS, backoff);
-                clock.advance(backoff);
+impl Submitter<'_> {
+    pub(crate) fn now(&self) -> Nanos {
+        self.clock.now()
+    }
+
+    pub(crate) fn submit(&mut self, op: DriverOp) -> Result<DriverResponse, AgentError> {
+        let mut attempt = 0u32;
+        loop {
+            match self.driver.submit(op.clone()) {
+                Ok(r) => return Ok(r),
+                Err(e) if e.is_transient() && self.policy.allows(attempt) => {
+                    let backoff = self.policy.backoff(attempt);
+                    attempt += 1;
+                    *self.retries += 1;
+                    self.tel.counter_add(scopes::CTR_RETRIES, 1);
+                    self.tel.hist_record(scopes::HIST_RETRY_BACKOFF_NS, backoff);
+                    self.clock.advance(backoff);
+                }
+                Err(e) => return Err(e.into()),
             }
-            Err(e) => return Err(e.into()),
         }
     }
+}
+
+/// Borrow the agent's driver as a [`Submitter`], leaving the rest of the
+/// agent's fields free to borrow next to it.
+macro_rules! submitter {
+    ($agent:expr, $retries:expr) => {
+        Submitter {
+            driver: $agent.driver.as_mut(),
+            clock: &$agent.clock,
+            tel: &$agent.telemetry,
+            policy: $agent.retry,
+            retries: $retries,
+        }
+    };
 }
 
 impl MantisAgent {
@@ -586,31 +588,24 @@ impl MantisAgent {
             )
         });
 
-        // Slot placement + initial values.
-        let mut slot_locs = HashMap::new();
-        let mut slots = HashMap::new();
-        for v in &iface.values {
-            slot_locs.insert(
-                v.name.clone(),
-                SlotLoc {
-                    init_table: v.init_table,
-                    param_idx: v.param_idx,
-                    width: v.width,
-                },
-            );
-            slots.insert(v.name.clone(), v.init.bits() as i128);
-        }
-        for fslot in &iface.fields {
-            slot_locs.insert(
-                fslot.name.clone(),
-                SlotLoc {
-                    init_table: fslot.init_table,
-                    param_idx: fslot.param_idx,
-                    width: fslot.selector_bits,
-                },
-            );
-            slots.insert(fslot.name.clone(), fslot.init_index as i128);
-        }
+        // Slots, by id: malleable values, then malleable fields.
+        let values = iface.values.iter().map(|v| Slot {
+            name: v.name.clone(),
+            value: v.init.bits() as i128,
+            width: v.width,
+            alts: None,
+            init_table: v.init_table,
+            param_idx: v.param_idx,
+        });
+        let fields = iface.fields.iter().map(|f| Slot {
+            name: f.name.clone(),
+            value: f.init_index as i128,
+            width: f.selector_bits,
+            alts: Some(f.alts.len()),
+            init_table: f.init_table,
+            param_idx: f.param_idx,
+        });
+        let slots: Vec<Slot> = values.chain(fields).collect();
 
         // Build initial data vectors per init table.
         let mut datas: Vec<Vec<Value>> = iface
@@ -626,9 +621,8 @@ impl MantisAgent {
         // vv=1, mv=0 in the master.
         datas[0][0] = Value::new(1, 1);
         datas[0][1] = Value::zero(1);
-        for (name, loc) in &slot_locs {
-            let v = slots[name];
-            datas[loc.init_table][loc.param_idx] = Value::new(v as u128, loc.width);
+        for slot in &slots {
+            datas[slot.init_table][slot.param_idx] = slot.cell(slot.value);
         }
         let master_data = datas[0].clone();
         let extra_ids = datas;
@@ -659,23 +653,20 @@ impl MantisAgent {
             });
         }
 
-        // Logical tables for user-facing (non-init) tables.
-        let mut tables = HashMap::new();
-        for t in &iface.tables {
-            if t.name.starts_with("p4r_init") {
-                continue;
-            }
-            let id = driver.table_id(&t.name).unwrap_or_else(|_| {
-                panic!("invariant: table `{}` must exist on the switch", t.name)
-            });
-            tables.insert(t.name.clone(), LogicalTable::new(t.name.clone(), id));
-        }
+        // Logical tables, by id, for user-facing (non-init) tables, each
+        // resolved against the switch's spec once.
+        let tables: Vec<LogicalTable> = iface
+            .tables
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| !t.name.starts_with("p4r_init"))
+            .map(|(i, t)| LogicalTable::new(i, t, driver.spec()))
+            .collect();
 
-        // Action arity map (variant name → parameter count).
-        let mut action_arity = HashMap::new();
-        for a in &driver.spec().actions {
-            action_arity.insert(a.name.clone(), a.param_widths.len());
-        }
+        let names = Names {
+            slots: slots.iter().map(|s| s.name.clone()).zip(0..).collect(),
+            tables: tables.iter().map(|t| t.name.clone()).zip(0..).collect(),
+        };
 
         // Capture the typed IR's pre-parsed bodies + static slots so
         // registration never re-derives them from text.
@@ -698,16 +689,14 @@ impl MantisAgent {
             master_action,
             extra_inits,
             slots,
-            slot_locs,
             tables,
-            action_arity,
-            reg_caches: HashMap::new(),
-            snapshots: HashMap::new(),
+            names,
             reactions: Vec::new(),
             ir_bodies,
             vm_fallbacks: Vec::new(),
             staged: Staged::default(),
             reaction_ranges: Vec::new(),
+            txn: Txn::default(),
             retry: RetryPolicy::default(),
             breaker_cfg: BreakerConfig::default(),
             iteration_count: 0,
@@ -797,12 +786,14 @@ impl MantisAgent {
 
     /// Committed value of a malleable (value: raw; field: alt index).
     pub fn slot(&self, name: &str) -> Option<i128> {
-        self.slots.get(name).copied()
+        let id = self.names.slots.get(name)?;
+        Some(self.slots[*id].value)
     }
 
     /// Number of logical entries in a malleable table.
     pub fn logical_len(&self, table: &str) -> Option<usize> {
-        self.tables.get(table).map(|t| t.len())
+        let id = self.names.tables.get(table)?;
+        Some(self.tables[*id].len())
     }
 
     /// FNV-1a fingerprint of the agent's *committed malleable config*:
@@ -843,8 +834,10 @@ impl MantisAgent {
         }
     }
 
+    /// Fingerprints hash names, in sorted-name order — never ids.
     fn eat_slots(&self, h: &mut u64) {
-        let mut slots: Vec<(&String, &i128)> = self.slots.iter().collect();
+        let mut slots: Vec<(&str, i128)> = Vec::with_capacity(self.slots.len());
+        slots.extend(self.slots.iter().map(|s| (s.name.as_str(), s.value)));
         slots.sort();
         for (name, v) in slots {
             Self::eat(h, &format!("slot {name}={v}\n"));
@@ -852,17 +845,18 @@ impl MantisAgent {
     }
 
     fn eat_entries(&self, h: &mut u64) {
-        let mut names: Vec<&String> = self.tables.keys().collect();
-        names.sort();
-        for name in names {
-            let lt = &self.tables[name.as_str()];
+        let mut tables: Vec<&LogicalTable> = self.tables.iter().collect();
+        tables.sort_by(|a, b| a.name.cmp(&b.name));
+        for lt in tables {
+            let name = &lt.name;
             let mut lines: Vec<String> = lt
                 .entries
                 .values()
                 .map(|e| {
+                    let action = &lt.actions[e.action].name;
                     format!(
-                        "{name} {:?} p{} {}{:?}\n",
-                        e.key, e.priority, e.action, e.action_data
+                        "{name} {:?} p{} {action}{:?}\n",
+                        e.key, e.priority, e.action_data
                     )
                 })
                 .collect();
@@ -982,51 +976,72 @@ impl MantisAgent {
         name: &str,
         engine: ReactionEngine,
     ) -> Result<(), AgentError> {
-        let binding = self.iface.reaction(name).cloned().ok_or_else(|| {
-            AgentError::from(AgentErrorKind::NotCompiledWithReaction(name.to_string()))
-        })?;
+        let lowered = self.lower(name)?;
         let (body, slots) = match self.ir_bodies.get(name) {
             Some((body, slots)) => (body.clone(), slots.clone()),
             None => {
-                let body = p4r_lang::creact::parse_body(&binding.body_src).map_err(|e| {
-                    AgentError::from(AgentErrorKind::Interp(InterpError::Env(e.to_string())))
-                })?;
-                let slots = ReactionSlots::collect(&body).map_err(|e| {
-                    AgentError::from(AgentErrorKind::Interp(InterpError::Env(e.to_string())))
-                })?;
+                let env = |e: String| AgentError::from(AgentErrorKind::Interp(InterpError::Env(e)));
+                let src = &self.iface.reaction(name).expect("lowered above").body_src;
+                let body = p4r_lang::creact::parse_body(src).map_err(|e| env(e.to_string()))?;
+                let slots = ReactionSlots::collect(&body).map_err(|e| env(e.to_string()))?;
                 (body, slots)
             }
         };
-        let imp = match engine {
-            ReactionEngine::ForceWalker => ReactionImpl::Interpreted(Interpreter::new(body)),
-            ReactionEngine::ForceVm => match CompiledReaction::compile_with_slots(&body, &slots) {
-                Ok(vm) => ReactionImpl::Compiled(vm),
-                Err(e) => {
+        let imp = if engine == ReactionEngine::ForceWalker {
+            ReactionImpl::Interpreted(Interpreter::new(body))
+        } else {
+            match CompiledReaction::compile_with_slots(&body, &slots) {
+                // The VM meets its names here, once: every argument,
+                // malleable, table, method and builtin the body mentions
+                // becomes an id of this agent's.
+                Ok(mut vm) => {
+                    vm.bind(|n| bind_name(n, &lowered.1, &self.names));
+                    ReactionImpl::Compiled(vm)
+                }
+                Err(e) if engine == ReactionEngine::ForceVm => {
                     return Err(AgentError::from(AgentErrorKind::VmUnsupported {
                         reaction: name.to_string(),
                         reason: e.to_string(),
                     }))
                 }
-            },
-            // Prefer the bytecode VM; fall back to the tree-walker for the
-            // rare bodies it cannot compile faithfully, and make the
-            // walker-only coverage visible in telemetry.
-            ReactionEngine::Auto => match CompiledReaction::compile_with_slots(&body, &slots) {
-                Ok(vm) => ReactionImpl::Compiled(vm),
+                // Auto prefers the bytecode VM; it falls back to the
+                // tree-walker for the rare bodies the VM cannot compile
+                // faithfully, and makes the walker-only coverage visible
+                // in telemetry.
                 Err(e) => {
                     self.telemetry.counter_add(scopes::CTR_VM_FALLBACK, 1);
                     self.vm_fallbacks.push((name.to_string(), e.to_string()));
                     ReactionImpl::Interpreted(Interpreter::new(body))
                 }
-            },
+            }
         };
-        self.reactions.push(RegisteredReaction {
+        self.install(name, lowered, imp);
+        Ok(())
+    }
+
+    /// Lower the measurement poll of the program's reaction `name`.
+    fn lower(&self, name: &str) -> Result<(MeasurePlan, Snapshot), AgentError> {
+        let binding = self.iface.reaction(name).ok_or_else(|| {
+            AgentError::from(AgentErrorKind::NotCompiledWithReaction(name.to_string()))
+        })?;
+        Ok(MeasurePlan::lower(binding, self.driver.as_ref())?)
+    }
+
+    /// Register `imp` as reaction `name`. A name registers once: doing it
+    /// again replaces the earlier registration — statics, breaker and
+    /// measurement caches included — in place.
+    fn install(&mut self, name: &str, lowered: (MeasurePlan, Snapshot), imp: ReactionImpl) {
+        let new = RegisteredReaction {
             name: name.to_string(),
-            binding,
+            plan: lowered.0,
+            snapshot: lowered.1,
             imp,
             breaker: CircuitBreaker::new(self.breaker_cfg),
-        });
-        Ok(())
+        };
+        match self.reactions.iter_mut().find(|r| r.name == name) {
+            Some(r) => *r = new,
+            None => self.reactions.push(new),
+        }
     }
 
     /// Register every reaction in the program with the interpreter.
@@ -1077,15 +1092,8 @@ impl MantisAgent {
         name: &str,
         imp: Box<dyn NativeReaction>,
     ) -> Result<(), AgentError> {
-        let binding = self.iface.reaction(name).cloned().ok_or_else(|| {
-            AgentError::from(AgentErrorKind::NotCompiledWithReaction(name.to_string()))
-        })?;
-        self.reactions.push(RegisteredReaction {
-            name: name.to_string(),
-            binding,
-            imp: ReactionImpl::Native(imp),
-            breaker: CircuitBreaker::new(self.breaker_cfg),
-        });
+        let lowered = self.lower(name)?;
+        self.install(name, lowered, ReactionImpl::Native(imp));
         Ok(())
     }
 
@@ -1217,10 +1225,11 @@ impl MantisAgent {
     /// 2. each extra init table's two per-vv entries are read back; missing
     ///    ones are re-added and a mirror divergence (crash between prepare
     ///    and mirror) is repaired by copying the active copy over the old;
-    /// 3. user-table entries are wiped and logical bookkeeping reset —
-    ///    Mantis reactive state is soft state (§6), so the caller re-runs
-    ///    its `user_init` and lets reactions re-converge from live
-    ///    measurements, exactly as a fresh controller would;
+    /// 3. user-table entries are wiped, logical bookkeeping reset and every
+    ///    reaction registration dropped — Mantis reactive state is soft
+    ///    state (§6), so the caller re-registers its reactions, re-runs its
+    ///    `user_init` and lets them re-converge from live measurements,
+    ///    exactly as a fresh controller would;
     /// 4. static prologue entries (field-list selectors) are re-installed.
     ///
     /// Runs with faults suspended: recovery itself models the restarted
@@ -1268,11 +1277,8 @@ impl MantisAgent {
             let vv = newest[0].bits() as u8;
             self.vv = vec![vv; usize::from(num_pipes)];
             self.mv = newest[1].bits() as u8;
-            for (name, loc) in &self.slot_locs {
-                if loc.init_table == 0 {
-                    self.slots
-                        .insert(name.clone(), newest[loc.param_idx].bits() as i128);
-                }
+            for slot in self.slots.iter_mut().filter(|s| s.init_table == 0) {
+                slot.value = newest[slot.param_idx].bits() as i128;
             }
             self.master_data = newest;
         }
@@ -1299,11 +1305,8 @@ impl MantisAgent {
             // predates the prologue's add).
             if let Some((_, data)) = &found[active as usize] {
                 let loaded = data.clone();
-                for (name, loc) in &self.slot_locs {
-                    if loc.init_table == i + 1 {
-                        self.slots
-                            .insert(name.clone(), loaded[loc.param_idx].bits() as i128);
-                    }
+                for slot in self.slots.iter_mut().filter(|s| s.init_table == i + 1) {
+                    slot.value = loaded[slot.param_idx].bits() as i128;
                 }
                 self.extra_inits[i].data = loaded;
             }
@@ -1334,17 +1337,11 @@ impl MantisAgent {
         }
 
         // ── 3. user tables: wipe physical entries, reset bookkeeping ──
-        let tids: Vec<(String, TableId)> = self
-            .tables
-            .iter()
-            .map(|(n, lt)| (n.clone(), lt.table_id))
-            .collect();
-        for (name, tid) in tids {
-            for s in self.driver.table_dump(tid)? {
-                self.driver.table_del(tid, s.handle)?;
+        for lt in &mut self.tables {
+            for s in self.driver.table_dump(lt.table_id)? {
+                self.driver.table_del(lt.table_id, s.handle)?;
             }
-            self.tables
-                .insert(name.clone(), LogicalTable::new(name, tid));
+            lt.reset();
         }
 
         // ── 4. re-install static prologue entries ──
@@ -1360,11 +1357,13 @@ impl MantisAgent {
             )?;
         }
 
-        // Soft state of the dead agent dies with it.
+        // Soft state of the dead agent dies with it: staged intent, and
+        // the reactions — their statics, breakers, snapshots and register
+        // caches lived in the process. The caller registers them afresh,
+        // as it does on a fresh agent.
         self.staged.clear();
         self.reaction_ranges.clear();
-        self.snapshots.clear();
-        self.reg_caches.clear();
+        self.reactions.clear();
         self.driver.flush()?;
         self.prologue_done = true;
         Ok(())
@@ -1384,8 +1383,7 @@ impl MantisAgent {
                 slots: &self.slots,
                 staged: &mut self.staged,
                 tables: &mut self.tables,
-                iface: &self.iface,
-                action_arity: &self.action_arity,
+                names: &self.names,
                 now_ns: self.clock.now(),
             };
             let res = f(&mut ctx);
@@ -1417,15 +1415,14 @@ impl MantisAgent {
     /// committed iteration (the transactional apply rolled back).
     pub fn dialogue_iteration(&mut self) -> Result<IterationReport, AgentError> {
         let iter = self.iteration_count;
-        let tel = self.telemetry.clone();
         let m = self.metrics;
         let mut retries = 0u32;
         let mut rollbacks = 0u32;
         let t0 = self.clock.now();
-        tel.begin(Scope::Agent, m.span_iteration, t0);
+        self.telemetry.begin(Scope::Agent, m.span_iteration, t0);
 
         // ── measurement flip: freeze the current working copy ──
-        tel.begin(Scope::Agent, m.span_measure, t0);
+        self.telemetry.begin(Scope::Agent, m.span_measure, t0);
         let frozen = self.mv;
         self.mv ^= 1;
         let measured = self
@@ -1443,41 +1440,38 @@ impl MantisAgent {
             self.mv = frozen;
             self.restore_master();
             let t_err = self.clock.now();
-            tel.end(Scope::Agent, m.span_measure, t_err);
-            tel.end(Scope::Agent, m.span_iteration, t_err);
+            self.telemetry.end(Scope::Agent, m.span_measure, t_err);
+            self.telemetry.end(Scope::Agent, m.span_iteration, t_err);
             return Err(e.in_phase(AgentPhase::Measure).at_iteration(iter));
         }
         let t_measured = self.clock.now();
-        tel.end(Scope::Agent, m.span_measure, t_measured);
+        self.telemetry.end(Scope::Agent, m.span_measure, t_measured);
 
         // ── run reactions against the frozen snapshot ──
         // Failures are contained: the failing reaction's partial staging
         // is discarded and its breaker advances; the iteration continues
         // with whatever the healthy reactions staged.
-        tel.begin(Scope::Agent, m.span_react, t_measured);
+        self.telemetry.begin(Scope::Agent, m.span_react, t_measured);
         let (reaction_failures, quarantine_skips) = self.run_reactions(iter);
         let t_reacted = self.clock.now();
-        tel.end(Scope::Agent, m.span_react, t_reacted);
+        self.telemetry.end(Scope::Agent, m.span_react, t_reacted);
 
         // ── prepare / commit / mirror (transactional) ──
         let staged_ops = self.staged.table_ops.len();
         let applied = self.apply_staged(&mut retries, &mut rollbacks);
         let t1 = self.clock.now();
-        tel.end(Scope::Agent, m.span_iteration, t1);
+        self.telemetry.end(Scope::Agent, m.span_iteration, t1);
         let (update_ns, sync_ns) = match applied {
             Ok(v) => v,
             Err(e) => return Err(e.in_phase(AgentPhase::Update).at_iteration(iter)),
         };
         // The commit landed: the reactions that ran this iteration get
         // their breaker success (a half-open probe closes here).
-        let ranges = std::mem::take(&mut self.reaction_ranges);
-        for rr in &ranges {
-            if let Some(r) = self.reactions.iter_mut().find(|r| r.name == rr.name) {
-                r.breaker.on_success();
-            }
+        for rr in self.reaction_ranges.drain(..) {
+            self.reactions[rr.reaction].breaker.on_success();
         }
 
-        let report = IterationReport {
+        self.last_report = IterationReport {
             duration_ns: t1 - t0,
             measure_ns: t_measured - t0,
             react_ns: t_reacted - t_measured,
@@ -1487,10 +1481,11 @@ impl MantisAgent {
             retries,
             rollbacks,
             quarantine_skips,
-            reaction_failures,
+            reaction_failures: Vec::new(),
         };
         self.iteration_count += 1;
-        if let Some(mut rec) = tel.recorder() {
+        let report = &self.last_report;
+        if let Some(mut rec) = self.telemetry.recorder() {
             rec.add(m.iterations, 1);
             rec.add(m.busy_ns, i128::from(report.duration_ns));
             rec.add(m.staged_table_ops, staged_ops as i128);
@@ -1500,8 +1495,10 @@ impl MantisAgent {
             rec.record(m.hist_update, report.update_ns);
             rec.record(m.hist_sync, report.sync_ns);
         }
-        self.last_report = report.clone();
-        Ok(report)
+        Ok(IterationReport {
+            reaction_failures,
+            ..report.clone()
+        })
     }
 
     /// Run `n` iterations back-to-back (busy loop).
@@ -1541,35 +1538,26 @@ impl MantisAgent {
         Ok(())
     }
 
-    /// [`retry_submit`] under this agent's clock, telemetry and policy.
+    /// Submit one op under this agent's retry discipline.
     fn retry_submit(
         &mut self,
         retries: &mut u32,
         op: DriverOp,
     ) -> Result<DriverResponse, AgentError> {
-        retry_submit(
-            self.driver.as_mut(),
-            &self.clock,
-            &self.telemetry,
-            self.retry,
-            retries,
-            op,
-        )
+        submitter!(self, retries).submit(op)
     }
 
     /// Write one pipe's master init default: `[vv[pipe], mv, slots...]`.
     /// The write is a single atomic set_default, so a packet in this pipe
     /// observes either the old or the new config version, never a blend.
     fn write_master_pipe(&mut self, pipe: u16, retries: &mut u32) -> Result<(), AgentError> {
-        let mut data = self.master_data.clone();
-        data[0] = Value::new(u128::from(self.vv[pipe as usize]), 1);
-        data[1] = Value::new(u128::from(self.mv), 1);
-        self.master_data = data.clone();
+        self.master_data[0] = Value::new(u128::from(self.vv[pipe as usize]), 1);
+        self.master_data[1] = Value::new(u128::from(self.mv), 1);
         let op = DriverOp::SetDefaultOn {
             pipe,
             table: self.master_table,
             action: self.master_action,
-            data,
+            data: self.master_data.clone(),
             is_init_flip: true,
         };
         self.retry_submit(retries, op).map(drop)
@@ -1589,100 +1577,12 @@ impl MantisAgent {
         }
     }
 
-    fn read_range(
-        &mut self,
-        retries: &mut u32,
-        reg: RegisterId,
-        lo: u32,
-        hi: u32,
-    ) -> Result<Vec<Value>, AgentError> {
-        let read = DriverOp::RegisterReadRange { reg, lo, hi };
-        Ok(self.retry_submit(retries, read)?.into_values())
-    }
-
+    /// Poll every registered reaction's arguments from measurement copy
+    /// `frozen`, each by its plan into its own snapshot.
     fn read_measurements(&mut self, frozen: u8, retries: &mut u32) -> Result<(), AgentError> {
-        let reactions: Vec<(String, ReactionBinding)> = self
-            .reactions
-            .iter()
-            .map(|r| (r.name.clone(), r.binding.clone()))
-            .collect();
-        for (name, binding) in reactions {
-            let mut snap = Snapshot {
-                taken_at: self.clock.now(),
-                ..Default::default()
-            };
-            // Field arguments: packed-word cost, per-register raw reads.
-            // The poll walks every pipe's copy of the packed words.
-            if !binding.fields.is_empty() {
-                let num_pipes = usize::from(self.driver.num_pipes());
-                let cost = self
-                    .driver
-                    .cost()
-                    .field_read(binding.packed_words.max(1) * num_pipes);
-                self.retry_submit(retries, DriverOp::SpendExternal { dur: cost })?;
-                for mf in &binding.fields {
-                    let rid = self
-                        .driver
-                        .register_id(&mf.register)
-                        .map_err(|e| AgentError::from(AgentErrorKind::Driver(e)))?;
-                    // Field measurements are last-written data-plane values,
-                    // not counters: take the max across pipes rather than a
-                    // sum (identical at num_pipes = 1).
-                    let read = DriverOp::RegisterReadAgg {
-                        reg: rid,
-                        lo: u32::from(frozen),
-                        hi: u32::from(frozen),
-                        agg: ReadAgg::Max,
-                    };
-                    let v = self
-                        .retry_submit(retries, read)?
-                        .into_values()
-                        .into_iter()
-                        .next()
-                        .unwrap_or(Value::zero(mf.width));
-                    snap.scalars.insert(mf.binding.clone(), v.bits() as i128);
-                }
-            }
-            // Register arguments: batched checkpoint reads + cache merge.
-            for mr in &binding.registers {
-                if mr.external {
-                    // Externally fed register (e.g. TM queue depths): read
-                    // the live values directly.
-                    let rid = self.driver.register_id(&mr.register)?;
-                    let vals = self.read_range(retries, rid, mr.lo, mr.hi)?;
-                    snap.arrays.insert(
-                        mr.binding.clone(),
-                        (
-                            i128::from(mr.lo),
-                            vals.iter().map(|v| v.bits() as i128).collect(),
-                        ),
-                    );
-                    continue;
-                }
-                let dup = self.driver.register_id(&mr.dup_register)?;
-                let tsr = self.driver.register_id(&mr.ts_register)?;
-                let base = u32::from(frozen) << mr.stride_log2;
-                let vals = self.read_range(retries, dup, base + mr.lo, base + mr.hi)?;
-                let tss = self.read_range(retries, tsr, base + mr.lo, base + mr.hi)?;
-                let n = (mr.hi - mr.lo + 1) as usize;
-                let cache = self
-                    .reg_caches
-                    .entry((name.clone(), mr.binding.clone()))
-                    .or_insert_with(|| RegCache {
-                        vals: vec![0; n],
-                        ts_seen: [vec![0; n], vec![0; n]],
-                    });
-                for i in 0..n {
-                    let ts = tss.get(i).map(|v| v.as_u64()).unwrap_or(0);
-                    if ts > cache.ts_seen[frozen as usize][i] {
-                        cache.ts_seen[frozen as usize][i] = ts;
-                        cache.vals[i] = vals.get(i).map(|v| v.bits() as i128).unwrap_or(0);
-                    }
-                }
-                snap.arrays
-                    .insert(mr.binding.clone(), (i128::from(mr.lo), cache.vals.clone()));
-            }
-            self.snapshots.insert(name, snap);
+        let mut sub = submitter!(self, retries);
+        for r in &mut self.reactions {
+            r.snapshot.refill(&r.plan, frozen, &mut sub)?;
         }
         Ok(())
     }
@@ -1694,7 +1594,7 @@ impl MantisAgent {
         let mut reactions = std::mem::take(&mut self.reactions);
         let mut failures = Vec::new();
         let mut skipped = 0usize;
-        for r in &mut reactions {
+        for (reaction, r) in reactions.iter_mut().enumerate() {
             let now = self.clock.now();
             if !r.breaker.allow(now) {
                 skipped += 1;
@@ -1702,14 +1602,12 @@ impl MantisAgent {
                 continue;
             }
             let marks = self.staged.marks();
-            let snapshot = self.snapshots.entry(r.name.clone()).or_default().clone();
             let mut ctx = ReactionCtx {
-                snapshot: &snapshot,
+                snapshot: &r.snapshot,
                 slots: &self.slots,
                 staged: &mut self.staged,
                 tables: &mut self.tables,
-                iface: &self.iface,
-                action_arity: &self.action_arity,
+                names: &self.names,
                 now_ns: now,
             };
             let res: Result<(), AgentError> = match &mut r.imp {
@@ -1729,7 +1627,7 @@ impl MantisAgent {
                     // reset its own failure count by merely running.
                     let end = self.staged.marks();
                     self.reaction_ranges.push(ReactionRange {
-                        name: r.name.clone(),
+                        reaction,
                         table_ops: marks.table_ops..end.table_ops,
                         port_ops: marks.port_ops..end.port_ops,
                     });
@@ -1741,10 +1639,7 @@ impl MantisAgent {
                     let now = self.clock.now();
                     let tripped = r.breaker.on_failure(now);
                     if tripped {
-                        self.had_quarantine = true;
-                        if self.telemetry.is_enabled() {
-                            self.telemetry.instant(Scope::Agent, "quarantine", now, &[]);
-                        }
+                        self.note_quarantine(now);
                     }
                     let err = e.in_phase(AgentPhase::React).at_iteration(iter);
                     failures.push(ReactionFailure {
@@ -1773,6 +1668,14 @@ impl MantisAgent {
         (failures, skipped)
     }
 
+    /// A breaker just tripped open.
+    fn note_quarantine(&mut self, now: Nanos) {
+        self.had_quarantine = true;
+        if self.telemetry.is_enabled() {
+            self.telemetry.instant(Scope::Agent, "quarantine", now, &[]);
+        }
+    }
+
     /// Transactional wrapper around one apply attempt: checkpoint, try,
     /// roll back + retry on transient failure, roll back + drop the
     /// staged intent on permanent failure (all-or-nothing).
@@ -1784,7 +1687,7 @@ impl MantisAgent {
         if self.staged.is_empty() {
             return Ok((0, 0));
         }
-        let txn = self.begin_txn()?;
+        self.begin_txn()?;
         let mut attempt = 0u32;
         let result = loop {
             match self.apply_staged_once(retries) {
@@ -1800,7 +1703,7 @@ impl MantisAgent {
                         // which is the state a successor must reconcile.
                         break Err(fail.err);
                     }
-                    self.rollback(&txn);
+                    self.rollback();
                     *rollbacks += 1;
                     self.telemetry.counter_add(scopes::CTR_ROLLBACKS, 1);
                     if fail.err.is_transient() && self.retry.allows(attempt) {
@@ -1821,70 +1724,74 @@ impl MantisAgent {
                 }
             }
         };
-        for (_, token) in &txn.tables {
-            self.driver.checkpoint_discard(*token);
-        }
+        self.discard_checkpoints();
         result
     }
 
-    /// Checkpoint everything one apply attempt can touch: device shadows
-    /// of the master, every staged-op table, and all extra init tables;
-    /// plus the agent bookkeeping and prior port states.
-    fn begin_txn(&mut self) -> Result<Txn, AgentError> {
-        let mut tids: Vec<TableId> = vec![self.master_table];
-        let mut logical = Vec::new();
-        for op in &self.staged.table_ops {
-            let name = match op {
-                StagedOp::Add { table, .. }
-                | StagedOp::Mod { table, .. }
-                | StagedOp::Del { table, .. }
-                | StagedOp::SetDefault { table, .. } => table,
-            };
-            if logical
-                .iter()
-                .any(|(n, _): &(String, LogicalTable)| n == name)
-            {
-                continue;
-            }
-            if let Some(lt) = self.tables.get(name) {
-                tids.push(lt.table_id);
-                logical.push((name.clone(), lt.clone()));
-            }
+    /// Open the transaction: checkpoint everything one apply attempt can
+    /// touch on the device — the master, every staged-op table and all
+    /// extra init tables — and note the agent state and port states it is
+    /// about to replace. A failure part-way hands back the checkpoints
+    /// already taken: a mark left behind keeps its table journalling.
+    fn begin_txn(&mut self) -> Result<(), AgentError> {
+        let txn = &mut self.txn;
+        txn.ports.clear();
+        txn.slots.clear();
+        txn.logical.clear();
+        // All pipes hold equal vv between iterations.
+        txn.vv = self.vv[0];
+        let committed = |(slot, _): &(usize, i128)| (*slot, self.slots[*slot].value);
+        txn.slots
+            .extend(self.staged.slot_writes.iter().map(committed));
+
+        let staged_tables = self.staged.table_ops.iter();
+        let staged_tables = staged_tables.map(|op| self.tables[op.table()].table_id);
+        let init_tables = self.extra_inits.iter().map(|ei| ei.table_id);
+        txn.touched.clear();
+        txn.touched.push(self.master_table);
+        txn.touched.extend(staged_tables.chain(init_tables));
+        txn.touched.sort_unstable();
+        txn.touched.dedup();
+
+        let opened = self.open_checkpoints();
+        if opened.is_err() {
+            self.discard_checkpoints();
         }
-        for ei in &self.extra_inits {
-            tids.push(ei.table_id);
-        }
-        tids.sort_unstable();
-        tids.dedup();
-        let mut tables = Vec::with_capacity(tids.len());
-        for t in tids {
-            tables.push((t, self.driver.table_checkpoint(t)?));
-        }
-        let port_ids: Vec<PortId> = self.staged.port_ops.iter().map(|(p, _)| *p).collect();
-        let mut ports = Vec::new();
-        for p in port_ids {
-            if let Some(up) = self.driver.port_up(p)? {
-                ports.push((p, up));
-            }
-        }
-        Ok(Txn {
-            tables,
-            logical,
-            master_data: self.master_data.clone(),
-            vv: self.vv.clone(),
-            slots: self.slots.clone(),
-            extra_inits: self.extra_inits.clone(),
-            ports,
-        })
+        opened.map_err(AgentError::from)
     }
 
-    /// Restore the transaction checkpoint after a failed apply attempt.
-    /// Runs with faults suspended: recovery replays the driver's software
-    /// shadow over a known-good path. Staged ops are left intact so the
-    /// caller can retry or drop them.
-    fn rollback(&mut self, txn: &Txn) {
+    /// Checkpoint every touched table, then read the prior state of every
+    /// port about to change. Stops at the first failure with the
+    /// checkpoints taken so far in `txn.tables`.
+    fn open_checkpoints(&mut self) -> Result<(), DriverError> {
+        debug_assert!(self.txn.tables.is_empty(), "the last transaction closed");
+        for table in &self.txn.touched {
+            let token = self.driver.table_checkpoint(*table)?;
+            self.txn.tables.push((*table, token));
+        }
+        for (port, _) in &self.staged.port_ops {
+            if let Some(up) = self.driver.port_up(*port)? {
+                self.txn.ports.push((*port, up));
+            }
+        }
+        Ok(())
+    }
+
+    /// Close the transaction's device side: drop its checkpoints.
+    fn discard_checkpoints(&mut self) {
+        for (_, token) in self.txn.tables.drain(..) {
+            self.driver.checkpoint_discard(token);
+        }
+    }
+
+    /// Take back a failed apply attempt. The device side runs with faults
+    /// suspended: recovery replays the driver's journaled shadow over a
+    /// known-good path. The agent side replays its own undo records,
+    /// newest first. Staged ops are left intact so the caller can retry or
+    /// drop them, and the checkpoints stay open for the next attempt.
+    fn rollback(&mut self) {
         self.driver.suspend_faults();
-        for (tid, token) in &txn.tables {
+        for (tid, token) in &self.txn.tables {
             let res = self.driver.table_restore(*tid, *token);
             debug_assert!(
                 res.is_ok(),
@@ -1892,20 +1799,23 @@ impl MantisAgent {
             );
             let _ = res;
         }
-        for (port, up) in &txn.ports {
+        for (port, up) in &self.txn.ports {
             let res = self.driver.port_set_up(*port, *up);
             debug_assert!(res.is_ok(), "invariant: restoring a known port succeeds");
             let _ = res;
         }
         self.driver.resume_faults();
-        self.driver.spend_rollback(txn.tables.len());
-        for (name, lt) in &txn.logical {
-            self.tables.insert(name.clone(), lt.clone());
+        self.driver.spend_rollback(self.txn.tables.len());
+        for undo in self.txn.logical.drain(..).rev() {
+            undo.revert(&mut self.tables, &mut self.staged.table_ops);
         }
-        self.master_data = txn.master_data.clone();
-        self.vv = txn.vv.clone();
-        self.slots = txn.slots.clone();
-        self.extra_inits = txn.extra_inits.clone();
+        for i in (0..self.txn.slots.len()).rev() {
+            let (slot, committed) = self.txn.slots[i];
+            self.slots[slot].value = committed;
+            self.write_slot_cell(slot, committed);
+        }
+        self.vv.fill(self.txn.vv);
+        self.master_data[0] = Value::new(u128::from(self.txn.vv), 1);
     }
 
     /// Advance the breaker of the reaction whose staged op caused a
@@ -1917,23 +1827,13 @@ impl MantisAgent {
             Blame::PortOp(i) => rr.port_ops.contains(&i),
             Blame::None => false,
         };
-        let Some(name) = self
-            .reaction_ranges
-            .iter()
-            .find(|rr| hit(rr))
-            .map(|rr| rr.name.clone())
-        else {
+        let Some(reaction) = self.reaction_ranges.iter().find(|rr| hit(rr)) else {
             return;
         };
+        let reaction = reaction.reaction;
         let now = self.clock.now();
-        if let Some(r) = self.reactions.iter_mut().find(|r| r.name == name) {
-            let tripped = r.breaker.on_failure(now);
-            if tripped {
-                self.had_quarantine = true;
-                if self.telemetry.is_enabled() {
-                    self.telemetry.instant(Scope::Agent, "quarantine", now, &[]);
-                }
-            }
+        if self.reactions[reaction].breaker.on_failure(now) {
+            self.note_quarantine(now);
         }
     }
 
@@ -1941,35 +1841,37 @@ impl MantisAgent {
     /// `(update_ns, sync_ns)`, also recorded as `update`/`sync` spans.
     /// Does not consume `self.staged` (the transactional wrapper does).
     fn apply_staged_once(&mut self, retries: &mut u32) -> Result<(Nanos, Nanos), ApplyFailure> {
-        let tel = self.telemetry.clone();
         let m = self.metrics;
         // All pipes hold equal vv between iterations; pipe 0 names the
         // shared shadow copy.
         let shadow = self.vv[0] ^ 1;
         let t_update = self.clock.now();
-        tel.begin(Scope::Agent, m.span_update, t_update);
+        self.telemetry.begin(Scope::Agent, m.span_update, t_update);
         if let Err(f) = self.apply_prepare_commit(shadow, retries) {
-            tel.end(Scope::Agent, m.span_update, self.clock.now());
+            let now = self.clock.now();
+            self.telemetry.end(Scope::Agent, m.span_update, now);
             return Err(f.in_phase(AgentPhase::Update));
         }
         let t_sync = self.clock.now();
-        tel.end(Scope::Agent, m.span_update, t_sync);
-        tel.begin(Scope::Agent, m.span_sync, t_sync);
+        self.telemetry.end(Scope::Agent, m.span_update, t_sync);
+        self.telemetry.begin(Scope::Agent, m.span_sync, t_sync);
         let old = shadow ^ 1;
-        if let Err(f) = self.apply_mirror(old, retries) {
-            tel.end(Scope::Agent, m.span_sync, self.clock.now());
+        // Mirror, then drain pipelined driver work before declaring the
+        // iteration synced (a no-op for the in-process driver). No in-place
+        // retry of the flush: a failed flush discards the remote batch, so
+        // recovery must replay the whole attempt via the transactional
+        // rollback, not re-flush emptiness.
+        let mirrored = self.apply_mirror(old, retries).and_then(|()| {
+            let flushed = self.driver.flush();
+            flushed.map_err(|e| ApplyFailure::unblamed(e.into()))
+        });
+        if let Err(f) = mirrored {
+            let now = self.clock.now();
+            self.telemetry.end(Scope::Agent, m.span_sync, now);
             return Err(f.in_phase(AgentPhase::Sync));
         }
-        // Drain pipelined driver work before declaring the iteration synced
-        // (a no-op for the in-process driver). No in-place retry: a failed
-        // flush discards the remote batch, so recovery must replay the whole
-        // attempt via the transactional rollback, not re-flush emptiness.
-        if let Err(e) = self.driver.flush() {
-            tel.end(Scope::Agent, m.span_sync, self.clock.now());
-            return Err(ApplyFailure::unblamed(AgentError::from(e)).in_phase(AgentPhase::Sync));
-        }
         let t_done = self.clock.now();
-        tel.end(Scope::Agent, m.span_sync, t_done);
+        self.telemetry.end(Scope::Agent, m.span_sync, t_done);
         Ok((t_sync - t_update, t_done - t_sync))
     }
 
@@ -1978,11 +1880,26 @@ impl MantisAgent {
     fn apply_prepare_commit(&mut self, shadow: u8, retries: &mut u32) -> Result<(), ApplyFailure> {
         // ── prepare ──
         self.apply_table_ops(shadow, false, retries)?;
-        self.prepare_extra_init_writes(shadow, retries)
+        for w in 0..self.staged.slot_writes.len() {
+            let (slot, v) = self.staged.slot_writes[w];
+            // Master slots commit with the vv flip, below.
+            if self.slots[slot].init_table > 0 {
+                self.write_slot_cell(slot, v);
+            }
+        }
+        self.write_touched_extra_inits(shadow, retries)
             .map_err(ApplyFailure::unblamed)?;
 
         // ── commit ──
-        self.commit_slot_writes();
+        // Fold staged slot writes into the committed view and the master
+        // data vector: they become visible with the vv-flip `set_default`.
+        for w in 0..self.staged.slot_writes.len() {
+            let (slot, v) = self.staged.slot_writes[w];
+            self.slots[slot].value = v;
+            if self.slots[slot].init_table == 0 {
+                self.write_slot_cell(slot, v);
+            }
+        }
         // Flip pipe-by-pipe: every pipe's shadow copy was fully prepared
         // above (table writes fan out), so each per-pipe flip moves that
         // pipe atomically from the old config to the complete new one. A
@@ -1996,450 +1913,88 @@ impl MantisAgent {
         }
         // Port ops and default-action changes are single atomic driver ops;
         // they ride along with the commit point.
-        let port_ops = self.staged.port_ops.clone();
-        for (i, (port, up)) in port_ops.into_iter().enumerate() {
-            self.retry_submit(retries, DriverOp::PortSetUp { port, up })
-                .map_err(|err| ApplyFailure {
-                    err,
-                    blame: Blame::PortOp(i),
-                })?;
-        }
-        self.apply_set_defaults(retries)?;
-        Ok(())
-    }
-
-    /// Mirror the committed state onto the old primary copy.
-    fn apply_mirror(&mut self, old: u8, retries: &mut u32) -> Result<(), ApplyFailure> {
-        self.apply_table_ops(old, true, retries)?;
-        self.mirror_extra_init_writes(old, retries)
-            .map_err(ApplyFailure::unblamed)
-    }
-
-    /// Apply staged table ops to one vv copy. In the mirror pass, `Del`
-    /// also removes the logical entry.
-    fn apply_table_ops(
-        &mut self,
-        copy: u8,
-        mirror: bool,
-        retries: &mut u32,
-    ) -> Result<(), ApplyFailure> {
-        let ops = self.staged.table_ops.clone();
-        let retry = self.retry;
-        for (i, op) in ops.iter().enumerate() {
-            let fail_at = |err: AgentError| ApplyFailure {
-                err,
-                blame: Blame::TableOp(i),
+        let mut sub = submitter!(self, retries);
+        for (i, (port, up)) in self.staged.port_ops.iter().enumerate() {
+            let set = DriverOp::PortSetUp {
+                port: *port,
+                up: *up,
             };
-            match op {
-                StagedOp::Add {
-                    table,
-                    handle,
-                    key,
-                    priority,
-                    action,
-                    action_data,
-                } => {
-                    let info = self
-                        .iface
-                        .table(table)
-                        .ok_or_else(|| fail_at(AgentError::unknown_table(table)))?;
-                    if skips_mirror_pass(info, mirror) {
-                        continue;
-                    }
-                    let vv_arg = info.vv_col.map(|_| copy);
-                    let phys = expand_entry(info, key, action, action_data, *priority, vv_arg)
-                        .map_err(|e| fail_at(e.into()))?;
-                    let lt = self
-                        .tables
-                        .get_mut(table)
-                        .ok_or_else(|| fail_at(AgentError::unknown_table(table)))?;
-                    let tid = lt.table_id;
-                    let mut handles = Vec::with_capacity(phys.len());
-                    for pe in phys {
-                        let h = add_phys(
-                            self.driver.as_mut(),
-                            &self.clock,
-                            &self.telemetry,
-                            retry,
-                            retries,
-                            tid,
-                            pe,
-                        )
-                        .map_err(fail_at)?;
-                        handles.push(h);
-                    }
-                    let entry = lt.entries.entry(*handle).or_insert_with(|| LogicalEntry {
-                        key: key.clone(),
-                        priority: *priority,
-                        action: action.clone(),
-                        action_data: action_data.clone(),
-                        phys: [Vec::new(), Vec::new()],
-                    });
-                    entry.phys[copy as usize] = handles;
-                    // Tables without a vv column are unversioned: one
-                    // physical set only; skip the mirror pass for them.
-                    if info.vv_col.is_none() && !mirror {
-                        // mark mirror as no-op by pre-filling both copies
-                        let cloned = entry.phys[copy as usize].clone();
-                        entry.phys[(copy ^ 1) as usize] = cloned;
-                    }
-                }
-                StagedOp::Mod {
-                    table,
-                    handle,
-                    action,
-                    action_data,
-                } => {
-                    self.mod_entry_on_copy(
-                        table,
-                        *handle,
-                        action,
-                        action_data,
-                        copy,
-                        mirror,
-                        retries,
-                    )
-                    .map_err(fail_at)?;
-                }
-                StagedOp::Del { table, handle } => {
-                    let info = self
-                        .iface
-                        .table(table)
-                        .ok_or_else(|| fail_at(AgentError::unknown_table(table)))?;
-                    let unversioned = info.vv_col.is_none();
-                    let skip_phys = skips_mirror_pass(info, mirror);
-                    let lt = self
-                        .tables
-                        .get_mut(table)
-                        .ok_or_else(|| fail_at(AgentError::unknown_table(table)))?;
-                    let Some(entry) = lt.entries.get_mut(handle) else {
-                        return Err(fail_at(AgentError::missing_entry(table, *handle)));
-                    };
-                    if skip_phys {
-                        // Physical entries were already removed in prepare.
-                        lt.entries.remove(handle);
-                        continue;
-                    }
-                    let tid = lt.table_id;
-                    for h in std::mem::take(&mut entry.phys[copy as usize]) {
-                        retry_submit(
-                            self.driver.as_mut(),
-                            &self.clock,
-                            &self.telemetry,
-                            retry,
-                            retries,
-                            DriverOp::TableDel {
-                                table: tid,
-                                handle: h,
-                            },
-                        )
-                        .map_err(fail_at)?;
-                    }
-                    if unversioned {
-                        entry.phys[(copy ^ 1) as usize].clear();
-                    }
-                    if mirror {
-                        lt.entries.remove(handle);
-                    }
-                }
-                StagedOp::SetDefault { .. } => {
-                    // Applied once at commit (not versioned).
-                }
-            }
+            let blame = Blame::PortOp(i);
+            sub.submit(set).map_err(|err| ApplyFailure { err, blame })?;
         }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn mod_entry_on_copy(
-        &mut self,
-        table: &str,
-        handle: u64,
-        action: &str,
-        action_data: &[Value],
-        copy: u8,
-        mirror: bool,
-        retries: &mut u32,
-    ) -> Result<(), AgentError> {
-        let info = self
-            .iface
-            .table(table)
-            .ok_or_else(|| AgentError::unknown_table(table))?
-            .clone();
-        let unversioned = info.vv_col.is_none();
-        if skips_mirror_pass(&info, mirror) {
-            return Ok(());
-        }
-        let retry = self.retry;
-        let lt = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| AgentError::unknown_table(table))?;
-        let tid = lt.table_id;
-        let Some(entry) = lt.entries.get_mut(&handle) else {
-            return Err(AgentError::missing_entry(table, handle));
-        };
-        let vv_arg = info.vv_col.map(|_| copy);
-        let phys = expand_entry(
-            &info,
-            &entry.key,
-            action,
-            action_data,
-            entry.priority,
-            vv_arg,
-        )?;
-        if entry.action == action && entry.phys[copy as usize].len() == phys.len() {
-            // Same action: in-place modify of each physical entry.
-            let handles = entry.phys[copy as usize].clone();
-            for (handle, pe) in handles.into_iter().zip(phys) {
-                let op = DriverOp::TableMod {
-                    table: tid,
-                    handle,
-                    action: self.driver.action_id(&pe.action)?,
-                    data: pe.action_data,
-                };
-                retry_submit(
-                    self.driver.as_mut(),
-                    &self.clock,
-                    &self.telemetry,
-                    retry,
-                    retries,
-                    op,
-                )?;
-            }
-        } else {
-            // Action changed: replace the physical set.
-            for h in std::mem::take(&mut entry.phys[copy as usize]) {
-                retry_submit(
-                    self.driver.as_mut(),
-                    &self.clock,
-                    &self.telemetry,
-                    retry,
-                    retries,
-                    DriverOp::TableDel {
-                        table: tid,
-                        handle: h,
-                    },
-                )?;
-            }
-            let mut handles = Vec::with_capacity(phys.len());
-            for pe in phys {
-                let h = add_phys(
-                    self.driver.as_mut(),
-                    &self.clock,
-                    &self.telemetry,
-                    retry,
-                    retries,
-                    tid,
-                    pe,
-                )?;
-                handles.push(h);
-            }
-            entry.phys[copy as usize] = handles;
-        }
-        if mirror || unversioned {
-            // Bookkeeping reflects the new logical action after the final
-            // pass.
-            entry.action = action.to_string();
-            entry.action_data = action_data.to_vec();
-            if unversioned {
-                let cloned = entry.phys[copy as usize].clone();
-                entry.phys[(copy ^ 1) as usize] = cloned;
-            }
-        }
-        Ok(())
-    }
-
-    fn apply_set_defaults(&mut self, retries: &mut u32) -> Result<(), ApplyFailure> {
-        let ops = self.staged.table_ops.clone();
-        for (i, op) in ops.into_iter().enumerate() {
-            let fail_at = |err: AgentError| ApplyFailure {
-                err,
-                blame: Blame::TableOp(i),
-            };
+        for (i, op) in self.staged.table_ops.iter().enumerate() {
             if let StagedOp::SetDefault {
                 table,
                 action,
                 action_data,
             } = op
             {
-                let info = self
-                    .iface
-                    .table(&table)
-                    .ok_or_else(|| fail_at(AgentError::unknown_table(&table)))?;
-                let av = info.action(&action).ok_or_else(|| {
-                    fail_at(AgentError::from(CtxError::UnknownAction {
-                        table: table.clone(),
-                        action: action.clone(),
-                    }))
-                })?;
-                let variant = av.variants[0].clone();
-                let tid = self
-                    .driver
-                    .table_id(&table)
-                    .map_err(|e| fail_at(e.into()))?;
-                let aid = self
-                    .driver
-                    .action_id(&variant)
-                    .map_err(|e| fail_at(e.into()))?;
-                let set = DriverOp::SetDefault {
-                    table: tid,
-                    action: aid,
-                    data: action_data,
-                    is_init_flip: false,
-                };
-                self.retry_submit(retries, set).map_err(fail_at)?;
+                let set = self.tables[*table].set_default_op(*action, action_data);
+                let blame = Blame::TableOp(i);
+                sub.submit(set).map_err(|err| ApplyFailure { err, blame })?;
             }
         }
         Ok(())
     }
 
-    /// Effective staged slot writes (last-wins per slot).
-    fn effective_slot_writes(&self) -> HashMap<String, i128> {
-        let mut out = HashMap::new();
-        for (name, v) in &self.staged.slot_writes {
-            out.insert(name.clone(), *v);
-        }
-        out
+    /// Mirror the committed state onto the old primary copy.
+    fn apply_mirror(&mut self, old: u8, retries: &mut u32) -> Result<(), ApplyFailure> {
+        self.apply_table_ops(old, true, retries)?;
+        self.write_touched_extra_inits(old, retries)
+            .map_err(ApplyFailure::unblamed)
     }
 
-    fn prepare_extra_init_writes(
+    /// Apply staged table ops, in place, to one vv copy.
+    fn apply_table_ops(
         &mut self,
-        shadow: u8,
-        retries: &mut u32,
-    ) -> Result<(), AgentError> {
-        let writes = self.effective_slot_writes();
-        if writes.is_empty() {
-            return Ok(());
-        }
-        // Group staged writes into the extra init tables' data vectors.
-        let mut dirty: Vec<usize> = Vec::new();
-        for (name, v) in &writes {
-            let Some(loc) = self.slot_locs.get(name) else {
-                continue;
-            };
-            if loc.init_table == 0 {
-                continue; // master slots commit with the vv flip
-            }
-            let ei = &mut self.extra_inits[loc.init_table - 1];
-            ei.data[loc.param_idx] = Value::new(*v as u128, loc.width);
-            if !dirty.contains(&(loc.init_table - 1)) {
-                dirty.push(loc.init_table - 1);
-            }
-        }
-        for i in dirty {
-            self.write_extra_init(i, shadow, retries)?;
-        }
-        Ok(())
-    }
-
-    /// Write extra init table `i`'s current data to its `copy` entry.
-    fn write_extra_init(
-        &mut self,
-        i: usize,
         copy: u8,
+        mirror: bool,
         retries: &mut u32,
-    ) -> Result<(), AgentError> {
-        let ei = &self.extra_inits[i];
-        let op = DriverOp::TableMod {
-            table: ei.table_id,
-            handle: ei.handles[copy as usize],
-            action: ei.action,
-            data: ei.data.clone(),
-        };
-        self.retry_submit(retries, op).map(drop)
-    }
-
-    fn mirror_extra_init_writes(&mut self, old: u8, retries: &mut u32) -> Result<(), AgentError> {
-        let writes = self.effective_slot_writes();
-        if writes.is_empty() {
-            return Ok(());
-        }
-        let mut dirty: Vec<usize> = Vec::new();
-        for name in writes.keys() {
-            if let Some(loc) = self.slot_locs.get(name) {
-                if loc.init_table > 0 && !dirty.contains(&(loc.init_table - 1)) {
-                    dirty.push(loc.init_table - 1);
-                }
-            }
-        }
-        for i in dirty {
-            self.write_extra_init(i, old, retries)?;
+    ) -> Result<(), ApplyFailure> {
+        let mut sub = submitter!(self, retries);
+        for (i, op) in self.staged.table_ops.iter_mut().enumerate() {
+            let lt = &mut self.tables[op.table()];
+            let info = &self.iface.tables[lt.info];
+            let undo = &mut self.txn.logical;
+            lt.apply(info, (i, op), copy, mirror, &mut sub, undo)
+                .map_err(|err| ApplyFailure {
+                    err,
+                    blame: Blame::TableOp(i),
+                })?;
         }
         Ok(())
     }
 
-    /// Fold staged slot writes into the committed view and the master data
-    /// vector (they become visible with the vv-flip `set_default`).
-    fn commit_slot_writes(&mut self) {
-        let writes = self.effective_slot_writes();
-        for (name, v) in writes {
-            if let Some(loc) = self.slot_locs.get(&name) {
-                if loc.init_table == 0 {
-                    self.master_data[loc.param_idx] = Value::new(v as u128, loc.width);
-                }
-                self.slots.insert(name, v);
-            }
-        }
+    /// Set slot `slot`'s data cell, in the master or an extra init table's
+    /// data vector, to hold `value`.
+    fn write_slot_cell(&mut self, slot: usize, value: i128) {
+        let slot = &self.slots[slot];
+        let data = match slot.init_table {
+            0 => &mut self.master_data,
+            t => &mut self.extra_inits[t - 1].data,
+        };
+        data[slot.param_idx] = slot.cell(value);
     }
-}
 
-/// Convert an expanded physical entry into driver key fields for the
-/// switch's physical column kinds, and install it (see [`retry_submit`]).
-fn add_phys(
-    driver: &mut dyn DriverApi,
-    clock: &Clock,
-    tel: &Telemetry,
-    policy: RetryPolicy,
-    retries: &mut u32,
-    table: TableId,
-    pe: PhysEntry,
-) -> Result<EntryHandle, AgentError> {
-    let kinds: Vec<(MatchKind, u16)> = driver
-        .spec()
-        .table(table)
-        .key
-        .iter()
-        .map(|k| (k.kind, k.width))
-        .collect();
-    let key: Vec<KeyField> = pe
-        .key
-        .iter()
-        .zip(kinds.iter())
-        .map(|(pk, (kind, width))| match (pk, kind) {
-            (PhysKey::Exact(v), MatchKind::Exact) => KeyField::Exact(*v),
-            (PhysKey::Exact(v), MatchKind::Ternary) => KeyField::Ternary {
-                value: *v,
-                mask: Value::ones(*width),
-            },
-            (PhysKey::Exact(v), MatchKind::Lpm) => KeyField::Lpm {
-                value: *v,
-                prefix_len: *width,
-            },
-            (PhysKey::Ternary { value, mask }, _) => KeyField::Ternary {
-                value: *value,
-                mask: *mask,
-            },
-            (PhysKey::Lpm { value, prefix_len }, _) => KeyField::Lpm {
-                value: *value,
-                prefix_len: *prefix_len,
-            },
-            (PhysKey::Any, MatchKind::Lpm) => KeyField::Lpm {
-                value: Value::zero(*width),
-                prefix_len: 0,
-            },
-            (PhysKey::Any, _) => KeyField::Ternary {
-                value: Value::zero(*width),
-                mask: Value::zero(*width),
-            },
-        })
-        .collect();
-    let op = DriverOp::TableAdd {
-        table,
-        key,
-        priority: pe.priority,
-        action: driver.action_id(&pe.action)?,
-        data: pe.action_data,
-    };
-    Ok(retry_submit(driver, clock, tel, policy, retries, op)?.into_handle())
+    /// Write each extra init table the staged slot writes touch — once, in
+    /// first-write order — from its current data to its `copy` entry.
+    fn write_touched_extra_inits(&mut self, copy: u8, retries: &mut u32) -> Result<(), AgentError> {
+        let table_of =
+            |agent: &Self, w: usize| agent.slots[agent.staged.slot_writes[w].0].init_table;
+        for w in 0..self.staged.slot_writes.len() {
+            let t = table_of(self, w);
+            if t == 0 || (0..w).any(|earlier| table_of(self, earlier) == t) {
+                continue;
+            }
+            let ei = &self.extra_inits[t - 1];
+            let op = DriverOp::TableMod {
+                table: ei.table_id,
+                handle: ei.handles[copy as usize],
+                action: ei.action,
+                data: ei.data.clone(),
+            };
+            self.retry_submit(retries, op)?;
+        }
+        Ok(())
+    }
 }

@@ -9,23 +9,83 @@
 //! serializable.
 
 use crate::logical::{LogicalHandle, LogicalTable, Staged, StagedOp};
+use crate::measure::Snapshot;
 use p4_ast::Value;
 use p4r_compiler::entry::LogicalKey;
-use p4r_compiler::iface::ControlInterface;
-use reaction_interp::{InterpError, ReactionEnv};
+use reaction_interp::{Binding, InterpError, ReactionEnv};
 use rmt_sim::Nanos;
 use std::collections::HashMap;
 use std::fmt;
 
-/// Snapshot of one reaction's polled arguments.
+/// One malleable value or field selector: its committed value and where
+/// it lives in the init tables' action data.
+#[derive(Clone, Debug)]
+pub(crate) struct Slot {
+    pub(crate) name: String,
+    /// Committed value (value: raw; field: alternative index).
+    pub(crate) value: i128,
+    /// Width of the data cell (a value's width, a field's selector bits).
+    pub(crate) width: u16,
+    /// Alternative count of a malleable field; `None` for a value.
+    pub(crate) alts: Option<usize>,
+    /// Which init table carries the cell (0 = master), at which parameter.
+    pub(crate) init_table: usize,
+    pub(crate) param_idx: usize,
+}
+
+impl Slot {
+    /// The slot's data cell holding `value`.
+    pub(crate) fn cell(&self, value: i128) -> Value {
+        Value::new(value as u128, self.width)
+    }
+}
+
+/// The public edge: the names a reaction (or a caller) may use, each
+/// resolving once to a dense id — a slot's index in the agent's slot
+/// vector, a table's in its table vector.
 #[derive(Clone, Debug, Default)]
-pub struct Snapshot {
-    /// Field arguments by binding name.
-    pub scalars: HashMap<String, i128>,
-    /// Register-slice arguments by binding name: `(lo, values)`.
-    pub arrays: HashMap<String, (i128, Vec<i128>)>,
-    /// Time the snapshot was taken.
-    pub taken_at: Nanos,
+pub(crate) struct Names {
+    pub(crate) slots: HashMap<String, usize>,
+    pub(crate) tables: HashMap<String, usize>,
+}
+
+/// Interpreted table methods and agent builtins; a name's position is its
+/// id.
+const METHODS: [&str; 5] = ["addEntry", "modEntry", "delEntry", "setDefault", "size"];
+const ADD_ENTRY: u16 = 0;
+const MOD_ENTRY: u16 = 1;
+const DEL_ENTRY: u16 = 2;
+const SET_DEFAULT: u16 = 3;
+const SIZE: u16 = 4;
+const BUILTINS: [&str; 5] = ["now_ns", "now_us", "snapshot_ns", "port_down", "port_up"];
+const NOW_NS: u16 = 0;
+const NOW_US: u16 = 1;
+const SNAPSHOT_NS: u16 = 2;
+const PORT_DOWN: u16 = 3;
+const PORT_UP: u16 = 4;
+
+fn id_of(names: &[&str], name: &str) -> u16 {
+    id16(names.iter().position(|n| *n == name))
+}
+
+fn id16(id: Option<usize>) -> u16 {
+    let id = id.and_then(|i| u16::try_from(i).ok());
+    id.unwrap_or(Binding::NONE)
+}
+
+/// Everything `name` can mean to a reaction registered with arguments
+/// `snapshot` on an agent with `names` — what
+/// [`CompiledReaction::bind`](reaction_interp::CompiledReaction::bind)
+/// stores and the `*_at` calls below receive.
+pub(crate) fn bind_name(name: &str, snapshot: &Snapshot, names: &Names) -> Binding {
+    Binding {
+        scalar: id16(snapshot.scalar_id(name)),
+        array: id16(snapshot.array_id(name)),
+        mbl: id16(names.slots.get(name).copied()),
+        table: id16(names.tables.get(name).copied()),
+        method: id_of(&METHODS, name),
+        builtin: id_of(&BUILTINS, name),
+    }
 }
 
 /// Errors from staging APIs.
@@ -81,13 +141,12 @@ impl std::error::Error for CtxError {}
 /// The context a reaction runs against.
 pub struct ReactionCtx<'a> {
     pub(crate) snapshot: &'a Snapshot,
-    /// Committed slot values (malleable values + field selector indexes).
-    pub(crate) slots: &'a HashMap<String, i128>,
+    /// Malleable slots by id, with their committed values.
+    pub(crate) slots: &'a [Slot],
     pub(crate) staged: &'a mut Staged,
-    pub(crate) tables: &'a mut HashMap<String, LogicalTable>,
-    pub(crate) iface: &'a ControlInterface,
-    /// Action parameter arity by (variant) action name.
-    pub(crate) action_arity: &'a HashMap<String, usize>,
+    /// Logical tables by id.
+    pub(crate) tables: &'a mut [LogicalTable],
+    pub(crate) names: &'a Names,
     pub(crate) now_ns: Nanos,
 }
 
@@ -113,67 +172,89 @@ impl<'a> ReactionCtx<'a> {
 
     /// Read a scalar (field) argument by binding name.
     pub fn arg(&self, name: &str) -> Option<i128> {
-        self.snapshot.scalars.get(name).copied()
+        self.snapshot.scalar(self.snapshot.scalar_id(name)?)
     }
 
     /// Read an array (register-slice) argument: `(lo, values)`.
     pub fn arg_array(&self, name: &str) -> Option<(i128, &[i128])> {
-        self.snapshot
-            .arrays
-            .get(name)
-            .map(|(lo, v)| (*lo, v.as_slice()))
+        self.snapshot.array(self.snapshot.array_id(name)?)
     }
 
     /// Element of an array argument at its original register index.
     pub fn arg_index(&self, name: &str, index: i128) -> Option<i128> {
-        let (lo, vals) = self.snapshot.arrays.get(name)?;
-        let off = index.checked_sub(*lo)?;
+        let (lo, vals) = self.arg_array(name)?;
+        let off = index.checked_sub(lo)?;
         if off < 0 {
             return None;
         }
         vals.get(off as usize).copied()
     }
 
+    fn slot_id(&self, name: &str) -> Result<usize, CtxError> {
+        let id = self.names.slots.get(name).copied();
+        id.ok_or_else(|| CtxError::UnknownMalleable(name.to_string()))
+    }
+
+    fn table_id(&self, name: &str) -> Result<usize, CtxError> {
+        let id = self.names.tables.get(name).copied();
+        id.ok_or_else(|| CtxError::UnknownTable(name.to_string()))
+    }
+
+    /// Table id and the ordinal of its original action `action`.
+    fn table_action(&self, table: &str, action: &str) -> Result<(usize, usize), CtxError> {
+        let t = self.table_id(table)?;
+        match self.tables[t].action_ordinal(action) {
+            Some(a) => Ok((t, a)),
+            None => Err(CtxError::UnknownAction {
+                table: table.to_string(),
+                action: action.to_string(),
+            }),
+        }
+    }
+
+    /// Last written (or staged) value of slot `id`.
+    fn slot_value(&self, id: usize) -> i128 {
+        let staged = self.staged.slot_value(id);
+        staged.unwrap_or(self.slots[id].value)
+    }
+
+    /// Stage a write to slot `id`: a value is masked to its width, a field
+    /// selector must name one of its alternatives.
+    fn stage_slot(&mut self, id: usize, value: i128) -> Result<(), CtxError> {
+        let slot = &self.slots[id];
+        let value = match slot.alts {
+            None => value & mask_i128(slot.width),
+            Some(alts) if value < 0 || value as usize >= alts => {
+                return Err(CtxError::AltOutOfRange {
+                    mbl: slot.name.clone(),
+                    index: value,
+                    alts,
+                })
+            }
+            Some(_) => value,
+        };
+        self.staged.slot_writes.push((id, value));
+        Ok(())
+    }
+
     /// Last written (or staged) value of a malleable value, or the selector
     /// index of a malleable field.
     pub fn mbl(&self, name: &str) -> Result<i128, CtxError> {
-        if let Some(v) = self.staged.slot_value(name) {
-            return Ok(v);
-        }
-        self.slots
-            .get(name)
-            .copied()
-            .ok_or_else(|| CtxError::UnknownMalleable(name.to_string()))
+        Ok(self.slot_value(self.slot_id(name)?))
     }
 
     /// Stage a write to a malleable value.
     pub fn set_mbl(&mut self, name: &str, value: i128) -> Result<(), CtxError> {
-        if let Some(slot) = self.iface.value(name) {
-            let masked = value & mask_i128(slot.width);
-            self.staged.slot_writes.push((name.to_string(), masked));
-            return Ok(());
-        }
-        if let Some(f) = self.iface.field(name) {
-            let alts = f.alts.len();
-            if value < 0 || value as usize >= alts {
-                return Err(CtxError::AltOutOfRange {
-                    mbl: name.to_string(),
-                    index: value,
-                    alts,
-                });
-            }
-            self.staged.slot_writes.push((name.to_string(), value));
-            return Ok(());
-        }
-        Err(CtxError::UnknownMalleable(name.to_string()))
+        self.stage_slot(self.slot_id(name)?, value)
     }
 
     /// Stage shifting a malleable field to alternative `index`.
     pub fn shift_field(&mut self, name: &str, index: usize) -> Result<(), CtxError> {
-        if self.iface.field(name).is_none() {
+        let id = self.slot_id(name)?;
+        if self.slots[id].alts.is_none() {
             return Err(CtxError::UnknownMalleable(name.to_string()));
         }
-        self.set_mbl(name, index as i128)
+        self.stage_slot(id, index as i128)
     }
 
     /// Stage adding a logical entry; returns its handle immediately (the
@@ -186,34 +267,22 @@ impl<'a> ReactionCtx<'a> {
         action: &str,
         action_data: Vec<Value>,
     ) -> Result<LogicalHandle, CtxError> {
-        let info = self
-            .iface
-            .table(table)
-            .ok_or_else(|| CtxError::UnknownTable(table.to_string()))?;
-        if info.action(action).is_none() {
-            return Err(CtxError::UnknownAction {
-                table: table.to_string(),
-                action: action.to_string(),
-            });
-        }
-        if key.len() != info.user_key.len() {
+        let (t, action) = self.table_action(table, action)?;
+        let lt = &mut self.tables[t];
+        if key.len() != lt.user_key_len {
             return Err(CtxError::BadArity {
                 what: format!("key of `{table}`"),
-                expected: info.user_key.len(),
+                expected: lt.user_key_len,
                 got: key.len(),
             });
         }
-        let lt = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| CtxError::UnknownTable(table.to_string()))?;
         let handle = lt.alloc_handle();
         self.staged.table_ops.push(StagedOp::Add {
-            table: table.to_string(),
+            table: t,
             handle,
             key,
             priority,
-            action: action.to_string(),
+            action,
             action_data,
         });
         Ok(handle)
@@ -227,20 +296,11 @@ impl<'a> ReactionCtx<'a> {
         action: &str,
         action_data: Vec<Value>,
     ) -> Result<(), CtxError> {
-        let info = self
-            .iface
-            .table(table)
-            .ok_or_else(|| CtxError::UnknownTable(table.to_string()))?;
-        if info.action(action).is_none() {
-            return Err(CtxError::UnknownAction {
-                table: table.to_string(),
-                action: action.to_string(),
-            });
-        }
+        let (table, action) = self.table_action(table, action)?;
         self.staged.table_ops.push(StagedOp::Mod {
-            table: table.to_string(),
+            table,
             handle,
-            action: action.to_string(),
+            action,
             action_data,
         });
         Ok(())
@@ -248,13 +308,8 @@ impl<'a> ReactionCtx<'a> {
 
     /// Stage deleting a logical entry.
     pub fn table_del(&mut self, table: &str, handle: LogicalHandle) -> Result<(), CtxError> {
-        if self.iface.table(table).is_none() {
-            return Err(CtxError::UnknownTable(table.to_string()));
-        }
-        self.staged.table_ops.push(StagedOp::Del {
-            table: table.to_string(),
-            handle,
-        });
+        let table = self.table_id(table)?;
+        self.staged.table_ops.push(StagedOp::Del { table, handle });
         Ok(())
     }
 
@@ -265,19 +320,10 @@ impl<'a> ReactionCtx<'a> {
         action: &str,
         action_data: Vec<Value>,
     ) -> Result<(), CtxError> {
-        let info = self
-            .iface
-            .table(table)
-            .ok_or_else(|| CtxError::UnknownTable(table.to_string()))?;
-        if info.action(action).is_none() {
-            return Err(CtxError::UnknownAction {
-                table: table.to_string(),
-                action: action.to_string(),
-            });
-        }
+        let (table, action) = self.table_action(table, action)?;
         self.staged.table_ops.push(StagedOp::SetDefault {
-            table: table.to_string(),
-            action: action.to_string(),
+            table,
+            action,
             action_data,
         });
         Ok(())
@@ -291,16 +337,8 @@ impl<'a> ReactionCtx<'a> {
 
     /// Number of logical entries currently installed in a table.
     pub fn table_len(&self, table: &str) -> Option<usize> {
-        self.tables.get(table).map(|t| t.len())
-    }
-
-    /// Arity (action-data parameter count) of an original action on a
-    /// table; used by the interpreted `addEntry` convention.
-    fn action_data_arity(&self, table: &str, action: &str) -> Option<usize> {
-        let info = self.iface.table(table)?;
-        let av = info.action(action)?;
-        let first = av.variants.first()?;
-        self.action_arity.get(first).copied()
+        let t = self.names.tables.get(table)?;
+        Some(self.tables[*t].len())
     }
 }
 
@@ -313,7 +351,10 @@ fn mask_i128(width: u16) -> i128 {
 }
 
 /// The [`ReactionEnv`] impl lets interpreted (C-like) reaction bodies run
-/// against the same context native reactions use.
+/// against the same context native reactions use. The tree-walker comes in
+/// by name, the bytecode VM by the ids [`bind_name`] resolved; a name is
+/// turned into its id at the top of each by-name call and both meet in the
+/// `*_at` body.
 ///
 /// Interpreted table-method convention (documented in the README):
 ///
@@ -330,8 +371,21 @@ impl ReactionEnv for ReactionCtx<'_> {
         self.arg(name)
     }
 
+    fn read_scalar_arg_at(&self, id: u16, _name: &str) -> Option<i128> {
+        self.snapshot.scalar(usize::from(id))
+    }
+
     fn read_array_arg(&self, name: &str, index: i128) -> Option<Result<i128, InterpError>> {
-        let (lo, vals) = self.snapshot.arrays.get(name)?;
+        self.read_array_arg_at(id16(self.snapshot.array_id(name)), name, index)
+    }
+
+    fn read_array_arg_at(
+        &self,
+        id: u16,
+        name: &str,
+        index: i128,
+    ) -> Option<Result<i128, InterpError>> {
+        let (lo, vals) = self.snapshot.array(usize::from(id))?;
         let off = index - lo;
         Some(if off < 0 || off as usize >= vals.len() {
             Err(InterpError::IndexOutOfBounds {
@@ -345,132 +399,169 @@ impl ReactionEnv for ReactionCtx<'_> {
     }
 
     fn is_array_arg(&self, name: &str) -> bool {
-        self.snapshot.arrays.contains_key(name)
+        self.snapshot.array_id(name).is_some()
+    }
+
+    fn is_array_arg_at(&self, id: u16, _name: &str) -> bool {
+        self.snapshot.array(usize::from(id)).is_some()
     }
 
     fn read_mbl(&mut self, name: &str) -> Result<i128, InterpError> {
-        self.mbl(name).map_err(|e| InterpError::Env(e.to_string()))
+        self.read_mbl_at(id16(self.names.slots.get(name).copied()), name)
+    }
+
+    fn read_mbl_at(&mut self, id: u16, name: &str) -> Result<i128, InterpError> {
+        if usize::from(id) < self.slots.len() {
+            return Ok(self.slot_value(usize::from(id)));
+        }
+        Err(env_err(CtxError::UnknownMalleable(name.to_string())))
     }
 
     fn write_mbl(&mut self, name: &str, value: i128) -> Result<(), InterpError> {
-        self.set_mbl(name, value)
-            .map_err(|e| InterpError::Env(e.to_string()))
+        self.write_mbl_at(id16(self.names.slots.get(name).copied()), name, value)
+    }
+
+    fn write_mbl_at(&mut self, id: u16, name: &str, value: i128) -> Result<(), InterpError> {
+        if usize::from(id) < self.slots.len() {
+            return self.stage_slot(usize::from(id), value).map_err(env_err);
+        }
+        Err(env_err(CtxError::UnknownMalleable(name.to_string())))
     }
 
     fn table_op(&mut self, table: &str, method: &str, args: &[i128]) -> Result<i128, InterpError> {
-        let to_env = |e: CtxError| InterpError::Env(e.to_string());
-        let info = self
-            .iface
-            .table(table)
-            .ok_or_else(|| to_env(CtxError::UnknownTable(table.to_string())))?;
-        let action_by_ordinal = |ord: i128| -> Result<String, InterpError> {
-            info.actions
-                .get(ord as usize)
-                .map(|a| a.orig.clone())
-                .ok_or_else(|| {
-                    to_env(CtxError::UnknownAction {
-                        table: table.to_string(),
-                        action: format!("#{ord}"),
-                    })
-                })
+        let ids = (
+            id16(self.names.tables.get(table).copied()),
+            id_of(&METHODS, method),
+        );
+        self.table_op_at(ids, table, method, args)
+    }
+
+    fn table_op_at(
+        &mut self,
+        (t, m): (u16, u16),
+        table: &str,
+        method: &str,
+        args: &[i128],
+    ) -> Result<i128, InterpError> {
+        let t = usize::from(t);
+        let Some(lt) = self.tables.get_mut(t) else {
+            return Err(env_err(CtxError::UnknownTable(table.to_string())));
         };
-        match method {
-            "addEntry" => {
-                let key_len = info.user_key.len();
+        let bad_arity = |what: String, expected: usize| {
+            let got = args.len();
+            env_err(CtxError::BadArity {
+                what,
+                expected,
+                got,
+            })
+        };
+        // Action ordinal `args[at]` and the data values behind it.
+        let action_and_data = |lt: &LogicalTable, at: usize, data_from: usize| {
+            let ord = args[at];
+            if lt.actions.get(ord as usize).is_none() {
+                return Err(env_err(CtxError::UnknownAction {
+                    table: table.to_string(),
+                    action: format!("#{ord}"),
+                }));
+            }
+            let data = args[data_from..].iter();
+            Ok((
+                ord as usize,
+                data.map(|v| Value::new(*v as u128, 64)).collect(),
+            ))
+        };
+        let op = match m {
+            ADD_ENTRY => {
+                let key_len = lt.user_key_len;
                 if args.len() < 1 + key_len {
-                    return Err(to_env(CtxError::BadArity {
-                        what: format!("addEntry on `{table}`"),
-                        expected: 1 + key_len,
-                        got: args.len(),
-                    }));
+                    return Err(bad_arity(format!("addEntry on `{table}`"), 1 + key_len));
                 }
-                let action = action_by_ordinal(args[0])?;
-                let arity = self.action_data_arity(table, &action).unwrap_or(0);
-                if args.len() != 1 + key_len + arity {
-                    return Err(to_env(CtxError::BadArity {
-                        what: format!("addEntry on `{table}` with action `{action}`"),
-                        expected: 1 + key_len + arity,
-                        got: args.len(),
-                    }));
+                let (action, action_data): (_, Vec<Value>) = action_and_data(lt, 0, 1 + key_len)?;
+                let plan = &lt.actions[action];
+                if action_data.len() != plan.arity {
+                    let what = format!("addEntry on `{table}` with action `{}`", plan.name);
+                    return Err(bad_arity(what, 1 + key_len + plan.arity));
                 }
-                let key: Vec<LogicalKey> = args[1..1 + key_len]
-                    .iter()
-                    .map(|v| LogicalKey::Exact(Value::new(*v as u128, 64)))
-                    .collect();
-                let data: Vec<Value> = args[1 + key_len..]
-                    .iter()
-                    .map(|v| Value::new(*v as u128, 64))
-                    .collect();
-                let h = self
-                    .table_add(table, key, 0, &action, data)
-                    .map_err(to_env)?;
-                Ok(h as i128)
+                let key = args[1..1 + key_len].iter();
+                let handle = lt.alloc_handle();
+                self.staged.table_ops.push(StagedOp::Add {
+                    table: t,
+                    handle,
+                    key: key
+                        .map(|v| LogicalKey::Exact(Value::new(*v as u128, 64)))
+                        .collect(),
+                    priority: 0,
+                    action,
+                    action_data,
+                });
+                return Ok(handle as i128);
             }
-            "modEntry" => {
+            MOD_ENTRY => {
                 if args.len() < 2 {
-                    return Err(to_env(CtxError::BadArity {
-                        what: format!("modEntry on `{table}`"),
-                        expected: 2,
-                        got: args.len(),
-                    }));
+                    return Err(bad_arity(format!("modEntry on `{table}`"), 2));
                 }
-                let action = action_by_ordinal(args[1])?;
-                let data: Vec<Value> = args[2..]
-                    .iter()
-                    .map(|v| Value::new(*v as u128, 64))
-                    .collect();
-                self.table_mod(table, args[0] as LogicalHandle, &action, data)
-                    .map_err(to_env)?;
-                Ok(0)
+                let (action, action_data) = action_and_data(lt, 1, 2)?;
+                StagedOp::Mod {
+                    table: t,
+                    handle: args[0] as LogicalHandle,
+                    action,
+                    action_data,
+                }
             }
-            "delEntry" => {
+            DEL_ENTRY => {
                 if args.len() != 1 {
-                    return Err(to_env(CtxError::BadArity {
-                        what: format!("delEntry on `{table}`"),
-                        expected: 1,
-                        got: args.len(),
-                    }));
+                    return Err(bad_arity(format!("delEntry on `{table}`"), 1));
                 }
-                self.table_del(table, args[0] as LogicalHandle)
-                    .map_err(to_env)?;
-                Ok(0)
+                StagedOp::Del {
+                    table: t,
+                    handle: args[0] as LogicalHandle,
+                }
             }
-            "setDefault" => {
+            SET_DEFAULT => {
                 if args.is_empty() {
-                    return Err(to_env(CtxError::BadArity {
-                        what: format!("setDefault on `{table}`"),
-                        expected: 1,
-                        got: 0,
-                    }));
+                    return Err(bad_arity(format!("setDefault on `{table}`"), 1));
                 }
-                let action = action_by_ordinal(args[0])?;
-                let data: Vec<Value> = args[1..]
-                    .iter()
-                    .map(|v| Value::new(*v as u128, 64))
-                    .collect();
-                self.table_set_default(table, &action, data)
-                    .map_err(to_env)?;
-                Ok(0)
+                let (action, action_data) = action_and_data(lt, 0, 1)?;
+                StagedOp::SetDefault {
+                    table: t,
+                    action,
+                    action_data,
+                }
             }
-            "size" => Ok(self.table_len(table).unwrap_or(0) as i128),
-            other => Err(to_env(CtxError::UnknownMethod(other.to_string()))),
-        }
+            SIZE => return Ok(lt.len() as i128),
+            _ => return Err(env_err(CtxError::UnknownMethod(method.to_string()))),
+        };
+        self.staged.table_ops.push(op);
+        Ok(0)
     }
 
     fn call(&mut self, name: &str, args: &[i128]) -> Option<Result<i128, InterpError>> {
-        match (name, args) {
-            ("now_ns", []) => Some(Ok(self.now_ns as i128)),
-            ("now_us", []) => Some(Ok((self.now_ns / 1_000) as i128)),
-            ("snapshot_ns", []) => Some(Ok(self.snapshot.taken_at as i128)),
-            ("port_down", [p]) => {
+        self.call_at(id_of(&BUILTINS, name), name, args)
+    }
+
+    fn call_at(
+        &mut self,
+        id: u16,
+        _name: &str,
+        args: &[i128],
+    ) -> Option<Result<i128, InterpError>> {
+        match (id, args) {
+            (NOW_NS, []) => Some(Ok(self.now_ns as i128)),
+            (NOW_US, []) => Some(Ok((self.now_ns / 1_000) as i128)),
+            (SNAPSHOT_NS, []) => Some(Ok(self.snapshot.taken_at as i128)),
+            (PORT_DOWN, [p]) => {
                 self.set_port_up(*p as rmt_sim::PortId, false);
                 Some(Ok(0))
             }
-            ("port_up", [p]) => {
+            (PORT_UP, [p]) => {
                 self.set_port_up(*p as rmt_sim::PortId, true);
                 Some(Ok(0))
             }
             _ => None,
         }
     }
+}
+
+fn env_err(e: CtxError) -> InterpError {
+    InterpError::Env(e.to_string())
 }

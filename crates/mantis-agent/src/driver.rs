@@ -16,13 +16,13 @@
 //! shadow.
 
 use crate::costmodel::CostModel;
-use crate::driver_api::{CheckpointToken, DriverApi, DriverOp, DriverResponse};
+use crate::driver_api::{DriverApi, DriverOp, DriverResponse};
 use mantis_faults::{FaultInjector, FaultPlan, Injection};
 use mantis_telemetry::{scopes, DriverOpId, Scope, Telemetry};
 use p4_ast::Value;
 use rmt_sim::{
     ActionId, Clock, DataPlaneSpec, DriverError, EntryHandle, KeyField, Nanos, RegisterId,
-    SharedSwitch, TableCheckpoint, TableError, TableId,
+    SharedSwitch, TableId,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -127,9 +127,6 @@ pub struct LocalDriver {
     /// Last successfully read values per register range, served back by a
     /// `StaleRead` injection. Only maintained while an injector is set.
     stale_cache: HashMap<(RegisterId, u32, u32), Vec<Value>>,
-    /// Live table checkpoints, each with the table it was taken of.
-    checkpoints: HashMap<CheckpointToken, (TableId, TableCheckpoint)>,
-    next_token: CheckpointToken,
 }
 
 impl LocalDriver {
@@ -154,8 +151,6 @@ impl LocalDriver {
             injector: None,
             fabric_index: None,
             stale_cache: HashMap::new(),
-            checkpoints: HashMap::new(),
-            next_token: 0,
         }
     }
 
@@ -173,18 +168,12 @@ impl LocalDriver {
                 action,
                 ..
             } => (Some(table), Some(action), None, Some(pipe)),
+            // (A restore's token is the switch's to judge: it knows which
+            // checkpoints are live, and of which table.)
             DriverOp::TableDel { table, .. }
             | DriverOp::TableCheckpoint { table }
+            | DriverOp::TableRestore { table, .. }
             | DriverOp::TableDump { table } => (Some(table), None, None, None),
-            DriverOp::TableRestore { table, token } => {
-                // A dead token, or one taken of another table, names no
-                // checkpoint of this table.
-                if self.checkpoints.get(&token).map(|c| c.0) != Some(table) {
-                    let token = EntryHandle(token);
-                    return Err(DriverError::Table(TableError::UnknownHandle(token)));
-                }
-                (Some(table), None, None, None)
-            }
             DriverOp::TableDefaultOn { pipe, table } => (Some(table), None, None, Some(pipe)),
             DriverOp::RegisterWrite { reg, .. }
             | DriverOp::RegisterReadRange { reg, .. }
@@ -470,19 +459,14 @@ impl DriverApi for LocalDriver {
                 DriverResponse::Ok
             }
             DriverOp::TableCheckpoint { table } => {
-                let ckpt = self.switch.borrow().table_checkpoint(table);
-                let token = self.next_token;
-                self.next_token += 1;
-                self.checkpoints.insert(token, (table, ckpt));
-                DriverResponse::Token(token)
+                DriverResponse::Token(self.switch.borrow_mut().table_checkpoint(table))
             }
             DriverOp::TableRestore { table, token } => {
-                let ckpt = self.checkpoints[&token].1.clone();
-                self.switch.borrow_mut().table_restore(table, ckpt);
+                self.switch.borrow_mut().table_restore(table, token)?;
                 DriverResponse::Ok
             }
             DriverOp::CheckpointDiscard { token } => {
-                self.checkpoints.remove(&token);
+                self.switch.borrow_mut().checkpoint_discard(token);
                 DriverResponse::Ok
             }
             DriverOp::TableDefaultOn { pipe, table } => {
@@ -797,7 +781,7 @@ control ingress { apply(t); }
                     table: t,
                     token: token + 1,
                 },
-                DriverError::Table(TableError::UnknownHandle(EntryHandle(token + 1))),
+                DriverError::Table(rmt_sim::TableError::UnknownHandle(EntryHandle(token + 1))),
             ),
         ];
         for (op, want) in refused {

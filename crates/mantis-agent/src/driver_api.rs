@@ -27,9 +27,30 @@ use rmt_sim::{
 };
 use std::sync::Arc;
 
-/// Opaque handle to a server-held table checkpoint. The checkpoint bytes
-/// never cross the driver API (remotely they would have to cross the
-/// wire); the driver keeps them and restores by token.
+/// Opaque name of a live table checkpoint. A checkpoint is not a copy: it
+/// is a mark on the undo journal the device driver keeps for its software
+/// shadow of that table (`rmt_sim::table`), so nothing but this token ever
+/// crosses the driver API — or the wire.
+///
+/// The contract of the three checkpoint ops:
+///
+/// * tokens of one table form a **stack**. [`DriverOp::TableRestore`]
+///   rolls the table back to the named mark and retires every younger
+///   token of that table — they name states that no longer exist.
+///   Tokens of other tables are untouched;
+/// * the restored token **stays live**: a transaction restores the same
+///   checkpoint once per failed apply attempt;
+/// * a live mark makes every mutation of its table record an inverse, so
+///   whoever takes a token owes its [`DriverOp::CheckpointDiscard`] — on
+///   every path, including a transaction that fails while still opening.
+///   The agent is the only holder, takes at most one per table, and holds
+///   it for one transaction;
+/// * a dead, discarded or foreign token restores nothing and is refused
+///   (`TableError::UnknownHandle(token)`) before any cost; discarding one
+///   is a no-op;
+/// * table state is entries (in order, handles included), default action
+///   and the handle counter. Lookup/hit statistics are traffic counters
+///   and are never rewound.
 pub type CheckpointToken = u64;
 
 /// One driver operation: what [`DriverApi::submit`] carries out and what a
@@ -107,18 +128,22 @@ pub enum DriverOp {
     SpendRollback {
         tables: u32,
     },
-    /// Snapshot a table's device shadow (free: the driver journals its own
-    /// software shadow).
+    /// Open a checkpoint of a table: a mark on the journal of the driver's
+    /// software shadow (free of device cost). From here until the token is
+    /// discarded the table journals its mutations. See
+    /// [`CheckpointToken`] for the contract.
     TableCheckpoint {
         table: TableId,
     },
-    /// Restore a table to a checkpoint. The token stays valid (rollback
-    /// may restore the same checkpoint across several apply attempts).
+    /// Roll a table back to a live checkpoint *of that table*. The token
+    /// stays valid (rollback may restore the same checkpoint across
+    /// several apply attempts); younger tokens of the table die.
     TableRestore {
         table: TableId,
         token: CheckpointToken,
     },
-    /// Drop a checkpoint the transaction no longer needs.
+    /// Drop a checkpoint the transaction no longer needs; with a table's
+    /// last one gone, its journal empties and recording stops.
     CheckpointDiscard {
         token: CheckpointToken,
     },

@@ -20,6 +20,8 @@
 //!   (prepare/commit/mirror) update protocol of §5.1.2;
 //! * [`ctx`] — the staging context handed to reactions (native Rust or
 //!   interpreted C-like bodies);
+//! * `measure` — a reaction's measurement poll lowered to a plan, and the
+//!   snapshot it refills in place;
 //! * [`agent`] — the prologue + dialogue loop itself.
 
 #![forbid(unsafe_code)]
@@ -30,6 +32,7 @@ pub mod ctx;
 pub mod driver;
 pub mod driver_api;
 pub mod logical;
+mod measure;
 pub mod sched;
 
 pub use agent::{
@@ -37,10 +40,11 @@ pub use agent::{
     NativeReaction, ReactionEngine, ReactionFailure,
 };
 pub use costmodel::CostModel;
-pub use ctx::{CtxError, ReactionCtx, Snapshot};
+pub use ctx::{CtxError, ReactionCtx};
 pub use driver::LocalDriver;
 pub use driver_api::{CheckpointToken, DriverApi};
 pub use logical::{LogicalHandle, Staged, StagedOp};
+pub use measure::Snapshot;
 pub use sched::{schedule_agent, schedule_fabric_agents, schedule_paced_agent};
 
 #[cfg(test)]
@@ -589,5 +593,121 @@ control ingress { apply(acl); }
             .borrow_mut()
             .inject(&PacketDesc::new(0).field("ip", "src", 666).payload(50));
         assert_eq!(switch.borrow().stats.dropped_ingress, dropped_before + 1);
+    }
+
+    /// An in-process driver that refuses one chosen op of a transaction's
+    /// opening and counts the checkpoints it hands out and gets back.
+    struct FlakyOpening {
+        inner: LocalDriver,
+        /// Fail the n-th (1-based) `TableCheckpoint`; 0 fails `PortUp`.
+        fail_checkpoint: usize,
+        /// `(checkpoints taken, checkpoints discarded)`.
+        seen: Rc<RefCell<(usize, usize)>>,
+    }
+
+    impl DriverApi for FlakyOpening {
+        fn submit(
+            &mut self,
+            op: driver_api::DriverOp,
+        ) -> Result<driver_api::DriverResponse, rmt_sim::DriverError> {
+            let refuse = Err(rmt_sim::DriverError::Injected {
+                op: "control",
+                persistent: true,
+            });
+            match op {
+                driver_api::DriverOp::TableCheckpoint { .. } => {
+                    if self.seen.borrow().0 + 1 == self.fail_checkpoint {
+                        return refuse;
+                    }
+                    self.seen.borrow_mut().0 += 1;
+                }
+                driver_api::DriverOp::PortUp { .. } if self.fail_checkpoint == 0 => return refuse,
+                driver_api::DriverOp::CheckpointDiscard { .. } => self.seen.borrow_mut().1 += 1,
+                _ => {}
+            }
+            self.inner.submit(op)
+        }
+        fn spec(&self) -> &rmt_sim::DataPlaneSpec {
+            self.inner.spec()
+        }
+        fn num_pipes(&self) -> u16 {
+            self.inner.num_pipes()
+        }
+        fn cost(&self) -> &CostModel {
+            self.inner.cost()
+        }
+        fn clock(&self) -> &Clock {
+            self.inner.clock()
+        }
+        fn set_fault_plan(&mut self, plan: mantis_faults::FaultPlan) {
+            self.inner.set_fault_plan(plan)
+        }
+        fn clear_fault_plan(&mut self) {
+            self.inner.clear_fault_plan()
+        }
+        fn suspend_faults(&mut self) {
+            self.inner.suspend_faults()
+        }
+        fn resume_faults(&mut self) {
+            self.inner.resume_faults()
+        }
+        fn set_fabric_index(&mut self, index: Option<u16>) {
+            self.inner.set_fabric_index(index)
+        }
+        fn fabric_index(&self) -> Option<u16> {
+            self.inner.fabric_index()
+        }
+        fn set_telemetry(&mut self, telemetry: std::sync::Arc<mantis_telemetry::Telemetry>) {
+            self.inner.set_telemetry(telemetry)
+        }
+        fn stats(&self) -> driver::DriverStats {
+            self.inner.stats()
+        }
+        fn busy_until(&self) -> rmt_sim::Nanos {
+            self.inner.busy_until()
+        }
+        fn legacy_table_update_at(&mut self, at: rmt_sim::Nanos) -> rmt_sim::Nanos {
+            self.inner.legacy_table_update_at(at)
+        }
+    }
+
+    /// A transaction that cannot finish opening — a checkpoint or the
+    /// port-state read fails, as a barrier op does over a faulty channel —
+    /// hands back every checkpoint it had taken: none stays open on the
+    /// device to keep a table journalling.
+    #[test]
+    fn a_half_opened_transaction_returns_its_checkpoints() {
+        // The update touches the master and `acl`: two checkpoints.
+        for (fail_checkpoint, taken) in [(1, 0), (2, 1), (0, 2)] {
+            let compiled = compile_source(PROGRAM, &CompilerOptions::default()).unwrap();
+            let spec = rmt_sim::load(&compiled.p4).unwrap();
+            let switch =
+                SharedSwitch::new(Switch::new(spec, SwitchConfig::default(), Clock::new()));
+            let seen = Rc::new(RefCell::new((0, 0)));
+            let driver = FlakyOpening {
+                inner: LocalDriver::new(switch.clone(), CostModel::default()),
+                fail_checkpoint,
+                seen: seen.clone(),
+            };
+            let mut agent = MantisAgent::with_driver(&compiled, Box::new(driver));
+            agent.prologue().unwrap();
+            let err = agent
+                .user_init(|ctx| {
+                    let key = vec![LogicalKey::Exact(Value::new(1, 32))];
+                    ctx.table_add("acl", key, 0, "to_drop", vec![])?;
+                    ctx.set_port_up(3, false);
+                    Ok(())
+                })
+                .unwrap_err();
+            assert!(matches!(err.kind, AgentErrorKind::Driver(_)), "{err}");
+            assert_eq!(
+                *seen.borrow(),
+                (taken, taken),
+                "failing op {fail_checkpoint}"
+            );
+            for token in 0..2 {
+                assert_eq!(switch.borrow().checkpoint_table(token), None);
+            }
+        }
     }
 }

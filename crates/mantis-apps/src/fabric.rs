@@ -179,8 +179,10 @@ pub fn install_spine_routes(agent: &mut MantisAgent, leaves: usize) -> Result<()
 /// restarted control process runs under `plan` (typically
 /// [`mantis_faults::chaos::ChaosPlan::restart_plan`]'s output; `None`
 /// clears faults), reads device state back and repairs any torn apply
-/// ([`MantisAgent::reconcile`]), re-installs its routes, and re-arms a
-/// fresh gray-failure detector (leaves) appending to the same event log.
+/// ([`MantisAgent::reconcile`]), re-installs its routes, and registers
+/// its reaction afresh — a new gray-failure detector appending to the same
+/// event log on a leaf, the interpreted relay watcher on a spine (the
+/// dead process's registrations died with it).
 /// The agent object is repaired in place, so paced dialogue loops
 /// already scheduled against its `Rc` keep driving the revived agent.
 pub fn restart_fabric_agent(
@@ -200,9 +202,10 @@ pub fn restart_fabric_agent(
         );
         det.events = tb.events[index].clone();
         det.set_route_handles(handles);
-        agent.swap_reaction("detect_failures", Box::new(det))?;
+        agent.register_native("detect_failures", Box::new(det))?;
     } else {
         install_spine_routes(&mut agent, tb.leaves)?;
+        agent.register_all_interpreted()?;
     }
     Ok(())
 }

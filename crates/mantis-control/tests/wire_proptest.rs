@@ -518,6 +518,11 @@ fn local_and_remote_agree(raws: Vec<DriverOp>, slack: u64) -> Result<(), TestCas
                 tokens.push((*table, *t));
             }
             (DriverOp::CheckpointDiscard { token }, _) => tokens.retain(|(_, t)| t != token),
+            // Tokens of one table are a stack: a restore retires the
+            // younger ones of that table.
+            (DriverOp::TableRestore { table, token }, Ok(_)) => {
+                tokens.retain(|(of, t)| of != table || t <= token);
+            }
             _ => {}
         }
     }

@@ -8,7 +8,7 @@
 //! one logical entry — the expansion whose size is
 //! `Π |alts|` over the malleables involved (§4.1).
 
-use crate::iface::{TableInfo, UserKey};
+use crate::iface::{ActionVariants, TableInfo, UserKey};
 use p4_ast::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -76,6 +76,54 @@ impl fmt::Display for ExpandError {
 
 impl std::error::Error for ExpandError {}
 
+/// The malleables one logical entry of `info` using `av` expands over,
+/// with their alternative counts: read malleables (user_key order), then
+/// the action's.
+fn mbl_union<'a>(info: &'a TableInfo, av: &'a ActionVariants) -> Vec<(&'a str, usize)> {
+    let mut union: Vec<(&str, usize)> = Vec::new();
+    let reads = info.user_key.iter().filter_map(|k| match k {
+        UserKey::MblField { mbl, alt_count, .. } => Some((mbl.as_str(), *alt_count)),
+        UserKey::Concrete { .. } => None,
+    });
+    let acts = av
+        .mbls
+        .iter()
+        .map(String::as_str)
+        .zip(av.alt_counts.iter().copied());
+    for (m, n) in reads.chain(acts) {
+        if !union.iter().any(|(u, _)| *u == m) {
+            union.push((m, n));
+        }
+    }
+    union
+}
+
+/// The alternative `assignment` picks for `mbl` (0 if it is not involved).
+fn selected(union: &[(&str, usize)], assignment: &[usize], mbl: &str) -> usize {
+    let pos = union.iter().position(|(m, _)| *m == mbl);
+    pos.map_or(0, |i| assignment[i])
+}
+
+/// For each physical entry [`expand_entry`] emits for an entry using `av`,
+/// in order, the index into `av.variants` of the action it carries. The
+/// sequence depends on the table and action alone — not on key, data or
+/// `vv` — so a control plane can resolve it once per (table, action).
+pub fn expansion_variants(info: &TableInfo, av: &ActionVariants) -> Vec<usize> {
+    let union = mbl_union(info, av);
+    let counts: Vec<usize> = union.iter().map(|(_, n)| *n).collect();
+    crate::compiler::assignments(&counts)
+        .iter()
+        .map(|assignment| {
+            let act: Vec<usize> = av
+                .mbls
+                .iter()
+                .map(|m| selected(&union, assignment, m))
+                .collect();
+            av.variant_index(&act)
+        })
+        .collect()
+}
+
 /// Expand one logical entry into its physical entries.
 ///
 /// `vv` selects the version-bit value for the emitted entries; pass `None`
@@ -98,32 +146,11 @@ pub fn expand_entry(
         .action(action)
         .ok_or_else(|| ExpandError::UnknownAction(action.to_string()))?;
 
-    // Union of malleables: read malleables (user_key order) then action
-    // malleables.
-    let mut union: Vec<(String, usize)> = Vec::new();
-    for k in &info.user_key {
-        if let UserKey::MblField { mbl, alt_count, .. } = k {
-            if !union.iter().any(|(m, _)| m == mbl) {
-                union.push((mbl.clone(), *alt_count));
-            }
-        }
-    }
-    for (m, n) in av.mbls.iter().zip(av.alt_counts.iter()) {
-        if !union.iter().any(|(u, _)| u == m) {
-            union.push((m.clone(), *n));
-        }
-    }
-
+    let union = mbl_union(info, av);
     let counts: Vec<usize> = union.iter().map(|(_, n)| *n).collect();
     let mut out = Vec::new();
     for assignment in crate::compiler::assignments(&counts) {
-        let sel = |mbl: &str| -> usize {
-            union
-                .iter()
-                .position(|(m, _)| m == mbl)
-                .map(|i| assignment[i])
-                .unwrap_or(0)
-        };
+        let sel = |mbl: &str| selected(&union, &assignment, mbl);
 
         let mut phys = vec![PhysKey::Any; info.phys_cols];
         for (lk, uk) in key.iter().zip(info.user_key.iter()) {
@@ -375,6 +402,39 @@ mod tests {
             assert_eq!(e.key[1], PhysKey::Exact(Value::new(i as u128, 16)));
             assert_eq!(e.action, format!("act_{i}_"));
             assert_eq!(e.action_data, vec![Value::new(5, 16)]);
+        }
+    }
+
+    /// The per-(table, action) plan names, entry for entry, the action
+    /// variants a full expansion emits: a read malleable the action does
+    /// not use multiplies the entries without moving the variant, and a
+    /// second action malleable varies fastest.
+    #[test]
+    fn expansion_variants_name_what_expand_entry_emits() {
+        let mut t = fig6_table();
+        t.actions.push(ActionVariants {
+            orig: "mix".into(),
+            mbls: vec!["other".into(), "read_var".into()],
+            alt_counts: vec![3, 2],
+            variants: (0..6).map(|i| format!("mix_v{i}")).collect(),
+        });
+        t.actions.push(ActionVariants {
+            orig: "plain".into(),
+            mbls: vec![],
+            alt_counts: vec![],
+            variants: vec!["plain".into()],
+        });
+        let key = [
+            LogicalKey::Exact(Value::new(5, 32)),
+            LogicalKey::Exact(Value::zero(32)),
+        ];
+        for (av, n) in t.actions.iter().zip([2, 6, 2]) {
+            let entries = expand_entry(&t, &key, &av.orig, &[], 0, Some(1)).unwrap();
+            let plan = expansion_variants(&t, av);
+            assert_eq!(plan.len(), n, "{}", av.orig);
+            let named: Vec<&str> = plan.iter().map(|&v| av.variants[v].as_str()).collect();
+            let emitted: Vec<&str> = entries.iter().map(|e| e.action.as_str()).collect();
+            assert_eq!(named, emitted, "{}", av.orig);
         }
     }
 }

@@ -110,12 +110,17 @@ pub struct ActionVariants {
 impl ActionVariants {
     /// Variant name for the given per-mbl alternative assignment.
     pub fn variant(&self, assignment: &[usize]) -> &str {
+        &self.variants[self.variant_index(assignment)]
+    }
+
+    /// Index into `variants` for the given per-mbl alternative assignment.
+    pub fn variant_index(&self, assignment: &[usize]) -> usize {
         debug_assert_eq!(assignment.len(), self.mbls.len());
         let mut idx = 0usize;
         for (a, n) in assignment.iter().zip(self.alt_counts.iter()) {
             idx = idx * n + a;
         }
-        &self.variants[idx]
+        idx
     }
 }
 

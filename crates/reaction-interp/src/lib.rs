@@ -94,6 +94,92 @@ pub trait ReactionEnv {
     /// Agent-provided builtin functions (e.g. `now_us()`); return `None`
     /// for unknown names.
     fn call(&mut self, name: &str, args: &[i128]) -> Option<Result<i128, InterpError>>;
+
+    // -- the same calls by id ------------------------------------------------
+    //
+    // The bytecode VM calls these, passing the [`Binding`] ids its names
+    // were resolved to ([`CompiledReaction::bind`]) beside the name. An
+    // environment that hands out ids overrides them to index instead of
+    // hashing; by default the id is ignored and the name decides, so an
+    // unbound VM and an id-less environment meet on the calls above.
+
+    fn read_scalar_arg_at(&self, _id: u16, name: &str) -> Option<i128> {
+        self.read_scalar_arg(name)
+    }
+
+    fn read_array_arg_at(
+        &self,
+        _id: u16,
+        name: &str,
+        index: i128,
+    ) -> Option<Result<i128, InterpError>> {
+        self.read_array_arg(name, index)
+    }
+
+    fn is_array_arg_at(&self, _id: u16, name: &str) -> bool {
+        self.is_array_arg(name)
+    }
+
+    fn read_mbl_at(&mut self, _id: u16, name: &str) -> Result<i128, InterpError> {
+        self.read_mbl(name)
+    }
+
+    fn write_mbl_at(&mut self, _id: u16, name: &str, value: i128) -> Result<(), InterpError> {
+        self.write_mbl(name, value)
+    }
+
+    /// `ids` are the receiver's `table` id and the method name's `method`
+    /// id.
+    fn table_op_at(
+        &mut self,
+        _ids: (u16, u16),
+        table: &str,
+        method: &str,
+        args: &[i128],
+    ) -> Result<i128, InterpError> {
+        self.table_op(table, method, args)
+    }
+
+    fn call_at(
+        &mut self,
+        _id: u16,
+        name: &str,
+        args: &[i128],
+    ) -> Option<Result<i128, InterpError>> {
+        self.call(name, args)
+    }
+}
+
+/// What one name of a reaction body means to the environment it will run
+/// against, one id per role the name can play ([`Binding::NONE`] where it
+/// plays none). The ids are the environment's own.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Binding {
+    /// Scalar (measured field) argument.
+    pub scalar: u16,
+    /// Array (measured register slice) argument.
+    pub array: u16,
+    /// Malleable value or field.
+    pub mbl: u16,
+    /// Malleable table (a method-call receiver).
+    pub table: u16,
+    /// Table method.
+    pub method: u16,
+    /// Environment builtin function.
+    pub builtin: u16,
+}
+
+impl Binding {
+    pub const NONE: u16 = u16::MAX;
+    /// The binding of a name nothing resolved.
+    pub const UNBOUND: Binding = Binding {
+        scalar: Binding::NONE,
+        array: Binding::NONE,
+        mbl: Binding::NONE,
+        table: Binding::NONE,
+        method: Binding::NONE,
+        builtin: Binding::NONE,
+    };
 }
 
 /// A variable's storage.

@@ -26,7 +26,7 @@
 //! the tree-walker for those.
 
 use crate::slots::ReactionSlots;
-use crate::{apply_binop, coerce, InterpError, ReactionEnv};
+use crate::{apply_binop, coerce, Binding, InterpError, ReactionEnv};
 use p4r_lang::creact::{BinOp, Body, CType, Declarator, Expr, LValue, Stmt, UnOp};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -255,6 +255,10 @@ struct Program {
 #[derive(Debug)]
 pub struct CompiledReaction {
     program: Program,
+    /// What each of `program.names` resolved to in the environment the
+    /// reaction is registered with; all [`Binding::UNBOUND`] until
+    /// [`bind`](Self::bind).
+    bound: Vec<Binding>,
     statics: Vec<StaticCell>,
     /// Execution step budget per invocation (loop runaway guard).
     pub step_limit: u64,
@@ -283,6 +287,7 @@ impl CompiledReaction {
         let locals = vec![0; program.n_scalar_slots];
         let local_arrays = vec![Vec::new(); program.n_array_slots];
         Ok(CompiledReaction {
+            bound: vec![Binding::UNBOUND; program.names.len()],
             program,
             statics,
             step_limit: 50_000_000,
@@ -299,6 +304,16 @@ impl CompiledReaction {
     pub fn from_source(src: &str) -> Result<Result<Self, CompileError>, p4r_lang::ParseError> {
         let body = p4r_lang::creact::parse_body(src)?;
         Ok(Self::compile(&body))
+    }
+
+    /// Resolve every name the body mentions against the environment it
+    /// will run in, once: `resolve` maps a name to that environment's ids.
+    /// Runs then reach the environment through the `*_at` calls of
+    /// [`ReactionEnv`] with these ids.
+    pub fn bind(&mut self, resolve: impl Fn(&str) -> Binding) {
+        for (b, name) in self.bound.iter_mut().zip(&self.program.names) {
+            *b = resolve(name);
+        }
     }
 
     /// Number of bytecode ops in the program.
@@ -322,6 +337,7 @@ impl CompiledReaction {
     pub fn run(&mut self, env: &mut dyn ReactionEnv) -> Result<Option<i128>, InterpError> {
         let prog = &self.program;
         let names = &prog.names;
+        let bound = &self.bound;
         let stack = &mut self.stack;
         let locals = &mut self.locals;
         let arrays = &mut self.local_arrays;
@@ -473,7 +489,7 @@ impl CompiledReaction {
                     break 'vm Err(InterpError::NotAnArray(names[*name as usize].clone()))
                 }
                 Op::LoadDynVar { name, static_slot } => {
-                    match read_dyn_var(statics, env, names, *name, *static_slot) {
+                    match read_dyn_var(statics, env, names, bound, *name, *static_slot) {
                         Ok(v) => stack.push(v),
                         Err(e) => break 'vm Err(e),
                     }
@@ -491,7 +507,7 @@ impl CompiledReaction {
                     delta,
                     post,
                 } => {
-                    let cur = match read_dyn_var(statics, env, names, *name, *static_slot) {
+                    let cur = match read_dyn_var(statics, env, names, bound, *name, *static_slot) {
                         Ok(v) => v,
                         Err(e) => break 'vm Err(e),
                     };
@@ -503,13 +519,13 @@ impl CompiledReaction {
                 }
                 Op::ElemDyn { name, static_slot } => {
                     let i = pop!();
-                    match read_dyn_elem(statics, env, names, *name, *static_slot, i) {
+                    match read_dyn_elem(statics, env, names, bound, *name, *static_slot, i) {
                         Ok(v) => stack.push(v),
                         Err(e) => break 'vm Err(e),
                     }
                 }
                 Op::LoadElemLvDyn { name, static_slot } => {
-                    match read_dyn_elem(statics, env, names, *name, *static_slot, lv) {
+                    match read_dyn_elem(statics, env, names, bound, *name, *static_slot, lv) {
                         Ok(v) => stack.push(v),
                         Err(e) => break 'vm Err(e),
                     }
@@ -527,10 +543,11 @@ impl CompiledReaction {
                     delta,
                     post,
                 } => {
-                    let cur = match read_dyn_elem(statics, env, names, *name, *static_slot, lv) {
-                        Ok(v) => v,
-                        Err(e) => break 'vm Err(e),
-                    };
+                    let cur =
+                        match read_dyn_elem(statics, env, names, bound, *name, *static_slot, lv) {
+                            Ok(v) => v,
+                            Err(e) => break 'vm Err(e),
+                        };
                     let new = cur.wrapping_add(i128::from(*delta));
                     match write_dyn_elem(statics, names, *name, *static_slot, lv, new) {
                         Ok(stored) => stack.push(if *post { cur } else { stored }),
@@ -552,35 +569,38 @@ impl CompiledReaction {
                         vals: vec![0; *len as usize],
                     };
                 }
-                Op::ReadMbl(name) => match env.read_mbl(&names[*name as usize]) {
-                    Ok(v) => stack.push(v),
-                    Err(e) => break 'vm Err(e),
-                },
+                Op::ReadMbl(name) => {
+                    let (id, n) = (bound[*name as usize].mbl, &names[*name as usize]);
+                    match env.read_mbl_at(id, n) {
+                        Ok(v) => stack.push(v),
+                        Err(e) => break 'vm Err(e),
+                    }
+                }
                 Op::AssignMbl(name) => {
                     let v = pop!();
-                    let n = &names[*name as usize];
-                    if let Err(e) = env.write_mbl(n, v) {
+                    let (id, n) = (bound[*name as usize].mbl, &names[*name as usize]);
+                    if let Err(e) = env.write_mbl_at(id, n, v) {
                         break 'vm Err(e);
                     }
-                    match env.read_mbl(n) {
+                    match env.read_mbl_at(id, n) {
                         Ok(v) => stack.push(v),
                         Err(e) => break 'vm Err(e),
                     }
                 }
                 Op::IncrMbl { name, delta, post } => {
-                    let n = &names[*name as usize];
-                    let cur = match env.read_mbl(n) {
+                    let (id, n) = (bound[*name as usize].mbl, &names[*name as usize]);
+                    let cur = match env.read_mbl_at(id, n) {
                         Ok(v) => v,
                         Err(e) => break 'vm Err(e),
                     };
                     let new = cur.wrapping_add(i128::from(*delta));
-                    if let Err(e) = env.write_mbl(n, new) {
+                    if let Err(e) = env.write_mbl_at(id, n, new) {
                         break 'vm Err(e);
                     }
                     if *post {
                         stack.push(cur);
                     } else {
-                        match env.read_mbl(n) {
+                        match env.read_mbl_at(id, n) {
                             Ok(v) => stack.push(v),
                             Err(e) => break 'vm Err(e),
                         }
@@ -610,7 +630,7 @@ impl CompiledReaction {
                     args_buf.extend_from_slice(&stack[stack.len() - argc..]);
                     stack.truncate(stack.len() - argc);
                     let n = &names[*name as usize];
-                    match env.call(n, args_buf) {
+                    match env.call_at(bound[*name as usize].builtin, n, args_buf) {
                         Some(Ok(v)) => stack.push(v),
                         Some(Err(e)) => break 'vm Err(e),
                         None => break 'vm Err(InterpError::UnknownBuiltin(n.clone())),
@@ -621,7 +641,9 @@ impl CompiledReaction {
                     args_buf.clear();
                     args_buf.extend_from_slice(&stack[stack.len() - argc..]);
                     stack.truncate(stack.len() - argc);
-                    match env.table_op(&names[*recv as usize], &names[*method as usize], args_buf) {
+                    let ids = (bound[*recv as usize].table, bound[*method as usize].method);
+                    let (recv, method) = (&names[*recv as usize], &names[*method as usize]);
+                    match env.table_op_at(ids, recv, method, args_buf) {
                         Ok(v) => stack.push(v),
                         Err(e) => break 'vm Err(e),
                     }
@@ -662,6 +684,7 @@ fn read_dyn_var(
     statics: &[StaticCell],
     env: &mut dyn ReactionEnv,
     names: &[String],
+    bound: &[Binding],
     name: u16,
     static_slot: u16,
 ) -> Result<i128, InterpError> {
@@ -674,11 +697,11 @@ fn read_dyn_var(
             StaticCell::Uninit => {}
         }
     }
-    let n = &names[name as usize];
-    if let Some(v) = env.read_scalar_arg(n) {
+    let (b, n) = (bound[name as usize], &names[name as usize]);
+    if let Some(v) = env.read_scalar_arg_at(b.scalar, n) {
         return Ok(v);
     }
-    if env.is_array_arg(n) {
+    if env.is_array_arg_at(b.array, n) {
         return Err(InterpError::NotAScalar(n.clone()));
     }
     Err(InterpError::UnknownVariable(n.clone()))
@@ -715,6 +738,7 @@ fn read_dyn_elem(
     statics: &[StaticCell],
     env: &mut dyn ReactionEnv,
     names: &[String],
+    bound: &[Binding],
     name: u16,
     static_slot: u16,
     i: i128,
@@ -728,11 +752,11 @@ fn read_dyn_elem(
             StaticCell::Uninit => {}
         }
     }
-    let n = &names[name as usize];
-    match env.read_array_arg(n, i) {
+    let (b, n) = (bound[name as usize], &names[name as usize]);
+    match env.read_array_arg_at(b.array, n, i) {
         Some(r) => r,
         None => {
-            if env.read_scalar_arg(n).is_some() {
+            if env.read_scalar_arg_at(b.scalar, n).is_some() {
                 Err(InterpError::NotAnArray(n.clone()))
             } else {
                 Err(InterpError::UnknownVariable(n.clone()))

@@ -152,14 +152,6 @@ impl fmt::Debug for Pipe {
     }
 }
 
-/// Snapshot of one logical table across every pipe, plus the shared
-/// handle counter, as captured by [`Switch::table_checkpoint`].
-#[derive(Clone, Debug)]
-pub struct TableCheckpoint {
-    pipes: Vec<Table>,
-    next_handle: u64,
-}
-
 /// How a control-plane register read combines per-pipe values into one
 /// logical value per index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -313,6 +305,9 @@ pub struct Switch {
     /// Per-table next entry handle, shared across pipes so a fan-out
     /// `table_add` lands under the same handle in every pipe.
     next_handles: Vec<u64>,
+    /// Live table checkpoints, oldest first: `(token, table)`.
+    checkpoints: Vec<(u64, TableId)>,
+    next_checkpoint: u64,
     /// The spec's action bodies and control blocks lowered to micro-ops
     /// ([`crate::kernel`]); what the packet path executes.
     program: Program,
@@ -400,6 +395,8 @@ impl Switch {
             pipes,
             ports_per_pipe,
             next_handles,
+            checkpoints: Vec::new(),
+            next_checkpoint: 0,
             program,
             transmitted: Vec::new(),
             qdepth_register: None,
@@ -1193,34 +1190,32 @@ impl Switch {
                 got: key.len(),
             }));
         }
-        let key = Table::normalize_key(tspec, key);
-        let (param_count, data) = self.fit_action_data(action, action_data);
+        let mut key = Table::normalize_key(tspec, key);
+        let (param_count, data) = fit_action_data(&self.spec, action, action_data);
         let handle = EntryHandle(self.next_handles[table.0 as usize]);
-        let mut pipes = self.pipes.iter_mut();
-        let first = pipes
-            .next()
-            .expect("invariant: switch has at least one pipe");
-        first.tables[table.0 as usize].add_entry_at(
-            tspec,
-            handle,
-            key.clone(),
-            priority,
-            action,
-            data.clone(),
-            param_count,
-        )?;
-        for p in pipes {
-            p.tables[table.0 as usize]
-                .add_entry_at(
-                    tspec,
-                    handle,
-                    key.clone(),
-                    priority,
-                    action,
-                    data.clone(),
-                    param_count,
-                )
-                .expect("invariant: symmetric table_add diverged across pipes");
+        let pipes = self.pipes.len();
+        for (i, p) in self.pipes.iter_mut().enumerate() {
+            // Only the last pipe may consume the key.
+            let key = if i + 1 == pipes {
+                std::mem::take(&mut key)
+            } else {
+                key.clone()
+            };
+            let data = data.clone();
+            let res = p.tables[table.0 as usize].add_entry_shared(
+                tspec,
+                handle,
+                key,
+                priority,
+                action,
+                data,
+                param_count,
+            );
+            if i == 0 {
+                res?;
+            } else {
+                res.expect("invariant: symmetric table_add diverged across pipes");
+            }
         }
         self.next_handles[table.0 as usize] = handle.0 + 1;
         Ok(handle)
@@ -1233,13 +1228,13 @@ impl Switch {
         action: ActionId,
         action_data: Vec<Value>,
     ) -> Result<(), DriverError> {
-        let (param_count, data) = self.fit_action_data(action, action_data);
+        let (param_count, data) = fit_action_data(&self.spec, action, action_data);
         let tspec = &self.spec.tables[table.0 as usize];
         let mut pipes = self.pipes.iter_mut();
         let first = pipes
             .next()
             .expect("invariant: switch has at least one pipe");
-        first.tables[table.0 as usize].mod_entry(
+        first.tables[table.0 as usize].mod_entry_shared(
             tspec,
             handle,
             action,
@@ -1248,7 +1243,7 @@ impl Switch {
         )?;
         for p in pipes {
             p.tables[table.0 as usize]
-                .mod_entry(tspec, handle, action, data.clone(), param_count)
+                .mod_entry_shared(tspec, handle, action, data.clone(), param_count)
                 .expect("invariant: symmetric table_mod diverged across pipes");
         }
         Ok(())
@@ -1268,34 +1263,61 @@ impl Switch {
         Ok(())
     }
 
-    /// Snapshot one table's full driver-visible state in every pipe
-    /// (entries, lookup indexes, default actions, handle counter). Real
-    /// drivers keep a software shadow of every table; checkpoint/restore
-    /// models recovering the device from that shadow. Restoring is
-    /// handle-stable: handles live at checkpoint time resolve again, and
-    /// handles allocated after it vanish.
-    pub fn table_checkpoint(&self, table: TableId) -> TableCheckpoint {
-        TableCheckpoint {
-            pipes: self
-                .pipes
-                .iter()
-                .map(|p| p.tables[table.0 as usize].clone())
-                .collect(),
-            next_handle: self.next_handles[table.0 as usize],
+    /// Open a checkpoint of one table in every pipe and name it with a
+    /// token unique on this switch. Real drivers keep a software shadow of
+    /// every table; a checkpoint is a mark on that shadow's undo journal
+    /// (see the [`table`](crate::table) module docs), so taking one costs
+    /// nothing and holding one costs an inverse op per mutation.
+    ///
+    /// Tokens of one table form a stack: [`table_restore`](Self::table_restore)
+    /// keeps the token it restores and retires every younger token of that
+    /// table. Restoring is handle-stable: handles live at checkpoint time
+    /// resolve again, handles allocated after it vanish and are reissued.
+    pub fn table_checkpoint(&mut self, table: TableId) -> u64 {
+        let token = self.next_checkpoint;
+        self.next_checkpoint += 1;
+        for p in &mut self.pipes {
+            p.tables[table.0 as usize].checkpoint(token);
         }
+        self.checkpoints.push((token, table));
+        token
     }
 
-    /// Restore a table (in every pipe) to a previously checkpointed state.
-    pub fn table_restore(&mut self, table: TableId, checkpoint: TableCheckpoint) {
-        assert_eq!(
-            checkpoint.pipes.len(),
-            self.pipes.len(),
-            "invariant: table checkpoint taken on a switch with a different pipe count"
-        );
-        for (p, t) in self.pipes.iter_mut().zip(checkpoint.pipes) {
-            p.tables[table.0 as usize] = t;
+    /// The table a live checkpoint token was taken of.
+    pub fn checkpoint_table(&self, token: u64) -> Option<TableId> {
+        let live = self.checkpoints.iter().find(|(t, _)| *t == token);
+        live.map(|(_, table)| *table)
+    }
+
+    /// Roll a table (in every pipe) back to a live checkpoint of it.
+    pub fn table_restore(&mut self, table: TableId, token: u64) -> Result<(), DriverError> {
+        if self.checkpoint_table(token) != Some(table) {
+            let token = EntryHandle(token);
+            return Err(DriverError::Table(TableError::UnknownHandle(token)));
         }
-        self.next_handles[table.0 as usize] = checkpoint.next_handle;
+        let tspec = &self.spec.tables[table.0 as usize];
+        for p in &mut self.pipes {
+            let restored = p.tables[table.0 as usize].restore(tspec, token);
+            debug_assert!(
+                restored,
+                "invariant: a listed checkpoint is live in every pipe"
+            );
+        }
+        self.checkpoints
+            .retain(|(t, of)| *of != table || *t <= token);
+        self.next_handles[table.0 as usize] = self.pipes[0].tables[table.0 as usize].next_handle();
+        Ok(())
+    }
+
+    /// Drop a checkpoint; a dead token is ignored.
+    pub fn checkpoint_discard(&mut self, token: u64) {
+        let Some(table) = self.checkpoint_table(token) else {
+            return;
+        };
+        for p in &mut self.pipes {
+            p.tables[table.0 as usize].discard(token);
+        }
+        self.checkpoints.retain(|(t, _)| *t != token);
     }
 
     /// Set a table's default action in every pipe (symmetric fan-out).
@@ -1309,9 +1331,9 @@ impl Switch {
         if !tspec.actions.contains(&action) {
             return Err(DriverError::Table(TableError::UnknownAction(action)));
         }
-        let (_, data) = self.fit_action_data(action, action_data);
+        let (_, data) = fit_action_data(&self.spec, action, action_data);
         for p in &mut self.pipes {
-            p.tables[table.0 as usize].set_default(action, data.clone());
+            p.tables[table.0 as usize].set_default_shared(action, data.clone());
         }
         Ok(())
     }
@@ -1333,20 +1355,9 @@ impl Switch {
         if !tspec.actions.contains(&action) {
             return Err(DriverError::Table(TableError::UnknownAction(action)));
         }
-        let (_, data) = self.fit_action_data(action, action_data);
-        self.pipes[pipe as usize].tables[table.0 as usize].set_default(action, data);
+        let (_, data) = fit_action_data(&self.spec, action, action_data);
+        self.pipes[pipe as usize].tables[table.0 as usize].set_default_shared(action, data);
         Ok(())
-    }
-
-    /// Resize action data values to the action's parameter widths.
-    fn fit_action_data(&self, action: ActionId, data: Vec<Value>) -> (usize, Vec<Value>) {
-        let widths = &self.spec.actions[action.0 as usize].param_widths;
-        let fitted = data
-            .iter()
-            .zip(widths.iter())
-            .map(|(v, w)| v.resize(*w))
-            .collect();
-        (widths.len(), fitted)
     }
 
     /// Entry count (pipe 0 view; symmetric ops keep all pipes equal).
@@ -1461,6 +1472,22 @@ impl Switch {
     pub fn field_id(&self, instance: &str, field: &str) -> Option<FieldId> {
         self.spec.field_id(instance, field)
     }
+}
+
+/// Resize action data to the action's parameter widths, in place, and
+/// put it behind the `Arc` every pipe's entry shares. Returns the
+/// action's arity beside it.
+fn fit_action_data(
+    spec: &DataPlaneSpec,
+    action: ActionId,
+    mut data: Vec<Value>,
+) -> (usize, Arc<[Value]>) {
+    let widths = &spec.actions[action.0 as usize].param_widths;
+    data.truncate(widths.len());
+    for (v, w) in data.iter_mut().zip(widths) {
+        *v = v.resize(*w);
+    }
+    (widths.len(), Arc::from(data))
 }
 
 /// Build a switch directly from plain-P4 source (test/example convenience).
@@ -1814,7 +1841,7 @@ control ingress { apply(t); }
         let cp = sw.table_checkpoint(t);
         let h2 = add_fwd(&mut sw, 0xBB, 4);
         assert_ne!(h1, h2);
-        sw.table_restore(t, cp);
+        sw.table_restore(t, cp).unwrap();
         for pipe in 0..2 {
             assert_eq!(sw.table_ref_on(pipe, t).len(), 1);
         }
@@ -1826,6 +1853,16 @@ control ingress { apply(t); }
         for pipe in 0..2 {
             assert_eq!(sw.table_ref_on(pipe, t).len(), 1);
         }
+        // The restored token is good for another attempt; a discarded one
+        // is refused.
+        sw.table_restore(t, cp).unwrap();
+        sw.checkpoint_discard(cp);
+        assert_eq!(
+            sw.table_restore(t, cp),
+            Err(DriverError::Table(TableError::UnknownHandle(EntryHandle(
+                cp
+            ))))
+        );
     }
 
     #[test]

@@ -41,6 +41,19 @@
 //! changes. Lookups also reuse a per-table scratch buffer instead of
 //! allocating per packet, and a [`Lookup`] borrows the winning entry's
 //! action data from the table — no clone, no reference-count traffic.
+//!
+//! # Checkpoints are marks on an undo journal
+//!
+//! A driver transaction does not copy a table to be able to roll it back.
+//! [`Table::checkpoint`] opens a *mark*; while any mark is live, every
+//! add / mod / del / set-default appends its inverse to the table's
+//! journal. [`Table::restore`] replays inverses back to the mark,
+//! [`Table::discard`] drops the mark, and with no mark live nothing is
+//! recorded. Marks of one table form a stack: restoring an older one
+//! retires the younger ones (they name states that no longer exist), and
+//! the restored mark itself stays live for another attempt. `lookups` and
+//! `hits` are traffic statistics, not table state — a restore leaves them
+//! alone.
 
 use crate::phv::Phv;
 use crate::spec::{ActionId, TableSpec};
@@ -223,6 +236,28 @@ enum Index {
     Scan(ScanIndex),
 }
 
+impl Index {
+    /// Make room at entry position `from`: every indexed position at or
+    /// past it moves up by one.
+    fn shift_up(&mut self, from: usize) {
+        let bump = |v: &mut usize| {
+            if *v >= from {
+                *v += 1;
+            }
+        };
+        match self {
+            Index::Exact(map) => map.values_mut().for_each(bump),
+            Index::Lpm(lpm) => lpm
+                .levels
+                .iter_mut()
+                .flat_map(|l| l.buckets.values_mut())
+                .flatten()
+                .for_each(bump),
+            Index::Scan(scan) => scan.order.iter_mut().for_each(|row| bump(&mut row.idx)),
+        }
+    }
+}
+
 #[derive(Clone, Debug)]
 struct LpmIndex {
     /// Position of the `lpm` field in the key.
@@ -300,6 +335,8 @@ impl ScanRow {
 pub struct Table {
     /// Entries in insertion order (the driver-visible view).
     entries: Vec<Entry>,
+    /// Handle → position in `entries`.
+    slot_of: HashMap<EntryHandle, usize>,
     index: Index,
     default_action: Option<(ActionId, Arc<[Value]>)>,
     next_handle: u64,
@@ -312,6 +349,41 @@ pub struct Table {
     scratch_bits: Vec<u128>,
     /// Reusable probe-key buffer for the LPM index.
     scratch_key: Vec<u128>,
+    journal: Journal,
+}
+
+/// The inverse of one control-plane mutation.
+#[derive(Clone, Debug)]
+enum Undo {
+    /// An add pushed this handle; when undone it is the last entry again.
+    Added(EntryHandle),
+    /// A mod replaced this action and data.
+    Modded {
+        handle: EntryHandle,
+        action: ActionId,
+        action_data: Arc<[Value]>,
+    },
+    /// A delete removed this entry from position `pos`.
+    Deleted { pos: usize, entry: Entry },
+    /// A set-default replaced this default action.
+    Default(Option<(ActionId, Arc<[Value]>)>),
+}
+
+/// A live checkpoint: where its journal suffix starts, and the counters
+/// no inverse op carries.
+#[derive(Clone, Debug)]
+struct Mark {
+    token: u64,
+    at: usize,
+    next_handle: u64,
+    next_seq: u64,
+}
+
+/// Inverse ops since the oldest live mark; empty and idle without one.
+#[derive(Clone, Debug, Default)]
+struct Journal {
+    undo: Vec<Undo>,
+    marks: Vec<Mark>,
 }
 
 /// The outcome of a table lookup; the action data is borrowed from the
@@ -365,6 +437,7 @@ impl Table {
         };
         Table {
             entries: Vec::new(),
+            slot_of: HashMap::default(),
             index,
             default_action: spec
                 .default_action
@@ -377,6 +450,7 @@ impl Table {
             hits: 0,
             scratch_bits: Vec::new(),
             scratch_key: Vec::new(),
+            journal: Journal::default(),
         }
     }
 
@@ -401,7 +475,26 @@ impl Table {
     }
 
     pub fn set_default(&mut self, action: ActionId, data: Vec<Value>) {
-        self.default_action = Some((action, Arc::from(data)));
+        self.set_default_shared(action, Arc::from(data));
+    }
+
+    /// [`set_default`](Self::set_default) with data already behind an
+    /// `Arc` (the switch shares one copy across its pipes).
+    pub(crate) fn set_default_shared(&mut self, action: ActionId, data: Arc<[Value]>) {
+        let old = self.default_action.replace((action, data));
+        if self.journalling() {
+            self.journal.undo.push(Undo::Default(old));
+        }
+    }
+
+    /// The installed entry with this handle.
+    pub fn get(&self, handle: EntryHandle) -> Option<&Entry> {
+        self.slot_of.get(&handle).map(|&i| &self.entries[i])
+    }
+
+    /// Next handle [`add_entry`](Self::add_entry) would assign.
+    pub(crate) fn next_handle(&self) -> u64 {
+        self.next_handle
     }
 
     fn validate_key(&self, spec: &TableSpec, key: &[KeyField]) -> Result<(), TableError> {
@@ -487,6 +580,23 @@ impl Table {
         action_data: Vec<Value>,
         param_count: usize,
     ) -> Result<(), TableError> {
+        let data = Arc::from(action_data);
+        self.add_entry_shared(spec, handle, key, priority, action, data, param_count)
+    }
+
+    /// [`add_entry_at`](Self::add_entry_at) with data already behind an
+    /// `Arc`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn add_entry_shared(
+        &mut self,
+        spec: &TableSpec,
+        handle: EntryHandle,
+        key: Vec<KeyField>,
+        priority: u32,
+        action: ActionId,
+        action_data: Arc<[Value]>,
+        param_count: usize,
+    ) -> Result<(), TableError> {
         self.validate_key(spec, &key)?;
         self.validate_action(spec, action, action_data.len(), param_count)?;
         if self.entries.len() as u32 >= self.capacity {
@@ -498,21 +608,18 @@ impl Table {
         let seq = self.next_seq;
         self.next_seq += 1;
         let idx = self.entries.len();
-        match &mut self.index {
-            Index::Exact(map) => {
-                map.insert(exact_key_bits(&key), idx);
-            }
-            Index::Lpm(lpm) => lpm.insert(&key, priority, seq, idx, &self.entries),
-            Index::Scan(scan) => scan.insert(spec, &key, priority, seq, idx),
-        }
         self.entries.push(Entry {
             handle,
             key,
             priority,
             action,
-            action_data: Arc::from(action_data),
+            action_data,
             seq,
         });
+        self.index_entry(spec, idx);
+        if self.journalling() {
+            self.journal.undo.push(Undo::Added(handle));
+        }
         Ok(())
     }
 
@@ -526,14 +633,33 @@ impl Table {
         action_data: Vec<Value>,
         param_count: usize,
     ) -> Result<(), TableError> {
+        self.mod_entry_shared(spec, handle, action, Arc::from(action_data), param_count)
+    }
+
+    /// [`mod_entry`](Self::mod_entry) with data already behind an `Arc`.
+    pub(crate) fn mod_entry_shared(
+        &mut self,
+        spec: &TableSpec,
+        handle: EntryHandle,
+        action: ActionId,
+        action_data: Arc<[Value]>,
+        param_count: usize,
+    ) -> Result<(), TableError> {
         self.validate_action(spec, action, action_data.len(), param_count)?;
-        let e = self
-            .entries
-            .iter_mut()
-            .find(|e| e.handle == handle)
+        let idx = *self
+            .slot_of
+            .get(&handle)
             .ok_or(TableError::UnknownHandle(handle))?;
-        e.action = action;
-        e.action_data = Arc::from(action_data);
+        let e = &mut self.entries[idx];
+        let action = std::mem::replace(&mut e.action, action);
+        let action_data = std::mem::replace(&mut e.action_data, action_data);
+        if self.journalling() {
+            self.journal.undo.push(Undo::Modded {
+                handle,
+                action,
+                action_data,
+            });
+        }
         Ok(())
     }
 
@@ -541,12 +667,48 @@ impl Table {
     /// displaced positions (entries after the removed one) are shifted,
     /// never rebuilt from scratch.
     pub fn del_entry(&mut self, handle: EntryHandle) -> Result<Entry, TableError> {
-        let idx = self
-            .entries
-            .iter()
-            .position(|e| e.handle == handle)
+        let pos = *self
+            .slot_of
+            .get(&handle)
             .ok_or(TableError::UnknownHandle(handle))?;
+        let entry = self.remove_at(pos);
+        if self.journalling() {
+            let entry = entry.clone();
+            self.journal.undo.push(Undo::Deleted { pos, entry });
+        }
+        Ok(entry)
+    }
+
+    /// Enter `entries[idx]` into the handle map and the match index. Every
+    /// other entry is already indexed at its current position.
+    fn index_entry(&mut self, spec: &TableSpec, idx: usize) {
+        let e = &self.entries[idx];
+        self.slot_of.insert(e.handle, idx);
+        match &mut self.index {
+            Index::Exact(map) => {
+                // Among duplicate keys the newest entry answers.
+                let shadowed = |&i: &usize| self.entries[i].seq > e.seq;
+                let bits = exact_key_bits(&e.key);
+                if !map.get(&bits).is_some_and(shadowed) {
+                    map.insert(bits, idx);
+                }
+            }
+            Index::Lpm(lpm) => lpm.insert(&e.key, e.priority, e.seq, idx, &self.entries),
+            Index::Scan(scan) => scan.insert(spec, &e.key, e.priority, e.seq, idx),
+        }
+    }
+
+    /// Take `entries[idx]` out of the table, the handle map and the match
+    /// index, shifting the positions behind it down.
+    fn remove_at(&mut self, idx: usize) -> Entry {
         let e = self.entries.remove(idx);
+        self.slot_of.remove(&e.handle);
+        for o in &self.entries[idx..] {
+            *self
+                .slot_of
+                .get_mut(&o.handle)
+                .expect("invariant: every entry is in the handle map") -= 1;
+        }
         match &mut self.index {
             Index::Exact(map) => {
                 let bits = exact_key_bits(&e.key);
@@ -561,6 +723,8 @@ impl Table {
                         .filter(|(_, o)| exact_key_bits(&o.key) == bits)
                         .max_by_key(|(_, o)| o.seq)
                     {
+                        // An older duplicate sits before the removed entry,
+                        // so the shift below leaves it alone.
                         Some((i, _)) => {
                             map.insert(bits, i);
                         }
@@ -578,7 +742,90 @@ impl Table {
             Index::Lpm(lpm) => lpm.remove(&e.key, idx),
             Index::Scan(scan) => scan.remove(idx),
         }
-        Ok(e)
+        e
+    }
+
+    /// Put a deleted entry back at `pos`, shifting the positions from
+    /// there on up. Its `seq` restores its precedence among its peers.
+    fn insert_at(&mut self, spec: &TableSpec, pos: usize, entry: Entry) {
+        for o in &self.entries[pos..] {
+            *self
+                .slot_of
+                .get_mut(&o.handle)
+                .expect("invariant: every entry is in the handle map") += 1;
+        }
+        self.index.shift_up(pos);
+        self.entries.insert(pos, entry);
+        self.index_entry(spec, pos);
+    }
+
+    // -- checkpoints --------------------------------------------------------
+
+    fn journalling(&self) -> bool {
+        !self.journal.marks.is_empty()
+    }
+
+    /// Open a mark named `token` (unique among this table's live marks):
+    /// from here on mutations journal their inverses.
+    pub fn checkpoint(&mut self, token: u64) {
+        debug_assert!(!self.has_checkpoint(token), "checkpoint token reused");
+        self.journal.marks.push(Mark {
+            token,
+            at: self.journal.undo.len(),
+            next_handle: self.next_handle,
+            next_seq: self.next_seq,
+        });
+    }
+
+    fn has_checkpoint(&self, token: u64) -> bool {
+        self.journal.marks.iter().any(|m| m.token == token)
+    }
+
+    /// Undo every mutation since mark `token` was opened. The mark stays
+    /// live; younger marks are retired. `false` if no such mark is live
+    /// (nothing changes).
+    pub fn restore(&mut self, spec: &TableSpec, token: u64) -> bool {
+        let Some(m) = self.journal.marks.iter().position(|m| m.token == token) else {
+            return false;
+        };
+        self.journal.marks.truncate(m + 1);
+        let Mark {
+            at,
+            next_handle,
+            next_seq,
+            ..
+        } = self.journal.marks[m];
+        while self.journal.undo.len() > at {
+            match self.journal.undo.pop().expect("len checked") {
+                Undo::Added(handle) => {
+                    debug_assert_eq!(self.entries.last().map(|e| e.handle), Some(handle));
+                    self.remove_at(self.entries.len() - 1);
+                }
+                Undo::Modded {
+                    handle,
+                    action,
+                    action_data,
+                } => {
+                    let e = &mut self.entries[self.slot_of[&handle]];
+                    e.action = action;
+                    e.action_data = action_data;
+                }
+                Undo::Deleted { pos, entry } => self.insert_at(spec, pos, entry),
+                Undo::Default(old) => self.default_action = old,
+            }
+        }
+        self.next_handle = next_handle;
+        self.next_seq = next_seq;
+        true
+    }
+
+    /// Drop mark `token` (a no-op if it is not live). With the last mark
+    /// gone the journal empties and recording stops.
+    pub fn discard(&mut self, token: u64) {
+        self.journal.marks.retain(|m| m.token != token);
+        if self.journal.marks.is_empty() {
+            self.journal.undo.clear();
+        }
     }
 
     /// Look up the winning entry for the current PHV.
@@ -866,6 +1113,9 @@ fn exact_key_bits(key: &[KeyField]) -> Vec<u128> {
         })
         .collect()
 }
+
+#[cfg(test)]
+mod journal_property;
 
 #[cfg(test)]
 mod tests {

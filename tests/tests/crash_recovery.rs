@@ -75,6 +75,21 @@ fn inject(tb: &Testbed, k: u64) {
     );
 }
 
+/// The supervisor restarts the process: clean fault plan, reconcile device
+/// state, then what every fresh process does — register the reactions
+/// (`reconcile` dropped the dead process's) and re-run the durable user
+/// init.
+fn restart(tb: &Testbed) {
+    let mut agent = tb.agent.borrow_mut();
+    agent.set_fault_plan(FaultPlan::default());
+    agent.reconcile().expect("reconcile");
+    agent
+        .register_all_interpreted()
+        .expect("reactions re-register");
+    drop(agent);
+    install_entries(tb);
+}
+
 /// Drive `iters` successful dialogue iterations, restarting through
 /// `reconcile` + re-setup whenever the injected crash fires. Returns
 /// whether the crash fired.
@@ -90,11 +105,7 @@ fn drive(tb: &Testbed, iters: usize) -> bool {
             Ok(_) => done += 1,
             Err(e) if e.is_crash() => {
                 crashed = true;
-                // The supervisor restarts the process: clean fault plan,
-                // reconcile device state, re-run the durable user init.
-                tb.agent.borrow_mut().set_fault_plan(FaultPlan::default());
-                tb.agent.borrow_mut().reconcile().expect("reconcile");
-                install_entries(tb);
+                restart(tb);
             }
             Err(e) => panic!("non-crash failure at k={k}: {e}"),
         }
@@ -268,9 +279,7 @@ fn repeated_crash_restart_cycles_converge() {
             Ok(_) => done += 1,
             Err(e) if e.is_crash() => {
                 crashes += 1;
-                tb.agent.borrow_mut().set_fault_plan(FaultPlan::default());
-                tb.agent.borrow_mut().reconcile().expect("reconcile");
-                install_entries(&tb);
+                restart(&tb);
                 // Arm the next kill only after recovery finishes: ops are
                 // counted (not injected) while faults are suspended, so a
                 // window set before `reconcile` would be consumed silently.
@@ -387,4 +396,78 @@ fn standby_crash_during_adoption_recovers_and_masters() {
     standby.agents_mut()[0]
         .verify_config_atomicity()
         .expect("post-takeover config is atomic");
+}
+
+/// A controller restart re-runs the agent setup on the *same* agent
+/// object. The dead process's registrations must not survive beside the
+/// new ones: after recovery every reaction runs exactly once per
+/// iteration, and an interpreted reaction's `static` starts over from its
+/// initialiser, as it does in any fresh process.
+#[test]
+fn restart_runs_each_reaction_once_and_resets_its_statics() {
+    const TWO_REACTIONS: &str = r#"
+header_type h_t { fields { a : 32; b : 32; } }
+header h_t h;
+malleable value knob { width : 32; init : 0; }
+action nop() { no_op(); }
+table t { actions { nop; } default_action : nop(); }
+reaction count(ing h.a) { }
+reaction tick(ing h.b) { static uint32_t n = 0; n = n + 1; ${knob} = n; }
+control ingress { apply(t); }
+"#;
+    let comp = compile_source(TWO_REACTIONS, &CompilerOptions::default()).expect("compiles");
+    let spec = mantis::rmt_sim::load(&comp.p4).expect("spec loads");
+    let config = SwitchConfig {
+        num_pipes: 2,
+        ..SwitchConfig::default()
+    };
+    let switch = SharedSwitch::new(Switch::new(spec, config, Clock::new()));
+    let plane = ControlPlane::shared(switch, CostModel::default());
+    let chan = ChannelConfig::with_rtt(1_000);
+    let mut ctl = Controller::new(ControllerConfig::new(1, 300_000, chan));
+    ctl.add_switch(plane, comp);
+    let runs = Rc::new(std::cell::Cell::new(0u32));
+    let counter = runs.clone();
+    ctl.set_agent_setup(Rc::new(move |_i: usize, agent: &mut MantisAgent| {
+        agent.register_all_interpreted()?;
+        // Registering `count` again replaces the interpreted body just
+        // registered for it, in place.
+        let runs = counter.clone();
+        let counting = move |_: &mut mantis::ReactionCtx<'_>| {
+            runs.set(runs.get() + 1);
+            Ok(())
+        };
+        agent.register_native("count", Box::new(counting))
+    }));
+    // Killed at channel op 60: on the driver channel that is mid-dialogue,
+    // a few iterations in, with the `static` already counting.
+    ctl.set_channel_fault_plan(FaultPlan::default().crash_at_op(60));
+
+    let mut knob_before_crash = 0;
+    for _ in 0..200 {
+        if ctl.recoveries() >= 1 && ctl.is_master() {
+            break;
+        }
+        if !ctl.is_crashed() && !ctl.agents().is_empty() {
+            knob_before_crash = ctl.agents()[0].slot("knob").expect("knob");
+        }
+        let _ = ctl.step();
+    }
+    assert!(ctl.is_master() && ctl.recoveries() >= 1, "never recovered");
+    assert!(
+        knob_before_crash >= 2,
+        "the static never counted before the crash"
+    );
+
+    // The step that recovered also ran the first iteration of the new life.
+    let first = ctl.agents()[0].slot("knob").expect("knob");
+    assert_eq!(first, 1, "the static did not restart from its initialiser");
+    let counted = runs.get();
+    for k in 1..=5 {
+        let report = ctl.step().expect("clean step");
+        assert_eq!((report.iterations, report.failures), (1, 0));
+        assert_eq!(runs.get(), counted + k, "`count` ran more than once");
+        let knob = ctl.agents()[0].slot("knob").expect("knob");
+        assert_eq!(knob, i128::from(1 + k), "`tick` ran more than once");
+    }
 }

@@ -261,3 +261,141 @@ ${after} = calls * 10;
         5,
     );
 }
+
+/// The cases above run both engines against `MockEnv`, which knows names
+/// only. In the agent the VM is *bound*: registration resolves every name
+/// of the body to an id of the agent's (argument, malleable slot, table,
+/// method, builtin) and the run reaches the `ReactionCtx` through the
+/// id-based calls, while the walker still comes in by name. Twin testbeds
+/// — one forcing each engine — under the same phased traffic must stage
+/// the same updates every iteration: same virtual timing, same staged op
+/// counts, same committed slots and entries.
+#[test]
+fn bound_vm_matches_walker_through_a_real_reaction_ctx() {
+    use mantis::rmt_sim::PacketDesc;
+    use mantis::{CostModel, DriverMode, ReactionEngine, SwitchConfig, Testbed};
+
+    fn ipv4(port: u16, src: u128, payload: u32) -> PacketDesc {
+        PacketDesc::new(port)
+            .field("ethernet", "ether_type", 0x0800)
+            .field("ipv4", "src_addr", src)
+            .field("ipv4", "dst_addr", 0x0a00_0001)
+            .field("ipv4", "protocol", 17)
+            .payload(payload)
+    }
+    // Quiet and hot phases alternate so every body takes both its idle
+    // path and its reacting one: an attacker, a polarised flow, a silent
+    // neighbour, a standing queue.
+    fn traffic(app: &str, i: u64) -> Vec<PacketDesc> {
+        let hot = (i / 40) % 2 == 1;
+        match app {
+            "dos" => {
+                let mut pkts = vec![ipv4((i % 4) as u16, 0x0a00_0100 + u128::from(i % 50), 100)];
+                if hot {
+                    pkts.extend((0..8).map(|_| ipv4(1, 0x0b00_0000 + u128::from(i / 80), 1_400)));
+                }
+                pkts
+            }
+            "ecmp" => {
+                let flow = |f: u64| {
+                    ipv4(0, u128::from(f) * 0x9e37 + 1, 200)
+                        .field("l4", "sport", u128::from(1024 + f % 40_000))
+                        .field("l4", "dport", u128::from(1 + f % 1_000))
+                };
+                let n = if hot { 16 } else { 4 };
+                (0..n)
+                    .map(|k| flow(if hot { 7 } else { i * 4 + k }))
+                    .collect()
+            }
+            "failover" => {
+                let ports = (4..8u16).filter(|p| !(hot && *p == 5));
+                ports
+                    .flat_map(|p| {
+                        let hb = PacketDesc::new(p)
+                            .field("ethernet", "ether_type", 0x88b5)
+                            .field("hb", "seq", 0)
+                            .field("hb", "origin", u128::from(p))
+                            .payload(0);
+                        std::iter::repeat_n(hb, 10)
+                    })
+                    .collect()
+            }
+            _ => {
+                let burst = if hot && i.is_multiple_of(40) { 300 } else { 0 };
+                let mut pkts = vec![ipv4(0, 0x0a00_0101, 100)];
+                pkts.extend((0..burst).map(|_| ipv4(1, 0x0a00_0102, 1_450)));
+                pkts
+            }
+        }
+    }
+
+    for (app, src) in [
+        ("dos", DOS_P4R),
+        ("failover", FAILOVER_P4R),
+        ("ecmp", ECMP_P4R),
+        ("rl", RL_P4R),
+    ] {
+        let build = |engine: ReactionEngine| {
+            let config = SwitchConfig {
+                num_pipes: 1,
+                // A bottleneck slow enough for the RL burst to stand.
+                port_rate_bps: match app {
+                    "rl" => 1_000_000_000,
+                    _ => SwitchConfig::default().port_rate_bps,
+                },
+                ..SwitchConfig::default()
+            };
+            let mut tb =
+                Testbed::with_config_mode(src, config, CostModel::default(), DriverMode::Local)
+                    .expect("app compiles");
+            tb.sim.set_workers(1);
+            if app == "rl" {
+                let mut sw = tb.sim.switch().borrow_mut();
+                sw.bind_queue_depth_register("qdepths").expect("qdepths");
+            }
+            let mut agent = tb.agent.borrow_mut();
+            agent
+                .register_all_interpreted_with(engine)
+                .expect("registers");
+            drop(agent);
+            tb
+        };
+        let twins = [
+            build(ReactionEngine::ForceVm),
+            build(ReactionEngine::ForceWalker),
+        ];
+        let initial = twins[0].agent.borrow().config_fingerprint();
+        let mut reacted = false;
+        for i in 0..240 {
+            let seen = twins.each_ref().map(|tb| {
+                let mut sw = tb.sim.switch().borrow_mut();
+                for pkt in traffic(app, i) {
+                    sw.inject(&pkt);
+                }
+                sw.pump();
+                sw.take_transmitted();
+                drop(sw);
+                let mut agent = tb.agent.borrow_mut();
+                let r = agent.dialogue_iteration().expect("iteration commits");
+                let failures: Vec<String> = r
+                    .reaction_failures
+                    .iter()
+                    .map(|f| f.error.clone())
+                    .collect();
+                let timing = (
+                    r.duration_ns,
+                    r.measure_ns,
+                    r.react_ns,
+                    r.update_ns,
+                    r.sync_ns,
+                );
+                let fps = (agent.config_fingerprint(), agent.entry_fingerprint());
+                (timing, r.staged_table_ops, failures, fps)
+            });
+            assert_eq!(seen[0], seen[1], "{app}: engines diverged at iteration {i}");
+            reacted |= seen[0].1 > 0 || seen[0].3 .0 != initial;
+        }
+        assert!(reacted, "{app}: the traffic never made the body react");
+        assert!(twins[0].agent.borrow().vm_fallbacks().is_empty());
+    }
+}
