@@ -8,46 +8,14 @@
 //! the reaction returns, which is what makes the reaction's effects
 //! serializable.
 
+use crate::isolation::Slot;
 use crate::logical::{LogicalHandle, LogicalTable, Staged, StagedOp};
 use crate::measure::Snapshot;
 use p4_ast::Value;
 use p4r_compiler::entry::LogicalKey;
 use reaction_interp::{Binding, InterpError, ReactionEnv};
 use rmt_sim::Nanos;
-use std::collections::HashMap;
 use std::fmt;
-
-/// One malleable value or field selector: its committed value and where
-/// it lives in the init tables' action data.
-#[derive(Clone, Debug)]
-pub(crate) struct Slot {
-    pub(crate) name: String,
-    /// Committed value (value: raw; field: alternative index).
-    pub(crate) value: i128,
-    /// Width of the data cell (a value's width, a field's selector bits).
-    pub(crate) width: u16,
-    /// Alternative count of a malleable field; `None` for a value.
-    pub(crate) alts: Option<usize>,
-    /// Which init table carries the cell (0 = master), at which parameter.
-    pub(crate) init_table: usize,
-    pub(crate) param_idx: usize,
-}
-
-impl Slot {
-    /// The slot's data cell holding `value`.
-    pub(crate) fn cell(&self, value: i128) -> Value {
-        Value::new(value as u128, self.width)
-    }
-}
-
-/// The public edge: the names a reaction (or a caller) may use, each
-/// resolving once to a dense id — a slot's index in the agent's slot
-/// vector, a table's in its table vector.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Names {
-    pub(crate) slots: HashMap<String, usize>,
-    pub(crate) tables: HashMap<String, usize>,
-}
 
 /// Interpreted table methods and agent builtins; a name's position is its
 /// id.
@@ -73,16 +41,31 @@ fn id16(id: Option<usize>) -> u16 {
     id.unwrap_or(Binding::NONE)
 }
 
+/// A name's dense id on this agent: a slot's index in the slot vector, a
+/// table's in the table vector.
+pub(crate) fn slot_named(slots: &[Slot], name: &str) -> Option<usize> {
+    slots.iter().position(|s| s.name == name)
+}
+
+pub(crate) fn table_named(tables: &[LogicalTable], name: &str) -> Option<usize> {
+    tables.iter().position(|t| t.name == name)
+}
+
 /// Everything `name` can mean to a reaction registered with arguments
-/// `snapshot` on an agent with `names` — what
+/// `snapshot` on an agent with these `slots` and `tables` — what
 /// [`CompiledReaction::bind`](reaction_interp::CompiledReaction::bind)
 /// stores and the `*_at` calls below receive.
-pub(crate) fn bind_name(name: &str, snapshot: &Snapshot, names: &Names) -> Binding {
+pub(crate) fn bind_name(
+    name: &str,
+    snapshot: &Snapshot,
+    slots: &[Slot],
+    tables: &[LogicalTable],
+) -> Binding {
     Binding {
         scalar: id16(snapshot.scalar_id(name)),
         array: id16(snapshot.array_id(name)),
-        mbl: id16(names.slots.get(name).copied()),
-        table: id16(names.tables.get(name).copied()),
+        mbl: id16(slot_named(slots, name)),
+        table: id16(table_named(tables, name)),
         method: id_of(&METHODS, name),
         builtin: id_of(&BUILTINS, name),
     }
@@ -146,7 +129,6 @@ pub struct ReactionCtx<'a> {
     pub(crate) staged: &'a mut Staged,
     /// Logical tables by id.
     pub(crate) tables: &'a mut [LogicalTable],
-    pub(crate) names: &'a Names,
     pub(crate) now_ns: Nanos,
 }
 
@@ -191,13 +173,11 @@ impl<'a> ReactionCtx<'a> {
     }
 
     fn slot_id(&self, name: &str) -> Result<usize, CtxError> {
-        let id = self.names.slots.get(name).copied();
-        id.ok_or_else(|| CtxError::UnknownMalleable(name.to_string()))
+        slot_named(self.slots, name).ok_or_else(|| CtxError::UnknownMalleable(name.to_string()))
     }
 
     fn table_id(&self, name: &str) -> Result<usize, CtxError> {
-        let id = self.names.tables.get(name).copied();
-        id.ok_or_else(|| CtxError::UnknownTable(name.to_string()))
+        table_named(self.tables, name).ok_or_else(|| CtxError::UnknownTable(name.to_string()))
     }
 
     /// Table id and the ordinal of its original action `action`.
@@ -215,7 +195,7 @@ impl<'a> ReactionCtx<'a> {
     /// Last written (or staged) value of slot `id`.
     fn slot_value(&self, id: usize) -> i128 {
         let staged = self.staged.slot_value(id);
-        staged.unwrap_or(self.slots[id].value)
+        staged.unwrap_or(self.slots[id].value())
     }
 
     /// Stage a write to slot `id`: a value is masked to its width, a field
@@ -337,8 +317,7 @@ impl<'a> ReactionCtx<'a> {
 
     /// Number of logical entries currently installed in a table.
     pub fn table_len(&self, table: &str) -> Option<usize> {
-        let t = self.names.tables.get(table)?;
-        Some(self.tables[*t].len())
+        Some(self.tables[table_named(self.tables, table)?].len())
     }
 }
 
@@ -407,7 +386,7 @@ impl ReactionEnv for ReactionCtx<'_> {
     }
 
     fn read_mbl(&mut self, name: &str) -> Result<i128, InterpError> {
-        self.read_mbl_at(id16(self.names.slots.get(name).copied()), name)
+        self.read_mbl_at(id16(slot_named(self.slots, name)), name)
     }
 
     fn read_mbl_at(&mut self, id: u16, name: &str) -> Result<i128, InterpError> {
@@ -418,7 +397,7 @@ impl ReactionEnv for ReactionCtx<'_> {
     }
 
     fn write_mbl(&mut self, name: &str, value: i128) -> Result<(), InterpError> {
-        self.write_mbl_at(id16(self.names.slots.get(name).copied()), name, value)
+        self.write_mbl_at(id16(slot_named(self.slots, name)), name, value)
     }
 
     fn write_mbl_at(&mut self, id: u16, name: &str, value: i128) -> Result<(), InterpError> {
@@ -430,7 +409,7 @@ impl ReactionEnv for ReactionCtx<'_> {
 
     fn table_op(&mut self, table: &str, method: &str, args: &[i128]) -> Result<i128, InterpError> {
         let ids = (
-            id16(self.names.tables.get(table).copied()),
+            id16(table_named(self.tables, table)),
             id_of(&METHODS, method),
         );
         self.table_op_at(ids, table, method, args)

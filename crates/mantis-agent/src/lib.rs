@@ -22,7 +22,19 @@
 //!   interpreted C-like bodies);
 //! * `measure` — a reaction's measurement poll lowered to a plan, and the
 //!   snapshot it refills in place;
-//! * [`agent`] — the prologue + dialogue loop itself.
+//! * [`agent`] — [`MantisAgent`]: the struct, its public methods and the
+//!   dialogue loop, over components that each own their state and are the
+//!   only writers of it (DESIGN.md §16):
+//!   * `isolation` — the §5 mechanism: version bits, init tables, the
+//!     slots' committed values;
+//!   * `health` — the retrying link to the driver: one `submit`, one
+//!     backoff accounting, one fault-free recovery section;
+//!   * `reactions` — registration, the contained run, circuit breakers;
+//!   * `txn` — the prepare / commit / mirror update as a transaction, and
+//!     its take-back;
+//!   * `recovery` — bring-up: one routine behind `prologue`, `adopt` and
+//!     `reconcile`;
+//!   * `report` — what comes back: errors, iteration reports, stats.
 
 #![forbid(unsafe_code)]
 
@@ -31,9 +43,17 @@ pub mod costmodel;
 pub mod ctx;
 pub mod driver;
 pub mod driver_api;
+mod health;
+mod isolation;
 pub mod logical;
 mod measure;
+mod reactions;
+mod recovery;
+mod report;
 pub mod sched;
+#[cfg(test)]
+mod testkit;
+mod txn;
 
 pub use agent::{
     AgentError, AgentErrorKind, AgentPhase, AgentStats, IterationReport, MantisAgent,
@@ -595,82 +615,6 @@ control ingress { apply(acl); }
         assert_eq!(switch.borrow().stats.dropped_ingress, dropped_before + 1);
     }
 
-    /// An in-process driver that refuses one chosen op of a transaction's
-    /// opening and counts the checkpoints it hands out and gets back.
-    struct FlakyOpening {
-        inner: LocalDriver,
-        /// Fail the n-th (1-based) `TableCheckpoint`; 0 fails `PortUp`.
-        fail_checkpoint: usize,
-        /// `(checkpoints taken, checkpoints discarded)`.
-        seen: Rc<RefCell<(usize, usize)>>,
-    }
-
-    impl DriverApi for FlakyOpening {
-        fn submit(
-            &mut self,
-            op: driver_api::DriverOp,
-        ) -> Result<driver_api::DriverResponse, rmt_sim::DriverError> {
-            let refuse = Err(rmt_sim::DriverError::Injected {
-                op: "control",
-                persistent: true,
-            });
-            match op {
-                driver_api::DriverOp::TableCheckpoint { .. } => {
-                    if self.seen.borrow().0 + 1 == self.fail_checkpoint {
-                        return refuse;
-                    }
-                    self.seen.borrow_mut().0 += 1;
-                }
-                driver_api::DriverOp::PortUp { .. } if self.fail_checkpoint == 0 => return refuse,
-                driver_api::DriverOp::CheckpointDiscard { .. } => self.seen.borrow_mut().1 += 1,
-                _ => {}
-            }
-            self.inner.submit(op)
-        }
-        fn spec(&self) -> &rmt_sim::DataPlaneSpec {
-            self.inner.spec()
-        }
-        fn num_pipes(&self) -> u16 {
-            self.inner.num_pipes()
-        }
-        fn cost(&self) -> &CostModel {
-            self.inner.cost()
-        }
-        fn clock(&self) -> &Clock {
-            self.inner.clock()
-        }
-        fn set_fault_plan(&mut self, plan: mantis_faults::FaultPlan) {
-            self.inner.set_fault_plan(plan)
-        }
-        fn clear_fault_plan(&mut self) {
-            self.inner.clear_fault_plan()
-        }
-        fn suspend_faults(&mut self) {
-            self.inner.suspend_faults()
-        }
-        fn resume_faults(&mut self) {
-            self.inner.resume_faults()
-        }
-        fn set_fabric_index(&mut self, index: Option<u16>) {
-            self.inner.set_fabric_index(index)
-        }
-        fn fabric_index(&self) -> Option<u16> {
-            self.inner.fabric_index()
-        }
-        fn set_telemetry(&mut self, telemetry: std::sync::Arc<mantis_telemetry::Telemetry>) {
-            self.inner.set_telemetry(telemetry)
-        }
-        fn stats(&self) -> driver::DriverStats {
-            self.inner.stats()
-        }
-        fn busy_until(&self) -> rmt_sim::Nanos {
-            self.inner.busy_until()
-        }
-        fn legacy_table_update_at(&mut self, at: rmt_sim::Nanos) -> rmt_sim::Nanos {
-            self.inner.legacy_table_update_at(at)
-        }
-    }
-
     /// A transaction that cannot finish opening — a checkpoint or the
     /// port-state read fails, as a barrier op does over a faulty channel —
     /// hands back every checkpoint it had taken: none stays open on the
@@ -679,16 +623,31 @@ control ingress { apply(acl); }
     fn a_half_opened_transaction_returns_its_checkpoints() {
         // The update touches the master and `acl`: two checkpoints.
         for (fail_checkpoint, taken) in [(1, 0), (2, 1), (0, 2)] {
-            let compiled = compile_source(PROGRAM, &CompilerOptions::default()).unwrap();
-            let spec = rmt_sim::load(&compiled.p4).unwrap();
-            let switch =
-                SharedSwitch::new(Switch::new(spec, SwitchConfig::default(), Clock::new()));
+            let (compiled, switch) = testkit::switch_for(PROGRAM, &CompilerOptions::default(), 1);
+            // `(checkpoints taken, checkpoints discarded)`.
             let seen = Rc::new(RefCell::new((0, 0)));
-            let driver = FlakyOpening {
-                inner: LocalDriver::new(switch.clone(), CostModel::default()),
-                fail_checkpoint,
-                seen: seen.clone(),
+            let counts = seen.clone();
+            // Refuse the `fail_checkpoint`-th (1-based) `TableCheckpoint`;
+            // 0 refuses `PortUp`.
+            let hook = move |op: &driver_api::DriverOp| {
+                let refuse = Some(rmt_sim::DriverError::Injected {
+                    op: "control",
+                    persistent: true,
+                });
+                match op {
+                    driver_api::DriverOp::TableCheckpoint { .. } => {
+                        if counts.borrow().0 + 1 == fail_checkpoint {
+                            return refuse;
+                        }
+                        counts.borrow_mut().0 += 1;
+                    }
+                    driver_api::DriverOp::PortUp { .. } if fail_checkpoint == 0 => return refuse,
+                    driver_api::DriverOp::CheckpointDiscard { .. } => counts.borrow_mut().1 += 1,
+                    _ => {}
+                }
+                None
             };
+            let driver = testkit::Hooked::new(switch.clone(), Box::new(hook));
             let mut agent = MantisAgent::with_driver(&compiled, Box::new(driver));
             agent.prologue().unwrap();
             let err = agent

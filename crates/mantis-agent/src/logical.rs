@@ -14,8 +14,10 @@
 //! entry one logical entry expands to — so applying a staged op compares
 //! and hashes no string.
 
-use crate::agent::{AgentError, Submitter};
 use crate::driver_api::DriverOp;
+use crate::health::Health;
+use crate::isolation::Slot;
+use crate::report::{AgentError, AgentErrorKind};
 use p4_ast::{MatchKind, Value};
 use p4r_compiler::entry::{expand_entry, expansion_variants, LogicalKey, PhysEntry, PhysKey};
 use p4r_compiler::iface::TableInfo;
@@ -59,8 +61,9 @@ pub struct LogicalTable {
     pub table_id: TableId,
     pub entries: HashMap<LogicalHandle, LogicalEntry>,
     next_handle: LogicalHandle,
-    /// Index of this table's [`TableInfo`] in the control interface.
-    pub(crate) info: usize,
+    /// The compiler's description of the table, which entry expansion
+    /// reads.
+    info: TableInfo,
     /// Does the physical key carry a `vv` column? Unversioned tables keep
     /// a single physical entry set, installed during the prepare pass; the
     /// mirror pass skips their physical writes entirely.
@@ -73,12 +76,11 @@ pub struct LogicalTable {
 }
 
 impl LogicalTable {
-    /// Resolve table `info` (the interface's `index`-th) against the
-    /// loaded program.
+    /// Resolve table `info` against the loaded program.
     ///
     /// # Panics
     /// Panics if `spec` lacks the table or one of its action variants.
-    pub fn new(index: usize, info: &TableInfo, spec: &DataPlaneSpec) -> Self {
+    pub fn new(info: &TableInfo, spec: &DataPlaneSpec) -> Self {
         let must = |what: &str, name: &str| -> ! {
             panic!("invariant: {what} `{name}` must exist on the switch")
         };
@@ -107,7 +109,7 @@ impl LogicalTable {
             table_id,
             entries: HashMap::new(),
             next_handle: 1,
-            info: index,
+            info: info.clone(),
             versioned: info.vv_col.is_some(),
             user_key_len: info.user_key.len(),
             key_kinds: key.iter().map(|k| (k.kind, k.width)).collect(),
@@ -141,7 +143,8 @@ impl LogicalTable {
     }
 
     fn missing(&self, handle: LogicalHandle) -> AgentError {
-        AgentError::missing_entry(&self.name, handle)
+        let table = self.name.clone();
+        AgentErrorKind::MissingEntry { table, handle }.into()
     }
 
     /// The driver op of a staged default-action change.
@@ -157,15 +160,14 @@ impl LogicalTable {
     /// Install the physical entries of one logical entry on vv copy `copy`.
     fn add_phys(
         &self,
-        info: &TableInfo,
         entry: (&[LogicalKey], u32, usize, &[Value]),
         copy: u8,
-        sub: &mut Submitter<'_>,
+        h: &mut Health,
     ) -> Result<Vec<EntryHandle>, AgentError> {
         let (key, priority, action, data) = entry;
         let plan = &self.actions[action];
         let vv = self.versioned.then_some(copy);
-        let phys = expand_entry(info, key, &plan.name, data, priority, vv)?;
+        let phys = expand_entry(&self.info, key, &plan.name, data, priority, vv)?;
         debug_assert_eq!(phys.len(), plan.phys_actions.len());
         let mut handles = Vec::with_capacity(phys.len());
         for (pe, action) in phys.into_iter().zip(&plan.phys_actions) {
@@ -176,7 +178,7 @@ impl LogicalTable {
                 action: *action,
                 data: pe.action_data,
             };
-            handles.push(sub.submit(op)?.into_handle());
+            handles.push(h.submit(op)?.into_handle());
         }
         Ok(handles)
     }
@@ -188,11 +190,10 @@ impl LogicalTable {
     /// in `undo`.
     pub(crate) fn apply(
         &mut self,
-        info: &TableInfo,
         (op_index, op): (usize, &mut StagedOp),
         copy: u8,
         mirror: bool,
-        sub: &mut Submitter<'_>,
+        h: &mut Health,
         undo: &mut Vec<LogicalUndo>,
     ) -> Result<(), AgentError> {
         let unversioned = !self.versioned;
@@ -211,8 +212,7 @@ impl LogicalTable {
                 if skip_phys {
                     return Ok(());
                 }
-                let handles =
-                    self.add_phys(info, (key, *priority, *action, action_data), copy, sub)?;
+                let handles = self.add_phys((key, *priority, *action, action_data), copy, h)?;
                 let entry = match self.entries.entry(*handle) {
                     MapEntry::Occupied(e) => e.into_mut(),
                     MapEntry::Vacant(v) => {
@@ -250,10 +250,10 @@ impl LogicalTable {
                 {
                     // Same action: in-place modify of each physical entry.
                     // The key does not move, so nothing is re-expanded.
-                    for (h, variant) in slots.iter().zip(&plan.phys_actions) {
-                        sub.submit(DriverOp::TableMod {
+                    for (phys, variant) in slots.iter().zip(&plan.phys_actions) {
+                        h.submit(DriverOp::TableMod {
                             table: tid,
-                            handle: *h,
+                            handle: *phys,
                             action: *variant,
                             data: action_data.clone(),
                         })?;
@@ -262,10 +262,10 @@ impl LogicalTable {
                 } else {
                     // Action changed: replace the physical set.
                     undo.push(LogicalUndo::Entry(at(*handle), Some(entry.clone())));
-                    for h in slots {
-                        sub.submit(DriverOp::TableDel {
+                    for phys in slots {
+                        h.submit(DriverOp::TableDel {
                             table: tid,
-                            handle: *h,
+                            handle: *phys,
                         })?;
                     }
                     let new = (
@@ -274,7 +274,7 @@ impl LogicalTable {
                         *action,
                         &**action_data,
                     );
-                    Some(self.add_phys(info, new, copy, sub)?)
+                    Some(self.add_phys(new, copy, h)?)
                 };
                 let entry = self
                     .entries
@@ -302,10 +302,10 @@ impl LogicalTable {
                 };
                 if !skip_phys {
                     undo.push(LogicalUndo::Entry(at(*handle), Some(entry.clone())));
-                    for h in std::mem::take(&mut entry.phys[usize::from(copy)]) {
-                        sub.submit(DriverOp::TableDel {
+                    for phys in std::mem::take(&mut entry.phys[usize::from(copy)]) {
+                        h.submit(DriverOp::TableDel {
                             table: tid,
-                            handle: h,
+                            handle: phys,
                         })?;
                     }
                     if unversioned {
@@ -391,6 +391,40 @@ impl LogicalUndo {
             }
         }
     }
+}
+
+/// FNV-1a fingerprint of a committed malleable config: every slot value,
+/// then every logical table entry (key, priority, action, action data).
+/// Fingerprints hash names, in sorted-name order — never ids.
+pub(crate) fn fingerprint(slots: &[Slot], tables: &[LogicalTable]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |s: &str| {
+        for b in s.as_bytes() {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut slots: Vec<(&str, i128)> = slots.iter().map(|s| (s.name.as_str(), s.value())).collect();
+    slots.sort();
+    for (name, v) in slots {
+        eat(&format!("slot {name}={v}\n"));
+    }
+    let mut tables: Vec<&LogicalTable> = tables.iter().collect();
+    tables.sort_by(|a, b| a.name.cmp(&b.name));
+    for lt in tables {
+        let name = &lt.name;
+        let line = |e: &LogicalEntry| {
+            let action = &lt.actions[e.action].name;
+            format!(
+                "{name} {:?} p{} {action}{:?}\n",
+                e.key, e.priority, e.action_data
+            )
+        };
+        let mut lines: Vec<String> = lt.entries.values().map(line).collect();
+        lines.sort();
+        lines.iter().for_each(|l| eat(l));
+    }
+    h
 }
 
 /// A staged (not yet applied) update from a reaction: `table` indexes the
@@ -522,9 +556,7 @@ mod tests {
         )
         .unwrap();
         let spec = rmt_sim::load(&compiled.p4).unwrap();
-        let index = compiled.iface.tables.iter().position(|t| t.name == "t");
-        let index = index.unwrap();
-        let mut t = LogicalTable::new(index, &compiled.iface.tables[index], &spec);
+        let mut t = LogicalTable::new(compiled.iface.table("t").unwrap(), &spec);
         let a = t.alloc_handle();
         let b = t.alloc_handle();
         assert!(b > a);

@@ -15,8 +15,9 @@
 //! cell is refreshed only when its write counter moved, so the reaction
 //! always sees the freshest value per entry and nothing is copied out.
 
-use crate::agent::{AgentError, Submitter};
 use crate::driver_api::{DriverApi, DriverOp};
+use crate::health::Health;
+use crate::report::AgentError;
 use p4r_compiler::iface::ReactionBinding;
 use rmt_sim::{DriverError, Nanos, ReadAgg, RegisterId};
 
@@ -136,13 +137,13 @@ impl Snapshot {
         &mut self,
         plan: &MeasurePlan,
         frozen: u8,
-        sub: &mut Submitter<'_>,
+        h: &mut Health,
     ) -> Result<(), AgentError> {
-        self.taken_at = sub.now();
+        self.taken_at = h.now();
         // Field arguments: packed-word cost, per-register raw reads. The
         // poll walks every pipe's copy of the packed words.
         if let Some(dur) = plan.poll_ns {
-            sub.submit(DriverOp::SpendExternal { dur })?;
+            h.submit(DriverOp::SpendExternal { dur })?;
         }
         for (reg, (_, value)) in plan.fields.iter().zip(&mut self.scalars) {
             // Field measurements are last-written data-plane values, not
@@ -154,7 +155,7 @@ impl Snapshot {
                 hi: u32::from(frozen),
                 agg: ReadAgg::Max,
             };
-            let vals = sub.submit(read)?.into_values();
+            let vals = h.submit(read)?.into_values();
             *value = vals.first().map_or(0, |v| v.bits() as i128);
         }
         // Register arguments: batched checkpoint reads + cache merge.
@@ -162,7 +163,7 @@ impl Snapshot {
             let mut read = |reg, base: u32| {
                 let (lo, hi) = (base + lo, base + hi);
                 let op = DriverOp::RegisterReadRange { reg, lo, hi };
-                sub.submit(op).map(|r| r.into_values())
+                h.submit(op).map(|r| r.into_values())
             };
             match *how {
                 RegRead::External { reg } => {

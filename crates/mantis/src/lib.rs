@@ -168,16 +168,13 @@ pub fn switches_from_env() -> u16 {
 
 /// Pump worker count requested via the `MANTIS_WORKERS` environment
 /// variable — the parallel-runtime sibling of [`pipes_from_env`] /
-/// [`switches_from_env`]. Defaults to the host's available parallelism
-/// when unset (so a multi-core machine shards by default), and to that
-/// same default with a warning when malformed or zero. The simulator
-/// clamps further to the switch count; 1 disables the pool entirely.
+/// [`switches_from_env`]; 1 (the inline drain, no pool) when unset, and 1
+/// with a warning when malformed or zero. The pool is opt-in: it has not
+/// been faster than the inline drain anywhere it was measured. The
+/// simulator clamps further to the switch count.
 pub fn workers_from_env() -> u16 {
     let raw = std::env::var("MANTIS_WORKERS").ok();
-    let default = std::thread::available_parallelism()
-        .map(|n| n.get().min(usize::from(MAX_ENV_COUNT)) as u16)
-        .unwrap_or(1);
-    parse_env_count("MANTIS_WORKERS", raw.as_deref(), default)
+    parse_env_count("MANTIS_WORKERS", raw.as_deref(), 1)
 }
 
 /// Upper clamp for [`flows_from_env`]: roughly 5× the paper's Fig. 14
@@ -618,13 +615,8 @@ control ingress { apply(t); }
             parse_env_count("MANTIS_WORKERS", Some("9999"), 2),
             MAX_ENV_COUNT
         );
-        // The unset default mirrors the host parallelism and never
-        // exceeds the cap or drops below one worker.
-        let d = std::thread::available_parallelism()
-            .map(|n| n.get().min(usize::from(MAX_ENV_COUNT)) as u16)
-            .unwrap_or(1);
-        assert_eq!(parse_env_count("MANTIS_WORKERS", None, d), d);
-        assert!((1..=MAX_ENV_COUNT).contains(&d));
+        // Unset means one worker — a constant, whatever the host has.
+        assert_eq!(parse_env_count("MANTIS_WORKERS", None, 1), 1);
     }
 
     #[test]

@@ -1,0 +1,205 @@
+#!/usr/bin/env python3
+"""ROADMAP aim 2's tracked number: non-test lines of Rust per crate.
+
+A line is a *test* line when it belongs to the item that follows a
+`#[cfg(test)]` attribute (the attribute line through the item's closing
+brace or semicolon, braces matched outside strings, chars and comments),
+or to a file that is only reachable through a `#[cfg(test)] mod x;`.
+Every other line of `crates/*/src/**/*.rs` counts, comments and blanks
+included.
+
+    scripts/non_test_lines.py            # per-crate table, then the rules
+    scripts/non_test_lines.py --files    # per-file rows as well
+
+Exit status 1 when a rule at the bottom of this file is broken.
+"""
+
+import glob
+import os
+import sys
+
+ATTR = "#[cfg(test)]"
+
+
+def code_mask(text):
+    """For each character: is it code (not inside a comment, string or
+    char literal)? Good enough to match the braces of well-formed Rust."""
+    mask = [True] * len(text)
+    i, n = 0, len(text)
+
+    def blank(a, b):
+        for k in range(a, min(b, n)):
+            mask[k] = False
+
+    while i < n:
+        c = text[i]
+        if text.startswith("//", i):
+            j = text.find("\n", i)
+            j = n if j < 0 else j
+            blank(i, j)
+            i = j
+        elif text.startswith("/*", i):
+            depth, j = 1, i + 2
+            while j < n and depth:
+                if text.startswith("/*", j):
+                    depth, j = depth + 1, j + 2
+                elif text.startswith("*/", j):
+                    depth, j = depth - 1, j + 2
+                else:
+                    j += 1
+            blank(i, j)
+            i = j
+        elif c == '"' or (c == "r" and text[i + 1 : i + 2] in ('"', "#") and raw_start(text, i)):
+            if c == '"':
+                j = i + 1
+                while j < n and text[j] != '"':
+                    j += 2 if text[j] == "\\" else 1
+                j += 1
+            else:
+                hashes = 0
+                j = i + 1
+                while text[j] == "#":
+                    hashes, j = hashes + 1, j + 1
+                end = text.find('"' + "#" * hashes, j + 1)
+                j = n if end < 0 else end + 1 + hashes
+            blank(i, j)
+            i = j
+        elif c == "'":
+            # A char literal closes within a few characters; a lifetime
+            # does not close at all.
+            if text[i + 1 : i + 2] == "\\":
+                j = text.find("'", i + 2)
+                blank(i, j + 1)
+                i = j + 1
+            elif text[i + 2 : i + 3] == "'":
+                blank(i, i + 3)
+                i += 3
+            else:
+                i += 1
+        else:
+            i += 1
+    return mask
+
+
+def raw_start(text, i):
+    """Does a raw string literal start at `text[i] == 'r'`?"""
+    if i and (text[i - 1].isalnum() or text[i - 1] == "_"):
+        return False
+    j = i + 1
+    while j < len(text) and text[j] == "#":
+        j += 1
+    return text[j : j + 1] == '"'
+
+
+def test_spans(text):
+    """`(first_line, last_line, child_module)` of every `#[cfg(test)]`
+    item, 0-based inclusive; `child_module` names an out-of-line `mod`."""
+    mask = code_mask(text)
+    spans = []
+    at = 0
+    while True:
+        at = text.find(ATTR, at)
+        if at < 0:
+            return spans
+        if not mask[at]:
+            at += len(ATTR)
+            continue
+        depth, j, end = 0, at + len(ATTR), len(text)
+        while j < len(text):
+            if mask[j]:
+                c = text[j]
+                # Attribute brackets may hold braces of their own; an item
+                # ends at its `;` (no body) or at the `}` closing its body.
+                if c in "{[(":
+                    depth += 1
+                elif c in "}])":
+                    depth -= 1
+                    if depth == 0 and c == "}":
+                        end = j
+                        break
+                elif c == ";" and depth == 0:
+                    end = j
+                    break
+            j += 1
+        item = "".join(ch if ok else " " for ch, ok in zip(text[at:end], mask[at:end]))
+        words = item.replace("]", "] ").split()
+        child = None
+        if text[end : end + 1] == ";" and "mod" in words:
+            child = words[words.index("mod") + 1]
+        spans.append((text.count("\n", 0, at), text.count("\n", 0, end), child))
+        at = end + 1
+
+
+def module_file(parent, child):
+    """Where `mod child;` declared in file `parent` lives."""
+    here, name = os.path.split(parent)
+    stem = os.path.splitext(name)[0]
+    inside = here if stem in ("lib", "main", "mod") else os.path.join(here, stem)
+    for path in (os.path.join(inside, child + ".rs"), os.path.join(inside, child, "mod.rs")):
+        if os.path.exists(path):
+            return path
+    return None
+
+
+def count_crate(src):
+    """`{file: non-test lines}` for every `.rs` under `src`."""
+    files = sorted(glob.glob(os.path.join(src, "**", "*.rs"), recursive=True))
+    counts, test_only = {}, set()
+    for path in files:
+        text = open(path, encoding="utf-8").read()
+        lines = text.count("\n") + (not text.endswith("\n") and text != "")
+        test = set()
+        for first, last, child in test_spans(text):
+            test.update(range(first, last + 1))
+            if child and module_file(path, child):
+                test_only.add(module_file(path, child))
+        counts[path] = lines - len(test)
+    # A test-only module takes the files below it along.
+    for path in files:
+        stem = os.path.splitext(path)[0]
+        if any(path == t or stem.startswith(os.path.splitext(t)[0] + os.sep) for t in test_only):
+            counts[path] = 0
+    return counts
+
+
+def main():
+    show_files = "--files" in sys.argv[1:]
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    os.chdir(root)
+    total, crates = 0, {}
+    for crate in sorted(os.listdir("crates")):
+        counts = count_crate(os.path.join("crates", crate, "src"))
+        crates[crate] = counts
+        lines = sum(counts.values())
+        total += lines
+        print(f"{crate:18} {lines:6}")
+        if show_files:
+            for path, n in counts.items():
+                print(f"  {os.path.relpath(path, os.path.join('crates', crate, 'src')):28} {n:6}")
+    print(f"{'total':18} {total:6}")
+
+    # The rules. `mantis-agent` is components with disjoint write scopes
+    # (DESIGN.md §16): no file of it may grow back into a monolith, the
+    # loop's own file stays the loop, and the crate may shrink, not grow.
+    # (The decomposition was meant to land at or under the 4 529 lines it
+    # started from and landed at 4 729: the ceiling is where it is, not
+    # where it was wanted.)
+    crate_ceiling = 4729
+    agent = crates["mantis-agent"]
+    broken = []
+    for path, n in agent.items():
+        name = os.path.basename(path)
+        ceiling = 600 if name == "agent.rs" else 800
+        if os.path.dirname(path).endswith("src") and n > ceiling:
+            broken.append(f"{path} has {n} non-test lines (ceiling {ceiling})")
+    if sum(agent.values()) > crate_ceiling:
+        broken.append(
+            f"crates/mantis-agent has {sum(agent.values())} non-test lines (ceiling {crate_ceiling})"
+        )
+    for line in broken:
+        print(line, file=sys.stderr)
+    sys.exit(1 if broken else 0)
+
+
+if __name__ == "__main__":
+    main()

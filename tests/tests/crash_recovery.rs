@@ -471,3 +471,70 @@ control ingress { apply(t); }
         assert_eq!(knob, i128::from(1 + k), "`tick` ran more than once");
     }
 }
+
+/// `reconcile` is idempotent over the static prologue entries. The
+/// field-list load tables are sized `alts × 2`, so a recovery that re-adds
+/// their selectors without looking doubles them once and fails for good —
+/// `table full` — the second time. Three crash-restarts in a row must each
+/// succeed, leave exactly one entry per selector, and leave the selectors
+/// working: a field shift committed afterwards still moves the hash input.
+#[test]
+fn repeated_reconciles_keep_one_prologue_entry_per_selector() {
+    use mantis::apps::programs::ECMP_P4R;
+    use mantis::p4_ast::Pipeline;
+
+    let tb = Testbed::from_p4r_with_pipes(ECMP_P4R, 2).expect("ecmp compiles");
+    let selectors = tb.compiled.iface.prologue_entries.clone();
+    assert_eq!(selectors.len(), 4, "two load tables of two selectors");
+    for round in 1..=3 {
+        let mut agent = tb.agent.borrow_mut();
+        agent
+            .reconcile()
+            .unwrap_or_else(|e| panic!("reconcile #{round}: {e}"));
+        agent
+            .register_all_interpreted()
+            .expect("reactions re-register");
+        agent
+            .dialogue_iteration()
+            .unwrap_or_else(|e| panic!("iteration after reconcile #{round}: {e}"));
+    }
+    {
+        let sw = tb.sim.switch().borrow();
+        for table in ["p4r_load_hash_a_", "p4r_load_hash_b_"] {
+            let want = selectors.iter().filter(|pe| pe.table == table).count();
+            let id = sw.table_id(table).expect("load table");
+            assert_eq!(sw.table_len(id), want, "entries in `{table}`");
+        }
+    }
+
+    // Which ports do packets differing only in `vary` hash to?
+    let ports_varying = |vary: &str| {
+        let mut sw = tb.sim.switch().borrow_mut();
+        let mut ports = std::collections::BTreeSet::new();
+        for i in 0..32u128 {
+            let field = |name: &str| if name == vary { 1_000 + i * 7_919 } else { 7 };
+            let phv = PacketDesc::new(0)
+                .field("ethernet", "ether_type", 0x0800)
+                .field("ipv4", "src_addr", field("src_addr"))
+                .field("ipv4", "dst_addr", 9)
+                .field("ipv4", "protocol", 17)
+                .field("l4", "sport", field("sport"))
+                .field("l4", "dport", 11)
+                .build(sw.spec());
+            let out = sw.run_pipeline(phv, Pipeline::Ingress);
+            ports.insert(out.egress_spec(sw.spec()));
+        }
+        ports
+    };
+    // `hash_a` starts on ipv4.src_addr: the source address spreads
+    // packets, the source port does not.
+    assert!(ports_varying("src_addr").len() > 1);
+    assert_eq!(ports_varying("sport").len(), 1);
+    tb.agent
+        .borrow_mut()
+        .user_init(|ctx| ctx.shift_field("hash_a", 1))
+        .expect("shift commits");
+    // Shifted to l4.sport: now it is the other way round.
+    assert_eq!(ports_varying("src_addr").len(), 1);
+    assert!(ports_varying("sport").len() > 1);
+}

@@ -548,3 +548,201 @@ proptest! {
         prop_assert!(seen_new);
     }
 }
+
+// -- the oracle on the agent that ships ---------------------------------------
+
+/// [`PROG`] plus a reaction to hang a native body on.
+const AGENT_PROG: &str = r#"
+header_type h_t { fields { a : 32; b : 32; out : 32; } }
+header h_t h;
+malleable value scale { width : 32; init : 1; }
+malleable field pick { width : 32; init : h.a; alts { h.a, h.b } }
+action classify(tag) {
+    modify_field(h.out, tag);
+    add_to_field(h.out, ${scale});
+}
+action fallback() { modify_field(h.out, 0); }
+malleable table cls {
+    reads { ${pick} : exact; }
+    actions { classify; fallback; }
+    default_action : fallback();
+    size : 64;
+}
+reaction swing(ing h.a) { }
+control ingress { apply(cls); }
+"#;
+
+/// What every pipe showed a probe packet after each driver op, oldest
+/// first.
+type Sightings = Rc<RefCell<Vec<Vec<u64>>>>;
+
+/// An in-process driver that, after every op the agent submits, sends the
+/// probe packet `(a = 5, b = 9)` through every pipe and notes what came
+/// out — the packet stream of `PipeHarness`, but between the ops of the
+/// real commit protocol instead of a hand-written twin of it.
+struct Probing {
+    inner: mantis::mantis_agent::LocalDriver,
+    switch: mantis::SharedSwitch,
+    seen: Sightings,
+}
+
+impl Probing {
+    fn probe_all(&self) {
+        let mut sw = self.switch.borrow_mut();
+        let per_pipe = sw.config().num_ports.div_ceil(sw.num_pipes());
+        let out = sw.spec().field_id("h", "out").unwrap();
+        for pipe in 0..sw.num_pipes() {
+            let phv = PacketDesc::new(pipe * per_pipe)
+                .field("h", "a", 5)
+                .field("h", "b", 9)
+                .build(sw.spec());
+            let got = sw.run_pipeline(phv, Pipeline::Ingress).get(out).as_u64();
+            self.seen.borrow_mut()[usize::from(pipe)].push(got);
+        }
+    }
+}
+
+impl mantis::mantis_agent::DriverApi for Probing {
+    fn submit(
+        &mut self,
+        op: mantis::control::DriverOp,
+    ) -> Result<mantis::control::DriverResponse, mantis::rmt_sim::DriverError> {
+        let answer = self.inner.submit(op);
+        self.probe_all();
+        answer
+    }
+    fn spec(&self) -> &mantis::rmt_sim::DataPlaneSpec {
+        self.inner.spec()
+    }
+    fn num_pipes(&self) -> u16 {
+        self.inner.num_pipes()
+    }
+    fn cost(&self) -> &mantis::CostModel {
+        self.inner.cost()
+    }
+    fn clock(&self) -> &Clock {
+        self.inner.clock()
+    }
+    fn set_fault_plan(&mut self, plan: mantis::FaultPlan) {
+        self.inner.set_fault_plan(plan)
+    }
+    fn clear_fault_plan(&mut self) {
+        self.inner.clear_fault_plan()
+    }
+    fn suspend_faults(&mut self) {
+        self.inner.suspend_faults()
+    }
+    fn resume_faults(&mut self) {
+        self.inner.resume_faults()
+    }
+    fn set_fabric_index(&mut self, index: Option<u16>) {
+        self.inner.set_fabric_index(index)
+    }
+    fn fabric_index(&self) -> Option<u16> {
+        self.inner.fabric_index()
+    }
+    fn set_telemetry(&mut self, telemetry: std::sync::Arc<mantis::Telemetry>) {
+        self.inner.set_telemetry(telemetry)
+    }
+    fn stats(&self) -> mantis::mantis_agent::driver::DriverStats {
+        self.inner.stats()
+    }
+    fn busy_until(&self) -> u64 {
+        self.inner.busy_until()
+    }
+    fn legacy_table_update_at(&mut self, at: u64) -> u64 {
+        self.inner.legacy_table_update_at(at)
+    }
+}
+
+/// Since the last call, every pipe went from `old` to `new` in one step:
+/// no probe saw anything else, none saw `old` again after `new`, and every
+/// pipe ended on `new`. Pipes need not move together.
+fn assert_one_step_per_pipe(seen: &Sightings, old: u64, new: u64, ctx: &str) {
+    for (pipe, sightings) in seen.borrow_mut().iter_mut().enumerate() {
+        let moved = sightings.iter().position(|s| *s != old);
+        let (before, after) = sightings.split_at(moved.unwrap_or(sightings.len()));
+        assert!(!before.is_empty(), "{ctx}: pipe {pipe} was never probed");
+        assert!(
+            after.iter().all(|s| *s == new) && !after.is_empty(),
+            "{ctx}: pipe {pipe} went {old} → {new} through {sightings:?}"
+        );
+        sightings.clear();
+    }
+}
+
+/// The contract `cross_pipe_probes_see_old_xor_new_per_pipe` checks on a
+/// twin, on the agent itself: one commit carrying a slot write, a field
+/// shift and a table modify — through `user_init` and through a reaction
+/// of `dialogue_iteration`, on 1 and on 4 pipes — with a probe in every
+/// pipe after *every* driver op of it (checkpoints, prepare writes,
+/// per-pipe flips, mirror writes, the measure flip).
+#[test]
+fn every_op_of_the_agents_commit_leaves_each_pipe_old_xor_new() {
+    for num_pipes in [1u16, NUM_PIPES] {
+        let compiled = compile_source(AGENT_PROG, &CompilerOptions::default()).unwrap();
+        let spec = mantis::rmt_sim::load(&compiled.p4).unwrap();
+        let config = SwitchConfig {
+            num_pipes,
+            ..Default::default()
+        };
+        let switch = mantis::SharedSwitch::new(Switch::new(spec, config, Clock::new()));
+        let seen: Sightings = Rc::new(RefCell::new(vec![Vec::new(); usize::from(num_pipes)]));
+        let driver = Probing {
+            inner: mantis::mantis_agent::LocalDriver::new(switch.clone(), Default::default()),
+            switch,
+            seen: seen.clone(),
+        };
+        let mut agent = mantis::MantisAgent::with_driver(&compiled, Box::new(driver));
+        let ctx = |what: &str| format!("{num_pipes} pipes, {what}");
+
+        // World 0 (nothing installed: fallback) → world A: key 5 tagged
+        // 100, key 9 tagged 300, scale 1, keyed on h.a — the probe's a = 5.
+        agent.prologue().unwrap();
+        let handle = Rc::new(RefCell::new(0u64));
+        let h2 = handle.clone();
+        agent
+            .user_init(move |ctx| {
+                let key = |k| vec![LogicalKey::Exact(Value::new(k, 32))];
+                *h2.borrow_mut() =
+                    ctx.table_add("cls", key(5), 0, "classify", vec![Value::new(100, 32)])?;
+                ctx.table_add("cls", key(9), 0, "classify", vec![Value::new(300, 32)])?;
+                Ok(())
+            })
+            .unwrap();
+        assert_one_step_per_pipe(&seen, 0, 101, &ctx("install"));
+
+        // World A → world B in one `user_init` commit: scale 7, key 5
+        // re-tagged 200, keyed on h.b — the probe's b = 9 → 300 + 7. Any
+        // blend reads 107, 201, 207 or 301.
+        let h = *handle.borrow();
+        agent
+            .user_init(move |ctx| {
+                ctx.set_mbl("scale", 7)?;
+                ctx.shift_field("pick", 1)?;
+                ctx.table_mod("cls", h, "classify", vec![Value::new(200, 32)])
+            })
+            .unwrap();
+        assert_one_step_per_pipe(&seen, 101, 307, &ctx("user_init commit"));
+
+        // World B → world A through the dialogue: a reaction stages the
+        // way back, once.
+        let mut staged = false;
+        let swing = move |ctx: &mut mantis::ReactionCtx<'_>| {
+            if !std::mem::replace(&mut staged, true) {
+                ctx.set_mbl("scale", 1)?;
+                ctx.shift_field("pick", 0)?;
+                ctx.table_mod("cls", h, "classify", vec![Value::new(100, 32)])?;
+            }
+            Ok(())
+        };
+        agent.register_native("swing", Box::new(swing)).unwrap();
+        agent.dialogue_iteration().unwrap();
+        assert_one_step_per_pipe(&seen, 307, 101, &ctx("dialogue commit"));
+        // A quiescent iteration (measure flip only) moves nothing.
+        agent.dialogue_iteration().unwrap();
+        for sightings in seen.borrow().iter() {
+            assert!(sightings.iter().all(|s| *s == 101), "{sightings:?}");
+        }
+    }
+}
