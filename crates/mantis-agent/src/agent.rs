@@ -29,7 +29,7 @@ use crate::reactions::Reactions;
 use crate::recovery::{bring_up, BringUp};
 use crate::txn::Txn;
 use mantis_faults::{BreakerConfig, BreakerState, FaultPlan, RetryPolicy};
-use mantis_telemetry::Telemetry;
+use mantis_telemetry::{Scope, Telemetry};
 use p4r_compiler::iface::ControlInterface;
 use p4r_compiler::Compiled;
 use rmt_sim::{Clock, Nanos, SharedSwitch};
@@ -448,10 +448,8 @@ impl MantisAgent {
         let iter = self.iteration_count;
         let m = self.health.metrics();
         self.health.reset_retries();
-        let t0 = self.health.begin(m.span_iteration);
-
         // ── measurement flip: freeze the current working copy ──
-        self.health.begin(m.span_measure);
+        let t0 = self.health.spans(&[], &[m.span_iteration, m.span_measure]);
         let measured = self
             .isolation
             .flip_measure(&mut self.health)
@@ -464,18 +462,15 @@ impl MantisAgent {
                 // Nothing malleable was touched; re-freeze the old copy so
                 // the device and agent agree again, then surface the error.
                 self.isolation.unflip_measure(&mut self.health);
-                self.health.end(m.span_measure);
-                self.health.end(m.span_iteration);
+                self.health.spans(&[m.span_measure, m.span_iteration], &[]);
             }
             return Err(e.in_phase(AgentPhase::Measure).at_iteration(iter));
         }
-        let t_measured = self.health.end(m.span_measure);
-
         // ── run reactions against the frozen snapshot ──
         // Failures are contained: the failing reaction's partial staging
         // is discarded and its breaker advances; the iteration continues
         // with whatever the healthy reactions staged.
-        self.health.begin(m.span_react);
+        let t_measured = self.health.spans(&[m.span_measure], &[m.span_react]);
         let (reaction_failures, quarantine_skips) = self.reactions.run(
             iter,
             self.isolation.slots(),
@@ -483,15 +478,18 @@ impl MantisAgent {
             &mut self.tables,
             &self.health,
         );
-        let t_reacted = self.health.end(m.span_react);
+        let t_reacted = self.health.spans(&[m.span_react], &[]);
 
         // ── prepare / commit / mirror (transactional) ──
         let staged_ops = self.staged.table_ops.len();
         let applied = self.apply_staged();
-        let t1 = self.health.end(m.span_iteration);
+        let t1 = self.health.now();
         let (update_ns, sync_ns) = match applied {
             Ok(v) => v,
-            Err(e) => return Err(e.in_phase(AgentPhase::Update).at_iteration(iter)),
+            Err(e) => {
+                self.health.spans(&[m.span_iteration], &[]);
+                return Err(e.in_phase(AgentPhase::Update).at_iteration(iter));
+            }
         };
         self.reactions.committed();
 
@@ -509,7 +507,9 @@ impl MantisAgent {
         };
         self.iteration_count += 1;
         let report = &self.last_report;
+        // The iteration's closing span and its figures, in one burst.
         if let Some(mut rec) = self.health.telemetry().recorder() {
+            rec.end(Scope::Agent, m.span_iteration, t1);
             rec.add(m.iterations, 1);
             rec.add(m.busy_ns, i128::from(report.duration_ns));
             rec.add(m.staged_table_ops, staged_ops as i128);

@@ -21,7 +21,7 @@ use mantis_faults::{FaultInjector, FaultPlan, Injection};
 use mantis_telemetry::{scopes, DriverOpId, Scope, Telemetry};
 use p4_ast::Value;
 use rmt_sim::{
-    ActionId, Clock, DataPlaneSpec, DriverError, EntryHandle, KeyField, Nanos, RegisterId,
+    ActionId, Clock, DataPlaneSpec, DriverError, EntryHandle, KeyField, Nanos, ReadAgg, RegisterId,
     SharedSwitch, TableId,
 };
 use std::collections::{HashMap, HashSet};
@@ -264,7 +264,7 @@ impl LocalDriver {
         // of the operation is driver software time that concurrent legacy
         // clients are not blocked by.
         self.lock_start = start;
-        self.lock_until = start + self.cost.device_lock_ns.min(dur);
+        self.lock_until = start.saturating_add(self.cost.device_lock_ns.min(dur));
         self.stats.ops += 1;
         self.stats.busy_ns = self.stats.busy_ns.saturating_add(dur);
         if self.telemetry.is_enabled() {
@@ -306,15 +306,16 @@ impl LocalDriver {
         }
     }
 
-    /// Batched range read of a register array. Fallible: the transport
-    /// can fail, and injected `StaleRead`/`CorruptRead` effects distort
-    /// the returned values without failing the op (measurement noise, not
-    /// a retryable error).
-    fn register_read_range(
+    /// Batched range read of a register array, into `spare`'s allocation.
+    /// Fallible: the transport can fail, and injected
+    /// `StaleRead`/`CorruptRead` effects distort the returned values without
+    /// failing the op (measurement noise, not a retryable error).
+    fn read_range(
         &mut self,
         reg: RegisterId,
         lo: u32,
         hi: u32,
+        spare: &mut Vec<Value>,
     ) -> Result<Vec<Value>, DriverError> {
         let width = self.spec.register(reg).width;
         let width_bytes = usize::from(width).div_ceil(8);
@@ -333,7 +334,9 @@ impl LocalDriver {
             let cached = self.stale_cache.get(&(reg, lo, hi)).cloned();
             return Ok(cached.unwrap_or_else(|| vec![Value::zero(width); n]));
         }
-        let mut vals = self.switch.borrow().register_read_range(reg, lo, hi);
+        let mut vals = std::mem::take(spare);
+        let sw = self.switch.borrow();
+        sw.register_read_agg_into(reg, lo, hi, ReadAgg::Sum, &mut vals);
         if let Some(Injection::Corrupt { xor }) = effect {
             for v in &mut vals {
                 *v = Value::new(v.bits() ^ u128::from(xor), width);
@@ -367,26 +370,30 @@ impl DriverApi for LocalDriver {
         &self.clock
     }
 
-    fn submit(&mut self, op: DriverOp) -> Result<DriverResponse, DriverError> {
-        self.validate(&op)?;
-        Ok(match op {
+    fn submit_reusing(
+        &mut self,
+        op: &DriverOp,
+        spare: &mut Vec<Value>,
+    ) -> Result<DriverResponse, DriverError> {
+        self.validate(op)?;
+        Ok(match *op {
             DriverOp::TableAdd {
                 table,
-                key,
+                ref key,
                 priority,
                 action,
-                data,
+                ref data,
             } => {
                 let cost = self.table_op_cost(table);
                 self.account(Op::TableAdd, None, cost)?;
                 let mut sw = self.switch.borrow_mut();
-                DriverResponse::Handle(sw.table_add(table, key, priority, action, data)?)
+                DriverResponse::Handle(sw.table_add(table, key.clone(), priority, action, data)?)
             }
             DriverOp::TableMod {
                 table,
                 handle,
                 action,
-                data,
+                ref data,
             } => {
                 let cost = self.table_op_cost(table);
                 self.account(Op::TableMod, None, cost)?;
@@ -403,7 +410,7 @@ impl DriverApi for LocalDriver {
             DriverOp::SetDefault {
                 table,
                 action,
-                data,
+                ref data,
                 is_init_flip,
             } => {
                 let (class, cost) = self.set_default_cost(table, is_init_flip);
@@ -417,7 +424,7 @@ impl DriverApi for LocalDriver {
                 pipe,
                 table,
                 action,
-                data,
+                ref data,
                 is_init_flip,
             } => {
                 let (class, cost) = self.set_default_cost(table, is_init_flip);
@@ -437,10 +444,13 @@ impl DriverApi for LocalDriver {
                 DriverResponse::Ok
             }
             DriverOp::RegisterReadRange { reg, lo, hi } => {
-                DriverResponse::Values(self.register_read_range(reg, lo, hi)?)
+                DriverResponse::Values(self.read_range(reg, lo, hi, spare)?)
             }
             DriverOp::RegisterReadAgg { reg, lo, hi, agg } => {
-                DriverResponse::Values(self.switch.borrow().register_read_agg(reg, lo, hi, agg))
+                let mut vals = std::mem::take(spare);
+                let sw = self.switch.borrow();
+                sw.register_read_agg_into(reg, lo, hi, agg, &mut vals);
+                DriverResponse::Values(vals)
             }
             DriverOp::PortUp { port } => {
                 DriverResponse::PortState(self.switch.borrow().port(port).map(|st| st.up))
@@ -785,7 +795,7 @@ control ingress { apply(t); }
             ),
         ];
         for (op, want) in refused {
-            assert_eq!(d.submit(op.clone()), Err(want), "{op:?}");
+            assert_eq!(d.submit(&op), Err(want), "{op:?}");
         }
         assert_eq!(clock.now(), 0, "a refused op costs nothing");
         assert_eq!(d.stats.ops, 0);

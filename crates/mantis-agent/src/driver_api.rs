@@ -188,6 +188,18 @@ impl DriverOp {
             _ => false,
         }
     }
+
+    /// Take back the action data of an op built around a vector its
+    /// stager keeps (empty for an op that carries none).
+    pub fn take_data(&mut self) -> Vec<Value> {
+        match self {
+            DriverOp::TableAdd { data, .. }
+            | DriverOp::TableMod { data, .. }
+            | DriverOp::SetDefault { data, .. }
+            | DriverOp::SetDefaultOn { data, .. } => std::mem::take(data),
+            _ => Vec::new(),
+        }
+    }
 }
 
 /// The answer to one [`DriverOp`]. On the wire a failed batch is
@@ -242,8 +254,9 @@ impl DriverResponse {
 ///
 /// Implementations: [`LocalDriver`](crate::driver::LocalDriver)
 /// (in-process, the paper's shape) and `mantis_control::RemoteDriver`
-/// (wire-encoded, batching). Both implement [`submit`](Self::submit); the
-/// typed calls below are provided.
+/// (wire-encoded, batching). Both implement
+/// [`submit_reusing`](Self::submit_reusing); [`submit`](Self::submit) and
+/// the typed calls below are provided.
 pub trait DriverApi {
     // -- static metadata (client-side; pushed at session setup like a
     //    P4Runtime pipeline config) -----------------------------------------
@@ -282,7 +295,19 @@ pub trait DriverApi {
 
     /// Carry out one op and answer it. Never answers
     /// [`DriverResponse::Err`]: a failure is the `Err` of the result.
-    fn submit(&mut self, op: DriverOp) -> Result<DriverResponse, DriverError>;
+    fn submit(&mut self, op: &DriverOp) -> Result<DriverResponse, DriverError> {
+        self.submit_reusing(op, &mut Vec::new())
+    }
+
+    /// [`submit`](Self::submit), lending the driver a vector: a register
+    /// read may take `spare`'s allocation (leaving it empty) for the
+    /// [`DriverResponse::Values`] it answers, so a caller that puts each
+    /// answer's vector back for the next read allocates nothing.
+    fn submit_reusing(
+        &mut self,
+        op: &DriverOp,
+        spare: &mut Vec<Value>,
+    ) -> Result<DriverResponse, DriverError>;
 
     // -- typed calls: build the op, submit, unpack --------------------------
 
@@ -301,7 +326,7 @@ pub trait DriverApi {
             action,
             data,
         };
-        Ok(self.submit(op)?.into_handle())
+        Ok(self.submit(&op)?.into_handle())
     }
 
     fn table_mod(
@@ -317,11 +342,11 @@ pub trait DriverApi {
             action,
             data,
         };
-        self.submit(op).map(drop)
+        self.submit(&op).map(drop)
     }
 
     fn table_del(&mut self, table: TableId, handle: EntryHandle) -> Result<(), DriverError> {
-        self.submit(DriverOp::TableDel { table, handle }).map(drop)
+        self.submit(&DriverOp::TableDel { table, handle }).map(drop)
     }
 
     fn table_set_default(
@@ -337,7 +362,7 @@ pub trait DriverApi {
             data,
             is_init_flip,
         };
-        self.submit(op).map(drop)
+        self.submit(&op).map(drop)
     }
 
     fn table_set_default_on(
@@ -355,21 +380,11 @@ pub trait DriverApi {
             data,
             is_init_flip,
         };
-        self.submit(op).map(drop)
-    }
-
-    fn register_write(
-        &mut self,
-        reg: RegisterId,
-        index: u32,
-        value: Value,
-    ) -> Result<(), DriverError> {
-        self.submit(DriverOp::RegisterWrite { reg, index, value })
-            .map(drop)
+        self.submit(&op).map(drop)
     }
 
     fn port_set_up(&mut self, port: PortId, up: bool) -> Result<(), DriverError> {
-        self.submit(DriverOp::PortSetUp { port, up }).map(drop)
+        self.submit(&DriverOp::PortSetUp { port, up }).map(drop)
     }
 
     fn register_read_range(
@@ -379,24 +394,12 @@ pub trait DriverApi {
         hi: u32,
     ) -> Result<Vec<Value>, DriverError> {
         Ok(self
-            .submit(DriverOp::RegisterReadRange { reg, lo, hi })?
-            .into_values())
-    }
-
-    fn register_read_agg(
-        &mut self,
-        reg: RegisterId,
-        lo: u32,
-        hi: u32,
-        agg: ReadAgg,
-    ) -> Result<Vec<Value>, DriverError> {
-        Ok(self
-            .submit(DriverOp::RegisterReadAgg { reg, lo, hi, agg })?
+            .submit(&DriverOp::RegisterReadRange { reg, lo, hi })?
             .into_values())
     }
 
     fn port_up(&mut self, port: PortId) -> Result<Option<bool>, DriverError> {
-        match self.submit(DriverOp::PortUp { port })? {
+        match self.submit(&DriverOp::PortUp { port })? {
             DriverResponse::PortState(st) => Ok(st),
             other => other.unexpected("PortState"),
         }
@@ -407,21 +410,17 @@ pub trait DriverApi {
         pipe: u16,
         table: TableId,
     ) -> Result<(ActionId, Vec<Value>), DriverError> {
-        match self.submit(DriverOp::TableDefaultOn { pipe, table })? {
+        match self.submit(&DriverOp::TableDefaultOn { pipe, table })? {
             DriverResponse::DefaultAction { action, data } => Ok((action, data)),
             other => other.unexpected("DefaultAction"),
         }
     }
 
     fn table_dump(&mut self, table: TableId) -> Result<Vec<EntrySnapshot>, DriverError> {
-        match self.submit(DriverOp::TableDump { table })? {
+        match self.submit(&DriverOp::TableDump { table })? {
             DriverResponse::Entries(es) => Ok(es),
             other => other.unexpected("Entries"),
         }
-    }
-
-    fn spend_external(&mut self, dur: Nanos) -> Result<(), DriverError> {
-        self.submit(DriverOp::SpendExternal { dur }).map(drop)
     }
 
     /// Infallible by contract: it only runs inside a fault-suspended
@@ -429,18 +428,18 @@ pub trait DriverApi {
     /// injects.
     fn spend_rollback(&mut self, tables: usize) {
         let tables = tables as u32;
-        let _ = self.submit(DriverOp::SpendRollback { tables });
+        let _ = self.submit(&DriverOp::SpendRollback { tables });
     }
 
     fn table_checkpoint(&mut self, table: TableId) -> Result<CheckpointToken, DriverError> {
-        match self.submit(DriverOp::TableCheckpoint { table })? {
+        match self.submit(&DriverOp::TableCheckpoint { table })? {
             DriverResponse::Token(t) => Ok(t),
             other => other.unexpected("Token"),
         }
     }
 
     fn table_restore(&mut self, table: TableId, token: CheckpointToken) -> Result<(), DriverError> {
-        self.submit(DriverOp::TableRestore { table, token })
+        self.submit(&DriverOp::TableRestore { table, token })
             .map(drop)
     }
 
@@ -448,7 +447,7 @@ pub trait DriverApi {
     /// driver in one-op-per-frame mode merely leaks a server-side
     /// checkpoint.
     fn checkpoint_discard(&mut self, token: CheckpointToken) {
-        let _ = self.submit(DriverOp::CheckpointDiscard { token });
+        let _ = self.submit(&DriverOp::CheckpointDiscard { token });
     }
 
     // -- batching -----------------------------------------------------------

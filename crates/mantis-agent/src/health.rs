@@ -11,6 +11,7 @@ use crate::driver_api::{DriverApi, DriverOp, DriverResponse};
 use crate::report::AgentError;
 use mantis_faults::RetryPolicy;
 use mantis_telemetry::{scopes, CounterId, HistId, NameId, Scope, Telemetry, TelemetryConfig};
+use p4_ast::Value;
 use rmt_sim::{Clock, Nanos};
 use std::sync::Arc;
 
@@ -104,17 +105,18 @@ impl Health {
         self.clock.now()
     }
 
-    /// Open one of the loop's spans now; the time is handed back.
-    pub(crate) fn begin(&self, span: NameId) -> Nanos {
+    /// Close `closing`, then open `opening` — the loop's spans that change
+    /// hands now — under one hold of the registry; the time is handed back.
+    pub(crate) fn spans(&self, closing: &[NameId], opening: &[NameId]) -> Nanos {
         let now = self.now();
-        self.telemetry.begin(Scope::Agent, span, now);
-        now
-    }
-
-    /// Close one of the loop's spans now; the time is handed back.
-    pub(crate) fn end(&self, span: NameId) -> Nanos {
-        let now = self.now();
-        self.telemetry.end(Scope::Agent, span, now);
+        if let Some(mut rec) = self.telemetry.recorder() {
+            for span in closing {
+                rec.end(Scope::Agent, *span, now);
+            }
+            for span in opening {
+                rec.begin(Scope::Agent, *span, now);
+            }
+        }
         now
     }
 
@@ -136,10 +138,20 @@ impl Health {
 
     /// Submit one op, retrying it on transient failure with bounded
     /// exponential backoff on the virtual clock.
-    pub(crate) fn submit(&mut self, op: DriverOp) -> Result<DriverResponse, AgentError> {
+    pub(crate) fn submit(&mut self, op: &DriverOp) -> Result<DriverResponse, AgentError> {
+        self.submit_reusing(op, &mut Vec::new())
+    }
+
+    /// [`submit`](Health::submit), lending `spare` to a register read as
+    /// [`DriverApi::submit_reusing`] does.
+    pub(crate) fn submit_reusing(
+        &mut self,
+        op: &DriverOp,
+        spare: &mut Vec<Value>,
+    ) -> Result<DriverResponse, AgentError> {
         let mut attempt = 0u32;
         loop {
-            match self.driver.submit(op.clone()) {
+            match self.driver.submit_reusing(op, spare) {
                 Ok(r) => return Ok(r),
                 Err(e) if e.is_transient() && self.retry_after(&mut attempt) => {}
                 Err(e) => return Err(e.into()),
@@ -219,7 +231,7 @@ control ingress { apply(t); }
     fn write(h: &mut Health, index: u32) -> Result<DriverResponse, AgentError> {
         let reg = h.driver().register_id("r").unwrap();
         let value = p4_ast::Value::new(7, 32);
-        h.submit(DriverOp::RegisterWrite { reg, index, value })
+        h.submit(&DriverOp::RegisterWrite { reg, index, value })
     }
 
     #[test]

@@ -74,6 +74,9 @@ pub(crate) struct Isolation {
     slots: Vec<Slot>,
     /// Init tables in interface order; index 0 is the master.
     inits: Vec<InitTable>,
+    /// The vector the next init-table image is built in: lent to the op
+    /// that writes it and taken back, so the loop's writes allocate none.
+    spare: Vec<Value>,
 }
 
 impl Isolation {
@@ -122,6 +125,7 @@ impl Isolation {
             mv: 0,
             slots,
             inits,
+            spare: Vec::new(),
         }
     }
 
@@ -150,8 +154,9 @@ impl Isolation {
 
     /// Init table `t`'s action data with the staged `writes` laid over it,
     /// in program order (a slot's last write wins).
-    fn image(&self, t: usize, writes: &[(usize, i128)]) -> Vec<Value> {
-        let mut data = self.inits[t].data.clone();
+    fn image(&mut self, t: usize, writes: &[(usize, i128)]) -> Vec<Value> {
+        let mut data = std::mem::take(&mut self.spare);
+        data.clone_from(&self.inits[t].data);
         for &(slot, value) in writes {
             let slot = &self.slots[slot];
             if slot.init_table == t {
@@ -162,7 +167,7 @@ impl Isolation {
     }
 
     /// The master's action data for config version `vv`: `[vv, mv, slots…]`.
-    fn master(&self, vv: u8, writes: &[(usize, i128)]) -> Vec<Value> {
+    fn master(&mut self, vv: u8, writes: &[(usize, i128)]) -> Vec<Value> {
         let mut data = self.image(0, writes);
         data[0] = Value::new(u128::from(vv), 1);
         data[1] = Value::new(u128::from(self.mv), 1);
@@ -170,7 +175,7 @@ impl Isolation {
     }
 
     /// Write this agent's master data as every pipe's default.
-    fn assert_master(&self, driver: &mut dyn DriverApi) -> Result<(), DriverError> {
+    fn assert_master(&mut self, driver: &mut dyn DriverApi) -> Result<(), DriverError> {
         let data = self.master(self.vv[0], &[]);
         driver.table_set_default(self.inits[0].table, self.inits[0].action, data, true)
     }
@@ -308,19 +313,22 @@ impl Isolation {
     /// by pipe. Each write is a single atomic set_default, so a packet in
     /// that pipe observes either the old or the new versions, never a blend.
     fn write_master(
-        &self,
+        &mut self,
         vv: u8,
         writes: &[(usize, i128)],
         h: &mut Health,
     ) -> Result<(), AgentError> {
         for pipe in 0..self.vv.len() as u16 {
-            h.submit(DriverOp::SetDefaultOn {
+            let mut op = DriverOp::SetDefaultOn {
                 pipe,
                 table: self.inits[0].table,
                 action: self.inits[0].action,
                 data: self.master(vv, writes),
                 is_init_flip: true,
-            })?;
+            };
+            let sent = h.submit(&op);
+            self.spare = op.take_data();
+            sent?;
         }
         Ok(())
     }
@@ -344,24 +352,28 @@ impl Isolation {
     /// entry for config version `copy`. The master's cells reach the
     /// device with the flip.
     pub(crate) fn write_slots(
-        &self,
+        &mut self,
         copy: u8,
         writes: &[(usize, i128)],
         h: &mut Health,
     ) -> Result<(), AgentError> {
-        let table_of = |w: usize| self.slots[writes[w].0].init_table;
         for w in 0..writes.len() {
+            let table_of = |w: usize| self.slots[writes[w].0].init_table;
             let t = table_of(w);
             if t == 0 || (0..w).any(|earlier| table_of(earlier) == t) {
                 continue;
             }
+            let data = self.image(t, writes);
             let it = &self.inits[t];
-            h.submit(DriverOp::TableMod {
+            let mut op = DriverOp::TableMod {
                 table: it.table,
                 handle: it.handles[usize::from(copy)],
                 action: it.action,
-                data: self.image(t, writes),
-            })?;
+                data,
+            };
+            let sent = h.submit(&op);
+            self.spare = op.take_data();
+            sent?;
         }
         Ok(())
     }
@@ -373,7 +385,7 @@ impl Isolation {
     /// for the driver's restore or a successor's
     /// [`read_back`](Isolation::read_back) to resolve.
     pub(crate) fn commit(
-        &self,
+        &mut self,
         writes: &[(usize, i128)],
         h: &mut Health,
     ) -> Result<(), AgentError> {

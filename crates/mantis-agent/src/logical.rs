@@ -147,12 +147,13 @@ impl LogicalTable {
         AgentErrorKind::MissingEntry { table, handle }.into()
     }
 
-    /// The driver op of a staged default-action change.
-    pub(crate) fn set_default_op(&self, action: usize, data: &[Value]) -> DriverOp {
+    /// The driver op of a staged default-action change, built around the
+    /// staged data (the stager [takes it back](DriverOp::take_data)).
+    pub(crate) fn set_default_op(&self, action: usize, data: Vec<Value>) -> DriverOp {
         DriverOp::SetDefault {
             table: self.table_id,
             action: self.actions[action].default_variant,
-            data: data.to_vec(),
+            data,
             is_init_flip: false,
         }
     }
@@ -178,7 +179,7 @@ impl LogicalTable {
                 action: *action,
                 data: pe.action_data,
             };
-            handles.push(h.submit(op)?.into_handle());
+            handles.push(h.submit(&op)?.into_handle());
         }
         Ok(handles)
     }
@@ -249,21 +250,25 @@ impl LogicalTable {
                 let replaced = if entry.action == *action && slots.len() == plan.phys_actions.len()
                 {
                     // Same action: in-place modify of each physical entry.
-                    // The key does not move, so nothing is re-expanded.
+                    // The key does not move, so nothing is re-expanded, and
+                    // each op is built around the staged data itself.
                     for (phys, variant) in slots.iter().zip(&plan.phys_actions) {
-                        h.submit(DriverOp::TableMod {
+                        let mut op = DriverOp::TableMod {
                             table: tid,
                             handle: *phys,
                             action: *variant,
-                            data: action_data.clone(),
-                        })?;
+                            data: std::mem::take(action_data),
+                        };
+                        let sent = h.submit(&op);
+                        *action_data = op.take_data();
+                        sent?;
                     }
                     None
                 } else {
                     // Action changed: replace the physical set.
                     undo.push(LogicalUndo::Entry(at(*handle), Some(entry.clone())));
                     for phys in slots {
-                        h.submit(DriverOp::TableDel {
+                        h.submit(&DriverOp::TableDel {
                             table: tid,
                             handle: *phys,
                         })?;
@@ -303,7 +308,7 @@ impl LogicalTable {
                 if !skip_phys {
                     undo.push(LogicalUndo::Entry(at(*handle), Some(entry.clone())));
                     for phys in std::mem::take(&mut entry.phys[usize::from(copy)]) {
-                        h.submit(DriverOp::TableDel {
+                        h.submit(&DriverOp::TableDel {
                             table: tid,
                             handle: phys,
                         })?;

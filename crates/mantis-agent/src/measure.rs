@@ -18,6 +18,7 @@
 use crate::driver_api::{DriverApi, DriverOp};
 use crate::health::Health;
 use crate::report::AgentError;
+use p4_ast::Value;
 use p4r_compiler::iface::ReactionBinding;
 use rmt_sim::{DriverError, Nanos, ReadAgg, RegisterId};
 
@@ -109,6 +110,10 @@ pub struct Snapshot {
     /// Field arguments: `(binding name, value)`.
     scalars: Vec<(String, i128)>,
     arrays: Vec<ArrayArg>,
+    /// What the polls read into on their way to the arguments: a
+    /// double-buffered register has its duplicate and its write counters
+    /// in hand at once, anything else uses the first.
+    read: [Vec<Value>; 2],
 }
 
 impl Snapshot {
@@ -143,8 +148,9 @@ impl Snapshot {
         // Field arguments: packed-word cost, per-register raw reads. The
         // poll walks every pipe's copy of the packed words.
         if let Some(dur) = plan.poll_ns {
-            h.submit(DriverOp::SpendExternal { dur })?;
+            h.submit(&DriverOp::SpendExternal { dur })?;
         }
+        let [vals, tss] = &mut self.read;
         for (reg, (_, value)) in plan.fields.iter().zip(&mut self.scalars) {
             // Field measurements are last-written data-plane values, not
             // counters: take the max across pipes rather than a sum
@@ -155,19 +161,19 @@ impl Snapshot {
                 hi: u32::from(frozen),
                 agg: ReadAgg::Max,
             };
-            let vals = h.submit(read)?.into_values();
+            *vals = h.submit_reusing(&read, vals)?.into_values();
             *value = vals.first().map_or(0, |v| v.bits() as i128);
         }
         // Register arguments: batched checkpoint reads + cache merge.
         for ((how, lo, hi), arg) in plan.registers.iter().zip(&mut self.arrays) {
-            let mut read = |reg, base: u32| {
+            let mut read = |reg, base: u32, into: &mut Vec<Value>| {
                 let (lo, hi) = (base + lo, base + hi);
                 let op = DriverOp::RegisterReadRange { reg, lo, hi };
-                h.submit(op).map(|r| r.into_values())
+                h.submit_reusing(&op, into).map(|r| *into = r.into_values())
             };
             match *how {
                 RegRead::External { reg } => {
-                    let vals = read(reg, 0)?;
+                    read(reg, 0, vals)?;
                     arg.vals.clear();
                     arg.vals.extend(vals.iter().map(|v| v.bits() as i128));
                 }
@@ -177,8 +183,8 @@ impl Snapshot {
                     stride_log2,
                 } => {
                     let base = u32::from(frozen) << stride_log2;
-                    let vals = read(dup, base)?;
-                    let tss = read(ts, base)?;
+                    read(dup, base, vals)?;
+                    read(ts, base, tss)?;
                     let seen = &mut arg.ts_seen[usize::from(frozen)];
                     for (i, (cell, seen)) in arg.vals.iter_mut().zip(seen).enumerate() {
                         let ts = tss.get(i).map_or(0, |v| v.as_u64());

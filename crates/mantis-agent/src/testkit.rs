@@ -5,6 +5,7 @@ use crate::driver::{DriverStats, LocalDriver};
 use crate::driver_api::{DriverApi, DriverOp, DriverResponse};
 use mantis_faults::FaultPlan;
 use mantis_telemetry::Telemetry;
+use p4_ast::Value;
 use p4r_compiler::{compile_source, Compiled, CompilerOptions};
 use rmt_sim::{Clock, DataPlaneSpec, DriverError, Nanos, SharedSwitch, Switch, SwitchConfig};
 use std::cell::Cell;
@@ -51,13 +52,17 @@ impl Hooked {
 }
 
 impl DriverApi for Hooked {
-    fn submit(&mut self, op: DriverOp) -> Result<DriverResponse, DriverError> {
+    fn submit_reusing(
+        &mut self,
+        op: &DriverOp,
+        spare: &mut Vec<Value>,
+    ) -> Result<DriverResponse, DriverError> {
         if self.suspended.get() == 0 {
-            if let Some(e) = (self.hook)(&op) {
+            if let Some(e) = (self.hook)(op) {
                 return Err(e);
             }
         }
-        self.inner.submit(op)
+        self.inner.submit_reusing(op, spare)
     }
     fn spec(&self) -> &DataPlaneSpec {
         self.inner.spec()

@@ -181,17 +181,18 @@ impl Txn {
         &mut self,
         staged: &mut Staged,
         tables: &mut [LogicalTable],
-        iso: &Isolation,
+        iso: &mut Isolation,
         h: &mut Health,
     ) -> Result<(Nanos, Nanos), AgentError> {
         let m = h.metrics();
-        let t_update = h.begin(m.span_update);
-        let updated = self.update(staged, tables, iso, h);
-        let t_sync = h.end(m.span_update);
-        updated.map_err(|e| e.in_phase(AgentPhase::Update))?;
-        h.begin(m.span_sync);
+        let t_update = h.spans(&[], &[m.span_update]);
+        if let Err(e) = self.update(staged, tables, iso, h) {
+            h.spans(&[m.span_update], &[]);
+            return Err(e.in_phase(AgentPhase::Update));
+        }
+        let t_sync = h.spans(&[m.span_update], &[m.span_sync]);
         let synced = self.sync(staged, tables, iso, h);
-        let t_done = h.end(m.span_sync);
+        let t_done = h.spans(&[m.span_sync], &[]);
         synced.map_err(|e| e.in_phase(AgentPhase::Sync))?;
         Ok((t_sync - t_update, t_done - t_sync))
     }
@@ -202,7 +203,7 @@ impl Txn {
         &mut self,
         staged: &mut Staged,
         tables: &mut [LogicalTable],
-        iso: &Isolation,
+        iso: &mut Isolation,
         h: &mut Health,
     ) -> Result<(), AgentError> {
         self.table_ops(staged, tables, iso.shadow(), false, h)?;
@@ -217,18 +218,21 @@ impl Txn {
                 up: *up,
             };
             self.in_flight = Blame::PortOp(i);
-            h.submit(set)?;
+            h.submit(&set)?;
         }
-        for (i, op) in staged.table_ops.iter().enumerate() {
+        for (i, op) in staged.table_ops.iter_mut().enumerate() {
             if let StagedOp::SetDefault {
                 table,
                 action,
                 action_data,
             } = op
             {
-                let set = tables[*table].set_default_op(*action, action_data);
+                let data = std::mem::take(action_data);
+                let mut set = tables[*table].set_default_op(*action, data);
                 self.in_flight = Blame::TableOp(i);
-                h.submit(set)?;
+                let sent = h.submit(&set);
+                *action_data = set.take_data();
+                sent?;
             }
         }
         Ok(())
@@ -243,7 +247,7 @@ impl Txn {
         &mut self,
         staged: &mut Staged,
         tables: &mut [LogicalTable],
-        iso: &Isolation,
+        iso: &mut Isolation,
         h: &mut Health,
     ) -> Result<(), AgentError> {
         self.table_ops(staged, tables, iso.vv(), true, h)?;

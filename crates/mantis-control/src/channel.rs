@@ -23,7 +23,9 @@
 //! so that caveat never bites in practice; see DESIGN.md §11.
 
 use crate::plane::ControlPlane;
-use crate::wire::{decode_frame, encode_request_frame, DriverOp, DriverResponse, FrameBody};
+use crate::wire::{
+    encode_request_frame_into, DecodeScratch, DriverOp, DriverResponse, FrameBody, RequestBatch,
+};
 use mantis_faults::{FaultInjector, FaultPlan, Injection};
 use mantis_telemetry::{scopes, CounterId, HistId, Telemetry};
 use rmt_sim::{Clock, DriverError, Nanos};
@@ -87,6 +89,12 @@ pub struct Channel {
     frames: CounterId,
     bytes: CounterId,
     rtt_ns: HistId,
+    /// The frame [`request`](Channel::request) encodes its ops into.
+    req: Vec<u8>,
+    /// The response frame of the round trip in progress, as received.
+    resp: Vec<u8>,
+    /// The last response frame, decoded; its vectors are the next one's.
+    answers: DecodeScratch,
 }
 
 impl Channel {
@@ -108,6 +116,9 @@ impl Channel {
             frames: CounterId::default(),
             bytes: CounterId::default(),
             rtt_ns: HistId::default(),
+            req: Vec::new(),
+            resp: Vec::new(),
+            answers: DecodeScratch::default(),
         }
     }
 
@@ -165,43 +176,70 @@ impl Channel {
     }
 
     /// Send one batch of ops and return the (possibly truncated — see
-    /// [`crate::wire::DriverResponse`]) batch of responses. Allocates a
-    /// fresh sequence number; in-channel retransmissions reuse it.
-    pub fn request(&mut self, ops: &[DriverOp]) -> Result<Vec<DriverResponse>, DriverError> {
+    /// [`crate::wire::DriverResponse`]) batch of responses, which stays in
+    /// this channel until the next round trip. Allocates a fresh sequence
+    /// number; in-channel retransmissions reuse it.
+    pub fn request(&mut self, ops: &[DriverOp]) -> Result<&[DriverResponse], DriverError> {
+        let seq = self.fresh_seq();
+        let mut req = std::mem::take(&mut self.req);
+        encode_request_frame_into(&mut req, seq, ops);
+        let done = self.exchange(seq, &req);
+        self.req = req;
+        done?;
+        Ok(self.answers())
+    }
+
+    /// [`request`](Channel::request) for a batch its sender keeps encoded.
+    pub fn send(&mut self, batch: &mut RequestBatch) -> Result<&mut [DriverResponse], DriverError> {
+        let seq = self.fresh_seq();
+        self.exchange(seq, batch.seal(seq))?;
+        Ok(self.answers())
+    }
+
+    fn fresh_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let bytes = encode_request_frame(seq, ops);
-        let resp_bytes = self.roundtrip(&bytes)?;
-        let frame = decode_frame(&resp_bytes)
+        seq
+    }
+
+    /// Carry request frame `seq` over and decode the response to it.
+    fn exchange(&mut self, seq: u64, request: &[u8]) -> Result<(), DriverError> {
+        self.roundtrip(request)?;
+        let frame = self
+            .answers
+            .decode(&self.resp)
             .expect("invariant: control-plane response frames always decode");
         assert_eq!(
             frame.seq, seq,
             "invariant: FIFO channel responses match the in-flight request"
         );
-        match frame.body {
-            FrameBody::Response(rs) => Ok(rs),
+        Ok(())
+    }
+
+    /// The responses of the last round trip.
+    fn answers(&mut self) -> &mut [DriverResponse] {
+        match &mut self.answers.frame.body {
+            FrameBody::Response(rs) => rs,
             FrameBody::Request(_) => {
                 panic!("invariant: the device end only ever sends response frames")
             }
         }
     }
 
-    /// One at-least-once round trip of pre-encoded request bytes.
-    fn roundtrip(&mut self, bytes: &[u8]) -> Result<Vec<u8>, DriverError> {
+    /// One at-least-once round trip of pre-encoded request bytes; the
+    /// response frame is left in `self.resp`.
+    fn roundtrip(&mut self, bytes: &[u8]) -> Result<(), DriverError> {
         let t0 = self.clock.now();
         let mut attempt = 0u32;
         loop {
             match self.attempt(bytes) {
-                Ok(resp) => {
+                Ok(()) => {
                     self.telemetry.record(self.rtt_ns, self.clock.now() - t0);
-                    return Ok(resp);
+                    return Ok(());
                 }
-                Err(
-                    e @ DriverError::Injected {
-                        persistent: false, ..
-                    },
-                ) if attempt < self.cfg.retries => {
-                    let _ = e;
+                Err(DriverError::Injected {
+                    persistent: false, ..
+                }) if attempt < self.cfg.retries => {
                     attempt += 1;
                     self.clock.advance(self.cfg.timeout_ns);
                 }
@@ -211,7 +249,7 @@ impl Channel {
     }
 
     /// One transmission attempt: request over, apply, response back.
-    fn attempt(&mut self, bytes: &[u8]) -> Result<Vec<u8>, DriverError> {
+    fn attempt(&mut self, bytes: &[u8]) -> Result<(), DriverError> {
         let mut deliveries = 1u32;
         self.transfer(bytes.len());
         match self.injector.decide("control_req", self.clock.now()) {
@@ -235,16 +273,15 @@ impl Channel {
 
         // Deliver (twice when duplicated in flight — the plane's seq
         // dedup absorbs the copy and replays the cached response).
-        let mut resp = Vec::new();
         for _ in 0..deliveries {
-            resp = self
-                .plane
+            self.plane
                 .borrow_mut()
-                .handle_frame(self.client, bytes)
+                .handle_frame_into(self.client, bytes, &mut self.resp)
                 .expect("invariant: channel frames are never corrupted in flight");
         }
 
-        self.transfer(resp.len());
+        let len = self.resp.len();
+        self.transfer(len);
         match self.injector.decide("control_resp", self.clock.now()) {
             Some(Injection::Fail { persistent }) => {
                 self.telemetry.counter_add(scopes::CTR_CONTROL_DROPS, 1);
@@ -253,7 +290,7 @@ impl Channel {
                     persistent,
                 });
             }
-            Some(Injection::Delay { factor_milli }) => self.delay(resp.len(), factor_milli),
+            Some(Injection::Delay { factor_milli }) => self.delay(len, factor_milli),
             // A duplicated response: the client keeps one copy.
             Some(Injection::Duplicate) => {
                 self.telemetry.counter_add(scopes::CTR_CONTROL_DUPS, 1);
@@ -266,7 +303,7 @@ impl Channel {
             }
             Some(Injection::Stale) | Some(Injection::Corrupt { .. }) | None => {}
         }
-        Ok(resp)
+        Ok(())
     }
 
     /// Charge one direction's transfer cost and count the frame.

@@ -39,8 +39,9 @@ pub use controller::{AgentSetup, Controller, ControllerConfig, StepReport};
 pub use plane::ControlPlane;
 pub use remote::RemoteDriver;
 pub use wire::{
-    decode_frame, encode_request_frame, encode_response_frame, DriverOp, DriverResponse, Frame,
-    FrameBody, FrameDecoder, WireError,
+    decode_frame, encode_request_frame, encode_request_frame_into, encode_response_frame,
+    encode_response_frame_into, DecodeScratch, DriverOp, DriverResponse, Frame, FrameBody,
+    FrameDecoder, RequestBatch, WireError,
 };
 
 use mantis_agent::{CostModel, MantisAgent};

@@ -12,9 +12,15 @@
 //! a failed batch was applied.
 //!
 //! Exactly-once semantics over an at-least-once channel come from
-//! sequence-number dedup: responses are cached per `(client, seq)`, and
-//! a re-delivered frame (channel retransmission or an injected
-//! duplicate) replays the cached response without touching the device.
+//! sequence-number dedup: the last [`DEDUP_WINDOW`] responses to each
+//! client are kept, by sequence number, and a re-delivered frame (channel
+//! retransmission or an injected duplicate) replays the kept response
+//! without touching the device.
+//!
+//! The plane answers in memory it already owns: a frame is decoded into
+//! scratch the next frame reuses, each answer is encoded as it is given
+//! into the caller's response buffer, and the copy kept for dedup
+//! overwrites the oldest one's bytes.
 //!
 //! The plane also arbitrates **mastership** (P4Runtime-style): a
 //! [`DriverOp::MasterClaim`] is granted when the switch has no master,
@@ -24,14 +30,12 @@
 //! prevented from reaching the device by the severed channel itself, and
 //! controllers stop driving agents when they cannot renew.
 
-use crate::wire::{
-    decode_frame, encode_response_frame, DriverOp, DriverResponse, FrameBody, WireError,
-};
+use crate::wire::{DecodeScratch, DriverOp, DriverResponse, FrameBody, ResponseFrame, WireError};
 use mantis_agent::{CostModel, DriverApi, LocalDriver};
 use mantis_telemetry::{scopes, Telemetry};
+use p4_ast::Value;
 use rmt_sim::{Clock, Nanos, SharedSwitch};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -40,13 +44,47 @@ use std::sync::Arc;
 /// finds its cached response.
 const DEDUP_WINDOW: usize = 32;
 
+/// One client's last [`DEDUP_WINDOW`] response frames by sequence number.
+/// Once full the ring allocates nothing: a new response overwrites the
+/// oldest one's bytes.
+#[derive(Debug, Default)]
+struct DedupRing {
+    kept: Vec<(u64, Vec<u8>)>,
+    /// Where the next response goes: the end while the ring grows, then
+    /// the oldest entry.
+    next: usize,
+}
+
+impl DedupRing {
+    fn find(&self, seq: u64) -> Option<&[u8]> {
+        let hit = self.kept.iter().find(|(kept, _)| *kept == seq);
+        hit.map(|(_, bytes)| bytes.as_slice())
+    }
+
+    fn keep(&mut self, seq: u64, response: &[u8]) {
+        if self.kept.len() < DEDUP_WINDOW {
+            self.kept.resize_with(self.next + 1, Default::default);
+        }
+        let (kept, bytes) = &mut self.kept[self.next];
+        *kept = seq;
+        bytes.clear();
+        bytes.extend_from_slice(response);
+        self.next = (self.next + 1) % DEDUP_WINDOW;
+    }
+}
+
 /// The device-side endpoint: decodes frames onto a [`LocalDriver`].
 pub struct ControlPlane {
     driver: LocalDriver,
     telemetry: Arc<Telemetry>,
     next_client: u16,
-    dedup: HashMap<(u16, u64), Vec<u8>>,
-    dedup_order: HashMap<u16, VecDeque<u64>>,
+    /// Dedup state per client id.
+    dedup: Vec<DedupRing>,
+    /// The request frame being handled, decoded.
+    request: DecodeScratch,
+    /// The vector lent to each op for a read's values, taken back once
+    /// the answer is encoded.
+    values: Vec<Value>,
     duplicates_seen: u64,
     /// Current master: `(controller id, lease expiry)`.
     master: Option<(u16, Nanos)>,
@@ -59,8 +97,9 @@ impl ControlPlane {
             driver: LocalDriver::new(switch, cost),
             telemetry: Telemetry::disabled(),
             next_client: 0,
-            dedup: HashMap::new(),
-            dedup_order: HashMap::new(),
+            dedup: Vec::new(),
+            request: DecodeScratch::default(),
+            values: Vec::new(),
             duplicates_seen: 0,
             master: None,
             had_master: false,
@@ -120,9 +159,24 @@ impl ControlPlane {
     /// response frame. Duplicate `(client, seq)` deliveries replay the
     /// cached response without re-applying.
     pub fn handle_frame(&mut self, client: u16, bytes: &[u8]) -> Result<Vec<u8>, WireError> {
-        let frame = decode_frame(bytes)?;
-        let ops = match frame.body {
-            FrameBody::Request(ops) => ops,
+        let mut out = Vec::new();
+        self.handle_frame_into(client, bytes, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`handle_frame`](ControlPlane::handle_frame) into a response buffer
+    /// the caller keeps: `out` is replaced by the response frame.
+    pub fn handle_frame_into(
+        &mut self,
+        client: u16,
+        bytes: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), WireError> {
+        let frame = self.request.decode(bytes)?;
+        let seq = frame.seq;
+        let ops = match &mut frame.body {
+            // Out of the scratch while `self` applies them.
+            FrameBody::Request(ops) => std::mem::take(ops),
             FrameBody::Response(_) => {
                 return Err(WireError::BadTag {
                     what: "direction",
@@ -130,40 +184,38 @@ impl ControlPlane {
                 })
             }
         };
-        if let Some(cached) = self.dedup.get(&(client, frame.seq)) {
+        if self.dedup.len() <= usize::from(client) {
+            self.dedup
+                .resize_with(usize::from(client) + 1, DedupRing::default);
+        }
+        if let Some(cached) = self.dedup[usize::from(client)].find(seq) {
             self.duplicates_seen += 1;
             self.telemetry.counter_add(scopes::CTR_CONTROL_DUPS, 1);
-            return Ok(cached.clone());
-        }
-
-        let mut resps = Vec::with_capacity(ops.len());
-        for op in ops {
-            let r = self.apply(op);
-            let failed = matches!(r, DriverResponse::Err(_));
-            resps.push(r);
-            if failed {
-                break;
+            out.clear();
+            out.extend_from_slice(cached);
+        } else {
+            let mut response = ResponseFrame::begin(out);
+            for op in &ops {
+                let r = self.apply(op);
+                response.push(&r);
+                match r {
+                    DriverResponse::Err(_) => break,
+                    // A read's values are encoded: the vector is lent again.
+                    DriverResponse::Values(values) => self.values = values,
+                    _ => {}
+                }
             }
+            response.end(seq);
+            self.dedup[usize::from(client)].keep(seq, out);
         }
-        let out = encode_response_frame(frame.seq, &resps);
-        self.remember(client, frame.seq, out.clone());
-        Ok(out)
-    }
-
-    fn remember(&mut self, client: u16, seq: u64, resp: Vec<u8>) {
-        let order = self.dedup_order.entry(client).or_default();
-        order.push_back(seq);
-        self.dedup.insert((client, seq), resp);
-        while order.len() > DEDUP_WINDOW {
-            let evicted = order.pop_front().expect("non-empty after len check");
-            self.dedup.remove(&(client, evicted));
-        }
+        self.request.frame.body = FrameBody::Request(ops);
+        Ok(())
     }
 
     /// Answer the mastership ops here; every other op is the device
-    /// driver's, handed over by value.
-    fn apply(&mut self, op: DriverOp) -> DriverResponse {
-        match op {
+    /// driver's.
+    fn apply(&mut self, op: &DriverOp) -> DriverResponse {
+        match *op {
             DriverOp::MasterClaim {
                 controller,
                 lease_ns,
@@ -173,7 +225,10 @@ impl ControlPlane {
                 master: self.master.map(|(c, _)| c),
                 expires: self.master.map_or(0, |(_, exp)| exp),
             },
-            op => self.driver.submit(op).unwrap_or_else(DriverResponse::Err),
+            _ => {
+                let answer = self.driver.submit_reusing(op, &mut self.values);
+                answer.unwrap_or_else(DriverResponse::Err)
+            }
         }
     }
 
@@ -219,28 +274,35 @@ impl std::fmt::Debug for ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::encode_request_frame;
-    use p4_ast::Value;
+    use crate::wire::{decode_frame, encode_request_frame};
     use rmt_sim::{
         switch_from_source, DriverError, EntryHandle, KeyField, RegisterId, SwitchConfig,
         TableError, TableId,
     };
 
     fn request(plane: &mut ControlPlane, seq: u64, ops: &[DriverOp]) -> Vec<DriverResponse> {
+        request_as(plane, 0, seq, ops).1
+    }
+
+    /// Client `client`'s frame `seq`: the response bytes, and decoded.
+    fn request_as(
+        plane: &mut ControlPlane,
+        client: u16,
+        seq: u64,
+        ops: &[DriverOp],
+    ) -> (Vec<u8>, Vec<DriverResponse>) {
         let out = plane
-            .handle_frame(0, &encode_request_frame(seq, ops))
+            .handle_frame(client, &encode_request_frame(seq, ops))
             .expect("a well-formed frame is answered");
         match decode_frame(&out).expect("response decodes").body {
-            FrameBody::Response(rs) => rs,
+            FrameBody::Response(rs) => (out, rs),
             FrameBody::Request(_) => panic!("plane answered with a request frame"),
         }
     }
 
-    /// Frames are bytes from outside the process: naming a table,
-    /// checkpoint or range the device lacks must cost an error response,
-    /// never the plane.
-    #[test]
-    fn frames_naming_what_the_device_lacks_get_errors_and_the_plane_stays_up() {
+    /// A plane over a one-table, one-register switch; with it the switch
+    /// and the ids of table `t` and its action `nop`.
+    fn plane() -> (ControlPlane, SharedSwitch, TableId, rmt_sim::ActionId) {
         let sw = switch_from_source(
             r#"
 header_type h_t { fields { a : 32; } }
@@ -255,11 +317,30 @@ control ingress { apply(t); }
         )
         .unwrap();
         let switch = SharedSwitch::new(sw);
-        let mut plane = ControlPlane::new(switch.clone(), CostModel::default());
+        let plane = ControlPlane::new(switch.clone(), CostModel::default());
         let (t, nop) = {
             let d = plane.driver();
             (d.table_id("t").unwrap(), d.action_id("nop").unwrap())
         };
+        (plane, switch, t, nop)
+    }
+
+    fn add(t: TableId, nop: rmt_sim::ActionId, key: u128) -> DriverOp {
+        DriverOp::TableAdd {
+            table: t,
+            key: vec![KeyField::Exact(Value::new(key, 32))],
+            priority: 0,
+            action: nop,
+            data: vec![],
+        }
+    }
+
+    /// Frames are bytes from outside the process: naming a table,
+    /// checkpoint or range the device lacks must cost an error response,
+    /// never the plane.
+    #[test]
+    fn frames_naming_what_the_device_lacks_get_errors_and_the_plane_stays_up() {
+        let (mut plane, switch, t, nop) = plane();
 
         let bad_table = DriverOp::TableMod {
             table: TableId(999),
@@ -301,17 +382,74 @@ control ingress { apply(t); }
         ));
 
         // The plane is still up: a valid frame on it is applied.
-        let add = DriverOp::TableAdd {
-            table: t,
-            key: vec![KeyField::Exact(Value::new(1, 32))],
-            priority: 0,
-            action: nop,
-            data: vec![],
-        };
         assert!(matches!(
-            request(&mut plane, 4, &[add])[..],
+            request(&mut plane, 4, &[add(t, nop, 1)])[..],
             [DriverResponse::Handle(_)]
         ));
         assert_eq!(switch.borrow().table_len(t), 1);
+    }
+
+    /// A duration off the wire can park the clock at the horizon; the ops
+    /// after it are still answered and applied.
+    #[test]
+    fn a_saturated_clock_does_not_take_the_plane_down() {
+        let (mut plane, switch, t, nop) = plane();
+        let forever = DriverOp::SpendExternal { dur: u64::MAX };
+        assert_eq!(request(&mut plane, 1, &[forever]), [DriverResponse::Ok]);
+        assert_eq!(plane.clock().now(), u64::MAX);
+        assert!(matches!(
+            request(&mut plane, 2, &[add(t, nop, 1)])[..],
+            [DriverResponse::Handle(_)]
+        ));
+        assert_eq!(switch.borrow().table_len(t), 1);
+    }
+
+    /// The dedup ring is the `(client, seq)` → response map it replaced: a
+    /// re-delivery inside the window replays the first answer's bytes and
+    /// touches nothing, one that fell out of it is applied again, and
+    /// clients have a window each.
+    #[test]
+    fn dedup_replays_inside_the_window_and_only_there_per_client() {
+        let (mut plane, switch, t, nop) = plane();
+        let (first, _) = request_as(&mut plane, 0, 0, &[add(t, nop, 100)]);
+        // Another client under the same sequence number is not a duplicate.
+        request_as(&mut plane, 1, 0, &[add(t, nop, 200)]);
+        assert_eq!(
+            (switch.borrow().table_len(t), plane.duplicates_seen()),
+            (2, 0)
+        );
+
+        // DEDUP_WINDOW - 1 more frames of client 0 leave frame 0 the oldest
+        // one kept — and client 1's window alone.
+        let probe = [DriverOp::PortUp { port: 0 }];
+        for seq in 1..DEDUP_WINDOW as u64 {
+            request_as(&mut plane, 0, seq, &probe);
+        }
+        let (again, rs) = request_as(&mut plane, 0, 0, &[add(t, nop, 100)]);
+        assert_eq!(again, first, "the replay is the bytes of the first answer");
+        assert!(matches!(rs[..], [DriverResponse::Handle(_)]));
+        assert_eq!(
+            (switch.borrow().table_len(t), plane.duplicates_seen()),
+            (2, 1)
+        );
+        // A duplicate is answered whatever the re-delivered frame carries.
+        let (again, _) = request_as(&mut plane, 0, 0, &probe);
+        assert_eq!(again, first);
+
+        // One more frame evicts frame 0: re-delivered now, it is applied.
+        request_as(&mut plane, 0, DEDUP_WINDOW as u64, &probe);
+        let (third, rs) = request_as(&mut plane, 0, 0, &[add(t, nop, 101)]);
+        assert!(matches!(rs[..], [DriverResponse::Handle(_)]));
+        assert_ne!(third, first, "a second entry has a second handle");
+        assert_eq!(
+            (switch.borrow().table_len(t), plane.duplicates_seen()),
+            (3, 2)
+        );
+        // Client 1 sent nothing since: its frame 0 is still in its window.
+        request_as(&mut plane, 1, 0, &probe);
+        assert_eq!(
+            (switch.borrow().table_len(t), plane.duplicates_seen()),
+            (3, 3)
+        );
     }
 }

@@ -4,7 +4,9 @@
 //! ## Batching model
 //!
 //! The ops [`DriverOp::deferrable`] names (mutations with no
-//! client-visible result) are **deferred** into a pending batch. Every
+//! client-visible result) are **deferred** into a pending batch — kept as
+//! the request frame it will be sent as ([`RequestBatch`]), so deferring
+//! an op costs its encoding and no copy of the op. Every
 //! other op is a **barrier**: the pending batch is sent with the barrier
 //! op appended, one frame for the lot. [`DriverApi::flush`] is an
 //! explicit barrier with no op. With batching disabled every mutation is
@@ -27,12 +29,13 @@
 
 use crate::channel::{Channel, ChannelConfig};
 use crate::plane::ControlPlane;
-use crate::wire::{DriverOp, DriverResponse};
+use crate::wire::{DriverOp, DriverResponse, RequestBatch};
 use mantis_agent::costmodel::CostModel;
 use mantis_agent::driver::DriverStats;
 use mantis_agent::DriverApi;
 use mantis_faults::FaultPlan;
 use mantis_telemetry::{scopes, HistId, Telemetry};
+use p4_ast::Value;
 use rmt_sim::{Clock, DataPlaneSpec, DriverError, Nanos};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -56,7 +59,7 @@ pub struct RemoteDriver {
     num_pipes: u16,
     cost: CostModel,
     clock: Clock,
-    pending: Vec<DriverOp>,
+    pending: RequestBatch,
     batching: bool,
     telemetry: Arc<Telemetry>,
     /// Handle for `control.batch_size`, resolved in `set_telemetry`.
@@ -93,7 +96,7 @@ impl RemoteDriver {
             num_pipes,
             cost,
             clock,
-            pending: Vec::new(),
+            pending: RequestBatch::new(),
             batching,
             telemetry: Telemetry::disabled(),
             batch_size: HistId::default(),
@@ -128,10 +131,11 @@ impl RemoteDriver {
         controller: u16,
         lease_ns: Nanos,
     ) -> Result<(bool, Option<u16>, Nanos), DriverError> {
-        match self.barrier(DriverOp::MasterClaim {
+        let claim = DriverOp::MasterClaim {
             controller,
             lease_ns,
-        })? {
+        };
+        match self.barrier(&claim, &mut Vec::new())? {
             DriverResponse::Master {
                 granted,
                 master,
@@ -143,7 +147,7 @@ impl RemoteDriver {
 
     /// Read the switch's mastership state without claiming it.
     pub fn probe_mastership(&mut self) -> Result<(Option<u16>, Nanos), DriverError> {
-        match self.barrier(DriverOp::MasterProbe)? {
+        match self.barrier(&DriverOp::MasterProbe, &mut Vec::new())? {
             DriverResponse::Master {
                 master, expires, ..
             } => Ok((master, expires)),
@@ -153,11 +157,14 @@ impl RemoteDriver {
 
     // -- batch plumbing ------------------------------------------------------
 
-    fn send(&mut self, batch: &[DriverOp]) -> Result<Vec<DriverResponse>, SendFailure> {
-        self.telemetry.record(self.batch_size, batch.len() as u64);
+    /// Send the pending batch as one frame. Its answers stay in the
+    /// channel; on failure the batch is as it was.
+    fn send(&mut self) -> Result<&mut [DriverResponse], SendFailure> {
+        let sent = self.pending.len();
+        self.telemetry.record(self.batch_size, sent as u64);
         let rs = self
             .channel
-            .request(batch)
+            .send(&mut self.pending)
             .map_err(SendFailure::Transport)?;
         if let Some(DriverResponse::Err(e)) = rs.last() {
             return Err(SendFailure::Op {
@@ -167,7 +174,7 @@ impl RemoteDriver {
         }
         debug_assert_eq!(
             rs.len(),
-            batch.len(),
+            sent,
             "invariant: an error-free response batch answers every op"
         );
         Ok(rs)
@@ -175,7 +182,7 @@ impl RemoteDriver {
 
     /// Queue a result-less mutation; in one-op-per-frame mode it is sent
     /// immediately.
-    fn defer(&mut self, op: DriverOp) -> Result<(), DriverError> {
+    fn defer(&mut self, op: &DriverOp) -> Result<(), DriverError> {
         self.pending.push(op);
         if self.batching {
             Ok(())
@@ -188,40 +195,54 @@ impl RemoteDriver {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let batch = std::mem::take(&mut self.pending);
-        match self.send(&batch) {
-            Ok(_) => Ok(()),
-            Err(SendFailure::Transport(e)) => {
-                self.pending = batch;
-                Err(e)
+        match self.send().map(drop) {
+            Ok(()) => {
+                self.pending.clear();
+                Ok(())
             }
+            Err(SendFailure::Transport(e)) => Err(e),
             Err(SendFailure::Op { index, error }) => {
-                self.pending = batch[index..].to_vec();
+                self.pending.drop_front(index);
                 Err(error)
             }
         }
     }
 
-    /// Send pending ops plus `op` as one frame; return `op`'s response.
+    /// Send pending ops plus `op` as one frame; return `op`'s response. A
+    /// read's values leave the channel's decode scratch in the vector they
+    /// were decoded into, and `spare`'s takes its place there.
     /// On a batch error the applied prefix leaves pending and the barrier
     /// itself is *not* retained — the caller's retry re-issues it, which
     /// re-appends it behind whatever is still pending, under a fresh
     /// sequence number (the plane stopped before applying it, so there is
     /// no double-apply).
-    fn barrier(&mut self, op: DriverOp) -> Result<DriverResponse, DriverError> {
-        let mut batch = std::mem::take(&mut self.pending);
-        batch.push(op);
-        match self.send(&batch) {
-            Ok(mut rs) => Ok(rs.pop().expect("invariant: batch was non-empty")),
+    fn barrier(
+        &mut self,
+        op: &DriverOp,
+        spare: &mut Vec<Value>,
+    ) -> Result<DriverResponse, DriverError> {
+        self.pending.push(op);
+        let sent =
+            self.send().map(
+                |rs| match rs.last_mut().expect("invariant: batch was non-empty") {
+                    DriverResponse::Values(vs) => {
+                        DriverResponse::Values(std::mem::replace(vs, std::mem::take(spare)))
+                    }
+                    other => std::mem::replace(other, DriverResponse::Ok),
+                },
+            );
+        match sent {
+            Ok(answer) => {
+                self.pending.clear();
+                Ok(answer)
+            }
             Err(SendFailure::Transport(e)) => {
-                batch.pop();
-                self.pending = batch;
+                self.pending.pop();
                 Err(e)
             }
             Err(SendFailure::Op { index, error }) => {
-                if index < batch.len() - 1 {
-                    self.pending = batch[index..batch.len() - 1].to_vec();
-                }
+                self.pending.pop();
+                self.pending.drop_front(index);
                 Err(error)
             }
         }
@@ -247,11 +268,15 @@ impl DriverApi for RemoteDriver {
 
     /// With batching off a deferrable op is still queued first, so its
     /// frame carries exactly that op.
-    fn submit(&mut self, op: DriverOp) -> Result<DriverResponse, DriverError> {
+    fn submit_reusing(
+        &mut self,
+        op: &DriverOp,
+        spare: &mut Vec<Value>,
+    ) -> Result<DriverResponse, DriverError> {
         if op.deferrable() {
             self.defer(op).map(|()| DriverResponse::Ok)
         } else {
-            self.barrier(op)
+            self.barrier(op, spare)
         }
     }
 

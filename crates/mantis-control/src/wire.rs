@@ -14,6 +14,15 @@
 //! `u32` length prefix. There is no implicit compatibility: a frame with
 //! an unknown version or tag is a hard [`WireError`] — endpoints of one
 //! simulation always speak the same [`VERSION`].
+//!
+//! One codec, written against buffers its caller keeps: frames are encoded
+//! *into* a `Vec<u8>` ([`encode_request_frame_into`],
+//! [`encode_response_frame_into`], [`RequestBatch`]) with every length
+//! patched in place once known, and decoded *into* a [`DecodeScratch`]
+//! whose vectors the next frame reuses. [`encode_request_frame`],
+//! [`encode_response_frame`], [`decode_frame`] and [`FrameDecoder`] are the
+//! same codec handed a fresh buffer each call — for tests, benches and
+//! anything off the dialogue loop.
 
 use mantis_agent::driver::EntrySnapshot;
 pub use mantis_agent::driver_api::{DriverOp, DriverResponse};
@@ -252,9 +261,13 @@ impl<'a> Cursor<'a> {
         Ok(Value::new(bits, width))
     }
 
-    fn values(&mut self) -> Result<Vec<Value>, WireError> {
+    /// A counted run of values, in the allocation of a vector out of
+    /// `spare` or failing that a new one.
+    fn values(&mut self, spare: &mut Vec<Vec<Value>>) -> Result<Vec<Value>, WireError> {
         let n = self.u32("value count")? as usize;
-        let mut out = Vec::with_capacity(n.min(4096));
+        let mut out = spare.pop().unwrap_or_default();
+        out.clear();
+        out.reserve_exact(n.min(4096));
         for _ in 0..n {
             out.push(self.value()?);
         }
@@ -426,7 +439,7 @@ fn encode_op(buf: &mut Vec<u8>, op: &DriverOp) {
     }
 }
 
-fn decode_op(c: &mut Cursor<'_>) -> Result<DriverOp, WireError> {
+fn decode_op(c: &mut Cursor<'_>, spare: &mut Vec<Vec<Value>>) -> Result<DriverOp, WireError> {
     match c.u8("op tag")? {
         0 => {
             let table = TableId(c.u32("table id")?);
@@ -440,14 +453,14 @@ fn decode_op(c: &mut Cursor<'_>) -> Result<DriverOp, WireError> {
                 key,
                 priority: c.u32("priority")?,
                 action: ActionId(c.u32("action id")?),
-                data: c.values()?,
+                data: c.values(spare)?,
             })
         }
         1 => Ok(DriverOp::TableMod {
             table: TableId(c.u32("table id")?),
             handle: EntryHandle(c.u64("handle")?),
             action: ActionId(c.u32("action id")?),
-            data: c.values()?,
+            data: c.values(spare)?,
         }),
         2 => Ok(DriverOp::TableDel {
             table: TableId(c.u32("table id")?),
@@ -456,14 +469,14 @@ fn decode_op(c: &mut Cursor<'_>) -> Result<DriverOp, WireError> {
         3 => Ok(DriverOp::SetDefault {
             table: TableId(c.u32("table id")?),
             action: ActionId(c.u32("action id")?),
-            data: c.values()?,
+            data: c.values(spare)?,
             is_init_flip: c.bool("init flip")?,
         }),
         4 => Ok(DriverOp::SetDefaultOn {
             pipe: c.u16("pipe")?,
             table: TableId(c.u32("table id")?),
             action: ActionId(c.u32("action id")?),
-            data: c.values()?,
+            data: c.values(spare)?,
             is_init_flip: c.bool("init flip")?,
         }),
         5 => Ok(DriverOp::RegisterWrite {
@@ -538,7 +551,10 @@ fn put_entry_snapshot(buf: &mut Vec<u8>, e: &EntrySnapshot) {
     put_values(buf, &e.data);
 }
 
-fn entry_snapshot(c: &mut Cursor<'_>) -> Result<EntrySnapshot, WireError> {
+fn entry_snapshot(
+    c: &mut Cursor<'_>,
+    spare: &mut Vec<Vec<Value>>,
+) -> Result<EntrySnapshot, WireError> {
     let handle = EntryHandle(c.u64("entry handle")?);
     let nk = c.u32("key arity")? as usize;
     let mut key = Vec::with_capacity(nk.min(64));
@@ -550,7 +566,7 @@ fn entry_snapshot(c: &mut Cursor<'_>) -> Result<EntrySnapshot, WireError> {
         key,
         priority: c.u32("priority")?,
         action: ActionId(c.u32("action id")?),
-        data: c.values()?,
+        data: c.values(spare)?,
     })
 }
 
@@ -747,11 +763,14 @@ fn encode_response(buf: &mut Vec<u8>, r: &DriverResponse) {
     }
 }
 
-fn decode_response(c: &mut Cursor<'_>) -> Result<DriverResponse, WireError> {
+fn decode_response(
+    c: &mut Cursor<'_>,
+    spare: &mut Vec<Vec<Value>>,
+) -> Result<DriverResponse, WireError> {
     match c.u8("response tag")? {
         0 => Ok(DriverResponse::Ok),
         1 => Ok(DriverResponse::Handle(EntryHandle(c.u64("handle")?))),
-        2 => Ok(DriverResponse::Values(c.values()?)),
+        2 => Ok(DriverResponse::Values(c.values(spare)?)),
         3 => Ok(DriverResponse::PortState(if c.u8("port presence")? != 0 {
             Some(c.bool("port state")?)
         } else {
@@ -770,13 +789,13 @@ fn decode_response(c: &mut Cursor<'_>) -> Result<DriverResponse, WireError> {
         6 => Ok(DriverResponse::Err(decode_driver_error(c)?)),
         7 => Ok(DriverResponse::DefaultAction {
             action: ActionId(c.u32("action id")?),
-            data: c.values()?,
+            data: c.values(spare)?,
         }),
         8 => {
             let n = c.u32("entry count")? as usize;
             let mut es = Vec::with_capacity(n.min(4096));
             for _ in 0..n {
-                es.push(entry_snapshot(c)?);
+                es.push(entry_snapshot(c, spare)?);
             }
             Ok(DriverResponse::Entries(es))
         }
@@ -789,81 +808,309 @@ fn decode_response(c: &mut Cursor<'_>) -> Result<DriverResponse, WireError> {
 
 // -- frame codec -------------------------------------------------------------
 
-fn encode_frame(seq: u64, direction: u8, items: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut body = Vec::new();
-    items(&mut body);
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(direction);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+/// Offset of a frame's first item: the header, then the item count.
+const ITEMS_AT: usize = HEADER_LEN + 4;
+
+/// Start a frame in `buf` — emptied, its allocation reused: the header
+/// and item count, with the three fields [`end_frame`] stamps left zero.
+fn begin_frame(buf: &mut Vec<u8>, direction: u8) {
+    buf.clear();
+    buf.extend_from_slice(&MAGIC);
+    buf.push(VERSION);
+    buf.push(direction);
+    buf.extend_from_slice(&[0; ITEMS_AT - 6]);
+}
+
+/// Append one length-prefixed item: `encode` writes it in place, and its
+/// length is patched in behind it.
+fn put_item(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    put_u32(buf, 0);
+    encode(buf);
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Complete the frame of `items` items in `buf`: stamp the sequence
+/// number, the body length and the item count.
+fn end_frame(buf: &mut [u8], seq: u64, items: usize) {
+    let body = (buf.len() - HEADER_LEN) as u32;
+    buf[6..14].copy_from_slice(&seq.to_le_bytes());
+    buf[14..18].copy_from_slice(&body.to_le_bytes());
+    buf[18..ITEMS_AT].copy_from_slice(&(items as u32).to_le_bytes());
+}
+
+/// Encode a request frame carrying one batch of ops into `buf`, replacing
+/// what it held.
+pub fn encode_request_frame_into(buf: &mut Vec<u8>, seq: u64, ops: &[DriverOp]) {
+    begin_frame(buf, 0);
+    for op in ops {
+        put_item(buf, |item| encode_op(item, op));
+    }
+    end_frame(buf, seq, ops.len());
 }
 
 /// Encode a request frame carrying one batch of ops.
 pub fn encode_request_frame(seq: u64, ops: &[DriverOp]) -> Vec<u8> {
-    encode_frame(seq, 0, |body| {
-        put_u32(body, ops.len() as u32);
-        for op in ops {
-            let mut item = Vec::new();
-            encode_op(&mut item, op);
-            put_u32(body, item.len() as u32);
-            body.extend_from_slice(&item);
-        }
-    })
+    let mut buf = Vec::new();
+    encode_request_frame_into(&mut buf, seq, ops);
+    buf
+}
+
+/// Encode a response frame carrying one batch of responses into `buf`,
+/// replacing what it held.
+pub fn encode_response_frame_into(buf: &mut Vec<u8>, seq: u64, resps: &[DriverResponse]) {
+    let mut frame = ResponseFrame::begin(buf);
+    for r in resps {
+        frame.push(r);
+    }
+    frame.end(seq);
 }
 
 /// Encode a response frame carrying one batch of responses.
 pub fn encode_response_frame(seq: u64, resps: &[DriverResponse]) -> Vec<u8> {
-    encode_frame(seq, 1, |body| {
-        put_u32(body, resps.len() as u32);
-        for r in resps {
-            let mut item = Vec::new();
-            encode_response(&mut item, r);
-            put_u32(body, item.len() as u32);
-            body.extend_from_slice(&item);
-        }
-    })
+    let mut buf = Vec::new();
+    encode_response_frame_into(&mut buf, seq, resps);
+    buf
 }
 
-fn decode_body(direction: u8, body: &[u8]) -> Result<FrameBody, WireError> {
-    let mut c = Cursor::new(body);
-    let n = c.u32("item count")? as usize;
-    match direction {
-        0 => {
-            let mut ops = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let len = c.u32("item length")? as usize;
-                let item = c.take(len, "item body")?;
-                let mut ic = Cursor::new(item);
-                ops.push(decode_op(&mut ic)?);
-                if !ic.done() {
-                    return Err(WireError::Truncated { what: "op tail" });
-                }
-            }
-            Ok(FrameBody::Request(ops))
+/// A response frame being written into a buffer its owner keeps, one
+/// answer at a time — the device end encodes each answer as it is given
+/// and holds no batch of them.
+pub(crate) struct ResponseFrame<'a> {
+    buf: &'a mut Vec<u8>,
+    items: usize,
+}
+
+impl<'a> ResponseFrame<'a> {
+    pub(crate) fn begin(buf: &'a mut Vec<u8>) -> Self {
+        begin_frame(buf, 1);
+        ResponseFrame { buf, items: 0 }
+    }
+
+    pub(crate) fn push(&mut self, r: &DriverResponse) {
+        put_item(self.buf, |item| encode_response(item, r));
+        self.items += 1;
+    }
+
+    pub(crate) fn end(self, seq: u64) {
+        end_frame(self.buf, seq, self.items);
+    }
+}
+
+/// A request frame under construction: a batch of ops kept as the bytes
+/// it will be sent as, plus where each op's item starts. Deferring an op
+/// costs its encoding and nothing else, and what the deferred-error
+/// protocol does to a batch — the applied prefix leaves, the suffix stays,
+/// the barrier is not retained — is a cut of the byte buffer.
+#[derive(Debug)]
+pub struct RequestBatch {
+    frame: Vec<u8>,
+    /// Offset in `frame` of each op's item, in op order.
+    starts: Vec<usize>,
+}
+
+impl Default for RequestBatch {
+    fn default() -> Self {
+        RequestBatch::new()
+    }
+}
+
+impl RequestBatch {
+    pub fn new() -> Self {
+        let mut frame = Vec::new();
+        begin_frame(&mut frame, 0);
+        RequestBatch {
+            frame,
+            starts: Vec::new(),
         }
-        1 => {
-            let mut resps = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let len = c.u32("item length")? as usize;
-                let item = c.take(len, "item body")?;
-                let mut ic = Cursor::new(item);
-                resps.push(decode_response(&mut ic)?);
-                if !ic.done() {
-                    return Err(WireError::Truncated {
-                        what: "response tail",
-                    });
-                }
-            }
-            Ok(FrameBody::Response(resps))
+    }
+
+    /// Ops in the batch.
+    pub fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.starts.is_empty()
+    }
+
+    /// Append `op`.
+    pub fn push(&mut self, op: &DriverOp) {
+        self.starts.push(self.frame.len());
+        put_item(&mut self.frame, |item| encode_op(item, op));
+    }
+
+    /// Drop the newest op.
+    pub fn pop(&mut self) {
+        if let Some(at) = self.starts.pop() {
+            self.frame.truncate(at);
         }
-        tag => Err(WireError::BadTag {
-            what: "direction",
-            tag,
-        }),
+    }
+
+    /// Drop the `n` oldest ops.
+    pub fn drop_front(&mut self, n: usize) {
+        let cut = self.starts.get(n).copied().unwrap_or(self.frame.len());
+        self.frame.drain(ITEMS_AT..cut);
+        self.starts.drain(..n.min(self.starts.len()));
+        for start in &mut self.starts {
+            *start -= cut - ITEMS_AT;
+        }
+    }
+
+    pub fn clear(&mut self) {
+        self.frame.truncate(ITEMS_AT);
+        self.starts.clear();
+    }
+
+    /// The batch as the request frame numbered `seq`.
+    pub fn seal(&mut self, seq: u64) -> &[u8] {
+        end_frame(&mut self.frame, seq, self.starts.len());
+        &self.frame
+    }
+}
+
+/// Where frames are decoded to by an owner that decodes many: the decoded
+/// [`frame`](DecodeScratch::frame) stays here, and the vectors inside it —
+/// the batch itself, every op's action data, every read's values — are the
+/// allocations the next [`decode`](DecodeScratch::decode) fills.
+#[derive(Debug)]
+pub struct DecodeScratch {
+    /// The last frame decoded (an empty request before the first).
+    pub frame: Frame,
+    /// Value vectors recovered from the frame before.
+    spare: Vec<Vec<Value>>,
+}
+
+impl Default for DecodeScratch {
+    fn default() -> Self {
+        DecodeScratch {
+            frame: Frame {
+                seq: 0,
+                body: FrameBody::Request(Vec::new()),
+            },
+            spare: Vec::new(),
+        }
+    }
+}
+
+/// The fields of a frame header, once the whole frame is buffered.
+struct Header {
+    direction: u8,
+    seq: u64,
+    body_len: usize,
+}
+
+/// Parse the header at the front of `buf`; `Ok(None)` while the frame it
+/// announces is not all there.
+fn parse_header(buf: &[u8]) -> Result<Option<Header>, WireError> {
+    if buf.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    let magic: [u8; 4] = buf[0..4].try_into().unwrap();
+    if magic != MAGIC {
+        return Err(WireError::BadMagic(magic));
+    }
+    if buf[4] != VERSION {
+        return Err(WireError::BadVersion(buf[4]));
+    }
+    let body_len = u32::from_le_bytes(buf[14..18].try_into().unwrap()) as usize;
+    if body_len > MAX_FRAME_BODY {
+        // Reject *now*, before `Ok(None)` commits the receiver to
+        // buffering up to 4 GiB chasing a corrupt length prefix.
+        return Err(WireError::FrameTooLarge { len: body_len });
+    }
+    if buf.len() < HEADER_LEN + body_len {
+        return Ok(None);
+    }
+    Ok(Some(Header {
+        direction: buf[5],
+        seq: u64::from_le_bytes(buf[6..14].try_into().unwrap()),
+        body_len,
+    }))
+}
+
+/// Decode the `n` items of a body: for each, `item` is handed a cursor
+/// over exactly that item and must use it up (`tail` names the error if
+/// it does not).
+fn decode_items(
+    c: &mut Cursor<'_>,
+    n: u32,
+    tail: &'static str,
+    mut item: impl FnMut(&mut Cursor<'_>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    for _ in 0..n {
+        let len = c.u32("item length")? as usize;
+        let mut ic = Cursor::new(c.take(len, "item body")?);
+        item(&mut ic)?;
+        if !ic.done() {
+            return Err(WireError::Truncated { what: tail });
+        }
+    }
+    Ok(())
+}
+
+impl DecodeScratch {
+    /// Decode `bytes`, which hold exactly one frame, over the last one.
+    /// After an error the frame held is an empty request.
+    pub fn decode(&mut self, bytes: &[u8]) -> Result<&mut Frame, WireError> {
+        let h = parse_header(bytes)?.ok_or(WireError::Truncated { what: "frame" })?;
+        self.decode_body(&h, &bytes[HEADER_LEN..HEADER_LEN + h.body_len])?;
+        if bytes.len() > HEADER_LEN + h.body_len {
+            return Err(WireError::Truncated { what: "frame tail" });
+        }
+        Ok(&mut self.frame)
+    }
+
+    fn decode_body(&mut self, h: &Header, body: &[u8]) -> Result<(), WireError> {
+        let DecodeScratch { frame, spare } = self;
+        // Empty the last frame, keeping its vectors: the batch for this
+        // frame's, each item's values for this frame's items'.
+        let empty = FrameBody::Request(Vec::new());
+        let (mut ops, mut rs) = match std::mem::replace(&mut frame.body, empty) {
+            FrameBody::Request(mut ops) => {
+                let used = ops.iter_mut().map(DriverOp::take_data);
+                spare.extend(used.filter(|v| v.capacity() > 0));
+                ops.clear();
+                (ops, Vec::new())
+            }
+            FrameBody::Response(mut rs) => {
+                spare.extend(rs.iter_mut().filter_map(|r| match r {
+                    DriverResponse::Values(vs) if vs.capacity() > 0 => Some(std::mem::take(vs)),
+                    _ => None,
+                }));
+                rs.clear();
+                (Vec::new(), rs)
+            }
+        };
+        frame.seq = h.seq;
+        let mut c = Cursor::new(body);
+        let n = c.u32("item count")?;
+        frame.body = match h.direction {
+            0 => {
+                ops.reserve_exact(n.min(4096) as usize);
+                decode_items(&mut c, n, "op tail", |ic| {
+                    ops.push(decode_op(ic, spare)?);
+                    Ok(())
+                })?;
+                FrameBody::Request(ops)
+            }
+            1 => {
+                rs.reserve_exact(n.min(4096) as usize);
+                decode_items(&mut c, n, "response tail", |ic| {
+                    rs.push(decode_response(ic, spare)?);
+                    Ok(())
+                })?;
+                FrameBody::Response(rs)
+            }
+            tag => {
+                return Err(WireError::BadTag {
+                    what: "direction",
+                    tag,
+                })
+            }
+        };
+        Ok(())
     }
 }
 
@@ -892,44 +1139,21 @@ impl FrameDecoder {
     /// Decode the next complete frame, `Ok(None)` if more bytes are
     /// needed.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        if self.buf.len() < HEADER_LEN {
+        let Some(h) = parse_header(&self.buf)? else {
             return Ok(None);
-        }
-        let magic: [u8; 4] = self.buf[0..4].try_into().unwrap();
-        if magic != MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
-        if self.buf[4] != VERSION {
-            return Err(WireError::BadVersion(self.buf[4]));
-        }
-        let direction = self.buf[5];
-        let seq = u64::from_le_bytes(self.buf[6..14].try_into().unwrap());
-        let body_len = u32::from_le_bytes(self.buf[14..18].try_into().unwrap()) as usize;
-        if body_len > MAX_FRAME_BODY {
-            // Reject *now*, before `Ok(None)` commits this decoder to
-            // buffering up to 4 GiB chasing a corrupt length prefix.
-            return Err(WireError::FrameTooLarge { len: body_len });
-        }
-        if self.buf.len() < HEADER_LEN + body_len {
-            return Ok(None);
-        }
-        let body = decode_body(direction, &self.buf[HEADER_LEN..HEADER_LEN + body_len])?;
-        self.buf.drain(..HEADER_LEN + body_len);
-        Ok(Some(Frame { seq, body }))
+        };
+        let (mut scratch, end) = (DecodeScratch::default(), HEADER_LEN + h.body_len);
+        scratch.decode_body(&h, &self.buf[HEADER_LEN..end])?;
+        self.buf.drain(..end);
+        Ok(Some(scratch.frame))
     }
 }
 
 /// Decode one frame from a buffer holding exactly one frame.
 pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
-    let mut dec = FrameDecoder::new();
-    dec.push(bytes);
-    let frame = dec
-        .next_frame()?
-        .ok_or(WireError::Truncated { what: "frame" })?;
-    if dec.buffered() > 0 {
-        return Err(WireError::Truncated { what: "frame tail" });
-    }
-    Ok(frame)
+    let mut scratch = DecodeScratch::default();
+    scratch.decode(bytes)?;
+    Ok(scratch.frame)
 }
 
 #[cfg(test)]

@@ -7,14 +7,24 @@
 //! the originals exactly, regardless of where the splits fall (including
 //! mid-header and mid-length-prefix).
 //!
+//! The codec is one codec whoever owns the buffers: encoding into a
+//! dirty, reused buffer gives the bytes of a fresh encode, a
+//! [`RequestBatch`] built op by op seals to them too, and decoding into
+//! scratch that still holds the last frame gives the fresh decode.
+//!
 //! The two drivers agree op for op: the same generator, its ids fitted to
 //! a small fixed program, drives a `LocalDriver` and a `RemoteDriver` at
 //! RTT 0 — equal answers, equal device state, equal `DriverStats`; and
 //! with a share of ids and tokens the device lacks, equal errors and no
-//! panic on either side.
+//! panic on either side. The deferred batch, kept as bytes, answers an
+//! error in its middle as the batch of ops it replaced did: a model of
+//! that batch (`ModelBatch`) runs beside the driver.
 
 use mantis_agent::{CostModel, DriverApi, LocalDriver};
-use mantis_control::wire::{encode_request_frame, encode_response_frame, Frame, FrameBody};
+use mantis_control::wire::{
+    encode_request_frame, encode_request_frame_into, encode_response_frame,
+    encode_response_frame_into, DecodeScratch, Frame, FrameBody, RequestBatch,
+};
 use mantis_control::{
     ChannelConfig, ControlPlane, DriverOp, DriverResponse, FrameDecoder, RemoteDriver,
 };
@@ -501,8 +511,8 @@ fn local_and_remote_agree(raws: Vec<DriverOp>, slack: u64) -> Result<(), TestCas
         let Some(op) = fit(raw, i, &sw_l.borrow(), &tokens, slack) else {
             continue;
         };
-        let l = local.submit(op.clone());
-        let mut r = remote.submit(op.clone());
+        let l = local.submit(&op);
+        let mut r = remote.submit(&op);
         if slack == 1 {
             r = r.and_then(|resp| remote.flush().map(|()| resp));
             if r.is_err() {
@@ -537,7 +547,119 @@ fn local_and_remote_agree(raws: Vec<DriverOp>, slack: u64) -> Result<(), TestCas
     Ok(())
 }
 
+/// The deferred batch as `RemoteDriver` kept it when it kept ops: deferrable
+/// ops queue; a barrier sends the queue and itself as one batch, which the
+/// device applies in order up to the first error. The applied prefix
+/// leaves, the suffix stays, the barrier is never retained.
+struct ModelBatch {
+    device: LocalDriver,
+    pending: Vec<DriverOp>,
+}
+
+impl ModelBatch {
+    /// Apply `batch` as the plane does; the answers, or the failing index.
+    fn apply(&mut self, batch: &[DriverOp]) -> Result<Vec<DriverResponse>, (usize, DriverError)> {
+        let answers = batch.iter().enumerate();
+        let answers = answers.map(|(i, op)| self.device.submit(op).map_err(|e| (i, e)));
+        answers.collect()
+    }
+
+    fn submit(&mut self, op: &DriverOp) -> Result<DriverResponse, DriverError> {
+        if op.deferrable() {
+            self.pending.push(op.clone());
+            return Ok(DriverResponse::Ok);
+        }
+        let mut batch = std::mem::take(&mut self.pending);
+        batch.push(op.clone());
+        match self.apply(&batch) {
+            Ok(mut answers) => Ok(answers.pop().expect("the barrier's")),
+            Err((i, e)) => {
+                self.pending = batch[i..batch.len() - 1].to_vec();
+                Err(e)
+            }
+        }
+    }
+
+    fn flush(&mut self) -> Result<(), DriverError> {
+        let batch = std::mem::take(&mut self.pending);
+        self.apply(&batch).map(drop).map_err(|(i, e)| {
+            self.pending = batch[i..].to_vec();
+            e
+        })
+    }
+}
+
 proptest! {
+    /// One output buffer, one batch and one decode scratch, reused frame
+    /// after frame, against a fresh encode and a fresh decode of each.
+    #[test]
+    fn reused_buffers_encode_and_decode_as_fresh_ones(frames in vec(frame_strategy(), 1..8)) {
+        let mut buf = vec![0xa5; 7];
+        let mut batch = RequestBatch::new();
+        let mut scratch = DecodeScratch::default();
+        for (seq, frame, fresh) in &frames {
+            match &frame.body {
+                FrameBody::Request(ops) => {
+                    encode_request_frame_into(&mut buf, *seq, ops);
+                    // Built op by op, with one op pushed and taken back.
+                    batch.clear();
+                    for op in ops {
+                        batch.push(op);
+                    }
+                    batch.push(&DriverOp::MasterProbe);
+                    batch.pop();
+                    prop_assert_eq!(batch.len(), ops.len());
+                    prop_assert_eq!(batch.seal(*seq), &fresh[..]);
+                    // Dropping a prefix leaves the frame of the suffix.
+                    let cut = ops.len() / 2;
+                    batch.drop_front(cut);
+                    prop_assert_eq!(batch.seal(*seq), &encode_request_frame(*seq, &ops[cut..])[..]);
+                }
+                FrameBody::Response(rs) => encode_response_frame_into(&mut buf, *seq, rs),
+            }
+            prop_assert_eq!(&buf, fresh);
+            prop_assert_eq!(&*scratch.decode(fresh).expect("valid frame"), frame);
+        }
+    }
+
+    /// A `RemoteDriver`'s deferred batch against [`ModelBatch`]: the same
+    /// answer to every op — errors in the middle of a batch included — the
+    /// same ops left pending after each, and the same device at the end.
+    #[test]
+    fn deferred_bytes_batch_answers_errors_as_the_op_batch_did(
+        raws in vec(driver_op_strategy(), 1..48),
+    ) {
+        let (sw_m, sw_r) = (fresh_switch(), fresh_switch());
+        let device = LocalDriver::new(sw_m.clone(), CostModel::default());
+        let mut model = ModelBatch { device, pending: Vec::new() };
+        let plane = ControlPlane::shared(sw_r.clone(), CostModel::default());
+        let mut remote = RemoteDriver::new(plane, ChannelConfig::default());
+        for (i, raw) in raws.into_iter().enumerate() {
+            // No live token is tracked: every restore and discard names a
+            // dead one, which is one more error for a batch to meet.
+            let Some(op) = fit(raw, i, &sw_m.borrow(), &[], 1) else {
+                continue;
+            };
+            let (m, r) = (model.submit(&op), remote.submit(&op));
+            prop_assert_eq!(&m, &r, "{:?}", op);
+            prop_assert_eq!(model.pending.len(), remote.pending_len(), "after {:?}", op);
+            if m.is_err() {
+                // What stayed — its head the op that failed, unless that was
+                // the barrier — is re-sent by a flush; then both sides drop
+                // it, as the agent's rollback does.
+                prop_assert_eq!(model.flush(), remote.flush());
+                prop_assert_eq!(model.pending.len(), remote.pending_len());
+                model.pending.clear();
+                remote.suspend_faults();
+                remote.resume_faults();
+            }
+        }
+        prop_assert_eq!(model.flush(), remote.flush());
+        prop_assert_eq!(model.pending.len(), remote.pending_len());
+        prop_assert_eq!(device_state(&sw_m.borrow()), device_state(&sw_r.borrow()));
+        prop_assert_eq!(sw_m.borrow().clock().now(), sw_r.borrow().clock().now());
+    }
+
     /// Valid ops, batching on: every barrier answers as the local driver
     /// does, and after the final flush the two devices and the two
     /// drivers' statistics are equal.

@@ -328,8 +328,7 @@ impl NameTable {
 
 // -- trace events -----------------------------------------------------------
 
-/// Most `args` pairs one [`Telemetry::instant`] event can carry: ring
-/// records are fixed-size so that pushing one never allocates.
+/// Most `args` pairs one [`Telemetry::instant`] event can carry.
 pub const MAX_EVENT_ARGS: usize = 3;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -339,6 +338,9 @@ enum Phase {
     Instant,
 }
 
+/// One ring record. Fixed-size and small: a span begin or end is all of
+/// it, and the arg pairs of the rare instant that carries some live in the
+/// side ring ([`Inner::args`]), `nargs` of them per event, in event order.
 #[derive(Clone, Copy, Debug)]
 struct Event {
     t: Nanos,
@@ -346,25 +348,15 @@ struct Event {
     name: u32,
     scope: Scope,
     phase: Phase,
+    /// How many pairs of the side ring are this event's.
     nargs: u8,
-    /// Small numeric payload (first `nargs` pairs); rendered into
-    /// Chrome-trace `args`.
-    args: [(&'static str, i128); MAX_EVENT_ARGS],
 }
 
-// The default 2^16-event ring must stay within 8 MB.
-const _: () = assert!(std::mem::size_of::<Event>() <= 128);
+// Two records to a 32-byte store; the default 2^16-event ring is 1 MiB.
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
-fn pack_args(args: &[(&'static str, i128)]) -> (u8, [(&'static str, i128); MAX_EVENT_ARGS]) {
-    assert!(
-        args.len() <= MAX_EVENT_ARGS,
-        "Telemetry: an instant event carries at most {MAX_EVENT_ARGS} args, got {}",
-        args.len()
-    );
-    let mut packed = [("", 0i128); MAX_EVENT_ARGS];
-    packed[..args.len()].copy_from_slice(args);
-    (args.len() as u8, packed)
-}
+/// One `args` pair of an instant event, rendered into Chrome-trace `args`.
+type Arg = (&'static str, i128);
 
 // -- log-linear histogram ---------------------------------------------------
 
@@ -529,6 +521,9 @@ impl Snapshot {
 struct Inner {
     trace_capacity: usize,
     events: VecDeque<Event>,
+    /// The arg pairs of the buffered events, oldest event's first: an event
+    /// entering or leaving `events` takes its `nargs` pairs with it.
+    args: VecDeque<Arg>,
     events_dropped: u64,
     counters: Vec<Option<i128>>,
     gauges: Vec<Option<i128>>,
@@ -546,16 +541,27 @@ fn slot<T>(slots: &mut Vec<Option<T>>, idx: u32) -> &mut Option<T> {
 }
 
 impl Inner {
-    fn push(&mut self, ev: Event) {
+    /// Buffer `ev`, whose arg pairs `args` yields (`ev.nargs` of them),
+    /// evicting the oldest event once the ring is full.
+    fn push(&mut self, ev: Event, args: impl IntoIterator<Item = Arg>) {
         if self.trace_capacity == 0 {
             self.events_dropped += 1;
             return;
         }
         if self.events.len() >= self.trace_capacity {
-            self.events.pop_front();
+            if let Some(old) = self.events.pop_front() {
+                self.args.drain(..usize::from(old.nargs));
+            }
             self.events_dropped += 1;
+            // A full ring holds at most this many pairs. Reserved once, on
+            // the first eviction (a no-op from then on), so that a ring
+            // that has wrapped never allocates again; memory the pairs
+            // never reach is never touched.
+            let most = self.trace_capacity.saturating_mul(MAX_EVENT_ARGS);
+            self.args.reserve(most - self.args.len());
         }
         self.events.push_back(ev);
+        self.args.extend(args);
     }
 }
 
@@ -700,9 +706,10 @@ impl Telemetry {
         // practice; carry it anyway so accounting can never lose events
         // silently.
         dst.events_dropped += std::mem::take(&mut src.events_dropped);
+        let src = &mut *src;
         for mut ev in src.events.drain(..) {
             ev.name = map(ev.name);
-            dst.push(ev);
+            dst.push(ev, src.args.drain(..usize::from(ev.nargs)));
         }
         for (i, delta) in src.counters.iter_mut().enumerate() {
             if let Some(delta) = delta.take() {
@@ -945,6 +952,7 @@ impl Telemetry {
     pub fn reset(&self) {
         let mut inner = self.lock();
         inner.events.clear();
+        inner.args.clear();
         inner.events_dropped = 0;
         inner.counters.clear();
         inner.gauges.clear();
@@ -977,6 +985,7 @@ impl Telemetry {
                 scope.name()
             );
         }
+        let mut args = inner.args.iter();
         for ev in &inner.events {
             if !first {
                 out.push_str(",\n");
@@ -999,10 +1008,9 @@ impl Telemetry {
             if ev.phase == Phase::Instant {
                 out.push_str(",\"s\":\"t\"");
             }
-            let args = &ev.args[..usize::from(ev.nargs)];
-            if !args.is_empty() {
+            if ev.nargs > 0 {
                 out.push_str(",\"args\":{");
-                for (i, (k, v)) in args.iter().enumerate() {
+                for (i, (k, v)) in args.by_ref().take(usize::from(ev.nargs)).enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
@@ -1100,16 +1108,19 @@ impl Recorder<'_> {
         t: Nanos,
         args: &[(&'static str, i128)],
     ) {
-        let (nargs, args) = pack_args(args);
+        assert!(
+            args.len() <= MAX_EVENT_ARGS,
+            "Telemetry: an instant event carries at most {MAX_EVENT_ARGS} args, got {}",
+            args.len()
+        );
         let ev = Event {
             t,
             name: self.index(name),
             scope,
             phase,
-            nargs,
-            args,
+            nargs: args.len() as u8,
         };
-        self.inner.push(ev);
+        self.inner.push(ev, args.iter().copied());
     }
 
     pub fn begin(&mut self, scope: Scope, name: NameId, t: Nanos) {

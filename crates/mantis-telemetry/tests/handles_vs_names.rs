@@ -10,6 +10,10 @@
 //! that a name registered but never touched appears nowhere, that handles
 //! stay valid across `reset`, that a parent's handles work on its
 //! stagings, and that an unrelated registry merges by name.
+//!
+//! The same steps also run against a ring that never evicts: what a small
+//! ring holds must be the tail of that, arg pairs included — the side ring
+//! the pairs live in leaves in step with the events they belong to.
 
 use mantis_telemetry::{
     CounterId, DriverOpId, GaugeId, HistId, NameId, Scope, Telemetry, TelemetryConfig,
@@ -215,6 +219,14 @@ fn run_by_handle(capacity: usize, steps: &[Step]) -> (String, String) {
     (tel.snapshot_json(), tel.chrome_trace_json())
 }
 
+/// The event records of a Chrome trace, one per line, metadata left out.
+fn event_lines(trace: &str) -> Vec<&str> {
+    let lines = trace.lines().map(|l| l.trim_end_matches(','));
+    lines
+        .filter(|l| l.starts_with("{\"ph\":") && !l.starts_with("{\"ph\":\"M\""))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -226,7 +238,11 @@ proptest! {
         let (snap_n, trace_n) = run_by_name(capacity, &steps);
         let (snap_h, trace_h) = run_by_handle(capacity, &steps);
         prop_assert_eq!(snap_n, snap_h);
-        prop_assert_eq!(trace_n, trace_h);
+        prop_assert_eq!(&trace_n, &trace_h);
+        let (_, unbounded) = run_by_handle(usize::MAX, &steps);
+        let all = event_lines(&unbounded);
+        let tail = &all[all.len().saturating_sub(capacity)..];
+        prop_assert_eq!(event_lines(&trace_h), tail);
     }
 }
 

@@ -105,6 +105,8 @@ impl ParStats {
 const IDLE: Nanos = Nanos::MAX;
 /// Readiness-index entry of a switch whose state must be looked up.
 const UNKNOWN: Nanos = 0;
+/// Pool-index entry of a switch whose freelist must be looked at.
+const POOL_UNKNOWN: usize = usize::MAX;
 
 /// `sw`'s readiness-index entry, read under its borrow: [`IDLE`], or the
 /// time its earliest queue head can transmit — held one short of the
@@ -127,6 +129,8 @@ pub(crate) struct Visit {
     pub served: u64,
     /// The switch's readiness-index entry on the way out.
     pub ready: Nanos,
+    /// Its pool-index entry on the way out.
+    pub parked: usize,
 }
 
 /// One switch's step of a drain, under its borrow: pump if a queue head
@@ -147,6 +151,7 @@ pub(crate) fn visit(sw: &mut Switch, batch: &mut Vec<(TxPacket, u32)>) -> Visit 
         pumped,
         served,
         ready: ready_entry(sw),
+        parked: sw.pool_parked(),
     }
 }
 
@@ -184,6 +189,18 @@ pub struct Simulator {
     /// ([`mark_all_busy`](Simulator::mark_all_busy)). A drain visits
     /// switch `i` only once `now` has reached `ready_at[i]`.
     ready_at: Vec<Nanos>,
+    /// The pool index, kept beside the readiness index and the same way:
+    /// per switch, the PHV buffers parked in its freelist as of the last
+    /// borrow this simulator took or handed out, or [`POOL_UNKNOWN`]. An
+    /// [`Injector`] whose own freelist has run dry finds its donor here
+    /// instead of locking every peer to ask.
+    pool_parked: Vec<usize>,
+    /// `(fields, headers)` of each switch's spec, fixed at construction:
+    /// freelists trade buffers only between identically shaped specs.
+    phv_shape: Vec<(usize, usize)>,
+    /// Which peers' locks injectors took to top up their pools.
+    #[cfg(test)]
+    peer_locks: Vec<usize>,
     /// Packets that exited the fabric (transmitted out an *unlinked*
     /// port), tagged with the switch that emitted them; kept until taken
     /// by the experiment (capped to avoid unbounded growth when unused).
@@ -250,6 +267,11 @@ impl Simulator {
         );
         let clock = switches[0].borrow().clock().clone();
         let n = switches.len();
+        let shape = |s: &SharedSwitch| {
+            let sw = s.borrow();
+            (sw.spec().fields.len(), sw.spec().headers.len())
+        };
+        let phv_shape = switches.iter().map(shape).collect();
         let mut peer_cache: Vec<Vec<Option<(Endpoint, Link)>>> = vec![Vec::new(); n];
         for link in topo.links() {
             for (me, peer) in [(link.a, link.b), (link.b, link.a)] {
@@ -281,6 +303,10 @@ impl Simulator {
                 })
                 .collect(),
             ready_at: vec![UNKNOWN; n],
+            pool_parked: vec![POOL_UNKNOWN; n],
+            phv_shape,
+            #[cfg(test)]
+            peer_locks: Vec::new(),
             tx_log: VecDeque::new(),
             tx_log_cap: 1 << 20,
             due_scratch: Vec::new(),
@@ -529,12 +555,14 @@ impl Simulator {
                 // A self-loop link: one switch plays both ends.
                 sw.recycle_phv(phv);
             } else {
-                self.switches[src].borrow_mut().recycle_phv(phv);
+                let mut sender = self.switches[src].borrow_mut();
+                sender.recycle_phv(phv);
+                self.pool_parked[src] = sender.pool_parked();
             }
         }
-        let ready = ready_entry(&sw);
+        let (ready, parked) = (ready_entry(&sw), sw.pool_parked());
         drop(sw);
-        self.note_ready(dest, ready);
+        self.note_ready(dest, ready, parked);
     }
 
     /// Build the `(src, dest)` transfer map on first use. Kept separate
@@ -561,15 +589,17 @@ impl Simulator {
             *word = if bits >= 64 { !0 } else { (1u64 << bits) - 1 };
         }
         self.ready_at.fill(UNKNOWN);
+        self.pool_parked.fill(POOL_UNKNOWN);
     }
 
-    /// Record switch `i`'s readiness entry, read under the borrow that just
-    /// changed it: with something queued the switch is in the drain's set,
-    /// due a visit at that time; with nothing queued it is out of it. So a
-    /// flagged switch's entry is never [`IDLE`].
+    /// Record switch `i`'s readiness and pool entries, read under the
+    /// borrow that just changed it: with something queued the switch is in
+    /// the drain's set, due a visit at that time; with nothing queued it is
+    /// out of it. So a flagged switch's entry is never [`IDLE`].
     #[inline]
-    fn note_ready(&mut self, i: usize, ready: Nanos) {
+    fn note_ready(&mut self, i: usize, ready: Nanos, parked: usize) {
         self.ready_at[i] = ready;
+        self.pool_parked[i] = parked;
         let bit = 1u64 << (i % 64);
         if ready != IDLE {
             self.dirty[i / 64] |= bit;
@@ -593,11 +623,15 @@ impl Simulator {
             sw: self.switches[i].borrow_mut(),
             fabric: &self.switches,
             index: i,
+            pool_parked: &mut self.pool_parked,
+            phv_shape: &self.phv_shape,
+            #[cfg(test)]
+            peer_locks: &mut self.peer_locks,
         };
         let out = body(&mut inj, &self.flows);
-        let ready = ready_entry(&inj.sw);
+        let (ready, parked) = (ready_entry(&inj.sw), inj.sw.pool_parked());
         drop(inj);
-        self.note_ready(i, ready);
+        self.note_ready(i, ready, parked);
         out
     }
 
@@ -722,7 +756,7 @@ impl Simulator {
     fn settle(&mut self, i: usize, seen: &Visit, batch: &mut Vec<(TxPacket, u32)>) {
         self.par_stats.switch_visits += 1;
         self.par_stats.zero_serve_pumps += u64::from(seen.pumped && seen.served == 0);
-        self.note_ready(i, seen.ready);
+        self.note_ready(i, seen.ready, seen.parked);
         if !batch.is_empty() {
             self.route_batch(i, batch);
         }
@@ -768,7 +802,9 @@ impl Simulator {
                     // emitting switch's freelist).
                     while self.tx_log.len() >= self.tx_log_cap.max(1) {
                         if let Some((from, old)) = self.tx_log.pop_front() {
-                            self.switches[from].borrow_mut().recycle_phv(old.phv);
+                            let mut emitter = self.switches[from].borrow_mut();
+                            emitter.recycle_phv(old.phv);
+                            self.pool_parked[from] = emitter.pool_parked();
                         }
                     }
                     if self.tx_log_cap > 0 {
@@ -814,9 +850,14 @@ pub(crate) struct Injector<'a> {
     sw: MutexGuard<'a, Switch>,
     fabric: &'a [SharedSwitch],
     index: usize,
+    /// The simulator's pool index and spec shapes (see [`Simulator`]).
+    pool_parked: &'a mut [usize],
+    phv_shape: &'a [(usize, usize)],
+    #[cfg(test)]
+    peer_locks: &'a mut Vec<usize>,
 }
 
-impl Injector<'_> {
+impl<'a> Injector<'a> {
     #[inline]
     pub(crate) fn inject(&mut self, tmpl: &PacketTemplate) -> bool {
         self.sw.inject_template(tmpl)
@@ -828,8 +869,12 @@ impl Injector<'_> {
     /// traffic sinks — an exiting packet's buffer is recycled where it
     /// *exits*, not where it was injected — so a switch sourcing more
     /// traffic than it sinks slowly drains its pool and injection starts
-    /// allocating again. The check reads the held switch; the fabric scan
-    /// runs only on a would-be pool miss.
+    /// allocating again. The check reads the held switch, and a would-be
+    /// pool miss reads the simulator's pool index: a peer is locked only to
+    /// take a buffer from it, or when its entry is unknown. On a fabric
+    /// whose exits keep their buffers (nothing recycles what leaves through
+    /// the transmit log) every freelist stays empty, every injection
+    /// allocates, and this costs a scan of the index and no lock.
     #[inline]
     pub(crate) fn top_up_pool(&mut self) {
         if self.sw.pool_parked() == 0 {
@@ -838,29 +883,34 @@ impl Injector<'_> {
     }
 
     fn steal_from_richest(&mut self) {
-        let (nf, nh) = (self.sw.spec().fields.len(), self.sw.spec().headers.len());
+        let shape = self.phv_shape[self.index];
         let mut best: Option<(usize, usize)> = None; // (parked, index)
-        for (i, handle) in self.fabric.iter().enumerate() {
-            if i == self.index {
+        for i in 0..self.fabric.len() {
+            if i == self.index || self.phv_shape[i] != shape {
                 continue;
             }
-            let sw = handle.borrow();
-            let parked = sw.pool_parked();
-            if parked > 0
-                && sw.spec().fields.len() == nf
-                && sw.spec().headers.len() == nh
-                && best.is_none_or(|(p, _)| parked > p)
-            {
+            if self.pool_parked[i] == POOL_UNKNOWN {
+                self.pool_parked[i] = self.lock_peer(i).pool_parked();
+            }
+            let parked = self.pool_parked[i];
+            if parked > 0 && best.is_none_or(|(p, _)| parked > p) {
                 best = Some((parked, i));
             }
         }
         if let Some((_, donor)) = best {
-            let phv = self.fabric[donor]
-                .borrow_mut()
-                .pool_steal()
-                .expect("donor pool non-empty under the simulator's borrow");
-            self.sw.recycle_phv(phv);
+            let mut peer = self.lock_peer(donor);
+            let phv = peer.pool_steal();
+            self.pool_parked[donor] = peer.pool_parked();
+            drop(peer);
+            self.sw
+                .recycle_phv(phv.expect("invariant: the pool index never overstates a pool"));
         }
+    }
+
+    fn lock_peer(&mut self, i: usize) -> MutexGuard<'a, Switch> {
+        #[cfg(test)]
+        self.peer_locks.push(i);
+        self.fabric[i].borrow_mut()
     }
 }
 
@@ -1036,6 +1086,67 @@ control ingress { apply(t); }
         }
         // The second hop can only start after the 5 µs wire delay.
         assert!(pkt.time > 5_000, "delivery at {} ns", pkt.time);
+    }
+
+    /// Three switches of one program, no links: what top-ups see is the
+    /// pool index alone.
+    fn mk_three() -> (Simulator, PacketTemplate) {
+        let clock = Clock::new();
+        let mk = || switch_from_source(FWD_ALL, SwitchConfig::default(), clock.clone()).unwrap();
+        let switches: Vec<SharedSwitch> = (0..3).map(|_| SharedSwitch::new(mk())).collect();
+        let desc = PacketDesc::new(0).field("ip", "src", 1).payload(64);
+        let tmpl = PacketTemplate::compile(&desc, switches[0].borrow().spec()).unwrap();
+        (Simulator::fabric(switches, Topology::new(3)), tmpl)
+    }
+
+    /// Inject `n` packets into switch 0, topping its pool up before each;
+    /// which peers were locked to do so.
+    fn burst(sim: &mut Simulator, tmpl: &PacketTemplate, n: usize) -> Vec<usize> {
+        sim.peer_locks.clear();
+        sim.inject_on(0, |inj, _| {
+            for _ in 0..n {
+                inj.top_up_pool();
+                assert!(inj.inject(tmpl));
+            }
+        });
+        std::mem::take(&mut sim.peer_locks)
+    }
+
+    #[test]
+    fn a_top_up_on_a_fabric_of_empty_pools_locks_no_peer() {
+        let (mut sim, tmpl) = mk_three();
+        // Nothing is known of the peers yet: the first miss looks, once.
+        assert_eq!(burst(&mut sim, &tmpl, 1), [1, 2]);
+        // From then on the index answers: every injection finds its own
+        // pool dry and no donor, and takes no lock to learn it.
+        assert_eq!(burst(&mut sim, &tmpl, 64), []);
+        assert_eq!(sim.arena_bytes(), 0);
+    }
+
+    #[test]
+    fn a_top_up_locks_the_one_donor_the_index_names() {
+        let (mut sim, tmpl) = mk_three();
+        assert_eq!(burst(&mut sim, &tmpl, 1), [1, 2]);
+        // Park four buffers on switch 2, under a borrow the simulator sees.
+        sim.inject_on(2, |inj, _| {
+            for _ in 0..4 {
+                let phv = Phv::new(inj.sw.spec());
+                inj.sw.recycle_phv(phv);
+            }
+        });
+        // Four misses take them, one lock of the donor each; the fifth
+        // finds the index at zero and locks nobody.
+        assert_eq!(burst(&mut sim, &tmpl, 5), [2, 2, 2, 2]);
+        assert_eq!(sim.switch_at(2).borrow().pool_parked(), 0);
+        // A closure event may touch any switch behind the index's back; the
+        // drain that follows looks at them all, so the index is whole again.
+        sim.schedule(sim.now(), |s| {
+            let mut sw = s.switch_at(1).borrow_mut();
+            let phv = Phv::new(sw.spec());
+            sw.recycle_phv(phv);
+        });
+        sim.run_until(sim.now());
+        assert_eq!(burst(&mut sim, &tmpl, 2), [1]);
     }
 
     fn pair_fingerprint(

@@ -77,14 +77,19 @@ impl RegisterArray {
         *cell = cell.with_bits(cell.bits().wrapping_add(u128::from(by)));
     }
 
-    /// Control-plane range read (inclusive bounds, clamped to the array).
-    pub fn read_range(&self, lo: u32, hi: u32) -> Vec<Value> {
+    /// The cells `lo..=hi` (clamped to the array; empty when inverted).
+    pub fn range(&self, lo: u32, hi: u32) -> &[Value] {
         let n = self.cells.len() as u32;
         if n == 0 || lo >= n || lo > hi {
-            return Vec::new();
+            return &[];
         }
         let hi = hi.min(n - 1);
-        self.cells[lo as usize..=hi as usize].to_vec()
+        &self.cells[lo as usize..=hi as usize]
+    }
+
+    /// Control-plane range read (inclusive bounds, clamped to the array).
+    pub fn read_range(&self, lo: u32, hi: u32) -> Vec<Value> {
+        self.range(lo, hi).to_vec()
     }
 
     /// Control-plane bulk write (prologue initialization).

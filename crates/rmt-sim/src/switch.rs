@@ -1179,7 +1179,7 @@ impl Switch {
         key: Vec<KeyField>,
         priority: u32,
         action: ActionId,
-        action_data: Vec<Value>,
+        action_data: impl AsRef<[Value]>,
     ) -> Result<EntryHandle, DriverError> {
         let tspec = &self.spec.tables[table.0 as usize];
         // Arity must be checked before normalization: `normalize_key` zips
@@ -1191,7 +1191,7 @@ impl Switch {
             }));
         }
         let mut key = Table::normalize_key(tspec, key);
-        let (param_count, data) = fit_action_data(&self.spec, action, action_data);
+        let (param_count, data) = fit_action_data(&self.spec, action, action_data.as_ref());
         let handle = EntryHandle(self.next_handles[table.0 as usize]);
         let pipes = self.pipes.len();
         for (i, p) in self.pipes.iter_mut().enumerate() {
@@ -1226,9 +1226,9 @@ impl Switch {
         table: TableId,
         handle: EntryHandle,
         action: ActionId,
-        action_data: Vec<Value>,
+        action_data: impl AsRef<[Value]>,
     ) -> Result<(), DriverError> {
-        let (param_count, data) = fit_action_data(&self.spec, action, action_data);
+        let (param_count, data) = fit_action_data(&self.spec, action, action_data.as_ref());
         let tspec = &self.spec.tables[table.0 as usize];
         let mut pipes = self.pipes.iter_mut();
         let first = pipes
@@ -1325,13 +1325,13 @@ impl Switch {
         &mut self,
         table: TableId,
         action: ActionId,
-        action_data: Vec<Value>,
+        action_data: impl AsRef<[Value]>,
     ) -> Result<(), DriverError> {
         let tspec = &self.spec.tables[table.0 as usize];
         if !tspec.actions.contains(&action) {
             return Err(DriverError::Table(TableError::UnknownAction(action)));
         }
-        let (_, data) = fit_action_data(&self.spec, action, action_data);
+        let (_, data) = fit_action_data(&self.spec, action, action_data.as_ref());
         for p in &mut self.pipes {
             p.tables[table.0 as usize].set_default_shared(action, data.clone());
         }
@@ -1346,7 +1346,7 @@ impl Switch {
         pipe: u16,
         table: TableId,
         action: ActionId,
-        action_data: Vec<Value>,
+        action_data: impl AsRef<[Value]>,
     ) -> Result<(), DriverError> {
         if pipe >= self.config.num_pipes {
             return Err(DriverError::BadPipe(pipe));
@@ -1355,7 +1355,7 @@ impl Switch {
         if !tspec.actions.contains(&action) {
             return Err(DriverError::Table(TableError::UnknownAction(action)));
         }
-        let (_, data) = fit_action_data(&self.spec, action, action_data);
+        let (_, data) = fit_action_data(&self.spec, action, action_data.as_ref());
         self.pipes[pipe as usize].tables[table.0 as usize].set_default_shared(action, data);
         Ok(())
     }
@@ -1384,15 +1384,31 @@ impl Switch {
 
     /// Read a register range, combining per-pipe values element-wise.
     pub fn register_read_agg(&self, reg: RegisterId, lo: u32, hi: u32, agg: ReadAgg) -> Vec<Value> {
-        let mut acc = self.pipes[0].registers[reg.0 as usize].read_range(lo, hi);
+        let mut acc = Vec::new();
+        self.register_read_agg_into(reg, lo, hi, agg, &mut acc);
+        acc
+    }
+
+    /// [`register_read_agg`](Self::register_read_agg) into a vector the
+    /// caller keeps: `out` is cleared and refilled, its capacity reused.
+    pub fn register_read_agg_into(
+        &self,
+        reg: RegisterId,
+        lo: u32,
+        hi: u32,
+        agg: ReadAgg,
+        out: &mut Vec<Value>,
+    ) {
+        out.clear();
+        out.extend_from_slice(self.pipes[0].registers[reg.0 as usize].range(lo, hi));
         for p in &self.pipes[1..] {
-            let vals = p.registers[reg.0 as usize].read_range(lo, hi);
-            for (a, v) in acc.iter_mut().zip(vals) {
+            let vals = p.registers[reg.0 as usize].range(lo, hi);
+            for (a, v) in out.iter_mut().zip(vals) {
                 *a = match agg {
-                    ReadAgg::Sum => a.wrapping_add(v),
+                    ReadAgg::Sum => a.wrapping_add(*v),
                     ReadAgg::Max => {
                         if v.bits() > a.bits() {
-                            v
+                            *v
                         } else {
                             *a
                         }
@@ -1400,7 +1416,6 @@ impl Switch {
                 };
             }
         }
-        acc
     }
 
     /// Read a register range from a single pipe (no aggregation).
@@ -1474,20 +1489,17 @@ impl Switch {
     }
 }
 
-/// Resize action data to the action's parameter widths, in place, and
-/// put it behind the `Arc` every pipe's entry shares. Returns the
-/// action's arity beside it.
+/// Copy action data, resized to the action's parameter widths, behind the
+/// `Arc` every pipe's entry shares — the one allocation a table write
+/// makes. Returns the action's arity beside it.
 fn fit_action_data(
     spec: &DataPlaneSpec,
     action: ActionId,
-    mut data: Vec<Value>,
+    data: &[Value],
 ) -> (usize, Arc<[Value]>) {
     let widths = &spec.actions[action.0 as usize].param_widths;
-    data.truncate(widths.len());
-    for (v, w) in data.iter_mut().zip(widths) {
-        *v = v.resize(*w);
-    }
-    (widths.len(), Arc::from(data))
+    let fitted = data.iter().zip(widths).map(|(v, w)| v.resize(*w));
+    (widths.len(), fitted.collect())
 }
 
 /// Build a switch directly from plain-P4 source (test/example convenience).

@@ -603,11 +603,12 @@ impl Probing {
 }
 
 impl mantis::mantis_agent::DriverApi for Probing {
-    fn submit(
+    fn submit_reusing(
         &mut self,
-        op: mantis::control::DriverOp,
+        op: &mantis::control::DriverOp,
+        spare: &mut Vec<mantis::p4_ast::Value>,
     ) -> Result<mantis::control::DriverResponse, mantis::rmt_sim::DriverError> {
-        let answer = self.inner.submit(op);
+        let answer = self.inner.submit_reusing(op, spare);
         self.probe_all();
         answer
     }
