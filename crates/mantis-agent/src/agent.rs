@@ -29,7 +29,7 @@ use crate::reactions::Reactions;
 use crate::recovery::{bring_up, BringUp};
 use crate::txn::Txn;
 use mantis_faults::{BreakerConfig, BreakerState, FaultPlan, RetryPolicy};
-use mantis_telemetry::{Scope, Telemetry};
+use mantis_telemetry::Telemetry;
 use p4r_compiler::iface::ControlInterface;
 use p4r_compiler::Compiled;
 use rmt_sim::{Clock, Nanos, SharedSwitch};
@@ -49,7 +49,6 @@ pub struct MantisAgent {
     reactions: Reactions,
     staged: Staged,
     txn: Txn,
-    iteration_count: u64,
     last_report: IterationReport,
 }
 
@@ -99,7 +98,6 @@ impl MantisAgent {
             reactions: Reactions::new(compiled),
             staged: Staged::default(),
             txn: Txn::default(),
-            iteration_count: 0,
             last_report: IterationReport::default(),
         }
     }
@@ -110,16 +108,29 @@ impl MantisAgent {
         self.health.set_telemetry(telemetry);
     }
 
+    /// The registry this agent records into, everything recorded so far
+    /// in it. (The agent's stack records into a buffer of its own and every
+    /// entry point below flushes it on the way out; only ops submitted
+    /// straight through [`driver_mut`](MantisAgent::driver_mut) can still be
+    /// waiting here.)
     pub fn telemetry(&self) -> &Arc<Telemetry> {
+        self.health.flush();
         self.health.telemetry()
     }
 
-    /// Cumulative stats, read back from the telemetry registry.
+    /// Times this agent's stack has taken the registry's lock: once per
+    /// entry point that recorded anything.
+    pub fn telemetry_flushes(&self) -> u64 {
+        self.health.writer().flushes()
+    }
+
+    /// Cumulative stats of this agent — its own count, whoever else shares
+    /// its registry (the `agent.iterations` / `agent.busy_ns` counters
+    /// there are the sum over the agents that do).
     pub fn stats(&self) -> AgentStats {
-        let (tel, m) = (self.health.telemetry(), self.health.metrics());
         AgentStats {
-            iterations: tel.counter_value(m.iterations) as u64,
-            busy_ns: tel.counter_value(m.busy_ns) as Nanos,
+            iterations: self.health.iterations,
+            busy_ns: self.health.busy_ns,
             last: self.last_report.clone(),
         }
     }
@@ -133,7 +144,7 @@ impl MantisAgent {
     /// (`reaction.<name>.vm_dispatch`). Explicit-call-only, so existing
     /// telemetry traces are unaffected unless a caller opts in.
     pub fn publish_reaction_stats(&self) {
-        let tel = self.health.telemetry();
+        let tel = self.telemetry();
         if !tel.is_enabled() {
             return;
         }
@@ -150,6 +161,8 @@ impl MantisAgent {
         self.health.driver()
     }
 
+    /// The driver, for out-of-band use. An op submitted through it records
+    /// into this agent's buffer like any other.
     pub fn driver_mut(&mut self) -> &mut dyn DriverApi {
         self.health.driver_mut()
     }
@@ -211,7 +224,9 @@ impl MantisAgent {
     /// Reads run with faults suspended so the oracle itself cannot
     /// trigger injected rules.
     pub fn verify_config_atomicity(&mut self) -> Result<(), String> {
-        self.isolation.verify_atomicity(&mut self.health)
+        let verdict = self.isolation.verify_atomicity(&mut self.health);
+        self.health.flush();
+        verdict
     }
 
     // -- fault-tolerance configuration ------------------------------------------
@@ -395,7 +410,7 @@ impl MantisAgent {
     }
 
     fn bring_up(&mut self, how: BringUp) -> Result<(), AgentError> {
-        bring_up(
+        let brought_up = bring_up(
             how,
             &self.iface,
             &mut self.isolation,
@@ -403,7 +418,9 @@ impl MantisAgent {
             &mut self.staged,
             &mut self.reactions,
             &mut self.health,
-        )
+        );
+        self.health.flush();
+        brought_up
     }
 
     /// Run user initialization: stage updates in a closure, then apply them
@@ -427,7 +444,9 @@ impl MantisAgent {
             self.staged.clear();
             return Err(AgentError::from(e).in_phase(AgentPhase::UserInit));
         }
-        self.apply_staged()
+        let applied = self.apply_staged();
+        self.health.flush();
+        applied
             .map(|_| ())
             .map_err(|e| e.in_phase(AgentPhase::UserInit))
     }
@@ -445,7 +464,16 @@ impl MantisAgent {
     /// in that case the device and agent state are those of the last
     /// committed iteration (the transactional apply rolled back).
     pub fn dialogue_iteration(&mut self) -> Result<IterationReport, AgentError> {
-        let iter = self.iteration_count;
+        let report = self.iterate();
+        // On every way out: what the iteration recorded must be in the
+        // registry before the switch, or a reader, gets to it.
+        self.health.flush();
+        report
+    }
+
+    /// The iteration itself; what it records stays in the stack's buffer.
+    fn iterate(&mut self) -> Result<IterationReport, AgentError> {
+        let iter = self.health.iterations;
         let m = self.health.metrics();
         self.health.reset_retries();
         // ── measurement flip: freeze the current working copy ──
@@ -505,23 +533,10 @@ impl MantisAgent {
             quarantine_skips,
             reaction_failures: Vec::new(),
         };
-        self.iteration_count += 1;
-        let report = &self.last_report;
-        // The iteration's closing span and its figures, in one burst.
-        if let Some(mut rec) = self.health.telemetry().recorder() {
-            rec.end(Scope::Agent, m.span_iteration, t1);
-            rec.add(m.iterations, 1);
-            rec.add(m.busy_ns, i128::from(report.duration_ns));
-            rec.add(m.staged_table_ops, staged_ops as i128);
-            rec.record(m.hist_iteration, report.duration_ns);
-            rec.record(m.hist_measure, report.measure_ns);
-            rec.record(m.hist_react, report.react_ns);
-            rec.record(m.hist_update, report.update_ns);
-            rec.record(m.hist_sync, report.sync_ns);
-        }
+        self.health.close_iteration(t1, &self.last_report);
         Ok(IterationReport {
             reaction_failures,
-            ..report.clone()
+            ..self.last_report.clone()
         })
     }
 
@@ -537,15 +552,13 @@ impl MantisAgent {
     /// them (the Fig. 11 CPU/latency trade-off). Returns the resulting CPU
     /// utilization in `[0, 1]`.
     pub fn run_paced(&mut self, n: usize, sleep_ns: Nanos) -> Result<f64, AgentError> {
-        let busy_ns = self.health.metrics().busy_ns;
         let start = self.health.now();
-        let busy0 = self.health.telemetry().counter_value(busy_ns);
+        let busy0 = self.health.busy_ns;
         for _ in 0..n {
             self.dialogue_iteration()?;
             self.health.clock().advance(sleep_ns);
         }
-        // Busy time comes out of the registry, not ad-hoc accumulation.
-        let busy = (self.health.telemetry().counter_value(busy_ns) - busy0) as u64;
+        let busy = self.health.busy_ns - busy0;
         let span = self.health.now() - start;
         Ok(if span == 0 {
             1.0

@@ -18,14 +18,15 @@
 use crate::costmodel::CostModel;
 use crate::driver_api::{DriverApi, DriverOp, DriverResponse};
 use mantis_faults::{FaultInjector, FaultPlan, Injection};
-use mantis_telemetry::{scopes, DriverOpId, Scope, Telemetry};
+use mantis_telemetry::{
+    scopes, CounterId, DriverOpId, NameId, Scope, SharedWriter, Telemetry, Writer,
+};
 use p4_ast::Value;
 use rmt_sim::{
     ActionId, Clock, DataPlaneSpec, DriverError, EntryHandle, KeyField, Nanos, ReadAgg, RegisterId,
     SharedSwitch, TableId,
 };
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// Memoization key: which device-instruction templates have been computed.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -74,6 +75,20 @@ impl Op {
     }
 }
 
+/// Telemetry handles behind everything the driver records. The per-class
+/// ones (indexed by `Op as usize`: the span and `driver.<op>_*` metrics,
+/// and `fault.<op>_injected`) are each resolved by the first op — the first
+/// fault — of their class after the registry changes, so set-up does not
+/// pay for classes that never fire; the rest in `set_telemetry`.
+#[derive(Debug, Default)]
+struct DriverMetrics {
+    ops: [DriverOpId; Op::COUNT],
+    op_faults: [CounterId; Op::COUNT],
+    faults_injected: CounterId,
+    fault_injected: NameId,
+    injected_failures: CounterId,
+}
+
 /// One physical table entry as read back from the device — the unit of
 /// the reconcile path's [`DriverOp::TableDump`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -115,10 +130,10 @@ pub struct LocalDriver {
     lock_start: Nanos,
     lock_until: Nanos,
     stats: DriverStats,
-    telemetry: Arc<Telemetry>,
-    /// Telemetry handles per op class (indexed by `Op as usize`), each
-    /// resolved by the first op of its class after the registry changes.
-    op_ids: [DriverOpId; Op::COUNT],
+    /// Where this driver records: the buffer of the stack it is part of,
+    /// flushed by that stack's owner.
+    writer: SharedWriter,
+    metrics: DriverMetrics,
     injector: Option<FaultInjector>,
     /// Fabric switch this driver controls (`None` on single-switch
     /// testbeds); fault injectors inherit it so `FaultRule::on_switch`
@@ -146,8 +161,8 @@ impl LocalDriver {
             lock_start: 0,
             lock_until: 0,
             stats: DriverStats::default(),
-            telemetry: Telemetry::disabled(),
-            op_ids: Default::default(),
+            writer: Writer::shared(Telemetry::disabled()),
+            metrics: DriverMetrics::default(),
             injector: None,
             fabric_index: None,
             stale_cache: HashMap::new(),
@@ -199,19 +214,27 @@ impl LocalDriver {
     /// `pipe` (when `Some`), so pipe-scoped fault rules can target it.
     /// Records `fault.injected` when a decision is made.
     fn inject(&mut self, op: Op, pipe: Option<u16>) -> Option<Injection> {
-        let op = op.name();
-        let inj = self
-            .injector
-            .as_mut()?
-            .decide_on(op, pipe, self.clock.now())?;
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter_add(scopes::CTR_FAULTS_INJECTED, 1);
-            self.telemetry
-                .counter_add(&format!("fault.{op}_injected"), 1);
-            self.telemetry
-                .instant(Scope::Driver, "fault_injected", self.clock.now(), &[]);
+        let now = self.clock.now();
+        let inj = self.injector.as_mut()?.decide_on(op.name(), pipe, now)?;
+        let (mut w, m) = (self.writer.borrow_mut(), &mut self.metrics);
+        if w.is_enabled() {
+            let id = &mut m.op_faults[op as usize];
+            if !w.telemetry().owns(*id) {
+                let name = format!("fault.{}_injected", op.name());
+                *id = w.telemetry().register_counter(&name);
+            }
+            w.add(m.faults_injected, 1);
+            w.add(*id, 1);
+            w.mark(Scope::Driver, m.fault_injected, now, &[]);
         }
         Some(inj)
+    }
+
+    /// An op failed with an injected fault.
+    fn count_injected_failure(&mut self) {
+        self.stats.injected_failures += 1;
+        let mut w = self.writer.borrow_mut();
+        w.add(self.metrics.injected_failures, 1);
     }
 
     /// Resolve an injection decision against one op, then account it:
@@ -228,8 +251,7 @@ impl LocalDriver {
         match effect {
             Some(Injection::Fail { persistent }) => {
                 self.spend(op, cost);
-                self.stats.injected_failures += 1;
-                self.telemetry.counter_add(scopes::CTR_DRIVER_INJECTED, 1);
+                self.count_injected_failure();
                 return Err(DriverError::Injected {
                     op: op.name(),
                     persistent,
@@ -240,8 +262,7 @@ impl LocalDriver {
             // crash point falls in the op sequence, which is exactly what
             // the reconcile path must cope with.
             Some(Injection::Crash) => {
-                self.stats.injected_failures += 1;
-                self.telemetry.counter_add(scopes::CTR_DRIVER_INJECTED, 1);
+                self.count_injected_failure();
                 return Err(DriverError::Crashed { op: op.name() });
             }
             Some(Injection::Delay { factor_milli }) => cost = scale(cost, factor_milli),
@@ -267,16 +288,14 @@ impl LocalDriver {
         self.lock_until = start.saturating_add(self.cost.device_lock_ns.min(dur));
         self.stats.ops += 1;
         self.stats.busy_ns = self.stats.busy_ns.saturating_add(dur);
-        if self.telemetry.is_enabled() {
-            let id = &mut self.op_ids[op as usize];
-            if !self.telemetry.owns(id.span) {
-                *id = self.telemetry.register_driver_op(op.name());
+        let (mut w, id) = (self.writer.borrow_mut(), &mut self.metrics.ops[op as usize]);
+        if w.is_enabled() {
+            if !w.telemetry().owns(id.span) {
+                *id = w.telemetry().register_driver_op(op.name());
             }
-            if let Some(mut rec) = self.telemetry.recorder() {
-                rec.begin(Scope::Driver, id.span, start);
-                rec.end(Scope::Driver, id.span, end);
-                rec.driver_op(id, dur);
-            }
+            w.begin(Scope::Driver, id.span, start);
+            w.end(Scope::Driver, id.span, end);
+            w.driver_op(id, dur);
         }
     }
 
@@ -554,8 +573,15 @@ impl DriverApi for LocalDriver {
 
     /// Each op records a `Scope::Driver` span plus a `driver.<op>_ns`
     /// histogram sample and a `driver.<op>_calls` counter.
-    fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = telemetry;
+    fn set_telemetry(&mut self, writer: SharedWriter) {
+        let telemetry = writer.borrow().telemetry().clone();
+        self.metrics = DriverMetrics {
+            faults_injected: telemetry.register_counter(scopes::CTR_FAULTS_INJECTED),
+            fault_injected: telemetry.intern("fault_injected"),
+            injected_failures: telemetry.register_counter(scopes::CTR_DRIVER_INJECTED),
+            ..DriverMetrics::default()
+        };
+        self.writer = writer;
     }
 
     fn stats(&self) -> DriverStats {

@@ -19,13 +19,12 @@
 use crate::costmodel::CostModel;
 use crate::driver::{DriverStats, EntrySnapshot};
 use mantis_faults::FaultPlan;
-use mantis_telemetry::Telemetry;
+use mantis_telemetry::SharedWriter;
 use p4_ast::Value;
 use rmt_sim::{
     ActionId, Clock, DataPlaneSpec, DriverError, EntryHandle, KeyField, Nanos, PortId, ReadAgg,
     RegisterId, TableId,
 };
-use std::sync::Arc;
 
 /// Opaque name of a live table checkpoint. A checkpoint is not a copy: it
 /// is a mark on the undo journal the device driver keeps for its software
@@ -476,7 +475,10 @@ pub trait DriverApi {
 
     fn fabric_index(&self) -> Option<u16>;
 
-    fn set_telemetry(&mut self, telemetry: Arc<Telemetry>);
+    /// Record into `writer` from here on: the buffer of the stack this
+    /// driver is part of, which the stack's owner flushes. A driver passes
+    /// it on to whatever records beneath it.
+    fn set_telemetry(&mut self, writer: SharedWriter);
 
     /// Cumulative device-driver statistics.
     fn stats(&self) -> DriverStats;

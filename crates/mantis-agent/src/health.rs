@@ -1,6 +1,7 @@
 //! The agent's link to its driver: one place an op is submitted under the
 //! retry discipline, one place a backoff is accounted, one place faults
-//! are suspended for a recovery section.
+//! are suspended for a recovery section — and the one telemetry buffer the
+//! whole stack beneath the agent records into.
 //!
 //! Components reach the switch only through the `&mut Health` they are
 //! handed: [`submit`](Health::submit) for an op the loop may retry,
@@ -8,15 +9,20 @@
 //! bring-up and of a transaction's opening.
 
 use crate::driver_api::{DriverApi, DriverOp, DriverResponse};
-use crate::report::AgentError;
+use crate::report::{AgentError, IterationReport};
 use mantis_faults::RetryPolicy;
-use mantis_telemetry::{scopes, CounterId, HistId, NameId, Scope, Telemetry, TelemetryConfig};
+use mantis_telemetry::{
+    scopes, CounterId, GaugeId, HistId, NameId, Scope, SharedWriter, Telemetry, TelemetryConfig,
+    Writer,
+};
 use p4_ast::Value;
 use rmt_sim::{Clock, Nanos};
+use std::cell::RefMut;
 use std::sync::Arc;
 
-/// Telemetry handles behind the records every dialogue iteration makes,
-/// resolved once per attached registry.
+/// Telemetry handles behind every record the agent's own components make
+/// — each iteration's, and the ones only a fault brings out — resolved once
+/// per attached registry.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct AgentMetrics {
     pub(crate) span_iteration: NameId,
@@ -32,6 +38,13 @@ pub(crate) struct AgentMetrics {
     pub(crate) hist_react: HistId,
     pub(crate) hist_update: HistId,
     pub(crate) hist_sync: HistId,
+    pub(crate) retries: CounterId,
+    pub(crate) retry_backoff: HistId,
+    pub(crate) rollbacks: CounterId,
+    pub(crate) quarantine_skips: CounterId,
+    pub(crate) quarantined: GaugeId,
+    pub(crate) degraded: GaugeId,
+    pub(crate) quarantine: NameId,
 }
 
 impl AgentMetrics {
@@ -50,6 +63,13 @@ impl AgentMetrics {
             hist_react: tel.register_hist(scopes::HIST_REACT_NS),
             hist_update: tel.register_hist(scopes::HIST_UPDATE_NS),
             hist_sync: tel.register_hist(scopes::HIST_SYNC_NS),
+            retries: tel.register_counter(scopes::CTR_RETRIES),
+            retry_backoff: tel.register_hist(scopes::HIST_RETRY_BACKOFF_NS),
+            rollbacks: tel.register_counter(scopes::CTR_ROLLBACKS),
+            quarantine_skips: tel.register_counter(scopes::CTR_QUARANTINE_SKIPS),
+            quarantined: tel.register_gauge(scopes::GAUGE_QUARANTINED),
+            degraded: tel.register_gauge(scopes::GAUGE_DEGRADED),
+            quarantine: tel.intern("quarantine"),
         }
     }
 }
@@ -59,38 +79,67 @@ pub(crate) struct Health {
     driver: Box<dyn DriverApi>,
     clock: Clock,
     telemetry: Arc<Telemetry>,
+    /// The stack's one record buffer: the agent's components, the driver
+    /// and — behind a remote driver — the channel and the plane-side driver
+    /// all write here, in program order; `telemetry` gets it by
+    /// [`flush`](Health::flush) alone.
+    writer: SharedWriter,
     metrics: AgentMetrics,
     /// Bounds the retries of one op, and of one apply.
     pub(crate) policy: RetryPolicy,
     /// Retries accounted since [`reset_retries`](Health::reset_retries).
     retries: u32,
+    /// Iterations completed and the virtual time they were busy for: this
+    /// agent's own, whoever else shares its registry.
+    pub(crate) iterations: u64,
+    pub(crate) busy_ns: Nanos,
 }
 
 impl Health {
-    /// Every agent owns an (enabled) telemetry handle so that stats are
-    /// always registry-sourced; [`set_telemetry`](Health::set_telemetry)
-    /// swaps in a shared handle when the caller wants the full trace.
+    /// Every agent starts on an (enabled) registry of its own;
+    /// [`set_telemetry`](Health::set_telemetry) swaps in a shared one when
+    /// the caller wants the full trace.
     pub(crate) fn new(mut driver: Box<dyn DriverApi>) -> Self {
         let telemetry = Arc::new(Telemetry::new(TelemetryConfig::default()));
-        driver.set_telemetry(telemetry.clone());
+        let writer = Writer::shared(telemetry.clone());
+        driver.set_telemetry(writer.clone());
         Health {
             clock: driver.clock().clone(),
             driver,
             metrics: AgentMetrics::resolve(&telemetry),
             telemetry,
+            writer,
             policy: RetryPolicy::default(),
             retries: 0,
+            iterations: 0,
+            busy_ns: 0,
         }
     }
 
     pub(crate) fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.driver.set_telemetry(telemetry.clone());
+        self.flush();
+        self.writer = Writer::shared(telemetry.clone());
+        self.driver.set_telemetry(self.writer.clone());
         self.metrics = AgentMetrics::resolve(&telemetry);
         self.telemetry = telemetry;
     }
 
     pub(crate) fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
+    }
+
+    /// The stack's record buffer, for one burst of records. Not reentrant:
+    /// let go of it before anything that reaches the driver.
+    pub(crate) fn writer(&self) -> RefMut<'_, Writer> {
+        self.writer.borrow_mut()
+    }
+
+    /// Hand the registry what the stack recorded since the last flush. The
+    /// agent does on the way out of every entry point that can record:
+    /// records left behind would land after what the switch records next,
+    /// and be missing from any read.
+    pub(crate) fn flush(&self) {
+        self.writer().flush();
     }
 
     pub(crate) fn metrics(&self) -> AgentMetrics {
@@ -106,18 +155,35 @@ impl Health {
     }
 
     /// Close `closing`, then open `opening` — the loop's spans that change
-    /// hands now — under one hold of the registry; the time is handed back.
+    /// hands now; the time is handed back.
     pub(crate) fn spans(&self, closing: &[NameId], opening: &[NameId]) -> Nanos {
         let now = self.now();
-        if let Some(mut rec) = self.telemetry.recorder() {
-            for span in closing {
-                rec.end(Scope::Agent, *span, now);
-            }
-            for span in opening {
-                rec.begin(Scope::Agent, *span, now);
-            }
+        let mut w = self.writer();
+        for span in closing {
+            w.end(Scope::Agent, *span, now);
+        }
+        for span in opening {
+            w.begin(Scope::Agent, *span, now);
         }
         now
+    }
+
+    /// An iteration that took `report` ended at `t1`: its closing span and
+    /// its figures, in the registry's and in this agent's own account.
+    pub(crate) fn close_iteration(&mut self, t1: Nanos, report: &IterationReport) {
+        self.iterations += 1;
+        self.busy_ns += report.duration_ns;
+        let m = self.metrics;
+        let mut w = self.writer();
+        w.end(Scope::Agent, m.span_iteration, t1);
+        w.add(m.iterations, 1);
+        w.add(m.busy_ns, i128::from(report.duration_ns));
+        w.add(m.staged_table_ops, report.staged_table_ops as i128);
+        w.record(m.hist_iteration, report.duration_ns);
+        w.record(m.hist_measure, report.measure_ns);
+        w.record(m.hist_react, report.react_ns);
+        w.record(m.hist_update, report.update_ns);
+        w.record(m.hist_sync, report.sync_ns);
     }
 
     pub(crate) fn driver(&self) -> &dyn DriverApi {
@@ -169,9 +235,11 @@ impl Health {
         let backoff = self.policy.backoff(*attempt);
         *attempt += 1;
         self.retries += 1;
-        self.telemetry.counter_add(scopes::CTR_RETRIES, 1);
-        self.telemetry
-            .hist_record(scopes::HIST_RETRY_BACKOFF_NS, backoff);
+        {
+            let mut w = self.writer();
+            w.add(self.metrics.retries, 1);
+            w.record(self.metrics.retry_backoff, backoff);
+        }
         self.clock.advance(backoff);
         true
     }
@@ -244,6 +312,8 @@ control ingress { apply(t); }
         write(&mut h, 1).unwrap();
         // Two retries: one count, one counter tick and one backoff each.
         assert_eq!((h.retries(), seen.get()), (2, 4));
+        assert_eq!(h.telemetry().counter(scopes::CTR_RETRIES), 0, "buffered");
+        h.flush();
         assert_eq!(h.telemetry().counter(scopes::CTR_RETRIES), 2);
         let backoff = h.policy.backoff(0) + h.policy.backoff(1);
         assert!(h.now() - t0 >= backoff, "backoff is spent on the clock");
@@ -251,6 +321,7 @@ control ingress { apply(t); }
         h.reset_retries();
         write(&mut h, 2).unwrap();
         assert_eq!(h.retries(), 0);
+        h.flush();
         assert_eq!(h.telemetry().counter(scopes::CTR_RETRIES), 2);
     }
 

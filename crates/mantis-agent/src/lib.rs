@@ -486,6 +486,12 @@ control ingress { apply(blocklist); apply(adjust); }
         let paced_util = agent.run_paced(10, 200_000).unwrap();
         assert!(paced_util < 0.5, "paced utilization {paced_util}");
         assert!(clock.now() - t0 >= 2_000_000);
+        // The figures are the agent's own account, not the registry's: one
+        // that records nothing leaves them standing, and counting.
+        agent.set_telemetry(mantis_telemetry::Telemetry::disabled());
+        assert_eq!(agent.stats().iterations, 20);
+        assert!(agent.run_paced(5, 1_000).unwrap() > 0.0);
+        assert_eq!(agent.stats().iterations, 25);
     }
 
     #[test]
@@ -613,6 +619,78 @@ control ingress { apply(acl); }
             .borrow_mut()
             .inject(&PacketDesc::new(0).field("ip", "src", 666).payload(50));
         assert_eq!(switch.borrow().stats.dropped_ingress, dropped_before + 1);
+    }
+
+    /// Every entry point leaves what it recorded in the registry on the way
+    /// out — the failing ways included — under one hold of its lock: a
+    /// reader holding the registry itself (not `agent.telemetry()`, which
+    /// flushes) never finds records missing, and the switch never records
+    /// ahead of them.
+    #[test]
+    fn entry_points_flush_what_they_recorded_on_every_way_out() {
+        use driver_api::DriverOp;
+        let (compiled, switch) = testkit::switch_for(PROGRAM, &CompilerOptions::default(), 1);
+        let armed = Rc::new(std::cell::Cell::new(false));
+        let refuse_flips = armed.clone();
+        let hook = move |op: &DriverOp| match op {
+            DriverOp::SetDefaultOn {
+                is_init_flip: true, ..
+            } if refuse_flips.get() => Some(rmt_sim::DriverError::Injected {
+                op: "init_flip",
+                persistent: true,
+            }),
+            _ => None,
+        };
+        let driver = testkit::Hooked::new(switch, Box::new(hook));
+        let mut agent = MantisAgent::with_driver(&compiled, Box::new(driver));
+        let tel = mantis_telemetry::Telemetry::shared();
+        agent.set_telemetry(tel.clone());
+        let spans = |name: &str, ph: &str| {
+            let trace = tel.chrome_trace_json();
+            let (ph, name) = (format!("\"ph\":\"{ph}\""), format!("\"name\":\"{name}\""));
+            let hits = trace
+                .lines()
+                .filter(|l| l.contains(&ph) && l.contains(&name));
+            hits.count()
+        };
+
+        // `prologue` alone is visible.
+        assert_eq!(agent.telemetry_flushes(), 0);
+        agent.prologue().unwrap();
+        assert_eq!(agent.telemetry_flushes(), 1);
+        let driver_ops = |snap: &mantis_telemetry::Snapshot| -> i128 {
+            let calls = snap.counters.iter().filter(|(k, _)| k.ends_with("_calls"));
+            calls.map(|(_, v)| *v).sum()
+        };
+        let after_prologue = driver_ops(&tel.snapshot());
+        assert!(after_prologue > 0);
+
+        // So is an iteration that commits, under one flush …
+        agent.register_all_interpreted().unwrap();
+        agent.dialogue_iteration().unwrap();
+        assert_eq!(agent.telemetry_flushes(), 2);
+        assert_eq!((spans("iteration", "B"), spans("iteration", "E")), (1, 1));
+        assert_eq!(tel.counter(mantis_telemetry::scopes::CTR_ITERATIONS), 1);
+
+        // … and one whose measurement flip fails: its `measure` and
+        // `iteration` spans are closed and in the registry when the error
+        // comes back.
+        armed.set(true);
+        let err = agent.dialogue_iteration().unwrap_err();
+        assert_eq!(err.phase, Some(AgentPhase::Measure), "{err}");
+        assert_eq!(agent.telemetry_flushes(), 3);
+        assert_eq!((spans("iteration", "B"), spans("iteration", "E")), (2, 2));
+        assert_eq!((spans("measure", "B"), spans("measure", "E")), (2, 2));
+        // So is a failed `user_init`'s rollback.
+        let rollbacks = tel.counter(mantis_telemetry::scopes::CTR_ROLLBACKS);
+        let init = agent.user_init(|ctx| ctx.set_mbl("thresh", 7));
+        assert!(init.is_err());
+        assert_eq!(agent.telemetry_flushes(), 4);
+        assert_eq!(
+            tel.counter(mantis_telemetry::scopes::CTR_ROLLBACKS),
+            rollbacks + 1
+        );
+        assert_eq!(agent.stats().iterations, 1);
     }
 
     /// A transaction that cannot finish opening — a checkpoint or the

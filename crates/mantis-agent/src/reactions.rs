@@ -18,7 +18,7 @@ use crate::measure::{MeasurePlan, Snapshot};
 use crate::report::{AgentError, AgentErrorKind, AgentPhase};
 use crate::txn::Blame;
 use mantis_faults::{BreakerConfig, BreakerState, CircuitBreaker};
-use mantis_telemetry::{scopes, Scope, Telemetry};
+use mantis_telemetry::{scopes, Scope};
 use p4r_compiler::iface::ControlInterface;
 use p4r_compiler::Compiled;
 use p4r_lang::creact::Body;
@@ -312,7 +312,7 @@ impl Reactions {
         tables: &mut [LogicalTable],
         h: &Health,
     ) -> (Vec<ReactionFailure>, usize) {
-        let tel = h.telemetry();
+        let m = h.metrics();
         self.ranges.clear();
         let mut failures = Vec::new();
         let mut skipped = 0usize;
@@ -320,7 +320,7 @@ impl Reactions {
             let now = h.now();
             if !r.breaker.allow(now) {
                 skipped += 1;
-                tel.counter_add(scopes::CTR_QUARANTINE_SKIPS, 1);
+                h.writer().add(m.quarantine_skips, 1);
                 continue;
             }
             let marks = staged.marks();
@@ -360,7 +360,7 @@ impl Reactions {
                     let now = h.now();
                     let tripped = r.breaker.on_failure(now);
                     if tripped {
-                        note_quarantine(&mut self.had_quarantine, now, tel);
+                        note_quarantine(&mut self.had_quarantine, now, h);
                     }
                     let err = e.in_phase(AgentPhase::React).at_iteration(iter);
                     failures.push(ReactionFailure {
@@ -375,8 +375,9 @@ impl Reactions {
         // happened, so fault-free traces stay byte-identical.
         if self.had_quarantine {
             let q = self.quarantined(h.now()).count();
-            tel.gauge_set(scopes::GAUGE_QUARANTINED, q as i128);
-            tel.gauge_set(scopes::GAUGE_DEGRADED, (q > 0) as i128);
+            let mut w = h.writer();
+            w.set(m.quarantined, q as i128);
+            w.set(m.degraded, (q > 0) as i128);
         }
         (failures, skipped)
     }
@@ -404,17 +405,16 @@ impl Reactions {
         let reaction = reaction.reaction;
         let now = h.now();
         if self.registered[reaction].breaker.on_failure(now) {
-            note_quarantine(&mut self.had_quarantine, now, h.telemetry());
+            note_quarantine(&mut self.had_quarantine, now, h);
         }
     }
 }
 
 /// A breaker just tripped open.
-fn note_quarantine(had_quarantine: &mut bool, now: Nanos, tel: &Telemetry) {
+fn note_quarantine(had_quarantine: &mut bool, now: Nanos, h: &Health) {
     *had_quarantine = true;
-    if tel.is_enabled() {
-        tel.instant(Scope::Agent, "quarantine", now, &[]);
-    }
+    h.writer()
+        .mark(Scope::Agent, h.metrics().quarantine, now, &[]);
 }
 
 /// Lower the measurement poll of the program's reaction `name`.

@@ -201,9 +201,10 @@ pub struct IterationReport {
     pub reaction_failures: Vec<ReactionFailure>,
 }
 
-/// Cumulative agent statistics, materialized from the telemetry
-/// registry (`agent.iterations` / `agent.busy_ns` counters) by
-/// [`MantisAgent::stats`](crate::MantisAgent::stats).
+/// Cumulative statistics of one agent
+/// ([`MantisAgent::stats`](crate::MantisAgent::stats)): its own count of
+/// what it also adds to the registry's `agent.iterations` /
+/// `agent.busy_ns` counters, which every agent sharing that registry feeds.
 #[derive(Clone, Debug, Default)]
 pub struct AgentStats {
     pub iterations: u64,

@@ -16,7 +16,6 @@ use crate::isolation::Isolation;
 use crate::logical::{LogicalTable, LogicalUndo, Staged, StagedOp};
 use crate::reactions::Reactions;
 use crate::report::{AgentError, AgentPhase};
-use mantis_telemetry::scopes;
 use rmt_sim::{DriverError, Nanos, PortId, TableId};
 
 /// The staged op an apply attempt is carrying out, for breaker attribution
@@ -80,7 +79,7 @@ impl Txn {
                 Err(e) => {
                     self.rollback(staged, tables, h);
                     self.rollbacks += 1;
-                    h.telemetry().counter_add(scopes::CTR_ROLLBACKS, 1);
+                    h.writer().add(h.metrics().rollbacks, 1);
                     if e.is_transient() && h.retry_after(&mut attempt) {
                         continue;
                     }

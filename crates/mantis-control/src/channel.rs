@@ -27,11 +27,10 @@ use crate::wire::{
     encode_request_frame_into, DecodeScratch, DriverOp, DriverResponse, FrameBody, RequestBatch,
 };
 use mantis_faults::{FaultInjector, FaultPlan, Injection};
-use mantis_telemetry::{scopes, CounterId, HistId, Telemetry};
+use mantis_telemetry::{scopes, CounterId, HistId, SharedWriter, Writer};
 use rmt_sim::{Clock, DriverError, Nanos};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Latency/bandwidth/reliability parameters of one control channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,10 +83,15 @@ pub struct Channel {
     plane: Rc<RefCell<ControlPlane>>,
     client: u16,
     next_seq: u64,
-    telemetry: Arc<Telemetry>,
-    /// Handles for the per-frame records, resolved in `set_telemetry`.
+    /// The record buffer of the stack this channel is part of, which the
+    /// plane records its side of each frame into as well; `None` (an
+    /// arbitration channel, nobody's stack) records nothing.
+    writer: Option<SharedWriter>,
+    /// Handles for the channel's records, resolved in `set_telemetry`.
     frames: CounterId,
     bytes: CounterId,
+    drops: CounterId,
+    dups: CounterId,
     rtt_ns: HistId,
     /// The frame [`request`](Channel::request) encodes its ops into.
     req: Vec<u8>,
@@ -112,9 +116,11 @@ impl Channel {
             plane,
             client,
             next_seq: 0,
-            telemetry: Telemetry::disabled(),
+            writer: None,
             frames: CounterId::default(),
             bytes: CounterId::default(),
+            drops: CounterId::default(),
+            dups: CounterId::default(),
             rtt_ns: HistId::default(),
             req: Vec::new(),
             resp: Vec::new(),
@@ -131,11 +137,23 @@ impl Channel {
         self.client
     }
 
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+    /// Record into `writer`, the buffer of the stack this channel is part
+    /// of (its owner flushes it).
+    pub fn set_telemetry(&mut self, writer: SharedWriter) {
+        let telemetry = writer.borrow().telemetry().clone();
         self.frames = telemetry.register_counter(scopes::CTR_CONTROL_FRAMES);
         self.bytes = telemetry.register_counter(scopes::CTR_CONTROL_BYTES);
+        self.drops = telemetry.register_counter(scopes::CTR_CONTROL_DROPS);
+        self.dups = telemetry.register_counter(scopes::CTR_CONTROL_DUPS);
         self.rtt_ns = telemetry.register_hist(scopes::HIST_CONTROL_RTT_NS);
-        self.telemetry = telemetry;
+        self.writer = Some(writer);
+    }
+
+    /// Make one burst of records, if anyone is listening.
+    fn record(&self, records: impl FnOnce(&mut Writer)) {
+        if let Some(writer) = &self.writer {
+            records(&mut writer.borrow_mut());
+        }
     }
 
     /// Arm a fault plan on this channel (only its `FaultOp::Control`
@@ -234,7 +252,7 @@ impl Channel {
         loop {
             match self.attempt(bytes) {
                 Ok(()) => {
-                    self.telemetry.record(self.rtt_ns, self.clock.now() - t0);
+                    self.record(|w| w.record(self.rtt_ns, self.clock.now() - t0));
                     return Ok(());
                 }
                 Err(DriverError::Injected {
@@ -254,7 +272,7 @@ impl Channel {
         self.transfer(bytes.len());
         match self.injector.decide("control_req", self.clock.now()) {
             Some(Injection::Fail { persistent }) => {
-                self.telemetry.counter_add(scopes::CTR_CONTROL_DROPS, 1);
+                self.record(|w| w.add(self.drops, 1));
                 return Err(DriverError::Injected {
                     op: "control_req",
                     persistent,
@@ -276,7 +294,7 @@ impl Channel {
         for _ in 0..deliveries {
             self.plane
                 .borrow_mut()
-                .handle_frame_into(self.client, bytes, &mut self.resp)
+                .handle_frame_for(self.client, bytes, &mut self.resp, self.writer.as_ref())
                 .expect("invariant: channel frames are never corrupted in flight");
         }
 
@@ -284,7 +302,7 @@ impl Channel {
         self.transfer(len);
         match self.injector.decide("control_resp", self.clock.now()) {
             Some(Injection::Fail { persistent }) => {
-                self.telemetry.counter_add(scopes::CTR_CONTROL_DROPS, 1);
+                self.record(|w| w.add(self.drops, 1));
                 return Err(DriverError::Injected {
                     op: "control_resp",
                     persistent,
@@ -292,9 +310,7 @@ impl Channel {
             }
             Some(Injection::Delay { factor_milli }) => self.delay(len, factor_milli),
             // A duplicated response: the client keeps one copy.
-            Some(Injection::Duplicate) => {
-                self.telemetry.counter_add(scopes::CTR_CONTROL_DUPS, 1);
-            }
+            Some(Injection::Duplicate) => self.record(|w| w.add(self.dups, 1)),
             // The controller dies with the response in flight: the batch
             // *was* applied on the device — exactly the torn case the
             // successor's reconcile repairs.
@@ -311,10 +327,10 @@ impl Channel {
         let cost =
             self.cfg.latency_ns + self.cfg.per_frame_ns + len as Nanos * self.cfg.per_byte_ns;
         self.clock.advance(cost);
-        if let Some(mut rec) = self.telemetry.recorder() {
-            rec.add(self.frames, 1);
-            rec.add(self.bytes, len as i128);
-        }
+        self.record(|w| {
+            w.add(self.frames, 1);
+            w.add(self.bytes, len as i128);
+        });
         cost
     }
 

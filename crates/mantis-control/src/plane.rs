@@ -32,7 +32,7 @@
 
 use crate::wire::{DecodeScratch, DriverOp, DriverResponse, FrameBody, ResponseFrame, WireError};
 use mantis_agent::{CostModel, DriverApi, LocalDriver};
-use mantis_telemetry::{scopes, Telemetry};
+use mantis_telemetry::{scopes, CounterId, SharedWriter, Telemetry, Writer};
 use p4_ast::Value;
 use rmt_sim::{Clock, Nanos, SharedSwitch};
 use std::cell::RefCell;
@@ -76,7 +76,15 @@ impl DedupRing {
 /// The device-side endpoint: decodes frames onto a [`LocalDriver`].
 pub struct ControlPlane {
     driver: LocalDriver,
-    telemetry: Arc<Telemetry>,
+    /// Where the frame being handled is recorded — by this plane and by
+    /// `driver` alike: the buffer of the stack that sent it, or `own`.
+    recording: SharedWriter,
+    /// The plane's own buffer, for frames that come from outside any stack
+    /// (an arbitration channel, a caller of
+    /// [`handle_frame`](ControlPlane::handle_frame)): flushed per frame.
+    own: SharedWriter,
+    /// `control.frames_duplicated` in `recording`'s registry.
+    dups: CounterId,
     next_client: u16,
     /// Dedup state per client id.
     dedup: Vec<DedupRing>,
@@ -93,9 +101,12 @@ pub struct ControlPlane {
 
 impl ControlPlane {
     pub fn new(switch: SharedSwitch, cost: CostModel) -> Self {
+        let own = Writer::shared(Telemetry::disabled());
         ControlPlane {
             driver: LocalDriver::new(switch, cost),
-            telemetry: Telemetry::disabled(),
+            recording: own.clone(),
+            own,
+            dups: CounterId::default(),
             next_client: 0,
             dedup: Vec::new(),
             request: DecodeScratch::default(),
@@ -133,9 +144,17 @@ impl ControlPlane {
         id
     }
 
+    /// The registry that frames from outside any stack are recorded in.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.driver.set_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
+        self.own = Writer::shared(telemetry);
+        self.record_into(self.own.clone());
+    }
+
+    fn record_into(&mut self, writer: SharedWriter) {
+        let telemetry = writer.borrow().telemetry().clone();
+        self.dups = telemetry.register_counter(scopes::CTR_CONTROL_DUPS);
+        self.driver.set_telemetry(writer.clone());
+        self.recording = writer;
     }
 
     /// Duplicate frames absorbed by sequence-number dedup.
@@ -172,6 +191,36 @@ impl ControlPlane {
         bytes: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), WireError> {
+        self.handle_frame_for(client, bytes, out, None)
+    }
+
+    /// [`handle_frame_into`](ControlPlane::handle_frame_into) for a frame
+    /// of the stack that records into `writer`: everything the plane and
+    /// its driver record while handling it goes there, in order with what
+    /// the sender recorded around it, and is flushed when the sender's
+    /// buffer is. A plane shared by two controllers thus never leaves one's
+    /// records in the other's buffer. Without a writer the records go to
+    /// the plane's own, flushed before this returns.
+    pub(crate) fn handle_frame_for(
+        &mut self,
+        client: u16,
+        bytes: &[u8],
+        out: &mut Vec<u8>,
+        writer: Option<&SharedWriter>,
+    ) -> Result<(), WireError> {
+        let to = writer.unwrap_or(&self.own);
+        if !Rc::ptr_eq(to, &self.recording) {
+            let to = to.clone();
+            self.record_into(to);
+        }
+        let handled = self.handle(client, bytes, out);
+        if writer.is_none() {
+            self.own.borrow_mut().flush();
+        }
+        handled
+    }
+
+    fn handle(&mut self, client: u16, bytes: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
         let frame = self.request.decode(bytes)?;
         let seq = frame.seq;
         let ops = match &mut frame.body {
@@ -190,7 +239,7 @@ impl ControlPlane {
         }
         if let Some(cached) = self.dedup[usize::from(client)].find(seq) {
             self.duplicates_seen += 1;
-            self.telemetry.counter_add(scopes::CTR_CONTROL_DUPS, 1);
+            self.recording.borrow_mut().add(self.dups, 1);
             out.clear();
             out.extend_from_slice(cached);
         } else {

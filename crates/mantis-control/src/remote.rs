@@ -34,12 +34,11 @@ use mantis_agent::costmodel::CostModel;
 use mantis_agent::driver::DriverStats;
 use mantis_agent::DriverApi;
 use mantis_faults::FaultPlan;
-use mantis_telemetry::{scopes, HistId, Telemetry};
+use mantis_telemetry::{scopes, HistId, SharedWriter, Telemetry, Writer};
 use p4_ast::Value;
 use rmt_sim::{Clock, DataPlaneSpec, DriverError, Nanos};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// How a batch send failed.
 enum SendFailure {
@@ -61,7 +60,9 @@ pub struct RemoteDriver {
     clock: Clock,
     pending: RequestBatch,
     batching: bool,
-    telemetry: Arc<Telemetry>,
+    /// The buffer of the stack this driver is part of; the channel and the
+    /// plane's handling of this driver's frames record into it too.
+    writer: SharedWriter,
     /// Handle for `control.batch_size`, resolved in `set_telemetry`.
     batch_size: HistId,
 }
@@ -98,7 +99,7 @@ impl RemoteDriver {
             clock,
             pending: RequestBatch::new(),
             batching,
-            telemetry: Telemetry::disabled(),
+            writer: Writer::shared(Telemetry::disabled()),
             batch_size: HistId::default(),
         }
     }
@@ -161,7 +162,9 @@ impl RemoteDriver {
     /// channel; on failure the batch is as it was.
     fn send(&mut self) -> Result<&mut [DriverResponse], SendFailure> {
         let sent = self.pending.len();
-        self.telemetry.record(self.batch_size, sent as u64);
+        self.writer
+            .borrow_mut()
+            .record(self.batch_size, sent as u64);
         let rs = self
             .channel
             .send(&mut self.pending)
@@ -320,11 +323,14 @@ impl DriverApi for RemoteDriver {
         self.plane.borrow().driver().fabric_index()
     }
 
-    fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.channel.set_telemetry(telemetry.clone());
-        self.plane.borrow_mut().set_telemetry(telemetry.clone());
+    fn set_telemetry(&mut self, writer: SharedWriter) {
+        let telemetry = writer.borrow().telemetry().clone();
+        self.channel.set_telemetry(writer.clone());
         self.batch_size = telemetry.register_hist(scopes::HIST_CONTROL_BATCH);
-        self.telemetry = telemetry;
+        // Frames that come to the plane from outside any stack are
+        // recorded in the registry of the last stack attached to it.
+        self.plane.borrow_mut().set_telemetry(telemetry);
+        self.writer = writer;
     }
 
     fn stats(&self) -> DriverStats {

@@ -30,16 +30,18 @@
 //! set-up code, tests and one-off names; they intern and then take the
 //! same path (DESIGN.md §6).
 //!
-//! The handle is `Arc`-shared and internally mutexed, so the deterministic
-//! parallel fabric executor (DESIGN.md §12) can hand worker threads
-//! per-shard *staging* handles ([`Telemetry::staging`]) that share the
-//! parent's name table, and merge them back into the main registry in
-//! canonical shard order at each epoch barrier
-//! ([`Telemetry::merge_from`]) — trace bytes stay identical to a
-//! sequential run at any worker count.
+//! The registry is `Arc`-shared and internally mutexed, and nothing on a
+//! hot path takes that mutex per record: each thread of control — a
+//! switch, an agent with the driver, channel and plane beneath it — owns a
+//! [`Writer`], a plain buffer of small `Copy` records that
+//! [`Writer::flush`] replays into the registry, in order, under one lock
+//! per unit of work. Exports are byte-identical to recording the same
+//! sequence directly.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -220,12 +222,11 @@ impl Default for TelemetryConfig {
 /// copyable indices; recording through one does no allocation, no
 /// formatting and no string comparison.
 ///
-/// A handle is bound to the name table that issued it. Registries that
-/// share that table — a registry and every [`Telemetry::staging`] buffer
-/// derived from it — accept each other's handles; any other registry
-/// panics on it ([`Telemetry::owns`] is the check to run before reusing a
-/// cached handle against a new registry). `NameId::default()` is a
-/// placeholder owned by no table.
+/// A handle is bound to the name table that issued it: the registry it
+/// was resolved against and every [`Writer`] feeding that registry accept
+/// it; any other registry panics on it ([`Telemetry::owns`] is the check to
+/// run before reusing a cached handle against a new registry).
+/// `NameId::default()` is a placeholder owned by no table.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct NameId {
     /// Tag of the issuing name table (0 = none).
@@ -277,10 +278,10 @@ pub struct DriverOpId {
 /// nothing but its own value.
 static NEXT_TABLE_TAG: AtomicU32 = AtomicU32::new(1);
 
-/// Append-only string interner shared by a registry and its stagings.
-/// Indices are assigned in first-intern order, which may differ between
-/// runs when worker threads intern concurrently — so nothing observable
-/// ever iterates in index order (exports sort by name).
+/// A registry's append-only string interner. Indices are assigned in
+/// first-intern order, which may differ between runs when worker threads
+/// intern concurrently — so nothing observable ever iterates in index
+/// order (exports sort by name).
 #[derive(Debug)]
 struct NameTable {
     tag: u32,
@@ -294,11 +295,11 @@ struct Names {
 }
 
 impl NameTable {
-    fn new() -> Arc<NameTable> {
-        Arc::new(NameTable {
+    fn new() -> NameTable {
+        NameTable {
             tag: NEXT_TABLE_TAG.fetch_add(1, Ordering::Relaxed),
             names: Mutex::new(Names::default()),
-        })
+        }
     }
 
     fn lock(&self) -> MutexGuard<'_, Names> {
@@ -420,19 +421,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Fold another histogram into this one (bucket-wise). Histograms are
-    /// distributions, so merging is commutative — the epoch-barrier merge
-    /// still applies shards in canonical order for uniformity.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     pub fn count(&self) -> u64 {
         self.count
     }
@@ -513,14 +501,18 @@ impl Snapshot {
 
 // -- the shared handle ------------------------------------------------------
 
-/// Ring buffer plus value slots. Slots are indexed by name-table index;
-/// `None` means "not touched since construction, [`Telemetry::reset`] or
-/// being drained by [`Telemetry::merge_from`]" and is invisible to every
-/// export — registering a name never changes a snapshot.
+/// Trace ring plus value slots. Slots are indexed by name-table index;
+/// `None` means "not touched since construction or [`Telemetry::reset`]"
+/// and is invisible to every export — registering a name never changes a
+/// snapshot.
 #[derive(Debug, Default)]
 struct Inner {
     trace_capacity: usize,
-    events: VecDeque<Event>,
+    /// The ring's storage: it grows to `trace_capacity` events, and from
+    /// then on `head` is the oldest one, which the next push overwrites.
+    /// Oldest to newest is `[head..]` then `[..head]`.
+    events: Vec<Event>,
+    head: usize,
     /// The arg pairs of the buffered events, oldest event's first: an event
     /// entering or leaving `events` takes its `nargs` pairs with it.
     args: VecDeque<Arg>,
@@ -542,53 +534,77 @@ fn slot<T>(slots: &mut Vec<Option<T>>, idx: u32) -> &mut Option<T> {
 
 impl Inner {
     /// Buffer `ev`, whose arg pairs `args` yields (`ev.nargs` of them),
-    /// evicting the oldest event once the ring is full.
+    /// over the oldest event once the ring is full.
     fn push(&mut self, ev: Event, args: impl IntoIterator<Item = Arg>) {
-        if self.trace_capacity == 0 {
+        if self.events.len() < self.trace_capacity {
+            self.events.push(ev);
+        } else if self.trace_capacity == 0 {
             self.events_dropped += 1;
             return;
-        }
-        if self.events.len() >= self.trace_capacity {
-            if let Some(old) = self.events.pop_front() {
-                self.args.drain(..usize::from(old.nargs));
+        } else {
+            if self.events_dropped == 0 {
+                // A full ring holds at most this many pairs. Reserved once,
+                // on the first eviction, so that a ring that has wrapped
+                // never allocates again; memory the pairs never reach is
+                // never touched.
+                let most = self.trace_capacity.saturating_mul(MAX_EVENT_ARGS);
+                self.args.reserve(most - self.args.len());
+            }
+            // Only an event with arg pairs takes any out of the side ring,
+            // and while that is empty no buffered event has one: the
+            // evicted record is not even read, and the push is one store.
+            if !self.args.is_empty() {
+                let evicted = usize::from(self.events[self.head].nargs);
+                self.args.drain(..evicted);
+            }
+            self.events[self.head] = ev;
+            self.head += 1;
+            if self.head == self.trace_capacity {
+                self.head = 0;
             }
             self.events_dropped += 1;
-            // A full ring holds at most this many pairs. Reserved once, on
-            // the first eviction (a no-op from then on), so that a ring
-            // that has wrapped never allocates again; memory the pairs
-            // never reach is never touched.
-            let most = self.trace_capacity.saturating_mul(MAX_EVENT_ARGS);
-            self.args.reserve(most - self.args.len());
         }
-        self.events.push_back(ev);
-        self.args.extend(args);
+        if ev.nargs > 0 {
+            self.args.extend(args);
+        }
+    }
+
+    /// The buffered events, oldest first.
+    fn events(&self) -> impl Iterator<Item = &Event> {
+        let (newer, older) = self.events.split_at(self.head);
+        older.iter().chain(newer)
+    }
+
+    fn add(&mut self, idx: u32, delta: i128) {
+        *slot(&mut self.counters, idx).get_or_insert(0) += delta;
+    }
+
+    fn set(&mut self, idx: u32, value: i128) {
+        *slot(&mut self.gauges, idx) = Some(value);
+    }
+
+    fn record(&mut self, idx: u32, value: u64) {
+        slot(&mut self.hists, idx)
+            .get_or_insert_with(Histogram::default)
+            .record(value);
     }
 }
 
-/// Which registry a poison panic names.
-#[derive(Debug)]
-enum Label {
-    Registry,
-    /// A staging buffer, for fabric switch `i` when known.
-    Staging(Option<usize>),
-}
-
-/// The shared telemetry handle. Clone the `Arc` freely; all methods
-/// take `&self`.
+/// The shared telemetry registry. Clone the `Arc` freely; all methods
+/// take `&self` and lock per call — the form for set-up code, tests and
+/// one-off records. Code that records per packet, per driver op or per
+/// iteration goes through a [`Writer`].
 ///
 /// Every record call exists twice: by handle ([`add`](Telemetry::add),
 /// [`set`](Telemetry::set), [`record`](Telemetry::record),
 /// [`begin`](Telemetry::begin), [`end`](Telemetry::end),
-/// [`mark`](Telemetry::mark)) for call sites that run per packet, per
-/// driver op or per iteration and resolve their names once, and by name
-/// ([`counter_add`](Telemetry::counter_add) …) for everything else. The
-/// by-name form interns the name and calls the by-handle form, so both
-/// write the same slots.
+/// [`mark`](Telemetry::mark)) and by name
+/// ([`counter_add`](Telemetry::counter_add) …). The by-name form interns
+/// the name and calls the by-handle form, so both write the same slots.
 #[derive(Debug)]
 pub struct Telemetry {
-    names: Arc<NameTable>,
+    names: NameTable,
     inner: Mutex<Inner>,
-    label: Label,
     /// Fixed at construction and checked before anything else in every
     /// record call: a disabled handle costs one flag read.
     enabled: bool,
@@ -596,41 +612,24 @@ pub struct Telemetry {
 
 impl Telemetry {
     pub fn new(config: TelemetryConfig) -> Self {
-        Telemetry::with_names(NameTable::new(), config, Label::Registry)
-    }
-
-    fn with_names(names: Arc<NameTable>, config: TelemetryConfig, label: Label) -> Self {
         Telemetry {
-            names,
+            names: NameTable::new(),
             inner: Mutex::new(Inner {
                 trace_capacity: config.trace_capacity,
                 ..Inner::default()
             }),
-            label,
             enabled: config.enabled,
         }
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(_) => {
-                // A recorder panicked while holding the registry. Limping
-                // on over half-applied counter updates would surface as
-                // an unrelated conservation-oracle failure later — crash
-                // loudly here, naming the registry, so chaos-test
-                // failures point at the shard that died.
-                let who = match self.label {
-                    Label::Registry => "shared registry".to_string(),
-                    Label::Staging(None) => "unnamed staging shard".to_string(),
-                    Label::Staging(Some(i)) => format!("staging shard for switch {i}"),
-                };
-                panic!(
-                    "Telemetry: lock poisoned ({who}) — a recorder panicked \
-                     mid-update; metrics are suspect, aborting"
-                );
-            }
-        }
+        // A recorder panicked while holding the registry. Limping on over
+        // half-applied counter updates would surface as an unrelated
+        // conservation-oracle failure later — crash loudly here instead.
+        self.inner.lock().expect(
+            "Telemetry: registry lock poisoned — a recorder panicked mid-update; \
+             metrics are suspect, aborting",
+        )
     }
 
     /// An enabled handle with default config, ready to share.
@@ -645,90 +644,6 @@ impl Telemetry {
             enabled: false,
             trace_capacity: 0,
         }))
-    }
-
-    /// A per-shard staging handle mirroring this handle's master switch:
-    /// enabled iff `self` is, with an effectively unbounded ring so
-    /// *which* events get dropped stays a property of the main ring's
-    /// capacity, not of how the epoch was sharded. It shares this
-    /// handle's name table, so handles resolved against either work on
-    /// both. Worker threads record into their shard's staging handle; the
-    /// coordinator folds the buffers back in canonical shard order with
-    /// [`Telemetry::merge_from`], which leaves the staging empty and
-    /// ready for the next epoch.
-    pub fn staging(&self) -> Arc<Telemetry> {
-        self.staging_labeled(None)
-    }
-
-    /// [`Telemetry::staging`] for fabric switch `switch`, named in the
-    /// poison panic if a worker dies while holding the staging registry.
-    pub fn staging_for_switch(&self, switch: usize) -> Arc<Telemetry> {
-        self.staging_labeled(Some(switch))
-    }
-
-    fn staging_labeled(&self, switch: Option<usize>) -> Arc<Telemetry> {
-        Arc::new(Telemetry::with_names(
-            self.names.clone(),
-            TelemetryConfig {
-                enabled: self.enabled,
-                trace_capacity: if self.enabled { usize::MAX } else { 0 },
-            },
-            Label::Staging(switch),
-        ))
-    }
-
-    /// Drain `staged` into this handle: trace events are appended in
-    /// their recorded order (subject to this handle's ring capacity,
-    /// exactly as if they had been recorded here directly), counters add,
-    /// gauges take the staged final value, and histograms fold
-    /// bucket-wise. Calling this for every shard in canonical
-    /// `(switch, pipe)` order reproduces the byte-exact sequential
-    /// recording order. `staged` keeps its buffers' capacity, so a
-    /// staging reused every epoch stops allocating once warm.
-    ///
-    /// Registries sharing a name table (a [`Telemetry::staging`] buffer
-    /// and its parent) merge index-wise; any other pair is merged by name.
-    pub fn merge_from(&self, staged: &Telemetry) {
-        if !self.enabled || !staged.enabled {
-            return;
-        }
-        let mut src = staged.lock();
-        // Source index → destination index; `None` is the identity.
-        let xlat: Option<Vec<u32>> = if Arc::ptr_eq(&self.names, &staged.names) {
-            None
-        } else {
-            let names = staged.names.lock().by_idx.clone();
-            Some(names.iter().map(|n| self.names.intern(n)).collect())
-        };
-        let map = |idx: u32| xlat.as_ref().map_or(idx, |x| x[idx as usize]);
-        let mut dst = self.lock();
-        // Staging rings are unbounded, so `events_dropped` is 0 in
-        // practice; carry it anyway so accounting can never lose events
-        // silently.
-        dst.events_dropped += std::mem::take(&mut src.events_dropped);
-        let src = &mut *src;
-        for mut ev in src.events.drain(..) {
-            ev.name = map(ev.name);
-            dst.push(ev, src.args.drain(..usize::from(ev.nargs)));
-        }
-        for (i, delta) in src.counters.iter_mut().enumerate() {
-            if let Some(delta) = delta.take() {
-                *slot(&mut dst.counters, map(i as u32)).get_or_insert(0) += delta;
-            }
-        }
-        for (i, value) in src.gauges.iter_mut().enumerate() {
-            if let Some(value) = value.take() {
-                *slot(&mut dst.gauges, map(i as u32)) = Some(value);
-            }
-        }
-        for (i, h) in src.hists.iter_mut().enumerate() {
-            if let Some(h) = h.take() {
-                match slot(&mut dst.hists, map(i as u32)) {
-                    Some(existing) => existing.merge(&h),
-                    empty => *empty = Some(h),
-                }
-            }
-        }
     }
 
     pub fn is_enabled(&self) -> bool {
@@ -776,44 +691,59 @@ impl Telemetry {
         }
     }
 
-    /// Whether `id` was issued by this registry's name table (its own, or
-    /// the one it shares with its parent / stagings), i.e. whether a
-    /// cached handle may be used here or must be re-resolved.
+    /// Whether `id` was issued by this registry's name table, i.e. whether
+    /// a cached handle may be used here or must be re-resolved.
     pub fn owns(&self, id: impl Into<NameId>) -> bool {
         id.into().table == self.names.tag
     }
 
-    /// Lock the registry for a burst of by-handle records — the records of
-    /// one packet, one driver op, one iteration — so the burst pays for one
-    /// lock acquisition instead of one per record. `None` on a disabled
-    /// handle. The lock is not reentrant: drop the recorder before anything
-    /// else that records into this registry.
-    pub fn recorder(&self) -> Option<Recorder<'_>> {
-        self.enabled.then(|| Recorder {
-            inner: self.lock(),
-            table: self.names.tag,
-        })
+    /// The slot index behind a handle issued by this registry's table.
+    fn index(&self, id: NameId) -> u32 {
+        assert!(
+            id.table == self.names.tag,
+            "Telemetry: handle {id:?} was issued by another name table (this one is {}); \
+             re-resolve cached handles when the registry changes",
+            self.names.tag
+        );
+        id.idx
+    }
+
+    /// The ring record of one trace event carrying `args`.
+    fn event(&self, scope: Scope, phase: Phase, name: NameId, t: Nanos, args: &[Arg]) -> Event {
+        assert!(
+            args.len() <= MAX_EVENT_ARGS,
+            "Telemetry: an instant event carries at most {MAX_EVENT_ARGS} args, got {}",
+            args.len()
+        );
+        Event {
+            t,
+            name: self.index(name),
+            scope,
+            phase,
+            nargs: args.len() as u8,
+        }
+    }
+
+    fn push(&self, scope: Scope, phase: Phase, name: NameId, t: Nanos, args: &[Arg]) {
+        if self.enabled {
+            let ev = self.event(scope, phase, name, t, args);
+            self.lock().push(ev, args.iter().copied());
+        }
     }
 
     // -- tracer ------------------------------------------------------------
 
     pub fn begin(&self, scope: Scope, name: NameId, t: Nanos) {
-        if let Some(mut r) = self.recorder() {
-            r.begin(scope, name, t);
-        }
+        self.push(scope, Phase::Begin, name, t, &[]);
     }
 
     pub fn end(&self, scope: Scope, name: NameId, t: Nanos) {
-        if let Some(mut r) = self.recorder() {
-            r.end(scope, name, t);
-        }
+        self.push(scope, Phase::End, name, t, &[]);
     }
 
     /// A point event with at most [`MAX_EVENT_ARGS`] numeric args.
     pub fn mark(&self, scope: Scope, name: NameId, t: Nanos, args: &[(&'static str, i128)]) {
-        if let Some(mut r) = self.recorder() {
-            r.mark(scope, name, t, args);
-        }
+        self.push(scope, Phase::Instant, name, t, args);
     }
 
     pub fn span_begin(&self, scope: Scope, name: &str, t: Nanos) {
@@ -832,20 +762,20 @@ impl Telemetry {
     // -- metrics registry --------------------------------------------------
 
     pub fn add(&self, id: CounterId, delta: i128) {
-        if let Some(mut r) = self.recorder() {
-            r.add(id, delta);
+        if self.enabled {
+            self.lock().add(self.index(id.0), delta);
         }
     }
 
     pub fn set(&self, id: GaugeId, value: i128) {
-        if let Some(mut r) = self.recorder() {
-            r.set(id, value);
+        if self.enabled {
+            self.lock().set(self.index(id.0), value);
         }
     }
 
     pub fn record(&self, id: HistId, value: u64) {
-        if let Some(mut r) = self.recorder() {
-            r.record(id, value);
+        if self.enabled {
+            self.lock().record(self.index(id.0), value);
         }
     }
 
@@ -854,8 +784,10 @@ impl Telemetry {
     /// reaction-loop profile (batched register reads vs table writes
     /// vs scalar updates all show up as separate histograms).
     pub fn record_driver_op(&self, op: &DriverOpId, cost_ns: Nanos) {
-        if let Some(mut r) = self.recorder() {
-            r.driver_op(op, cost_ns);
+        if self.enabled {
+            let mut inner = self.lock();
+            inner.add(self.index(op.calls.0), 1);
+            inner.record(self.index(op.ns.0), cost_ns);
         }
     }
 
@@ -874,17 +806,6 @@ impl Telemetry {
     /// By-name form of [`record_driver_op`](Telemetry::record_driver_op).
     pub fn driver_op(&self, op: &str, cost_ns: Nanos) {
         self.record_driver_op(&self.register_driver_op(op), cost_ns);
-    }
-
-    /// Current value of a counter by handle (0 if never touched).
-    pub fn counter_value(&self, id: CounterId) -> i128 {
-        match self.recorder() {
-            Some(r) => {
-                let idx = r.index(id.0) as usize;
-                r.inner.counters.get(idx).copied().flatten().unwrap_or(0)
-            }
-            None => 0,
-        }
     }
 
     pub fn counter(&self, name: &str) -> i128 {
@@ -911,17 +832,6 @@ impl Telemetry {
             .copied()
             .flatten()
             .unwrap_or(0)
-    }
-
-    pub fn hist_quantile(&self, name: &str, q: f64) -> u64 {
-        let Some(idx) = self.names.lookup(name) else {
-            return 0;
-        };
-        let inner = self.lock();
-        match inner.hists.get(idx as usize) {
-            Some(Some(h)) => h.quantile(q),
-            _ => 0,
-        }
     }
 
     pub fn snapshot(&self) -> Snapshot {
@@ -952,6 +862,7 @@ impl Telemetry {
     pub fn reset(&self) {
         let mut inner = self.lock();
         inner.events.clear();
+        inner.head = 0;
         inner.args.clear();
         inner.events_dropped = 0;
         inner.counters.clear();
@@ -986,7 +897,7 @@ impl Telemetry {
             );
         }
         let mut args = inner.args.iter();
-        for ev in &inner.events {
+        for ev in inner.events() {
             if !first {
                 out.push_str(",\n");
             }
@@ -1080,47 +991,88 @@ impl Telemetry {
     }
 }
 
-/// A locked, enabled registry ([`Telemetry::recorder`]): every by-handle
-/// record call, minus the lock acquisition.
-pub struct Recorder<'a> {
-    inner: MutexGuard<'a, Inner>,
-    /// Tag of the registry's name table.
-    table: u32,
+/// One buffered record of a [`Writer`]: a ring event, or a slot update by
+/// name-table index. Values are kept narrow; the rare one that does not fit
+/// is recorded straight away, in its place.
+#[derive(Clone, Copy, Debug)]
+enum Rec {
+    Event(Event),
+    Add(u32, i64),
+    Set(u32, i64),
+    Record(u32, u64),
 }
 
-impl Recorder<'_> {
-    /// The slot index behind a handle issued by this registry's table.
-    fn index(&self, id: NameId) -> u32 {
-        assert!(
-            id.table == self.table,
-            "Telemetry: handle {id:?} was issued by another name table (this one is {}); \
-             re-resolve cached handles when the registry changes",
-            self.table
-        );
-        id.idx
+const _: () = assert!(std::mem::size_of::<Rec>() <= 24);
+
+/// A [`Writer`] shared down one single-threaded stack of components (an
+/// agent, its driver, the channel and plane beneath it), so that all of
+/// them record into one buffer in program order.
+pub type SharedWriter = Rc<RefCell<Writer>>;
+
+/// A record buffer owned by one thread of control, feeding one registry.
+/// The by-handle record calls take `&mut self` and no lock;
+/// [`flush`](Writer::flush) takes the registry lock once and replays the
+/// buffer in order, which leaves the registry exactly as if every record
+/// had been made on it directly. Whoever owns the writer flushes it at the
+/// end of each unit of work, before anything else may record into, or
+/// read, the registry.
+#[derive(Debug)]
+pub struct Writer {
+    tel: Arc<Telemetry>,
+    recs: Vec<Rec>,
+    /// The arg pairs of the buffered events, in event order.
+    args: Vec<Arg>,
+    flushes: u64,
+}
+
+impl Writer {
+    pub fn new(tel: Arc<Telemetry>) -> Self {
+        Writer {
+            tel,
+            recs: Vec::new(),
+            args: Vec::new(),
+            flushes: 0,
+        }
     }
 
-    fn push(
-        &mut self,
-        scope: Scope,
-        phase: Phase,
-        name: NameId,
-        t: Nanos,
-        args: &[(&'static str, i128)],
-    ) {
-        assert!(
-            args.len() <= MAX_EVENT_ARGS,
-            "Telemetry: an instant event carries at most {MAX_EVENT_ARGS} args, got {}",
-            args.len()
-        );
-        let ev = Event {
-            t,
-            name: self.index(name),
-            scope,
-            phase,
-            nargs: args.len() as u8,
-        };
-        self.inner.push(ev, args.iter().copied());
+    pub fn shared(tel: Arc<Telemetry>) -> SharedWriter {
+        Rc::new(RefCell::new(Writer::new(tel)))
+    }
+
+    /// The registry this writer feeds.
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.tel
+    }
+
+    /// Whether records go anywhere: check before computing what to record.
+    pub fn is_enabled(&self) -> bool {
+        self.tel.enabled
+    }
+
+    /// Times this writer has taken the registry lock.
+    pub fn flushes(&self) -> u64 {
+        self.flushes
+    }
+
+    /// Buffer one record. The buffer is sized on its first record, for a
+    /// typical unit of work (128 records, 3 KiB) rather than by a walk up
+    /// the doubling ladder, and keeps whatever it grows to.
+    fn buffer(&mut self, rec: Rec) {
+        if self.recs.capacity() == 0 {
+            self.recs.reserve(128);
+            self.args.reserve(MAX_EVENT_ARGS);
+        }
+        self.recs.push(rec);
+    }
+
+    fn push(&mut self, scope: Scope, phase: Phase, name: NameId, t: Nanos, args: &[Arg]) {
+        if self.tel.enabled {
+            let ev = self.tel.event(scope, phase, name, t, args);
+            self.buffer(Rec::Event(ev));
+            if !args.is_empty() {
+                self.args.extend_from_slice(args);
+            }
+        }
     }
 
     pub fn begin(&mut self, scope: Scope, name: NameId, t: Nanos) {
@@ -1135,26 +1087,64 @@ impl Recorder<'_> {
         self.push(scope, Phase::Instant, name, t, args);
     }
 
+    /// Record a value too wide for the compact record straight into the
+    /// registry, behind everything buffered so far: it keeps its place.
+    #[cold]
+    fn record_wide(&mut self, record: impl FnOnce(&mut Inner)) {
+        self.flush();
+        self.flushes += 1;
+        record(&mut self.tel.lock());
+    }
+
     pub fn add(&mut self, id: CounterId, delta: i128) {
-        let idx = self.index(id.0);
-        *slot(&mut self.inner.counters, idx).get_or_insert(0) += delta;
+        if self.tel.enabled {
+            let idx = self.tel.index(id.0);
+            match i64::try_from(delta) {
+                Ok(delta) => self.buffer(Rec::Add(idx, delta)),
+                Err(_) => self.record_wide(|inner| inner.add(idx, delta)),
+            }
+        }
     }
 
     pub fn set(&mut self, id: GaugeId, value: i128) {
-        let idx = self.index(id.0);
-        *slot(&mut self.inner.gauges, idx) = Some(value);
+        if self.tel.enabled {
+            let idx = self.tel.index(id.0);
+            match i64::try_from(value) {
+                Ok(value) => self.buffer(Rec::Set(idx, value)),
+                Err(_) => self.record_wide(|inner| inner.set(idx, value)),
+            }
+        }
     }
 
     pub fn record(&mut self, id: HistId, value: u64) {
-        let idx = self.index(id.0);
-        slot(&mut self.inner.hists, idx)
-            .get_or_insert_with(Histogram::default)
-            .record(value);
+        if self.tel.enabled {
+            self.buffer(Rec::Record(self.tel.index(id.0), value));
+        }
     }
 
     pub fn driver_op(&mut self, op: &DriverOpId, cost_ns: Nanos) {
         self.add(op.calls, 1);
         self.record(op.ns, cost_ns);
+    }
+
+    /// Replay everything buffered into the registry, in order, under one
+    /// hold of its lock. The buffers keep their capacity, so a writer
+    /// flushed every unit of work stops allocating once warm.
+    pub fn flush(&mut self) {
+        if self.recs.is_empty() {
+            return;
+        }
+        self.flushes += 1;
+        let mut inner = self.tel.lock();
+        let mut args = self.args.drain(..);
+        for rec in self.recs.drain(..) {
+            match rec {
+                Rec::Event(ev) => inner.push(ev, args.by_ref().take(usize::from(ev.nargs))),
+                Rec::Add(idx, delta) => inner.add(idx, i128::from(delta)),
+                Rec::Set(idx, value) => inner.set(idx, i128::from(value)),
+                Rec::Record(idx, value) => inner.record(idx, value),
+            }
+        }
     }
 }
 
@@ -1290,83 +1280,117 @@ mod tests {
     }
 
     #[test]
-    fn staging_merge_in_order_matches_direct_recording() {
-        // Recording directly vs recording into two stagings merged in
+    fn writer_flushes_in_order_match_direct_recording() {
+        // Recording directly vs recording into two writers flushed in
         // canonical order must produce byte-identical exports.
         let direct = Telemetry::new(TelemetryConfig::default());
         direct.instant(Scope::Switch, "a", 10, &[("sw", 0)]);
         direct.counter_add("switch.tx", 3);
         direct.gauge_set("tm.q0_depth_bytes", 64);
+        direct.hist_record("lat", 100);
         direct.instant(Scope::Switch, "b", 20, &[("sw", 1)]);
         direct.counter_add("switch.tx", 5);
         direct.gauge_set("tm.q0_depth_bytes", 128);
-        direct.hist_record("lat", 100);
         direct.hist_record("lat", 200);
 
-        let merged = Telemetry::new(TelemetryConfig::default());
-        let s0 = merged.staging();
-        let s1 = merged.staging();
-        s0.instant(Scope::Switch, "a", 10, &[("sw", 0)]);
-        s0.counter_add("switch.tx", 3);
-        s0.gauge_set("tm.q0_depth_bytes", 64);
-        s0.hist_record("lat", 100);
-        s1.instant(Scope::Switch, "b", 20, &[("sw", 1)]);
-        s1.counter_add("switch.tx", 5);
-        s1.gauge_set("tm.q0_depth_bytes", 128);
-        s1.hist_record("lat", 200);
-        merged.merge_from(&s0);
-        merged.merge_from(&s1);
+        let flushed = Telemetry::shared();
+        let (a, b) = (flushed.intern("a"), flushed.intern("b"));
+        let tx = flushed.register_counter("switch.tx");
+        let depth = flushed.register_gauge("tm.q0_depth_bytes");
+        let lat = flushed.register_hist("lat");
+        let mut w0 = Writer::new(flushed.clone());
+        let mut w1 = Writer::new(flushed.clone());
+        // Recorded interleaved; only the flush order reaches the registry.
+        w1.mark(Scope::Switch, b, 20, &[("sw", 1)]);
+        w0.mark(Scope::Switch, a, 10, &[("sw", 0)]);
+        w1.add(tx, 5);
+        w0.add(tx, 3);
+        w0.set(depth, 64);
+        w1.set(depth, 128);
+        w1.record(lat, 200);
+        w0.record(lat, 100);
+        assert_eq!(
+            flushed.snapshot().events_buffered,
+            0,
+            "nothing before a flush"
+        );
+        w0.flush();
+        w1.flush();
+        w1.flush(); // an empty flush takes no lock
+        assert_eq!((w0.flushes(), w1.flushes()), (1, 1));
 
-        assert_eq!(direct.chrome_trace_json(), merged.chrome_trace_json());
-        assert_eq!(direct.snapshot_json(), merged.snapshot_json());
-        // Gauge takes the later shard's final value (serial last-writer).
-        assert_eq!(merged.gauge("tm.q0_depth_bytes"), 128);
-        assert_eq!(merged.counter("switch.tx"), 8);
+        assert_eq!(direct.chrome_trace_json(), flushed.chrome_trace_json());
+        assert_eq!(direct.snapshot_json(), flushed.snapshot_json());
+        // Gauge takes the later writer's value (serial last-writer).
+        assert_eq!(flushed.gauge("tm.q0_depth_bytes"), 128);
+        assert_eq!(flushed.counter("switch.tx"), 8);
     }
 
     #[test]
-    fn staging_of_disabled_handle_records_nothing() {
-        let main = Telemetry::disabled();
-        let s = main.staging();
-        assert!(!s.is_enabled());
-        s.instant(Scope::Switch, "a", 10, &[]);
-        s.counter_add("c", 1);
-        main.merge_from(&s);
-        assert_eq!(main.counter("c"), 0);
+    fn a_value_too_wide_for_the_compact_record_keeps_its_place() {
+        let tel = Telemetry::shared();
+        let (c, g) = (tel.register_counter("c"), tel.register_gauge("g"));
+        let mut w = Writer::new(tel.clone());
+        w.set(g, 1);
+        w.set(g, i128::MAX);
+        w.set(g, 2);
+        assert_eq!(
+            tel.gauge("g"),
+            i128::MAX,
+            "the wide set went in behind the first"
+        );
+        w.add(c, i128::from(i64::MAX));
+        w.add(c, i128::from(i64::MAX) + 1);
+        w.flush();
+        assert_eq!(tel.gauge("g"), 2);
+        assert_eq!(tel.counter("c"), 2 * i128::from(i64::MAX) + 1);
     }
 
+    #[test]
+    fn writer_of_disabled_handle_records_nothing() {
+        let main = Telemetry::disabled();
+        let mut w = Writer::new(main.clone());
+        assert!(!w.is_enabled());
+        w.mark(Scope::Switch, main.intern("a"), 10, &[]);
+        w.add(main.register_counter("c"), 1);
+        w.flush();
+        assert_eq!((main.counter("c"), w.flushes()), (0, 0));
+    }
+
+    /// A flush merges the writer's buffer into the ring as direct records
+    /// would have landed: the ring's capacity decides what survives.
     #[test]
     fn merge_respects_destination_ring_capacity() {
-        let main = Telemetry::new(TelemetryConfig {
+        let main = Arc::new(Telemetry::new(TelemetryConfig {
             enabled: true,
             trace_capacity: 2,
-        });
-        let s = main.staging();
+        }));
+        let mut w = Writer::new(main.clone());
+        let e = main.intern("e");
         for t in 0..5 {
-            s.instant(Scope::Switch, "e", t, &[]);
+            w.mark(Scope::Switch, e, t, &[]);
         }
-        main.merge_from(&s);
+        w.flush();
         let snap = main.snapshot();
         assert_eq!(snap.events_buffered, 2);
         assert_eq!(snap.events_dropped, 3);
-        // Ring keeps the most recent events, same as direct recording.
+        // Ring keeps the most recent events, oldest first.
         let trace = main.chrome_trace_json();
-        assert!(trace.contains("\"ts\":0.004"));
-        assert!(!trace.contains("\"ts\":0.000,"));
+        assert!(trace.find("\"ts\":0.003").unwrap() < trace.find("\"ts\":0.004").unwrap());
+        assert!(!trace.contains("\"ts\":0.002,"));
     }
 
     #[test]
-    #[should_panic(expected = "lock poisoned (staging shard for switch 3)")]
-    fn poisoned_registry_panics_loudly_naming_the_shard() {
+    #[should_panic(expected = "registry lock poisoned")]
+    fn poisoned_registry_panics_loudly() {
         let main = Telemetry::shared();
-        let shard = main.staging_for_switch(3);
-        let poisoner = shard.clone();
+        let poisoner = main.clone();
         // Poison the mutex: panic while holding the guard on another thread.
         let _ = std::thread::spawn(move || {
             let _guard = poisoner.lock();
             panic!("chaos recorder dies mid-update");
         })
         .join();
-        shard.counter_add("switch.tx", 1); // must panic, naming the shard
+        main.counter_add("switch.tx", 1); // must panic, not limp on
     }
 }

@@ -54,7 +54,7 @@ pub use mantis_faults::{
     BreakerConfig, BreakerState, CircuitBreaker, FaultInjector, FaultOp, FaultPlan, FaultWindow,
     RetryPolicy,
 };
-pub use mantis_telemetry::{Scope, Telemetry, TelemetryConfig};
+pub use mantis_telemetry::{Scope, Telemetry, TelemetryConfig, Writer};
 pub use netsim::{Endpoint, Link, Topology};
 pub use p4r_compiler::{compile_source, CompileError, Compiled, CompilerOptions};
 pub use rmt_sim::{Clock, SharedSwitch, Switch, SwitchConfig};
@@ -710,5 +710,9 @@ control ingress { apply(t); }
         let snap = fab.telemetry_snapshot();
         assert!(snap.contains("sw0.switch.tx"), "snapshot: {snap}");
         assert!(snap.contains("sw1.switch.rx"), "snapshot: {snap}");
+        // Both agents feed one registry; each one's stats are its own.
+        let iterations = |i: usize| fab.agents[i].borrow().stats().iterations;
+        assert_eq!((iterations(0), iterations(1)), (21, 20));
+        assert_eq!(fab.telemetry.counter("agent.iterations"), 41);
     }
 }

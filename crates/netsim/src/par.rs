@@ -5,11 +5,12 @@
 //! worker `i % W` unless the assignment was scrambled for testing). Each
 //! dispatched drain is one epoch: the coordinator hands every worker the
 //! due switches it owns, the workers run the drain's
-//! [`visit`](crate::sim::visit) on them concurrently — recording
-//! telemetry into that switch's staging buffer — and reply with one
+//! [`visit`](crate::sim::visit) on them concurrently — each switch
+//! recording telemetry into the buffer it owns — and reply with one
 //! [`ShardResult`] per switch. The coordinator then settles the replies
-//! in canonical switch-index order, which is what makes the output
-//! byte-identical to inline execution at any worker count.
+//! in canonical switch-index order, flushing those buffers as it goes,
+//! which is what makes the output byte-identical to inline execution at
+//! any worker count.
 //!
 //! Which switches are due, and whether a visited switch is pumped, is the
 //! drain's business; a worker visits exactly what it is handed. Workers
@@ -18,10 +19,8 @@
 //! through `ShardResult::batch` and are applied serially at the barrier.
 
 use crate::sim::{visit, Visit};
-use mantis_telemetry::Telemetry;
 use rmt_sim::{SharedSwitch, TxPacket};
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// What one switch produced during one epoch's visit.
@@ -31,9 +30,6 @@ pub(crate) struct ShardResult {
     pub visit: Visit,
     /// Transmitted packets with their frame length, in transmit order.
     pub batch: Vec<(TxPacket, u32)>,
-    /// The staging telemetry buffer the visit recorded into; folded into
-    /// the main registry in switch-index order at the barrier.
-    pub staging: Arc<Telemetry>,
 }
 
 enum Msg {
@@ -130,11 +126,6 @@ fn worker_loop(
     go_rx: &mpsc::Receiver<Msg>,
     reply_tx: &mpsc::Sender<Vec<ShardResult>>,
 ) {
-    // One `(main, staging)` pair per owned switch for the pool's lifetime:
-    // the staging shares the main registry's name table, so the handles
-    // the switch resolved against `main` stay valid across the swap, and
-    // `merge_from` leaves it empty (capacity kept) for the next epoch.
-    let mut stagings: Vec<Option<(Arc<Telemetry>, Arc<Telemetry>)>> = vec![None; owned.len()];
     while let Ok(Msg::Go(share)) = go_rx.recv() {
         let results = share
             .into_iter()
@@ -143,29 +134,12 @@ fn worker_loop(
                     .as_ref()
                     .expect("dispatched to the owner")
                     .borrow_mut();
-                // Record this visit into a private staging buffer so
-                // concurrent shards never interleave writes to the shared
-                // registry; the coordinator merges in switch-index order.
-                let main = sw.telemetry().clone();
-                let staging = match &stagings[idx] {
-                    Some((of, staging)) if Arc::ptr_eq(of, &main) => staging.clone(),
-                    // First epoch, or the switch was re-pointed at
-                    // another registry since.
-                    _ => {
-                        let staging = main.staging_for_switch(idx);
-                        stagings[idx] = Some((main.clone(), staging.clone()));
-                        staging
-                    }
-                };
-                sw.set_telemetry(staging.clone());
                 let mut batch = Vec::new();
                 let visit = visit(&mut sw, &mut batch);
-                sw.set_telemetry(main);
                 ShardResult {
                     switch: idx,
                     visit,
                     batch,
-                    staging,
                 }
             })
             .collect();

@@ -127,6 +127,9 @@ pub(crate) struct Visit {
     pub pumped: bool,
     /// Packets the pump served.
     pub served: u64,
+    /// Whether the pump left telemetry records in the switch's buffer,
+    /// which [`Simulator::settle`] owes the registry.
+    pub recorded: bool,
     /// The switch's readiness-index entry on the way out.
     pub ready: Nanos,
     /// Its pool-index entry on the way out.
@@ -136,7 +139,8 @@ pub(crate) struct Visit {
 /// One switch's step of a drain, under its borrow: pump if a queue head
 /// is due — an idle pump has no side effects, and queued packets whose
 /// egress/wire time has not arrived make it a provable no-op — and move
-/// what it transmitted, with frame lengths, onto `batch`. The one
+/// what it transmitted, with frame lengths, onto `batch`. What the pump
+/// records stays in the switch's own telemetry buffer. The one
 /// definition both executors run: [`Simulator::drain`] inline, the pool
 /// workers of [`crate::par`] on the switches they own.
 #[inline]
@@ -144,12 +148,13 @@ pub(crate) fn visit(sw: &mut Switch, batch: &mut Vec<(TxPacket, u32)>) -> Visit 
     let pumped = sw.tm_queued() > 0 && sw.tx_ready();
     let mut served = 0;
     if pumped {
-        served = sw.pump();
+        served = sw.pump_buffered();
         sw.drain_transmitted_with_len(batch);
     }
     Visit {
         pumped,
         served,
+        recorded: served > 0 && sw.telemetry().is_enabled(),
         ready: ready_entry(sw),
         parked: sw.pool_parked(),
     }
@@ -662,8 +667,8 @@ impl Simulator {
     ///    so every visit either serves a packet or refreshes a stale
     ///    entry of the index.
     /// 3. Each visit is settled in switch-index order: the index takes
-    ///    the switch's new entry, a pool worker's staging telemetry is
-    ///    folded in, and the transmit batch is routed. That total
+    ///    the switch's new entry, the switch's telemetry buffer is flushed
+    ///    into the registry, and the transmit batch is routed. That total
     ///    `(time, switch_id, seq)` order on deliveries is the fabric
     ///    determinism contract; since both executors run the same visit
     ///    on the same due set and settle in the same order, their output
@@ -720,8 +725,8 @@ impl Simulator {
     }
 
     /// Visit `due` on the pool — one epoch — then settle every reply at
-    /// the barrier. Workers record into per-switch staging registries,
-    /// so folding those in switch-index order reproduces the inline
+    /// the barrier, in switch-index order: each switch recorded into its
+    /// own buffer, so flushing those in that order reproduces the inline
     /// recording order byte for byte.
     fn visit_pooled(&mut self, due: &[usize]) -> (u64, u64) {
         self.par_stats.parallel_drains += 1;
@@ -740,23 +745,23 @@ impl Simulator {
             results.extend(reply);
         }
         results.sort_unstable_by_key(|r| r.switch);
-        let telemetry = self.telemetry();
         for mut r in results {
-            if r.visit.pumped {
-                telemetry.merge_from(&r.staging);
-            }
             self.settle(r.switch, &r.visit, &mut r.batch);
         }
         (work, makespan)
     }
 
     /// Take one visit's outcome into the coordinator's state: counters,
-    /// the readiness index, and the cross-switch effects of what the
-    /// switch transmitted.
+    /// the readiness index, the telemetry the switch buffered, and the
+    /// cross-switch effects of what it transmitted. The one point a
+    /// visit's records reach the registry, whoever ran the visit.
     fn settle(&mut self, i: usize, seen: &Visit, batch: &mut Vec<(TxPacket, u32)>) {
         self.par_stats.switch_visits += 1;
         self.par_stats.zero_serve_pumps += u64::from(seen.pumped && seen.served == 0);
         self.note_ready(i, seen.ready, seen.parked);
+        if seen.recorded {
+            self.switches[i].borrow_mut().flush_telemetry();
+        }
         if !batch.is_empty() {
             self.route_batch(i, batch);
         }

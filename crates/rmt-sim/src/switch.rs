@@ -15,7 +15,7 @@ use crate::spec::{ActionId, DataPlaneSpec, FieldId, PipelineTiming, PortId, Regi
 use crate::table::{EntryHandle, KeyField, Lookup, Table, TableError};
 use mantis_telemetry::{
     scopes::{pipe_metric, switch_metric},
-    CounterId, GaugeId, NameId, Scope, Telemetry,
+    CounterId, GaugeId, NameId, Scope, Telemetry, Writer,
 };
 use p4_ast::{Pipeline, Value};
 use std::collections::VecDeque;
@@ -318,7 +318,11 @@ pub struct Switch {
     /// Register automatically updated with per-port queue depth in bytes.
     qdepth_register: Option<RegisterId>,
     pub stats: SwitchStats,
-    telemetry: Arc<Telemetry>,
+    /// Where the packet path records: this switch's own buffer, flushed
+    /// into the attached registry at the end of each public call that
+    /// records — or, for [`pump_buffered`](Switch::pump_buffered), whenever
+    /// the caller says ([`flush_telemetry`](Switch::flush_telemetry)).
+    writer: Writer,
     metrics: SwitchMetrics,
     /// This switch's index within a multi-switch fabric. `None` (the
     /// default, and always the case for single-switch testbeds) suppresses
@@ -401,7 +405,7 @@ impl Switch {
             transmitted: Vec::new(),
             qdepth_register: None,
             stats: SwitchStats::default(),
-            telemetry: Telemetry::disabled(),
+            writer: Writer::new(Telemetry::disabled()),
             metrics: SwitchMetrics::default(),
             fabric_index: None,
             apply_scratch: Vec::new(),
@@ -446,20 +450,16 @@ impl Switch {
     /// each egress pass is a `Scope::Switch` span on the virtual
     /// timeline.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        // A registry sharing the old one's name table (the parallel
-        // drain's per-epoch staging swap) keeps the resolved handles.
-        let keep = telemetry.owns(self.metrics.rx);
-        self.telemetry = telemetry;
-        if !keep {
-            self.resolve_metrics();
-        }
+        self.writer.flush();
+        self.writer = Writer::new(telemetry);
+        self.resolve_metrics();
     }
 
     /// Resolve every name the packet path records under against the
     /// attached registry. Registration is invisible to exports, so names
     /// that never fire (idle ports, drops) never appear in a snapshot.
     fn resolve_metrics(&mut self) {
-        let tel = &self.telemetry;
+        let tel = self.writer.telemetry();
         if !tel.is_enabled() {
             self.metrics = SwitchMetrics::default();
             return;
@@ -493,7 +493,7 @@ impl Switch {
     }
 
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
+        self.writer.telemetry()
     }
 
     /// Label this switch as member `i` of a multi-switch fabric: its
@@ -605,8 +605,9 @@ impl Switch {
         let in_port = phv.get_u64(intr.ingress_port) as PortId;
         let exec_pipe = self.pipe_of_port(in_port);
         let fate = self.ingress(phv, in_port, at);
-        if self.telemetry.is_enabled() {
+        if self.writer.is_enabled() {
             self.record_inject(exec_pipe, fate);
+            self.writer.flush();
         }
         matches!(fate, Fate::Queued { .. })
     }
@@ -659,15 +660,13 @@ impl Switch {
 
     /// The records of one inject, in the order the packet met them — rx
     /// counters, then the drop it ran into or the depth of the queue it
-    /// joined — under one registry lock. Call only with telemetry on.
+    /// joined. Call only with telemetry on.
     fn record_inject(&mut self, exec_pipe: u16, fate: Fate) {
         let gauge = match fate {
             Fate::Queued { port, .. } => self.qdepth_gauge(port),
             _ => GaugeId::default(),
         };
-        let Some(mut rec) = self.telemetry.recorder() else {
-            return;
-        };
+        let rec = &mut self.writer;
         rec.add(self.metrics.rx, 1);
         if let Some(&id) = self.metrics.pipe_rx.get(usize::from(exec_pipe)) {
             rec.add(id, 1);
@@ -754,6 +753,16 @@ impl Switch {
     /// pipe-major order *is* global port order, so this is byte-identical
     /// to the historical single loop over all ports.
     pub fn pump(&mut self) -> u64 {
+        let served = self.pump_buffered();
+        self.writer.flush();
+        served
+    }
+
+    /// [`pump`](Switch::pump), leaving its telemetry records in this
+    /// switch's buffer until [`flush_telemetry`](Switch::flush_telemetry):
+    /// the form for a caller that pumps many switches and owes the registry
+    /// their records in an order of its own (the fabric drain).
+    pub fn pump_buffered(&mut self) -> u64 {
         // A full pump sees every blocked queue head, so the readiness
         // bound can be recomputed exactly (enqueues during the pump —
         // recirculation — lower it again via `enqueue`).
@@ -795,7 +804,15 @@ impl Switch {
         // so the readiness bound cannot be trusted afterwards: drop it to
         // "always ready" (drains then never skip this switch).
         self.next_ready = 0;
-        self.pump_pipe_inner(pipe_idx)
+        let served = self.pump_pipe_inner(pipe_idx);
+        self.writer.flush();
+        served
+    }
+
+    /// Hand the registry what [`pump_buffered`](Switch::pump_buffered)
+    /// recorded.
+    pub fn flush_telemetry(&mut self) {
+        self.writer.flush();
     }
 
     /// Latency from enqueue to the first wire byte (egress pipeline +
@@ -879,7 +896,7 @@ impl Switch {
                 self.stats.tx += 1;
                 true
             };
-            if self.telemetry.is_enabled() {
+            if self.writer.is_enabled() {
                 self.record_served(port, pipe, depth, tx_start, tx_time, transmitted);
             }
             if transmitted {
@@ -900,8 +917,8 @@ impl Switch {
 
     /// The records of one served packet, in the order it met them — the
     /// depth of the queue it left, its dequeue→wire window on the virtual
-    /// timeline, then (if it made the wire) the tx counters — under one
-    /// registry lock. Call only with telemetry on.
+    /// timeline, then (if it made the wire) the tx counters. Call only
+    /// with telemetry on.
     fn record_served(
         &mut self,
         port: PortId,
@@ -912,9 +929,7 @@ impl Switch {
         transmitted: bool,
     ) {
         let gauge = self.qdepth_gauge(port);
-        let Some(mut rec) = self.telemetry.recorder() else {
-            return;
-        };
+        let rec = &mut self.writer;
         rec.set(gauge, i128::from(depth));
         let name = self.metrics.egress_pass;
         rec.begin(Scope::Switch, name, tx_start);
@@ -992,10 +1007,9 @@ impl Switch {
     /// on first use. Call only with telemetry on.
     fn qdepth_gauge(&mut self, port: PortId) -> GaugeId {
         let id = &mut self.metrics.qdepth[usize::from(port)];
-        if !self.telemetry.owns(*id) {
-            *id = self
-                .telemetry
-                .register_gauge(&format!("tm.q{port}_depth_bytes"));
+        let tel = self.writer.telemetry();
+        if !tel.owns(*id) {
+            *id = tel.register_gauge(&format!("tm.q{port}_depth_bytes"));
         }
         *id
     }
@@ -1151,7 +1165,8 @@ impl Switch {
     /// the hot path stays free of telemetry work and existing golden
     /// traces are unaffected.
     pub fn publish_table_stats(&self) {
-        if !self.telemetry.is_enabled() {
+        let tel = self.telemetry();
+        if !tel.is_enabled() {
             return;
         }
         for (i, tspec) in self.spec.tables.iter().enumerate() {
@@ -1159,10 +1174,8 @@ impl Switch {
                 (l + p.tables[i].lookups, h + p.tables[i].hits)
             });
             let name = &tspec.name;
-            self.telemetry
-                .gauge_set(&format!("table.{name}.lookups"), lookups as i128);
-            self.telemetry
-                .gauge_set(&format!("table.{name}.hits"), hits as i128);
+            tel.gauge_set(&format!("table.{name}.lookups"), lookups as i128);
+            tel.gauge_set(&format!("table.{name}.hits"), hits as i128);
         }
     }
 
@@ -1566,6 +1579,41 @@ control ingress { apply(l2); }
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].port, 3);
         assert_eq!(sw.stats.tx, 1);
+    }
+
+    /// The switch records into a buffer of its own: a public `inject` or
+    /// `pump` hands it to the registry on return, `pump_buffered` — the
+    /// fabric drain's form — when `flush_telemetry` says.
+    #[test]
+    fn pump_records_reach_the_registry_on_return_or_on_flush() {
+        let tel = Telemetry::shared();
+        let mut sw = mk();
+        sw.set_telemetry(tel.clone());
+        add_fwd(&mut sw, 0xAA, 3);
+        let pkt = PacketDesc::new(1).field("eth", "dst", 0xAA).payload(100);
+        for _ in 0..3 {
+            sw.inject(&pkt);
+        }
+        assert_eq!(tel.counter("switch.rx"), 3);
+        sw.clock().advance(10_000);
+        assert_eq!(sw.pump_buffered(), 3);
+        let held = tel.snapshot();
+        assert_eq!((held.counter("switch.tx"), held.events_buffered), (0, 0));
+        sw.flush_telemetry();
+        let seen = tel.snapshot();
+        assert_eq!((seen.counter("switch.tx"), seen.events_buffered), (3, 6));
+        // Byte for byte what three packets served by the flushing form leave.
+        let direct = Telemetry::shared();
+        let mut twin = mk();
+        twin.set_telemetry(direct.clone());
+        add_fwd(&mut twin, 0xAA, 3);
+        for _ in 0..3 {
+            twin.inject(&pkt);
+        }
+        twin.clock().advance(10_000);
+        twin.pump();
+        assert_eq!(direct.chrome_trace_json(), tel.chrome_trace_json());
+        assert_eq!(direct.snapshot_json(), tel.snapshot_json());
     }
 
     #[test]
