@@ -554,10 +554,6 @@ fn main() {
             r.compiled,
             r.rejected
         );
-        println!(
-            "    vm fallbacks (walker-only coverage): {}",
-            r.vm_fallbacks
-        );
         if r.divergences.is_empty() {
             println!("    divergences: none");
         } else {

@@ -10,12 +10,15 @@
 //!   repeated runs (statics covered), comparing results/errors, malleable
 //!   writes, table-op logs, and array state;
 //! * **testbed** — two complete rmt-sim testbeds built from the same
-//!   source, one agent forced onto the walker and one onto the VM,
-//!   fed identical packets; after every dialogue iteration the malleable
-//!   slots and the config/entry fingerprints must agree.
+//!   source and fed identical packets: one agent registers its reactions
+//!   the way every agent does (the VM), the other has the reference walker
+//!   registered from outside ([`register_reference_walker`]); after every
+//!   dialogue iteration the malleable slots and the config/entry
+//!   fingerprints must agree.
 //!
 //! A program that fails to compile must be *rejected with a diagnostic*
-//! (never a panic) and is counted, not executed. A divergence is
+//! (never a panic) and is counted, not executed. One that compiles must
+//! compile on the VM too: a refusal is a divergence. A divergence is
 //! minimized with the generic [`ddmin`] over the generated statement list
 //! and written to `tests/fuzz_corpus/*.p4r`, which the regression suite
 //! replays.
@@ -23,7 +26,8 @@
 use mantis::p4r_compiler::generate::{generate, GenConfig, GenProgram};
 use mantis::p4r_lang::creact::parse_body;
 use mantis::reaction_interp::{CompiledReaction, Interpreter, MockEnv};
-use mantis::{compile_source, parse_env_count_u64, CompilerOptions, ReactionEngine, Testbed};
+use mantis::{compile_source, parse_env_count_u64, AgentError, CompilerOptions, MantisAgent};
+use mantis::{NativeReaction, ReactionCtx, Testbed};
 use mantis_faults::ddmin;
 use serde::Serialize;
 use std::path::PathBuf;
@@ -45,9 +49,8 @@ pub struct CaseOutcome {
     /// Compile-time rejection (the expected outcome for generated
     /// programs with undeclared names); `None` when it compiled.
     pub rejected: Option<String>,
-    /// The VM could not compile the body (walker-only coverage).
-    pub vm_fallback: bool,
-    /// First observed behavioral divergence between backends.
+    /// First observed behavioral divergence between backends (a VM that
+    /// refuses a body the pipeline accepted included).
     pub divergence: Option<String>,
 }
 
@@ -76,13 +79,6 @@ pub fn run_case(src: &str) -> CaseOutcome {
                 return out;
             }
         };
-        let vm_ok = match CompiledReaction::compile(&body) {
-            Ok(_) => true,
-            Err(_) => {
-                out.vm_fallback = true;
-                false
-            }
-        };
         let mk_env = || {
             let mut env = MockEnv::default();
             for (i, f) in binding.fields.iter().enumerate() {
@@ -104,22 +100,49 @@ pub fn run_case(src: &str) -> CaseOutcome {
             }
             env
         };
-        if vm_ok {
-            for limit in STEP_LIMITS {
-                if let Err(d) = pure_parity(&binding.name, &body, mk_env(), limit) {
-                    out.divergence = Some(d);
-                    return out;
-                }
+        for limit in STEP_LIMITS {
+            if let Err(d) = pure_parity(&binding.name, &body, mk_env(), limit) {
+                out.divergence = Some(d);
+                return out;
             }
         }
     }
 
-    // Stage 2: full-testbed differential with forced engines.
-    match testbed_parity(src, &compiled.iface) {
-        Ok(fallback) => out.vm_fallback |= fallback,
-        Err(d) => out.divergence = Some(d),
-    }
+    // Stage 2: full-testbed differential, the agent's VM against the
+    // reference walker.
+    out.divergence = testbed_parity(src, &compiled.iface).err();
     out
+}
+
+/// The reference tree-walker as a reaction an agent runs. No agent reaches
+/// the walker by itself; a harness that wants one driven through a real
+/// `ReactionCtx` registers it from outside, like any native reaction.
+struct ReferenceWalker(Interpreter);
+
+impl NativeReaction for ReferenceWalker {
+    fn react(&mut self, ctx: &mut ReactionCtx<'_>) -> Result<(), AgentError> {
+        // The error goes out as the agent would have raised it for its own
+        // executor, so the twins' failure strings compare byte for byte.
+        self.0.run(ctx).map(|_| ()).map_err(AgentError::from)
+    }
+}
+
+/// Register every reaction of `agent`'s program on the reference walker,
+/// each with step budget `step_limit` — what
+/// `register_all_interpreted` + `set_reaction_step_limits` is for the VM.
+pub fn register_reference_walker(
+    agent: &mut MantisAgent,
+    step_limit: u64,
+) -> Result<(), AgentError> {
+    for i in 0..agent.iface.reactions.len() {
+        let binding = &agent.iface.reactions[i];
+        let body = parse_body(&binding.body_src).expect("the compiler parsed this body");
+        let mut walker = Interpreter::new(body);
+        walker.step_limit = step_limit;
+        let name = binding.name.clone();
+        agent.register_native(&name, Box::new(ReferenceWalker(walker)))?;
+    }
+    Ok(())
 }
 
 /// Walker-vs-VM parity on fresh engine instances under one step limit,
@@ -130,8 +153,10 @@ fn pure_parity(
     env_seed: MockEnv,
     limit: u64,
 ) -> Result<(), String> {
-    let mut vm =
-        CompiledReaction::compile(body).expect("caller verified the body compiles to bytecode");
+    // Totality is part of the oracle: the pipeline accepted this body.
+    let mut vm = CompiledReaction::compile(body).map_err(|e| {
+        format!("reaction `{name}`: the VM refuses a body the pipeline accepted: {e}")
+    })?;
     let mut walker = Interpreter::new(body.clone());
     vm.step_limit = limit;
     walker.step_limit = limit;
@@ -172,41 +197,28 @@ fn pure_parity(
     Ok(())
 }
 
-/// Two testbeds from the same source, walker-forced vs VM-forced agents,
-/// identical packets, compared after every dialogue iteration. Returns
-/// `Ok(true)` when the VM legitimately cannot take the body (fallback).
+/// Two testbeds from the same source, the agent's VM vs the reference
+/// walker registered from outside, identical packets, compared after every
+/// dialogue iteration.
 fn testbed_parity(
     src: &str,
     iface: &mantis::p4r_compiler::iface::ControlInterface,
-) -> Result<bool, String> {
+) -> Result<(), String> {
     let (tb_w, tb_v) = match (Testbed::from_p4r_local(src), Testbed::from_p4r_local(src)) {
         (Ok(a), Ok(b)) => (a, b),
         // Compiled but not loadable (e.g. resource overflow): nothing to
         // compare — both builds fail identically by construction.
-        _ => return Ok(false),
+        _ => return Ok(()),
     };
-    tb_w.agent
-        .borrow_mut()
-        .register_all_interpreted_with(ReactionEngine::ForceWalker)
+    register_reference_walker(&mut tb_w.agent.borrow_mut(), TB_STEP_LIMIT)
         .map_err(|e| format!("walker registration failed: {e}"))?;
-    if let Err(e) = tb_v
-        .agent
-        .borrow_mut()
-        .register_all_interpreted_with(ReactionEngine::ForceVm)
     {
-        // The one legitimate asymmetry: the VM refuses the body.
-        return if e.to_string().contains("bytecode VM") {
-            Ok(true)
-        } else {
-            Err(format!("vm registration failed: {e}"))
-        };
+        let mut agent = tb_v.agent.borrow_mut();
+        agent
+            .register_all_interpreted()
+            .map_err(|e| format!("vm registration failed: {e}"))?;
+        agent.set_reaction_step_limits(TB_STEP_LIMIT);
     }
-    tb_w.agent
-        .borrow_mut()
-        .set_reaction_step_limits(TB_STEP_LIMIT);
-    tb_v.agent
-        .borrow_mut()
-        .set_reaction_step_limits(TB_STEP_LIMIT);
 
     for i in 0..TB_ITERS {
         let v = u128::from(i);
@@ -257,7 +269,7 @@ fn testbed_parity(
             ));
         }
     }
-    Ok(false)
+    Ok(())
 }
 
 /// One divergence found by the campaign.
@@ -284,8 +296,6 @@ pub struct FuzzReport {
     /// Programs rejected with a diagnostic (expected for the generator's
     /// deliberate undeclared-name corner).
     pub rejected: u64,
-    /// Programs whose body the VM could not take (walker-only coverage).
-    pub vm_fallbacks: u64,
     pub divergences: Vec<Divergence>,
     /// Minimized repro files written (none on a clean campaign).
     pub corpus_written: Vec<String>,
@@ -316,31 +326,6 @@ fn write_repro(p: &GenProgram, detail: &str) -> Option<(String, usize)> {
     }
 }
 
-/// Replay every checked-in corpus file; returns `(file, divergence)` for
-/// any that still diverge (the regression test asserts none do).
-pub fn replay_corpus() -> Vec<(String, String)> {
-    let dir = PathBuf::from("tests").join("fuzz_corpus");
-    let mut out = Vec::new();
-    let Ok(entries) = std::fs::read_dir(&dir) else {
-        return out;
-    };
-    let mut files: Vec<PathBuf> = entries
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "p4r"))
-        .collect();
-    files.sort();
-    for f in files {
-        let Ok(src) = std::fs::read_to_string(&f) else {
-            continue;
-        };
-        if let Some(d) = run_case(&src).divergence {
-            out.push((f.display().to_string(), d));
-        }
-    }
-    out
-}
-
 /// Run the fuzz campaign. `quick` (CI) trims the default budget; the
 /// `MANTIS_FUZZ_BUDGET` env var overrides either default (capped).
 pub fn run(quick: bool) -> FuzzReport {
@@ -361,7 +346,6 @@ pub fn run(quick: bool) -> FuzzReport {
         generated: 0,
         compiled: 0,
         rejected: 0,
-        vm_fallbacks: 0,
         divergences: Vec::new(),
         corpus_written: Vec::new(),
     };
@@ -375,9 +359,6 @@ pub fn run(quick: bool) -> FuzzReport {
             continue;
         }
         r.compiled += 1;
-        if outcome.vm_fallback {
-            r.vm_fallbacks += 1;
-        }
         if let Some(detail) = outcome.divergence {
             let (path, min_len) = match write_repro(&p, &detail) {
                 Some((path, n)) => (Some(path), n),

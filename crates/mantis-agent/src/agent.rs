@@ -36,7 +36,7 @@ use rmt_sim::{Clock, Nanos, SharedSwitch};
 use std::fmt;
 use std::sync::Arc;
 
-pub use crate::reactions::{NativeReaction, ReactionEngine, ReactionFailure};
+pub use crate::reactions::{NativeReaction, ReactionFailure};
 pub use crate::report::{AgentError, AgentErrorKind, AgentPhase, AgentStats, IterationReport};
 
 /// The Mantis control-plane agent.
@@ -252,10 +252,6 @@ impl MantisAgent {
         self.health.policy = policy;
     }
 
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.health.policy
-    }
-
     /// Replace the per-reaction circuit-breaker configuration. Existing
     /// breakers are reset to closed.
     pub fn set_breaker_config(&mut self, cfg: BreakerConfig) {
@@ -280,55 +276,35 @@ impl MantisAgent {
 
     // -- registration ----------------------------------------------------------
 
-    /// Register a reaction to run its compiled C-like body in the
-    /// interpreter, picking the engine automatically.
+    /// Register a reaction to run its C-like body: compiled to bytecode,
+    /// bound to this agent's ids, run on the VM. The body and static slots
+    /// come pre-parsed from the compiler IR; one too large for the
+    /// bytecode's indices is an error naming the reaction.
     pub fn register_interpreted(&mut self, name: &str) -> Result<(), AgentError> {
-        self.register_interpreted_with(name, ReactionEngine::Auto)
-    }
-
-    /// Register a reaction on a specific execution engine. The body and
-    /// static slots come pre-parsed from the compiler IR.
-    pub fn register_interpreted_with(
-        &mut self,
-        name: &str,
-        engine: ReactionEngine,
-    ) -> Result<(), AgentError> {
         let (slots, tables) = (self.isolation.slots(), &self.tables);
-        self.reactions.register_interpreted(
-            name,
-            engine,
-            &self.iface,
-            (slots, tables),
-            &self.health,
-        )
+        self.reactions
+            .register_interpreted(name, &self.iface, (slots, tables), &self.health)
     }
 
-    /// Register every reaction in the program with the interpreter.
+    /// Register every reaction in the program to run its C-like body.
     pub fn register_all_interpreted(&mut self) -> Result<(), AgentError> {
-        self.register_all_interpreted_with(ReactionEngine::Auto)
-    }
-
-    /// Register every reaction in the program on a specific engine.
-    pub fn register_all_interpreted_with(
-        &mut self,
-        engine: ReactionEngine,
-    ) -> Result<(), AgentError> {
         for i in 0..self.iface.reactions.len() {
             let name = self.iface.reactions[i].name.clone();
-            self.register_interpreted_with(&name, engine)?;
+            self.register_interpreted(&name)?;
         }
         Ok(())
     }
 
-    /// Every VM → walker fallback so far, as `(reaction, reason)` pairs.
-    /// Empty in the common case where every body compiles to bytecode.
+    /// Always empty: every body the compiler accepts runs on the VM, so
+    /// there is no fallback to list. Kept only because `benchmark/` calls
+    /// it; ROADMAP item 1(a), the `[benchmark]` PR, removes the call and
+    /// with it this accessor.
     pub fn vm_fallbacks(&self) -> &[(String, String)] {
-        self.reactions.vm_fallbacks()
+        &[]
     }
 
-    /// Cap the interpreter/VM step budget of every registered reaction
-    /// (the fuzz harness tightens this so runaway generated loops abort
-    /// quickly and identically on both engines).
+    /// Cap the VM step budget of every registered C-like reaction (the fuzz
+    /// harness tightens this so runaway generated loops abort quickly).
     pub fn set_reaction_step_limits(&mut self, limit: u64) {
         self.reactions.set_step_limits(limit);
     }

@@ -147,11 +147,6 @@ impl<'a> ReactionCtx<'a> {
         self.now_ns
     }
 
-    /// Time the argument snapshot was captured.
-    pub fn snapshot_time(&self) -> Nanos {
-        self.snapshot.taken_at
-    }
-
     /// Read a scalar (field) argument by binding name.
     pub fn arg(&self, name: &str) -> Option<i128> {
         self.snapshot.scalar(self.snapshot.scalar_id(name)?)
@@ -330,8 +325,9 @@ fn mask_i128(width: u16) -> i128 {
 }
 
 /// The [`ReactionEnv`] impl lets interpreted (C-like) reaction bodies run
-/// against the same context native reactions use. The tree-walker comes in
-/// by name, the bytecode VM by the ids [`bind_name`] resolved; a name is
+/// against the same context native reactions use. The bytecode VM comes in
+/// by the ids [`bind_name`] resolved, anything else (a harness's reference
+/// tree-walker, an unbound VM) by name; a name is
 /// turned into its id at the top of each by-name call and both meet in the
 /// `*_at` body.
 ///

@@ -57,7 +57,7 @@ mod txn;
 
 pub use agent::{
     AgentError, AgentErrorKind, AgentPhase, AgentStats, IterationReport, MantisAgent,
-    NativeReaction, ReactionEngine, ReactionFailure,
+    NativeReaction, ReactionFailure,
 };
 pub use costmodel::CostModel;
 pub use ctx::{CtxError, ReactionCtx};
@@ -114,12 +114,18 @@ control ingress {
 }
 "#;
 
-    fn build() -> (SharedSwitch, MantisAgent, Clock) {
-        let compiled = compile_source(PROGRAM, &CompilerOptions::default()).unwrap();
+    /// A switch loaded with `src` and an agent for it, prologue not yet run.
+    fn agent_for(src: &str) -> (SharedSwitch, MantisAgent, Clock) {
+        let compiled = compile_source(src, &CompilerOptions::default()).unwrap();
         let clock = Clock::new();
         let spec = rmt_sim::load(&compiled.p4).unwrap();
         let switch = SharedSwitch::new(Switch::new(spec, SwitchConfig::default(), clock.clone()));
-        let mut agent = MantisAgent::new(switch.clone(), &compiled, CostModel::default());
+        let agent = MantisAgent::new(switch.clone(), &compiled, CostModel::default());
+        (switch, agent, clock)
+    }
+
+    fn build() -> (SharedSwitch, MantisAgent, Clock) {
+        let (switch, mut agent, clock) = agent_for(PROGRAM);
         agent.prologue().unwrap();
         (switch, agent, clock)
     }
@@ -506,9 +512,9 @@ control ingress { apply(blocklist); apply(adjust); }
     }
 
     #[test]
-    fn forced_engines_and_vm_fallback_telemetry() {
-        // The bare-decl-as-if-body shape is the one construct the VM
-        // still refuses; Auto must fall back to the walker *visibly*.
+    fn bare_decl_branch_registers_on_the_vm() {
+        // A declaration as a bare `if` body: scoped to the branch by the
+        // parser, so it registers the one way there is, and runs.
         const SRC: &str = r#"
 header_type ip_t { fields { src : 32; } }
 header ip_t ip;
@@ -518,48 +524,44 @@ reaction r(ing ip.src) {
 }
 control ingress { }
 "#;
-        let compiled = compile_source(SRC, &CompilerOptions::default()).unwrap();
-        let clock = Clock::new();
-        let spec = rmt_sim::load(&compiled.p4).unwrap();
-        let switch = SharedSwitch::new(Switch::new(spec, SwitchConfig::default(), clock.clone()));
-        let mut agent = MantisAgent::new(switch, &compiled, CostModel::default());
+        let (switch, mut agent, _clock) = agent_for(SRC);
+        agent.prologue().unwrap();
+        agent.register_interpreted("r").unwrap();
+        for src in [0, 5, 0] {
+            let pkt = PacketDesc::new(1).field("ip", "src", src).payload(64);
+            switch.borrow_mut().inject(&pkt);
+            let report = agent.dialogue_iteration().unwrap();
+            assert!(report.reaction_failures.is_empty());
+        }
+        assert!(agent.vm_dispatch_total() > 0);
+        assert!(agent.vm_fallbacks().is_empty());
+    }
 
-        // ForceVm refuses the body outright, naming the reaction.
-        let err = agent
-            .register_interpreted_with("r", ReactionEngine::ForceVm)
-            .unwrap_err();
+    #[test]
+    fn oversized_body_is_a_registration_error_naming_the_reaction() {
+        // 65 536 distinct names overflow the bytecode's u16 name index: the
+        // one body the compiler accepts and the VM cannot take.
+        let calls: String = (0..=u16::MAX).map(|i| format!("f{i}();")).collect();
+        let src = format!("reaction huge() {{ {calls} }}\ncontrol ingress {{ }}\n");
+        let (_switch, mut agent, _clock) = agent_for(&src);
+        let err = agent.register_all_interpreted().unwrap_err();
         assert!(
-            matches!(err.kind, AgentErrorKind::VmUnsupported { .. }),
+            matches!(&err.kind, AgentErrorKind::Compile { reaction, .. } if reaction == "huge"),
             "{err}"
         );
-        assert!(agent.vm_fallbacks().is_empty());
-
-        // ForceWalker always works.
-        agent
-            .register_interpreted_with("r", ReactionEngine::ForceWalker)
-            .unwrap();
-        assert!(agent.vm_fallbacks().is_empty());
-
-        // Auto falls back and records the reason + counter.
-        agent.register_interpreted("r").unwrap();
-        assert_eq!(agent.vm_fallbacks().len(), 1);
-        assert!(agent.vm_fallbacks()[0].1.contains("declaration"));
-        assert_eq!(
-            agent
-                .telemetry()
-                .counter(mantis_telemetry::scopes::CTR_VM_FALLBACK),
-            1
-        );
+        assert!(err.to_string().contains("reaction `huge`: body too large"));
+        assert!(!err.is_transient());
     }
 
     #[test]
     fn use_case_style_program_never_falls_back() {
-        // The golden-traced programs must keep compiling on the VM so
-        // their telemetry stays byte-identical.
-        let (_sw, mut agent, _clock) = build();
-        agent
-            .register_all_interpreted_with(ReactionEngine::ForceVm)
-            .unwrap();
+        // Every reaction of the program registers, and on the VM: the
+        // golden-traced programs' telemetry depends on it.
+        let (sw, mut agent, _clock) = build();
+        agent.register_all_interpreted().unwrap();
+        inject(&sw, 1, 1);
+        agent.dialogue_iteration().unwrap();
+        assert!(agent.vm_dispatch_total() > 0);
         assert!(agent.vm_fallbacks().is_empty());
     }
 
@@ -586,11 +588,7 @@ reaction guard(ing ip.src) {
 }
 control ingress { apply(acl); }
 "#;
-        let compiled = compile_source(src, &CompilerOptions::default()).unwrap();
-        let clock = Clock::new();
-        let spec = rmt_sim::load(&compiled.p4).unwrap();
-        let switch = SharedSwitch::new(Switch::new(spec, SwitchConfig::default(), clock.clone()));
-        let mut agent = MantisAgent::new(switch.clone(), &compiled, CostModel::default());
+        let (switch, mut agent, _clock) = agent_for(src);
         agent.prologue().unwrap();
         agent.register_all_interpreted().unwrap();
 

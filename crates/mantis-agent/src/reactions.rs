@@ -2,8 +2,8 @@
 //! iteration's run of them is contained.
 //!
 //! [`Reactions`] owns every registration — its measurement plan and
-//! snapshot, its executor (bytecode VM, tree-walker or native closure) and
-//! its circuit breaker — plus the record of which reaction staged which
+//! snapshot, its executor (the bytecode VM for a C-like body, or a native
+//! closure) and its circuit breaker — plus the record of which reaction staged which
 //! ops this iteration, so a failure in the update phase can be charged to
 //! the breaker of the reaction that staged the failing op. A failing
 //! reaction is contained (its partial staging discarded, the iteration
@@ -18,11 +18,11 @@ use crate::measure::{MeasurePlan, Snapshot};
 use crate::report::{AgentError, AgentErrorKind, AgentPhase};
 use crate::txn::Blame;
 use mantis_faults::{BreakerConfig, BreakerState, CircuitBreaker};
-use mantis_telemetry::{scopes, Scope};
+use mantis_telemetry::Scope;
 use p4r_compiler::iface::ControlInterface;
 use p4r_compiler::Compiled;
 use p4r_lang::creact::Body;
-use reaction_interp::{CompiledReaction, Interpreter, ReactionSlots};
+use reaction_interp::{CompiledReaction, ReactionSlots};
 use rmt_sim::Nanos;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -38,44 +38,29 @@ pub struct ReactionFailure {
 }
 
 /// A native (Rust) reaction — the fast path the paper implements as
-/// compiled C; used by the heavy use-case workloads.
+/// compiled C; used by the heavy use-case workloads. What it returns is the
+/// agent's own error type, so a reaction that wraps an executor of its own
+/// (the differential harnesses register the reference tree-walker this
+/// way) reports that executor's errors as the agent would have.
 pub trait NativeReaction {
-    fn react(&mut self, ctx: &mut ReactionCtx<'_>) -> Result<(), CtxError>;
+    fn react(&mut self, ctx: &mut ReactionCtx<'_>) -> Result<(), AgentError>;
 }
 
 impl<F> NativeReaction for F
 where
     F: FnMut(&mut ReactionCtx<'_>) -> Result<(), CtxError>,
 {
-    fn react(&mut self, ctx: &mut ReactionCtx<'_>) -> Result<(), CtxError> {
-        self(ctx)
+    fn react(&mut self, ctx: &mut ReactionCtx<'_>) -> Result<(), AgentError> {
+        self(ctx).map_err(AgentError::from)
     }
 }
 
-/// Which execution engine an interpreted reaction should run on.
-///
-/// The fuzz harness forces each engine in turn to compare their observable
-/// behavior; production callers use [`ReactionEngine::Auto`], which prefers
-/// the bytecode VM and falls back to the tree-walker (recording a
-/// `reaction.vm_fallback` telemetry counter so walker-only coverage is
-/// never silent).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReactionEngine {
-    /// Bytecode VM when compilable, tree-walker otherwise.
-    #[default]
-    Auto,
-    /// Bytecode VM only; registration fails if the body is unsupported.
-    ForceVm,
-    /// Tree-walker only.
-    ForceWalker,
-}
-
+// The VM sits inline: a handful of registrations, and the loop reaches its
+// program without a pointer hop.
+#[allow(clippy::large_enum_variant)]
 enum ReactionImpl {
-    /// Slot-resolved bytecode (the fast path for C-like bodies).
+    /// Slot-resolved bytecode: how a C-like body runs.
     Compiled(CompiledReaction),
-    /// AST tree-walker — the reference semantics, kept as the fallback
-    /// for bodies the bytecode compiler rejects.
-    Interpreted(Interpreter),
     Native(Box<dyn NativeReaction>),
 }
 
@@ -103,9 +88,6 @@ pub(crate) struct Reactions {
     /// Pre-parsed reaction bodies and static slots from the compiler IR,
     /// keyed by reaction name: registration never re-parses `body_src`.
     ir_bodies: HashMap<String, (Body, ReactionSlots)>,
-    /// (reaction, reason) pairs for every VM → walker fallback, mirrored
-    /// by the `reaction.vm_fallback` counter.
-    vm_fallbacks: Vec<(String, String)>,
     /// What each reaction that ran this iteration staged.
     ranges: Vec<ReactionRange>,
     breaker_cfg: BreakerConfig,
@@ -122,7 +104,6 @@ impl Reactions {
             ir_bodies: reactions
                 .map(|r| (r.name.clone(), (r.body.clone(), r.statics.clone())))
                 .collect(),
-            vm_fallbacks: Vec::new(),
             ranges: Vec::new(),
             breaker_cfg: BreakerConfig::default(),
             had_quarantine: false,
@@ -131,11 +112,11 @@ impl Reactions {
 
     // -- registration ----------------------------------------------------------
 
-    /// Register reaction `name`'s compiled C-like body on `engine`.
+    /// Register reaction `name` to run its C-like body: compile it to
+    /// bytecode, bind it, install it.
     pub(crate) fn register_interpreted(
         &mut self,
         name: &str,
-        engine: ReactionEngine,
         iface: &ControlInterface,
         (slots, tables): (&[Slot], &[LogicalTable]),
         h: &Health,
@@ -145,36 +126,17 @@ impl Reactions {
         let Some((body, statics)) = self.ir_bodies.get(name) else {
             return Err(AgentErrorKind::NotCompiledWithReaction(name.to_string()).into());
         };
-        let body = body.clone();
-        let imp = if engine == ReactionEngine::ForceWalker {
-            ReactionImpl::Interpreted(Interpreter::new(body))
-        } else {
-            match CompiledReaction::compile_with_slots(&body, statics) {
-                // The VM meets its names here, once: every argument,
-                // malleable, table, method and builtin the body mentions
-                // becomes an id of this agent's.
-                Ok(mut vm) => {
-                    vm.bind(|n| bind_name(n, &lowered.1, slots, tables));
-                    ReactionImpl::Compiled(vm)
-                }
-                Err(e) if engine == ReactionEngine::ForceVm => {
-                    return Err(AgentError::from(AgentErrorKind::VmUnsupported {
-                        reaction: name.to_string(),
-                        reason: e.to_string(),
-                    }))
-                }
-                // Auto prefers the bytecode VM; it falls back to the
-                // tree-walker for the rare bodies the VM cannot compile
-                // faithfully, and makes the walker-only coverage visible
-                // in telemetry.
-                Err(e) => {
-                    h.telemetry().counter_add(scopes::CTR_VM_FALLBACK, 1);
-                    self.vm_fallbacks.push((name.to_string(), e.to_string()));
-                    ReactionImpl::Interpreted(Interpreter::new(body))
-                }
-            }
-        };
-        self.install(name, lowered, imp);
+        // Compilation is total over what the front end accepts; what is
+        // left to fail is a body too large for the bytecode's indices.
+        let mut vm = CompiledReaction::compile_with_slots(body, statics).map_err(|error| {
+            let reaction = name.to_string();
+            AgentErrorKind::Compile { reaction, error }
+        })?;
+        // The VM meets its names here, once: every argument, malleable,
+        // table, method and builtin the body mentions becomes an id of
+        // this agent's.
+        vm.bind(|n| bind_name(n, &lowered.1, slots, tables));
+        self.install(name, lowered, ReactionImpl::Compiled(vm));
         Ok(())
     }
 
@@ -234,16 +196,10 @@ impl Reactions {
         self.registered.len()
     }
 
-    pub(crate) fn vm_fallbacks(&self) -> &[(String, String)] {
-        &self.vm_fallbacks
-    }
-
     pub(crate) fn set_step_limits(&mut self, limit: u64) {
         for r in &mut self.registered {
-            match &mut r.imp {
-                ReactionImpl::Compiled(vm) => vm.step_limit = limit,
-                ReactionImpl::Interpreted(w) => w.step_limit = limit,
-                ReactionImpl::Native(_) => {}
+            if let ReactionImpl::Compiled(vm) = &mut r.imp {
+                vm.step_limit = limit;
             }
         }
     }
@@ -335,10 +291,7 @@ impl Reactions {
                 ReactionImpl::Compiled(vm) => {
                     vm.run(&mut ctx).map(|_| ()).map_err(AgentError::from)
                 }
-                ReactionImpl::Interpreted(interp) => {
-                    interp.run(&mut ctx).map(|_| ()).map_err(AgentError::from)
-                }
-                ReactionImpl::Native(imp) => imp.react(&mut ctx).map_err(AgentError::from),
+                ReactionImpl::Native(imp) => imp.react(&mut ctx),
             };
             match res {
                 Ok(()) => {

@@ -5,7 +5,7 @@
 use crate::ctx::CtxError;
 use crate::reactions::ReactionFailure;
 use p4r_compiler::entry::ExpandError;
-use reaction_interp::InterpError;
+use reaction_interp::{CompileError, InterpError};
 use rmt_sim::{DriverError, Nanos};
 use std::fmt;
 
@@ -55,11 +55,11 @@ pub enum AgentErrorKind {
         handle: u64,
     },
     NotCompiledWithReaction(String),
-    /// The bytecode VM was explicitly requested ([`ReactionEngine::ForceVm`](crate::ReactionEngine::ForceVm))
-    /// but cannot compile this reaction body.
-    VmUnsupported {
+    /// The reaction's body does not compile to bytecode: it is too large
+    /// for the VM's indices (nothing else the front end accepts fails).
+    Compile {
         reaction: String,
-        reason: String,
+        error: CompileError,
     },
 }
 
@@ -78,11 +78,8 @@ impl fmt::Display for AgentErrorKind {
             AgentErrorKind::NotCompiledWithReaction(n) => {
                 write!(f, "program has no reaction named `{n}`")
             }
-            AgentErrorKind::VmUnsupported { reaction, reason } => {
-                write!(
-                    f,
-                    "reaction `{reaction}` cannot run on the bytecode VM: {reason}"
-                )
+            AgentErrorKind::Compile { reaction, error } => {
+                write!(f, "reaction `{reaction}`: {error}")
             }
         }
     }

@@ -8,7 +8,7 @@
 //! `block_table`. [`run_mitigation`] reproduces the Fig. 15 scenario.
 
 use crate::programs::DOS_P4R;
-use mantis_agent::{CostModel, CtxError, MantisAgent, ReactionCtx};
+use mantis_agent::{AgentError, CostModel, MantisAgent, ReactionCtx};
 use netsim::{spawn_tcp, spawn_udp, BucketSeries, Simulator, TcpConfig, TcpState, UdpConfig};
 use p4_ast::Value;
 use p4r_compiler::entry::LogicalKey;
@@ -57,7 +57,7 @@ impl DosEstimator {
 }
 
 impl mantis_agent::NativeReaction for DosEstimator {
-    fn react(&mut self, ctx: &mut ReactionCtx<'_>) -> Result<(), CtxError> {
+    fn react(&mut self, ctx: &mut ReactionCtx<'_>) -> Result<(), AgentError> {
         let Some(src) = ctx.arg("ipv4_src_addr") else {
             return Ok(());
         };

@@ -8,7 +8,7 @@
 //! inputs to an alternative header combination.
 
 use crate::programs::ECMP_P4R;
-use mantis_agent::{CostModel, CtxError, MantisAgent, ReactionCtx};
+use mantis_agent::{AgentError, CostModel, MantisAgent, ReactionCtx};
 use netsim::{mean, mean_abs_dev, Simulator, UdpConfig};
 use p4r_compiler::{compile_source, CompilerOptions};
 use rmt_sim::{Clock, Nanos, SharedSwitch, Switch, SwitchConfig};
@@ -59,7 +59,7 @@ impl Default for Rebalancer {
 }
 
 impl mantis_agent::NativeReaction for Rebalancer {
-    fn react(&mut self, ctx: &mut ReactionCtx<'_>) -> Result<(), CtxError> {
+    fn react(&mut self, ctx: &mut ReactionCtx<'_>) -> Result<(), AgentError> {
         let mut deltas = [0f64; 4];
         let mut counts = [0u64; 4];
         for (i, c) in counts.iter_mut().enumerate() {

@@ -9,7 +9,7 @@
 //! all within one serializable commit.
 
 use crate::programs::FAILOVER_P4R;
-use mantis_agent::{CostModel, CtxError, LogicalHandle, MantisAgent, ReactionCtx};
+use mantis_agent::{AgentError, CostModel, LogicalHandle, MantisAgent, ReactionCtx};
 use netsim::{spawn_heartbeats, HeartbeatConfig, Simulator};
 use p4_ast::Value;
 use p4r_compiler::entry::LogicalKey;
@@ -127,7 +127,7 @@ impl GrayFailureDetector {
 }
 
 impl mantis_agent::NativeReaction for GrayFailureDetector {
-    fn react(&mut self, ctx: &mut ReactionCtx<'_>) -> Result<(), CtxError> {
+    fn react(&mut self, ctx: &mut ReactionCtx<'_>) -> Result<(), AgentError> {
         let now = ctx.now_ns();
         let Some(last) = self.last_poll_ns else {
             // First dialogue: baseline the counters.

@@ -10,7 +10,7 @@
 //! of the utilization of the switch with the inverse of queue length".
 
 use crate::programs::RL_P4R;
-use mantis_agent::{CostModel, CtxError, MantisAgent, ReactionCtx};
+use mantis_agent::{AgentError, CostModel, MantisAgent, ReactionCtx};
 use netsim::{spawn_tcp, Simulator, TcpConfig, TcpState};
 use p4r_compiler::{compile_source, CompilerOptions};
 use rand::rngs::StdRng;
@@ -78,10 +78,6 @@ impl QLearner {
             .unwrap_or(0)
     }
 
-    pub fn q_table(&self) -> &Vec<Vec<f64>> {
-        &self.q
-    }
-
     /// Replace the action set (resizes the Q table).
     pub fn set_actions(&mut self, actions: Vec<u32>) {
         self.q = vec![vec![0.0; actions.len()]; self.state_bins.len()];
@@ -91,7 +87,7 @@ impl QLearner {
 }
 
 impl mantis_agent::NativeReaction for QLearner {
-    fn react(&mut self, ctx: &mut ReactionCtx<'_>) -> Result<(), CtxError> {
+    fn react(&mut self, ctx: &mut ReactionCtx<'_>) -> Result<(), AgentError> {
         let now = ctx.now_ns();
         let qdepth = ctx.arg_index("qdepths", 2).unwrap_or(0) as u64;
         let pkts = ctx.arg_index("egr_pkts", 0).unwrap_or(0) as u64;

@@ -184,11 +184,6 @@ impl Channel {
         self.injector.resume();
     }
 
-    /// Frames this channel's injector has decided on (both directions).
-    pub fn frames_seen(&self) -> u64 {
-        self.injector.op_count()
-    }
-
     pub fn injected_total(&self) -> u64 {
         self.injector.injected_total()
     }

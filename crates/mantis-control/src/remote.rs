@@ -104,10 +104,6 @@ impl RemoteDriver {
         }
     }
 
-    pub fn is_batching(&self) -> bool {
-        self.batching
-    }
-
     /// Deferred mutations not yet flushed.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
@@ -123,37 +119,6 @@ impl RemoteDriver {
 
     pub fn plane(&self) -> &Rc<RefCell<ControlPlane>> {
         &self.plane
-    }
-
-    /// Claim (or renew) mastership of the switch for `controller`.
-    /// Returns `(granted, previous master, lease expiry)`.
-    pub fn claim_mastership(
-        &mut self,
-        controller: u16,
-        lease_ns: Nanos,
-    ) -> Result<(bool, Option<u16>, Nanos), DriverError> {
-        let claim = DriverOp::MasterClaim {
-            controller,
-            lease_ns,
-        };
-        match self.barrier(&claim, &mut Vec::new())? {
-            DriverResponse::Master {
-                granted,
-                master,
-                expires,
-            } => Ok((granted, master, expires)),
-            other => panic!("invariant: MasterClaim answers Master, got {other:?}"),
-        }
-    }
-
-    /// Read the switch's mastership state without claiming it.
-    pub fn probe_mastership(&mut self) -> Result<(Option<u16>, Nanos), DriverError> {
-        match self.barrier(&DriverOp::MasterProbe, &mut Vec::new())? {
-            DriverResponse::Master {
-                master, expires, ..
-            } => Ok((master, expires)),
-            other => panic!("invariant: MasterProbe answers Master, got {other:?}"),
-        }
     }
 
     // -- batch plumbing ------------------------------------------------------

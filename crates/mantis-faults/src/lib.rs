@@ -465,10 +465,6 @@ impl FaultInjector {
         self.suspended -= 1;
     }
 
-    pub fn is_suspended(&self) -> bool {
-        self.suspended > 0
-    }
-
     /// Consult the plan for one driver op at virtual time `now`. Always
     /// counts the op; returns the first armed matching rule's effect, or
     /// `None`. Suspended injectors count but never inject. Ops with no

@@ -142,9 +142,6 @@ pub mod scopes {
     pub const CTR_ROLLBACKS: &str = "agent.rollbacks";
     /// Reaction executions skipped because their breaker was open.
     pub const CTR_QUARANTINE_SKIPS: &str = "agent.quarantined";
-    /// Reactions that fell back from the bytecode VM to the tree-walker
-    /// because VM compilation was unsupported (walker-only coverage).
-    pub const CTR_VM_FALLBACK: &str = "reaction.vm_fallback";
     /// Histogram of virtual-clock retry backoffs.
     pub const HIST_RETRY_BACKOFF_NS: &str = "agent.retry_backoff_ns";
     /// Currently quarantined (breaker-open) reactions.

@@ -46,8 +46,7 @@ pub use rmt_sim;
 
 pub use mantis_agent::{
     schedule_agent, schedule_fabric_agents, schedule_paced_agent, AgentError, AgentErrorKind,
-    AgentPhase, CostModel, MantisAgent, NativeReaction, ReactionCtx, ReactionEngine,
-    ReactionFailure,
+    AgentPhase, CostModel, MantisAgent, NativeReaction, ReactionCtx, ReactionFailure,
 };
 pub use mantis_control::{ChannelConfig, ControlPlane, Controller, ControllerConfig, RemoteDriver};
 pub use mantis_faults::{

@@ -646,16 +646,6 @@ impl Simulator {
         self.run_until(until);
     }
 
-    /// Service every switch's queues and collect transmitted packets:
-    /// linked ports schedule an rx event on the peer switch after the wire
-    /// delay, unlinked ports append to the transmit log.
-    pub fn drain_switch(&mut self) {
-        // Public entry: callers may have injected into any switch since
-        // the last drain, so the index is stale.
-        self.mark_all_busy();
-        self.drain();
-    }
-
     /// The drain `run_until` runs after every event, in three steps.
     ///
     /// 1. The *due set* is read off the readiness index, no lock taken: a

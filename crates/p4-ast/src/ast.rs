@@ -66,13 +66,6 @@ impl FieldOrMbl {
             FieldOrMbl::Mbl(_) => None,
         }
     }
-
-    pub fn as_mbl(&self) -> Option<&str> {
-        match self {
-            FieldOrMbl::Field(_) => None,
-            FieldOrMbl::Mbl(n) => Some(n),
-        }
-    }
 }
 
 impl fmt::Display for FieldOrMbl {
@@ -531,10 +524,6 @@ impl Program {
 
     pub fn action(&self, name: &str) -> Option<&ActionDecl> {
         self.actions.iter().find(|a| a.name == name)
-    }
-
-    pub fn action_mut(&mut self, name: &str) -> Option<&mut ActionDecl> {
-        self.actions.iter_mut().find(|a| a.name == name)
     }
 
     pub fn table(&self, name: &str) -> Option<&TableDecl> {

@@ -169,16 +169,6 @@ pub fn validate(p: &Program) -> Vec<ValidateError> {
     errs
 }
 
-/// Convenience wrapper turning the error list into a `Result`.
-pub fn validate_ok(p: &Program) -> Result<(), Vec<ValidateError>> {
-    let errs = validate(p);
-    if errs.is_empty() {
-        Ok(())
-    } else {
-        Err(errs)
-    }
-}
-
 fn check_unique_names(p: &Program, errs: &mut Vec<ValidateError>) {
     fn dups<'a>(
         kind: &'static str,

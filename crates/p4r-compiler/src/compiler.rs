@@ -109,8 +109,8 @@ pub struct Compiled {
     pub p4: Program,
     /// The runtime interface for the Mantis agent.
     pub iface: crate::iface::ControlInterface,
-    /// The typed mid-level IR the program was lowered from. Reaction
-    /// engines (walker and VM) are built from its pre-parsed bodies and
+    /// The typed mid-level IR the program was lowered from. The agent
+    /// compiles each reaction for the VM from its pre-parsed body and
     /// pre-resolved slots.
     pub ir: P4rIr,
 }

@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! source ──p4r-lang──▶ AST ──build()──▶ P4rIr ──┬─▶ lower.rs   (rmt-sim DataPlaneSpec backend)
-//!                      (validate)               ├─▶ tree-walker (reaction-interp::Interpreter)
-//!                                               └─▶ bytecode VM (reaction-interp::CompiledReaction)
+//!                      (validate)               ├─▶ bytecode VM (reaction-interp::CompiledReaction)
+//!                                               └─▶ reference walker (reaction-interp::Interpreter; harnesses only)
 //! ```
 //!
 //! `build()` performs name resolution and type/width checking over the parts
@@ -25,16 +25,21 @@
 //! * every method-call receiver in a body names a declared table;
 //! * every variable a body reads is an argument binding, a declared local
 //!   or `static`, or a whole-header expansion of an argument;
-//! * cast builtins are well-formed (`__cast_{u,i}{1..=128}` with one
-//!   argument), so the VM's "degenerate cast" fallback is unreachable
-//!   through this pipeline;
+//! * the `__cast_` prefix is reserved: a call under it is
+//!   `__cast_{u,i}{1..=128}` with one argument
+//!   ([`reaction_interp::cast_type`], which both engines compile casts
+//!   through) or a diagnostic;
+//! * a declaration is never a bare branch or loop body (the parser wraps it
+//!   in a block), so every local's scope is lexical — with the cast rule,
+//!   what makes [`reaction_interp::CompiledReaction::compile`] total over
+//!   the bodies this IR carries;
 //! * static slots are assigned in pre-order encounter order and shared with
 //!   [`reaction_interp::CompiledReaction::compile_with_slots`].
 
 use p4_ast::{FieldOrMbl, FieldRef, Pipeline, Program, ReactionArg, Value};
 use p4r_lang::creact::{self, Body, Expr, LValue, Stmt};
 use p4r_lang::lexer::{caret_snippet, lex, Tok};
-use reaction_interp::ReactionSlots;
+use reaction_interp::{cast_type, ReactionSlots};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fmt::Write as _;
@@ -146,8 +151,7 @@ pub enum IrReactionArg {
 pub struct IrReaction {
     pub name: String,
     pub args: Vec<IrReactionArg>,
-    /// The parsed body — the walker and the VM both consume this, never the
-    /// raw text.
+    /// The parsed body — what the VM compiles, never the raw text.
     pub body: Body,
     /// Pre-resolved `static` slots, shared with the VM.
     pub statics: ReactionSlots,
@@ -694,25 +698,24 @@ impl BodyCheck<'_> {
         }
     }
 
-    /// Check cast builtins are well-formed; other calls are environment
-    /// builtins resolved at run time, which stay permissive.
+    /// The whole `__cast_` prefix is the cast builtins': a call under it is
+    /// one of [`cast_type`]'s names with exactly one argument, or an error
+    /// here. Other calls are environment builtins resolved at run time,
+    /// which stay permissive.
     fn check_call(&mut self, name: &str, argc: usize) {
-        for prefix in ["__cast_u", "__cast_i"] {
-            if let Some(suffix) = name.strip_prefix(prefix) {
-                let ok_width = suffix.parse::<u16>().map(|w| (1..=128).contains(&w));
-                if ok_width != Ok(true) {
-                    self.diag_at_ident(
-                        name,
-                        format!("malformed cast builtin `{name}` (width must be 1..=128)"),
-                    );
-                } else if argc != 1 {
-                    self.diag_at_ident(
-                        name,
-                        format!("cast builtin `{name}` takes exactly 1 argument, got {argc}"),
-                    );
-                }
-                return;
-            }
+        if !name.starts_with("__cast_") {
+            return;
+        }
+        if cast_type(name).is_none() {
+            self.diag_at_ident(
+                name,
+                format!("malformed cast builtin `{name}` (expected `__cast_u<N>` or `__cast_i<N>`, N in 1..=128)"),
+            );
+        } else if argc != 1 {
+            self.diag_at_ident(
+                name,
+                format!("cast builtin `{name}` takes exactly 1 argument, got {argc}"),
+            );
         }
     }
 }
@@ -813,6 +816,25 @@ control ingress { apply(t); }
         let p = prog(&with_reaction("counts.addEntry(1, 2);"));
         let diags = build(&p).unwrap_err();
         assert!(diags[0].message.contains("not a declared table"));
+    }
+
+    #[test]
+    fn the_cast_prefix_is_reserved() {
+        let opts = crate::CompilerOptions::default();
+        for call in [
+            "__cast_(1)",
+            "__cast_8()",
+            "__cast_u8()",
+            "__cast_u0(1)",
+            "__cast_x(1)",
+        ] {
+            let src = with_reaction(&format!("int x =\n  {call};"));
+            let msg = crate::compile_source(&src, &opts).unwrap_err().to_string();
+            assert!(msg.contains("cast builtin `__cast_"), "{call}: {msg}");
+            assert!(msg.contains("at line 2, col 2"), "{call}: {msg}");
+        }
+        let ok = with_reaction("int x = (uint8_t) 300 + __cast_i128(hdr_foo);");
+        crate::compile_source(&ok, &opts).unwrap();
     }
 
     #[test]

@@ -128,7 +128,8 @@ pub struct Declarator {
     pub init: Option<Expr>,
 }
 
-/// Statements.
+/// Statements. A branch or loop body (`then_`, `else_`, `body`) as the
+/// parser builds it is never a bare `Decl`: that is wrapped in a `Block`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Stmt {
     Decl {
@@ -340,6 +341,17 @@ impl CParser<'_> {
         }
     }
 
+    /// The body of an `if` / `else` / `while` / `for`. A bare declaration
+    /// there is wrapped in a block — C++'s implicit substatement scope — so
+    /// no consumer of the AST ever sees a name whose visibility depends on
+    /// whether a branch ran.
+    fn substmt(&mut self) -> PResult<Stmt> {
+        Ok(match self.stmt()? {
+            decl @ Stmt::Decl { .. } => Stmt::Block(vec![decl]),
+            s => s,
+        })
+    }
+
     fn decl(&mut self, is_static: bool, ty: CType) -> PResult<Stmt> {
         let mut decls = Vec::new();
         loop {
@@ -384,10 +396,10 @@ impl CParser<'_> {
         self.expect(&Tok::LParen)?;
         let cond = self.expr()?;
         self.expect(&Tok::RParen)?;
-        let then_ = Box::new(self.stmt()?);
+        let then_ = Box::new(self.substmt()?);
         let else_ = if matches!(self.peek(), Some(Tok::Ident(s)) if s == "else") {
             self.pos += 1;
-            Some(Box::new(self.stmt()?))
+            Some(Box::new(self.substmt()?))
         } else {
             None
         };
@@ -399,7 +411,7 @@ impl CParser<'_> {
         self.expect(&Tok::LParen)?;
         let cond = self.expr()?;
         self.expect(&Tok::RParen)?;
-        let body = Box::new(self.stmt()?);
+        let body = Box::new(self.substmt()?);
         Ok(Stmt::While { cond, body })
     }
 
@@ -426,7 +438,7 @@ impl CParser<'_> {
             Some(self.expr()?)
         };
         self.expect(&Tok::RParen)?;
-        let body = Box::new(self.stmt()?);
+        let body = Box::new(self.substmt()?);
         Ok(Stmt::For {
             init,
             cond,
@@ -1009,6 +1021,33 @@ ${value_var} = max_port;
             }
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn bare_decl_substatement_is_wrapped_in_a_block() {
+        let block_of_decl =
+            |s: &Stmt| matches!(s, Stmt::Block(b) if matches!(b[..], [Stmt::Decl { .. }]));
+        let b = parse(
+            "if (a) int x = 1; else static int y = 2; \
+             while (a) int z; for (int i = 0;;) int w = i; if (a) x = 1;",
+        );
+        match &b.stmts[..] {
+            [Stmt::If {
+                then_,
+                else_: Some(else_),
+                ..
+            }, Stmt::While { body: w, .. }, Stmt::For { init, body: f, .. }, Stmt::If { then_: plain, .. }] =>
+            {
+                assert!(block_of_decl(then_) && block_of_decl(else_));
+                assert!(block_of_decl(w) && block_of_decl(f));
+                // A `for` init clause shares the loop's scope and stays bare;
+                // a non-declaration body is left alone.
+                assert!(matches!(init.as_deref(), Some(Stmt::Decl { .. })));
+                assert!(matches!(**plain, Stmt::Expr(_)));
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+        assert_eq!(parse("if (a) int x = 1;"), parse("if (a) { int x = 1; }"));
     }
 
     #[test]

@@ -1,17 +1,24 @@
 //! # reaction-interp
 //!
-//! Interpreter for the C-like reaction bodies of P4R programs.
+//! Execution of the C-like reaction bodies of P4R programs.
 //!
 //! The paper compiles reactions with `gcc` and loads them as shared objects
-//! into the Mantis agent. This reproduction instead interprets the parsed
-//! reaction AST (`p4r_lang::creact`) directly — same semantics, no FFI —
-//! while the agent also supports native Rust reactions for heavy workloads.
+//! into the Mantis agent. This reproduction compiles the parsed reaction
+//! AST (`p4r_lang::creact`) to slot-resolved bytecode and runs that
+//! ([`CompiledReaction`], the one executor the agent has for a body) —
+//! same semantics, no FFI — while the agent also takes native Rust
+//! reactions for heavy workloads.
 //!
-//! The interpreter supports everything the paper's examples need: typed
-//! integer locals with C wrap-around semantics, `static` state that
-//! persists across dialogue-loop iterations (§6, "stateful dialogue"),
-//! arrays, control flow, malleable reads/writes (`${var}`), malleable-table
-//! method calls (`t.addEntry(...)`), and builtin/agent-provided functions.
+//! [`Interpreter`], the AST tree-walker the VM was written against, is the
+//! *reference*: the differential harnesses (`bench::fuzz`,
+//! `reaction_vm_differential.rs`, the unit tests of [`vm`]) run it beside
+//! the VM and compare; nothing in production reaches it.
+//!
+//! Both support everything the paper's examples need: typed integer locals
+//! with C wrap-around semantics, `static` state that persists across
+//! dialogue-loop iterations (§6, "stateful dialogue"), arrays, control
+//! flow, malleable reads/writes (`${var}`), malleable-table method calls
+//! (`t.addEntry(...)`), and builtin/agent-provided functions.
 
 #![forbid(unsafe_code)]
 
@@ -223,6 +230,22 @@ pub(crate) fn coerce(ty: CType, v: i128) -> i128 {
     }
 }
 
+/// The type a cast builtin names: `(uintN_t) e` parses to
+/// `__cast_uN(e)`, `(intN_t) e` to `__cast_iN(e)`, N in 1..=128. Both
+/// engines ask here, so a name this rejects (or a cast of anything but one
+/// argument) is to both an ordinary builtin call; the IR typecheck asks here
+/// too and rejects the rest of the `__cast_` prefix at compile time.
+pub fn cast_type(name: &str) -> Option<CType> {
+    let rest = name.strip_prefix("__cast_")?;
+    let bits = rest.get(1..)?.parse::<u16>().ok()?;
+    let bits = Some(bits).filter(|b| (1..=128).contains(b))?;
+    match rest.as_bytes()[0] {
+        b'u' => Some(CType::UInt(bits)),
+        b'i' => Some(CType::Int(bits)),
+        _ => None,
+    }
+}
+
 /// Flow control signal from statement execution.
 enum Flow {
     Normal,
@@ -231,11 +254,10 @@ enum Flow {
     Return(Option<i128>),
 }
 
-/// A reaction body plus its persistent `static` state.
-///
-/// One `Interpreter` instance per registered reaction; statics live for the
-/// lifetime of the instance — exactly like the DATA segment of the paper's
-/// dynamically loaded shared objects.
+/// The reference executor: a reaction body walked as an AST, plus its
+/// persistent `static` state (which lives as long as the instance —
+/// exactly like the DATA segment of the paper's dynamically loaded shared
+/// objects).
 #[derive(Debug)]
 pub struct Interpreter {
     body: Body,
@@ -541,20 +563,8 @@ impl<'a> Exec<'a> {
             ("max", [x, y]) => return Ok(*x.max(y)),
             _ => {}
         }
-        if let Some(rest) = name.strip_prefix("__cast_") {
-            let (signed, bits) = match rest.split_at(1) {
-                ("i", b) => (true, b),
-                ("u", b) => (false, b),
-                _ => (false, rest),
-            };
-            if let Ok(bits) = bits.parse::<u16>() {
-                let ty = if signed {
-                    CType::Int(bits)
-                } else {
-                    CType::UInt(bits)
-                };
-                return Ok(coerce(ty, vals[0]));
-            }
+        if let (Some(ty), [x]) = (cast_type(name), vals.as_slice()) {
+            return Ok(coerce(ty, *x));
         }
         match self.env.call(name, &vals) {
             Some(r) => r,

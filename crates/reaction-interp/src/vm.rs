@@ -19,14 +19,18 @@
 //!   *adjacent* ticks merged (no side effect can occur between adjacent
 //!   ticks, so `StepLimitExceeded` fires at an identical point).
 //!
-//! Bodies using a corner of the language whose scoping the slot resolver
-//! cannot model statically (a declaration as a bare branch/loop body, where
-//! the tree-walker would *conditionally* declare into the enclosing scope)
-//! are rejected with [`CompileError::Unsupported`]; callers fall back to
-//! the tree-walker for those.
+//! The compiler is *total* over what the front end accepts: every body
+//! `p4r_lang::creact::parse_body` returns compiles, short of one too large
+//! for the bytecode's u16 indices ([`CompileError::TooLarge`]). Two
+//! front-end rules make it so. The parser wraps a bare declaration used as
+//! a branch or loop body in a block, so every local's visibility is
+//! lexical and a slot can stand for it; and a cast is exactly what
+//! [`cast_type`] accepts applied to one argument — anything else under the
+//! `__cast_` prefix is a compile-time error in `p4r-compiler`'s IR check
+//! and, to both engines, an ordinary (unknown) builtin call.
 
 use crate::slots::ReactionSlots;
-use crate::{apply_binop, coerce, Binding, InterpError, ReactionEnv};
+use crate::{apply_binop, cast_type, coerce, Binding, InterpError, ReactionEnv};
 use p4r_lang::creact::{BinOp, Body, CType, Declarator, Expr, LValue, Stmt, UnOp};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -34,12 +38,9 @@ use std::fmt;
 /// Sentinel for "this name has no static slot anywhere in the body".
 const NO_STATIC: u16 = u16::MAX;
 
-/// Compilation failures. `Unsupported` is not a user error: it means the
-/// body is valid but needs the tree-walker's dynamic scoping.
+/// The one way a parsed body fails to compile.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CompileError {
-    /// The body uses a construct the slot resolver cannot compile faithfully.
-    Unsupported(String),
     /// Slot or name counts overflow the bytecode's u16 indices.
     TooLarge(String),
 }
@@ -47,7 +48,6 @@ pub enum CompileError {
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CompileError::Unsupported(s) => write!(f, "unsupported for bytecode: {s}"),
             CompileError::TooLarge(s) => write!(f, "body too large for bytecode: {s}"),
         }
     }
@@ -66,8 +66,6 @@ pub enum Op {
     Const(i128),
     /// Discard the top of stack.
     Pop,
-    /// Discard the top `n` values.
-    PopN(u16),
     /// Swap the two top values.
     Swap,
     /// Normalize the top value to 0/1.
@@ -300,7 +298,7 @@ impl CompiledReaction {
     }
 
     /// Parse and compile in one call. The outer error is a parse failure;
-    /// the inner one a (fallback-worthy) compile rejection.
+    /// the inner one a body too large for the bytecode.
     pub fn from_source(src: &str) -> Result<Result<Self, CompileError>, p4r_lang::ParseError> {
         let body = p4r_lang::creact::parse_body(src)?;
         Ok(Self::compile(&body))
@@ -372,9 +370,6 @@ impl CompiledReaction {
                 Op::Const(v) => stack.push(*v),
                 Op::Pop => {
                     pop!();
-                }
-                Op::PopN(n) => {
-                    stack.truncate(stack.len() - usize::from(*n));
                 }
                 Op::Swap => {
                     let len = stack.len();
@@ -989,13 +984,11 @@ impl Compiler {
                 self.scopes.pop();
             }
             Stmt::If { cond, then_, else_ } => {
-                self.reject_bare_decl(then_, "if branch")?;
                 self.expr(cond)?;
                 let jz = self.emit(Op::Jz(0));
                 self.stmt(then_)?;
                 match else_ {
                     Some(e) => {
-                        self.reject_bare_decl(e, "else branch")?;
                         let jend = self.emit(Op::Jmp(0));
                         let else_at = self.here();
                         self.patch(jz, else_at);
@@ -1010,7 +1003,6 @@ impl Compiler {
                 }
             }
             Stmt::While { cond, body } => {
-                self.reject_bare_decl(body, "while body")?;
                 let head = self.here();
                 self.tick(); // per-iteration tick, before the condition
                 self.expr(cond)?;
@@ -1035,7 +1027,6 @@ impl Compiler {
                 step,
                 body,
             } => {
-                self.reject_bare_decl(body, "for body")?;
                 self.scopes.push(HashMap::new());
                 if let Some(i) = init {
                     self.stmt(i)?;
@@ -1102,19 +1093,6 @@ impl Compiler {
                     None => self.end_sites.push(site),
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// A `Decl` directly as a branch/loop body (no `{}`) would make the
-    /// tree-walker declare into the *enclosing* scope only when that branch
-    /// actually executes — liveness the slot resolver cannot model. Bail
-    /// out so the caller falls back to the tree-walker.
-    fn reject_bare_decl(&self, s: &Stmt, what: &str) -> Result<(), CompileError> {
-        if matches!(s, Stmt::Decl { .. }) {
-            return Err(CompileError::Unsupported(format!(
-                "declaration as bare {what}"
-            )));
         }
         Ok(())
     }
@@ -1482,31 +1460,9 @@ impl Compiler {
             }
             _ => {}
         }
-        if let Some(rest) = name.strip_prefix("__cast_") {
-            if args.is_empty() || rest.is_empty() {
-                // The walker would panic here at run time; refuse to
-                // compile so the caller keeps the walker's behavior.
-                return Err(CompileError::Unsupported("degenerate cast".into()));
-            }
-            let (signed, bits) = match rest.split_at(1) {
-                ("i", b) => (true, b),
-                ("u", b) => (false, b),
-                _ => (false, rest),
-            };
-            if let Ok(bits) = bits.parse::<u16>() {
-                let ty = if signed {
-                    CType::Int(bits)
-                } else {
-                    CType::UInt(bits)
-                };
-                if args.len() > 1 {
-                    // The walker evaluates every argument, then casts the
-                    // first.
-                    self.emit(Op::PopN((args.len() - 1) as u16));
-                }
-                self.emit(Op::Cast(ty));
-                return Ok(());
-            }
+        if let (Some(ty), 1) = (cast_type(name), args.len()) {
+            self.emit(Op::Cast(ty));
+            return Ok(());
         }
         let id = self.intern(name)?;
         self.emit(Op::EnvCall {
@@ -1794,25 +1750,74 @@ return s * 100 + j;
         assert_eq!(v.run(&mut env), Err(InterpError::StepLimitExceeded(10_000)));
     }
 
+    /// A bare declaration as a branch or loop body is scoped to that body
+    /// (the parser wraps it in a block), so the VM takes it like any other:
+    /// one pair of engine instances per source, run with the argument `c`
+    /// going 0, 1, 0, 1 so statics persist from run to run.
     #[test]
-    fn bare_decl_branches_fall_back() {
-        for src in [
-            "if (1) int x = 3;",
-            "if (0) int x = 3; else int y = 4;",
-            "while (0) int x = 3;",
-            "for (;0;) int x = 3;",
+    fn bare_decl_branches_scope_to_the_branch() {
+        let unknown = |n: &str| Err(InterpError::UnknownVariable(n.into()));
+        for (src, expected) in [
+            ("if (1) int x = 3;", None),
+            ("if (0) int x = 3; else int y = 4;", None),
+            ("while (0) int x = 3;", None),
+            ("for (;0;) int x = 3;", None),
+            ("if (c > 0) static uint64_t n = 0; return 0;", None),
+            // `x` is out of scope after the branch whether or not it ran.
+            ("if (c) int x = 3; return x;", Some(vec![unknown("x"); 4])),
+            // A static declared in a branch that did not run is not live
+            // yet; once one has run it stays.
+            (
+                "if (c) static uint64_t n = 0; n += 1; return n;",
+                Some(vec![unknown("n"), Ok(Some(1)), Ok(Some(2)), Ok(Some(3))]),
+            ),
         ] {
-            let body = p4r_lang::creact::parse_body(src).unwrap();
-            assert!(
-                matches!(
-                    CompiledReaction::compile(&body),
-                    Err(CompileError::Unsupported(_))
-                ),
-                "expected Unsupported for: {src}"
+            let mut w = Interpreter::from_source(src).unwrap();
+            let mut v = compile(src);
+            let mut seen = Vec::new();
+            for c in [0, 1, 0, 1] {
+                let mut w_env = MockEnv::default();
+                w_env.scalars.insert("c".into(), c);
+                let mut v_env = MockEnv::default();
+                v_env.scalars.insert("c".into(), c);
+                let wr = w.run(&mut w_env);
+                assert_eq!(wr, v.run(&mut v_env), "{src} with c = {c}");
+                seen.push(wr);
+            }
+            if let Some(expected) = expected {
+                assert_eq!(seen, expected, "{src}");
+            }
+        }
+    }
+
+    /// Under the `__cast_` prefix only `cast_type`'s names applied to one
+    /// argument are casts; the rest reach the engines only from a body the
+    /// IR check never saw, and are to both an unknown builtin — not a
+    /// panic in one and a refusal in the other.
+    #[test]
+    fn malformed_casts_are_unknown_builtins_on_both_engines() {
+        for call in [
+            "__cast_(1)",
+            "__cast_8()",
+            "__cast_u8()",
+            "__cast_u0(1)",
+            "__cast_x(1)",
+            "__cast_u129(1)",
+            "__cast_u8(1, 2)",
+        ] {
+            let src = format!("return {call};");
+            assert_parity(&src);
+            let name = call.split('(').next().unwrap();
+            assert_eq!(
+                compile(&src).run(&mut MockEnv::default()),
+                Err(InterpError::UnknownBuiltin(name.into())),
+                "{src}"
             );
         }
-        // A braced decl body is fine.
-        compile("if (1) { int x = 3; }");
+        assert_eq!(cast_type("__cast_u128"), Some(CType::UInt(128)));
+        assert_eq!(cast_type("__cast_i1"), Some(CType::Int(1)));
+        assert_eq!(cast_type("__cast_"), None);
+        assert_eq!(cast_type("cast_u8"), None);
     }
 
     #[test]

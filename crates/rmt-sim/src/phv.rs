@@ -370,10 +370,6 @@ impl PacketTemplate {
         self.port = port;
     }
 
-    pub fn set_payload(&mut self, len: u32) {
-        self.payload_len = len;
-    }
-
     /// Overwrite the value of the `slot`-th compiled field (slots follow
     /// the order fields were added to the source [`PacketDesc`]).
     #[inline]

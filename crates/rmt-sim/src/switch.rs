@@ -776,9 +776,8 @@ impl Switch {
 
     /// Earliest virtual time at which a pump could serve a queued packet
     /// (`u64::MAX` when nothing is queued). A pump strictly before this
-    /// instant has zero side effects, and — unless
-    /// [`pump_pipe`](Switch::pump_pipe) blurred the bound — one at or
-    /// after it serves at least one packet.
+    /// instant has zero side effects, and one at or after it serves at
+    /// least one packet.
     #[inline]
     pub fn next_ready_at(&self) -> Nanos {
         if self.queued_pkts == 0 {
@@ -792,21 +791,6 @@ impl Switch {
     #[inline]
     pub fn tx_ready(&self) -> bool {
         self.clock.now() >= self.next_ready
-    }
-
-    /// Serve one pipe's port queues up to the current virtual time. This is
-    /// the sub-switch shard granularity of the parallel runtime: each
-    /// pipe's queues, ports, and egress state are disjoint, so pipes of one
-    /// switch could be pumped independently (work accounting treats them as
-    /// separate units even though execution locks whole switches).
-    pub fn pump_pipe(&mut self, pipe_idx: u16) -> u64 {
-        // A single-pipe pump leaves the other pipes' queue heads unseen,
-        // so the readiness bound cannot be trusted afterwards: drop it to
-        // "always ready" (drains then never skip this switch).
-        self.next_ready = 0;
-        let served = self.pump_pipe_inner(pipe_idx);
-        self.writer.flush();
-        served
     }
 
     /// Hand the registry what [`pump_buffered`](Switch::pump_buffered)
@@ -1136,12 +1120,6 @@ impl Switch {
         phv
     }
 
-    /// Run a full pipeline over a PHV in a specific pipe.
-    pub fn run_pipeline_on(&mut self, mut phv: Phv, pipeline: Pipeline, pipe: u16) -> Phv {
-        self.run_stages(pipeline, pipe, &mut phv);
-        phv
-    }
-
     /// Execute an action body against a PHV (in pipe 0).
     pub fn run_action(&mut self, action: ActionId, data: &[Value], phv: &mut Phv) {
         self.run_action_on(action, data, 0, phv);
@@ -1454,16 +1432,6 @@ impl Switch {
     /// Control-plane register write to a single pipe.
     pub fn register_write_on(&mut self, pipe: u16, reg: RegisterId, index: u32, value: Value) {
         self.pipes[pipe as usize].registers[reg.0 as usize].write(index as usize, value);
-    }
-
-    /// Register view in pipe 0.
-    pub fn register_ref(&self, reg: RegisterId) -> &RegisterArray {
-        &self.pipes[0].registers[reg.0 as usize]
-    }
-
-    /// Register view in a specific pipe.
-    pub fn register_ref_on(&self, pipe: u16, reg: RegisterId) -> &RegisterArray {
-        &self.pipes[pipe as usize].registers[reg.0 as usize]
     }
 
     pub fn port_set_up(&mut self, port: PortId, up: bool) -> Result<(), DriverError> {

@@ -1,14 +1,17 @@
 //! Fuzz-generator properties and corpus regression replay.
 //!
 //! 1. Any program emitted by the seeded random generator either compiles
-//!    on every backend (rmt-sim lowering + walker + VM-or-fallback) or is
-//!    rejected by the typechecker with a spanned diagnostic — never a
-//!    panic, and never a silent half-compile.
+//!    on every backend (rmt-sim lowering + the bytecode VM, which takes
+//!    every body the compiler accepts) or is rejected by the typechecker
+//!    with a spanned diagnostic — never a panic, and never a silent
+//!    half-compile.
 //! 2. Every checked-in `tests/fuzz_corpus/*.p4r` regression case replays
-//!    divergence-free across the walker, the VM, and the testbed agents.
+//!    divergence-free across the VM, the reference walker, and the testbed
+//!    agents.
 
 use bench::fuzz::run_case;
 use mantis::p4r_compiler::generate::{generate, GenConfig};
+use mantis::reaction_interp::CompiledReaction;
 use mantis::{compile_source, CompilerOptions};
 use proptest::prelude::*;
 use std::path::Path;
@@ -24,12 +27,21 @@ proptest! {
         match compile_source(&src, &CompilerOptions::default()) {
             Ok(compiled) => {
                 // The typed IR must carry every reaction the interface
-                // exposes, with a body ready for both execution engines.
+                // exposes, with a body the VM compiles: totality over what
+                // the front end accepts, as registration relies on.
                 for binding in &compiled.iface.reactions {
+                    let Some(r) = compiled.ir.reaction(&binding.name) else {
+                        return Err(TestCaseError::fail(format!(
+                            "seed {seed}: reaction `{}` missing from IR",
+                            binding.name
+                        )));
+                    };
+                    let vm = CompiledReaction::compile_with_slots(&r.body, &r.statics);
                     prop_assert!(
-                        compiled.ir.reaction(&binding.name).is_some(),
-                        "seed {seed}: reaction `{}` missing from IR",
-                        binding.name
+                        vm.is_ok(),
+                        "seed {seed}: the VM refuses `{}`: {:?}",
+                        binding.name,
+                        vm.err()
                     );
                 }
             }

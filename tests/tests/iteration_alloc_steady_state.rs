@@ -186,7 +186,6 @@ fn a_quiescent_iteration_allocates_only_the_driver_payloads() {
             .borrow_mut()
             .register_all_interpreted()
             .expect("reaction registers");
-        assert!(tb.agent.borrow().vm_fallbacks().is_empty(), "{name}");
         let quiescent: Vec<u64> = profile(&tb, traffic)
             .into_iter()
             .filter(|(_, apply_ns)| *apply_ns == 0)

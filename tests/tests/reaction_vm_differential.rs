@@ -181,6 +181,7 @@ ${wrapped_dec} = c;
 uint16_t d = 65535;
 ++d;
 ${wrapped_u16} = d;
+${cast} = (uint8_t) 300 + (int8_t) 200 + (uint16_t) (0 - 1);
 "#;
     assert_parity(
         "wrap-around",
@@ -191,6 +192,7 @@ ${wrapped_u16} = d;
                 ("wrapped_i8", 0),
                 ("wrapped_dec", 0),
                 ("wrapped_u16", 0),
+                ("cast", 0),
             ])
         },
         50_000_000,
@@ -266,14 +268,19 @@ ${after} = calls * 10;
 /// only. In the agent the VM is *bound*: registration resolves every name
 /// of the body to an id of the agent's (argument, malleable slot, table,
 /// method, builtin) and the run reaches the `ReactionCtx` through the
-/// id-based calls, while the walker still comes in by name. Twin testbeds
-/// — one forcing each engine — under the same phased traffic must stage
-/// the same updates every iteration: same virtual timing, same staged op
-/// counts, same committed slots and entries.
+/// id-based calls, while the walker comes in by name. Twin testbeds — one
+/// registered the way every agent registers (the VM), one with the
+/// reference walker registered from outside as a native reaction — under
+/// the same phased traffic must stage the same updates every iteration:
+/// same virtual timing, same staged op counts, same failure strings, same
+/// committed slots and entries.
 #[test]
 fn bound_vm_matches_walker_through_a_real_reaction_ctx() {
+    use bench::fuzz::register_reference_walker;
     use mantis::rmt_sim::PacketDesc;
-    use mantis::{CostModel, DriverMode, ReactionEngine, SwitchConfig, Testbed};
+    use mantis::{CostModel, DriverMode, SwitchConfig, Testbed};
+
+    const STEP_LIMIT: u64 = 50_000_000;
 
     fn ipv4(port: u16, src: u128, payload: u32) -> PacketDesc {
         PacketDesc::new(port)
@@ -335,7 +342,7 @@ fn bound_vm_matches_walker_through_a_real_reaction_ctx() {
         ("ecmp", ECMP_P4R),
         ("rl", RL_P4R),
     ] {
-        let build = |engine: ReactionEngine| {
+        let build = |reference: bool| {
             let config = SwitchConfig {
                 num_pipes: 1,
                 // A bottleneck slow enough for the RL burst to stand.
@@ -354,16 +361,16 @@ fn bound_vm_matches_walker_through_a_real_reaction_ctx() {
                 sw.bind_queue_depth_register("qdepths").expect("qdepths");
             }
             let mut agent = tb.agent.borrow_mut();
-            agent
-                .register_all_interpreted_with(engine)
-                .expect("registers");
+            if reference {
+                register_reference_walker(&mut agent, STEP_LIMIT).expect("registers");
+            } else {
+                agent.register_all_interpreted().expect("registers");
+                agent.set_reaction_step_limits(STEP_LIMIT);
+            }
             drop(agent);
             tb
         };
-        let twins = [
-            build(ReactionEngine::ForceVm),
-            build(ReactionEngine::ForceWalker),
-        ];
+        let twins = [build(false), build(true)];
         let initial = twins[0].agent.borrow().config_fingerprint();
         let mut reacted = false;
         for i in 0..240 {
@@ -396,6 +403,67 @@ fn bound_vm_matches_walker_through_a_real_reaction_ctx() {
             reacted |= seen[0].1 > 0 || seen[0].3 .0 != initial;
         }
         assert!(reacted, "{app}: the traffic never made the body react");
-        assert!(twins[0].agent.borrow().vm_fallbacks().is_empty());
+        // The twins did run different executors.
+        assert!(twins[0].agent.borrow().vm_dispatch_total() > 0);
+        assert_eq!(twins[1].agent.borrow().vm_dispatch_total(), 0);
     }
+}
+
+/// A reaction that fails is contained and reported; the report of the twin
+/// that runs the reference walker (a native reaction, to its agent) must
+/// read byte for byte like the VM twin's — division by zero, an environment
+/// error and the step limit alike.
+#[test]
+fn reference_walker_reports_failures_as_the_agent_does() {
+    use bench::fuzz::register_reference_walker;
+    use mantis::rmt_sim::PacketDesc;
+    use mantis::Testbed;
+
+    const SRC: &str = r#"
+header_type ip_t { fields { src : 32; } }
+header ip_t ip;
+malleable value knob { width : 8; init : 1; }
+action fwd() { modify_field(intr.egress_spec, ${knob}); }
+table t { actions { fwd; } size : 1; }
+reaction r(ing ip.src) {
+    static uint32_t runs = 0;
+    runs++;
+    if (runs == 2) { ${knob} = 100 / (ip_src - ip_src); }
+    if (runs == 3) { ${knob} = no_such_builtin(1); }
+    if (runs == 4) { while (1) { runs = 4; } }
+    ${knob} = runs;
+}
+control ingress { apply(t); }
+"#;
+    let build = |reference: bool| {
+        let tb = Testbed::from_p4r_local(SRC).expect("program compiles");
+        let mut agent = tb.agent.borrow_mut();
+        if reference {
+            register_reference_walker(&mut agent, 10_000).expect("registers");
+        } else {
+            agent.register_all_interpreted().expect("registers");
+            agent.set_reaction_step_limits(10_000);
+        }
+        drop(agent);
+        tb
+    };
+    let twins = [build(false), build(true)];
+    let mut failed = 0;
+    for i in 0..6u128 {
+        let seen = twins.each_ref().map(|tb| {
+            let pkt = PacketDesc::new(0).field("ip", "src", 7 + i).payload(64);
+            tb.sim.switch().borrow_mut().inject(&pkt);
+            let mut agent = tb.agent.borrow_mut();
+            let r = agent.dialogue_iteration().expect("failures are contained");
+            let failures: Vec<(String, String, bool)> = r
+                .reaction_failures
+                .iter()
+                .map(|f| (f.name.clone(), f.error.clone(), f.quarantined))
+                .collect();
+            (failures, agent.slot("knob"), agent.config_fingerprint())
+        });
+        assert_eq!(seen[0], seen[1], "iteration {i}");
+        failed += seen[0].0.len();
+    }
+    assert_eq!(failed, 3, "runs 2, 3 and 4 each fail once");
 }
