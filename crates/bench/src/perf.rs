@@ -20,7 +20,7 @@
 //!   blocklist). The precedence-sorted scan early-exits on the first hit;
 //!   the linear reference must always consider every entry,
 //! * **reactions** — a Fig.-1-style queue-scan reaction body executed by
-//!   the slot-resolved bytecode VM and by the reference tree-walker.
+//!   the operand-resolved bytecode VM and by the reference tree-walker.
 //!
 //! Every workload first cross-checks that both engines agree on every
 //! probe (winners for lookups, malleable writes for reactions) before any

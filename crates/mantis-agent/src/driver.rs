@@ -26,14 +26,7 @@ use rmt_sim::{
     ActionId, Clock, DataPlaneSpec, DriverError, EntryHandle, KeyField, Nanos, ReadAgg, RegisterId,
     SharedSwitch, TableId,
 };
-use std::collections::{HashMap, HashSet};
-
-/// Memoization key: which device-instruction templates have been computed.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum MemoKey {
-    Table(TableId),
-    InitDefault(TableId),
-}
+use std::collections::HashMap;
 
 /// The op classes the driver accounts separately: each has its own cost
 /// rule, fault-plan name, `Scope::Driver` span and `driver.<op>_*` metrics.
@@ -124,7 +117,9 @@ pub struct LocalDriver {
     /// Client-side spec copy so metadata lookups never borrow the switch.
     spec: DataPlaneSpec,
     num_pipes: u16,
-    memo: HashSet<MemoKey>,
+    /// Per table, by `TableId`: have its update template and its init-flip
+    /// template been computed (§6 memoization)? A first use is cold.
+    memo: Vec<[bool; 2]>,
     busy_until: Nanos,
     /// Device-lock critical section of the most recent operation.
     lock_start: Nanos,
@@ -154,9 +149,9 @@ impl LocalDriver {
             cost,
             clock,
             switch,
+            memo: vec![[false; 2]; spec.tables.len()],
             spec,
             num_pipes,
-            memo: HashSet::new(),
             busy_until: 0,
             lock_start: 0,
             lock_until: 0,
@@ -299,10 +294,14 @@ impl LocalDriver {
         }
     }
 
+    /// First use of template `kind` (0 table update, 1 init flip) of `table`?
+    fn cold(&mut self, table: TableId, kind: usize) -> bool {
+        !std::mem::replace(&mut self.memo[table.0 as usize][kind], true)
+    }
+
     fn table_op_cost(&mut self, table: TableId) -> Nanos {
-        let cold = self.memo.insert(MemoKey::Table(table));
         self.stats.table_ops += 1;
-        if cold {
+        if self.cold(table, 0) {
             self.cost.table_update_cold_ns
         } else {
             self.cost.table_update_ns
@@ -314,7 +313,7 @@ impl LocalDriver {
     /// (cheapest) cost class.
     fn set_default_cost(&mut self, table: TableId, is_init_flip: bool) -> (Op, Nanos) {
         if is_init_flip {
-            let cost = if self.memo.insert(MemoKey::InitDefault(table)) {
+            let cost = if self.cold(table, 1) {
                 self.cost.table_update_cold_ns
             } else {
                 self.cost.init_update_ns
@@ -655,6 +654,62 @@ control ingress { apply(t); }
         // Second op is memoized (warm).
         add(&mut d, 2).unwrap();
         assert_eq!(clock.now() - after_cold, d.cost.table_update_ns);
+    }
+
+    /// Memoization is per table and per template: on two interleaved
+    /// tables, the first table op and the first init flip of each are cold,
+    /// every later one warm.
+    #[test]
+    fn first_table_op_and_first_init_flip_per_table_are_cold() {
+        let clock = Clock::new();
+        let sw = switch_from_source(
+            r#"
+header_type h_t { fields { a : 32; } }
+header h_t h;
+action nop() { no_op(); }
+table t { reads { h.a : exact; } actions { nop; } size : 16; }
+table u { reads { h.a : exact; } actions { nop; } size : 16; }
+control ingress { apply(t); apply(u); }
+"#,
+            SwitchConfig::default(),
+            clock.clone(),
+        )
+        .unwrap();
+        let mut d = LocalDriver::new(SharedSwitch::new(sw), CostModel::default());
+        let (t, u) = (d.table_id("t").unwrap(), d.table_id("u").unwrap());
+        let nop = d.action_id("nop").unwrap();
+        let c = d.cost.clone();
+        let (cold, warm, flip) = (c.table_update_cold_ns, c.table_update_ns, c.init_update_ns);
+        let mut key = 0u128;
+        let mut cost_of = |d: &mut LocalDriver, table: TableId, is_flip: bool| {
+            let t0 = clock.now();
+            if is_flip {
+                d.table_set_default(table, nop, vec![], true).unwrap();
+            } else {
+                key += 1;
+                let key = vec![KeyField::Exact(Value::new(key, 32))];
+                d.table_add(table, key, 0, nop, vec![]).unwrap();
+            }
+            clock.now() - t0
+        };
+        for (table, is_flip, want) in [
+            (t, false, cold),
+            (u, true, cold),
+            (t, true, cold),
+            (u, false, cold),
+            (t, false, warm),
+            (u, true, flip),
+            (t, true, flip),
+            (u, false, warm),
+            (t, true, flip),
+            (u, false, warm),
+        ] {
+            assert_eq!(
+                cost_of(&mut d, table, is_flip),
+                want,
+                "{table:?} flip {is_flip}"
+            );
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! * register-array reads with occasionally out-of-bounds indices;
 //! * `static` state, nested `if`/`while`/`for`, loops that only terminate
 //!   via the engines' step limit;
+//! * narrowing stores: a value wider than an 8- or 16-bit local or static
+//!   stored into it, then published;
 //! * malleable reads/writes and the interpreted table-method convention
 //!   (`addEntry`/`size`/`setDefault`);
 //! * with small probability, an undeclared identifier — the program must
@@ -245,6 +247,11 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> GenProgram {
     for _ in 0..n_stmts {
         body.push(gen_stmt(&mut rng, &mut scope, cfg, 0));
     }
+    let mut narrow_rng = Rng::new(seed ^ 0x6e61_7277_0000_0000);
+    for stmt in narrowing_stores(&mut narrow_rng, &scope) {
+        let at = narrow_rng.below(body.len() as u64 + 1) as usize;
+        body.insert(at, stmt);
+    }
     // Make every run observable even if earlier statements error out:
     // publish something through a malleable.
     let obs = gen_expr(&mut rng, &mut scope, cfg, 1);
@@ -258,6 +265,30 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> GenProgram {
         body,
         control,
     }
+}
+
+/// A local and a static of 8 or 16 bits, each stored values wider than
+/// itself that reach a malleable before anything narrows them again (a
+/// later narrowing store would hide a skipped one: truncation commutes with
+/// `+` and `*`). Drawn from a stream of their own, naming only what every
+/// program declares: all other choices, and which programs compile, stay.
+fn narrowing_stores(rng: &mut Rng, sc: &Scope) -> [String; 2] {
+    let mut draw = || {
+        let m = format!("${{{}}}", rng.pick(&sc.mbls));
+        let cell = format!("{}[{}]", sc.array, rng.below(sc.array_len));
+        let atom = [String::from("pkt_f0"), m.clone(), cell][rng.below(3) as usize].clone();
+        let ty = format!("{}int{}_t", rng.pick(&["u", ""]), rng.pick(&[8, 16]));
+        let (wide, k) = (
+            rng.pick(&[300i128, 65_537, -129, 1 << 40]),
+            rng.pick(&[3, 1_000, 70_000]),
+        );
+        (ty, wide, atom, m, k)
+    };
+    let (ty, wide, atom, m, k) = draw();
+    let local = format!("{ty} nw = {wide}; {m} = {m} + nw; nw = {atom} * {k}; {m} = {m} ^ nw;");
+    let (ty, wide, atom, m, k) = draw();
+    let stat = format!("static {ty} zw = 1; zw = zw + {wide}; {m} = {m} + zw; zw = {atom} * {k};");
+    [local, stat]
 }
 
 /// One statement; `depth` bounds nesting.

@@ -4,7 +4,7 @@
 //!
 //! The paper compiles reactions with `gcc` and loads them as shared objects
 //! into the Mantis agent. This reproduction compiles the parsed reaction
-//! AST (`p4r_lang::creact`) to slot-resolved bytecode and runs that
+//! AST (`p4r_lang::creact`) to operand-resolved bytecode and runs that
 //! ([`CompiledReaction`], the one executor the agent has for a body) —
 //! same semantics, no FFI — while the agent also takes native Rust
 //! reactions for heavy workloads.
@@ -211,6 +211,7 @@ struct Var {
 }
 
 /// Truncate a value to a C type's width with the right signedness.
+#[inline]
 pub(crate) fn coerce(ty: CType, v: i128) -> i128 {
     let bits = u32::from(ty.bits()).min(127);
     if bits == 0 {
@@ -687,6 +688,7 @@ impl<'a> Exec<'a> {
     }
 }
 
+#[inline]
 pub(crate) fn apply_binop(op: BinOp, l: i128, r: i128) -> Result<i128, InterpError> {
     Ok(match op {
         BinOp::Add => l.wrapping_add(r),

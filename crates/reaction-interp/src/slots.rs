@@ -33,6 +33,8 @@ pub struct ReactionSlots {
     /// Static names in slot order (index == slot).
     names: Vec<String>,
     map: HashMap<String, u16>,
+    /// How many `static` declarators name each slot.
+    decls: Vec<u32>,
 }
 
 impl ReactionSlots {
@@ -46,6 +48,11 @@ impl ReactionSlots {
     /// Slot of a static name, if any.
     pub fn slot(&self, name: &str) -> Option<u16> {
         self.map.get(name).copied()
+    }
+
+    /// How many `static` declarators in the body name `slot`.
+    pub(crate) fn declarations(&self, slot: u16) -> u32 {
+        self.decls.get(usize::from(slot)).copied().unwrap_or(0)
     }
 
     /// Number of static slots.
@@ -88,10 +95,12 @@ impl ReactionSlots {
                         if next >= usize::from(u16::MAX) {
                             return Err(TooManyStatics);
                         }
-                        if !self.map.contains_key(&d.name) {
-                            self.map.insert(d.name.clone(), next as u16);
+                        let slot = *self.map.entry(d.name.clone()).or_insert_with(|| {
                             self.names.push(d.name.clone());
-                        }
+                            self.decls.push(0);
+                            next as u16
+                        });
+                        self.decls[usize::from(slot)] += 1;
                     }
                 }
                 Ok(())
@@ -135,6 +144,9 @@ mod tests {
         assert_eq!(slots.slot("c"), Some(2));
         assert_eq!(slots.slot("nope"), None);
         assert_eq!(slots.len(), 3);
+        assert_eq!(slots.declarations(0), 2, "`a` is declared twice");
+        assert_eq!(slots.declarations(1), 1);
+        assert_eq!(slots.declarations(3), 0);
     }
 
     #[test]

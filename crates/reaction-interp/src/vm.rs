@@ -1,11 +1,14 @@
-//! Slot-resolved bytecode VM for reaction bodies.
+//! Operand-resolved bytecode VM for reaction bodies.
 //!
-//! [`CompiledReaction`] compiles a parsed reaction body once into a compact
-//! `Vec<Op>` program: every name the body mentions is interned to an index
-//! at compile time — locals become scalar/array register slots, statics
-//! become persistent slots, and malleables/arguments/builtins become
-//! interned-name environment ops. Execution is a tight dispatch loop over
-//! the op vector with a reusable operand stack; after the first run the VM
+//! [`CompiledReaction`] compiles a parsed reaction body once into `Vec<Op>`
+//! over a register file, resolving every operand at compile time as
+//! `rmt-sim`'s action kernel resolves `Src::{Const, Field, Param}`: a local,
+//! a constant, a static the compiler proves live and every intermediate
+//! value (the operand stack, laid out at compile time) is a register. An op
+//! names the registers it reads and the one it writes, with the width the
+//! write narrows to: `x = y + 4;` is one `Bin`, `i < 4` in a loop head one
+//! compare-and-branch. Other statics, reaction arguments, malleables and
+//! builtins are interned-name environment ops. After the first run the VM
 //! performs no per-invocation allocation.
 //!
 //! The AST tree-walker ([`crate::Interpreter`]) remains the reference
@@ -13,18 +16,21 @@
 //!
 //! * the same `ReactionEnv` calls in the same order,
 //! * the same errors (including wrap-around stores and `DivisionByZero`),
-//! * the same step accounting — explicit `TickN` ops are emitted at the
-//!   positions where the tree-walker ticks (one per statement entry, one
-//!   per expression node entry, one per loop iteration), with only
-//!   *adjacent* ticks merged (no side effect can occur between adjacent
-//!   ticks, so `StepLimitExceeded` fires at an identical point).
+//! * the same step accounting, and `StepLimitExceeded` at the walker's
+//!   point: the walker ticks once per statement, expression node and loop
+//!   iteration; the compiler counts those ticks in walker order and gives
+//!   each op the ones that come before it ([`Inst`]), which it counts —
+//!   and checks against the limit — before it does anything. So when the
+//!   limit fires, everything observable that happened before it is what
+//!   the walker did. Only steps that end a block with no op after them
+//!   need an op of their own (`Tick`).
 //!
 //! The compiler is *total* over what the front end accepts: every body
 //! `p4r_lang::creact::parse_body` returns compiles, short of one too large
 //! for the bytecode's u16 indices ([`CompileError::TooLarge`]). Two
 //! front-end rules make it so. The parser wraps a bare declaration used as
 //! a branch or loop body in a block, so every local's visibility is
-//! lexical and a slot can stand for it; and a cast is exactly what
+//! lexical and a register can stand for it; and a cast is exactly what
 //! [`cast_type`] accepts applied to one argument — anything else under the
 //! `__cast_` prefix is a compile-time error in `p4r-compiler`'s IR check
 //! and, to both engines, an ordinary (unknown) builtin call.
@@ -32,16 +38,20 @@
 use crate::slots::ReactionSlots;
 use crate::{apply_binop, cast_type, coerce, Binding, InterpError, ReactionEnv};
 use p4r_lang::creact::{BinOp, Body, CType, Declarator, Expr, LValue, Stmt, UnOp};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Sentinel for "this name has no static slot anywhere in the body".
 const NO_STATIC: u16 = u16::MAX;
 
+/// The type of a compiler temporary: `coerce` leaves a 128-bit value as is.
+const WIDE: CType = CType::Int(128);
+
 /// The one way a parsed body fails to compile.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CompileError {
-    /// Slot or name counts overflow the bytecode's u16 indices.
+    /// Register, array, type or name counts overflow the bytecode's
+    /// indices.
     TooLarge(String),
 }
 
@@ -55,201 +65,155 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// One bytecode instruction. Stack effects are noted per op; `lv` is the
-/// VM's resolved-lvalue index register (set by `SetLvIndex`, consumed by
-/// the `*ElemLv*` ops — an lvalue's index is evaluated exactly once).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Op {
-    /// Count `n` interpreter steps against the limit.
-    TickN(u32),
-    /// Push a constant.
-    Const(i128),
-    /// Discard the top of stack.
-    Pop,
-    /// Swap the two top values.
-    Swap,
-    /// Normalize the top value to 0/1.
-    Bool,
-    Un(UnOp),
-    /// Pop `b`, pop `a`, push `a op b`.
-    Bin(BinOp),
-    Jmp(u32),
-    /// Pop; jump if zero.
-    Jz(u32),
-    /// Pop; if zero push 0 and jump (short-circuit `&&`).
-    JzPush0(u32),
-    /// Pop; if non-zero push 1 and jump (short-circuit `||`).
-    JnzPush1(u32),
+/// Where an op puts its value: register `reg`, narrowed on the way in to
+/// width `width` of the program's width table (a C type's truncation and
+/// sign, or none).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Dst {
+    reg: u16,
+    width: u8,
+}
 
-    // -- local register slots ------------------------------------------------
-    /// Push scalar local.
-    LoadLocal(u16),
-    /// Pop, coerce to `ty`, store, push the stored value.
-    StoreLocal {
-        slot: u16,
-        ty: CType,
-    },
-    /// Pop init value, coerce, store (declaration; pushes nothing).
-    InitLocal {
-        slot: u16,
-        ty: CType,
-    },
-    /// `++`/`--` on a scalar local; pushes pre or post value.
-    IncrLocal {
-        slot: u16,
-        ty: CType,
-        delta: i8,
-        post: bool,
-    },
-    /// (Re)zero a local array at its declaration.
-    ZeroLocalArray {
-        slot: u16,
-        len: u32,
-    },
-    /// Pop index, push `arr[idx]` (bounds-checked).
-    ElemLocal {
-        slot: u16,
-        name: u16,
-    },
-    /// Pop index into the lvalue-index register.
-    SetLvIndex,
-    /// Push `arr[lv]`.
-    LoadElemLvLocal {
-        slot: u16,
-        name: u16,
-    },
-    /// Pop value, coerce, store at `lv`, push the stored value.
-    StoreElemLvLocal {
-        slot: u16,
-        name: u16,
-        ty: CType,
-    },
-    IncrElemLvLocal {
-        slot: u16,
-        name: u16,
-        ty: CType,
-        delta: i8,
-        post: bool,
-    },
-    /// Reading a local array as a scalar.
-    FailNotAScalar(u16),
-    /// Indexing a local scalar.
-    FailNotAnArray(u16),
+/// The registers an environment call passes: `len` entries of the
+/// program's argument table from `at`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Args {
+    at: u32,
+    len: u16,
+}
 
-    // -- dynamic names (maybe-static, else environment) ----------------------
-    /// Scalar read: live static → env scalar arg → errors.
-    LoadDynVar {
-        name: u16,
-        static_slot: u16,
-    },
-    /// Pop value; store through the same chain (env args are read-only);
-    /// push the stored value.
-    AssignDynVar {
-        name: u16,
-        static_slot: u16,
-    },
-    IncrDynVar {
-        name: u16,
-        static_slot: u16,
-        delta: i8,
-        post: bool,
-    },
-    /// Pop index, push element: live static array → env array arg → errors.
-    ElemDyn {
-        name: u16,
-        static_slot: u16,
-    },
-    LoadElemLvDyn {
-        name: u16,
-        static_slot: u16,
-    },
-    StoreElemLvDyn {
-        name: u16,
-        static_slot: u16,
-    },
-    IncrElemLvDyn {
-        name: u16,
-        static_slot: u16,
-        delta: i8,
-        post: bool,
-    },
-
-    // -- static declarations -------------------------------------------------
-    /// Skip the (one-time) initializer if the static is already live.
-    JmpIfStaticInit {
-        slot: u16,
-        target: u32,
-    },
-    /// Pop init value, coerce, store, mark live.
-    InitStaticScalar {
-        slot: u16,
-        ty: CType,
-    },
-    /// Allocate a zeroed array, mark live (array initializers are ignored,
-    /// as in the tree-walker).
-    InitStaticArray {
-        slot: u16,
-        ty: CType,
-        len: u32,
-    },
-
-    // -- malleables -----------------------------------------------------------
-    /// Push `env.read_mbl(name)`.
-    ReadMbl(u16),
-    /// Pop value; `write_mbl` then `read_mbl`; push the re-read value.
-    AssignMbl(u16),
-    IncrMbl {
-        name: u16,
-        delta: i8,
-        post: bool,
-    },
-
-    // -- calls ----------------------------------------------------------------
-    /// Pop, coerce to `ty`, push (compiled `(uintN_t)` cast).
-    Cast(CType),
+/// The builtins the VM computes itself.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Native {
     Abs,
     Min,
     Max,
-    /// Pop `argc` args, call the environment builtin, push the result.
-    EnvCall {
-        name: u16,
-        argc: u16,
-    },
-    /// Pop `argc` args, invoke `env.table_op`, push the result.
-    TableOp {
-        recv: u16,
-        method: u16,
-        argc: u16,
-    },
-    /// Stop; pop the return value if `has_value`.
-    Ret {
-        has_value: bool,
-    },
+    Cast(CType),
 }
 
-/// A persistent static slot. `Uninit` until its declaration executes for
-/// the first time (the tree-walker inserts into its statics map lazily, and
-/// name resolution must observe exactly the same liveness).
-#[derive(Clone, Debug)]
+/// An op, and the steps the walker takes before it does what the op does:
+/// the ticks of the statements, expression nodes and loop iterations it
+/// enters after the previous op's effect.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Inst {
+    ticks: u32,
+    op: Op,
+}
+
+/// One bytecode instruction, its fields in the order its comment names
+/// them. Every `u16` but a `name` (an interned name) or a `slot` (a static
+/// slot) is a register or an array. Statics occupy the first registers and
+/// the first arrays, one of each per static slot; locals, constants and
+/// temporaries follow. An op reads all of its operands before it writes
+/// `dst`, which may be one of them. A `u32` is a jump target or a length.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
+enum Op {
+    /// Nothing but the steps: those that end a block with no op after them.
+    Tick,
+    /// `(src, dst)`.
+    Move(u16, Dst),
+    /// `(op, a, dst)`.
+    Un(UnOp, u16, Dst),
+    /// `(op, a, b, dst)`: `a op b` for every operator but `&&` / `||`.
+    Bin(BinOp, u16, u16, Dst),
+    Jmp(u32),
+    /// `(op, a, b, to)`: jump when the comparison `a op b` holds.
+    JmpIf(BinOp, u16, u16, u32),
+    /// `(a, on, to, dst)`: `&&` (`on` false) / `||` (`on` true) as a
+    /// value — when `a`'s truth is `on`, that is the value: write it as 0 /
+    /// 1 and jump past the right operand.
+    ShortCircuit(u16, bool, u32, Dst),
+    /// `(reg, width, delta, post, dst)`: `++` / `--` on a register of
+    /// width `width`; `dst` gets the value before (`post`) or after.
+    IncrReg(u16, u8, i8, bool, Dst),
+    /// `(arr, len)`: (re)zero a local array at its declaration.
+    ZeroArray(u16, u32),
+    /// `(arr, name, idx, dst)`: `arr[idx]`, bounds-checked.
+    Elem(u16, u16, u16, Dst),
+    /// `(arr, name, width, idx, val, dst)`: `arr[idx] = val` narrowed to
+    /// `width`; `dst` gets the stored value.
+    SetElem(u16, u16, u8, u16, u16, Dst),
+    /// `(name)`: reading an array as a scalar.
+    FailNotAScalar(u16),
+    /// `(name)`: indexing a scalar.
+    FailNotAnArray(u16),
+    /// `(name, slot, dst)`: live static → env scalar arg → errors.
+    LoadDyn(u16, u16, Dst),
+    /// `(name, slot, src, dst)`: through the same chain (env args are
+    /// read-only); `dst` gets the stored value.
+    AssignDyn(u16, u16, u16, Dst),
+    /// `(name, slot, idx, dst)`: live static array → env array arg →
+    /// errors.
+    ElemDyn(u16, u16, u16, Dst),
+    /// `(name, slot, idx, val, dst)`.
+    SetElemDyn(u16, u16, u16, u16, Dst),
+    /// `(slot, to)`: skip the one-time initializer of a live static.
+    JmpIfStaticInit(u16, u32),
+    /// `(slot, ty, src)`: coerce, store, mark live.
+    InitScalar(u16, CType, u16),
+    /// `(slot, ty, len)`: zero, mark live (array initializers are ignored,
+    /// as in the tree-walker).
+    InitArray(u16, CType, u32),
+    /// `(name, dst)`.
+    ReadMbl(u16, Dst),
+    /// `(name, src, dst)`: `write_mbl`, then `read_mbl` into `dst` — read
+    /// whether or not the value is used, as the walker does.
+    AssignMbl(u16, u16, Dst),
+    /// `(name, delta, post, dst)`: `++` / `--` on a malleable.
+    IncrMbl(u16, i8, bool, Dst),
+    /// `(f, a, b, dst)`: `f(a)` or `f(a, b)`.
+    Native(Native, u16, u16, Dst),
+    /// `(name, args, dst)`: an environment builtin.
+    EnvCall(u16, Args, Dst),
+    /// `(receiver, method, args, dst)`: `env.table_op`.
+    TableCall(u16, u16, Args, Dst),
+    /// Stop, returning the register if there is one.
+    Ret(Option<u16>),
+}
+
+impl Op {
+    fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Op::Jmp(j) | Op::JmpIf(.., j) | Op::ShortCircuit(_, _, j, _) => Some(j),
+            Op::JmpIfStaticInit(_, j) => Some(j),
+            _ => None,
+        }
+    }
+}
+
+/// What a static slot holds. `Uninit` until a declaration executes for the
+/// first time (the tree-walker inserts into its statics map lazily, and
+/// name resolution must observe exactly the same liveness); the value of a
+/// scalar lives in the register of the same index, the elements of an
+/// array in the array of the same index.
+#[derive(Clone, Copy, Debug)]
 enum StaticCell {
     Uninit,
-    Scalar { ty: CType, val: i128 },
-    Array { ty: CType, vals: Vec<i128> },
+    Scalar(CType),
+    Array(CType),
 }
 
 /// The compiled program (immutable after compile).
 #[derive(Clone, Debug)]
 struct Program {
-    ops: Vec<Op>,
+    ops: Vec<Inst>,
     /// Interned names, for env calls and error messages.
     names: Vec<String>,
-    n_scalar_slots: usize,
-    n_array_slots: usize,
+    /// The register file a reaction starts with: zero, but for the
+    /// constants (statics first, then the scratch register).
+    regs: Vec<i128>,
+    /// `(mask, sign)` of each width a `Dst` names: `v` is stored as
+    /// `((v & mask) ^ sign) - sign`, which is `coerce` for its C type.
+    widths: Vec<(i128, i128)>,
+    /// The registers of every environment call's arguments, in order.
+    args: Vec<u16>,
+    n_arrays: usize,
     n_static_slots: usize,
 }
 
-/// A reaction body compiled to slot-resolved bytecode, plus its persistent
-/// `static` state — the VM twin of [`crate::Interpreter`].
+/// A reaction body compiled to operand-resolved bytecode, plus its
+/// persistent `static` state — the VM twin of [`crate::Interpreter`].
 #[derive(Debug)]
 pub struct CompiledReaction {
     program: Program,
@@ -262,10 +226,10 @@ pub struct CompiledReaction {
     pub step_limit: u64,
     /// Cumulative count of bytecode ops dispatched (for telemetry).
     dispatched: u64,
-    // Reusable execution buffers: no allocation per run after warm-up.
-    stack: Vec<i128>,
-    locals: Vec<i128>,
-    local_arrays: Vec<Vec<i128>>,
+    // Execution state reused from run to run: no allocation per run after
+    // warm-up. Statics' values live in the first registers and arrays.
+    regs: Vec<i128>,
+    arrays: Vec<Vec<i128>>,
     args_buf: Vec<i128>,
 }
 
@@ -281,19 +245,15 @@ impl CompiledReaction {
     /// so the VM and every other consumer agree on slot assignment).
     pub fn compile_with_slots(body: &Body, slots: &ReactionSlots) -> Result<Self, CompileError> {
         let program = Compiler::compile(body, slots)?;
-        let statics = vec![StaticCell::Uninit; program.n_static_slots];
-        let locals = vec![0; program.n_scalar_slots];
-        let local_arrays = vec![Vec::new(); program.n_array_slots];
         Ok(CompiledReaction {
             bound: vec![Binding::UNBOUND; program.names.len()],
-            program,
-            statics,
+            statics: vec![StaticCell::Uninit; program.n_static_slots],
             step_limit: 50_000_000,
             dispatched: 0,
-            stack: Vec::new(),
-            locals,
-            local_arrays,
+            regs: program.regs.clone(),
+            arrays: vec![Vec::new(); program.n_arrays],
             args_buf: Vec::new(),
+            program,
         })
     }
 
@@ -326,533 +286,488 @@ impl CompiledReaction {
 
     /// Reset persistent static state (used when "reloading" a reaction).
     pub fn reset_statics(&mut self) {
-        for s in &mut self.statics {
-            *s = StaticCell::Uninit;
-        }
+        self.statics.fill(StaticCell::Uninit);
     }
 
     /// Run one iteration of the reaction.
     pub fn run(&mut self, env: &mut dyn ReactionEnv) -> Result<Option<i128>, InterpError> {
-        let prog = &self.program;
-        let names = &prog.names;
-        let bound = &self.bound;
-        let stack = &mut self.stack;
-        let locals = &mut self.locals;
-        let arrays = &mut self.local_arrays;
-        let statics = &mut self.statics;
+        let Program {
+            ops,
+            names,
+            widths,
+            args,
+            ..
+        } = &self.program;
+        let (bound, statics) = (&self.bound[..], &mut self.statics[..]);
+        let (regs, arrays) = (&mut self.regs[..], &mut self.arrays[..]);
         let args_buf = &mut self.args_buf;
-        stack.clear();
-        let mut pc: usize = 0;
-        let mut steps: u64 = 0;
-        let mut lv: i128 = 0;
-        let mut dispatched: u64 = 0;
-        let step_limit = self.step_limit;
-
-        macro_rules! pop {
-            () => {
-                stack.pop().expect("operand stack underflow")
+        let (mut dispatched, step_limit) = (0u64, self.step_limit);
+        macro_rules! reg {
+            ($r:expr) => {
+                regs[$r as usize]
             };
         }
-
-        let result = 'vm: loop {
-            let Some(op) = prog.ops.get(pc) else {
-                break 'vm Ok(None);
-            };
-            pc += 1;
-            dispatched += 1;
-            match op {
-                Op::TickN(n) => {
-                    steps += u64::from(*n);
-                    if steps > step_limit {
-                        break 'vm Err(InterpError::StepLimitExceeded(step_limit));
-                    }
+        // Store `v` narrowed to `dst`'s width.
+        macro_rules! put {
+            ($dst:expr, $v:expr) => {{
+                let (v, dst): (i128, Dst) = ($v, $dst);
+                reg!(dst.reg) = narrow(widths, dst.width, v);
+            }};
+        }
+        macro_rules! args {
+            ($a:expr) => {{
+                let list = &args[$a.at as usize..$a.at as usize + usize::from($a.len)];
+                args_buf.clear();
+                args_buf.extend(list.iter().map(|&r| reg!(r)));
+                &args_buf[..]
+            }};
+        }
+        let mut run = || -> Result<Option<i128>, InterpError> {
+            let (mut pc, mut steps) = (0usize, 0u64);
+            loop {
+                let Some(inst) = ops.get(pc) else {
+                    return Ok(None);
+                };
+                pc += 1;
+                dispatched += 1;
+                steps += u64::from(inst.ticks);
+                if steps > step_limit {
+                    return Err(InterpError::StepLimitExceeded(step_limit));
                 }
-                Op::Const(v) => stack.push(*v),
-                Op::Pop => {
-                    pop!();
-                }
-                Op::Swap => {
-                    let len = stack.len();
-                    stack.swap(len - 1, len - 2);
-                }
-                Op::Bool => {
-                    let v = pop!();
-                    stack.push(i128::from(v != 0));
-                }
-                Op::Un(op) => {
-                    let v = pop!();
-                    stack.push(match op {
-                        UnOp::Neg => v.wrapping_neg(),
-                        UnOp::Not => !v,
-                        UnOp::LNot => i128::from(v == 0),
-                    });
-                }
-                Op::Bin(op) => {
-                    let b = pop!();
-                    let a = pop!();
-                    match apply_binop(*op, a, b) {
-                        Ok(v) => stack.push(v),
-                        Err(e) => break 'vm Err(e),
-                    }
-                }
-                Op::Jmp(t) => pc = *t as usize,
-                Op::Jz(t) => {
-                    if pop!() == 0 {
-                        pc = *t as usize;
-                    }
-                }
-                Op::JzPush0(t) => {
-                    if pop!() == 0 {
-                        stack.push(0);
-                        pc = *t as usize;
-                    }
-                }
-                Op::JnzPush1(t) => {
-                    if pop!() != 0 {
-                        stack.push(1);
-                        pc = *t as usize;
-                    }
-                }
-                Op::LoadLocal(slot) => stack.push(locals[*slot as usize]),
-                Op::StoreLocal { slot, ty } => {
-                    let v = coerce(*ty, pop!());
-                    locals[*slot as usize] = v;
-                    stack.push(v);
-                }
-                Op::InitLocal { slot, ty } => {
-                    locals[*slot as usize] = coerce(*ty, pop!());
-                }
-                Op::IncrLocal {
-                    slot,
-                    ty,
-                    delta,
-                    post,
-                } => {
-                    let cur = locals[*slot as usize];
-                    let stored = coerce(*ty, cur.wrapping_add(i128::from(*delta)));
-                    locals[*slot as usize] = stored;
-                    stack.push(if *post { cur } else { stored });
-                }
-                Op::ZeroLocalArray { slot, len } => {
-                    let a = &mut arrays[*slot as usize];
-                    a.clear();
-                    a.resize(*len as usize, 0);
-                }
-                Op::ElemLocal { slot, name } => {
-                    let i = pop!();
-                    match elem_checked(&arrays[*slot as usize], i, names, *name) {
-                        Ok(v) => stack.push(v),
-                        Err(e) => break 'vm Err(e),
-                    }
-                }
-                Op::SetLvIndex => lv = pop!(),
-                Op::LoadElemLvLocal { slot, name } => {
-                    match elem_checked(&arrays[*slot as usize], lv, names, *name) {
-                        Ok(v) => stack.push(v),
-                        Err(e) => break 'vm Err(e),
-                    }
-                }
-                Op::StoreElemLvLocal { slot, name, ty } => {
-                    let v = coerce(*ty, pop!());
-                    let a = &mut arrays[*slot as usize];
-                    if lv < 0 || lv as usize >= a.len() {
-                        break 'vm Err(oob(names, *name, lv, a.len()));
-                    }
-                    a[lv as usize] = v;
-                    stack.push(v);
-                }
-                Op::IncrElemLvLocal {
-                    slot,
-                    name,
-                    ty,
-                    delta,
-                    post,
-                } => {
-                    let a = &mut arrays[*slot as usize];
-                    if lv < 0 || lv as usize >= a.len() {
-                        break 'vm Err(oob(names, *name, lv, a.len()));
-                    }
-                    let cur = a[lv as usize];
-                    let stored = coerce(*ty, cur.wrapping_add(i128::from(*delta)));
-                    a[lv as usize] = stored;
-                    stack.push(if *post { cur } else { stored });
-                }
-                Op::FailNotAScalar(name) => {
-                    break 'vm Err(InterpError::NotAScalar(names[*name as usize].clone()))
-                }
-                Op::FailNotAnArray(name) => {
-                    break 'vm Err(InterpError::NotAnArray(names[*name as usize].clone()))
-                }
-                Op::LoadDynVar { name, static_slot } => {
-                    match read_dyn_var(statics, env, names, bound, *name, *static_slot) {
-                        Ok(v) => stack.push(v),
-                        Err(e) => break 'vm Err(e),
-                    }
-                }
-                Op::AssignDynVar { name, static_slot } => {
-                    let v = pop!();
-                    match write_dyn_var(statics, names, *name, *static_slot, v) {
-                        Ok(stored) => stack.push(stored),
-                        Err(e) => break 'vm Err(e),
-                    }
-                }
-                Op::IncrDynVar {
-                    name,
-                    static_slot,
-                    delta,
-                    post,
-                } => {
-                    let cur = match read_dyn_var(statics, env, names, bound, *name, *static_slot) {
-                        Ok(v) => v,
-                        Err(e) => break 'vm Err(e),
-                    };
-                    let new = cur.wrapping_add(i128::from(*delta));
-                    match write_dyn_var(statics, names, *name, *static_slot, new) {
-                        Ok(stored) => stack.push(if *post { cur } else { stored }),
-                        Err(e) => break 'vm Err(e),
-                    }
-                }
-                Op::ElemDyn { name, static_slot } => {
-                    let i = pop!();
-                    match read_dyn_elem(statics, env, names, bound, *name, *static_slot, i) {
-                        Ok(v) => stack.push(v),
-                        Err(e) => break 'vm Err(e),
-                    }
-                }
-                Op::LoadElemLvDyn { name, static_slot } => {
-                    match read_dyn_elem(statics, env, names, bound, *name, *static_slot, lv) {
-                        Ok(v) => stack.push(v),
-                        Err(e) => break 'vm Err(e),
-                    }
-                }
-                Op::StoreElemLvDyn { name, static_slot } => {
-                    let v = pop!();
-                    match write_dyn_elem(statics, names, *name, *static_slot, lv, v) {
-                        Ok(stored) => stack.push(stored),
-                        Err(e) => break 'vm Err(e),
-                    }
-                }
-                Op::IncrElemLvDyn {
-                    name,
-                    static_slot,
-                    delta,
-                    post,
-                } => {
-                    let cur =
-                        match read_dyn_elem(statics, env, names, bound, *name, *static_slot, lv) {
-                            Ok(v) => v,
-                            Err(e) => break 'vm Err(e),
-                        };
-                    let new = cur.wrapping_add(i128::from(*delta));
-                    match write_dyn_elem(statics, names, *name, *static_slot, lv, new) {
-                        Ok(stored) => stack.push(if *post { cur } else { stored }),
-                        Err(e) => break 'vm Err(e),
-                    }
-                }
-                Op::JmpIfStaticInit { slot, target } => {
-                    if !matches!(statics[*slot as usize], StaticCell::Uninit) {
-                        pc = *target as usize;
-                    }
-                }
-                Op::InitStaticScalar { slot, ty } => {
-                    let v = coerce(*ty, pop!());
-                    statics[*slot as usize] = StaticCell::Scalar { ty: *ty, val: v };
-                }
-                Op::InitStaticArray { slot, ty, len } => {
-                    statics[*slot as usize] = StaticCell::Array {
-                        ty: *ty,
-                        vals: vec![0; *len as usize],
-                    };
-                }
-                Op::ReadMbl(name) => {
-                    let (id, n) = (bound[*name as usize].mbl, &names[*name as usize]);
-                    match env.read_mbl_at(id, n) {
-                        Ok(v) => stack.push(v),
-                        Err(e) => break 'vm Err(e),
-                    }
-                }
-                Op::AssignMbl(name) => {
-                    let v = pop!();
-                    let (id, n) = (bound[*name as usize].mbl, &names[*name as usize]);
-                    if let Err(e) = env.write_mbl_at(id, n, v) {
-                        break 'vm Err(e);
-                    }
-                    match env.read_mbl_at(id, n) {
-                        Ok(v) => stack.push(v),
-                        Err(e) => break 'vm Err(e),
-                    }
-                }
-                Op::IncrMbl { name, delta, post } => {
-                    let (id, n) = (bound[*name as usize].mbl, &names[*name as usize]);
-                    let cur = match env.read_mbl_at(id, n) {
-                        Ok(v) => v,
-                        Err(e) => break 'vm Err(e),
-                    };
-                    let new = cur.wrapping_add(i128::from(*delta));
-                    if let Err(e) = env.write_mbl_at(id, n, new) {
-                        break 'vm Err(e);
-                    }
-                    if *post {
-                        stack.push(cur);
-                    } else {
-                        match env.read_mbl_at(id, n) {
-                            Ok(v) => stack.push(v),
-                            Err(e) => break 'vm Err(e),
+                match inst.op {
+                    Op::Tick => {}
+                    Op::Move(src, dst) => put!(dst, reg!(src)),
+                    Op::Un(op, a, dst) => put!(dst, unop(op, reg!(a))),
+                    Op::Bin(op, a, b, dst) => put!(dst, binop(op, reg!(a), reg!(b))?),
+                    Op::Jmp(to) => pc = to as usize,
+                    Op::JmpIf(op, a, b, to) => {
+                        if holds(op, reg!(a), reg!(b)) {
+                            pc = to as usize;
                         }
                     }
-                }
-                Op::Cast(ty) => {
-                    let v = pop!();
-                    stack.push(coerce(*ty, v));
-                }
-                Op::Abs => {
-                    let v = pop!();
-                    stack.push(v.wrapping_abs());
-                }
-                Op::Min => {
-                    let b = pop!();
-                    let a = pop!();
-                    stack.push(a.min(b));
-                }
-                Op::Max => {
-                    let b = pop!();
-                    let a = pop!();
-                    stack.push(a.max(b));
-                }
-                Op::EnvCall { name, argc } => {
-                    let argc = usize::from(*argc);
-                    args_buf.clear();
-                    args_buf.extend_from_slice(&stack[stack.len() - argc..]);
-                    stack.truncate(stack.len() - argc);
-                    let n = &names[*name as usize];
-                    match env.call_at(bound[*name as usize].builtin, n, args_buf) {
-                        Some(Ok(v)) => stack.push(v),
-                        Some(Err(e)) => break 'vm Err(e),
-                        None => break 'vm Err(InterpError::UnknownBuiltin(n.clone())),
+                    Op::ShortCircuit(a, on, to, dst) => {
+                        if (reg!(a) != 0) == on {
+                            put!(dst, i128::from(on));
+                            pc = to as usize;
+                        }
                     }
-                }
-                Op::TableOp { recv, method, argc } => {
-                    let argc = usize::from(*argc);
-                    args_buf.clear();
-                    args_buf.extend_from_slice(&stack[stack.len() - argc..]);
-                    stack.truncate(stack.len() - argc);
-                    let ids = (bound[*recv as usize].table, bound[*method as usize].method);
-                    let (recv, method) = (&names[*recv as usize], &names[*method as usize]);
-                    match env.table_op_at(ids, recv, method, args_buf) {
-                        Ok(v) => stack.push(v),
-                        Err(e) => break 'vm Err(e),
+                    Op::IncrReg(r, width, delta, post, dst) => {
+                        let cur = reg!(r);
+                        reg!(r) = narrow(widths, width, cur.wrapping_add(i128::from(delta)));
+                        put!(dst, if post { cur } else { reg!(r) });
                     }
-                }
-                Op::Ret { has_value } => {
-                    if *has_value {
-                        break 'vm Ok(Some(pop!()));
+                    Op::ZeroArray(arr, len) => zero(&mut arrays[arr as usize], len),
+                    Op::Elem(arr, n, idx, dst) => {
+                        let a = &mut arrays[arr as usize];
+                        put!(dst, *elem(a, reg!(idx), &names[n as usize])?);
                     }
-                    break 'vm Ok(None);
+                    Op::SetElem(arr, n, width, idx, val, dst) => {
+                        let (a, v) = (&mut arrays[arr as usize], narrow(widths, width, reg!(val)));
+                        *elem(a, reg!(idx), &names[n as usize])? = v;
+                        put!(dst, v);
+                    }
+                    Op::FailNotAScalar(n) => {
+                        return Err(InterpError::NotAScalar(names[n as usize].clone()))
+                    }
+                    Op::FailNotAnArray(n) => {
+                        return Err(InterpError::NotAnArray(names[n as usize].clone()))
+                    }
+                    Op::LoadDyn(n, slot, dst) => {
+                        let (n, b) = (&names[n as usize], bound[n as usize]);
+                        put!(dst, read_dyn_var(statics, regs, env, n, b, slot)?);
+                    }
+                    Op::AssignDyn(n, slot, src, dst) => {
+                        let (n, v) = (&names[n as usize], reg!(src));
+                        put!(dst, write_dyn_var(statics, regs, n, slot, v)?);
+                    }
+                    Op::ElemDyn(n, slot, idx, dst) => {
+                        let (n, b, i) = (&names[n as usize], bound[n as usize], reg!(idx));
+                        put!(dst, read_dyn_elem(statics, arrays, env, n, b, slot, i)?);
+                    }
+                    Op::SetElemDyn(n, slot, idx, val, dst) => {
+                        let (n, i, v) = (&names[n as usize], reg!(idx), reg!(val));
+                        put!(dst, write_dyn_elem(statics, arrays, n, slot, i, v)?);
+                    }
+                    Op::JmpIfStaticInit(slot, to) => {
+                        if !matches!(statics[slot as usize], StaticCell::Uninit) {
+                            pc = to as usize;
+                        }
+                    }
+                    Op::InitScalar(slot, ty, src) => {
+                        reg!(slot) = coerce(ty, reg!(src));
+                        statics[slot as usize] = StaticCell::Scalar(ty);
+                    }
+                    Op::InitArray(slot, ty, len) => {
+                        zero(&mut arrays[slot as usize], len);
+                        statics[slot as usize] = StaticCell::Array(ty);
+                    }
+                    Op::ReadMbl(n, dst) => {
+                        let (id, n) = (bound[n as usize].mbl, &names[n as usize]);
+                        put!(dst, env.read_mbl_at(id, n)?);
+                    }
+                    Op::AssignMbl(n, src, dst) => {
+                        let (id, n) = (bound[n as usize].mbl, &names[n as usize]);
+                        env.write_mbl_at(id, n, reg!(src))?;
+                        put!(dst, env.read_mbl_at(id, n)?);
+                    }
+                    Op::IncrMbl(n, delta, post, dst) => {
+                        let (id, n) = (bound[n as usize].mbl, &names[n as usize]);
+                        let cur = env.read_mbl_at(id, n)?;
+                        env.write_mbl_at(id, n, cur.wrapping_add(i128::from(delta)))?;
+                        put!(dst, if post { cur } else { env.read_mbl_at(id, n)? });
+                    }
+                    Op::Native(f, a, b, dst) => put!(dst, native(f, reg!(a), reg!(b))),
+                    Op::EnvCall(n, a, dst) => {
+                        let (id, n) = (bound[n as usize].builtin, &names[n as usize]);
+                        match env.call_at(id, n, args!(a)) {
+                            Some(r) => put!(dst, r?),
+                            None => return Err(InterpError::UnknownBuiltin(n.clone())),
+                        }
+                    }
+                    Op::TableCall(r, m, a, dst) => {
+                        let ids = (bound[r as usize].table, bound[m as usize].method);
+                        let (r, m) = (&names[r as usize], &names[m as usize]);
+                        put!(dst, env.table_op_at(ids, r, m, args!(a))?);
+                    }
+                    Op::Ret(v) => return Ok(v.map(|r| reg!(r))),
                 }
             }
         };
+        let result = run();
         self.dispatched += dispatched;
         result
     }
 }
 
-fn oob(names: &[String], name: u16, index: i128, len: usize) -> InterpError {
-    InterpError::IndexOutOfBounds {
-        name: names[name as usize].clone(),
-        index,
-        len,
-    }
+/// `v` narrowed to width `width` of `widths`.
+#[inline]
+fn narrow(widths: &[(i128, i128)], width: u8, v: i128) -> i128 {
+    let (mask, sign) = widths[usize::from(width)];
+    ((v & mask) ^ sign) - sign
+}
+
+/// `(mask, sign)` such that `((v & mask) ^ sign) - sign == coerce(ty, v)`.
+fn width_of(ty: CType) -> (i128, i128) {
+    let bits = u32::from(ty.bits()).min(127);
+    let mask = match bits {
+        0 => 0,
+        127 => -1,
+        _ => (1i128 << bits) - 1,
+    };
+    let sign = match bits {
+        1..=126 if ty.is_signed() => 1i128 << (bits - 1),
+        _ => 0,
+    };
+    (mask, sign)
+}
+
+fn zero(a: &mut Vec<i128>, len: u32) {
+    a.clear();
+    a.resize(len as usize, 0);
 }
 
 #[inline]
-fn elem_checked(a: &[i128], i: i128, names: &[String], name: u16) -> Result<i128, InterpError> {
-    if i < 0 || i as usize >= a.len() {
-        Err(oob(names, name, i, a.len()))
-    } else {
-        Ok(a[i as usize])
+fn unop(op: UnOp, v: i128) -> i128 {
+    match op {
+        UnOp::Neg => v.wrapping_neg(),
+        UnOp::Not => !v,
+        UnOp::LNot => i128::from(v == 0),
     }
+}
+
+/// `a op b` for every binary operator but the short-circuit pair: the
+/// walker's [`apply_binop`], with `*`, `/` and `%` taken in 64 bits when
+/// both operands fit. The result is the same — a 64-bit product that
+/// overflows, a zero divisor and `i64::MIN / -1` fall through to the
+/// 128-bit path — without the 128-bit division library call.
+#[inline]
+fn binop(op: BinOp, a: i128, b: i128) -> Result<i128, InterpError> {
+    if let BinOp::Mul | BinOp::Div | BinOp::Rem = op {
+        if let (Ok(x), Ok(y)) = (i64::try_from(a), i64::try_from(b)) {
+            let narrow = match op {
+                BinOp::Mul => x.checked_mul(y),
+                BinOp::Div => x.checked_div(y),
+                _ => x.checked_rem(y),
+            };
+            if let Some(v) = narrow {
+                return Ok(i128::from(v));
+            }
+        }
+    }
+    apply_binop(op, a, b)
+}
+
+/// Does the comparison `a op b` hold?
+#[inline]
+fn holds(op: BinOp, a: i128, b: i128) -> bool {
+    match op {
+        BinOp::Lt => a < b,
+        BinOp::Le => a <= b,
+        BinOp::Gt => a > b,
+        BinOp::Ge => a >= b,
+        BinOp::Eq => a == b,
+        BinOp::Ne => a != b,
+        other => unreachable!("`{other:?}` is not a comparison"),
+    }
+}
+
+/// The comparison that holds exactly when `op` does not; `None` for an
+/// operator that is not a comparison.
+fn negate(op: BinOp) -> Option<BinOp> {
+    Some(match op {
+        BinOp::Lt => BinOp::Ge,
+        BinOp::Le => BinOp::Gt,
+        BinOp::Gt => BinOp::Le,
+        BinOp::Ge => BinOp::Lt,
+        BinOp::Eq => BinOp::Ne,
+        BinOp::Ne => BinOp::Eq,
+        _ => return None,
+    })
+}
+
+fn native(f: Native, a: i128, b: i128) -> i128 {
+    match f {
+        Native::Abs => a.wrapping_abs(),
+        Native::Min => a.min(b),
+        Native::Max => a.max(b),
+        Native::Cast(ty) => coerce(ty, a),
+    }
+}
+
+/// Element `i` of array `n`, bounds-checked.
+#[inline]
+fn elem<'a>(a: &'a mut [i128], i: i128, n: &str) -> Result<&'a mut i128, InterpError> {
+    let len = a.len();
+    let oob = || InterpError::IndexOutOfBounds {
+        name: n.into(),
+        index: i,
+        len,
+    };
+    usize::try_from(i)
+        .ok()
+        .and_then(|i| a.get_mut(i))
+        .ok_or_else(oob)
+}
+
+/// The cell of a static slot (none for [`NO_STATIC`]) once it is live.
+#[inline]
+fn live(statics: &[StaticCell], slot: u16) -> Option<StaticCell> {
+    let cell = statics.get(slot as usize).copied();
+    cell.filter(|c| !matches!(c, StaticCell::Uninit))
 }
 
 /// Scalar read chain: live static → env scalar arg → env array (NotAScalar)
 /// → UnknownVariable. Mirrors `Exec::read_var` for non-local names.
+#[inline]
 fn read_dyn_var(
     statics: &[StaticCell],
+    regs: &[i128],
     env: &mut dyn ReactionEnv,
-    names: &[String],
-    bound: &[Binding],
-    name: u16,
-    static_slot: u16,
+    n: &str,
+    b: Binding,
+    slot: u16,
 ) -> Result<i128, InterpError> {
-    if static_slot != NO_STATIC {
-        match &statics[static_slot as usize] {
-            StaticCell::Scalar { val, .. } => return Ok(*val),
-            StaticCell::Array { .. } => {
-                return Err(InterpError::NotAScalar(names[name as usize].clone()))
-            }
-            StaticCell::Uninit => {}
-        }
+    match live(statics, slot) {
+        Some(StaticCell::Scalar(_)) => Ok(regs[slot as usize]),
+        Some(_) => Err(InterpError::NotAScalar(n.into())),
+        None => match env.read_scalar_arg_at(b.scalar, n) {
+            Some(v) => Ok(v),
+            None if env.is_array_arg_at(b.array, n) => Err(InterpError::NotAScalar(n.into())),
+            None => Err(InterpError::UnknownVariable(n.into())),
+        },
     }
-    let (b, n) = (bound[name as usize], &names[name as usize]);
-    if let Some(v) = env.read_scalar_arg_at(b.scalar, n) {
-        return Ok(v);
-    }
-    if env.is_array_arg_at(b.array, n) {
-        return Err(InterpError::NotAScalar(n.clone()));
-    }
-    Err(InterpError::UnknownVariable(n.clone()))
 }
 
 /// Scalar write chain: live static → UnknownVariable (environment arguments
 /// are read-only, exactly like `Exec::write_var_scalar` for non-local
 /// names). Returns the stored (coerced) value for the assignment's result.
 fn write_dyn_var(
-    statics: &mut [StaticCell],
-    names: &[String],
-    name: u16,
-    static_slot: u16,
-    value: i128,
+    statics: &[StaticCell],
+    regs: &mut [i128],
+    n: &str,
+    slot: u16,
+    v: i128,
 ) -> Result<i128, InterpError> {
-    if static_slot != NO_STATIC {
-        match &mut statics[static_slot as usize] {
-            StaticCell::Scalar { ty, val } => {
-                *val = coerce(*ty, value);
-                return Ok(*val);
-            }
-            StaticCell::Array { .. } => {
-                return Err(InterpError::NotAScalar(names[name as usize].clone()))
-            }
-            StaticCell::Uninit => {}
+    match live(statics, slot) {
+        Some(StaticCell::Scalar(ty)) => {
+            regs[slot as usize] = coerce(ty, v);
+            Ok(regs[slot as usize])
         }
+        Some(_) => Err(InterpError::NotAScalar(n.into())),
+        None => Err(InterpError::UnknownVariable(n.into())),
     }
-    Err(InterpError::UnknownVariable(names[name as usize].clone()))
 }
 
 /// Element read chain: live static array → env array arg → NotAnArray /
 /// UnknownVariable. Mirrors `Exec::read_index` for non-local names.
+#[inline]
 fn read_dyn_elem(
     statics: &[StaticCell],
+    arrays: &mut [Vec<i128>],
     env: &mut dyn ReactionEnv,
-    names: &[String],
-    bound: &[Binding],
-    name: u16,
-    static_slot: u16,
+    n: &str,
+    b: Binding,
+    slot: u16,
     i: i128,
 ) -> Result<i128, InterpError> {
-    if static_slot != NO_STATIC {
-        match &statics[static_slot as usize] {
-            StaticCell::Array { vals, .. } => return elem_checked(vals, i, names, name),
-            StaticCell::Scalar { .. } => {
-                return Err(InterpError::NotAnArray(names[name as usize].clone()))
+    match live(statics, slot) {
+        Some(StaticCell::Array(_)) => elem(&mut arrays[slot as usize], i, n).map(|v| *v),
+        Some(_) => Err(InterpError::NotAnArray(n.into())),
+        None => match env.read_array_arg_at(b.array, n, i) {
+            Some(r) => r,
+            None if env.read_scalar_arg_at(b.scalar, n).is_some() => {
+                Err(InterpError::NotAnArray(n.into()))
             }
-            StaticCell::Uninit => {}
-        }
-    }
-    let (b, n) = (bound[name as usize], &names[name as usize]);
-    match env.read_array_arg_at(b.array, n, i) {
-        Some(r) => r,
-        None => {
-            if env.read_scalar_arg_at(b.scalar, n).is_some() {
-                Err(InterpError::NotAnArray(n.clone()))
-            } else {
-                Err(InterpError::UnknownVariable(n.clone()))
-            }
-        }
+            None => Err(InterpError::UnknownVariable(n.into())),
+        },
     }
 }
 
 /// Element write chain: live static array only, exactly like
 /// `Exec::write_index` for non-local names. Returns the stored value.
 fn write_dyn_elem(
-    statics: &mut [StaticCell],
-    names: &[String],
-    name: u16,
-    static_slot: u16,
+    statics: &[StaticCell],
+    arrays: &mut [Vec<i128>],
+    n: &str,
+    slot: u16,
     i: i128,
-    value: i128,
+    v: i128,
 ) -> Result<i128, InterpError> {
-    if static_slot != NO_STATIC {
-        match &mut statics[static_slot as usize] {
-            StaticCell::Array { ty, vals } => {
-                if i < 0 || i as usize >= vals.len() {
-                    return Err(oob(names, name, i, vals.len()));
-                }
-                vals[i as usize] = coerce(*ty, value);
-                return Ok(vals[i as usize]);
-            }
-            StaticCell::Scalar { .. } => {
-                return Err(InterpError::NotAnArray(names[name as usize].clone()))
-            }
-            StaticCell::Uninit => {}
+    match live(statics, slot) {
+        Some(StaticCell::Array(ty)) => {
+            let e = elem(&mut arrays[slot as usize], i, n)?;
+            *e = coerce(ty, v);
+            Ok(*e)
         }
+        Some(_) => Err(InterpError::NotAnArray(n.into())),
+        None => Err(InterpError::UnknownVariable(n.into())),
     }
-    Err(InterpError::UnknownVariable(names[name as usize].clone()))
 }
 
 // ---------------------------------------------------------------------------
 // Compiler
 // ---------------------------------------------------------------------------
 
-/// How a name resolves at a given compile point.
+/// What a variable name means at a given compile point.
 #[derive(Clone, Copy, Debug)]
-enum LocalKind {
-    Scalar { slot: u16, ty: CType },
-    Array { slot: u16, ty: CType },
+enum Var {
+    /// A local scalar, or a static scalar proved live: a register.
+    Scalar { reg: u16, ty: CType },
+    /// A local array, or a static array proved live.
+    Array { arr: u16, ty: CType },
+    /// Through the "live static, else environment argument" chain.
+    Dyn { static_slot: u16 },
 }
 
+/// A place a value is read from or stored to, its index evaluated (exactly
+/// once, as the walker's `resolve_lvalue`) into a register.
+#[derive(Clone, Copy, Debug)]
+enum Lv {
+    /// `(reg, ty)`.
+    Reg(u16, CType),
+    /// `(arr, name, ty, idx)`.
+    Elem(u16, u16, CType, u16),
+    /// `(name, slot)`.
+    Dyn(u16, u16),
+    /// `(name, slot, idx)`.
+    ElemDyn(u16, u16, u16),
+    Mbl(u16),
+    /// Any access fails with this op.
+    Fail(Op),
+}
+
+/// Where the value of an expression being compiled goes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Want {
+    /// The next register of the operand stack.
+    Push,
+    /// An assignment or declaration target, coerced to its type.
+    Into(u16, CType),
+    /// Nowhere: a statement such as `x = e;`, `++i` or `t.addEntry(..);`.
+    Discard,
+}
+
+/// One lexical scope: its locals, and the statics whose one declaration
+/// has executed by this point of it.
+#[derive(Default)]
+struct Scope {
+    locals: HashMap<String, Var>,
+    live_statics: Vec<u16>,
+}
+
+#[derive(Default)]
 struct LoopCtx {
-    /// Known `continue` target (a while-loop's head). `None` for for-loops,
-    /// where `continue` jumps *forward* to the step and is patched later.
-    continue_target: Option<u32>,
     continue_sites: Vec<usize>,
     break_sites: Vec<usize>,
 }
 
-struct Compiler {
-    ops: Vec<Op>,
+struct Compiler<'a> {
+    ops: Vec<Inst>,
     names: Vec<String>,
     name_ids: HashMap<String, u16>,
-    scopes: Vec<HashMap<String, LocalKind>>,
-    /// Static name → slot; all `static` declarations of one name share a
-    /// slot (the tree-walker keeps one flat statics map).
-    static_slots: HashMap<String, u16>,
-    n_scalar_slots: u16,
-    n_array_slots: u16,
+    scopes: Vec<Scope>,
+    slots: &'a ReactionSlots,
+    /// Type and kind of each static's one declaration, once compiled.
+    static_decls: HashMap<u16, Var>,
+    /// The register file's starting values: the statics', the scratch
+    /// register, then as allocated.
+    regs: Vec<i128>,
+    /// Register of each constant.
+    consts: HashMap<i128, u16>,
+    /// The operand stack: the register of each depth, and the depth.
+    stack: Vec<u16>,
+    depth: usize,
+    /// The C types behind `Program::widths`; width 0 is no narrowing.
+    widths: Vec<CType>,
+    args: Vec<u16>,
+    n_arrays: u16,
+    /// Walker steps counted since the last op: the next op's `ticks`.
+    pending: u32,
     loops: Vec<LoopCtx>,
     /// Top-level `break`/`continue` sites (tolerated as termination): they
     /// jump to the program end.
     end_sites: Vec<usize>,
 }
 
-impl Compiler {
+impl<'a> Compiler<'a> {
     /// Compile against the shared, pre-resolved static slot map. Every
     /// static declaration anywhere in the body already has a slot, so any
     /// reference can check liveness at run time.
-    fn compile(body: &Body, slots: &ReactionSlots) -> Result<Program, CompileError> {
+    fn compile(body: &Body, slots: &'a ReactionSlots) -> Result<Program, CompileError> {
         let mut c = Compiler {
             ops: Vec::new(),
             names: Vec::new(),
             name_ids: HashMap::new(),
-            scopes: vec![HashMap::new()],
-            static_slots: slots.iter().map(|(n, s)| (n.to_string(), s)).collect(),
-            n_scalar_slots: 0,
-            n_array_slots: 0,
+            scopes: vec![Scope::default()],
+            slots,
+            static_decls: HashMap::new(),
+            // The statics', then the scratch register.
+            regs: vec![0; slots.len() + 1],
+            consts: HashMap::new(),
+            stack: Vec::new(),
+            depth: 0,
+            widths: vec![WIDE],
+            args: Vec::new(),
+            n_arrays: slots.len() as u16,
+            pending: 0,
             loops: Vec::new(),
             end_sites: Vec::new(),
         };
         for s in &body.stmts {
             c.stmt(s)?;
         }
-        let end = c.ops.len() as u32;
+        let end = c.label();
         for site in std::mem::take(&mut c.end_sites) {
             c.patch(site, end);
         }
-        c.peephole_merge_ticks();
         Ok(Program {
             ops: c.ops,
             names: c.names,
-            n_scalar_slots: usize::from(c.n_scalar_slots),
-            n_array_slots: usize::from(c.n_array_slots),
-            n_static_slots: c.static_slots.len(),
+            regs: c.regs,
+            widths: c.widths.into_iter().map(width_of).collect(),
+            args: c.args,
+            n_arrays: usize::from(c.n_arrays),
+            n_static_slots: slots.len(),
         })
     }
 
@@ -860,101 +775,191 @@ impl Compiler {
         if let Some(&id) = self.name_ids.get(name) {
             return Ok(id);
         }
-        let id = self.names.len();
-        if id >= usize::from(u16::MAX) {
-            return Err(CompileError::TooLarge("too many names".into()));
-        }
+        let id = index(self.names.len(), "names")?;
         self.names.push(name.to_string());
-        self.name_ids.insert(name.to_string(), id as u16);
-        Ok(id as u16)
+        self.name_ids.insert(name.to_string(), id);
+        Ok(id)
     }
 
-    fn static_slot_of(&self, name: &str) -> u16 {
-        self.static_slots.get(name).copied().unwrap_or(NO_STATIC)
+    fn new_reg(&mut self, init: i128) -> Result<u16, CompileError> {
+        let reg = index(self.regs.len(), "registers")?;
+        self.regs.push(init);
+        Ok(reg)
     }
 
-    fn lookup_local(&self, name: &str) -> Option<LocalKind> {
+    fn konst(&mut self, v: i128) -> Result<u16, CompileError> {
+        if let Some(&reg) = self.consts.get(&v) {
+            return Ok(reg);
+        }
+        let reg = self.new_reg(v)?;
+        self.consts.insert(v, reg);
+        Ok(reg)
+    }
+
+    /// The value of `reg` when it is a constant's.
+    fn constant(&self, reg: u16) -> Option<i128> {
+        let v = self.regs[usize::from(reg)];
+        (self.consts.get(&v) == Some(&reg)).then_some(v)
+    }
+
+    fn width(&mut self, ty: CType) -> Result<u8, CompileError> {
+        let at = self.widths.iter().position(|w| *w == ty);
+        let at = at.unwrap_or_else(|| {
+            self.widths.push(ty);
+            self.widths.len() - 1
+        });
+        u8::try_from(at).map_err(|_| CompileError::TooLarge("too many types".into()))
+    }
+
+    /// An op has read `reg`: if it is the top of the operand stack, its
+    /// depth is free again. (Operands are freed in reverse order.)
+    fn free(&mut self, reg: u16) {
+        if self.depth > 0 && self.stack[self.depth - 1] == reg {
+            self.depth -= 1;
+        }
+    }
+
+    /// Where an op writes a value that goes to `want`.
+    fn place(&mut self, want: Want) -> Result<Dst, CompileError> {
+        Ok(match want {
+            Want::Push => {
+                if self.depth == self.stack.len() {
+                    let reg = self.new_reg(0)?;
+                    self.stack.push(reg);
+                }
+                self.depth += 1;
+                let reg = self.stack[self.depth - 1];
+                Dst { reg, width: 0 }
+            }
+            Want::Into(reg, ty) => Dst {
+                reg,
+                width: self.width(ty)?,
+            },
+            // The scratch register.
+            Want::Discard => Dst {
+                reg: self.slots.len() as u16,
+                width: 0,
+            },
+        })
+    }
+
+    /// `reg`'s value, wherever `want` says.
+    fn copy(&mut self, reg: u16, want: Want) -> Result<(), CompileError> {
+        if want != Want::Discard {
+            let dst = self.place(want)?;
+            self.emit(Op::Move(reg, dst));
+        }
+        Ok(())
+    }
+
+    /// What `name` means here. Locals first, innermost scope out (the
+    /// walker's `find_var`); then a static, directly when its one
+    /// declaration has run by this point of an enclosing scope (so the
+    /// cell is live and of the declared kind), else through the chain.
+    fn var(&self, name: &str) -> Var {
         for scope in self.scopes.iter().rev() {
-            if let Some(k) = scope.get(name) {
-                return Some(*k);
+            if let Some(v) = scope.locals.get(name) {
+                return *v;
             }
         }
-        None
+        let static_slot = self.slots.slot(name).unwrap_or(NO_STATIC);
+        let live = |s: &Scope| s.live_statics.contains(&static_slot);
+        match self.static_decls.get(&static_slot) {
+            Some(v) if self.scopes.iter().any(live) => *v,
+            _ => Var::Dyn { static_slot },
+        }
     }
 
+    /// `name`, or element `idx` of it, as a place; the index is evaluated
+    /// here, into the returned register.
+    fn resolve(
+        &mut self,
+        name: &str,
+        idx: Option<&Expr>,
+    ) -> Result<(Lv, Option<u16>), CompileError> {
+        let i = idx.map(|e| self.operand(e)).transpose()?;
+        let id = self.intern(name)?;
+        let lv = match (self.var(name), i) {
+            (Var::Scalar { reg, ty }, None) => Lv::Reg(reg, ty),
+            (Var::Array { arr, ty }, Some(i)) => Lv::Elem(arr, id, ty, i),
+            (Var::Dyn { static_slot }, None) => Lv::Dyn(id, static_slot),
+            (Var::Dyn { static_slot }, Some(i)) => Lv::ElemDyn(id, static_slot, i),
+            (Var::Array { .. }, None) => Lv::Fail(Op::FailNotAScalar(id)),
+            (Var::Scalar { .. }, Some(_)) => Lv::Fail(Op::FailNotAnArray(id)),
+        };
+        Ok((lv, i))
+    }
+
+    fn lvalue(&mut self, target: &LValue) -> Result<(Lv, Option<u16>), CompileError> {
+        match target {
+            LValue::Var(name) => self.resolve(name, None),
+            LValue::Index(name, idx) => self.resolve(name, Some(idx)),
+            LValue::Mbl(name) => Ok((Lv::Mbl(self.intern(name)?), None)),
+        }
+    }
+
+    /// The op that reads `lv` into `dst`.
+    fn load(lv: Lv, dst: Dst) -> Op {
+        match lv {
+            Lv::Reg(reg, _) => Op::Move(reg, dst),
+            Lv::Elem(arr, name, _, idx) => Op::Elem(arr, name, idx, dst),
+            Lv::Dyn(name, slot) => Op::LoadDyn(name, slot, dst),
+            Lv::ElemDyn(name, slot, idx) => Op::ElemDyn(name, slot, idx, dst),
+            Lv::Mbl(name) => Op::ReadMbl(name, dst),
+            Lv::Fail(op) => op,
+        }
+    }
+
+    /// Store register `src` into `lv`; `want` gets the stored value.
+    fn store(&mut self, lv: Lv, src: u16, want: Want) -> Result<(), CompileError> {
+        let dst = self.place(want)?;
+        let op = match lv {
+            Lv::Reg(..) => unreachable!("a register is assigned where the value is computed"),
+            Lv::Elem(arr, name, ty, idx) => Op::SetElem(arr, name, self.width(ty)?, idx, src, dst),
+            Lv::Dyn(name, slot) => Op::AssignDyn(name, slot, src, dst),
+            Lv::ElemDyn(name, slot, idx) => Op::SetElemDyn(name, slot, idx, src, dst),
+            Lv::Mbl(name) => Op::AssignMbl(name, src, dst),
+            Lv::Fail(op) => op,
+        };
+        self.emit(op);
+        Ok(())
+    }
+
+    // -- emission ---------------------------------------------------------------
+
+    /// Emit `op`, giving it the steps counted since the last op.
     fn emit(&mut self, op: Op) -> usize {
-        self.ops.push(op);
+        let ticks = std::mem::take(&mut self.pending);
+        self.ops.push(Inst { ticks, op });
         self.ops.len() - 1
     }
 
+    /// Count one walker step.
     fn tick(&mut self) {
-        self.emit(Op::TickN(1));
+        self.pending += 1;
     }
 
-    fn here(&self) -> u32 {
+    /// The position a jump may target. The steps of the block that falls
+    /// into it are counted first, on that path only.
+    fn label(&mut self) -> u32 {
+        if self.pending > 0 {
+            self.emit(Op::Tick);
+        }
         self.ops.len() as u32
     }
 
-    fn patch(&mut self, site: usize, target: u32) {
-        match &mut self.ops[site] {
-            Op::Jmp(t)
-            | Op::Jz(t)
-            | Op::JzPush0(t)
-            | Op::JnzPush1(t)
-            | Op::JmpIfStaticInit { target: t, .. } => *t = target,
-            other => unreachable!("patching non-jump op {other:?}"),
+    fn patch(&mut self, site: usize, to: u32) {
+        *self.ops[site].op.target_mut().expect("patching a jump") = to;
+    }
+
+    fn patch_all(&mut self, sites: Vec<usize>, to: u32) {
+        for site in sites {
+            self.patch(site, to);
         }
     }
 
-    /// Merge runs of adjacent `TickN` ops. Nothing with a side effect sits
-    /// between adjacent ticks, so the step-limit error still fires at an
-    /// identical observable point. A tick that is a jump target is never
-    /// folded into its predecessor (the jumped-to tick must still count).
-    fn peephole_merge_ticks(&mut self) {
-        let old = std::mem::take(&mut self.ops);
-        let mut targets = HashSet::new();
-        for op in &old {
-            match op {
-                Op::Jmp(t)
-                | Op::Jz(t)
-                | Op::JzPush0(t)
-                | Op::JnzPush1(t)
-                | Op::JmpIfStaticInit { target: t, .. } => {
-                    targets.insert(*t);
-                }
-                _ => {}
-            }
-        }
-        // remap[i] = new index of old op i; the extra final entry maps
-        // one-past-the-end targets (jumps to the program end).
-        let mut remap = vec![0u32; old.len() + 1];
-        let mut merged: Vec<Op> = Vec::with_capacity(old.len());
-        for (i, op) in old.into_iter().enumerate() {
-            if let Op::TickN(n) = op {
-                if !targets.contains(&(i as u32)) {
-                    if let Some(Op::TickN(prev)) = merged.last_mut() {
-                        *prev += n;
-                        remap[i] = (merged.len() - 1) as u32;
-                        continue;
-                    }
-                }
-            }
-            remap[i] = merged.len() as u32;
-            merged.push(op);
-        }
-        let last = remap.len() - 1;
-        remap[last] = merged.len() as u32;
-        for op in &mut merged {
-            match op {
-                Op::Jmp(t)
-                | Op::Jz(t)
-                | Op::JzPush0(t)
-                | Op::JnzPush1(t)
-                | Op::JmpIfStaticInit { target: t, .. } => *t = remap[*t as usize],
-                _ => {}
-            }
-        }
-        self.ops = merged;
+    fn jmp(&mut self, to: u32) -> usize {
+        self.emit(Op::Jmp(to))
     }
 
     // -- statements ----------------------------------------------------------
@@ -963,10 +968,7 @@ impl Compiler {
         self.tick();
         match s {
             Stmt::Empty => {}
-            Stmt::Expr(e) => {
-                self.expr(e)?;
-                self.emit(Op::Pop);
-            }
+            Stmt::Expr(e) => self.expr_to(e, Want::Discard)?,
             Stmt::Decl {
                 is_static,
                 ty,
@@ -977,499 +979,465 @@ impl Compiler {
                 }
             }
             Stmt::Block(stmts) => {
-                self.scopes.push(HashMap::new());
+                self.scopes.push(Scope::default());
                 for s in stmts {
                     self.stmt(s)?;
                 }
                 self.scopes.pop();
             }
             Stmt::If { cond, then_, else_ } => {
-                self.expr(cond)?;
-                let jz = self.emit(Op::Jz(0));
+                let to_else = self.cond_jump(cond, false)?;
                 self.stmt(then_)?;
                 match else_ {
                     Some(e) => {
-                        let jend = self.emit(Op::Jmp(0));
-                        let else_at = self.here();
-                        self.patch(jz, else_at);
+                        let jend = self.jmp(0);
+                        let else_at = self.label();
+                        self.patch_all(to_else, else_at);
                         self.stmt(e)?;
-                        let end = self.here();
+                        let end = self.label();
                         self.patch(jend, end);
                     }
                     None => {
-                        let end = self.here();
-                        self.patch(jz, end);
+                        let end = self.label();
+                        self.patch_all(to_else, end);
                     }
                 }
             }
-            Stmt::While { cond, body } => {
-                let head = self.here();
-                self.tick(); // per-iteration tick, before the condition
-                self.expr(cond)?;
-                let jz = self.emit(Op::Jz(0));
-                self.loops.push(LoopCtx {
-                    continue_target: Some(head),
-                    continue_sites: Vec::new(),
-                    break_sites: Vec::new(),
-                });
-                self.stmt(body)?;
-                self.emit(Op::Jmp(head));
-                let end = self.here();
-                self.patch(jz, end);
-                let ctx = self.loops.pop().expect("loop ctx");
-                for site in ctx.break_sites {
-                    self.patch(site, end);
-                }
-            }
+            Stmt::While { cond, body } => self.looped(None, Some(cond), None, body)?,
             Stmt::For {
                 init,
                 cond,
                 step,
                 body,
-            } => {
-                self.scopes.push(HashMap::new());
-                if let Some(i) = init {
-                    self.stmt(i)?;
-                }
-                let head = self.here();
-                self.tick(); // per-iteration tick, before the condition
-                let jz = match cond {
-                    Some(c) => {
-                        self.expr(c)?;
-                        Some(self.emit(Op::Jz(0)))
-                    }
-                    None => None,
-                };
-                self.loops.push(LoopCtx {
-                    continue_target: None,
-                    continue_sites: Vec::new(),
-                    break_sites: Vec::new(),
-                });
-                self.stmt(body)?;
-                let step_at = self.here();
-                if let Some(st) = step {
-                    self.expr(st)?;
-                    self.emit(Op::Pop);
-                }
-                self.emit(Op::Jmp(head));
-                let end = self.here();
-                if let Some(jz) = jz {
-                    self.patch(jz, end);
-                }
-                let ctx = self.loops.pop().expect("loop ctx");
-                for site in ctx.continue_sites {
-                    self.patch(site, step_at);
-                }
-                for site in ctx.break_sites {
-                    self.patch(site, end);
-                }
-                self.scopes.pop();
-            }
+            } => self.looped(init.as_deref(), cond.as_ref(), step.as_ref(), body)?,
             Stmt::Return(e) => {
-                match e {
-                    Some(e) => {
-                        self.expr(e)?;
-                        self.emit(Op::Ret { has_value: true });
-                    }
-                    None => {
-                        self.emit(Op::Ret { has_value: false });
-                    }
-                };
-            }
-            Stmt::Break => {
-                let site = self.emit(Op::Jmp(0));
-                match self.loops.last_mut() {
-                    Some(ctx) => ctx.break_sites.push(site),
-                    None => self.end_sites.push(site),
+                let value = e.as_ref().map(|e| self.operand(e)).transpose()?;
+                if let Some(r) = value {
+                    self.free(r);
                 }
+                self.emit(Op::Ret(value));
             }
-            Stmt::Continue => {
-                let site = self.emit(Op::Jmp(0));
+            Stmt::Break | Stmt::Continue => {
+                let site = self.jmp(0);
                 match self.loops.last_mut() {
-                    Some(ctx) => match ctx.continue_target {
-                        Some(head) => self.patch(site, head),
-                        None => ctx.continue_sites.push(site),
-                    },
+                    Some(ctx) if matches!(s, Stmt::Break) => ctx.break_sites.push(site),
+                    Some(ctx) => ctx.continue_sites.push(site),
                     None => self.end_sites.push(site),
                 }
             }
         }
+        debug_assert_eq!(self.depth, 0, "a statement leaves the operand stack empty");
+        Ok(())
+    }
+
+    /// A `for` loop, or a `while` loop (no init, no step): the walker ticks
+    /// once per iteration before the condition; `continue` goes to the step,
+    /// which starts a block of its own only when there is a `continue`.
+    fn looped(
+        &mut self,
+        init: Option<&Stmt>,
+        cond: Option<&Expr>,
+        step: Option<&Expr>,
+        body: &Stmt,
+    ) -> Result<(), CompileError> {
+        self.scopes.push(Scope::default());
+        if let Some(i) = init {
+            self.stmt(i)?;
+        }
+        let head = self.label();
+        self.tick();
+        let exits = cond.map_or(Ok(Vec::new()), |c| self.cond_jump(c, false))?;
+        self.loops.push(LoopCtx::default());
+        self.stmt(body)?;
+        let continued = self
+            .loops
+            .last()
+            .is_some_and(|l| !l.continue_sites.is_empty());
+        let step_at = if continued { self.label() } else { 0 };
+        if let Some(st) = step {
+            self.expr_to(st, Want::Discard)?;
+        }
+        self.jmp(head);
+        let end = self.label();
+        self.patch_all(exits, end);
+        let ctx = self.loops.pop().expect("loop ctx");
+        self.patch_all(ctx.continue_sites, step_at);
+        self.patch_all(ctx.break_sites, end);
+        self.scopes.pop();
         Ok(())
     }
 
     fn declare(&mut self, is_static: bool, ty: CType, d: &Declarator) -> Result<(), CompileError> {
         if is_static {
-            let slot = self.static_slot_of(&d.name);
-            debug_assert_ne!(slot, NO_STATIC, "static slot pre-collected");
-            let skip = self.emit(Op::JmpIfStaticInit { slot, target: 0 });
-            match d.array_len {
+            let slot = self.slots.slot(&d.name).expect("static slot pre-collected");
+            let skip = self.emit(Op::JmpIfStaticInit(slot, 0));
+            let var = match d.array_len {
+                // Array initializers are ignored (as in the walker).
                 Some(n) => {
-                    // Array initializers are ignored (as in the walker).
-                    self.emit(Op::InitStaticArray {
-                        slot,
-                        ty,
-                        len: n as u32,
-                    });
+                    self.emit(Op::InitArray(slot, ty, n as u32));
+                    Var::Array { arr: slot, ty }
                 }
                 None => {
-                    match &d.init {
-                        Some(e) => self.expr(e)?,
-                        None => {
-                            self.emit(Op::Const(0));
-                        }
-                    }
-                    self.emit(Op::InitStaticScalar { slot, ty });
+                    let src = match &d.init {
+                        Some(e) => self.operand(e)?,
+                        None => self.konst(0)?,
+                    };
+                    self.free(src);
+                    self.emit(Op::InitScalar(slot, ty, src));
+                    Var::Scalar { reg: slot, ty }
                 }
-            }
-            let after = self.here();
+            };
+            let after = self.label();
             self.patch(skip, after);
+            // From here to the end of the scope the cell is live and of
+            // this kind — when no other declaration could have made it.
+            if self.slots.declarations(slot) == 1 {
+                self.static_decls.insert(slot, var);
+                let scope = self.scopes.last_mut().expect("scope stack never empty");
+                scope.live_statics.push(slot);
+            }
             return Ok(());
         }
-        // Locals: assign a fresh slot and (re)initialize it in place. The
-        // name becomes visible from this point to the end of the scope;
-        // the initializer is compiled first, so it cannot see the new name
+        // Locals: a fresh register or array, (re)initialized in place. The
+        // name becomes visible from this point to the end of the scope; the
+        // initializer is compiled first, so it cannot see the new name
         // (matching the walker's eval-then-insert order).
-        let kind = match d.array_len {
+        let var = match d.array_len {
             Some(n) => {
-                let slot = self.n_array_slots;
-                self.n_array_slots = self
-                    .n_array_slots
-                    .checked_add(1)
-                    .ok_or_else(|| CompileError::TooLarge("too many local arrays".into()))?;
-                self.emit(Op::ZeroLocalArray {
-                    slot,
-                    len: n as u32,
-                });
-                LocalKind::Array { slot, ty }
+                let arr = self.n_arrays;
+                self.n_arrays = index(usize::from(arr) + 1, "arrays")?;
+                self.emit(Op::ZeroArray(arr, n as u32));
+                Var::Array { arr, ty }
             }
             None => {
-                let slot = self.n_scalar_slots;
-                self.n_scalar_slots = self
-                    .n_scalar_slots
-                    .checked_add(1)
-                    .ok_or_else(|| CompileError::TooLarge("too many locals".into()))?;
+                let reg = self.new_reg(0)?;
                 match &d.init {
-                    Some(e) => self.expr(e)?,
+                    Some(e) => self.expr_to(e, Want::Into(reg, ty))?,
                     None => {
-                        self.emit(Op::Const(0));
+                        let zero = self.konst(0)?;
+                        self.copy(zero, Want::Into(reg, ty))?;
                     }
                 }
-                self.emit(Op::InitLocal { slot, ty });
-                LocalKind::Scalar { slot, ty }
+                Var::Scalar { reg, ty }
             }
         };
-        self.scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(d.name.clone(), kind);
+        let scope = self.scopes.last_mut().expect("scope stack never empty");
+        scope.locals.insert(d.name.clone(), var);
         Ok(())
     }
 
     // -- expressions ---------------------------------------------------------
 
-    /// Compile an expression; at run time its code leaves exactly one value
-    /// on the stack. The leading tick mirrors the walker's `eval()` entry.
-    fn expr(&mut self, e: &Expr) -> Result<(), CompileError> {
+    /// The register `e` reads without effect or failure — a constant, a
+    /// scalar local, a static scalar proved live — if it is one.
+    fn leaf(&mut self, e: &Expr) -> Result<Option<u16>, CompileError> {
+        Ok(match e {
+            Expr::Num(n) => Some(self.konst(*n)?),
+            Expr::Var(name) => match self.var(name) {
+                Var::Scalar { reg, .. } => Some(reg),
+                _ => None,
+            },
+            _ => None,
+        })
+    }
+
+    /// Compile `e` as an operand: a leaf is its register (no op, one
+    /// tick); anything else runs here and leaves its value on top of the
+    /// operand stack. The caller `free`s it once an op has read it.
+    fn operand(&mut self, e: &Expr) -> Result<u16, CompileError> {
+        if let Some(reg) = self.leaf(e)? {
+            self.tick();
+            return Ok(reg);
+        }
+        self.expr_to(e, Want::Push)?;
+        Ok(self.stack[self.depth - 1])
+    }
+
+    /// `reg`, still the value it had, once code that may assign a variable
+    /// (`clobbers`) has run: an op reads its operands when it runs, so a
+    /// variable read first is copied to the operand stack first.
+    fn keep(&mut self, reg: u16, clobbers: bool) -> Result<u16, CompileError> {
+        let held = self.stack[..self.depth].contains(&reg) || self.constant(reg).is_some();
+        if held || !clobbers {
+            return Ok(reg);
+        }
+        self.copy(reg, Want::Push)?;
+        Ok(self.stack[self.depth - 1])
+    }
+
+    /// Two operands evaluated left to right, freed.
+    fn operands(&mut self, a: &Expr, b: &Expr) -> Result<(u16, u16), CompileError> {
+        let ra = self.operand(a)?;
+        let ra = self.keep(ra, assigns(b))?;
+        let rb = self.operand(b)?;
+        self.free(rb);
+        self.free(ra);
+        Ok((ra, rb))
+    }
+
+    /// Arguments evaluated left to right into registers listed in the
+    /// argument table, freed.
+    fn args(&mut self, args: &[Expr]) -> Result<Args, CompileError> {
+        let mut regs = Vec::with_capacity(args.len());
+        for (i, a) in args.iter().enumerate() {
+            let r = self.operand(a)?;
+            regs.push(self.keep(r, args[i + 1..].iter().any(assigns))?);
+        }
+        for r in regs.iter().rev() {
+            self.free(*r);
+        }
+        let at = u32::try_from(self.args.len())
+            .map_err(|_| CompileError::TooLarge("too many arguments".into()))?;
+        self.args.extend(regs);
+        Ok(Args {
+            at,
+            len: args.len() as u16,
+        })
+    }
+
+    /// Compile `e` so that its value lands where `want` says. The leading
+    /// tick mirrors the walker's `eval()` entry.
+    fn expr_to(&mut self, e: &Expr, want: Want) -> Result<(), CompileError> {
         self.tick();
-        match e {
-            Expr::Num(n) => {
-                self.emit(Op::Const(*n));
-            }
-            Expr::Var(name) => match self.lookup_local(name) {
-                Some(LocalKind::Scalar { slot, .. }) => {
-                    self.emit(Op::LoadLocal(slot));
-                }
-                Some(LocalKind::Array { .. }) => {
-                    let id = self.intern(name)?;
-                    self.emit(Op::FailNotAScalar(id));
-                }
-                None => {
-                    let id = self.intern(name)?;
-                    let ss = self.static_slot_of(name);
-                    self.emit(Op::LoadDynVar {
-                        name: id,
-                        static_slot: ss,
-                    });
-                }
-            },
-            Expr::Mbl(name) => {
-                let id = self.intern(name)?;
-                self.emit(Op::ReadMbl(id));
-            }
-            Expr::Index(name, idx) => {
-                self.expr(idx)?;
-                match self.lookup_local(name) {
-                    Some(LocalKind::Array { slot, .. }) => {
-                        let id = self.intern(name)?;
-                        self.emit(Op::ElemLocal { slot, name: id });
-                    }
-                    Some(LocalKind::Scalar { .. }) => {
-                        let id = self.intern(name)?;
-                        self.emit(Op::FailNotAnArray(id));
-                    }
-                    None => {
-                        let id = self.intern(name)?;
-                        let ss = self.static_slot_of(name);
-                        self.emit(Op::ElemDyn {
-                            name: id,
-                            static_slot: ss,
-                        });
-                    }
-                }
-            }
+        if let Some(src) = self.leaf(e)? {
+            return self.copy(src, want);
+        }
+        let (op, idx) = match e {
+            Expr::Num(_) => unreachable!("a constant is a leaf"),
+            Expr::Var(name) => self.resolve(name, None)?,
+            Expr::Index(name, idx) => self.resolve(name, Some(idx))?,
+            Expr::Mbl(name) => (Lv::Mbl(self.intern(name)?), None),
             Expr::Unary(op, inner) => {
-                self.expr(inner)?;
-                self.emit(Op::Un(*op));
+                let a = self.operand(inner)?;
+                self.free(a);
+                let dst = self.place(want)?;
+                self.emit(Op::Un(*op, a, dst));
+                return Ok(());
             }
-            Expr::Binary(op, a, b) => match op {
-                BinOp::LAnd => {
-                    self.expr(a)?;
-                    let j = self.emit(Op::JzPush0(0));
-                    self.expr(b)?;
-                    self.emit(Op::Bool);
-                    let end = self.here();
-                    self.patch(j, end);
-                }
-                BinOp::LOr => {
-                    self.expr(a)?;
-                    let j = self.emit(Op::JnzPush1(0));
-                    self.expr(b)?;
-                    self.emit(Op::Bool);
-                    let end = self.here();
-                    self.patch(j, end);
-                }
-                _ => {
-                    self.expr(a)?;
-                    self.expr(b)?;
-                    self.emit(Op::Bin(*op));
-                }
-            },
+            Expr::Binary(op @ (BinOp::LAnd | BinOp::LOr), a, b) => {
+                let a = self.operand(a)?;
+                self.free(a);
+                let dst = self.place(want)?;
+                let on = *op == BinOp::LOr;
+                let j = self.emit(Op::ShortCircuit(a, on, 0, dst));
+                let b = self.operand(b)?;
+                self.free(b);
+                let zero = self.konst(0)?;
+                self.emit(Op::Bin(BinOp::Ne, b, zero, dst));
+                let end = self.label();
+                self.patch(j, end);
+                return Ok(());
+            }
+            Expr::Binary(op, a, b) => {
+                let (a, b) = self.operands(a, b)?;
+                let dst = self.place(want)?;
+                self.emit(Op::Bin(*op, a, b, dst));
+                return Ok(());
+            }
             Expr::Ternary(c, a, b) => {
-                self.expr(c)?;
-                let jz = self.emit(Op::Jz(0));
-                self.expr(a)?;
-                let jend = self.emit(Op::Jmp(0));
-                let else_at = self.here();
-                self.patch(jz, else_at);
-                self.expr(b)?;
-                let end = self.here();
+                // Both branches write the same place.
+                let want = match want {
+                    Want::Push => Want::Into(self.place(want)?.reg, WIDE),
+                    other => other,
+                };
+                let to_else = self.cond_jump(c, false)?;
+                self.expr_to(a, want)?;
+                let jend = self.jmp(0);
+                let else_at = self.label();
+                self.patch_all(to_else, else_at);
+                self.expr_to(b, want)?;
+                let end = self.label();
                 self.patch(jend, end);
+                return Ok(());
             }
-            Expr::Call(name, args) => self.call(name, args)?,
+            Expr::Call(name, args) => return self.call(name, args, want),
             Expr::Method {
                 receiver,
                 method,
                 args,
             } => {
-                for a in args {
-                    self.expr(a)?;
-                }
-                let recv = self.intern(receiver)?;
-                let method = self.intern(method)?;
-                self.emit(Op::TableOp {
-                    recv,
-                    method,
-                    argc: args.len() as u16,
-                });
+                let args = self.args(args)?;
+                let (recv, method) = (self.intern(receiver)?, self.intern(method)?);
+                let dst = self.place(want)?;
+                self.emit(Op::TableCall(recv, method, args, dst));
+                return Ok(());
             }
-            Expr::Assign { target, op, value } => {
-                // Walker order: RHS first, then the lvalue index (exactly
-                // once), then read-modify-write and a final read-back.
-                self.expr(value)?;
-                self.compile_assign(target, *op)?;
-            }
+            Expr::Assign { target, op, value } => return self.assign(target, *op, value, want),
             Expr::Incr {
                 target,
                 delta,
                 post,
-            } => {
-                self.compile_incr(target, *delta, *post)?;
-            }
+            } => return self.incr(target, *delta, *post, want),
+        };
+        // A read of a variable, element or malleable.
+        if let Some(i) = idx {
+            self.free(i);
         }
+        let dst = self.place(want)?;
+        self.emit(Self::load(op, dst));
         Ok(())
     }
 
-    fn compile_assign(&mut self, target: &LValue, op: Option<BinOp>) -> Result<(), CompileError> {
-        match target {
-            LValue::Var(name) => match self.lookup_local(name) {
-                Some(LocalKind::Scalar { slot, ty }) => {
-                    if let Some(binop) = op {
-                        self.emit(Op::LoadLocal(slot));
-                        self.emit(Op::Swap);
-                        self.emit(Op::Bin(binop));
-                    }
-                    self.emit(Op::StoreLocal { slot, ty });
-                }
-                Some(LocalKind::Array { .. }) => {
-                    // Both the compound pre-read and the simple write fail
-                    // with NotAScalar before any side effect.
-                    let id = self.intern(name)?;
-                    self.emit(Op::FailNotAScalar(id));
-                }
-                None => {
-                    let id = self.intern(name)?;
-                    let ss = self.static_slot_of(name);
-                    if let Some(binop) = op {
-                        self.emit(Op::LoadDynVar {
-                            name: id,
-                            static_slot: ss,
-                        });
-                        self.emit(Op::Swap);
-                        self.emit(Op::Bin(binop));
-                    }
-                    self.emit(Op::AssignDynVar {
-                        name: id,
-                        static_slot: ss,
-                    });
-                }
-            },
-            LValue::Mbl(name) => {
-                let id = self.intern(name)?;
-                if let Some(binop) = op {
-                    self.emit(Op::ReadMbl(id));
-                    self.emit(Op::Swap);
-                    self.emit(Op::Bin(binop));
-                }
-                self.emit(Op::AssignMbl(id));
+    /// Compile `e` as a branch: jump (to the returned sites, patched by the
+    /// caller) when `e`'s truth is `when`, fall through otherwise. `&&`,
+    /// `||` and `!` become control flow; a comparison is one `JmpIf`.
+    fn cond_jump(&mut self, e: &Expr, when: bool) -> Result<Vec<usize>, CompileError> {
+        let (op, a, b) = match e {
+            Expr::Num(n) => {
+                self.tick();
+                let taken = (*n != 0) == when;
+                return Ok(if taken { vec![self.jmp(0)] } else { Vec::new() });
             }
-            LValue::Index(name, idx) => {
-                self.expr(idx)?;
-                self.emit(Op::SetLvIndex);
-                match self.lookup_local(name) {
-                    Some(LocalKind::Array { slot, ty }) => {
-                        let id = self.intern(name)?;
-                        if let Some(binop) = op {
-                            self.emit(Op::LoadElemLvLocal { slot, name: id });
-                            self.emit(Op::Swap);
-                            self.emit(Op::Bin(binop));
-                        }
-                        self.emit(Op::StoreElemLvLocal { slot, name: id, ty });
-                    }
-                    Some(LocalKind::Scalar { .. }) => {
-                        let id = self.intern(name)?;
-                        self.emit(Op::FailNotAnArray(id));
-                    }
-                    None => {
-                        let id = self.intern(name)?;
-                        let ss = self.static_slot_of(name);
-                        if let Some(binop) = op {
-                            self.emit(Op::LoadElemLvDyn {
-                                name: id,
-                                static_slot: ss,
-                            });
-                            self.emit(Op::Swap);
-                            self.emit(Op::Bin(binop));
-                        }
-                        self.emit(Op::StoreElemLvDyn {
-                            name: id,
-                            static_slot: ss,
-                        });
+            Expr::Unary(UnOp::LNot, a) => {
+                self.tick();
+                return self.cond_jump(a, !when);
+            }
+            Expr::Binary(op @ (BinOp::LAnd | BinOp::LOr), a, b) => {
+                self.tick();
+                // `a && b` is false as soon as `a` is, `a || b` true as
+                // soon as `a` is: then both operands jump where `e` does.
+                if (*op == BinOp::LAnd) != when {
+                    let mut sites = self.cond_jump(a, when)?;
+                    sites.extend(self.cond_jump(b, when)?);
+                    return Ok(sites);
+                }
+                let decided = self.cond_jump(a, !when)?;
+                let sites = self.cond_jump(b, when)?;
+                let after = self.label();
+                self.patch_all(decided, after);
+                return Ok(sites);
+            }
+            Expr::Binary(op, a, b) if negate(*op).is_some() => {
+                self.tick();
+                let (a, b) = self.operands(a, b)?;
+                (if when { Some(*op) } else { negate(*op) }, a, b)
+            }
+            _ => {
+                let a = self.operand(e)?;
+                self.free(a);
+                let op = if when { BinOp::Ne } else { BinOp::Eq };
+                (Some(op), a, self.konst(0)?)
+            }
+        };
+        let op = op.expect("a comparison");
+        Ok(vec![self.emit(Op::JmpIf(op, a, b, 0))])
+    }
+
+    /// `target op= value` (plain `=` when `op` is `None`). Walker order:
+    /// the value, then the lvalue's index (exactly once), then the
+    /// read-modify-write, then a read-back that is the expression's value.
+    fn assign(
+        &mut self,
+        target: &LValue,
+        op: Option<BinOp>,
+        value: &Expr,
+        want: Want,
+    ) -> Result<(), CompileError> {
+        if let LValue::Var(name) = target {
+            if let Var::Scalar { reg, ty } = self.var(name) {
+                // A register takes the value where it is computed.
+                match op {
+                    None => self.expr_to(value, Want::Into(reg, ty))?,
+                    Some(op) => {
+                        let b = self.operand(value)?;
+                        self.free(b);
+                        let dst = self.place(Want::Into(reg, ty))?;
+                        self.emit(Op::Bin(op, reg, b, dst));
                     }
                 }
+                return self.copy(reg, want);
             }
         }
+        let v = self.operand(value)?;
+        let v = self.keep(v, matches!(target, LValue::Index(_, i) if assigns(i)))?;
+        let (lv, idx) = self.lvalue(target)?;
+        let new = match op {
+            Some(op) => {
+                let cur = self.place(Want::Push)?;
+                self.emit(Self::load(lv, cur));
+                self.emit(Op::Bin(op, cur.reg, v, cur));
+                cur.reg
+            }
+            None => v,
+        };
+        for r in [Some(new), idx, Some(v)].into_iter().flatten() {
+            self.free(r);
+        }
+        self.store(lv, new, want)
+    }
+
+    /// `++` / `--`: the place is read once, as in the walker, and the
+    /// value of `x++` is what was read.
+    fn incr(
+        &mut self,
+        target: &LValue,
+        delta: i8,
+        post: bool,
+        want: Want,
+    ) -> Result<(), CompileError> {
+        let (lv, idx) = self.lvalue(target)?;
+        let op = match lv {
+            Lv::Reg(reg, ty) => Op::IncrReg(reg, self.width(ty)?, delta, post, self.place(want)?),
+            Lv::Mbl(name) => Op::IncrMbl(name, delta, post, self.place(want)?),
+            _ => {
+                let cur = self.place(Want::Push)?;
+                self.emit(Self::load(lv, cur));
+                let (d, new) = (self.konst(i128::from(delta))?, self.place(Want::Push)?);
+                self.emit(Op::Bin(BinOp::Add, cur.reg, d, new));
+                for r in [Some(new.reg), Some(cur.reg), idx].into_iter().flatten() {
+                    self.free(r);
+                }
+                self.store(lv, new.reg, if post { Want::Discard } else { want })?;
+                return if post {
+                    self.copy(cur.reg, want)
+                } else {
+                    Ok(())
+                };
+            }
+        };
+        self.emit(op);
         Ok(())
     }
 
-    fn compile_incr(&mut self, target: &LValue, delta: i8, post: bool) -> Result<(), CompileError> {
-        match target {
-            LValue::Var(name) => match self.lookup_local(name) {
-                Some(LocalKind::Scalar { slot, ty }) => {
-                    self.emit(Op::IncrLocal {
-                        slot,
-                        ty,
-                        delta,
-                        post,
-                    });
-                }
-                Some(LocalKind::Array { .. }) => {
-                    let id = self.intern(name)?;
-                    self.emit(Op::FailNotAScalar(id));
-                }
-                None => {
-                    let id = self.intern(name)?;
-                    let ss = self.static_slot_of(name);
-                    self.emit(Op::IncrDynVar {
-                        name: id,
-                        static_slot: ss,
-                        delta,
-                        post,
-                    });
-                }
-            },
-            LValue::Mbl(name) => {
-                let id = self.intern(name)?;
-                self.emit(Op::IncrMbl {
-                    name: id,
-                    delta,
-                    post,
-                });
-            }
-            LValue::Index(name, idx) => {
-                self.expr(idx)?;
-                self.emit(Op::SetLvIndex);
-                match self.lookup_local(name) {
-                    Some(LocalKind::Array { slot, ty }) => {
-                        let id = self.intern(name)?;
-                        self.emit(Op::IncrElemLvLocal {
-                            slot,
-                            name: id,
-                            ty,
-                            delta,
-                            post,
-                        });
-                    }
-                    Some(LocalKind::Scalar { .. }) => {
-                        let id = self.intern(name)?;
-                        self.emit(Op::FailNotAnArray(id));
-                    }
-                    None => {
-                        let id = self.intern(name)?;
-                        let ss = self.static_slot_of(name);
-                        self.emit(Op::IncrElemLvDyn {
-                            name: id,
-                            static_slot: ss,
-                            delta,
-                            post,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn call(&mut self, name: &str, args: &[Expr]) -> Result<(), CompileError> {
-        for a in args {
-            self.expr(a)?;
-        }
+    fn call(&mut self, name: &str, args: &[Expr], want: Want) -> Result<(), CompileError> {
         // Interpreter-native builtins, matched by name *and* arity exactly
         // like the walker.
-        match (name, args.len()) {
-            ("abs", 1) => {
-                self.emit(Op::Abs);
-                return Ok(());
+        let native = match (name, args.len()) {
+            ("abs", 1) => Some(Native::Abs),
+            ("min", 2) => Some(Native::Min),
+            ("max", 2) => Some(Native::Max),
+            (_, 1) => cast_type(name).map(Native::Cast),
+            _ => None,
+        };
+        let args = self.args(args)?;
+        let op = match native {
+            Some(f) => {
+                let list = self.args.split_off(args.at as usize);
+                let (a, b) = (list[0], list[list.len() - 1]);
+                Op::Native(f, a, b, self.place(want)?)
             }
-            ("min", 2) => {
-                self.emit(Op::Min);
-                return Ok(());
-            }
-            ("max", 2) => {
-                self.emit(Op::Max);
-                return Ok(());
-            }
-            _ => {}
-        }
-        if let (Some(ty), 1) = (cast_type(name), args.len()) {
-            self.emit(Op::Cast(ty));
-            return Ok(());
-        }
-        let id = self.intern(name)?;
-        self.emit(Op::EnvCall {
-            name: id,
-            argc: args.len() as u16,
-        });
+            None => Op::EnvCall(self.intern(name)?, args, self.place(want)?),
+        };
+        self.emit(op);
         Ok(())
+    }
+}
+
+/// Index `len` of a table, if it fits the bytecode's u16 indices.
+fn index(len: usize, what: &str) -> Result<u16, CompileError> {
+    let fits = u16::try_from(len).ok().filter(|&i| i < u16::MAX);
+    fits.ok_or_else(|| CompileError::TooLarge(format!("too many {what}")))
+}
+
+/// Can evaluating `e` assign a variable?
+fn assigns(e: &Expr) -> bool {
+    match e {
+        Expr::Assign { .. } | Expr::Incr { .. } => true,
+        Expr::Num(_) | Expr::Var(_) | Expr::Mbl(_) => false,
+        Expr::Index(_, e) | Expr::Unary(_, e) => assigns(e),
+        Expr::Binary(_, a, b) => assigns(a) || assigns(b),
+        Expr::Ternary(c, a, b) => assigns(c) || assigns(a) || assigns(b),
+        Expr::Call(_, args) | Expr::Method { args, .. } => args.iter().any(assigns),
     }
 }
 
@@ -1514,6 +1482,100 @@ mod tests {
         assert_parity("return -(5) + ~0 + !3 + !0;");
         assert_parity("return 1 << 130;");
         assert_parity("return 100 >> 2;");
+        // Stores that narrow: a declaration, a copy, a computed value.
+        assert_parity(
+            "uint8_t x = 300; int8_t y = 200; int16_t z = x * 1000; return x * 1000 + y;",
+        );
+        assert_parity("uint16_t a = 70000; int b = 0; b = a; uint8_t c = 0; c = b; return c;");
+        // Operands an assignment inside the right operand overwrites.
+        assert_parity("int x = 1; return x + (x = 5) * 10 + x;");
+        assert_parity("int a[4]; int i = 1; a[i] = (i = 3); return a[1] * 10 + a[3] + i * 100;");
+    }
+
+    /// A destination's `(mask, sign)` narrows exactly as `coerce` does, for
+    /// every width a C type or a cast can name and the corners of each.
+    #[test]
+    fn widths_narrow_as_coerce_does() {
+        for bits in 0..=130u16 {
+            for ty in [CType::UInt(bits), CType::Int(bits)] {
+                let (mask, sign) = width_of(ty);
+                let b = u32::from(bits.clamp(1, 127));
+                for v in [
+                    0,
+                    1,
+                    -1,
+                    255,
+                    -256,
+                    1 << (b - 1),
+                    (1 << (b - 1)) - 1,
+                    i128::MAX,
+                    i128::MIN,
+                ] {
+                    assert_eq!(((v & mask) ^ sign) - sign, coerce(ty, v), "{ty:?} {v}");
+                }
+            }
+        }
+    }
+
+    /// `*`, `/` and `%` take a 64-bit path when both operands fit: the
+    /// same results as the walker's 128-bit arithmetic at every edge.
+    #[test]
+    fn sixty_four_bit_arithmetic_is_the_128_bit_result() {
+        let edges = [
+            0,
+            1,
+            -1,
+            2,
+            7,
+            -7,
+            i128::from(i64::MAX),
+            i128::from(i64::MIN),
+            i128::from(i64::MAX) + 1,
+            i128::from(i64::MIN) - 1,
+            i128::from(u64::MAX),
+            1 << 62,
+            i128::MAX,
+            i128::MIN,
+        ];
+        for op in [BinOp::Mul, BinOp::Div, BinOp::Rem] {
+            for a in edges {
+                for b in edges {
+                    assert_eq!(binop(op, a, b), apply_binop(op, a, b), "{a} {op:?} {b}");
+                }
+            }
+        }
+    }
+
+    /// A static is read and written in place only where its one
+    /// declaration has run; everywhere else — before it, after the block
+    /// it sits in, under a second declaration, behind a local of the same
+    /// name — it goes through the live-static-else-argument chain. One
+    /// pair of instances per source, statics carried across runs.
+    #[test]
+    fn statics_resolve_in_place_only_under_their_one_declaration() {
+        for src in [
+            "static uint8_t n = 250; n += 10; return n;",
+            "n += 1; static uint8_t n = 7; n *= 3; return n;",
+            "{ static uint8_t n = 1; n += 100; } n += 100; return n;",
+            "if (c) { static uint8_t n = 1; } else { static int16_t n = -1; } n += 300; return n;",
+            "static uint8_t n = 1; static uint16_t n = 2; n += 300; return n;",
+            "int n = 5; { static uint8_t n = 7; n += 1; } return n;",
+            "static uint16_t h[4]; h[c] += 40000; return h[1] + h[0];",
+            "static uint8_t n[2]; return n;",
+            "static uint8_t n = 3; return n[0];",
+        ] {
+            let mut w = Interpreter::from_source(src).unwrap();
+            let mut v = compile(src);
+            for c in [0, 1, 1, 0] {
+                let mut w_env = MockEnv::default();
+                w_env.scalars.insert("c".into(), c);
+                w_env.scalars.insert("n".into(), 9);
+                let mut v_env = MockEnv::default();
+                v_env.scalars.insert("c".into(), c);
+                v_env.scalars.insert("n".into(), 9);
+                assert_eq!(w.run(&mut w_env), v.run(&mut v_env), "{src} with c = {c}");
+            }
+        }
     }
 
     #[test]
@@ -1840,6 +1902,21 @@ return s * 100 + j;
         assert!(once > 0);
         v.run(&mut env).unwrap();
         assert_eq!(v.dispatch_count(), once * 2);
+    }
+
+    /// Operands are registers and the tick of each step rides the
+    /// back edge: an iteration of `for (..; i < n; i++) { s += i; }` is a
+    /// compare-and-branch, one `Bin`, one increment and one `Jmp`.
+    #[test]
+    fn a_loop_iteration_is_four_dispatches() {
+        let run = |n: u32| {
+            let src = format!("int s = 0; for (int i = 0; i < {n}; i++) {{ s += i; }} return s;");
+            let mut v = compile(&src);
+            assert_parity(&src);
+            v.run(&mut MockEnv::default()).unwrap();
+            v.dispatch_count()
+        };
+        assert_eq!(run(110) - run(10), 4 * 100);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Differential test for the reaction execution engines: the slot-resolved
-//! bytecode VM and the reference AST tree-walker must be observationally
+//! Differential test for the reaction execution engines: the bytecode VM
+//! and the reference AST tree-walker must be observationally
 //! identical — same results, same malleable writes, same table ops, same
 //! errors (including `StepLimitExceeded` mid-loop and integer wrap-around)
 //! — on every reaction body shipped with the four use-case apps, plus
@@ -7,19 +7,80 @@
 //!
 //! Statics are exercised by running each body several times against the
 //! same engine instances: any divergence in persistent `static` state shows
-//! up as diverging writes or results in later runs.
+//! up as diverging writes or results in later runs. Every call an engine
+//! makes into its environment is logged, and the logs must be equal too.
 
 use mantis::apps::programs::{DOS_P4R, ECMP_P4R, FAILOVER_P4R, RL_P4R};
+use mantis::p4r_compiler::generate::{generate, GenConfig};
 use mantis::p4r_lang::creact::parse_body;
-use mantis::reaction_interp::{CompiledReaction, InterpError, Interpreter, MockEnv};
+use mantis::reaction_interp::{CompiledReaction, InterpError, Interpreter, MockEnv, ReactionEnv};
 use mantis::{compile_source, CompilerOptions};
+use std::cell::RefCell;
+
+/// A [`MockEnv`] that logs every call made into it, in order — reads
+/// included, which leave nothing else behind. The VM's by-id calls reach
+/// the by-name ones through the trait's defaults, so both engines are
+/// logged alike.
+struct Logged {
+    env: MockEnv,
+    calls: RefCell<Vec<String>>,
+}
+
+impl Logged {
+    fn log(&self, call: String) {
+        self.calls.borrow_mut().push(call);
+    }
+}
+
+impl ReactionEnv for Logged {
+    fn read_scalar_arg(&self, name: &str) -> Option<i128> {
+        self.log(format!("scalar {name}"));
+        self.env.read_scalar_arg(name)
+    }
+
+    fn read_array_arg(&self, name: &str, index: i128) -> Option<Result<i128, InterpError>> {
+        self.log(format!("array {name}[{index}]"));
+        self.env.read_array_arg(name, index)
+    }
+
+    fn is_array_arg(&self, name: &str) -> bool {
+        self.log(format!("is_array {name}"));
+        self.env.is_array_arg(name)
+    }
+
+    fn read_mbl(&mut self, name: &str) -> Result<i128, InterpError> {
+        self.log(format!("read ${name}"));
+        self.env.read_mbl(name)
+    }
+
+    fn write_mbl(&mut self, name: &str, value: i128) -> Result<(), InterpError> {
+        self.log(format!("write ${name} {value}"));
+        self.env.write_mbl(name, value)
+    }
+
+    fn table_op(&mut self, table: &str, method: &str, args: &[i128]) -> Result<i128, InterpError> {
+        self.log(format!("{table}.{method}{args:?}"));
+        self.env.table_op(table, method, args)
+    }
+
+    fn call(&mut self, name: &str, args: &[i128]) -> Option<Result<i128, InterpError>> {
+        self.log(format!("{name}{args:?}"));
+        self.env.call(name, args)
+    }
+}
 
 /// Run `src` through both engines (fresh instance each) against
 /// identically seeded envs, `runs` times on the *same* instances/envs so
 /// statics and accumulated env state are covered, under the given step
 /// limit. Asserts identical results/errors and identical env state after
-/// every run.
-fn assert_parity(label: &str, src: &str, mk_env: impl Fn() -> MockEnv, step_limit: u64, runs: u32) {
+/// every run; returns whether a run ran out of steps.
+fn assert_parity(
+    label: &str,
+    src: &str,
+    mk_env: impl Fn() -> MockEnv,
+    step_limit: u64,
+    runs: u32,
+) -> bool {
     let body = parse_body(src).unwrap_or_else(|e| panic!("{label}: body does not parse: {e}"));
     let mut vm = CompiledReaction::compile(&body)
         .unwrap_or_else(|e| panic!("{label}: body must compile to bytecode: {e}"));
@@ -27,11 +88,17 @@ fn assert_parity(label: &str, src: &str, mk_env: impl Fn() -> MockEnv, step_limi
     vm.step_limit = step_limit;
     walker.step_limit = step_limit;
 
-    let mut env_vm = mk_env();
-    let mut env_walker = mk_env();
+    let logged = |env| Logged {
+        env,
+        calls: RefCell::default(),
+    };
+    let (mut vm_side, mut walker_side) = (logged(mk_env()), logged(mk_env()));
+    let mut exhausted = false;
     for run in 0..runs {
-        let r_vm = vm.run(&mut env_vm);
-        let r_walker = walker.run(&mut env_walker);
+        let r_vm = vm.run(&mut vm_side);
+        let r_walker = walker.run(&mut walker_side);
+        exhausted |= r_walker == Err(InterpError::StepLimitExceeded(step_limit));
+        let (env_vm, env_walker) = (&vm_side.env, &walker_side.env);
         assert_eq!(
             r_vm, r_walker,
             "{label}: result diverged (run {run}, step limit {step_limit})"
@@ -48,13 +115,18 @@ fn assert_parity(label: &str, src: &str, mk_env: impl Fn() -> MockEnv, step_limi
             env_vm.arrays, env_walker.arrays,
             "{label}: array state diverged (run {run}, step limit {step_limit})"
         );
+        assert_eq!(
+            vm_side.calls, walker_side.calls,
+            "{label}: environment calls diverged (run {run}, step limit {step_limit})"
+        );
     }
+    exhausted
 }
 
 /// Build a plausible env for a compiled app's reaction binding: measured
 /// fields become scalar args, measured registers become array args with
-/// the binding's index range, and every malleable value slot is writable
-/// at its declared init.
+/// the binding's index range, every malleable value slot is writable at
+/// its declared init, and `now_us()` reads a fixed clock.
 fn app_envs(src: &str) -> Vec<(String, String, MockEnv)> {
     let compiled = compile_source(src, &CompilerOptions::default()).expect("app compiles");
     let iface = &compiled.iface;
@@ -81,6 +153,7 @@ fn app_envs(src: &str) -> Vec<(String, String, MockEnv)> {
             for v in &iface.values {
                 env.mbls.insert(v.name.clone(), v.init.bits() as i128);
             }
+            env.builtins.insert("now_us".into(), 1_000);
             (binding.name.clone(), binding.body_src.clone(), env)
         })
         .collect()
@@ -103,10 +176,39 @@ fn app_reactions_match_walker() {
     }
 }
 
-/// App reactions under tight step budgets: both engines must stop at the
-/// exact same point with the same `StepLimitExceeded` error and identical
-/// partial malleable writes — this pins the VM's tick accounting to the
-/// walker's, mid-loop included.
+/// Every step limit from 1 to one past what two consecutive unlimited runs
+/// need (statics carry over from the first run to the second): wherever the
+/// limit falls, both engines stop at the same point with the same
+/// `StepLimitExceeded`, result, malleable writes and table-op log. This is
+/// the oracle for the VM's tick motion — a tick it counts later than the
+/// walker would leave an effect behind, one it counts earlier would stop it
+/// short. A body that never finishes is swept to `cap`. Returns the last
+/// limit tried.
+fn sweep_step_limits(label: &str, src: &str, env: &MockEnv, cap: u64) -> u64 {
+    let mut limit = 1;
+    while assert_parity(
+        &format!("{label}@{limit}"),
+        src,
+        || clone_env(env),
+        limit,
+        2,
+    ) && limit < cap
+    {
+        limit += 1;
+    }
+    assert_parity(
+        &format!("{label}@{}", limit + 1),
+        src,
+        || clone_env(env),
+        limit + 1,
+        2,
+    );
+    limit + 1
+}
+
+/// The four app bodies, the paper's Figure 1 body, and statements that
+/// fail where they count their last steps — a failure must not come
+/// before a limit the walker hits first, nor after one it does not.
 #[test]
 fn app_reactions_match_walker_under_step_limits() {
     for (app, src) in [
@@ -116,10 +218,62 @@ fn app_reactions_match_walker_under_step_limits() {
         ("rl", RL_P4R),
     ] {
         for (name, body_src, env) in &app_envs(src) {
-            for limit in [1u64, 3, 9, 27, 81, 243, 729] {
-                let label = format!("{app}/{name}@{limit}");
-                assert_parity(&label, body_src, || clone_env(env), limit, 2);
-            }
+            let swept = sweep_step_limits(&format!("{app}/{name}"), body_src, env, u64::MAX);
+            assert!(swept > 20, "{app}/{name}: only {swept} limits");
+        }
+    }
+    let mut env = env_with_mbls(&[("thresh", 10), ("last", 0)]);
+    env.arrays
+        .insert("q".into(), (0, vec![3, 9, 4, 27, 5, 8, 1, 2]));
+    sweep_step_limits("figure 1", FIGURE_1, &env, u64::MAX);
+    env.builtins.insert("now_us".into(), 1);
+    for src in [
+        "int x = 0; ${last} = 7; ${last} = 6 / x + ${last};",
+        "int x = 0; ${last} = 7; ${last} = ${thresh} % x;",
+        "int a[4]; int i = 4; ${last} = 1; ${last} = a[i];",
+        "${last} = 1; ${last} = q[i = 9];",
+        "${last} = now_us(); ${last} = nope(${last});",
+    ] {
+        sweep_step_limits(src, src, &env, u64::MAX);
+    }
+}
+
+/// The paper's Figure 1 reaction: argmax over a ring of per-port counters,
+/// then a table update.
+const FIGURE_1: &str = r#"
+uint16_t current_max = 0, max_port = 0;
+for (int i = 0; i < 8; i++) {
+    if (q[i] > current_max) {
+        current_max = q[i];
+        max_port = i;
+    }
+}
+if (current_max > ${thresh}) {
+    fwd.modEntry(0, max_port);
+}
+${last} = max_port;
+return max_port;
+"#;
+
+/// The first 100 generated programs that compile, the same sweep: what
+/// the fuzz campaign samples at three limits, every limit here. (Those that
+/// terminate need at most 488 steps; the few that loop until the limit
+/// stops them are swept to 1 000.)
+#[test]
+fn generated_reactions_match_walker_under_every_step_limit() {
+    let cfg = GenConfig::default();
+    let mut swept = 0;
+    for seed in 0.. {
+        let src = generate(seed, &cfg).render();
+        if compile_source(&src, &CompilerOptions::default()).is_err() {
+            continue;
+        }
+        for (name, body_src, env) in &app_envs(&src) {
+            sweep_step_limits(&format!("seed {seed} `{name}`"), body_src, env, 1_000);
+        }
+        swept += 1;
+        if swept == 100 {
+            break;
         }
     }
 }
