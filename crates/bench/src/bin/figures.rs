@@ -29,7 +29,6 @@ const KNOWN: &[&str] = &[
     "rl",
     "telemetry",
     "perf",
-    "parallel",
     "scale",
     "faults",
     "fabric",
@@ -330,46 +329,6 @@ fn main() {
         println!();
     }
 
-    if want("parallel") {
-        let quick = std::env::var("MANTIS_BENCH_QUICK").is_ok_and(|v| v != "0");
-        let r = bench::parallel::run(quick);
-        save("parallel", &r);
-        merge_bench_perf("parallel", &r);
-        println!(
-            "== Parallel — epoch-barrier worker pool scaling ({}) ==",
-            if quick { "quick" } else { "full" }
-        );
-        println!(
-            "    {}x{} leaf-spine ({} switches), {} flows, horizon {} ms, host cores {}",
-            r.leaves,
-            r.spines,
-            r.switches,
-            r.flows,
-            r.duration_ns as f64 / 1e6,
-            r.host_cores
-        );
-        for p in &r.points {
-            println!(
-                "    workers {:>2}: model {:>5.2}x  ({} work units / {} critical)  \
-                 wall {:>8.1} ms = {:>5.2}x measured on {} cores  drains {} ({} parallel)",
-                p.workers,
-                p.speedup,
-                p.work_units,
-                p.critical_units,
-                p.wall_ms,
-                p.wall_speedup,
-                r.host_cores,
-                p.drains,
-                p.parallel_drains
-            );
-        }
-        println!(
-            "    fingerprints identical across worker counts: {}",
-            r.identical
-        );
-        println!();
-    }
-
     if want("scale") {
         let quick = std::env::var("MANTIS_BENCH_QUICK").is_ok_and(|v| v != "0");
         let r = bench::scale::run(quick);
@@ -393,13 +352,8 @@ fn main() {
             r.headline.pkts_per_sec, r.headline.wall_secs, r.headline.accepted_pkts
         );
         println!(
-            "    deterministic across drains: {}   mean batch {:.1} (max {}), \
-             wheel slots {}, arena {} B",
-            r.deterministic,
-            r.gauges.mean_batch,
-            r.gauges.max_batch,
-            r.gauges.wheel_slots,
-            r.gauges.arena_bytes
+            "    mean batch {:.1} (max {}), wheel slots {}, arena {} B",
+            r.gauges.mean_batch, r.gauges.max_batch, r.gauges.wheel_slots, r.gauges.arena_bytes
         );
         println!();
     }
@@ -507,8 +461,8 @@ fn main() {
             if quick { "quick" } else { "full" }
         );
         println!(
-            "    {} seeds, {} workers: {} fabric trials ({} fingerprint-checked), {} mastership trials",
-            r.seeds_run, r.workers, r.fabric_trials, r.fingerprint_checked, r.mastership_trials
+            "    {} seeds: {} fabric trials ({} fingerprint-checked), {} mastership trials",
+            r.seeds_run, r.fabric_trials, r.fingerprint_checked, r.mastership_trials
         );
         println!(
             "    fabric: {} crashes, {} restarts; reconcile mean {:>7.1} µs  max {:>7.1} µs",
@@ -593,7 +547,7 @@ fn save<T: serde::Serialize>(name: &str, value: &T) {
 }
 
 /// Read–modify–write one section of the repo-root `BENCH_perf.json` so
-/// the fast-path and parallel sweeps can coexist in it.
+/// the perf, chaos and scale sections can coexist in it.
 fn merge_bench_perf<T: serde::Serialize>(section: &str, value: &T) {
     let existing = fs::read_to_string("BENCH_perf.json").ok();
     fs::write(

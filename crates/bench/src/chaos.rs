@@ -3,8 +3,8 @@
 //!
 //! Each seed generates a [`ChaosPlan`] whose events run against:
 //!
-//! * **fabric** — a 2×2 leaf-spine failover fabric with 2-pipe switches
-//!   under the parallel runtime: agent crashes (killed mid-dialogue,
+//! * **fabric** — a 2×2 leaf-spine failover fabric with 2-pipe switches:
+//!   agent crashes (killed mid-dialogue,
 //!   restarted after a downtime and reconciled from device state), link
 //!   flaps, and driver latency spikes;
 //! * **mastership** — two controllers arbitrating one 2-pipe switch over
@@ -37,8 +37,8 @@ use mantis::netsim::{schedule_link_flaps, spawn_udp_on, UdpConfig, HOST_PORTS};
 use mantis::p4r_compiler::{compile_source, Compiled, CompilerOptions};
 use mantis::rmt_sim::{Nanos, PacketDesc};
 use mantis::{
-    workers_from_env, Clock, Controller, ControllerConfig, CostModel, FaultPlan, MantisAgent,
-    SharedSwitch, Switch, SwitchConfig,
+    Clock, Controller, ControllerConfig, CostModel, FaultPlan, MantisAgent, SharedSwitch, Switch,
+    SwitchConfig,
 };
 pub use mantis_faults::chaos::{shrink, ChaosConfig, ChaosEvent, ChaosParseError, ChaosPlan};
 use serde::Serialize;
@@ -141,11 +141,7 @@ fn viol(oracle: &str, detail: String) -> (String, String) {
 /// Run one fabric chaos trial: manual dialogue stepping so crashes can be
 /// observed and restarts scheduled deterministically, then quiescence and
 /// the oracles. `baseline` is the fault-free run's entry fingerprints.
-pub fn fabric_trial(
-    plan: &ChaosPlan,
-    workers: usize,
-    baseline: Option<&[u64]>,
-) -> FabricTrialOutcome {
+pub fn fabric_trial(plan: &ChaosPlan, baseline: Option<&[u64]>) -> FabricTrialOutcome {
     let opts = FabricOptions {
         switch: SwitchConfig {
             num_pipes: 2,
@@ -154,7 +150,6 @@ pub fn fabric_trial(
         hb_stop_ns: Some(HB_STOP_NS),
     };
     let mut tb = build_failover_fabric_with(2, 2, TS_NS, ETA, &opts);
-    tb.sim.set_workers(workers);
     let fplan = plan.fabric_plan();
     for a in &tb.agents {
         a.borrow_mut().set_fault_plan(fplan.clone());
@@ -522,11 +517,10 @@ pub fn mastership_trial(plan: &ChaosPlan) -> MastershipTrialOutcome {
 /// Replay one (possibly shrunk) plan against every scenario it lowers
 /// onto; the corpus regression tests call this on checked-in repro files.
 pub fn replay(plan: &ChaosPlan) -> Vec<Violation> {
-    let workers = usize::from(workers_from_env()).max(2);
     let mut out = Vec::new();
     if plan.has_fabric_events() {
-        let base = fabric_trial(&ChaosPlan::default(), workers, None);
-        let tr = fabric_trial(plan, workers, Some(&base.entry_fps));
+        let base = fabric_trial(&ChaosPlan::default(), None);
+        let tr = fabric_trial(plan, Some(&base.entry_fps));
         out.extend(tr.violations.into_iter().map(|(oracle, detail)| Violation {
             seed: plan.seed,
             scenario: "fabric".to_string(),
@@ -552,7 +546,6 @@ pub fn replay(plan: &ChaosPlan) -> Vec<Violation> {
 pub struct ChaosSoakResult {
     pub seeds_run: u64,
     pub quick: bool,
-    pub workers: usize,
     pub fabric_trials: u64,
     pub fabric_crashes: u64,
     pub fabric_restarts: u64,
@@ -595,14 +588,12 @@ where
 /// Run the chaos soak: `quick` (CI) trims the seed count.
 pub fn run(quick: bool) -> ChaosSoakResult {
     let seeds: u64 = if quick { 8 } else { 200 };
-    let workers = usize::from(workers_from_env()).max(2);
-    let baseline = fabric_trial(&ChaosPlan::default(), workers, None);
+    let baseline = fabric_trial(&ChaosPlan::default(), None);
     let base_fps = baseline.entry_fps.clone();
 
     let mut result = ChaosSoakResult {
         seeds_run: seeds,
         quick,
-        workers,
         fabric_trials: 0,
         fabric_crashes: 0,
         fabric_restarts: 0,
@@ -630,7 +621,7 @@ pub fn run(quick: bool) -> ChaosSoakResult {
     for seed in 0..seeds {
         let plan = ChaosPlan::generate(seed, &gen_cfg());
         if plan.has_fabric_events() {
-            let tr = fabric_trial(&plan, workers, Some(&base_fps));
+            let tr = fabric_trial(&plan, Some(&base_fps));
             result.fabric_trials += 1;
             result.fabric_crashes += tr.crashes;
             result.fabric_restarts += tr.restarts;
@@ -648,9 +639,7 @@ pub fn run(quick: bool) -> ChaosSoakResult {
                     });
                 }
                 if let Some(p) = write_repro(seed, "fabric", &plan, |cand| {
-                    !fabric_trial(cand, workers, Some(&base_fps))
-                        .violations
-                        .is_empty()
+                    !fabric_trial(cand, Some(&base_fps)).violations.is_empty()
                 }) {
                     result.corpus_written.push(p);
                 }
@@ -694,19 +683,19 @@ mod tests {
 
     #[test]
     fn fault_free_fabric_trial_upholds_every_oracle() {
-        let base = fabric_trial(&ChaosPlan::default(), 2, None);
+        let base = fabric_trial(&ChaosPlan::default(), None);
         assert!(base.violations.is_empty(), "{:?}", base.violations);
         assert_eq!(base.crashes, 0);
         assert!(base.comparable);
         // Fault-free is self-consistent: replaying against its own
         // fingerprints matches.
-        let again = fabric_trial(&ChaosPlan::default(), 2, Some(&base.entry_fps));
+        let again = fabric_trial(&ChaosPlan::default(), Some(&base.entry_fps));
         assert!(again.violations.is_empty(), "{:?}", again.violations);
     }
 
     #[test]
     fn crashed_agent_reconciles_and_converges_to_baseline() {
-        let base = fabric_trial(&ChaosPlan::default(), 2, None);
+        let base = fabric_trial(&ChaosPlan::default(), None);
         let plan = ChaosPlan {
             seed: 0,
             events: vec![
@@ -720,7 +709,7 @@ mod tests {
                 },
             ],
         };
-        let tr = fabric_trial(&plan, 2, Some(&base.entry_fps));
+        let tr = fabric_trial(&plan, Some(&base.entry_fps));
         assert!(tr.violations.is_empty(), "{:?}", tr.violations);
         assert!(tr.crashes >= 2, "crashes {}", tr.crashes);
         assert_eq!(tr.restarts, tr.crashes, "every crash recovered");
@@ -731,7 +720,7 @@ mod tests {
 
     #[test]
     fn flapped_trial_is_not_fingerprint_comparable_but_stays_atomic() {
-        let base = fabric_trial(&ChaosPlan::default(), 2, None);
+        let base = fabric_trial(&ChaosPlan::default(), None);
         let plan = ChaosPlan {
             seed: 0,
             events: vec![ChaosEvent::Flap {
@@ -741,7 +730,7 @@ mod tests {
                 up_ns: 600_000,
             }],
         };
-        let tr = fabric_trial(&plan, 2, Some(&base.entry_fps));
+        let tr = fabric_trial(&plan, Some(&base.entry_fps));
         assert!(!tr.comparable);
         assert!(tr.violations.is_empty(), "{:?}", tr.violations);
     }
@@ -773,10 +762,10 @@ mod tests {
 
     #[test]
     fn seeded_trials_are_deterministic() {
-        let base = fabric_trial(&ChaosPlan::default(), 2, None);
+        let base = fabric_trial(&ChaosPlan::default(), None);
         let plan = ChaosPlan::generate(11, &gen_cfg());
-        let a = fabric_trial(&plan, 2, Some(&base.entry_fps));
-        let b = fabric_trial(&plan, 2, Some(&base.entry_fps));
+        let a = fabric_trial(&plan, Some(&base.entry_fps));
+        let b = fabric_trial(&plan, Some(&base.entry_fps));
         assert_eq!(a.crashes, b.crashes);
         assert_eq!(a.reconcile_ns, b.reconcile_ns);
         assert_eq!(a.entry_fps, b.entry_fps);

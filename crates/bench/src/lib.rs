@@ -25,7 +25,6 @@ pub mod control;
 pub mod fabric;
 pub mod faults;
 pub mod fuzz;
-pub mod parallel;
 pub mod perf;
 pub mod scale;
 
@@ -803,7 +802,7 @@ pub fn to_json<T: Serialize>(name: &str, value: &T) -> String {
 
 /// Merge one section into the repo-root `BENCH_perf.json`, preserving
 /// sections written by other figures (the fast-path sweep writes
-/// `"data"`, the parallel-runtime sweep `"parallel"`). A missing or
+/// `"data"`, the scale benchmark `"scale"`). A missing or
 /// unparseable `existing` file starts fresh; `"figure": "perf"` is
 /// always pinned as the first key.
 pub fn merge_bench_perf<T: Serialize>(existing: Option<&str>, section: &str, value: &T) -> String {
@@ -838,21 +837,21 @@ mod tests {
         assert!(serde::map_get(m, "data").is_some());
 
         // A second figure merges in without clobbering the first.
-        let merged = merge_bench_perf(Some(&first), "parallel", &json!({"speedup_at_4": 2.9}));
+        let merged = merge_bench_perf(Some(&first), "scale", &json!({"quick": true}));
         let v: serde_json::Value = serde_json::from_str(&merged).unwrap();
         let m = v.as_map().unwrap();
         assert!(serde::map_get(m, "data").is_some(), "perf section lost");
-        assert!(serde::map_get(m, "parallel").is_some());
+        assert!(serde::map_get(m, "scale").is_some());
 
         // Re-writing a section replaces it in place.
         let rewritten = merge_bench_perf(Some(&merged), "data", &json!({"speedup": 4.0}));
         let v: serde_json::Value = serde_json::from_str(&rewritten).unwrap();
         let m = v.as_map().unwrap();
         assert_eq!(m.iter().filter(|(k, _)| k == "data").count(), 1);
-        assert!(serde::map_get(m, "parallel").is_some());
+        assert!(serde::map_get(m, "scale").is_some());
 
         // Garbage input starts fresh instead of panicking.
-        let fresh = merge_bench_perf(Some("not json"), "parallel", &json!({}));
+        let fresh = merge_bench_perf(Some("not json"), "scale", &json!({}));
         assert!(serde_json::from_str::<serde_json::Value>(&fresh).is_ok());
     }
 

@@ -7,8 +7,7 @@
 //! seed. The bench harness lowers a plan onto two scenarios:
 //!
 //! * **fabric** events ([`ChaosEvent::Crash`], [`ChaosEvent::Flap`],
-//!   [`ChaosEvent::Delay`]) run against the leaf-spine failover fabric
-//!   under `MANTIS_WORKERS > 1`;
+//!   [`ChaosEvent::Delay`]) run against the leaf-spine failover fabric;
 //! * **mastership** events ([`ChaosEvent::Drop`], [`ChaosEvent::ChDelay`],
 //!   [`ChaosEvent::Sever`], [`ChaosEvent::CtlCrash`]) run against a
 //!   dual-controller lease-arbitration scenario.

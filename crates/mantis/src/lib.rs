@@ -165,17 +165,6 @@ pub fn switches_from_env() -> u16 {
     parse_env_count("MANTIS_SWITCHES", raw.as_deref(), 1)
 }
 
-/// Pump worker count requested via the `MANTIS_WORKERS` environment
-/// variable — the parallel-runtime sibling of [`pipes_from_env`] /
-/// [`switches_from_env`]; 1 (the inline drain, no pool) when unset, and 1
-/// with a warning when malformed or zero. The pool is opt-in: it has not
-/// been faster than the inline drain anywhere it was measured. The
-/// simulator clamps further to the switch count.
-pub fn workers_from_env() -> u16 {
-    let raw = std::env::var("MANTIS_WORKERS").ok();
-    parse_env_count("MANTIS_WORKERS", raw.as_deref(), 1)
-}
-
 /// Upper clamp for [`flows_from_env`]: roughly 5× the paper's Fig. 14
 /// block (~370 K flows), so a scaled-up run stays possible while a
 /// garbage value cannot allocate unbounded flow state.
@@ -457,11 +446,9 @@ impl Fabric {
             switches.push(switch);
             agents.push(Rc::new(RefCell::new(agent)));
         }
-        let mut sim = netsim::Simulator::fabric(switches, topo);
-        sim.set_workers(usize::from(workers_from_env()));
         Ok(Fabric {
             compiled,
-            sim,
+            sim: netsim::Simulator::fabric(switches, topo),
             agents,
             telemetry,
             planes,
@@ -593,29 +580,6 @@ control ingress { apply(t); }
             parse_env_count("MANTIS_SWITCHES", Some("65535"), 1),
             MAX_ENV_COUNT
         );
-    }
-
-    #[test]
-    fn worker_env_counts_parse_clamp_and_default() {
-        // `MANTIS_WORKERS` goes through the same hardened parser as
-        // `MANTIS_PIPES`/`MANTIS_SWITCHES`: positive counts parse...
-        assert_eq!(parse_env_count("MANTIS_WORKERS", Some("4"), 2), 4);
-        assert_eq!(parse_env_count("MANTIS_WORKERS", Some(" 8 "), 2), 8);
-        // ...garbage and zero fall back to the default...
-        for bad in ["abc", "", "0", "-1", "2.5"] {
-            assert_eq!(
-                parse_env_count("MANTIS_WORKERS", Some(bad), 3),
-                3,
-                "{bad:?}"
-            );
-        }
-        // ...and oversized values clamp to the cap.
-        assert_eq!(
-            parse_env_count("MANTIS_WORKERS", Some("9999"), 2),
-            MAX_ENV_COUNT
-        );
-        // Unset means one worker — a constant, whatever the host has.
-        assert_eq!(parse_env_count("MANTIS_WORKERS", None, 1), 1);
     }
 
     #[test]

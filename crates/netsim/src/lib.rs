@@ -18,7 +18,6 @@
 pub mod faults;
 pub mod flows;
 pub mod metrics;
-mod par;
 pub mod sim;
 pub mod topo;
 pub mod trace;

@@ -18,15 +18,15 @@
 //! [`TransferMap`] — no per-hop name round-trip.
 
 use crate::flows::FlowRegistry;
-use crate::par::WorkerPool;
 use crate::topo::{Endpoint, Link, Topology};
 use crate::wheel::TimingWheel;
 use mantis_telemetry::Telemetry;
 use rmt_sim::{
     Clock, Nanos, PacketTemplate, Phv, PortId, SharedSwitch, Switch, TransferMap, TxPacket,
 };
+use std::cell::RefMut;
 use std::collections::VecDeque;
-use std::sync::{Arc, MutexGuard};
+use std::sync::Arc;
 
 pub(crate) type EventFn = Box<dyn FnOnce(&mut Simulator)>;
 
@@ -57,33 +57,27 @@ pub(crate) enum EventKind {
     FlowWake { shard: u32 },
 }
 
-/// Deterministic scaling accounting for the drain.
+/// Counted accounting of the drain, and a model of a shard schedule.
 ///
-/// The work unit is one packet served by a pump. `critical_units` is the
-/// epoch-by-epoch makespan: per drain, each worker's load is the sum of
-/// work over the switches it owns, and the makespan is the slowest
-/// worker's load (the whole drain's work when running inline). So
-/// `speedup() = work / makespan` is a *model* of how well the shard
-/// schedule balances packets over `workers`: counted, byte-reproducible
-/// across runs and host core counts, and blind to what a pooled epoch
-/// costs on a real host — the channel round trip and barrier per drain,
-/// and the unequal cost of packets. Wall-clock speedup is a separate,
-/// measured number (`figures -- parallel` reports both).
+/// The work unit is one packet served by a pump. `critical_units` models
+/// splitting each drain's visits over `workers` shards, switch `i` to
+/// shard `i % workers`: per drain, a shard's load is the work of the
+/// switches it owns, and the makespan is the largest load (the whole
+/// drain's work at one shard). So `speedup() = work / makespan` says how
+/// well that schedule would balance packets: counted, byte-reproducible
+/// across runs and hosts, and not a measurement — every drain runs
+/// inline, on one thread, whatever `workers` says.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParStats {
-    /// Worker count this simulator is configured for.
+    /// Shard count of the modelled schedule ([`Simulator::set_workers`]).
     pub workers: usize,
-    /// Total drains executed (inline + pooled).
+    /// Total drains executed.
     pub drains: u64,
-    /// Drains that dispatched an epoch to the worker pool — those with a
-    /// non-empty due set at `workers > 1`.
-    pub parallel_drains: u64,
     /// Total packets served by pumps.
     pub work_units: u64,
-    /// Sum over drains of the slowest worker's load.
+    /// Sum over drains of the most loaded shard's work.
     pub critical_units: u64,
-    /// Times a drain — inline or a pool worker — took a switch's lock to
-    /// look at it.
+    /// Times a drain borrowed a switch to look at it.
     pub switch_visits: u64,
     /// Pumps that served no packet. The readiness index keeps this at
     /// zero: a switch is pumped only once a queue head of its is due.
@@ -91,7 +85,7 @@ pub struct ParStats {
 }
 
 impl ParStats {
-    /// Critical-path speedup over a serial run (1.0 when serial or idle).
+    /// Modelled critical-path speedup (1.0 at one shard or when idle).
     pub fn speedup(&self) -> f64 {
         if self.critical_units == 0 {
             1.0
@@ -122,39 +116,36 @@ fn ready_entry(sw: &Switch) -> Nanos {
 }
 
 /// What one [`visit`] did.
-pub(crate) struct Visit {
+struct Visit {
     /// Whether a queue head was due, so the switch was pumped.
-    pub pumped: bool,
+    pumped: bool,
     /// Packets the pump served.
-    pub served: u64,
-    /// Whether the pump left telemetry records in the switch's buffer,
-    /// which [`Simulator::settle`] owes the registry.
-    pub recorded: bool,
+    served: u64,
     /// The switch's readiness-index entry on the way out.
-    pub ready: Nanos,
+    ready: Nanos,
     /// Its pool-index entry on the way out.
-    pub parked: usize,
+    parked: usize,
 }
 
 /// One switch's step of a drain, under its borrow: pump if a queue head
 /// is due — an idle pump has no side effects, and queued packets whose
-/// egress/wire time has not arrived make it a provable no-op — and move
-/// what it transmitted, with frame lengths, onto `batch`. What the pump
-/// records stays in the switch's own telemetry buffer. The one
-/// definition both executors run: [`Simulator::drain`] inline, the pool
-/// workers of [`crate::par`] on the switches they own.
+/// egress/wire time has not arrived make it a provable no-op — move what
+/// it transmitted, with frame lengths, onto `batch`, and flush what the
+/// pump recorded from the switch's telemetry buffer into the registry.
 #[inline]
-pub(crate) fn visit(sw: &mut Switch, batch: &mut Vec<(TxPacket, u32)>) -> Visit {
+fn visit(sw: &mut Switch, batch: &mut Vec<(TxPacket, u32)>) -> Visit {
     let pumped = sw.tm_queued() > 0 && sw.tx_ready();
     let mut served = 0;
     if pumped {
         served = sw.pump_buffered();
         sw.drain_transmitted_with_len(batch);
+        if served > 0 && sw.telemetry().is_enabled() {
+            sw.flush_telemetry();
+        }
     }
     Visit {
         pumped,
         served,
-        recorded: served > 0 && sw.telemetry().is_enabled(),
         ready: ready_entry(sw),
         parked: sw.pool_parked(),
     }
@@ -185,8 +176,8 @@ pub struct Simulator {
     dirty: Vec<u64>,
     /// The drain's readiness index: per switch, the virtual time its
     /// earliest queue head can transmit ([`Switch::next_ready_at`]), as
-    /// of the last borrow this simulator took or handed to a pool worker
-    /// — an inject, a wire delivery, a drain visit; only
+    /// of the last borrow this simulator took — an inject, a wire
+    /// delivery, a drain visit; only
     /// [`note_ready`](Simulator::note_ready) writes it. [`IDLE`]: nothing
     /// queued. [`UNKNOWN`]: code this simulator does not see into (a
     /// closure event, the caller between runs) may have touched the
@@ -196,16 +187,16 @@ pub struct Simulator {
     ready_at: Vec<Nanos>,
     /// The pool index, kept beside the readiness index and the same way:
     /// per switch, the PHV buffers parked in its freelist as of the last
-    /// borrow this simulator took or handed out, or [`POOL_UNKNOWN`]. An
-    /// [`Injector`] whose own freelist has run dry finds its donor here
-    /// instead of locking every peer to ask.
+    /// borrow this simulator took, or [`POOL_UNKNOWN`]. An [`Injector`]
+    /// whose own freelist has run dry finds its donor here instead of
+    /// borrowing every peer to ask.
     pool_parked: Vec<usize>,
     /// `(fields, headers)` of each switch's spec, fixed at construction:
     /// freelists trade buffers only between identically shaped specs.
     phv_shape: Vec<(usize, usize)>,
-    /// Which peers' locks injectors took to top up their pools.
+    /// Which peers injectors borrowed to top up their pools.
     #[cfg(test)]
-    peer_locks: Vec<usize>,
+    peer_borrows: Vec<usize>,
     /// Packets that exited the fabric (transmitted out an *unlinked*
     /// port), tagged with the switch that emitted them; kept until taken
     /// by the experiment (capped to avoid unbounded growth when unused).
@@ -214,9 +205,12 @@ pub struct Simulator {
     pub tx_log_cap: usize,
     /// Reusable due-set buffer of the drain.
     due_scratch: Vec<usize>,
-    /// Reusable transmit-batch buffer for inline visits; refilled per
-    /// pump so the pump → route handoff never allocates at steady state.
+    /// Reusable transmit-batch buffer for visits; refilled per pump so
+    /// the pump → route handoff never allocates at steady state.
     batch_scratch: Vec<(TxPacket, u32)>,
+    /// Per-shard work of the current drain, for [`ParStats`]' model;
+    /// one entry per modelled shard.
+    shard_load: Vec<u64>,
     /// Count of all packets ever transmitted by any switch, including
     /// hops over internal fabric links (not capped).
     pub tx_count: u64,
@@ -225,15 +219,6 @@ pub struct Simulator {
     tx_count_per_switch: Vec<u64>,
     tx_bytes_per_switch: Vec<u64>,
     next_flow_id: u64,
-    /// Configured worker count (1 = visits run inline, the default).
-    workers: usize,
-    /// Lazily spawned worker pool; dropped (threads joined) whenever the
-    /// worker count or shard assignment changes.
-    pool: Option<WorkerPool>,
-    /// Switch → worker map. `None` means the canonical `i % workers`;
-    /// tests scramble it to prove the barrier merge alone fixes the
-    /// output order.
-    assignment: Option<Vec<usize>>,
     par_stats: ParStats,
     /// Drain through [`drain_property`]'s index-free reference instead.
     #[cfg(test)]
@@ -311,19 +296,17 @@ impl Simulator {
             pool_parked: vec![POOL_UNKNOWN; n],
             phv_shape,
             #[cfg(test)]
-            peer_locks: Vec::new(),
+            peer_borrows: Vec::new(),
             tx_log: VecDeque::new(),
             tx_log_cap: 1 << 20,
             due_scratch: Vec::new(),
             batch_scratch: Vec::new(),
+            shard_load: vec![0],
             tx_count: 0,
             tx_bytes: 0,
             tx_count_per_switch: vec![0; n],
             tx_bytes_per_switch: vec![0; n],
             next_flow_id: 0,
-            workers: 1,
-            pool: None,
-            assignment: None,
             par_stats: ParStats {
                 workers: 1,
                 ..ParStats::default()
@@ -333,58 +316,21 @@ impl Simulator {
         }
     }
 
-    /// Set the pump worker count. `1` (the default) runs every drain's
-    /// switch visits inline; `> 1` runs them on a fixed worker pool of
-    /// switch shards with an epoch barrier per drain. Output is
-    /// byte-identical either way —
-    /// see DESIGN.md §12. Values are clamped to `[1, num_switches]`
-    /// (a worker without a shard would just idle).
+    /// Set the shard count [`ParStats`] models, clamped to
+    /// `[1, num_switches]`. It changes no execution: every drain runs
+    /// inline (DESIGN.md §12).
     pub fn set_workers(&mut self, workers: usize) {
         let w = workers.clamp(1, self.switches.len().max(1));
-        if w != self.workers {
-            self.pool = None;
-            self.workers = w;
-        }
         self.par_stats.workers = w;
+        self.shard_load = vec![0; w];
     }
 
     pub fn workers(&self) -> usize {
-        self.workers
+        self.par_stats.workers
     }
 
-    /// Replace the canonical `i % workers` shard assignment with a seeded
-    /// pseudo-random permutation. A test hook: the barrier merge is what
-    /// guarantees determinism, so any assignment must produce byte-
-    /// identical output — the stress suite proves it by scrambling.
-    pub fn scramble_assignment(&mut self, seed: u64) {
-        let n = self.switches.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        // Deterministic Fisher–Yates off a splitmix-style stream.
-        let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        for i in (1..n).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            order.swap(i, j);
-        }
-        let w = self.workers.max(1);
-        let mut assignment = vec![0usize; n];
-        for (slot, &sw) in order.iter().enumerate() {
-            assignment[sw] = slot % w;
-        }
-        self.assignment = Some(assignment);
-        self.pool = None;
-    }
-
-    /// Scaling accounting accumulated so far (work units, per-epoch
-    /// makespan, derived speedup).
+    /// The drain's accounting so far (work units, modelled makespan,
+    /// derived speedup).
     pub fn par_stats(&self) -> ParStats {
         self.par_stats
     }
@@ -575,15 +521,9 @@ impl Simulator {
     /// map without cloning the `Arc` per delivery.
     fn ensure_transfer_map(&mut self, src: usize, dest: usize) {
         if self.xfer[src][dest].is_none() {
-            let map = if src == dest {
-                let sw = self.switches[src].borrow();
-                TransferMap::build(sw.spec(), sw.spec())
-            } else {
-                let s = self.switches[src].borrow();
-                let d = self.switches[dest].borrow();
-                TransferMap::build(s.spec(), d.spec())
-            };
-            self.xfer[src][dest] = Some(Arc::new(map));
+            let s = self.switches[src].borrow();
+            let d = self.switches[dest].borrow();
+            self.xfer[src][dest] = Some(Arc::new(TransferMap::build(s.spec(), d.spec())));
         }
     }
 
@@ -617,7 +557,7 @@ impl Simulator {
     /// switch as an [`Injector`] and the flow registry (where the typed
     /// flows keep their templates). The switch's ready time is cached on
     /// the way out, so the drain that follows knows whether and when to
-    /// come back without taking the lock to ask.
+    /// come back without borrowing the switch to ask.
     #[inline]
     pub(crate) fn inject_on<R>(
         &mut self,
@@ -631,7 +571,7 @@ impl Simulator {
             pool_parked: &mut self.pool_parked,
             phv_shape: &self.phv_shape,
             #[cfg(test)]
-            peer_locks: &mut self.peer_locks,
+            peer_borrows: &mut self.peer_borrows,
         };
         let out = body(&mut inj, &self.flows);
         let (ready, parked) = (ready_entry(&inj.sw), inj.sw.pool_parked());
@@ -648,21 +588,17 @@ impl Simulator {
 
     /// The drain `run_until` runs after every event, in three steps.
     ///
-    /// 1. The *due set* is read off the readiness index, no lock taken: a
-    ///    flagged switch is due once the clock has reached its cached
-    ///    ready time. Everything else is skipped outright — an idle pump
-    ///    has no side effects, so skipping is byte-exact.
-    /// 2. Every due switch gets one [`visit`] — inline in index order at
-    ///    `workers == 1`, on the pool workers that own them otherwise —
-    ///    so every visit either serves a packet or refreshes a stale
-    ///    entry of the index.
-    /// 3. Each visit is settled in switch-index order: the index takes
-    ///    the switch's new entry, the switch's telemetry buffer is flushed
-    ///    into the registry, and the transmit batch is routed. That total
-    ///    `(time, switch_id, seq)` order on deliveries is the fabric
-    ///    determinism contract; since both executors run the same visit
-    ///    on the same due set and settle in the same order, their output
-    ///    is byte-identical.
+    /// 1. The *due set* is read off the readiness index, no switch
+    ///    borrowed: a flagged switch is due once the clock has reached its
+    ///    cached ready time. Everything else is skipped outright — an idle
+    ///    pump has no side effects, so skipping is byte-exact.
+    /// 2. Every due switch, in index order, gets one [`visit`], so every
+    ///    visit either serves a packet or refreshes a stale entry of the
+    ///    index.
+    /// 3. Each visit is settled before the next switch's: the index takes
+    ///    the switch's new entry and the transmit batch is routed. That
+    ///    total `(time, switch_id, seq)` order on deliveries is the fabric
+    ///    determinism contract.
     fn drain(&mut self) {
         #[cfg(test)]
         if self.reference_drain {
@@ -684,74 +620,31 @@ impl Simulator {
             }
         }
         if !due.is_empty() {
-            // `(work, makespan)`: packets served, and by the slowest
-            // worker.
-            let (work, makespan) = if self.workers > 1 {
-                self.visit_pooled(&due)
-            } else {
-                self.visit_inline(&due)
-            };
-            self.par_stats.work_units += work;
-            self.par_stats.critical_units += makespan;
+            // The scratch buffer moves out of `self` so that filling it can
+            // overlap the switch borrow; its capacity is kept across drains.
+            let mut batch = std::mem::take(&mut self.batch_scratch);
+            self.shard_load.fill(0);
+            let shards = self.shard_load.len();
+            for &i in &due {
+                let seen = visit(&mut self.switches[i].borrow_mut(), &mut batch);
+                self.shard_load[i % shards] += seen.served;
+                self.settle(i, &seen, &mut batch);
+            }
+            self.batch_scratch = batch;
+            self.par_stats.work_units += self.shard_load.iter().sum::<u64>();
+            self.par_stats.critical_units += self.shard_load.iter().max().copied().unwrap_or(0);
         }
         due.clear();
         self.due_scratch = due;
     }
 
-    /// Visit `due` on this thread. One worker does everything: the
-    /// critical path is all the work.
-    fn visit_inline(&mut self, due: &[usize]) -> (u64, u64) {
-        // The scratch buffer moves out of `self` so that filling it can
-        // overlap the switch borrow; its capacity is kept across drains.
-        let mut batch = std::mem::take(&mut self.batch_scratch);
-        let mut work = 0;
-        for &i in due {
-            let seen = visit(&mut self.switches[i].borrow_mut(), &mut batch);
-            work += seen.served;
-            self.settle(i, &seen, &mut batch);
-        }
-        self.batch_scratch = batch;
-        (work, work)
-    }
-
-    /// Visit `due` on the pool — one epoch — then settle every reply at
-    /// the barrier, in switch-index order: each switch recorded into its
-    /// own buffer, so flushing those in that order reproduces the inline
-    /// recording order byte for byte.
-    fn visit_pooled(&mut self, due: &[usize]) -> (u64, u64) {
-        self.par_stats.parallel_drains += 1;
-        let replies = self
-            .pool
-            .get_or_insert_with(|| {
-                WorkerPool::new(&self.switches, self.workers, self.assignment.as_deref())
-            })
-            .run_epoch(due);
-        let (mut work, mut makespan) = (0, 0);
-        let mut results = Vec::with_capacity(due.len());
-        for reply in replies {
-            let load: u64 = reply.iter().map(|r| r.visit.served).sum();
-            work += load;
-            makespan = makespan.max(load);
-            results.extend(reply);
-        }
-        results.sort_unstable_by_key(|r| r.switch);
-        for mut r in results {
-            self.settle(r.switch, &r.visit, &mut r.batch);
-        }
-        (work, makespan)
-    }
-
-    /// Take one visit's outcome into the coordinator's state: counters,
-    /// the readiness index, the telemetry the switch buffered, and the
-    /// cross-switch effects of what it transmitted. The one point a
-    /// visit's records reach the registry, whoever ran the visit.
+    /// Take one visit's outcome into the simulator's state: counters, the
+    /// readiness index, and the cross-switch effects of what it
+    /// transmitted.
     fn settle(&mut self, i: usize, seen: &Visit, batch: &mut Vec<(TxPacket, u32)>) {
         self.par_stats.switch_visits += 1;
         self.par_stats.zero_serve_pumps += u64::from(seen.pumped && seen.served == 0);
         self.note_ready(i, seen.ready, seen.parked);
-        if seen.recorded {
-            self.switches[i].borrow_mut().flush_telemetry();
-        }
         if !batch.is_empty() {
             self.route_batch(i, batch);
         }
@@ -842,14 +735,14 @@ impl Simulator {
 /// One switch of the fabric, held for a burst of injections (see
 /// [`Simulator::inject_on`]).
 pub(crate) struct Injector<'a> {
-    sw: MutexGuard<'a, Switch>,
+    sw: RefMut<'a, Switch>,
     fabric: &'a [SharedSwitch],
     index: usize,
     /// The simulator's pool index and spec shapes (see [`Simulator`]).
     pool_parked: &'a mut [usize],
     phv_shape: &'a [(usize, usize)],
     #[cfg(test)]
-    peer_locks: &'a mut Vec<usize>,
+    peer_borrows: &'a mut Vec<usize>,
 }
 
 impl<'a> Injector<'a> {
@@ -865,11 +758,11 @@ impl<'a> Injector<'a> {
     /// *exits*, not where it was injected — so a switch sourcing more
     /// traffic than it sinks slowly drains its pool and injection starts
     /// allocating again. The check reads the held switch, and a would-be
-    /// pool miss reads the simulator's pool index: a peer is locked only to
-    /// take a buffer from it, or when its entry is unknown. On a fabric
+    /// pool miss reads the simulator's pool index: a peer is borrowed only
+    /// to take a buffer from it, or when its entry is unknown. On a fabric
     /// whose exits keep their buffers (nothing recycles what leaves through
     /// the transmit log) every freelist stays empty, every injection
-    /// allocates, and this costs a scan of the index and no lock.
+    /// allocates, and this costs a scan of the index and no borrow.
     #[inline]
     pub(crate) fn top_up_pool(&mut self) {
         if self.sw.pool_parked() == 0 {
@@ -885,7 +778,7 @@ impl<'a> Injector<'a> {
                 continue;
             }
             if self.pool_parked[i] == POOL_UNKNOWN {
-                self.pool_parked[i] = self.lock_peer(i).pool_parked();
+                self.pool_parked[i] = self.borrow_peer(i).pool_parked();
             }
             let parked = self.pool_parked[i];
             if parked > 0 && best.is_none_or(|(p, _)| parked > p) {
@@ -893,7 +786,7 @@ impl<'a> Injector<'a> {
             }
         }
         if let Some((_, donor)) = best {
-            let mut peer = self.lock_peer(donor);
+            let mut peer = self.borrow_peer(donor);
             let phv = peer.pool_steal();
             self.pool_parked[donor] = peer.pool_parked();
             drop(peer);
@@ -902,9 +795,9 @@ impl<'a> Injector<'a> {
         }
     }
 
-    fn lock_peer(&mut self, i: usize) -> MutexGuard<'a, Switch> {
+    fn borrow_peer(&mut self, i: usize) -> RefMut<'a, Switch> {
         #[cfg(test)]
-        self.peer_locks.push(i);
+        self.peer_borrows.push(i);
         self.fabric[i].borrow_mut()
     }
 }
@@ -1095,16 +988,16 @@ control ingress { apply(t); }
     }
 
     /// Inject `n` packets into switch 0, topping its pool up before each;
-    /// which peers were locked to do so.
+    /// which peers were borrowed to do so.
     fn burst(sim: &mut Simulator, tmpl: &PacketTemplate, n: usize) -> Vec<usize> {
-        sim.peer_locks.clear();
+        sim.peer_borrows.clear();
         sim.inject_on(0, |inj, _| {
             for _ in 0..n {
                 inj.top_up_pool();
                 assert!(inj.inject(tmpl));
             }
         });
-        std::mem::take(&mut sim.peer_locks)
+        std::mem::take(&mut sim.peer_borrows)
     }
 
     #[test]
@@ -1113,7 +1006,7 @@ control ingress { apply(t); }
         // Nothing is known of the peers yet: the first miss looks, once.
         assert_eq!(burst(&mut sim, &tmpl, 1), [1, 2]);
         // From then on the index answers: every injection finds its own
-        // pool dry and no donor, and takes no lock to learn it.
+        // pool dry and no donor, and borrows no peer to learn it.
         assert_eq!(burst(&mut sim, &tmpl, 64), []);
         assert_eq!(sim.arena_bytes(), 0);
     }
@@ -1129,8 +1022,8 @@ control ingress { apply(t); }
                 inj.sw.recycle_phv(phv);
             }
         });
-        // Four misses take them, one lock of the donor each; the fifth
-        // finds the index at zero and locks nobody.
+        // Four misses take them, one borrow of the donor each; the fifth
+        // finds the index at zero and borrows nobody.
         assert_eq!(burst(&mut sim, &tmpl, 5), [2, 2, 2, 2]);
         assert_eq!(sim.switch_at(2).borrow().pool_parked(), 0);
         // A closure event may touch any switch behind the index's back; the
@@ -1144,15 +1037,9 @@ control ingress { apply(t); }
         assert_eq!(burst(&mut sim, &tmpl, 2), [1]);
     }
 
-    fn pair_fingerprint(
-        workers: usize,
-        scramble: Option<u64>,
-    ) -> (Vec<(usize, u64, u16)>, u64, u64, ParStats) {
+    fn pair_fingerprint(workers: usize) -> (Vec<(usize, u64, u16)>, u64, u64, ParStats) {
         let mut sim = mk_pair(700);
         sim.set_workers(workers);
-        if let Some(seed) = scramble {
-            sim.scramble_assignment(seed);
-        }
         for i in 0..20u64 {
             sim.schedule(i * 777, move |s| {
                 s.switch_at(0).borrow_mut().inject(
@@ -1171,28 +1058,20 @@ control ingress { apply(t); }
         (fingerprint, sim.tx_count, sim.tx_bytes, sim.par_stats())
     }
 
+    /// A drain modelled on two shards runs exactly as the serial one: the
+    /// shard count moves only the modelled makespan, which is the whole
+    /// work at one shard and never more than it at two.
     #[test]
     fn parallel_drain_matches_serial_exactly() {
-        let (serial_fp, serial_count, serial_bytes, serial_stats) = pair_fingerprint(1, None);
-        let (par_fp, par_count, par_bytes, par_stats) = pair_fingerprint(2, None);
+        let (serial_fp, serial_count, serial_bytes, serial_stats) = pair_fingerprint(1);
+        let (par_fp, par_count, par_bytes, par_stats) = pair_fingerprint(2);
         assert_eq!(serial_fp, par_fp);
         assert_eq!(serial_count, par_count);
         assert_eq!(serial_bytes, par_bytes);
-        assert!(par_stats.parallel_drains > 0, "pool path must have run");
-        assert_eq!(serial_stats.parallel_drains, 0);
-        // Same total work observed regardless of execution mode.
         assert_eq!(serial_stats.work_units, par_stats.work_units);
+        assert_eq!(serial_stats.switch_visits, par_stats.switch_visits);
+        assert_eq!(serial_stats.critical_units, serial_stats.work_units);
         assert!(par_stats.critical_units <= par_stats.work_units);
-    }
-
-    #[test]
-    fn scrambled_assignment_does_not_change_output() {
-        let (base_fp, base_count, _, _) = pair_fingerprint(2, None);
-        for seed in [1u64, 7, 42] {
-            let (fp, count, _, _) = pair_fingerprint(2, Some(seed));
-            assert_eq!(base_fp, fp, "seed {seed} changed the output");
-            assert_eq!(base_count, count);
-        }
     }
 
     #[test]

@@ -1,11 +1,9 @@
-//! The readiness-indexed drain — visits run inline, and on a two-worker
-//! pool under the canonical and a scrambled shard assignment — against a
-//! reference that keeps no index at all: after every event it takes every
-//! switch's lock, in index order, and pumps whichever has a queue head
-//! due. Random schedules of injections — closure events, typed UDP and
-//! heartbeat flows, packets pushed in from outside between runs — and
-//! clock advances must leave all of them with the same transmit log,
-//! per-switch counts and work units.
+//! The readiness-indexed drain against a reference that keeps no index at
+//! all: after every event it borrows every switch, in index order, and
+//! pumps whichever has a queue head due. Random schedules of injections —
+//! closure events, typed UDP and heartbeat flows, packets pushed in from
+//! outside between runs — and clock advances must leave both with the
+//! same transmit log, per-switch counts and work units.
 
 use super::*;
 use crate::flows::{spawn_heartbeats_on, spawn_udp_on, HeartbeatConfig, UdpConfig};
@@ -62,7 +60,7 @@ const SWITCHES: usize = 3;
 /// A three-switch line over slow ports (a 164-byte frame holds the wire
 /// for 1.3 µs, so queues build and heads block each other) and links of
 /// different lengths.
-fn line(mode: Mode) -> Simulator {
+fn line(reference: bool) -> Simulator {
     let clock = Clock::new();
     let config = SwitchConfig {
         port_rate_bps: 1_000_000_000,
@@ -78,29 +76,8 @@ fn line(mode: Mode) -> Simulator {
         .link_with(Endpoint::new(0, 5), Endpoint::new(1, 4), 700, 0)
         .link_with(Endpoint::new(1, 5), Endpoint::new(2, 4), 2_300, 0);
     let mut sim = Simulator::fabric(switches, topo);
-    match mode {
-        Mode::Reference => sim.reference_drain = true,
-        Mode::Inline => {}
-        Mode::Pooled { scramble } => {
-            sim.set_workers(2);
-            if let Some(seed) = scramble {
-                sim.scramble_assignment(seed);
-            }
-        }
-    }
+    sim.reference_drain = reference;
     sim
-}
-
-/// How a run drains.
-#[derive(Clone, Copy, Debug)]
-enum Mode {
-    /// [`Simulator::drain_reference`].
-    Reference,
-    /// The indexed drain at `workers = 1`.
-    Inline,
-    /// The indexed drain at `workers = 2`, shards assigned `i % 2` or by
-    /// [`Simulator::scramble_assignment`].
-    Pooled { scramble: Option<u64> },
 }
 
 /// One step of a schedule.
@@ -161,8 +138,9 @@ struct Observed {
     now: Nanos,
 }
 
-fn run(steps: &[Step], mode: Mode) -> (Observed, ParStats) {
-    let mut sim = line(mode);
+/// Run `steps`, through [`Simulator::drain_reference`] when `reference`.
+fn run(steps: &[Step], reference: bool) -> (Observed, ParStats) {
+    let mut sim = line(reference);
     for (tag, step) in steps.iter().enumerate() {
         let tag = tag as u128;
         let now = sim.now();
@@ -230,27 +208,14 @@ proptest! {
     #[test]
     fn readiness_indexed_drain_matches_the_reference(
         steps in prop::collection::vec(step(), 1..40),
-        seed in any::<u64>(),
     ) {
-        let (want, reference) = run(&steps, Mode::Reference);
-        let mut inline_visits = None;
-        for mode in [
-            Mode::Inline,
-            Mode::Pooled { scramble: None },
-            Mode::Pooled { scramble: Some(seed) },
-        ] {
-            let (got, indexed) = run(&steps, mode);
-            prop_assert_eq!(&got, &want, "{:?}", mode);
-            prop_assert_eq!(indexed.drains, reference.drains);
-            // The index only ever saves visits, and never pumps for
-            // nothing — the same visits whoever runs them.
-            prop_assert!(indexed.switch_visits <= reference.switch_visits);
-            let visits = indexed.switch_visits;
-            prop_assert_eq!(visits, *inline_visits.get_or_insert(visits));
-            prop_assert_eq!(indexed.zero_serve_pumps, 0);
-            // An epoch is dispatched only for a non-empty due set.
-            prop_assert!(indexed.parallel_drains <= indexed.switch_visits);
-        }
+        let (want, reference) = run(&steps, true);
+        let (got, indexed) = run(&steps, false);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(indexed.drains, reference.drains);
+        // The index only ever saves visits, and never pumps for nothing.
+        prop_assert!(indexed.switch_visits <= reference.switch_visits);
+        prop_assert_eq!(indexed.zero_serve_pumps, 0);
     }
 }
 
@@ -261,7 +226,7 @@ fn the_line_delivers_end_to_end() {
         Step::External { switch: 0, dst: 1 },
         Step::Advance { by: 50_000 },
     ];
-    let (seen, stats) = run(&steps, Mode::Inline);
+    let (seen, stats) = run(&steps, false);
     let exits: Vec<(usize, u16)> = seen.tx.iter().map(|t| (t.0, t.1)).collect();
     assert_eq!(exits, vec![(0, 2), (2, 2)]);
     // Three hops for the first packet, one for the second.

@@ -5,9 +5,9 @@
 //! clock. Control-plane driver operations advance it by their modelled cost;
 //! the event-driven network simulator advances it to the next event time.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Virtual time in nanoseconds since simulation start.
 pub type Nanos = u64;
@@ -16,16 +16,9 @@ pub type Nanos = u64;
 ///
 /// Cloning shares the underlying time cell, so a `Clock` can be handed to
 /// the switch, the agent, and the simulator and they all see the same time.
-///
-/// The cell is an atomic so a `Clock` is `Send + Sync`: the parallel
-/// fabric executor hands clones to its worker pool. Virtual time only
-/// *advances on the coordinator thread between epochs* — workers read it
-/// while pumping their shards but never move it — so relaxed ordering is
-/// sufficient (the epoch barrier's channel handoff establishes the
-/// happens-before edge).
 #[derive(Clone, Default)]
 pub struct Clock {
-    now: Arc<AtomicU64>,
+    now: Rc<Cell<Nanos>>,
 }
 
 impl Clock {
@@ -36,15 +29,15 @@ impl Clock {
     /// Current virtual time.
     #[inline]
     pub fn now(&self) -> Nanos {
-        self.now.load(Ordering::Relaxed)
+        self.now.get()
     }
 
     /// Advance time by `delta` nanoseconds, returning the new time.
     /// Saturating: virtual time pins at the u64 horizon rather than
     /// wrapping back to zero (which would break clock monotonicity).
     pub fn advance(&self, delta: Nanos) -> Nanos {
-        let t = self.now.load(Ordering::Relaxed).saturating_add(delta);
-        self.now.store(t, Ordering::Relaxed);
+        let t = self.now.get().saturating_add(delta);
+        self.now.set(t);
         t
     }
 
@@ -52,8 +45,8 @@ impl Clock {
     /// is monotonic.
     #[inline]
     pub fn advance_to(&self, t: Nanos) {
-        if t > self.now.load(Ordering::Relaxed) {
-            self.now.store(t, Ordering::Relaxed);
+        if t > self.now.get() {
+            self.now.set(t);
         }
     }
 }

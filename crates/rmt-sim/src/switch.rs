@@ -506,11 +506,6 @@ impl Switch {
         self.resolve_metrics();
     }
 
-    /// The fabric index set by [`set_fabric_index`](Switch::set_fabric_index).
-    pub fn fabric_index(&self) -> Option<u16> {
-        self.fabric_index
-    }
-
     pub fn spec(&self) -> &DataPlaneSpec {
         &self.spec
     }
@@ -745,8 +740,7 @@ impl Switch {
 
     /// Serve all port queues up to the current virtual time: dequeue, run
     /// egress, transmit (or recirculate). Call after advancing the clock.
-    /// Returns the number of packets served (the parallel executor's work
-    /// unit for shard accounting).
+    /// Returns the number of packets served (the drain's work unit).
     ///
     /// Pumping is pipe-major — but since ports are assigned to pipes in
     /// contiguous front-panel blocks (`pipe = port / ports_per_pipe`),

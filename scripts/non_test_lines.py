@@ -3,7 +3,8 @@
 
 A line is a *test* line when it belongs to the item that follows a
 `#[cfg(test)]` attribute (the attribute line through the item's closing
-brace or semicolon, braces matched outside strings, chars and comments),
+brace or semicolon, or through a field's comma, braces matched outside
+strings, chars and comments),
 or to a file that is only reachable through a `#[cfg(test)] mod x;`.
 Every other line of `crates/*/src/**/*.rs` counts, comments and blanks
 included.
@@ -16,9 +17,12 @@ Exit status 1 when a rule at the bottom of this file is broken.
 
 import glob
 import os
+import re
 import sys
 
 ATTR = "#[cfg(test)]"
+# Words that make an attributed item more than a field.
+ITEM = re.compile(r"\b(fn|impl|struct|enum|trait|union|where)\b")
 
 
 def code_mask(text):
@@ -104,20 +108,36 @@ def test_spans(text):
         if not mask[at]:
             at += len(ATTR)
             continue
-        depth, j, end = 0, at + len(ATTR), len(text)
+        depth, angle, j, end = 0, 0, at + len(ATTR), len(text)
         while j < len(text):
             if mask[j]:
                 c = text[j]
                 # Attribute brackets may hold braces of their own; an item
                 # ends at its `;` (no body) or at the `}` closing its body.
+                # A field of a struct or of a struct literal ends at its
+                # `,`, or just before the bracket closing the list it is
+                # the last element of. Commas inside generic arguments and
+                # `where` clauses do not count: under rustfmt a `<` glued
+                # to the word before it opens generics, while a comparison
+                # has spaces.
                 if c in "{[(":
                     depth += 1
                 elif c in "}])":
                     depth -= 1
+                    if depth < 0:
+                        end = len(text[:j].rstrip()) - 1
+                        break
                     if depth == 0 and c == "}":
                         end = j
                         break
+                elif c == "<" and (text[j - 1].isalnum() or text[j - 1] in "_:"):
+                    angle += 1
+                elif c == ">" and angle and text[j - 1] not in "-=":
+                    angle -= 1
                 elif c == ";" and depth == 0:
+                    end = j
+                    break
+                elif c == "," and depth == 0 and not angle and not ITEM.search(text, at, j):
                     end = j
                     break
             j += 1
@@ -219,8 +239,24 @@ def main():
     # the fuzz campaign's oracle for a store that skips its truncation,
     # which no seed caught before. All three ratchet down to where they
     # landed.
-    ceilings = {"mantis-agent": 4807, "mantis-telemetry": 1165, "reaction-interp": 2368}
-    total_ceiling = 35128
+    #
+    # Until the span scanner learned that a `#[cfg(test)]` field ends at
+    # its comma, it ran from `netsim/src/sim.rs`'s test-only fields to the
+    # end of the next body and left 107 lines of that file uncounted: the
+    # workspace stood at 35 235, not 35 128. Counted that way, deleting the
+    # worker pool (DESIGN.md §12) took the workspace to 34 570, `netsim`
+    # from 2 785 to 2 527 and `bench` from 4 115 to 3 793. Both crates get
+    # a ceiling where they landed: the drain has one executor and the
+    # figures harness no scaling sweep, so neither has a reason to grow a
+    # second path back.
+    ceilings = {
+        "bench": 3793,
+        "mantis-agent": 4807,
+        "mantis-telemetry": 1165,
+        "netsim": 2527,
+        "reaction-interp": 2368,
+    }
+    total_ceiling = 34570
     agent = crates["mantis-agent"]
     broken = []
     for path, n in agent.items():

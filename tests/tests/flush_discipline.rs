@@ -57,9 +57,8 @@ fn an_iteration_takes_the_registry_lock_once_on_both_drivers() {
     for ((program, src), (driver, mode)) in programs.iter().flat_map(|p| modes.map(|m| (*p, m))) {
         let name = format!("{program} ({driver})");
         let config = SwitchConfig::default();
-        let mut tb = Testbed::with_config_mode(src, config, CostModel::default(), mode)
+        let tb = Testbed::with_config_mode(src, config, CostModel::default(), mode)
             .expect("program compiles");
-        tb.sim.set_workers(1);
         if program == "rl" {
             let mut sw = tb.sim.switch().borrow_mut();
             sw.bind_queue_depth_register("qdepths").expect("qdepths");

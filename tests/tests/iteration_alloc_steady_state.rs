@@ -91,10 +91,7 @@ fn testbed(src: &str, mode: DriverMode) -> Testbed {
         num_pipes: 1,
         ..SwitchConfig::default()
     };
-    let mut tb = Testbed::with_config_mode(src, config, CostModel::default(), mode)
-        .expect("program compiles");
-    tb.sim.set_workers(1);
-    tb
+    Testbed::with_config_mode(src, config, CostModel::default(), mode).expect("program compiles")
 }
 
 fn eth_ipv4(port: u16, src: u128, dst: u128, payload: u32) -> PacketDesc {

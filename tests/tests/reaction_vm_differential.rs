@@ -506,10 +506,9 @@ fn bound_vm_matches_walker_through_a_real_reaction_ctx() {
                 },
                 ..SwitchConfig::default()
             };
-            let mut tb =
+            let tb =
                 Testbed::with_config_mode(src, config, CostModel::default(), DriverMode::Local)
                     .expect("app compiles");
-            tb.sim.set_workers(1);
             if app == "rl" {
                 let mut sw = tb.sim.switch().borrow_mut();
                 sw.bind_queue_depth_register("qdepths").expect("qdepths");
