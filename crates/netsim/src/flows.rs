@@ -196,7 +196,7 @@ pub(crate) fn tcp_send_event(sim: &mut Simulator, flow: u32, gen: u64) {
         }
         st.switch
     };
-    let accepted = sim.inject_on(switch, |sw, _| sw.inject(&state.borrow().tmpl));
+    let accepted = sim.inject_on(switch, |sw, _| sw.inject_template(&state.borrow().tmpl));
     let next = {
         let mut st = state.borrow_mut();
         st.sent_pkts += 1;
@@ -396,7 +396,7 @@ pub(crate) fn udp_send_event(sim: &mut Simulator, flow: u32, nominal: Nanos) {
         state.borrow_mut().stopped = true;
         return;
     }
-    let ok = sim.inject_on(switch, |sw, flows| sw.inject(&flows.udp[i].tmpl));
+    let ok = sim.inject_on(switch, |sw, flows| sw.inject_template(&flows.udp[i].tmpl));
     {
         let mut st = state.borrow_mut();
         st.sent_pkts += 1;
@@ -477,7 +477,7 @@ pub(crate) fn hb_send_event(sim: &mut Simulator, flow: u32, nominal: Nanos) {
     if stop_ns.is_some_and(|t| sim.now() >= t) {
         return;
     }
-    sim.inject_on(switch, |sw, flows| sw.inject(&flows.hb[i].tmpl));
+    sim.inject_on(switch, |sw, flows| sw.inject_template(&flows.hb[i].tmpl));
     let Some(next) = nominal.checked_add(interval.max(1)) else {
         return;
     };
@@ -738,8 +738,7 @@ pub(crate) fn flow_wake_event(sim: &mut Simulator, shard: u32) {
             sh.tmpl.set_value(0, u128::from(a.src));
             sh.tmpl.set_value(1, u128::from(a.dst));
             sh.tmpl.set_port(a.port);
-            sw.top_up_pool();
-            let ok = sw.inject(&sh.tmpl);
+            let ok = sw.inject_template(&sh.tmpl);
             sh.stats.injected += 1;
             if ok {
                 sh.stats.accepted += 1;

@@ -22,10 +22,11 @@ use crate::topo::{Endpoint, Link, Topology};
 use crate::wheel::TimingWheel;
 use mantis_telemetry::Telemetry;
 use rmt_sim::{
-    Clock, Nanos, PacketTemplate, Phv, PortId, SharedSwitch, Switch, TransferMap, TxPacket,
+    Clock, Nanos, Phv, PhvPool, PortId, SharedSwitch, Switch, TransferMap, TxPacket, PHV_POOL_CAP,
 };
-use std::cell::RefMut;
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::Arc;
 
 pub(crate) type EventFn = Box<dyn FnOnce(&mut Simulator)>;
@@ -99,8 +100,6 @@ impl ParStats {
 const IDLE: Nanos = Nanos::MAX;
 /// Readiness-index entry of a switch whose state must be looked up.
 const UNKNOWN: Nanos = 0;
-/// Pool-index entry of a switch whose freelist must be looked at.
-const POOL_UNKNOWN: usize = usize::MAX;
 
 /// `sw`'s readiness-index entry, read under its borrow: [`IDLE`], or the
 /// time its earliest queue head can transmit — held one short of the
@@ -112,42 +111,6 @@ fn ready_entry(sw: &Switch) -> Nanos {
         IDLE
     } else {
         sw.next_ready_at().min(IDLE - 1)
-    }
-}
-
-/// What one [`visit`] did.
-struct Visit {
-    /// Whether a queue head was due, so the switch was pumped.
-    pumped: bool,
-    /// Packets the pump served.
-    served: u64,
-    /// The switch's readiness-index entry on the way out.
-    ready: Nanos,
-    /// Its pool-index entry on the way out.
-    parked: usize,
-}
-
-/// One switch's step of a drain, under its borrow: pump if a queue head
-/// is due — an idle pump has no side effects, and queued packets whose
-/// egress/wire time has not arrived make it a provable no-op — move what
-/// it transmitted, with frame lengths, onto `batch`, and flush what the
-/// pump recorded from the switch's telemetry buffer into the registry.
-#[inline]
-fn visit(sw: &mut Switch, batch: &mut Vec<(TxPacket, u32)>) -> Visit {
-    let pumped = sw.tm_queued() > 0 && sw.tx_ready();
-    let mut served = 0;
-    if pumped {
-        served = sw.pump_buffered();
-        sw.drain_transmitted_with_len(batch);
-        if served > 0 && sw.telemetry().is_enabled() {
-            sw.flush_telemetry();
-        }
-    }
-    Visit {
-        pumped,
-        served,
-        ready: ready_entry(sw),
-        parked: sw.pool_parked(),
     }
 }
 
@@ -185,18 +148,13 @@ pub struct Simulator {
     /// ([`mark_all_busy`](Simulator::mark_all_busy)). A drain visits
     /// switch `i` only once `now` has reached `ready_at[i]`.
     ready_at: Vec<Nanos>,
-    /// The pool index, kept beside the readiness index and the same way:
-    /// per switch, the PHV buffers parked in its freelist as of the last
-    /// borrow this simulator took, or [`POOL_UNKNOWN`]. An [`Injector`]
-    /// whose own freelist has run dry finds its donor here instead of
-    /// borrowing every peer to ask.
-    pool_parked: Vec<usize>,
-    /// `(fields, headers)` of each switch's spec, fixed at construction:
-    /// freelists trade buffers only between identically shaped specs.
-    phv_shape: Vec<(usize, usize)>,
-    /// Which peers injectors borrowed to top up their pools.
-    #[cfg(test)]
-    peer_borrows: Vec<usize>,
+    /// One PHV freelist per distinct `(fields, headers)` shape of the
+    /// fabric's specs, shared by every switch of that shape: a buffer
+    /// parked where a packet exits is there for the next injection
+    /// anywhere. Fixed at construction.
+    freelists: Vec<Rc<RefCell<PhvPool>>>,
+    /// Index into `freelists` of each switch's freelist.
+    freelist_of: Vec<usize>,
     /// Packets that exited the fabric (transmitted out an *unlinked*
     /// port), tagged with the switch that emitted them; kept until taken
     /// by the experiment (capped to avoid unbounded growth when unused).
@@ -257,11 +215,29 @@ impl Simulator {
         );
         let clock = switches[0].borrow().clock().clone();
         let n = switches.len();
-        let shape = |s: &SharedSwitch| {
-            let sw = s.borrow();
-            (sw.spec().fields.len(), sw.spec().headers.len())
-        };
-        let phv_shape = switches.iter().map(shape).collect();
+        // One PHV freelist per spec shape, capped at its members' caps
+        // summed; attaching it moves in what each member had parked.
+        let mut shapes = Vec::new();
+        let freelist_of: Vec<usize> = switches
+            .iter()
+            .map(|s| {
+                let sw = s.borrow();
+                let shape = (sw.spec().fields.len(), sw.spec().headers.len());
+                shapes.iter().position(|&k| k == shape).unwrap_or_else(|| {
+                    shapes.push(shape);
+                    shapes.len() - 1
+                })
+            })
+            .collect();
+        let freelists: Vec<_> = (0..shapes.len())
+            .map(|k| {
+                let members = freelist_of.iter().filter(|&&f| f == k).count();
+                Rc::new(RefCell::new(PhvPool::new(PHV_POOL_CAP * members)))
+            })
+            .collect();
+        for (s, &k) in switches.iter().zip(&freelist_of) {
+            s.borrow_mut().share_phv_pool(freelists[k].clone());
+        }
         let mut peer_cache: Vec<Vec<Option<(Endpoint, Link)>>> = vec![Vec::new(); n];
         for link in topo.links() {
             for (me, peer) in [(link.a, link.b), (link.b, link.a)] {
@@ -293,10 +269,8 @@ impl Simulator {
                 })
                 .collect(),
             ready_at: vec![UNKNOWN; n],
-            pool_parked: vec![POOL_UNKNOWN; n],
-            phv_shape,
-            #[cfg(test)]
-            peer_borrows: Vec::new(),
+            freelists,
+            freelist_of,
             tx_log: VecDeque::new(),
             tx_log_cap: 1 << 20,
             due_scratch: Vec::new(),
@@ -491,29 +465,26 @@ impl Simulator {
             // Identical specs on both ends (the common fabric case): the
             // buffer itself crosses the wire. Wiping the metadata and
             // stamping the receiver intrinsics leaves exactly the state a
-            // copy into a fresh PHV would have produced, minus the copy —
-            // the buffer simply migrates from `src`'s freelist orbit to
-            // `dest`'s.
+            // copy into a fresh PHV would have produced, minus the copy.
             let mut phv = phv;
             phv.reset_metadata(sw.spec());
             phv.stamp_arrival(port, sw.spec());
             sw.inject_phv_at(phv, arrival);
         } else {
-            let mut dst_phv = sw.pool_take();
+            let mut dst_phv = self.freelist(dest).borrow_mut().take(sw.spec());
             map.apply(&phv, &mut dst_phv, port, sw.spec());
             sw.inject_phv_at(dst_phv, arrival);
-            if src == dest {
-                // A self-loop link: one switch plays both ends.
-                sw.recycle_phv(phv);
-            } else {
-                let mut sender = self.switches[src].borrow_mut();
-                sender.recycle_phv(phv);
-                self.pool_parked[src] = sender.pool_parked();
-            }
+            self.freelist(src).borrow_mut().put(phv);
         }
-        let (ready, parked) = (ready_entry(&sw), sw.pool_parked());
+        let ready = ready_entry(&sw);
         drop(sw);
-        self.note_ready(dest, ready, parked);
+        self.note_ready(dest, ready);
+    }
+
+    /// Switch `i`'s PHV freelist, shared with every switch of its shape.
+    #[inline]
+    fn freelist(&self, i: usize) -> &RefCell<PhvPool> {
+        &self.freelists[self.freelist_of[i]]
     }
 
     /// Build the `(src, dest)` transfer map on first use. Kept separate
@@ -534,17 +505,15 @@ impl Simulator {
             *word = if bits >= 64 { !0 } else { (1u64 << bits) - 1 };
         }
         self.ready_at.fill(UNKNOWN);
-        self.pool_parked.fill(POOL_UNKNOWN);
     }
 
-    /// Record switch `i`'s readiness and pool entries, read under the
-    /// borrow that just changed it: with something queued the switch is in
-    /// the drain's set, due a visit at that time; with nothing queued it is
-    /// out of it. So a flagged switch's entry is never [`IDLE`].
+    /// Record switch `i`'s readiness entry, read under the borrow that
+    /// just changed it: with something queued the switch is in the drain's
+    /// set, due a visit at that time; with nothing queued it is out of it.
+    /// So a flagged switch's entry is never [`IDLE`].
     #[inline]
-    fn note_ready(&mut self, i: usize, ready: Nanos, parked: usize) {
+    fn note_ready(&mut self, i: usize, ready: Nanos) {
         self.ready_at[i] = ready;
-        self.pool_parked[i] = parked;
         let bit = 1u64 << (i % 64);
         if ready != IDLE {
             self.dirty[i / 64] |= bit;
@@ -554,29 +523,21 @@ impl Simulator {
     }
 
     /// Inject into switch `i` under one borrow: `body` gets the held
-    /// switch as an [`Injector`] and the flow registry (where the typed
-    /// flows keep their templates). The switch's ready time is cached on
-    /// the way out, so the drain that follows knows whether and when to
-    /// come back without borrowing the switch to ask.
+    /// switch and the flow registry (where the typed flows keep their
+    /// templates). The switch's ready time is cached on the way out, so the
+    /// drain that follows knows whether and when to come back without
+    /// borrowing the switch to ask.
     #[inline]
     pub(crate) fn inject_on<R>(
         &mut self,
         i: usize,
-        body: impl FnOnce(&mut Injector<'_>, &FlowRegistry) -> R,
+        body: impl FnOnce(&mut Switch, &FlowRegistry) -> R,
     ) -> R {
-        let mut inj = Injector {
-            sw: self.switches[i].borrow_mut(),
-            fabric: &self.switches,
-            index: i,
-            pool_parked: &mut self.pool_parked,
-            phv_shape: &self.phv_shape,
-            #[cfg(test)]
-            peer_borrows: &mut self.peer_borrows,
-        };
-        let out = body(&mut inj, &self.flows);
-        let (ready, parked) = (ready_entry(&inj.sw), inj.sw.pool_parked());
-        drop(inj);
-        self.note_ready(i, ready, parked);
+        let mut sw = self.switches[i].borrow_mut();
+        let out = body(&mut sw, &self.flows);
+        let ready = ready_entry(&sw);
+        drop(sw);
+        self.note_ready(i, ready);
         out
     }
 
@@ -586,19 +547,22 @@ impl Simulator {
         self.run_until(until);
     }
 
-    /// The drain `run_until` runs after every event, in three steps.
+    /// The drain `run_until` runs after every event, in two steps.
     ///
     /// 1. The *due set* is read off the readiness index, no switch
     ///    borrowed: a flagged switch is due once the clock has reached its
     ///    cached ready time. Everything else is skipped outright — an idle
     ///    pump has no side effects, so skipping is byte-exact.
-    /// 2. Every due switch, in index order, gets one [`visit`], so every
-    ///    visit either serves a packet or refreshes a stale entry of the
-    ///    index.
-    /// 3. Each visit is settled before the next switch's: the index takes
-    ///    the switch's new entry and the transmit batch is routed. That
-    ///    total `(time, switch_id, seq)` order on deliveries is the fabric
-    ///    determinism contract.
+    /// 2. Every due switch, in index order, is visited under its borrow:
+    ///    pumped if a queue head is due (queued packets whose egress/wire
+    ///    time has not arrived make a pump a provable no-op), what it
+    ///    transmitted moved onto the batch with frame lengths, and what the
+    ///    pump recorded flushed from its telemetry buffer into the
+    ///    registry. Then, before the next switch is visited, the index
+    ///    takes its new entry and the batch is routed. So every visit
+    ///    either serves a packet or refreshes a stale entry of the index,
+    ///    and deliveries keep the total `(time, switch_id, seq)` order that
+    ///    is the fabric determinism contract.
     fn drain(&mut self) {
         #[cfg(test)]
         if self.reference_drain {
@@ -626,9 +590,25 @@ impl Simulator {
             self.shard_load.fill(0);
             let shards = self.shard_load.len();
             for &i in &due {
-                let seen = visit(&mut self.switches[i].borrow_mut(), &mut batch);
-                self.shard_load[i % shards] += seen.served;
-                self.settle(i, &seen, &mut batch);
+                let mut sw = self.switches[i].borrow_mut();
+                let pumped = sw.tm_queued() > 0 && sw.tx_ready();
+                let mut served = 0;
+                if pumped {
+                    served = sw.pump_buffered();
+                    sw.drain_transmitted_with_len(&mut batch);
+                    if served > 0 && sw.telemetry().is_enabled() {
+                        sw.flush_telemetry();
+                    }
+                }
+                let ready = ready_entry(&sw);
+                drop(sw);
+                self.shard_load[i % shards] += served;
+                self.par_stats.switch_visits += 1;
+                self.par_stats.zero_serve_pumps += u64::from(pumped && served == 0);
+                self.note_ready(i, ready);
+                if !batch.is_empty() {
+                    self.route_batch(i, &mut batch);
+                }
             }
             self.batch_scratch = batch;
             self.par_stats.work_units += self.shard_load.iter().sum::<u64>();
@@ -636,18 +616,6 @@ impl Simulator {
         }
         due.clear();
         self.due_scratch = due;
-    }
-
-    /// Take one visit's outcome into the simulator's state: counters, the
-    /// readiness index, and the cross-switch effects of what it
-    /// transmitted.
-    fn settle(&mut self, i: usize, seen: &Visit, batch: &mut Vec<(TxPacket, u32)>) {
-        self.par_stats.switch_visits += 1;
-        self.par_stats.zero_serve_pumps += u64::from(seen.pumped && seen.served == 0);
-        self.note_ready(i, seen.ready, seen.parked);
-        if !batch.is_empty() {
-            self.route_batch(i, batch);
-        }
     }
 
     /// Deliver one switch's transmit batch: linked ports become rx events
@@ -686,17 +654,18 @@ impl Simulator {
                 }
                 None => {
                     // Enforce the cap contract: older packets are
-                    // discarded first (their buffers go back to the
-                    // emitting switch's freelist).
+                    // discarded first, and a discarded packet's buffer
+                    // goes back to the freelist of the switch it exited —
+                    // at cap 0, the exiting packet's own.
                     while self.tx_log.len() >= self.tx_log_cap.max(1) {
                         if let Some((from, old)) = self.tx_log.pop_front() {
-                            let mut emitter = self.switches[from].borrow_mut();
-                            emitter.recycle_phv(old.phv);
-                            self.pool_parked[from] = emitter.pool_parked();
+                            self.freelist(from).borrow_mut().put(old.phv);
                         }
                     }
                     if self.tx_log_cap > 0 {
                         self.tx_log.push_back((i, pkt));
+                    } else {
+                        self.freelist(i).borrow_mut().put(pkt.phv);
                     }
                 }
             }
@@ -714,10 +683,13 @@ impl Simulator {
         self.wheel.len()
     }
 
-    /// Heap bytes parked across every switch's PHV freelist (the packet
+    /// Heap bytes parked across the fabric's PHV freelists (the packet
     /// arena steady-state footprint).
     pub fn arena_bytes(&self) -> u64 {
-        self.switches.iter().map(|s| s.borrow().arena_bytes()).sum()
+        self.freelists
+            .iter()
+            .map(|f| f.borrow().arena_bytes())
+            .sum()
     }
 
     /// Take the transmitted-packet log (packets that exited the fabric).
@@ -729,76 +701,6 @@ impl Simulator {
     /// switch each packet exited from.
     pub fn take_tx_tagged(&mut self) -> Vec<(usize, TxPacket)> {
         self.tx_log.drain(..).collect()
-    }
-}
-
-/// One switch of the fabric, held for a burst of injections (see
-/// [`Simulator::inject_on`]).
-pub(crate) struct Injector<'a> {
-    sw: RefMut<'a, Switch>,
-    fabric: &'a [SharedSwitch],
-    index: usize,
-    /// The simulator's pool index and spec shapes (see [`Simulator`]).
-    pool_parked: &'a mut [usize],
-    phv_shape: &'a [(usize, usize)],
-    #[cfg(test)]
-    peer_borrows: &'a mut Vec<usize>,
-}
-
-impl<'a> Injector<'a> {
-    #[inline]
-    pub(crate) fn inject(&mut self, tmpl: &PacketTemplate) -> bool {
-        self.sw.inject_template(tmpl)
-    }
-
-    /// Top up the held switch's PHV freelist if it has run dry by moving
-    /// one parked buffer over from the richest identically shaped freelist
-    /// in the fabric. Identity wire transfer migrates buffers toward
-    /// traffic sinks — an exiting packet's buffer is recycled where it
-    /// *exits*, not where it was injected — so a switch sourcing more
-    /// traffic than it sinks slowly drains its pool and injection starts
-    /// allocating again. The check reads the held switch, and a would-be
-    /// pool miss reads the simulator's pool index: a peer is borrowed only
-    /// to take a buffer from it, or when its entry is unknown. On a fabric
-    /// whose exits keep their buffers (nothing recycles what leaves through
-    /// the transmit log) every freelist stays empty, every injection
-    /// allocates, and this costs a scan of the index and no borrow.
-    #[inline]
-    pub(crate) fn top_up_pool(&mut self) {
-        if self.sw.pool_parked() == 0 {
-            self.steal_from_richest();
-        }
-    }
-
-    fn steal_from_richest(&mut self) {
-        let shape = self.phv_shape[self.index];
-        let mut best: Option<(usize, usize)> = None; // (parked, index)
-        for i in 0..self.fabric.len() {
-            if i == self.index || self.phv_shape[i] != shape {
-                continue;
-            }
-            if self.pool_parked[i] == POOL_UNKNOWN {
-                self.pool_parked[i] = self.borrow_peer(i).pool_parked();
-            }
-            let parked = self.pool_parked[i];
-            if parked > 0 && best.is_none_or(|(p, _)| parked > p) {
-                best = Some((parked, i));
-            }
-        }
-        if let Some((_, donor)) = best {
-            let mut peer = self.borrow_peer(donor);
-            let phv = peer.pool_steal();
-            self.pool_parked[donor] = peer.pool_parked();
-            drop(peer);
-            self.sw
-                .recycle_phv(phv.expect("invariant: the pool index never overstates a pool"));
-        }
-    }
-
-    fn borrow_peer(&mut self, i: usize) -> RefMut<'a, Switch> {
-        #[cfg(test)]
-        self.peer_borrows.push(i);
-        self.fabric[i].borrow_mut()
     }
 }
 
@@ -976,65 +878,110 @@ control ingress { apply(t); }
         assert!(pkt.time > 5_000, "delivery at {} ns", pkt.time);
     }
 
-    /// Three switches of one program, no links: what top-ups see is the
-    /// pool index alone.
-    fn mk_three() -> (Simulator, PacketTemplate) {
+    /// Switches of one program shape draw from one freelist and a switch of
+    /// another shape keeps its own; buffers parked before the fabric was
+    /// built carry over into it, and the arena counts each freelist once.
+    #[test]
+    fn switches_of_one_shape_share_one_freelist() {
+        const TAGGED: &str = r#"
+header_type ip_t { fields { src : 32; dst : 32; } }
+header_type tag_t { fields { id : 16; } }
+header ip_t ip;
+header tag_t tag;
+action fwd() { modify_field(intr.egress_spec, 2); }
+table t { actions { fwd; } default_action : fwd(); }
+control ingress { apply(t); }
+"#;
+        let clock = Clock::new();
+        let mk = |src| switch_from_source(src, SwitchConfig::default(), clock.clone()).unwrap();
+        let mut switches = [mk(FWD_ALL), mk(FWD_ALL), mk(TAGGED)];
+        let bytes = |sw: &Switch| Phv::new(sw.spec()).heap_bytes();
+        let (plain, tagged) = (bytes(&switches[0]), bytes(&switches[2]));
+        assert_ne!(plain, tagged);
+        for i in [0, 0, 2] {
+            let phv = Phv::new(switches[i].spec());
+            switches[i].recycle_phv(phv);
+        }
+        let desc = PacketDesc::new(0).field("ip", "src", 1).payload(64);
+        let templates: Vec<_> = switches
+            .iter()
+            .map(|sw| rmt_sim::PacketTemplate::compile(&desc, sw.spec()).unwrap())
+            .collect();
+        let switches = switches.into_iter().map(SharedSwitch::new).collect();
+        let sim = Simulator::fabric(switches, Topology::new(3));
+        assert_eq!(sim.arena_bytes(), 2 * plain + tagged);
+        let inject = |i: usize| {
+            assert!(sim.switch_at(i).borrow_mut().inject_template(&templates[i]));
+            sim.arena_bytes()
+        };
+        // Switch 1 parked nothing; it draws the two buffers switch 0 did.
+        assert_eq!(inject(1), plain + tagged);
+        assert_eq!(inject(1), tagged);
+        // Its shape's freelist is dry: it allocates, and leaves the other
+        // shape's buffer to the switch that can use it.
+        assert_eq!(inject(1), tagged);
+        assert_eq!(inject(2), 0);
+    }
+
+    /// Three switches of one program, no links: they share one freelist.
+    fn mk_three() -> (Simulator, rmt_sim::PacketTemplate) {
         let clock = Clock::new();
         let mk = || switch_from_source(FWD_ALL, SwitchConfig::default(), clock.clone()).unwrap();
         let switches: Vec<SharedSwitch> = (0..3).map(|_| SharedSwitch::new(mk())).collect();
         let desc = PacketDesc::new(0).field("ip", "src", 1).payload(64);
-        let tmpl = PacketTemplate::compile(&desc, switches[0].borrow().spec()).unwrap();
+        let tmpl = rmt_sim::PacketTemplate::compile(&desc, switches[0].borrow().spec()).unwrap();
         (Simulator::fabric(switches, Topology::new(3)), tmpl)
     }
 
-    /// Inject `n` packets into switch 0, topping its pool up before each;
-    /// which peers were borrowed to do so.
-    fn burst(sim: &mut Simulator, tmpl: &PacketTemplate, n: usize) -> Vec<usize> {
-        sim.peer_borrows.clear();
-        sim.inject_on(0, |inj, _| {
-            for _ in 0..n {
-                inj.top_up_pool();
-                assert!(inj.inject(tmpl));
-            }
-        });
-        std::mem::take(&mut sim.peer_borrows)
+    /// Inject `n` packets into switch 0 while switches 1 and 2 are held
+    /// mutably borrowed, so a top-up that touched a peer would panic; the
+    /// arena left after each injection.
+    fn burst(sim: &mut Simulator, tmpl: &rmt_sim::PacketTemplate, n: usize) -> Vec<u64> {
+        let peers = [sim.switch_at(1).clone(), sim.switch_at(2).clone()];
+        let _held: Vec<_> = peers.iter().map(SharedSwitch::borrow_mut).collect();
+        (0..n)
+            .map(|_| {
+                sim.inject_on(0, |sw, _| assert!(sw.inject_template(tmpl)));
+                sim.arena_bytes()
+            })
+            .collect()
     }
 
     #[test]
     fn a_top_up_on_a_fabric_of_empty_pools_locks_no_peer() {
         let (mut sim, tmpl) = mk_three();
-        // Nothing is known of the peers yet: the first miss looks, once.
-        assert_eq!(burst(&mut sim, &tmpl, 1), [1, 2]);
-        // From then on the index answers: every injection finds its own
-        // pool dry and no donor, and borrows no peer to learn it.
-        assert_eq!(burst(&mut sim, &tmpl, 64), []);
+        // Every injection finds the shape's freelist dry and allocates,
+        // without borrowing a peer to learn that.
+        assert_eq!(burst(&mut sim, &tmpl, 64), [0; 64]);
         assert_eq!(sim.arena_bytes(), 0);
     }
 
+    /// The one donor is the shape's freelist: buffers a peer parked are
+    /// taken from it without borrowing that peer.
     #[test]
     fn a_top_up_locks_the_one_donor_the_index_names() {
         let (mut sim, tmpl) = mk_three();
-        assert_eq!(burst(&mut sim, &tmpl, 1), [1, 2]);
+        let size = Phv::new(sim.switch_at(0).borrow().spec()).heap_bytes();
         // Park four buffers on switch 2, under a borrow the simulator sees.
-        sim.inject_on(2, |inj, _| {
+        sim.inject_on(2, |sw, _| {
             for _ in 0..4 {
-                let phv = Phv::new(inj.sw.spec());
-                inj.sw.recycle_phv(phv);
+                let phv = Phv::new(sw.spec());
+                sw.recycle_phv(phv);
             }
         });
-        // Four misses take them, one borrow of the donor each; the fifth
-        // finds the index at zero and borrows nobody.
-        assert_eq!(burst(&mut sim, &tmpl, 5), [2, 2, 2, 2]);
-        assert_eq!(sim.switch_at(2).borrow().pool_parked(), 0);
-        // A closure event may touch any switch behind the index's back; the
-        // drain that follows looks at them all, so the index is whole again.
+        assert_eq!(sim.arena_bytes(), 4 * size);
+        // Four injections on switch 0 take them; the fifth allocates.
+        assert_eq!(burst(&mut sim, &tmpl, 5), [3 * size, 2 * size, size, 0, 0]);
+        // A closure event may recycle into any switch; the buffer lands in
+        // the same freelist, and the next injection on switch 0 takes it.
         sim.schedule(sim.now(), |s| {
             let mut sw = s.switch_at(1).borrow_mut();
             let phv = Phv::new(sw.spec());
             sw.recycle_phv(phv);
         });
         sim.run_until(sim.now());
-        assert_eq!(burst(&mut sim, &tmpl, 2), [1]);
+        assert_eq!(sim.arena_bytes(), size);
+        assert_eq!(burst(&mut sim, &tmpl, 2), [0, 0]);
     }
 
     fn pair_fingerprint(workers: usize) -> (Vec<(usize, u64, u16)>, u64, u64, ParStats) {

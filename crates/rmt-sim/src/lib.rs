@@ -35,7 +35,7 @@ pub mod switch;
 pub mod table;
 
 pub use clock::{Clock, Nanos};
-pub use phv::{PacketDesc, PacketTemplate, Phv, PhvPool, TransferMap};
+pub use phv::{PacketDesc, PacketTemplate, Phv, PhvPool, TransferMap, PHV_POOL_CAP};
 pub use shared::SharedSwitch;
 pub use spec::{
     load, ActionId, DataPlaneSpec, FieldId, IntrIds, LoadError, PortId, RegisterId, TableId,

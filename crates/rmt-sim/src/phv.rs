@@ -263,13 +263,20 @@ impl PacketDesc {
     }
 }
 
+/// Upper bound on PHVs parked per switch: large enough to absorb a full
+/// queue burst, small enough to bound idle memory. A [`PhvPool`] shared by
+/// `n` switches is capped at `n` times this.
+pub const PHV_POOL_CAP: usize = 4096;
+
 /// A bounded freelist of PHVs shaped for one spec.
 ///
-/// Every switch keeps one so steady-state packet churn reuses buffers
-/// instead of allocating: `take` pops and [`Phv::reset`]s a recycled PHV
-/// (allocating only while the pool warms up), `put` returns one after the
-/// packet leaves the switch or is dropped. The capacity bound keeps a
-/// traffic burst from pinning unbounded memory.
+/// Steady-state packet churn reuses buffers through one instead of
+/// allocating: `take` pops and [`Phv::reset`]s a recycled PHV (allocating
+/// only while the pool warms up), `put` returns one once its packet is
+/// done. A standalone switch owns a private one; in a fabric, the
+/// switches of one PHV shape share one (`Switch::share_phv_pool`), so a
+/// buffer parked where a packet exits serves the next injection anywhere.
+/// The capacity bound keeps a burst from pinning unbounded memory.
 #[derive(Debug, Default)]
 pub struct PhvPool {
     free: Vec<Phv>,
@@ -304,19 +311,12 @@ impl PhvPool {
         }
     }
 
-    /// Pull a parked PHV out without reshaping it — for rebalancing
-    /// buffers between pools of identically shaped specs.
-    pub fn steal(&mut self) -> Option<Phv> {
-        self.free.pop()
-    }
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.free.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.free.is_empty()
+    /// Move every buffer parked in `other` into this freelist (those past
+    /// its cap are dropped).
+    pub fn absorb(&mut self, other: &mut PhvPool) {
+        for phv in other.free.drain(..) {
+            self.put(phv);
+        }
     }
 
     /// Heap bytes parked in the freelist (the "arena bytes" gauge).
@@ -645,14 +645,16 @@ metadata m_t m { x : 5; }
     #[test]
     fn pool_recycles_up_to_cap() {
         let s = spec();
-        let mut pool = PhvPool::new(1);
-        pool.put(Phv::new(&s));
-        pool.put(Phv::new(&s));
-        assert_eq!(pool.len(), 1);
-        assert!(pool.arena_bytes() > 0);
+        let one = Phv::new(&s).heap_bytes();
+        let (mut pool, mut other) = (PhvPool::new(2), PhvPool::new(3));
+        for _ in 0..3 {
+            other.put(Phv::new(&s));
+        }
+        pool.absorb(&mut other);
+        assert_eq!((pool.arena_bytes(), other.arena_bytes()), (2 * one, 0));
         let phv = pool.take(&s);
         assert!(phv_eq(&phv, &Phv::new(&s)));
-        assert!(pool.is_empty());
+        assert_eq!(pool.arena_bytes(), one);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::clock::{Clock, Nanos};
 use crate::kernel::Program;
-use crate::phv::{PacketDesc, PacketTemplate, Phv, PhvPool};
+use crate::phv::{PacketDesc, PacketTemplate, Phv, PhvPool, PHV_POOL_CAP};
 use crate::registers::RegisterArray;
 use crate::spec;
 use crate::spec::{ActionId, DataPlaneSpec, FieldId, PipelineTiming, PortId, RegisterId, TableId};
@@ -18,13 +18,11 @@ use mantis_telemetry::{
     CounterId, GaugeId, NameId, Scope, Telemetry, Writer,
 };
 use p4_ast::{Pipeline, Value};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
-
-/// Upper bound on PHVs parked in a switch's freelist. Large enough to
-/// absorb a full queue burst, small enough to bound idle memory.
-const PHV_POOL_CAP: usize = 4096;
 
 /// Switch configuration.
 #[derive(Clone, Debug)]
@@ -333,10 +331,12 @@ pub struct Switch {
     apply_scratch: Vec<TableId>,
     /// Reusable buffer for hash-calculation inputs.
     hash_scratch: Vec<Value>,
-    /// Freelist of PHVs shaped for `spec`; the steady-state packet path
-    /// (template injection, wire delivery, drops) cycles buffers through
-    /// here instead of allocating.
-    phv_pool: PhvPool,
+    /// Freelist of PHVs shaped for `spec` — private, or shared with the
+    /// fabric's other switches of this shape
+    /// ([`share_phv_pool`](Switch::share_phv_pool)); the steady-state
+    /// packet path (template injection, wire delivery, drops) cycles
+    /// buffers through it instead of allocating.
+    phv_pool: Rc<RefCell<PhvPool>>,
     /// Packets currently sitting in TM queues (all pipes).
     queued_pkts: u64,
     /// One bit per front-panel port: set while that port's queue is
@@ -410,7 +410,7 @@ impl Switch {
             fabric_index: None,
             apply_scratch: Vec::new(),
             hash_scratch: Vec::new(),
-            phv_pool: PhvPool::new(PHV_POOL_CAP),
+            phv_pool: Rc::new(RefCell::new(PhvPool::new(PHV_POOL_CAP))),
             queued_pkts: 0,
             queue_mask: vec![0u64; mask_words],
             next_ready: Nanos::MAX,
@@ -544,35 +544,25 @@ impl Switch {
     /// [`Switch::inject`] on the template's source desc, but the PHV comes
     /// from the switch's freelist — zero allocation on the steady state.
     pub fn inject_template(&mut self, tmpl: &PacketTemplate) -> bool {
-        let mut phv = self.phv_pool.take(&self.spec);
+        let mut phv = self.phv_pool.borrow_mut().take(&self.spec);
         tmpl.write_into(&mut phv, &self.spec);
         self.inject_phv(phv)
     }
 
-    /// Take a fresh PHV from this switch's freelist (shaped for its spec).
-    pub fn pool_take(&mut self) -> Phv {
-        self.phv_pool.take(&self.spec)
-    }
-
     /// Return a PHV to this switch's freelist once the packet is done.
     pub fn recycle_phv(&mut self, phv: Phv) {
-        self.phv_pool.put(phv);
+        self.phv_pool.borrow_mut().put(phv);
     }
 
-    /// Parked buffers in the PHV freelist.
-    pub fn pool_parked(&self) -> usize {
-        self.phv_pool.len()
-    }
-
-    /// Pull a parked PHV without reshaping it (cross-switch pool
-    /// rebalancing between identically shaped specs).
-    pub fn pool_steal(&mut self) -> Option<Phv> {
-        self.phv_pool.steal()
-    }
-
-    /// Heap bytes parked in the PHV freelist (telemetry gauge).
-    pub fn arena_bytes(&self) -> u64 {
-        self.phv_pool.arena_bytes()
+    /// Draw PHVs from, and recycle them into, `pool` — a freelist shaped
+    /// for this switch's spec, shared with other switches of that shape —
+    /// instead of the current one. Buffers parked in the current one move
+    /// into `pool`.
+    pub fn share_phv_pool(&mut self, pool: Rc<RefCell<PhvPool>>) {
+        let old = std::mem::replace(&mut self.phv_pool, pool);
+        if !Rc::ptr_eq(&old, &self.phv_pool) {
+            self.phv_pool.borrow_mut().absorb(&mut old.borrow_mut());
+        }
     }
 
     /// Packets currently waiting in TM queues across all pipes. A switch
@@ -615,7 +605,7 @@ impl Switch {
         if let Some((pipe, local)) = self.port_slot(in_port) {
             if !self.pipes[pipe].ports[local].up {
                 self.stats.dropped_port_down += 1;
-                self.phv_pool.put(phv);
+                self.recycle_phv(phv);
                 return Fate::PortDown {
                     port: in_port,
                     pipe,
@@ -649,7 +639,7 @@ impl Switch {
             self.stats.recirculated += 1;
         }
         self.stats.dropped_ingress += 1;
-        self.phv_pool.put(phv);
+        self.recycle_phv(phv);
         Fate::Dropped
     }
 
@@ -705,7 +695,7 @@ impl Switch {
         let bytes = phv.frame_len(&self.spec);
         let Some((pipe, local)) = self.port_slot(port) else {
             self.stats.dropped_ingress += 1;
-            self.phv_pool.put(phv);
+            self.recycle_phv(phv);
             return Fate::Dropped;
         };
         let pipe_ns = self.egress_pipe_ns();
@@ -714,7 +704,7 @@ impl Switch {
             let depth = q.depth_bytes;
             self.stats.dropped_queue += 1;
             self.pipes[pipe].ports[local].queue_drops += 1;
-            self.phv_pool.put(phv);
+            self.recycle_phv(phv);
             return Fate::QueueFull { port, depth, pipe };
         }
         // Record the queue depth seen at enqueue (DCTCP-style marking uses
@@ -887,7 +877,7 @@ impl Switch {
                     bytes,
                 ));
             } else {
-                self.phv_pool.put(phv);
+                self.recycle_phv(phv);
             }
         }
         served

@@ -249,14 +249,25 @@ def main():
     # a ceiling where they landed: the drain has one executor and the
     # figures harness no scaling sweep, so neither has a reason to grow a
     # second path back.
+    #
+    # One PHV freelist per program shape (DESIGN.md §14) deleted what
+    # per-switch freelists needed once the pool was gone: the buffer
+    # index beside the readiness index, the injector's donor scan and
+    # steal, the settle step the workers had split off the visit. `netsim`
+    # ratchets to where it landed (2 527 → 2 438), and so does the
+    # workspace (34 570 → 34 471). `rmt-sim`, the largest crate, gets a
+    # ceiling where it landed (5 108 → 5 098): a switch shares its freelist
+    # by handle and no longer answers for it, so nothing there has a
+    # reason to grow a per-switch buffer API back.
     ceilings = {
         "bench": 3793,
         "mantis-agent": 4807,
         "mantis-telemetry": 1165,
-        "netsim": 2527,
+        "netsim": 2438,
         "reaction-interp": 2368,
+        "rmt-sim": 5098,
     }
-    total_ceiling = 34570
+    total_ceiling = 34471
     agent = crates["mantis-agent"]
     broken = []
     for path, n in agent.items():

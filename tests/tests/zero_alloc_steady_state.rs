@@ -8,7 +8,7 @@
 //! packets without a single new allocation: templates write into pooled
 //! PHVs, wire hops move buffers instead of copying, transmit batches
 //! reuse scratch capacity, and the capped tx log recycles exit buffers
-//! back to their emitting switch's freelist.
+//! into the one freelist the fabric's switches share.
 //!
 //! The telemetry-on twin runs the same block with an enabled registry
 //! shared by every switch (DESIGN.md §6): once the ring has filled, the
@@ -26,42 +26,60 @@
 //! leaf, and data crosses leaf → spine → leaf over LPM routes — the PHV
 //! images, transfer runs and micro-op buffers all in play, none of them
 //! allocating.
+//!
+//! The last two blocks source a UDP flow and a heartbeat stream on one
+//! end of a three-switch line and let every packet leave through the
+//! other: a buffer is recycled two hops from where it was injected, into
+//! the freelist the whole line shares — by tx-log eviction, or, with no
+//! log kept at all, as the packet exits.
 
 use mantis::apps::fabric::{build_failover_fabric, leaf_host, EXIT_PORT};
 use mantis::netsim::{
-    spawn_scale_flows, spawn_udp_on, ScaleConfig, ScaleHost, Simulator, Topology, UdpConfig,
-    HOST_PORTS,
+    spawn_heartbeats_on, spawn_scale_flows, spawn_udp_on, Endpoint, HeartbeatConfig, ScaleConfig,
+    ScaleHost, Simulator, Topology, UdpConfig, HOST_PORTS,
 };
 use mantis::p4_ast::Value;
 use mantis::rmt_sim::{switch_from_source, KeyField, PortId, TransferMap};
 use mantis::{Clock, SharedSwitch, SwitchConfig, Telemetry, TelemetryConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::sync::Arc;
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. A block runs its whole fabric on
+    /// its test's thread, so what other test threads allocate meanwhile —
+    /// their set-up, their asserts, the harness reporting them — is not
+    /// counted against its measured half.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static COUNTER: Counting = Counting;
-
-/// The allocation counter is process-wide: the blocks take turns.
-static ONE_BLOCK_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 const ROUTE_P4: &str = r#"
 header_type ip_t { fields { src : 32; dst : 32; } }
@@ -139,9 +157,6 @@ struct MeasuredHalf {
 }
 
 fn run_block(config: &SwitchConfig, telemetry: Option<&Arc<Telemetry>>) -> MeasuredHalf {
-    let _turn = ONE_BLOCK_AT_A_TIME
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let hosts: Vec<ScaleHost> = (0..LEAVES)
         .flat_map(|leaf| {
             (0..HOST_PORTS as usize).map(move |h| ScaleHost {
@@ -174,9 +189,9 @@ fn run_block(config: &SwitchConfig, telemetry: Option<&Arc<Telemetry>>) -> Measu
     let exited0 = sim.tx_count;
     let drops0 = queue_drops(&sim);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     sim.run_until(cfg.duration_ns + 100_000);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
 
     MeasuredHalf {
         allocations: after - before,
@@ -237,9 +252,6 @@ fn steady_state_packet_path_does_not_allocate_with_telemetry_on() {
 
 #[test]
 fn heartbeat_and_cross_program_hops_do_not_allocate() {
-    let _turn = ONE_BLOCK_AT_A_TIME
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     // Four heartbeat streams at T_s = 1 µs; no agents (a dialogue loop
     // allocates by design, and is not the packet path).
     let mut tb = build_failover_fabric(2, 2, 1_000, 0.2);
@@ -284,9 +296,9 @@ fn heartbeat_and_cross_program_hops_do_not_allocate() {
 
     tb.sim.run_until(1_000_000);
     let (exits0, counted0) = (tb.sim.tx_count_on(1), counted(&tb.sim));
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     tb.sim.run_until(2_000_000);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
 
     // Both paths ran in the measured half: ~4 000 heartbeats relayed,
     // transferred, counted and dropped; ~100 data packets across three
@@ -301,4 +313,94 @@ fn heartbeat_and_cross_program_hops_do_not_allocate() {
         "cross-program steady state allocated {} times",
         after - before
     );
+}
+
+/// The address every packet of the line block is routed to.
+const LINE_DST: u64 = 9;
+
+/// A UDP source and a heartbeat source on switch 0 of a three-switch line
+/// of the route program, every packet leaving the fabric out an unlinked
+/// port of switch 2: the measured half must see them exit and allocate
+/// nothing.
+fn line_block_does_not_allocate(tx_log_cap: usize) {
+    let clock = Clock::new();
+    let switches = (0..3)
+        .map(|i| {
+            let mut sw = switch_from_source(ROUTE_P4, SwitchConfig::default(), clock.clone())
+                .expect("route program compiles");
+            let t = sw.table_id("route").expect("route table");
+            let a = sw.action_id("fwd").expect("fwd action");
+            let port: u128 = if i < 2 { 5 } else { 2 };
+            sw.table_add(
+                t,
+                vec![KeyField::Exact(Value::new(u128::from(LINE_DST), 32))],
+                0,
+                a,
+                vec![Value::new(port, 64)],
+            )
+            .expect("route installs");
+            SharedSwitch::new(sw)
+        })
+        .collect();
+    let topo = Topology::new(3)
+        .link_with(Endpoint::new(0, 5), Endpoint::new(1, 4), 1_000, 0)
+        .link_with(Endpoint::new(1, 5), Endpoint::new(2, 4), 1_000, 0);
+    let mut sim = Simulator::fabric(switches, topo);
+    sim.tx_log_cap = tx_log_cap;
+    let fields = |src: u128| {
+        vec![
+            ("ip".into(), "src".into(), src),
+            ("ip".into(), "dst".into(), u128::from(LINE_DST)),
+        ]
+    };
+    let udp = spawn_udp_on(
+        &mut sim,
+        0,
+        UdpConfig {
+            ingress_port: 0,
+            fields: fields(1),
+            payload_bytes: 100,
+            rate_bps: 1_000_000_000,
+            start_ns: 0,
+            stop_ns: None,
+        },
+    );
+    spawn_heartbeats_on(
+        &mut sim,
+        0,
+        HeartbeatConfig {
+            port: 1,
+            fields: fields(2),
+            interval_ns: 1_000,
+            start_ns: 0,
+            stop_ns: None,
+        },
+    );
+
+    sim.run_until(1_000_000);
+    let exits0 = sim.tx_count_on(2);
+    let before = allocs();
+    sim.run_until(2_000_000);
+    let after = allocs();
+
+    // ~1 250 UDP packets and 1 000 heartbeats in the measured millisecond.
+    let exits = sim.tx_count_on(2) - exits0;
+    assert!(exits > 2_000, "{exits} packets exited");
+    assert_eq!(udp.borrow().dropped_pkts, 0);
+    assert_eq!(
+        after - before,
+        0,
+        "line block (tx_log_cap {tx_log_cap}) allocated {} times",
+        after - before
+    );
+}
+
+#[test]
+fn sources_whose_exits_leave_elsewhere_do_not_allocate() {
+    line_block_does_not_allocate(64);
+}
+
+#[test]
+fn sources_do_not_allocate_when_no_exit_is_logged() {
+    line_block_does_not_allocate(0);
 }
