@@ -108,20 +108,9 @@ impl MantisAgent {
         self.health.set_telemetry(telemetry);
     }
 
-    /// The registry this agent records into, everything recorded so far
-    /// in it. (The agent's stack records into a buffer of its own and every
-    /// entry point below flushes it on the way out; only ops submitted
-    /// straight through [`driver_mut`](MantisAgent::driver_mut) can still be
-    /// waiting here.)
+    /// The registry this agent's stack records into.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        self.health.flush();
         self.health.telemetry()
-    }
-
-    /// Times this agent's stack has taken the registry's lock: once per
-    /// entry point that recorded anything.
-    pub fn telemetry_flushes(&self) -> u64 {
-        self.health.writer().flushes()
     }
 
     /// Cumulative stats of this agent — its own count, whoever else shares
@@ -162,7 +151,7 @@ impl MantisAgent {
     }
 
     /// The driver, for out-of-band use. An op submitted through it records
-    /// into this agent's buffer like any other.
+    /// into this agent's registry like any other.
     pub fn driver_mut(&mut self) -> &mut dyn DriverApi {
         self.health.driver_mut()
     }
@@ -224,9 +213,7 @@ impl MantisAgent {
     /// Reads run with faults suspended so the oracle itself cannot
     /// trigger injected rules.
     pub fn verify_config_atomicity(&mut self) -> Result<(), String> {
-        let verdict = self.isolation.verify_atomicity(&mut self.health);
-        self.health.flush();
-        verdict
+        self.isolation.verify_atomicity(&mut self.health)
     }
 
     // -- fault-tolerance configuration ------------------------------------------
@@ -386,7 +373,7 @@ impl MantisAgent {
     }
 
     fn bring_up(&mut self, how: BringUp) -> Result<(), AgentError> {
-        let brought_up = bring_up(
+        bring_up(
             how,
             &self.iface,
             &mut self.isolation,
@@ -394,9 +381,7 @@ impl MantisAgent {
             &mut self.staged,
             &mut self.reactions,
             &mut self.health,
-        );
-        self.health.flush();
-        brought_up
+        )
     }
 
     /// Run user initialization: stage updates in a closure, then apply them
@@ -420,9 +405,7 @@ impl MantisAgent {
             self.staged.clear();
             return Err(AgentError::from(e).in_phase(AgentPhase::UserInit));
         }
-        let applied = self.apply_staged();
-        self.health.flush();
-        applied
+        self.apply_staged()
             .map(|_| ())
             .map_err(|e| e.in_phase(AgentPhase::UserInit))
     }
@@ -440,15 +423,6 @@ impl MantisAgent {
     /// in that case the device and agent state are those of the last
     /// committed iteration (the transactional apply rolled back).
     pub fn dialogue_iteration(&mut self) -> Result<IterationReport, AgentError> {
-        let report = self.iterate();
-        // On every way out: what the iteration recorded must be in the
-        // registry before the switch, or a reader, gets to it.
-        self.health.flush();
-        report
-    }
-
-    /// The iteration itself; what it records stays in the stack's buffer.
-    fn iterate(&mut self) -> Result<IterationReport, AgentError> {
         let iter = self.health.iterations;
         let m = self.health.metrics();
         self.health.reset_retries();

@@ -18,15 +18,14 @@
 use crate::costmodel::CostModel;
 use crate::driver_api::{DriverApi, DriverOp, DriverResponse};
 use mantis_faults::{FaultInjector, FaultPlan, Injection};
-use mantis_telemetry::{
-    scopes, CounterId, DriverOpId, NameId, Scope, SharedWriter, Telemetry, Writer,
-};
+use mantis_telemetry::{scopes, CounterId, DriverOpId, NameId, Scope, Telemetry};
 use p4_ast::Value;
 use rmt_sim::{
     ActionId, Clock, DataPlaneSpec, DriverError, EntryHandle, KeyField, Nanos, ReadAgg, RegisterId,
     SharedSwitch, TableId,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The op classes the driver accounts separately: each has its own cost
 /// rule, fault-plan name, `Scope::Driver` span and `driver.<op>_*` metrics.
@@ -125,9 +124,8 @@ pub struct LocalDriver {
     lock_start: Nanos,
     lock_until: Nanos,
     stats: DriverStats,
-    /// Where this driver records: the buffer of the stack it is part of,
-    /// flushed by that stack's owner.
-    writer: SharedWriter,
+    /// Where this driver records: the registry of the stack it is part of.
+    telemetry: Arc<Telemetry>,
     metrics: DriverMetrics,
     injector: Option<FaultInjector>,
     /// Fabric switch this driver controls (`None` on single-switch
@@ -156,7 +154,7 @@ impl LocalDriver {
             lock_start: 0,
             lock_until: 0,
             stats: DriverStats::default(),
-            writer: Writer::shared(Telemetry::disabled()),
+            telemetry: Telemetry::disabled(),
             metrics: DriverMetrics::default(),
             injector: None,
             fabric_index: None,
@@ -211,16 +209,16 @@ impl LocalDriver {
     fn inject(&mut self, op: Op, pipe: Option<u16>) -> Option<Injection> {
         let now = self.clock.now();
         let inj = self.injector.as_mut()?.decide_on(op.name(), pipe, now)?;
-        let (mut w, m) = (self.writer.borrow_mut(), &mut self.metrics);
-        if w.is_enabled() {
+        let (tel, m) = (&self.telemetry, &mut self.metrics);
+        if tel.is_enabled() {
             let id = &mut m.op_faults[op as usize];
-            if !w.telemetry().owns(*id) {
+            if !tel.owns(*id) {
                 let name = format!("fault.{}_injected", op.name());
-                *id = w.telemetry().register_counter(&name);
+                *id = tel.register_counter(&name);
             }
-            w.add(m.faults_injected, 1);
-            w.add(*id, 1);
-            w.mark(Scope::Driver, m.fault_injected, now, &[]);
+            tel.add(m.faults_injected, 1);
+            tel.add(*id, 1);
+            tel.mark(Scope::Driver, m.fault_injected, now, &[]);
         }
         Some(inj)
     }
@@ -228,8 +226,7 @@ impl LocalDriver {
     /// An op failed with an injected fault.
     fn count_injected_failure(&mut self) {
         self.stats.injected_failures += 1;
-        let mut w = self.writer.borrow_mut();
-        w.add(self.metrics.injected_failures, 1);
+        self.telemetry.add(self.metrics.injected_failures, 1);
     }
 
     /// Resolve an injection decision against one op, then account it:
@@ -283,14 +280,14 @@ impl LocalDriver {
         self.lock_until = start.saturating_add(self.cost.device_lock_ns.min(dur));
         self.stats.ops += 1;
         self.stats.busy_ns = self.stats.busy_ns.saturating_add(dur);
-        let (mut w, id) = (self.writer.borrow_mut(), &mut self.metrics.ops[op as usize]);
-        if w.is_enabled() {
-            if !w.telemetry().owns(id.span) {
-                *id = w.telemetry().register_driver_op(op.name());
+        let (tel, id) = (&self.telemetry, &mut self.metrics.ops[op as usize]);
+        if tel.is_enabled() {
+            if !tel.owns(id.span) {
+                *id = tel.register_driver_op(op.name());
             }
-            w.begin(Scope::Driver, id.span, start);
-            w.end(Scope::Driver, id.span, end);
-            w.driver_op(id, dur);
+            tel.begin(Scope::Driver, id.span, start);
+            tel.end(Scope::Driver, id.span, end);
+            tel.record_driver_op(id, dur);
         }
     }
 
@@ -572,15 +569,14 @@ impl DriverApi for LocalDriver {
 
     /// Each op records a `Scope::Driver` span plus a `driver.<op>_ns`
     /// histogram sample and a `driver.<op>_calls` counter.
-    fn set_telemetry(&mut self, writer: SharedWriter) {
-        let telemetry = writer.borrow().telemetry().clone();
+    fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.metrics = DriverMetrics {
             faults_injected: telemetry.register_counter(scopes::CTR_FAULTS_INJECTED),
             fault_injected: telemetry.intern("fault_injected"),
             injected_failures: telemetry.register_counter(scopes::CTR_DRIVER_INJECTED),
             ..DriverMetrics::default()
         };
-        self.writer = writer;
+        self.telemetry = telemetry;
     }
 
     fn stats(&self) -> DriverStats {

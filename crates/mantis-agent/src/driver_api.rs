@@ -19,12 +19,13 @@
 use crate::costmodel::CostModel;
 use crate::driver::{DriverStats, EntrySnapshot};
 use mantis_faults::FaultPlan;
-use mantis_telemetry::SharedWriter;
+use mantis_telemetry::Telemetry;
 use p4_ast::Value;
 use rmt_sim::{
     ActionId, Clock, DataPlaneSpec, DriverError, EntryHandle, KeyField, Nanos, PortId, ReadAgg,
     RegisterId, TableId,
 };
+use std::sync::Arc;
 
 /// Opaque name of a live table checkpoint. A checkpoint is not a copy: it
 /// is a mark on the undo journal the device driver keeps for its software
@@ -475,10 +476,10 @@ pub trait DriverApi {
 
     fn fabric_index(&self) -> Option<u16>;
 
-    /// Record into `writer` from here on: the buffer of the stack this
-    /// driver is part of, which the stack's owner flushes. A driver passes
-    /// it on to whatever records beneath it.
-    fn set_telemetry(&mut self, writer: SharedWriter);
+    /// Record into `telemetry` from here on: the registry of the stack this
+    /// driver is part of. A driver passes it on to whatever records beneath
+    /// it.
+    fn set_telemetry(&mut self, telemetry: Arc<Telemetry>);
 
     /// Cumulative device-driver statistics.
     fn stats(&self) -> DriverStats;

@@ -1,7 +1,7 @@
 //! The agent's link to its driver: one place an op is submitted under the
 //! retry discipline, one place a backoff is accounted, one place faults
-//! are suspended for a recovery section — and the one telemetry buffer the
-//! whole stack beneath the agent records into.
+//! are suspended for a recovery section — and the registry the whole stack
+//! beneath the agent records into.
 //!
 //! Components reach the switch only through the `&mut Health` they are
 //! handed: [`submit`](Health::submit) for an op the loop may retry,
@@ -11,13 +11,9 @@
 use crate::driver_api::{DriverApi, DriverOp, DriverResponse};
 use crate::report::{AgentError, IterationReport};
 use mantis_faults::RetryPolicy;
-use mantis_telemetry::{
-    scopes, CounterId, GaugeId, HistId, NameId, Scope, SharedWriter, Telemetry, TelemetryConfig,
-    Writer,
-};
+use mantis_telemetry::{scopes, CounterId, GaugeId, HistId, NameId, Scope, Telemetry};
 use p4_ast::Value;
 use rmt_sim::{Clock, Nanos};
-use std::cell::RefMut;
 use std::sync::Arc;
 
 /// Telemetry handles behind every record the agent's own components make
@@ -78,12 +74,10 @@ impl AgentMetrics {
 pub(crate) struct Health {
     driver: Box<dyn DriverApi>,
     clock: Clock,
+    /// The stack's registry: the agent's components, the driver and —
+    /// behind a remote driver — the channel and the plane-side driver all
+    /// record into it, in program order.
     telemetry: Arc<Telemetry>,
-    /// The stack's one record buffer: the agent's components, the driver
-    /// and — behind a remote driver — the channel and the plane-side driver
-    /// all write here, in program order; `telemetry` gets it by
-    /// [`flush`](Health::flush) alone.
-    writer: SharedWriter,
     metrics: AgentMetrics,
     /// Bounds the retries of one op, and of one apply.
     pub(crate) policy: RetryPolicy,
@@ -100,15 +94,13 @@ impl Health {
     /// [`set_telemetry`](Health::set_telemetry) swaps in a shared one when
     /// the caller wants the full trace.
     pub(crate) fn new(mut driver: Box<dyn DriverApi>) -> Self {
-        let telemetry = Arc::new(Telemetry::new(TelemetryConfig::default()));
-        let writer = Writer::shared(telemetry.clone());
-        driver.set_telemetry(writer.clone());
+        let telemetry = Telemetry::shared();
+        driver.set_telemetry(telemetry.clone());
         Health {
             clock: driver.clock().clone(),
             driver,
             metrics: AgentMetrics::resolve(&telemetry),
             telemetry,
-            writer,
             policy: RetryPolicy::default(),
             retries: 0,
             iterations: 0,
@@ -117,29 +109,13 @@ impl Health {
     }
 
     pub(crate) fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.flush();
-        self.writer = Writer::shared(telemetry.clone());
-        self.driver.set_telemetry(self.writer.clone());
+        self.driver.set_telemetry(telemetry.clone());
         self.metrics = AgentMetrics::resolve(&telemetry);
         self.telemetry = telemetry;
     }
 
     pub(crate) fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
-    }
-
-    /// The stack's record buffer, for one burst of records. Not reentrant:
-    /// let go of it before anything that reaches the driver.
-    pub(crate) fn writer(&self) -> RefMut<'_, Writer> {
-        self.writer.borrow_mut()
-    }
-
-    /// Hand the registry what the stack recorded since the last flush. The
-    /// agent does on the way out of every entry point that can record:
-    /// records left behind would land after what the switch records next,
-    /// and be missing from any read.
-    pub(crate) fn flush(&self) {
-        self.writer().flush();
     }
 
     pub(crate) fn metrics(&self) -> AgentMetrics {
@@ -158,12 +134,12 @@ impl Health {
     /// hands now; the time is handed back.
     pub(crate) fn spans(&self, closing: &[NameId], opening: &[NameId]) -> Nanos {
         let now = self.now();
-        let mut w = self.writer();
+        let tel = &self.telemetry;
         for span in closing {
-            w.end(Scope::Agent, *span, now);
+            tel.end(Scope::Agent, *span, now);
         }
         for span in opening {
-            w.begin(Scope::Agent, *span, now);
+            tel.begin(Scope::Agent, *span, now);
         }
         now
     }
@@ -173,17 +149,16 @@ impl Health {
     pub(crate) fn close_iteration(&mut self, t1: Nanos, report: &IterationReport) {
         self.iterations += 1;
         self.busy_ns += report.duration_ns;
-        let m = self.metrics;
-        let mut w = self.writer();
-        w.end(Scope::Agent, m.span_iteration, t1);
-        w.add(m.iterations, 1);
-        w.add(m.busy_ns, i128::from(report.duration_ns));
-        w.add(m.staged_table_ops, report.staged_table_ops as i128);
-        w.record(m.hist_iteration, report.duration_ns);
-        w.record(m.hist_measure, report.measure_ns);
-        w.record(m.hist_react, report.react_ns);
-        w.record(m.hist_update, report.update_ns);
-        w.record(m.hist_sync, report.sync_ns);
+        let (m, tel) = (self.metrics, &self.telemetry);
+        tel.end(Scope::Agent, m.span_iteration, t1);
+        tel.add(m.iterations, 1);
+        tel.add(m.busy_ns, i128::from(report.duration_ns));
+        tel.add(m.staged_table_ops, report.staged_table_ops as i128);
+        tel.record(m.hist_iteration, report.duration_ns);
+        tel.record(m.hist_measure, report.measure_ns);
+        tel.record(m.hist_react, report.react_ns);
+        tel.record(m.hist_update, report.update_ns);
+        tel.record(m.hist_sync, report.sync_ns);
     }
 
     pub(crate) fn driver(&self) -> &dyn DriverApi {
@@ -235,11 +210,8 @@ impl Health {
         let backoff = self.policy.backoff(*attempt);
         *attempt += 1;
         self.retries += 1;
-        {
-            let mut w = self.writer();
-            w.add(self.metrics.retries, 1);
-            w.record(self.metrics.retry_backoff, backoff);
-        }
+        self.telemetry.add(self.metrics.retries, 1);
+        self.telemetry.record(self.metrics.retry_backoff, backoff);
         self.clock.advance(backoff);
         true
     }
@@ -310,19 +282,25 @@ control ingress { apply(t); }
         assert_eq!((h.retries(), seen.get()), (0, 1));
         let t0 = h.now();
         write(&mut h, 1).unwrap();
-        // Two retries: one count, one counter tick and one backoff each.
+        // Two retries: one count, one counter tick and one backoff each,
+        // in the registry as soon as counted.
         assert_eq!((h.retries(), seen.get()), (2, 4));
-        assert_eq!(h.telemetry().counter(scopes::CTR_RETRIES), 0, "buffered");
-        h.flush();
-        assert_eq!(h.telemetry().counter(scopes::CTR_RETRIES), 2);
+        let snap = h.telemetry().snapshot();
+        assert_eq!(snap.counter(scopes::CTR_RETRIES), 2);
+        let backoffs = snap.hist(scopes::HIST_RETRY_BACKOFF_NS).map(|b| b.count);
+        assert_eq!(backoffs, Some(2));
         let backoff = h.policy.backoff(0) + h.policy.backoff(1);
         assert!(h.now() - t0 >= backoff, "backoff is spent on the clock");
         // The count is the iteration's: the loop resets it.
         h.reset_retries();
         write(&mut h, 2).unwrap();
         assert_eq!(h.retries(), 0);
-        h.flush();
         assert_eq!(h.telemetry().counter(scopes::CTR_RETRIES), 2);
+        // One retry accounted on its own is in the registry on return.
+        let (mut h, _, _) = link(1, 1, transient());
+        let mut attempt = 0;
+        assert!(h.retry_after(&mut attempt));
+        assert_eq!(h.telemetry().counter(scopes::CTR_RETRIES), 1);
     }
 
     #[test]

@@ -620,9 +620,8 @@ control ingress { apply(acl); }
     }
 
     /// Every entry point leaves what it recorded in the registry on the way
-    /// out — the failing ways included — under one hold of its lock: a
-    /// reader holding the registry itself (not `agent.telemetry()`, which
-    /// flushes) never finds records missing, and the switch never records
+    /// out — the failing ways included: a reader holding the registry
+    /// itself never finds records missing, and the switch never records
     /// ahead of them.
     #[test]
     fn entry_points_flush_what_they_recorded_on_every_way_out() {
@@ -653,9 +652,7 @@ control ingress { apply(acl); }
         };
 
         // `prologue` alone is visible.
-        assert_eq!(agent.telemetry_flushes(), 0);
         agent.prologue().unwrap();
-        assert_eq!(agent.telemetry_flushes(), 1);
         let driver_ops = |snap: &mantis_telemetry::Snapshot| -> i128 {
             let calls = snap.counters.iter().filter(|(k, _)| k.ends_with("_calls"));
             calls.map(|(_, v)| *v).sum()
@@ -663,10 +660,10 @@ control ingress { apply(acl); }
         let after_prologue = driver_ops(&tel.snapshot());
         assert!(after_prologue > 0);
 
-        // So is an iteration that commits, under one flush …
+        // So is an iteration that commits …
         agent.register_all_interpreted().unwrap();
         agent.dialogue_iteration().unwrap();
-        assert_eq!(agent.telemetry_flushes(), 2);
+        assert!(driver_ops(&tel.snapshot()) > after_prologue);
         assert_eq!((spans("iteration", "B"), spans("iteration", "E")), (1, 1));
         assert_eq!(tel.counter(mantis_telemetry::scopes::CTR_ITERATIONS), 1);
 
@@ -676,14 +673,12 @@ control ingress { apply(acl); }
         armed.set(true);
         let err = agent.dialogue_iteration().unwrap_err();
         assert_eq!(err.phase, Some(AgentPhase::Measure), "{err}");
-        assert_eq!(agent.telemetry_flushes(), 3);
         assert_eq!((spans("iteration", "B"), spans("iteration", "E")), (2, 2));
         assert_eq!((spans("measure", "B"), spans("measure", "E")), (2, 2));
         // So is a failed `user_init`'s rollback.
         let rollbacks = tel.counter(mantis_telemetry::scopes::CTR_ROLLBACKS);
         let init = agent.user_init(|ctx| ctx.set_mbl("thresh", 7));
         assert!(init.is_err());
-        assert_eq!(agent.telemetry_flushes(), 4);
         assert_eq!(
             tel.counter(mantis_telemetry::scopes::CTR_ROLLBACKS),
             rollbacks + 1

@@ -276,7 +276,7 @@ impl Reactions {
             let now = h.now();
             if !r.breaker.allow(now) {
                 skipped += 1;
-                h.writer().add(m.quarantine_skips, 1);
+                h.telemetry().add(m.quarantine_skips, 1);
                 continue;
             }
             let marks = staged.marks();
@@ -328,9 +328,9 @@ impl Reactions {
         // happened, so fault-free traces stay byte-identical.
         if self.had_quarantine {
             let q = self.quarantined(h.now()).count();
-            let mut w = h.writer();
-            w.set(m.quarantined, q as i128);
-            w.set(m.degraded, (q > 0) as i128);
+            let tel = h.telemetry();
+            tel.set(m.quarantined, q as i128);
+            tel.set(m.degraded, (q > 0) as i128);
         }
         (failures, skipped)
     }
@@ -366,7 +366,7 @@ impl Reactions {
 /// A breaker just tripped open.
 fn note_quarantine(had_quarantine: &mut bool, now: Nanos, h: &Health) {
     *had_quarantine = true;
-    h.writer()
+    h.telemetry()
         .mark(Scope::Agent, h.metrics().quarantine, now, &[]);
 }
 

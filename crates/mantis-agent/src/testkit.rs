@@ -4,12 +4,13 @@ use crate::costmodel::CostModel;
 use crate::driver::{DriverStats, LocalDriver};
 use crate::driver_api::{DriverApi, DriverOp, DriverResponse};
 use mantis_faults::FaultPlan;
-use mantis_telemetry::SharedWriter;
+use mantis_telemetry::Telemetry;
 use p4_ast::Value;
 use p4r_compiler::{compile_source, Compiled, CompilerOptions};
 use rmt_sim::{Clock, DataPlaneSpec, DriverError, Nanos, SharedSwitch, Switch, SwitchConfig};
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Compile `src` and load it onto a fresh `num_pipes`-pipe switch.
 pub(crate) fn switch_for(
@@ -95,8 +96,8 @@ impl DriverApi for Hooked {
     fn fabric_index(&self) -> Option<u16> {
         self.inner.fabric_index()
     }
-    fn set_telemetry(&mut self, writer: SharedWriter) {
-        self.inner.set_telemetry(writer)
+    fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+        self.inner.set_telemetry(telemetry)
     }
     fn stats(&self) -> DriverStats {
         self.inner.stats()

@@ -79,7 +79,7 @@ impl Txn {
                 Err(e) => {
                     self.rollback(staged, tables, h);
                     self.rollbacks += 1;
-                    h.writer().add(h.metrics().rollbacks, 1);
+                    h.telemetry().add(h.metrics().rollbacks, 1);
                     if e.is_transient() && h.retry_after(&mut attempt) {
                         continue;
                     }

@@ -27,10 +27,11 @@ use crate::wire::{
     encode_request_frame_into, DecodeScratch, DriverOp, DriverResponse, FrameBody, RequestBatch,
 };
 use mantis_faults::{FaultInjector, FaultPlan, Injection};
-use mantis_telemetry::{scopes, CounterId, HistId, SharedWriter, Writer};
+use mantis_telemetry::{scopes, CounterId, HistId, Telemetry};
 use rmt_sim::{Clock, DriverError, Nanos};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Latency/bandwidth/reliability parameters of one control channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,10 +84,10 @@ pub struct Channel {
     plane: Rc<RefCell<ControlPlane>>,
     client: u16,
     next_seq: u64,
-    /// The record buffer of the stack this channel is part of, which the
-    /// plane records its side of each frame into as well; `None` (an
-    /// arbitration channel, nobody's stack) records nothing.
-    writer: Option<SharedWriter>,
+    /// The registry of the stack this channel is part of, which the plane
+    /// records its side of each frame into as well; `None` (an arbitration
+    /// channel, nobody's stack) records nothing.
+    telemetry: Option<Arc<Telemetry>>,
     /// Handles for the channel's records, resolved in `set_telemetry`.
     frames: CounterId,
     bytes: CounterId,
@@ -116,7 +117,7 @@ impl Channel {
             plane,
             client,
             next_seq: 0,
-            writer: None,
+            telemetry: None,
             frames: CounterId::default(),
             bytes: CounterId::default(),
             drops: CounterId::default(),
@@ -137,22 +138,21 @@ impl Channel {
         self.client
     }
 
-    /// Record into `writer`, the buffer of the stack this channel is part
-    /// of (its owner flushes it).
-    pub fn set_telemetry(&mut self, writer: SharedWriter) {
-        let telemetry = writer.borrow().telemetry().clone();
+    /// Record into `telemetry`, the registry of the stack this channel is
+    /// part of.
+    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.frames = telemetry.register_counter(scopes::CTR_CONTROL_FRAMES);
         self.bytes = telemetry.register_counter(scopes::CTR_CONTROL_BYTES);
         self.drops = telemetry.register_counter(scopes::CTR_CONTROL_DROPS);
         self.dups = telemetry.register_counter(scopes::CTR_CONTROL_DUPS);
         self.rtt_ns = telemetry.register_hist(scopes::HIST_CONTROL_RTT_NS);
-        self.writer = Some(writer);
+        self.telemetry = Some(telemetry);
     }
 
     /// Make one burst of records, if anyone is listening.
-    fn record(&self, records: impl FnOnce(&mut Writer)) {
-        if let Some(writer) = &self.writer {
-            records(&mut writer.borrow_mut());
+    fn record(&self, records: impl FnOnce(&Telemetry)) {
+        if let Some(telemetry) = &self.telemetry {
+            records(telemetry);
         }
     }
 
@@ -289,7 +289,7 @@ impl Channel {
         for _ in 0..deliveries {
             self.plane
                 .borrow_mut()
-                .handle_frame_for(self.client, bytes, &mut self.resp, self.writer.as_ref())
+                .handle_frame_for(self.client, bytes, &mut self.resp, self.telemetry.as_ref())
                 .expect("invariant: channel frames are never corrupted in flight");
         }
 

@@ -32,7 +32,7 @@
 
 use crate::wire::{DecodeScratch, DriverOp, DriverResponse, FrameBody, ResponseFrame, WireError};
 use mantis_agent::{CostModel, DriverApi, LocalDriver};
-use mantis_telemetry::{scopes, CounterId, SharedWriter, Telemetry, Writer};
+use mantis_telemetry::{scopes, CounterId, Telemetry};
 use p4_ast::Value;
 use rmt_sim::{Clock, Nanos, SharedSwitch};
 use std::cell::RefCell;
@@ -77,12 +77,12 @@ impl DedupRing {
 pub struct ControlPlane {
     driver: LocalDriver,
     /// Where the frame being handled is recorded — by this plane and by
-    /// `driver` alike: the buffer of the stack that sent it, or `own`.
-    recording: SharedWriter,
-    /// The plane's own buffer, for frames that come from outside any stack
-    /// (an arbitration channel, a caller of
-    /// [`handle_frame`](ControlPlane::handle_frame)): flushed per frame.
-    own: SharedWriter,
+    /// `driver` alike: the registry of the stack that sent it, or `own`.
+    recording: Arc<Telemetry>,
+    /// The registry for frames that come from outside any stack (an
+    /// arbitration channel, a caller of
+    /// [`handle_frame`](ControlPlane::handle_frame)).
+    own: Arc<Telemetry>,
     /// `control.frames_duplicated` in `recording`'s registry.
     dups: CounterId,
     next_client: u16,
@@ -101,7 +101,7 @@ pub struct ControlPlane {
 
 impl ControlPlane {
     pub fn new(switch: SharedSwitch, cost: CostModel) -> Self {
-        let own = Writer::shared(Telemetry::disabled());
+        let own = Telemetry::disabled();
         ControlPlane {
             driver: LocalDriver::new(switch, cost),
             recording: own.clone(),
@@ -146,15 +146,14 @@ impl ControlPlane {
 
     /// The registry that frames from outside any stack are recorded in.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.own = Writer::shared(telemetry);
+        self.own = telemetry;
         self.record_into(self.own.clone());
     }
 
-    fn record_into(&mut self, writer: SharedWriter) {
-        let telemetry = writer.borrow().telemetry().clone();
+    fn record_into(&mut self, telemetry: Arc<Telemetry>) {
         self.dups = telemetry.register_counter(scopes::CTR_CONTROL_DUPS);
-        self.driver.set_telemetry(writer.clone());
-        self.recording = writer;
+        self.driver.set_telemetry(telemetry.clone());
+        self.recording = telemetry;
     }
 
     /// Duplicate frames absorbed by sequence-number dedup.
@@ -195,29 +194,24 @@ impl ControlPlane {
     }
 
     /// [`handle_frame_into`](ControlPlane::handle_frame_into) for a frame
-    /// of the stack that records into `writer`: everything the plane and
+    /// of the stack that records into `telemetry`: everything the plane and
     /// its driver record while handling it goes there, in order with what
-    /// the sender recorded around it, and is flushed when the sender's
-    /// buffer is. A plane shared by two controllers thus never leaves one's
-    /// records in the other's buffer. Without a writer the records go to
-    /// the plane's own, flushed before this returns.
+    /// the sender recorded around it. A plane shared by two controllers
+    /// thus never records one's frames in the other's registry. Without a
+    /// registry the records go to the plane's own.
     pub(crate) fn handle_frame_for(
         &mut self,
         client: u16,
         bytes: &[u8],
         out: &mut Vec<u8>,
-        writer: Option<&SharedWriter>,
+        telemetry: Option<&Arc<Telemetry>>,
     ) -> Result<(), WireError> {
-        let to = writer.unwrap_or(&self.own);
-        if !Rc::ptr_eq(to, &self.recording) {
+        let to = telemetry.unwrap_or(&self.own);
+        if !Arc::ptr_eq(to, &self.recording) {
             let to = to.clone();
             self.record_into(to);
         }
-        let handled = self.handle(client, bytes, out);
-        if writer.is_none() {
-            self.own.borrow_mut().flush();
-        }
-        handled
+        self.handle(client, bytes, out)
     }
 
     fn handle(&mut self, client: u16, bytes: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
@@ -239,7 +233,7 @@ impl ControlPlane {
         }
         if let Some(cached) = self.dedup[usize::from(client)].find(seq) {
             self.duplicates_seen += 1;
-            self.recording.borrow_mut().add(self.dups, 1);
+            self.recording.add(self.dups, 1);
             out.clear();
             out.extend_from_slice(cached);
         } else {

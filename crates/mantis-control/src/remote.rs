@@ -34,11 +34,12 @@ use mantis_agent::costmodel::CostModel;
 use mantis_agent::driver::DriverStats;
 use mantis_agent::DriverApi;
 use mantis_faults::FaultPlan;
-use mantis_telemetry::{scopes, HistId, SharedWriter, Telemetry, Writer};
+use mantis_telemetry::{scopes, HistId, Telemetry};
 use p4_ast::Value;
 use rmt_sim::{Clock, DataPlaneSpec, DriverError, Nanos};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// How a batch send failed.
 enum SendFailure {
@@ -60,9 +61,9 @@ pub struct RemoteDriver {
     clock: Clock,
     pending: RequestBatch,
     batching: bool,
-    /// The buffer of the stack this driver is part of; the channel and the
-    /// plane's handling of this driver's frames record into it too.
-    writer: SharedWriter,
+    /// The registry of the stack this driver is part of; the channel and
+    /// the plane's handling of this driver's frames record into it too.
+    telemetry: Arc<Telemetry>,
     /// Handle for `control.batch_size`, resolved in `set_telemetry`.
     batch_size: HistId,
 }
@@ -99,7 +100,7 @@ impl RemoteDriver {
             clock,
             pending: RequestBatch::new(),
             batching,
-            writer: Writer::shared(Telemetry::disabled()),
+            telemetry: Telemetry::disabled(),
             batch_size: HistId::default(),
         }
     }
@@ -127,9 +128,7 @@ impl RemoteDriver {
     /// channel; on failure the batch is as it was.
     fn send(&mut self) -> Result<&mut [DriverResponse], SendFailure> {
         let sent = self.pending.len();
-        self.writer
-            .borrow_mut()
-            .record(self.batch_size, sent as u64);
+        self.telemetry.record(self.batch_size, sent as u64);
         let rs = self
             .channel
             .send(&mut self.pending)
@@ -288,14 +287,13 @@ impl DriverApi for RemoteDriver {
         self.plane.borrow().driver().fabric_index()
     }
 
-    fn set_telemetry(&mut self, writer: SharedWriter) {
-        let telemetry = writer.borrow().telemetry().clone();
-        self.channel.set_telemetry(writer.clone());
+    fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+        self.channel.set_telemetry(telemetry.clone());
         self.batch_size = telemetry.register_hist(scopes::HIST_CONTROL_BATCH);
         // Frames that come to the plane from outside any stack are
         // recorded in the registry of the last stack attached to it.
-        self.plane.borrow_mut().set_telemetry(telemetry);
-        self.writer = writer;
+        self.plane.borrow_mut().set_telemetry(telemetry.clone());
+        self.telemetry = telemetry;
     }
 
     fn stats(&self) -> DriverStats {

@@ -30,20 +30,17 @@
 //! set-up code, tests and one-off names; they intern and then take the
 //! same path (DESIGN.md §6).
 //!
-//! The registry is `Arc`-shared and internally mutexed, and nothing on a
-//! hot path takes that mutex per record: each thread of control — a
-//! switch, an agent with the driver, channel and plane beneath it — owns a
-//! [`Writer`], a plain buffer of small `Copy` records that
-//! [`Writer::flush`] replays into the registry, in order, under one lock
-//! per unit of work. Exports are byte-identical to recording the same
-//! sequence directly.
+//! The registry is `Arc`-shared by everything that runs on the one thread
+//! of a simulation — switches, agents, the driver, channel and plane
+//! beneath an agent — and each record lands in its slot, or in the ring,
+//! when it is made. So records land in program order, which is what makes
+//! two runs of one seed export the same bytes.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Virtual-clock timestamp, nanoseconds. Mirrors `rmt_sim::Nanos`
 /// without depending on it (this crate sits below the whole stack).
@@ -220,9 +217,9 @@ impl Default for TelemetryConfig {
 /// formatting and no string comparison.
 ///
 /// A handle is bound to the name table that issued it: the registry it
-/// was resolved against and every [`Writer`] feeding that registry accept
-/// it; any other registry panics on it ([`Telemetry::owns`] is the check to
-/// run before reusing a cached handle against a new registry).
+/// was resolved against accepts it; any other registry panics on it
+/// ([`Telemetry::owns`] is the check to run before reusing a cached handle
+/// against a new registry).
 /// `NameId::default()` is a placeholder owned by no table.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct NameId {
@@ -276,13 +273,13 @@ pub struct DriverOpId {
 static NEXT_TABLE_TAG: AtomicU32 = AtomicU32::new(1);
 
 /// A registry's append-only string interner. Indices are assigned in
-/// first-intern order, which may differ between runs when worker threads
-/// intern concurrently — so nothing observable ever iterates in index
-/// order (exports sort by name).
+/// first-intern order, which depends on which name set-up happened to
+/// resolve first — so nothing observable ever iterates in index order
+/// (exports sort by name).
 #[derive(Debug)]
 struct NameTable {
     tag: u32,
-    names: Mutex<Names>,
+    names: RefCell<Names>,
 }
 
 #[derive(Debug, Default)]
@@ -295,20 +292,12 @@ impl NameTable {
     fn new() -> NameTable {
         NameTable {
             tag: NEXT_TABLE_TAG.fetch_add(1, Ordering::Relaxed),
-            names: Mutex::new(Names::default()),
+            names: RefCell::new(Names::default()),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Names> {
-        // Nothing under this lock can panic short of allocation failure
-        // (which aborts), so poison here means a bug in this module.
-        self.names
-            .lock()
-            .expect("Telemetry: name table poisoned (a thread panicked while interning)")
-    }
-
     fn intern(&self, name: &str) -> u32 {
-        let mut names = self.lock();
+        let mut names = self.names.borrow_mut();
         if let Some(&idx) = names.idx_of.get(name) {
             return idx;
         }
@@ -320,7 +309,7 @@ impl NameTable {
     }
 
     fn lookup(&self, name: &str) -> Option<u32> {
-        self.lock().idx_of.get(name).copied()
+        self.names.borrow().idx_of.get(name).copied()
     }
 }
 
@@ -588,20 +577,21 @@ impl Inner {
 }
 
 /// The shared telemetry registry. Clone the `Arc` freely; all methods
-/// take `&self` and lock per call — the form for set-up code, tests and
-/// one-off records. Code that records per packet, per driver op or per
-/// iteration goes through a [`Writer`].
+/// take `&self`, and a record lands in the registry before the call
+/// returns.
 ///
 /// Every record call exists twice: by handle ([`add`](Telemetry::add),
 /// [`set`](Telemetry::set), [`record`](Telemetry::record),
 /// [`begin`](Telemetry::begin), [`end`](Telemetry::end),
 /// [`mark`](Telemetry::mark)) and by name
 /// ([`counter_add`](Telemetry::counter_add) …). The by-name form interns
-/// the name and calls the by-handle form, so both write the same slots.
+/// the name and calls the by-handle form, so both write the same slots;
+/// code that records per packet, per driver op or per iteration resolves
+/// its handles once and records by handle.
 #[derive(Debug)]
 pub struct Telemetry {
     names: NameTable,
-    inner: Mutex<Inner>,
+    inner: RefCell<Inner>,
     /// Fixed at construction and checked before anything else in every
     /// record call: a disabled handle costs one flag read.
     enabled: bool,
@@ -611,7 +601,7 @@ impl Telemetry {
     pub fn new(config: TelemetryConfig) -> Self {
         Telemetry {
             names: NameTable::new(),
-            inner: Mutex::new(Inner {
+            inner: RefCell::new(Inner {
                 trace_capacity: config.trace_capacity,
                 ..Inner::default()
             }),
@@ -619,28 +609,35 @@ impl Telemetry {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        // A recorder panicked while holding the registry. Limping on over
-        // half-applied counter updates would surface as an unrelated
-        // conservation-oracle failure later — crash loudly here instead.
-        self.inner.lock().expect(
-            "Telemetry: registry lock poisoned — a recorder panicked mid-update; \
-             metrics are suspect, aborting",
-        )
+    /// The registry's slots and ring, for one record. Nothing a record
+    /// does calls back out, so no borrow is ever held across another.
+    fn inner(&self) -> RefMut<'_, Inner> {
+        self.inner.borrow_mut()
+    }
+
+    /// A handle with `config`, ready to share.
+    // The registry is single-threaded state: a `RefCell`, so `Telemetry`
+    // is neither `Send` nor `Sync` and the compiler refuses to hand the
+    // `Arc` to another thread. It stays an `Arc` only because code outside
+    // this workspace's crates names `Arc<Telemetry>`; ROADMAP item 1(a)
+    // makes it an `Rc` and drops this allow.
+    #[allow(clippy::arc_with_non_send_sync)]
+    pub fn shared_with(config: TelemetryConfig) -> Arc<Telemetry> {
+        Arc::new(Telemetry::new(config))
     }
 
     /// An enabled handle with default config, ready to share.
     pub fn shared() -> Arc<Telemetry> {
-        Arc::new(Telemetry::new(TelemetryConfig::default()))
+        Telemetry::shared_with(TelemetryConfig::default())
     }
 
     /// A handle that records nothing (the default for components whose
     /// caller did not ask for telemetry).
     pub fn disabled() -> Arc<Telemetry> {
-        Arc::new(Telemetry::new(TelemetryConfig {
+        Telemetry::shared_with(TelemetryConfig {
             enabled: false,
             trace_capacity: 0,
-        }))
+        })
     }
 
     pub fn is_enabled(&self) -> bool {
@@ -705,26 +702,22 @@ impl Telemetry {
         id.idx
     }
 
-    /// The ring record of one trace event carrying `args`.
-    fn event(&self, scope: Scope, phase: Phase, name: NameId, t: Nanos, args: &[Arg]) -> Event {
-        assert!(
-            args.len() <= MAX_EVENT_ARGS,
-            "Telemetry: an instant event carries at most {MAX_EVENT_ARGS} args, got {}",
-            args.len()
-        );
-        Event {
-            t,
-            name: self.index(name),
-            scope,
-            phase,
-            nargs: args.len() as u8,
-        }
-    }
-
+    /// Push one trace event carrying `args` onto the ring.
     fn push(&self, scope: Scope, phase: Phase, name: NameId, t: Nanos, args: &[Arg]) {
         if self.enabled {
-            let ev = self.event(scope, phase, name, t, args);
-            self.lock().push(ev, args.iter().copied());
+            assert!(
+                args.len() <= MAX_EVENT_ARGS,
+                "Telemetry: an instant event carries at most {MAX_EVENT_ARGS} args, got {}",
+                args.len()
+            );
+            let ev = Event {
+                t,
+                name: self.index(name),
+                scope,
+                phase,
+                nargs: args.len() as u8,
+            };
+            self.inner().push(ev, args.iter().copied());
         }
     }
 
@@ -760,19 +753,19 @@ impl Telemetry {
 
     pub fn add(&self, id: CounterId, delta: i128) {
         if self.enabled {
-            self.lock().add(self.index(id.0), delta);
+            self.inner().add(self.index(id.0), delta);
         }
     }
 
     pub fn set(&self, id: GaugeId, value: i128) {
         if self.enabled {
-            self.lock().set(self.index(id.0), value);
+            self.inner().set(self.index(id.0), value);
         }
     }
 
     pub fn record(&self, id: HistId, value: u64) {
         if self.enabled {
-            self.lock().record(self.index(id.0), value);
+            self.inner().record(self.index(id.0), value);
         }
     }
 
@@ -782,7 +775,7 @@ impl Telemetry {
     /// vs scalar updates all show up as separate histograms).
     pub fn record_driver_op(&self, op: &DriverOpId, cost_ns: Nanos) {
         if self.enabled {
-            let mut inner = self.lock();
+            let mut inner = self.inner();
             inner.add(self.index(op.calls.0), 1);
             inner.record(self.index(op.ns.0), cost_ns);
         }
@@ -809,7 +802,7 @@ impl Telemetry {
         let Some(idx) = self.names.lookup(name) else {
             return 0;
         };
-        let inner = self.lock();
+        let inner = self.inner.borrow();
         inner
             .counters
             .get(idx as usize)
@@ -822,7 +815,7 @@ impl Telemetry {
         let Some(idx) = self.names.lookup(name) else {
             return 0;
         };
-        let inner = self.lock();
+        let inner = self.inner.borrow();
         inner
             .gauges
             .get(idx as usize)
@@ -843,8 +836,8 @@ impl Telemetry {
                 .filter_map(|(i, s)| Some((names.by_idx[i].to_string(), value(s.as_ref()?))))
                 .collect()
         }
-        let inner = self.lock();
-        let names = self.names.lock();
+        let inner = self.inner.borrow();
+        let names = self.names.names.borrow();
         Snapshot {
             counters: touched(&names, &inner.counters, |v| *v),
             gauges: touched(&names, &inner.gauges, |v| *v),
@@ -857,7 +850,7 @@ impl Telemetry {
     /// Drop all recorded events and metrics. Config, the name table and
     /// every handle issued so far are kept.
     pub fn reset(&self) {
-        let mut inner = self.lock();
+        let mut inner = self.inner();
         inner.events.clear();
         inner.head = 0;
         inner.args.clear();
@@ -874,8 +867,8 @@ impl Telemetry {
     /// are virtual-clock microseconds with nanosecond fractions;
     /// output is byte-deterministic for a given event sequence.
     pub fn chrome_trace_json(&self) -> String {
-        let inner = self.lock();
-        let names = self.names.lock();
+        let inner = self.inner.borrow();
+        let names = self.names.names.borrow();
         let mut out = String::new();
         out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
         let mut first = true;
@@ -988,163 +981,6 @@ impl Telemetry {
     }
 }
 
-/// One buffered record of a [`Writer`]: a ring event, or a slot update by
-/// name-table index. Values are kept narrow; the rare one that does not fit
-/// is recorded straight away, in its place.
-#[derive(Clone, Copy, Debug)]
-enum Rec {
-    Event(Event),
-    Add(u32, i64),
-    Set(u32, i64),
-    Record(u32, u64),
-}
-
-const _: () = assert!(std::mem::size_of::<Rec>() <= 24);
-
-/// A [`Writer`] shared down one single-threaded stack of components (an
-/// agent, its driver, the channel and plane beneath it), so that all of
-/// them record into one buffer in program order.
-pub type SharedWriter = Rc<RefCell<Writer>>;
-
-/// A record buffer owned by one thread of control, feeding one registry.
-/// The by-handle record calls take `&mut self` and no lock;
-/// [`flush`](Writer::flush) takes the registry lock once and replays the
-/// buffer in order, which leaves the registry exactly as if every record
-/// had been made on it directly. Whoever owns the writer flushes it at the
-/// end of each unit of work, before anything else may record into, or
-/// read, the registry.
-#[derive(Debug)]
-pub struct Writer {
-    tel: Arc<Telemetry>,
-    recs: Vec<Rec>,
-    /// The arg pairs of the buffered events, in event order.
-    args: Vec<Arg>,
-    flushes: u64,
-}
-
-impl Writer {
-    pub fn new(tel: Arc<Telemetry>) -> Self {
-        Writer {
-            tel,
-            recs: Vec::new(),
-            args: Vec::new(),
-            flushes: 0,
-        }
-    }
-
-    pub fn shared(tel: Arc<Telemetry>) -> SharedWriter {
-        Rc::new(RefCell::new(Writer::new(tel)))
-    }
-
-    /// The registry this writer feeds.
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.tel
-    }
-
-    /// Whether records go anywhere: check before computing what to record.
-    pub fn is_enabled(&self) -> bool {
-        self.tel.enabled
-    }
-
-    /// Times this writer has taken the registry lock.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Buffer one record. The buffer is sized on its first record, for a
-    /// typical unit of work (128 records, 3 KiB) rather than by a walk up
-    /// the doubling ladder, and keeps whatever it grows to.
-    fn buffer(&mut self, rec: Rec) {
-        if self.recs.capacity() == 0 {
-            self.recs.reserve(128);
-            self.args.reserve(MAX_EVENT_ARGS);
-        }
-        self.recs.push(rec);
-    }
-
-    fn push(&mut self, scope: Scope, phase: Phase, name: NameId, t: Nanos, args: &[Arg]) {
-        if self.tel.enabled {
-            let ev = self.tel.event(scope, phase, name, t, args);
-            self.buffer(Rec::Event(ev));
-            if !args.is_empty() {
-                self.args.extend_from_slice(args);
-            }
-        }
-    }
-
-    pub fn begin(&mut self, scope: Scope, name: NameId, t: Nanos) {
-        self.push(scope, Phase::Begin, name, t, &[]);
-    }
-
-    pub fn end(&mut self, scope: Scope, name: NameId, t: Nanos) {
-        self.push(scope, Phase::End, name, t, &[]);
-    }
-
-    pub fn mark(&mut self, scope: Scope, name: NameId, t: Nanos, args: &[(&'static str, i128)]) {
-        self.push(scope, Phase::Instant, name, t, args);
-    }
-
-    /// Record a value too wide for the compact record straight into the
-    /// registry, behind everything buffered so far: it keeps its place.
-    #[cold]
-    fn record_wide(&mut self, record: impl FnOnce(&mut Inner)) {
-        self.flush();
-        self.flushes += 1;
-        record(&mut self.tel.lock());
-    }
-
-    pub fn add(&mut self, id: CounterId, delta: i128) {
-        if self.tel.enabled {
-            let idx = self.tel.index(id.0);
-            match i64::try_from(delta) {
-                Ok(delta) => self.buffer(Rec::Add(idx, delta)),
-                Err(_) => self.record_wide(|inner| inner.add(idx, delta)),
-            }
-        }
-    }
-
-    pub fn set(&mut self, id: GaugeId, value: i128) {
-        if self.tel.enabled {
-            let idx = self.tel.index(id.0);
-            match i64::try_from(value) {
-                Ok(value) => self.buffer(Rec::Set(idx, value)),
-                Err(_) => self.record_wide(|inner| inner.set(idx, value)),
-            }
-        }
-    }
-
-    pub fn record(&mut self, id: HistId, value: u64) {
-        if self.tel.enabled {
-            self.buffer(Rec::Record(self.tel.index(id.0), value));
-        }
-    }
-
-    pub fn driver_op(&mut self, op: &DriverOpId, cost_ns: Nanos) {
-        self.add(op.calls, 1);
-        self.record(op.ns, cost_ns);
-    }
-
-    /// Replay everything buffered into the registry, in order, under one
-    /// hold of its lock. The buffers keep their capacity, so a writer
-    /// flushed every unit of work stops allocating once warm.
-    pub fn flush(&mut self) {
-        if self.recs.is_empty() {
-            return;
-        }
-        self.flushes += 1;
-        let mut inner = self.tel.lock();
-        let mut args = self.args.drain(..);
-        for rec in self.recs.drain(..) {
-            match rec {
-                Rec::Event(ev) => inner.push(ev, args.by_ref().take(usize::from(ev.nargs))),
-                Rec::Add(idx, delta) => inner.add(idx, i128::from(delta)),
-                Rec::Set(idx, value) => inner.set(idx, i128::from(value)),
-                Rec::Record(idx, value) => inner.record(idx, value),
-            }
-        }
-    }
-}
-
 fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -1234,6 +1070,40 @@ mod tests {
         assert_eq!(snap.events_buffered, 0);
     }
 
+    /// A disabled registry resolves names to placeholder handles and
+    /// records nothing through them.
+    #[test]
+    fn writer_of_disabled_handle_records_nothing() {
+        let tel = Telemetry::disabled();
+        assert!(!tel.is_enabled());
+        tel.mark(Scope::Switch, tel.intern("a"), 10, &[]);
+        tel.add(tel.register_counter("c"), 1);
+        let snap = tel.snapshot();
+        assert_eq!(tel.counter("c"), 0);
+        assert_eq!(snap.events_buffered, 0);
+    }
+
+    /// Marks by handle land in the ring as named records do: the ring's
+    /// capacity decides what survives.
+    #[test]
+    fn merge_respects_destination_ring_capacity() {
+        let tel = Telemetry::new(TelemetryConfig {
+            enabled: true,
+            trace_capacity: 2,
+        });
+        let e = tel.intern("e");
+        for t in 0..5 {
+            tel.mark(Scope::Switch, e, t, &[]);
+        }
+        let snap = tel.snapshot();
+        assert_eq!(snap.events_buffered, 2);
+        assert_eq!(snap.events_dropped, 3);
+        // Ring keeps the most recent events, oldest first.
+        let trace = tel.chrome_trace_json();
+        assert!(trace.find("\"ts\":0.003").unwrap() < trace.find("\"ts\":0.004").unwrap());
+        assert!(!trace.contains("\"ts\":0.002,"));
+    }
+
     #[test]
     fn exports_are_deterministic() {
         let run = || {
@@ -1276,118 +1146,22 @@ mod tests {
         assert_eq!(tel.counter("driver.register_read_calls"), 100);
     }
 
+    /// A counter delta and a gauge value beyond `i64` land exactly, in
+    /// their place among narrow ones.
     #[test]
-    fn writer_flushes_in_order_match_direct_recording() {
-        // Recording directly vs recording into two writers flushed in
-        // canonical order must produce byte-identical exports.
-        let direct = Telemetry::new(TelemetryConfig::default());
-        direct.instant(Scope::Switch, "a", 10, &[("sw", 0)]);
-        direct.counter_add("switch.tx", 3);
-        direct.gauge_set("tm.q0_depth_bytes", 64);
-        direct.hist_record("lat", 100);
-        direct.instant(Scope::Switch, "b", 20, &[("sw", 1)]);
-        direct.counter_add("switch.tx", 5);
-        direct.gauge_set("tm.q0_depth_bytes", 128);
-        direct.hist_record("lat", 200);
-
-        let flushed = Telemetry::shared();
-        let (a, b) = (flushed.intern("a"), flushed.intern("b"));
-        let tx = flushed.register_counter("switch.tx");
-        let depth = flushed.register_gauge("tm.q0_depth_bytes");
-        let lat = flushed.register_hist("lat");
-        let mut w0 = Writer::new(flushed.clone());
-        let mut w1 = Writer::new(flushed.clone());
-        // Recorded interleaved; only the flush order reaches the registry.
-        w1.mark(Scope::Switch, b, 20, &[("sw", 1)]);
-        w0.mark(Scope::Switch, a, 10, &[("sw", 0)]);
-        w1.add(tx, 5);
-        w0.add(tx, 3);
-        w0.set(depth, 64);
-        w1.set(depth, 128);
-        w1.record(lat, 200);
-        w0.record(lat, 100);
-        assert_eq!(
-            flushed.snapshot().events_buffered,
-            0,
-            "nothing before a flush"
-        );
-        w0.flush();
-        w1.flush();
-        w1.flush(); // an empty flush takes no lock
-        assert_eq!((w0.flushes(), w1.flushes()), (1, 1));
-
-        assert_eq!(direct.chrome_trace_json(), flushed.chrome_trace_json());
-        assert_eq!(direct.snapshot_json(), flushed.snapshot_json());
-        // Gauge takes the later writer's value (serial last-writer).
-        assert_eq!(flushed.gauge("tm.q0_depth_bytes"), 128);
-        assert_eq!(flushed.counter("switch.tx"), 8);
-    }
-
-    #[test]
-    fn a_value_too_wide_for_the_compact_record_keeps_its_place() {
+    fn wide_counter_deltas_and_gauge_values_land_exactly() {
         let tel = Telemetry::shared();
         let (c, g) = (tel.register_counter("c"), tel.register_gauge("g"));
-        let mut w = Writer::new(tel.clone());
-        w.set(g, 1);
-        w.set(g, i128::MAX);
-        w.set(g, 2);
-        assert_eq!(
-            tel.gauge("g"),
-            i128::MAX,
-            "the wide set went in behind the first"
-        );
-        w.add(c, i128::from(i64::MAX));
-        w.add(c, i128::from(i64::MAX) + 1);
-        w.flush();
-        assert_eq!(tel.gauge("g"), 2);
-        assert_eq!(tel.counter("c"), 2 * i128::from(i64::MAX) + 1);
-    }
-
-    #[test]
-    fn writer_of_disabled_handle_records_nothing() {
-        let main = Telemetry::disabled();
-        let mut w = Writer::new(main.clone());
-        assert!(!w.is_enabled());
-        w.mark(Scope::Switch, main.intern("a"), 10, &[]);
-        w.add(main.register_counter("c"), 1);
-        w.flush();
-        assert_eq!((main.counter("c"), w.flushes()), (0, 0));
-    }
-
-    /// A flush merges the writer's buffer into the ring as direct records
-    /// would have landed: the ring's capacity decides what survives.
-    #[test]
-    fn merge_respects_destination_ring_capacity() {
-        let main = Arc::new(Telemetry::new(TelemetryConfig {
-            enabled: true,
-            trace_capacity: 2,
-        }));
-        let mut w = Writer::new(main.clone());
-        let e = main.intern("e");
-        for t in 0..5 {
-            w.mark(Scope::Switch, e, t, &[]);
-        }
-        w.flush();
-        let snap = main.snapshot();
-        assert_eq!(snap.events_buffered, 2);
-        assert_eq!(snap.events_dropped, 3);
-        // Ring keeps the most recent events, oldest first.
-        let trace = main.chrome_trace_json();
-        assert!(trace.find("\"ts\":0.003").unwrap() < trace.find("\"ts\":0.004").unwrap());
-        assert!(!trace.contains("\"ts\":0.002,"));
-    }
-
-    #[test]
-    #[should_panic(expected = "registry lock poisoned")]
-    fn poisoned_registry_panics_loudly() {
-        let main = Telemetry::shared();
-        let poisoner = main.clone();
-        // Poison the mutex: panic while holding the guard on another thread.
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.lock();
-            panic!("chaos recorder dies mid-update");
-        })
-        .join();
-        main.counter_add("switch.tx", 1); // must panic, not limp on
+        tel.set(g, 1);
+        tel.set(g, i128::MAX);
+        assert_eq!(tel.gauge("g"), i128::MAX);
+        tel.set(g, i128::from(i64::MIN) - 1);
+        assert_eq!(tel.gauge("g"), i128::from(i64::MIN) - 1);
+        tel.add(c, i128::from(i64::MAX));
+        tel.add(c, i128::from(i64::MAX) + 1);
+        tel.add(c, 1);
+        let sum = 2 * i128::from(i64::MAX) + 2;
+        assert_eq!(tel.counter("c"), sum);
+        assert!(tel.snapshot_json().contains(&format!("\"c\": {sum}")));
     }
 }

@@ -2,27 +2,23 @@
 //! ones are one implementation seen through two doors.
 //!
 //! A random sequence of registrations, records, spans, instants (0–3
-//! args), epochs recorded into a [`Writer`] and flushed, and resets is
-//! applied twice — once through the by-name API, every record made
-//! directly on the registry, once through pre-resolved handles with the
-//! epochs buffered — to registries of the same (small, so the ring evicts,
-//! also inside an epoch) capacity. Both exports must come out
+//! args), bursts of records made back to back (one unit of work's), and
+//! resets is applied twice — once through the by-name API, once through
+//! pre-resolved handles — to registries of the same (small, so the ring
+//! evicts, also inside a burst) capacity. Both exports must come out
 //! byte-identical. Along the way this pins down that a name registered but
 //! never touched appears nowhere, that handles stay valid across `reset`,
-//! that a registry's handles work on its writers, that a counter delta or
-//! gauge value too wide for a writer's compact record keeps its place, and
-//! that a flush leaves the writer empty for the next epoch.
+//! and that counter deltas and gauge values beyond `i64` land exactly.
 //!
 //! The same steps also run against a ring that never evicts: what a small
 //! ring holds must be the tail of that, arg pairs included — the side ring
 //! the pairs live in leaves in step with the events they belong to.
 
 use mantis_telemetry::{
-    CounterId, DriverOpId, GaugeId, HistId, NameId, Scope, Telemetry, TelemetryConfig, Writer,
+    CounterId, DriverOpId, GaugeId, HistId, NameId, Scope, Telemetry, TelemetryConfig,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Metric / event names, including ones the JSON exporters must escape.
 const NAMES: [&str; 10] = [
@@ -64,8 +60,8 @@ enum Step {
     Rec(Rec),
     /// Resolve handles for a name without recording under it.
     Register(usize),
-    /// One epoch of a writer feeding the registry: records, then a flush.
-    Written(Vec<Rec>),
+    /// One unit of work's records, made back to back.
+    Burst(Vec<Rec>),
     Reset,
 }
 
@@ -94,8 +90,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         rec_strategy().prop_map(Step::Rec),
         rec_strategy().prop_map(Step::Rec),
         (0..NAMES.len()).prop_map(Step::Register),
-        vec(rec_strategy(), 0..12).prop_map(Step::Written),
-        vec(rec_strategy(), 0..12).prop_map(Step::Written),
+        vec(rec_strategy(), 0..12).prop_map(Step::Burst),
+        vec(rec_strategy(), 0..12).prop_map(Step::Burst),
         Just(Step::Reset),
     ]
 }
@@ -167,39 +163,21 @@ fn run_by_name(capacity: usize, steps: &[Step]) -> (String, String) {
             Step::Rec(rec) => record_by_name(&tel, rec),
             // Registration has no by-name counterpart: it must be invisible.
             Step::Register(_) => {}
-            // The reference: the epoch's records made directly, in order.
-            Step::Written(recs) => recs.iter().for_each(|r| record_by_name(&tel, r)),
+            Step::Burst(recs) => recs.iter().for_each(|r| record_by_name(&tel, r)),
             Step::Reset => tel.reset(),
         }
     }
     (tel.snapshot_json(), tel.chrome_trace_json())
 }
 
-fn write_by_handle(w: &mut Writer, h: &Handles, rec: &Rec) {
-    match rec {
-        Rec::Add(n, d) => w.add(h.counters[*n], *d),
-        Rec::Set(n, v) => w.set(h.gauges[*n], *v),
-        Rec::Hist(n, v) => w.record(h.hists[*n], *v),
-        Rec::Span(n, s, t, dt) => {
-            w.begin(SCOPES[*s], h.names[*n], *t);
-            w.end(SCOPES[*s], h.names[*n], t + dt);
-        }
-        Rec::Instant(n, s, t, values) => w.mark(SCOPES[*s], h.names[*n], *t, &args_of(values)),
-        Rec::DriverOp(o, ns) => w.driver_op(&h.ops[*o], *ns),
-    }
-}
-
 fn run_by_handle(capacity: usize, steps: &[Step]) -> (String, String) {
-    let tel = Arc::new(Telemetry::new(TelemetryConfig {
+    let tel = Telemetry::new(TelemetryConfig {
         trace_capacity: capacity,
         enabled: true,
-    }));
+    });
     // Resolved once, before anything is recorded; still valid after every
-    // reset, and on every writer of `tel`.
+    // reset.
     let handles = Handles::resolve(&tel);
-    // One writer for the whole run, like a switch keeps one: a flush must
-    // leave it empty for the next epoch.
-    let mut writer = Writer::new(tel.clone());
     for step in steps {
         match step {
             Step::Rec(rec) => record_by_handle(&tel, &handles, rec),
@@ -207,11 +185,9 @@ fn run_by_handle(capacity: usize, steps: &[Step]) -> (String, String) {
                 assert_eq!(tel.intern(NAMES[*n]), handles.names[*n]);
                 assert!(tel.owns(tel.register_gauge(NAMES[*n])));
             }
-            Step::Written(recs) => {
-                recs.iter()
-                    .for_each(|r| write_by_handle(&mut writer, &handles, r));
-                writer.flush();
-            }
+            Step::Burst(recs) => recs
+                .iter()
+                .for_each(|r| record_by_handle(&tel, &handles, r)),
             Step::Reset => tel.reset(),
         }
     }
@@ -272,14 +248,6 @@ fn a_handle_from_another_registry_is_refused() {
     let id = a.register_counter("switch.rx");
     assert!(a.owns(id) && !b.owns(id));
     b.add(id, 1);
-}
-
-#[test]
-#[should_panic(expected = "issued by another name table")]
-fn a_writer_refuses_a_handle_from_another_registry() {
-    let a = Telemetry::shared();
-    let id = a.register_counter("switch.rx");
-    Writer::new(Telemetry::shared()).add(id, 1);
 }
 
 #[test]

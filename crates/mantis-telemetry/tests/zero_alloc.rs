@@ -1,17 +1,14 @@
 //! Allocation contract of the record paths (DESIGN.md §6), enforced with
 //! a counting global allocator: a disabled handle allocates nothing on any
-//! call, and an enabled one allocates nothing through handles — directly
-//! or through a warmed writer's record + flush cycle — once its ring is
-//! full and its slots have been touched.
+//! call, and an enabled one allocates nothing through handles once its
+//! ring is full and its slots have been touched.
 //!
 //! One `#[test]` only: the counter is process-wide, and a second test
 //! running on another thread would bleed into the measured windows.
 
-use mantis_telemetry::{Scope, Telemetry, TelemetryConfig, Writer};
+use mantis_telemetry::{Scope, Telemetry, TelemetryConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 struct Counting;
 
@@ -80,11 +77,10 @@ fn record_paths_do_not_allocate() {
     assert_eq!(off.snapshot().events_dropped, 0);
 
     // -- an enabled handle: handles are free once warm --------------------
-    let on = Arc::new(Telemetry::new(TelemetryConfig {
+    let on = Telemetry::new(TelemetryConfig {
         trace_capacity: 64,
         enabled: true,
-    }));
-    let writer = RefCell::new(Writer::new(on.clone()));
+    });
     let (c, g, h) = (
         on.register_counter("switch.rx"),
         on.register_gauge("tm.q0_depth_bytes"),
@@ -104,16 +100,13 @@ fn record_paths_do_not_allocate() {
             &[("port", 1), ("depth_bytes", 9), ("pipe", 0)],
         );
         on.record_driver_op(&op, t);
-        // A writer epoch: record through the registry's handles, flush.
-        let mut w = writer.borrow_mut();
-        w.add(c, 1);
-        w.begin(Scope::Switch, name, t);
-        w.end(Scope::Switch, name, t + 1);
-        w.mark(Scope::Switch, name, t, &[("port", 1), ("pipe", 0)]);
-        w.flush();
+        // A switch's burst for one served packet.
+        on.add(c, 1);
+        on.begin(Scope::Switch, name, t);
+        on.end(Scope::Switch, name, t + 1);
+        on.mark(Scope::Switch, name, t, &[("port", 1), ("pipe", 0)]);
     };
-    // Warm-up: the ring fills and wraps, every slot is touched, the
-    // writer's buffers reach their high-water mark.
+    // Warm-up: the ring fills and wraps, every slot is touched.
     (0..64).for_each(round);
     let n = allocations_during(|| (64..1_064).for_each(round));
     assert_eq!(n, 0, "warm by-handle recording allocated {n} times");

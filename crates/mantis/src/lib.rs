@@ -53,7 +53,7 @@ pub use mantis_faults::{
     BreakerConfig, BreakerState, CircuitBreaker, FaultInjector, FaultOp, FaultPlan, FaultWindow,
     RetryPolicy,
 };
-pub use mantis_telemetry::{Scope, Telemetry, TelemetryConfig, Writer};
+pub use mantis_telemetry::{Scope, Telemetry, TelemetryConfig};
 pub use netsim::{Endpoint, Link, Topology};
 pub use p4r_compiler::{compile_source, CompileError, Compiled, CompilerOptions};
 pub use rmt_sim::{Clock, SharedSwitch, Switch, SwitchConfig};

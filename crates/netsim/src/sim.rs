@@ -15,7 +15,9 @@
 //! delay; packets leaving unlinked ports exit the fabric into the
 //! transmit log. Wire deliveries move the transmitted PHV itself and
 //! re-materialize it on the peer through a cached
-//! [`TransferMap`] — no per-hop name round-trip.
+//! [`TransferMap`] — no per-hop name round-trip. While it is on the wire
+//! the PHV is parked in the simulator's in-flight slab and the event names
+//! it by slot, so the wheel moves small entries.
 
 use crate::flows::FlowRegistry;
 use crate::topo::{Endpoint, Link, Topology};
@@ -37,14 +39,14 @@ pub(crate) type EventFn = Box<dyn FnOnce(&mut Simulator)>;
 pub(crate) enum EventKind {
     /// Cold path: an arbitrary boxed closure.
     Closure(EventFn),
-    /// A packet on a fabric link: `phv` (frozen at transmit time) travels
-    /// from switch `src` to `dest`, entering at `port` at `arrival`.
+    /// A packet on a fabric link: the PHV parked in in-flight slot `slot`
+    /// (frozen at transmit time) travels from switch `src` to `dest`,
+    /// entering at `port` at the event's time.
     WireDeliver {
-        src: usize,
-        dest: usize,
+        src: u32,
+        dest: u32,
         port: PortId,
-        arrival: Nanos,
-        phv: Phv,
+        slot: u32,
     },
     /// One TCP flow's next packet-send (`gen` guards stale reschedules).
     TcpSend { flow: u32, gen: u64 },
@@ -56,6 +58,43 @@ pub(crate) enum EventKind {
     HbSend { flow: u32, nominal: Nanos },
     /// Drain every due arrival of scale-flow shard `shard` in one batch.
     FlowWake { shard: u32 },
+}
+
+// A wheel entry is this plus its `(at, seq)` key: keep it small, it is
+// what every schedule, cascade and heap sift moves.
+const _: () = assert!(std::mem::size_of::<EventKind>() <= 32);
+
+/// The PHVs of packets on fabric wires, each parked in a slot until its
+/// [`EventKind::WireDeliver`] fires. Freed slots are reused, so the slab
+/// grows to the in-flight high-water mark and then allocates nothing.
+#[derive(Default)]
+struct InFlight {
+    slots: Vec<Option<Phv>>,
+    free: Vec<u32>,
+}
+
+impl InFlight {
+    fn park(&mut self, phv: Phv) -> u32 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 packets in flight")
+        });
+        self.slots[slot as usize] = Some(phv);
+        slot
+    }
+
+    fn take(&mut self, slot: u32) -> Phv {
+        self.free.push(slot);
+        self.slots[slot as usize]
+            .take()
+            .expect("invariant: a wire event's slot holds its packet")
+    }
+
+    /// Packets parked right now.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
 }
 
 /// Counted accounting of the drain, and a model of a shard schedule.
@@ -155,6 +194,8 @@ pub struct Simulator {
     freelists: Vec<Rc<RefCell<PhvPool>>>,
     /// Index into `freelists` of each switch's freelist.
     freelist_of: Vec<usize>,
+    /// Packets on fabric wires.
+    in_flight: InFlight,
     /// Packets that exited the fabric (transmitted out an *unlinked*
     /// port), tagged with the switch that emitted them; kept until taken
     /// by the experiment (capped to avoid unbounded growth when unused).
@@ -271,6 +312,7 @@ impl Simulator {
             ready_at: vec![UNKNOWN; n],
             freelists,
             freelist_of,
+            in_flight: InFlight::default(),
             tx_log: VecDeque::new(),
             tx_log_cap: 1 << 20,
             due_scratch: Vec::new(),
@@ -413,7 +455,7 @@ impl Simulator {
         loop {
             while let Some((at, _seq, kind)) = self.wheel.pop_due(until) {
                 self.clock.advance_to(at);
-                self.dispatch(kind);
+                self.dispatch(at, kind);
                 self.drain();
             }
             self.clock.advance_to(until);
@@ -427,8 +469,8 @@ impl Simulator {
         }
     }
 
-    /// Execute one event.
-    fn dispatch(&mut self, kind: EventKind) {
+    /// Execute one event, scheduled for `at`.
+    fn dispatch(&mut self, at: Nanos, kind: EventKind) {
         match kind {
             EventKind::Closure(f) => {
                 // A closure may inject into any switch.
@@ -439,9 +481,11 @@ impl Simulator {
                 src,
                 dest,
                 port,
-                arrival,
-                phv,
-            } => self.deliver_wire(src, dest, port, arrival, phv),
+                slot,
+            } => {
+                let phv = self.in_flight.take(slot);
+                self.deliver_wire(src as usize, dest as usize, port, at, phv)
+            }
             EventKind::TcpSend { flow, gen } => crate::flows::tcp_send_event(self, flow, gen),
             EventKind::TcpTick { flow, nominal } => {
                 crate::flows::tcp_tick_event(self, flow, nominal)
@@ -555,14 +599,13 @@ impl Simulator {
     ///    pump has no side effects, so skipping is byte-exact.
     /// 2. Every due switch, in index order, is visited under its borrow:
     ///    pumped if a queue head is due (queued packets whose egress/wire
-    ///    time has not arrived make a pump a provable no-op), what it
-    ///    transmitted moved onto the batch with frame lengths, and what the
-    ///    pump recorded flushed from its telemetry buffer into the
-    ///    registry. Then, before the next switch is visited, the index
-    ///    takes its new entry and the batch is routed. So every visit
-    ///    either serves a packet or refreshes a stale entry of the index,
-    ///    and deliveries keep the total `(time, switch_id, seq)` order that
-    ///    is the fabric determinism contract.
+    ///    time has not arrived make a pump a provable no-op), and what it
+    ///    transmitted moved onto the batch with frame lengths. Then, before
+    ///    the next switch is visited, the index takes its new entry and the
+    ///    batch is routed. So every visit either serves a packet or
+    ///    refreshes a stale entry of the index, and deliveries keep the
+    ///    total `(time, switch_id, seq)` order that is the fabric
+    ///    determinism contract.
     fn drain(&mut self) {
         #[cfg(test)]
         if self.reference_drain {
@@ -594,11 +637,8 @@ impl Simulator {
                 let pumped = sw.tm_queued() > 0 && sw.tx_ready();
                 let mut served = 0;
                 if pumped {
-                    served = sw.pump_buffered();
+                    served = sw.pump();
                     sw.drain_transmitted_with_len(&mut batch);
-                    if served > 0 && sw.telemetry().is_enabled() {
-                        sw.flush_telemetry();
-                    }
                 }
                 let ready = ready_entry(&sw);
                 drop(sw);
@@ -641,14 +681,14 @@ impl Simulator {
                     // materialized after the clock moved past `arrival`
                     // (the drain is lazy), and the peer's tx timeline
                     // must not be distorted by that.
+                    let slot = self.in_flight.park(pkt.phv);
                     self.schedule_kind(
                         arrival,
                         EventKind::WireDeliver {
-                            src: i,
-                            dest: peer.switch,
+                            src: i as u32,
+                            dest: peer.switch as u32,
                             port: peer.port,
-                            arrival,
-                            phv: pkt.phv,
+                            slot,
                         },
                     );
                 }
@@ -876,6 +916,42 @@ control ingress { apply(t); }
         }
         // The second hop can only start after the 5 µs wire delay.
         assert!(pkt.time > 5_000, "delivery at {} ns", pkt.time);
+    }
+
+    /// A packet on a wire is parked in the in-flight slab until its
+    /// delivery fires: the slab holds exactly the pending wire events,
+    /// reuses the slots deliveries free instead of growing, and a simulator
+    /// dropped with packets still on its wires takes them along, leaving
+    /// its switches as they were.
+    #[test]
+    fn packets_on_the_wire_are_parked_until_delivered() {
+        let burst = |sim: &mut Simulator, n: u64| {
+            let start = sim.now();
+            for i in 0..n {
+                sim.schedule(start + i * 1_000, move |s| {
+                    let pkt = PacketDesc::new(0).field("ip", "src", u128::from(i));
+                    s.switch_at(0).borrow_mut().inject(&pkt.payload(64));
+                });
+            }
+            sim.run_until(start + 100_000);
+        };
+        let mut sim = mk_pair(1_000_000);
+        burst(&mut sim, 5);
+        assert_eq!(sim.in_flight.len(), 5, "all five on the wire");
+        assert_eq!(sim.pending_events(), sim.in_flight.len());
+        sim.run_until(3_000_000);
+        assert_eq!((sim.in_flight.len(), sim.pending_events()), (0, 0));
+        assert_eq!(sim.take_tx().len(), 5);
+        // A second, smaller burst parks in the freed slots.
+        burst(&mut sim, 3);
+        assert_eq!((sim.in_flight.len(), sim.pending_events()), (3, 3));
+        assert_eq!(sim.in_flight.slots.len(), 5, "the slab did not grow");
+
+        let receiver = sim.switch_at(1).clone();
+        drop(sim);
+        let mut sw = receiver.borrow_mut();
+        assert_eq!((sw.stats.rx, sw.tm_queued()), (5, 0));
+        assert!(sw.inject(&PacketDesc::new(4).field("ip", "src", 9).payload(64)));
     }
 
     /// Switches of one program shape draw from one freelist and a switch of

@@ -128,6 +128,12 @@ pub struct TimingWheel<T> {
     overflow: BinaryHeap<NearEntry<T>>,
     /// Events currently resident in `levels`.
     bucketed: usize,
+    /// The boundary the level ≥ 1 boundary slots were last cascaded at.
+    /// `place` never files an event into such a slot, so they only need
+    /// cascading again once the boundary has moved. `None` until the first
+    /// cascade, so that a boundary pinned at `u64::MAX` is still cascaded
+    /// once.
+    cascaded: Option<Nanos>,
     len: usize,
     /// Spare slot buffer swapped into a slot when it is flushed, so slot
     /// capacity circulates instead of being freed — cascades allocate
@@ -150,6 +156,7 @@ impl<T> TimingWheel<T> {
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
             overflow: BinaryHeap::new(),
             bucketed: 0,
+            cascaded: None,
             len: 0,
             spare: Vec::with_capacity(SLOT_PREALLOC),
         }
@@ -258,8 +265,14 @@ impl<T> TimingWheel<T> {
     /// the `near` head or the per-level scan can be trusted. One pass from
     /// the top level down suffices: cascading level `L` re-places events
     /// strictly after the cursor at every level below `L` (or into `near`),
-    /// never into another boundary slot.
+    /// never into another boundary slot. The same holds for every `place`,
+    /// so once a boundary's slots are cascaded they stay empty until the
+    /// boundary moves.
     fn flush_boundary_slots(&mut self) {
+        if self.cascaded == Some(self.boundary) {
+            return;
+        }
+        self.cascaded = Some(self.boundary);
         for level in (1..LEVELS).rev() {
             let slot = Self::slot_index(self.boundary, level);
             let word = slot / 64;

@@ -70,10 +70,10 @@ enum Alu {
 /// One lowered primitive. `no_op()` lowers to nothing.
 #[derive(Clone, Copy, Debug)]
 enum MicroOp {
-    /// `dst ← v`, a constant already at the destination's width.
+    /// `dst ← bits`, a constant already at the destination's width.
     Store {
         dst: FieldId,
-        v: Value,
+        bits: u128,
     },
     /// `dst ← src`, truncated to the destination.
     Move {
@@ -130,7 +130,7 @@ fn lower_action(spec: &DataPlaneSpec, action: &RAction) -> Vec<MicroOp> {
                 P::ModifyField { dst, src } => match src {
                     ROperand::Const(v) => MicroOp::Store {
                         dst: *dst,
-                        v: v.resize(spec.field_width(*dst)),
+                        bits: v.resize(spec.field_width(*dst)).bits(),
                     },
                     _ => MicroOp::Move {
                         dst: *dst,
@@ -198,7 +198,7 @@ fn run_action(
 ) {
     for op in ops {
         match *op {
-            MicroOp::Store { dst, v } => phv.store(dst, v),
+            MicroOp::Store { dst, bits } => phv.store(dst, bits),
             MicroOp::Move { dst, src } => {
                 let bits = src.bits(data, phv);
                 phv.set_bits(dst, bits);

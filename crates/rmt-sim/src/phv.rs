@@ -3,13 +3,19 @@
 
 use crate::spec::{DataPlaneSpec, FieldId, PortId, INTR};
 use p4_ast::Value;
+use std::rc::Rc;
 
 /// A packet's header vector plus per-packet flags.
+///
+/// Each field is a container of bits masked to the field's width; the
+/// widths live once per program (the spec's PHV image) and every PHV laid
+/// out for it points at them.
 #[derive(Clone, Debug)]
 pub struct Phv {
-    values: Vec<Value>,
+    bits: Box<[u128]>,
+    widths: Rc<[u16]>,
     /// Validity of each header instance (metadata is always valid).
-    valid: Vec<bool>,
+    valid: Box<[bool]>,
     /// Set by the `drop()` primitive.
     pub dropped: bool,
     /// Bytes of payload beyond the parsed headers (used for queueing byte
@@ -17,12 +23,17 @@ pub struct Phv {
     pub payload_len: u32,
 }
 
+// Queued and transmitted packets carry their PHV by value: the layout
+// pointer must not make them bigger than the two buffers it replaced.
+const _: () = assert!(std::mem::size_of::<Phv>() <= 56);
+
 impl Phv {
     /// A fresh PHV with metadata initialized and headers invalid.
     pub fn new(spec: &DataPlaneSpec) -> Self {
         let image = spec.image();
         Phv {
-            values: image.values.clone(),
+            bits: image.bits.clone(),
+            widths: image.widths.clone(),
             valid: image.valid.clone(),
             dropped: false,
             payload_len: 0,
@@ -31,7 +42,8 @@ impl Phv {
 
     #[inline]
     pub fn get(&self, id: FieldId) -> Value {
-        self.values[id.0 as usize]
+        let i = id.0 as usize;
+        Value::new(self.bits[i], self.widths[i])
     }
 
     /// Store `v`, truncating/extending to the container width.
@@ -40,26 +52,27 @@ impl Phv {
         self.set_bits(id, v.bits());
     }
 
-    /// Raw bits of a field (the width lives in the spec).
+    /// Raw bits of a field (the width lives in the layout).
     #[inline]
     pub(crate) fn bits(&self, id: FieldId) -> u128 {
-        self.values[id.0 as usize].bits()
+        self.bits[id.0 as usize]
     }
 
     /// Store `bits` truncated to the container width: the one mask of a
     /// PHV write.
     #[inline]
     pub(crate) fn set_bits(&mut self, id: FieldId, bits: u128) {
-        let slot = &mut self.values[id.0 as usize];
-        *slot = slot.with_bits(bits);
+        let i = id.0 as usize;
+        self.bits[i] = bits & Value::mask_for(self.widths[i]);
     }
 
-    /// Store a value resolved to the container's width ahead of time (a
+    /// Store bits resolved to the container's width ahead of time (a
     /// pre-masked constant, a template field): a plain copy, no mask.
     #[inline]
-    pub(crate) fn store(&mut self, id: FieldId, v: Value) {
-        debug_assert_eq!(v.width(), self.values[id.0 as usize].width());
-        self.values[id.0 as usize] = v;
+    pub(crate) fn store(&mut self, id: FieldId, bits: u128) {
+        let i = id.0 as usize;
+        debug_assert_eq!(bits & Value::mask_for(self.widths[i]), bits);
+        self.bits[i] = bits;
     }
 
     #[inline]
@@ -75,7 +88,7 @@ impl Phv {
     /// Read a field as `u64` (hot-path form of `get(..).as_u64()`).
     #[inline]
     pub fn get_u64(&self, id: FieldId) -> u64 {
-        self.values[id.0 as usize].as_u64()
+        self.bits[id.0 as usize] as u64
     }
 
     /// Write a `u64`, truncating to the container width (the id-resolved
@@ -120,22 +133,27 @@ impl Phv {
             }
             for f in &h.fields {
                 let info = &spec.fields[f.0 as usize];
-                desc = desc.field(&info.instance, &info.field, self.get(*f).bits());
+                desc = desc.field(&info.instance, &info.field, self.bits(*f));
             }
         }
         desc
     }
 
     /// Restore this PHV to the state [`Phv::new`] produces, reusing its
-    /// buffers. The shape must match `spec` — recycling a PHV across specs
-    /// would silently corrupt field layout, so that is a hard invariant.
+    /// buffers. A PHV laid out for another program of the same field and
+    /// header counts (a fabric's switches of one shape share a freelist)
+    /// takes `spec`'s widths; one of another shape is refused — recycling
+    /// it would silently corrupt field layout, so that is a hard invariant.
     #[inline]
     pub fn reset(&mut self, spec: &DataPlaneSpec) {
         let image = spec.image();
-        if self.values.len() != image.values.len() || self.valid.len() != image.valid.len() {
-            self.shape_mismatch(spec);
+        if !Rc::ptr_eq(&self.widths, &image.widths) {
+            if self.bits.len() != image.bits.len() || self.valid.len() != image.valid.len() {
+                self.shape_mismatch(spec);
+            }
+            self.widths = image.widths.clone();
         }
-        self.values.copy_from_slice(&image.values);
+        self.bits.copy_from_slice(&image.bits);
         self.valid.copy_from_slice(&image.valid);
         self.dropped = false;
         self.payload_len = 0;
@@ -146,7 +164,7 @@ impl Phv {
     fn shape_mismatch(&self, spec: &DataPlaneSpec) -> ! {
         panic!(
             "phv-pool/spec-shape: recycled PHV ({}f/{}h) does not match spec ({}f/{}h)",
-            self.values.len(),
+            self.bits.len(),
             self.valid.len(),
             spec.fields.len(),
             spec.headers.len(),
@@ -163,7 +181,7 @@ impl Phv {
     pub fn reset_metadata(&mut self, spec: &DataPlaneSpec) {
         let image = spec.image();
         for &(start, end) in &image.metadata_runs {
-            self.values[start..end].copy_from_slice(&image.values[start..end]);
+            self.bits[start..end].copy_from_slice(&image.bits[start..end]);
         }
         self.dropped = false;
     }
@@ -178,9 +196,10 @@ impl Phv {
         self.set_u64(intr.pkt_len, u64::from(len));
     }
 
-    /// Heap bytes held by this PHV's buffers (arena accounting).
+    /// Heap bytes held by this PHV's buffers (arena accounting; the
+    /// shared layout is the program's, not the packet's).
     pub fn heap_bytes(&self) -> u64 {
-        (self.values.capacity() * std::mem::size_of::<Value>() + self.valid.capacity()) as u64
+        (self.bits.len() * std::mem::size_of::<u128>() + self.valid.len()) as u64
     }
 
     /// Total frame length in bytes: parsed+valid headers plus payload.
@@ -253,7 +272,7 @@ impl PacketDesc {
                 }
                 panic!("unknown field {inst}.{field}");
             };
-            phv.set(id, Value::new(*value, 128));
+            phv.set_bits(id, *value);
             if let Some(h) = spec.header_idx(inst) {
                 phv.set_valid(h, true);
             }
@@ -328,7 +347,7 @@ impl PhvPool {
 /// A [`PacketDesc`] pre-resolved against one spec: `(FieldId, value)`
 /// pairs with every value already truncated to its container's width,
 /// plus the header-validity set. Compiled once per flow at spawn, then
-/// written into pooled PHVs per packet as plain stores — zero name
+/// written into pooled PHVs per packet as plain copies of bits — zero name
 /// lookups, masks or heap allocation.
 #[derive(Clone, Debug)]
 pub struct PacketTemplate {
@@ -384,7 +403,7 @@ impl PacketTemplate {
     pub fn write_into(&self, phv: &mut Phv, spec: &DataPlaneSpec) {
         phv.payload_len = self.payload_len;
         for &(id, value) in &self.fields {
-            phv.store(id, value);
+            phv.store(id, value.bits());
         }
         for h in &self.valid_headers {
             phv.set_valid(*h, true);
@@ -416,7 +435,7 @@ struct HeaderXfer {
     src_header: usize,
     dst_header: usize,
     /// `(src_start, dst_start, len)` runs of consecutive fields declared
-    /// at equal widths on both ends: the values copy over as they are.
+    /// at equal widths on both ends: the bits copy over as they are.
     runs: Vec<(usize, usize, usize)>,
     /// `(src, dst)` pairs whose widths differ: the bits are re-truncated
     /// to the receiver's container.
@@ -505,7 +524,7 @@ impl TransferMap {
                 continue;
             }
             for &(s, d, len) in &hx.runs {
-                dst.values[d..d + len].copy_from_slice(&src.values[s..s + len]);
+                dst.bits[d..d + len].copy_from_slice(&src.bits[s..s + len]);
             }
             for &(s, d) in &hx.resized {
                 dst.set_bits(d, src.bits(s));
@@ -610,10 +629,8 @@ metadata m_t m { x : 5; }
     }
 
     fn phv_eq(a: &Phv, b: &Phv) -> bool {
-        a.values
-            .iter()
-            .map(|v| (v.bits(), v.width()))
-            .eq(b.values.iter().map(|v| (v.bits(), v.width())))
+        a.bits == b.bits
+            && a.widths == b.widths
             && a.valid == b.valid
             && a.dropped == b.dropped
             && a.payload_len == b.payload_len
@@ -640,6 +657,42 @@ metadata m_t m { x : 5; }
                 .unwrap();
         let mut phv = Phv::new(&other);
         phv.reset(&s);
+    }
+
+    /// Two programs of equal field and header counts but different widths
+    /// share a freelist in a fabric, which keys freelists by those counts:
+    /// a PHV recycled from one and taken by the other reads, and masks to,
+    /// the receiver's widths.
+    #[test]
+    fn a_recycled_phv_takes_the_receivers_widths() {
+        let spec = |widths: &str| {
+            let src = format!("header_type h_t {{ fields {{ {widths} }} }} header h_t h;");
+            load(&parse_program(&src).unwrap()).unwrap()
+        };
+        let (narrow, wide) = (spec("a : 8; b : 16;"), spec("a : 32; b : 4;"));
+        let (a, b) = (
+            wide.field_id("h", "a").unwrap(),
+            wide.field_id("h", "b").unwrap(),
+        );
+        assert_eq!(
+            (narrow.field_id("h", "a"), narrow.field_id("h", "b")),
+            (Some(a), Some(b))
+        );
+        let mut pool = PhvPool::new(1);
+        let mut parked = Phv::new(&narrow);
+        parked.set_u64(a, 0xff);
+        pool.put(parked);
+        let mut got = pool.take(&wide);
+        assert!(phv_eq(&got, &Phv::new(&wide)));
+        assert_eq!((got.get(a).width(), got.get(b).width()), (32, 4));
+        got.set_u64(a, 0x1_ff);
+        got.set_u64(b, 0xff);
+        assert_eq!((got.get_u64(a), got.get_u64(b)), (0x1_ff, 0xf));
+        // And back: the narrow program's widths again.
+        pool.put(got);
+        let mut back = pool.take(&narrow);
+        back.set_u64(a, 0x1_ff);
+        assert_eq!((back.get(a).width(), back.get_u64(a)), (8, 0xff));
     }
 
     #[test]

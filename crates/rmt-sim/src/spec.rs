@@ -10,8 +10,10 @@ use p4_ast::{
     ActionDecl, BoolExpr, CmpOp, ControlStmt, FieldOrMbl, FieldRef, HashAlgorithm, MatchKind,
     Operand, ParserNext, Pipeline, PrimitiveCall, Program, Value,
 };
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::{Rc, Weak};
 
 /// Identifier of a PHV field container.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -317,10 +319,13 @@ pub struct DataPlaneSpec {
 /// walks over [`FieldInfo`]s.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PhvImage {
-    /// Every field's init value at its declared width.
-    pub values: Vec<Value>,
+    /// Every field's init bits.
+    pub bits: Box<[u128]>,
+    /// Every field's declared width: the container layout, fixed once per
+    /// program and shared by every PHV laid out for it.
+    pub widths: Rc<[u16]>,
     /// Header validity: metadata instances valid, wire headers not.
-    pub valid: Vec<bool>,
+    pub valid: Box<[bool]>,
     /// `start..end` field-index runs owned by metadata instances
     /// (adjacent instances coalesced).
     pub metadata_runs: Vec<(usize, usize)>,
@@ -341,11 +346,32 @@ impl PhvImage {
             }
         }
         PhvImage {
-            values: fields.iter().map(|f| f.init).collect(),
+            bits: fields.iter().map(|f| f.init.bits()).collect(),
+            widths: layout(fields.iter().map(|f| f.width).collect()),
             valid: headers.iter().map(|h| h.is_metadata).collect(),
             metadata_runs,
         }
     }
+}
+
+/// The one `Rc` this thread holds for a width layout: every spec loaded
+/// from one program points its PHVs at the same layout, so a PHV recycled
+/// between two switches of that program keeps its pointer (the fast path
+/// of [`crate::Phv::reset`]).
+fn layout(widths: Vec<u16>) -> Rc<[u16]> {
+    thread_local! {
+        static LAYOUTS: RefCell<Vec<Weak<[u16]>>> = const { RefCell::new(Vec::new()) };
+    }
+    LAYOUTS.with_borrow_mut(|layouts| {
+        layouts.retain(|l| l.strong_count() > 0);
+        let mut known = layouts.iter().filter_map(Weak::upgrade);
+        if let Some(l) = known.find(|l| **l == widths[..]) {
+            return l;
+        }
+        let l: Rc<[u16]> = widths.into();
+        layouts.push(Rc::downgrade(&l));
+        l
+    })
 }
 
 /// Per-pipeline latency model of the simulated ASIC.

@@ -15,7 +15,7 @@ use crate::spec::{ActionId, DataPlaneSpec, FieldId, PipelineTiming, PortId, Regi
 use crate::table::{EntryHandle, KeyField, Lookup, Table, TableError};
 use mantis_telemetry::{
     scopes::{pipe_metric, switch_metric},
-    CounterId, GaugeId, NameId, Scope, Telemetry, Writer,
+    CounterId, GaugeId, NameId, Scope, Telemetry,
 };
 use p4_ast::{Pipeline, Value};
 use std::cell::RefCell;
@@ -316,11 +316,9 @@ pub struct Switch {
     /// Register automatically updated with per-port queue depth in bytes.
     qdepth_register: Option<RegisterId>,
     pub stats: SwitchStats,
-    /// Where the packet path records: this switch's own buffer, flushed
-    /// into the attached registry at the end of each public call that
-    /// records — or, for [`pump_buffered`](Switch::pump_buffered), whenever
-    /// the caller says ([`flush_telemetry`](Switch::flush_telemetry)).
-    writer: Writer,
+    /// The registry the packet path records into, by the handles in
+    /// `metrics`.
+    telemetry: Arc<Telemetry>,
     metrics: SwitchMetrics,
     /// This switch's index within a multi-switch fabric. `None` (the
     /// default, and always the case for single-switch testbeds) suppresses
@@ -405,7 +403,7 @@ impl Switch {
             transmitted: Vec::new(),
             qdepth_register: None,
             stats: SwitchStats::default(),
-            writer: Writer::new(Telemetry::disabled()),
+            telemetry: Telemetry::disabled(),
             metrics: SwitchMetrics::default(),
             fabric_index: None,
             apply_scratch: Vec::new(),
@@ -450,8 +448,7 @@ impl Switch {
     /// each egress pass is a `Scope::Switch` span on the virtual
     /// timeline.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.writer.flush();
-        self.writer = Writer::new(telemetry);
+        self.telemetry = telemetry;
         self.resolve_metrics();
     }
 
@@ -459,7 +456,7 @@ impl Switch {
     /// attached registry. Registration is invisible to exports, so names
     /// that never fire (idle ports, drops) never appear in a snapshot.
     fn resolve_metrics(&mut self) {
-        let tel = self.writer.telemetry();
+        let tel = &self.telemetry;
         if !tel.is_enabled() {
             self.metrics = SwitchMetrics::default();
             return;
@@ -493,7 +490,7 @@ impl Switch {
     }
 
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        self.writer.telemetry()
+        &self.telemetry
     }
 
     /// Label this switch as member `i` of a multi-switch fabric: its
@@ -590,9 +587,8 @@ impl Switch {
         let in_port = phv.get_u64(intr.ingress_port) as PortId;
         let exec_pipe = self.pipe_of_port(in_port);
         let fate = self.ingress(phv, in_port, at);
-        if self.writer.is_enabled() {
+        if self.telemetry.is_enabled() {
             self.record_inject(exec_pipe, fate);
-            self.writer.flush();
         }
         matches!(fate, Fate::Queued { .. })
     }
@@ -651,7 +647,7 @@ impl Switch {
             Fate::Queued { port, .. } => self.qdepth_gauge(port),
             _ => GaugeId::default(),
         };
-        let rec = &mut self.writer;
+        let rec = &self.telemetry;
         rec.add(self.metrics.rx, 1);
         if let Some(&id) = self.metrics.pipe_rx.get(usize::from(exec_pipe)) {
             rec.add(id, 1);
@@ -737,16 +733,6 @@ impl Switch {
     /// pipe-major order *is* global port order, so this is byte-identical
     /// to the historical single loop over all ports.
     pub fn pump(&mut self) -> u64 {
-        let served = self.pump_buffered();
-        self.writer.flush();
-        served
-    }
-
-    /// [`pump`](Switch::pump), leaving its telemetry records in this
-    /// switch's buffer until [`flush_telemetry`](Switch::flush_telemetry):
-    /// the form for a caller that pumps many switches and owes the registry
-    /// their records in an order of its own (the fabric drain).
-    pub fn pump_buffered(&mut self) -> u64 {
         // A full pump sees every blocked queue head, so the readiness
         // bound can be recomputed exactly (enqueues during the pump —
         // recirculation — lower it again via `enqueue`).
@@ -775,12 +761,6 @@ impl Switch {
     #[inline]
     pub fn tx_ready(&self) -> bool {
         self.clock.now() >= self.next_ready
-    }
-
-    /// Hand the registry what [`pump_buffered`](Switch::pump_buffered)
-    /// recorded.
-    pub fn flush_telemetry(&mut self) {
-        self.writer.flush();
     }
 
     /// Latency from enqueue to the first wire byte (egress pipeline +
@@ -864,7 +844,7 @@ impl Switch {
                 self.stats.tx += 1;
                 true
             };
-            if self.writer.is_enabled() {
+            if self.telemetry.is_enabled() {
                 self.record_served(port, pipe, depth, tx_start, tx_time, transmitted);
             }
             if transmitted {
@@ -897,7 +877,7 @@ impl Switch {
         transmitted: bool,
     ) {
         let gauge = self.qdepth_gauge(port);
-        let rec = &mut self.writer;
+        let rec = &self.telemetry;
         rec.set(gauge, i128::from(depth));
         let name = self.metrics.egress_pass;
         rec.begin(Scope::Switch, name, tx_start);
@@ -975,7 +955,7 @@ impl Switch {
     /// on first use. Call only with telemetry on.
     fn qdepth_gauge(&mut self, port: PortId) -> GaugeId {
         let id = &mut self.metrics.qdepth[usize::from(port)];
-        let tel = self.writer.telemetry();
+        let tel = &self.telemetry;
         if !tel.owns(*id) {
             *id = tel.register_gauge(&format!("tm.q{port}_depth_bytes"));
         }
@@ -1533,9 +1513,9 @@ control ingress { apply(l2); }
         assert_eq!(sw.stats.tx, 1);
     }
 
-    /// The switch records into a buffer of its own: a public `inject` or
-    /// `pump` hands it to the registry on return, `pump_buffered` — the
-    /// fabric drain's form — when `flush_telemetry` says.
+    /// The switch records into the registry as it goes: what an `inject`
+    /// or a `pump` recorded is there when it returns, byte for byte what
+    /// recording the same packets by name would leave.
     #[test]
     fn pump_records_reach_the_registry_on_return_or_on_flush() {
         let tel = Telemetry::shared();
@@ -1547,23 +1527,27 @@ control ingress { apply(l2); }
             sw.inject(&pkt);
         }
         assert_eq!(tel.counter("switch.rx"), 3);
+        assert_eq!(tel.gauge("tm.q3_depth_bytes"), 3 * 114);
         sw.clock().advance(10_000);
-        assert_eq!(sw.pump_buffered(), 3);
-        let held = tel.snapshot();
-        assert_eq!((held.counter("switch.tx"), held.events_buffered), (0, 0));
-        sw.flush_telemetry();
+        assert_eq!(sw.pump(), 3);
         let seen = tel.snapshot();
         assert_eq!((seen.counter("switch.tx"), seen.events_buffered), (3, 6));
-        // Byte for byte what three packets served by the flushing form leave.
+        assert_eq!(seen.gauge("tm.q3_depth_bytes"), 0);
+        // The same records made by name, in packet order.
         let direct = Telemetry::shared();
-        let mut twin = mk();
-        twin.set_telemetry(direct.clone());
-        add_fwd(&mut twin, 0xAA, 3);
-        for _ in 0..3 {
-            twin.inject(&pkt);
+        for depth in [114, 228, 342] {
+            direct.counter_add("switch.rx", 1);
+            direct.gauge_set("tm.q3_depth_bytes", depth);
         }
-        twin.clock().advance(10_000);
-        twin.pump();
+        let (mut at, wire) = (0, sw.wire_time(114));
+        for depth in [228, 114, 0] {
+            let start = at.max(sw.egress_pipe_ns());
+            direct.gauge_set("tm.q3_depth_bytes", depth);
+            direct.span_begin(Scope::Switch, "egress_pass", start);
+            direct.span_end(Scope::Switch, "egress_pass", start + wire);
+            direct.counter_add("switch.tx", 1);
+            at = start + wire;
+        }
         assert_eq!(direct.chrome_trace_json(), tel.chrome_trace_json());
         assert_eq!(direct.snapshot_json(), tel.snapshot_json());
     }

@@ -259,15 +259,29 @@ def main():
     # ceiling where it landed (5 108 → 5 098): a switch shares its freelist
     # by handle and no longer answers for it, so nothing there has a
     # reason to grow a per-switch buffer API back.
+    #
+    # A hop that moves half the bytes (DESIGN.md §6, §14) re-bases five
+    # numbers to where it landed. `mantis-telemetry` 1 165 → 1 001 and
+    # `mantis-agent` 4 807 → 4 750: records land in the registry when they
+    # are made, so `Writer`, its compact records, the wide-value escape and
+    # every flush point went — the switch's, the agent's on each way out,
+    # the plane's. `netsim` 2 438 → 2 487, up: a wire event names its
+    # packet by a slot of the in-flight slab (`InFlight`), and the
+    # wheel remembers where it last cascaded; both pay on `reactive_fabric`
+    # (EXPERIMENTS.md). `rmt-sim` 5 098 → 5 123, up: a PHV holds bits under
+    # a width layout each program fixes once, interned so that every
+    # switch of one program shares it, and `reset` re-points a buffer
+    # recycled from a program of the same counts; the switch lost its
+    # buffered pump. The workspace 34 471 → 34 316.
     ceilings = {
         "bench": 3793,
-        "mantis-agent": 4807,
-        "mantis-telemetry": 1165,
-        "netsim": 2438,
+        "mantis-agent": 4750,
+        "mantis-telemetry": 1001,
+        "netsim": 2487,
         "reaction-interp": 2368,
-        "rmt-sim": 5098,
+        "rmt-sim": 5123,
     }
-    total_ceiling = 34471
+    total_ceiling = 34316
     agent = crates["mantis-agent"]
     broken = []
     for path, n in agent.items():

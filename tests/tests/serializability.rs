@@ -642,8 +642,8 @@ impl mantis::mantis_agent::DriverApi for Probing {
     fn fabric_index(&self) -> Option<u16> {
         self.inner.fabric_index()
     }
-    fn set_telemetry(&mut self, writer: mantis::telemetry::SharedWriter) {
-        self.inner.set_telemetry(writer)
+    fn set_telemetry(&mut self, telemetry: std::sync::Arc<mantis::Telemetry>) {
+        self.inner.set_telemetry(telemetry)
     }
     fn stats(&self) -> mantis::mantis_agent::driver::DriverStats {
         self.inner.stats()

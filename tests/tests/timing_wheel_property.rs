@@ -15,6 +15,8 @@ enum Op {
     /// may land in the past relative to the wheel's boundary — the old
     /// heap accepted those, so the wheel must too).
     Schedule(u64),
+    /// Schedule an event at absolute time `at`.
+    ScheduleAt(u64),
     /// Drain everything due by `now + delta`, advancing `now`.
     Drain(u64),
 }
@@ -36,6 +38,18 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Schedule one event at `at` on both queues.
+fn push(
+    wheel: &mut TimingWheel<u64>,
+    oracle: &mut BinaryHeap<Reverse<(u64, u64)>>,
+    seq: &mut u64,
+    at: u64,
+) {
+    wheel.schedule(at, *seq, *seq);
+    oracle.push(Reverse((at, *seq)));
+    *seq += 1;
+}
+
 /// Apply one op list to both queues and compare every pop.
 fn check(ops: &[Op]) {
     let mut wheel: TimingWheel<u64> = TimingWheel::new();
@@ -44,12 +58,13 @@ fn check(ops: &[Op]) {
     let mut now = 0u64;
     for op in ops {
         match op {
-            Op::Schedule(delta) => {
-                let at = now.saturating_add(*delta);
-                wheel.schedule(at, seq, seq);
-                oracle.push(Reverse((at, seq)));
-                seq += 1;
-            }
+            Op::Schedule(delta) => push(
+                &mut wheel,
+                &mut oracle,
+                &mut seq,
+                now.saturating_add(*delta),
+            ),
+            Op::ScheduleAt(at) => push(&mut wheel, &mut oracle, &mut seq, *at),
             Op::Drain(delta) => {
                 let until = now.saturating_add(*delta);
                 loop {
@@ -175,4 +190,30 @@ fn same_time_ties_break_by_schedule_order() {
             (u64::MAX, 3)
         ]
     );
+}
+
+/// Once a drain to the horizon has pinned the boundary at `u64::MAX`,
+/// events still come out in `(at, seq)` order: ones at the horizon, ones
+/// behind it, and ones scheduled while it stays pinned — the boundary
+/// slots are cascaded once at the pinned boundary and never again.
+#[test]
+fn scheduling_after_the_boundary_saturates_at_the_horizon() {
+    let mut ops = vec![
+        Op::ScheduleAt(u64::MAX),
+        Op::ScheduleAt(u64::MAX - 70),
+        Op::ScheduleAt(1 << 40),
+        Op::Drain(u64::MAX),
+    ];
+    for round in 0..4 {
+        ops.extend([
+            Op::ScheduleAt(u64::MAX),
+            Op::ScheduleAt(u64::MAX - 1 - round),
+            Op::ScheduleAt(1 << (20 + round)),
+            Op::Schedule(0),
+        ]);
+        if round % 2 == 1 {
+            ops.push(Op::Drain(0));
+        }
+    }
+    check(&ops);
 }

@@ -216,10 +216,10 @@ fn steady_state_packet_path_does_not_allocate() {
 fn steady_state_packet_path_does_not_allocate_with_telemetry_on() {
     // A ring the warm-up half overfills several times, and queues two
     // frames deep so that same-tick bursts overflow them.
-    let telemetry = Arc::new(Telemetry::new(TelemetryConfig {
+    let telemetry = Telemetry::shared_with(TelemetryConfig {
         trace_capacity: 4_096,
         enabled: true,
-    }));
+    });
     let config = SwitchConfig {
         queue_capacity_bytes: 1_500,
         ..Default::default()
