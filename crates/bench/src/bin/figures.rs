@@ -6,51 +6,74 @@
 //! ```
 //!
 //! Each figure prints a human-readable rendering and writes its raw series
-//! to `results/<name>.json`.
+//! to `results/<name>.json`. `MANTIS_BENCH_QUICK=1` runs every section at
+//! smoke size; `MANTIS_FUZZ_BUDGET=n` sets how many programs `fuzz`
+//! generates.
 
 use std::fs;
 use std::path::Path;
 
-const KNOWN: &[&str] = &[
-    "all",
-    "fig10a",
-    "fig10b",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "table1",
-    "updates",
-    "memo",
-    "recirc",
-    "ecmp",
-    "rl",
-    "telemetry",
-    "perf",
-    "scale",
-    "faults",
-    "fabric",
-    "control",
-    "chaos",
-    "fuzz",
-];
+/// Every figure name `figures` accepts.
+const KNOWN: &str = "all fig10a fig10b fig11 fig12 fig13 fig14 fig15 fig16 table1 updates memo \
+                     recirc ecmp rl telemetry perf scale faults fabric control chaos fuzz";
+
+/// Upper clamp for `MANTIS_FUZZ_BUDGET`, so a garbage value cannot make
+/// the campaign unbounded.
+const MAX_FUZZ_BUDGET: u64 = 100_000;
+
+/// Parse a count knob: a positive integer clamped to `cap`, or `default`
+/// with a one-line warning on stderr when malformed or zero. Unset
+/// (`None`) is the quiet default.
+fn parse_env_count_u64(name: &str, raw: Option<&str>, default: u64, cap: u64) -> u64 {
+    let Some(raw) = raw else {
+        return default;
+    };
+    match raw.trim().parse::<u64>() {
+        Ok(n) if (1..=cap).contains(&n) => n,
+        Ok(n) if n > cap => {
+            eprintln!("warning: {name}={raw:?} exceeds the {cap} cap; clamping");
+            cap
+        }
+        _ => {
+            eprintln!("warning: {name}={raw:?} is not a positive count; using default {default}");
+            default
+        }
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let unknown: Vec<&String> = args
         .iter()
-        .filter(|a| !KNOWN.contains(&a.as_str()))
+        .filter(|a| !KNOWN.split(' ').any(|k| k == a.as_str()))
         .collect();
     if !unknown.is_empty() {
         eprintln!(
             "error: unknown figure name(s) {:?}; known: {}",
             unknown,
-            KNOWN.join(", ")
+            KNOWN.replace(' ', ", ")
         );
         std::process::exit(2);
     }
+    // The only environment this workspace reads: the smoke size CI runs
+    // every section at, and the fuzz campaign's size. The quick flag is
+    // `0` or `1`; anything else is an error, not a guess.
+    let env = |name: &str| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    let quick = match env("MANTIS_BENCH_QUICK").as_deref() {
+        None | Some("0") => false,
+        Some("1") => true,
+        Some(other) => {
+            eprintln!("error: MANTIS_BENCH_QUICK={other:?} must be 0 or 1");
+            std::process::exit(2);
+        }
+    };
+    let fuzz_budget = parse_env_count_u64(
+        "MANTIS_FUZZ_BUDGET",
+        env("MANTIS_FUZZ_BUDGET").as_deref(),
+        if quick { 60 } else { 500 },
+        MAX_FUZZ_BUDGET,
+    );
+    let size = if quick { "quick" } else { "full" };
     let all = args.is_empty() || args.iter().any(|a| a == "all");
     let want = |name: &str| all || args.iter().any(|a| a == name);
     fs::create_dir_all("results").expect("create results/");
@@ -301,14 +324,10 @@ fn main() {
     }
 
     if want("perf") {
-        let quick = std::env::var("MANTIS_BENCH_QUICK").is_ok_and(|v| v != "0");
         let r = bench::perf::run(quick);
         save("perf", &r);
         merge_bench_perf("data", &r);
-        println!(
-            "== Perf — fast-path wall-clock throughput ({}) ==",
-            if quick { "quick" } else { "full" }
-        );
+        println!("== Perf — fast-path wall-clock throughput ({size}) ==");
         for lb in [&r.exact, &r.lpm, &r.ternary] {
             println!(
                 "    {:<8} {:>5} entries: indexed {:>11.0}/s  linear {:>10.0}/s  speedup {:>6.1}x",
@@ -330,14 +349,10 @@ fn main() {
     }
 
     if want("scale") {
-        let quick = std::env::var("MANTIS_BENCH_QUICK").is_ok_and(|v| v != "0");
         let r = bench::scale::run(quick);
         save("scale", &r);
         merge_bench_perf("scale", &r);
-        println!(
-            "== Scale — internet-scale traffic engine ({}) ==",
-            if quick { "quick" } else { "full" }
-        );
+        println!("== Scale — internet-scale traffic engine ({size}) ==");
         println!(
             "    {}x{} leaf-spine, {} hosts: {} flows, {} packets over {:.1} s virtual",
             r.leaves,
@@ -359,13 +374,9 @@ fn main() {
     }
 
     if want("faults") {
-        let quick = std::env::var("MANTIS_BENCH_QUICK").is_ok_and(|v| v != "0");
         let r = bench::faults::run(quick);
         save("faults", &r);
-        println!(
-            "== Fault tolerance — recovery under injected faults ({}) ==",
-            if quick { "quick" } else { "full" }
-        );
+        println!("== Fault tolerance — recovery under injected faults ({size}) ==");
         println!(
             "    failover reaction time: fault-free {:>6.1} µs   faulted {:>6.1} µs",
             r.fault_free_reaction_ns as f64 / 1000.0,
@@ -383,13 +394,9 @@ fn main() {
     }
 
     if want("fabric") {
-        let quick = std::env::var("MANTIS_BENCH_QUICK").is_ok_and(|v| v != "0");
         let r = bench::fabric::run(quick);
         save("fabric", &r);
-        println!(
-            "== Fabric — failover convergence & goodput vs topology size ({}) ==",
-            if quick { "quick" } else { "full" }
-        );
+        println!("== Fabric — failover convergence & goodput vs topology size ({size}) ==");
         for p in &r.failover {
             println!(
                 "    {}x{} leaf-spine ({} switches): convergence {:>7.1} µs, resume {:>7.1} µs, \
@@ -412,13 +419,9 @@ fn main() {
     }
 
     if want("control") {
-        let quick = std::env::var("MANTIS_BENCH_QUICK").is_ok_and(|v| v != "0");
         let r = bench::control::run(quick);
         save("control", &r);
-        println!(
-            "== Control plane — wire latency, batching, failover ({}) ==",
-            if quick { "quick" } else { "full" }
-        );
+        println!("== Control plane — wire latency, batching, failover ({size}) ==");
         println!(
             "    local baseline: {:>8.1} ns/iteration ({} table mods each)",
             r.local_iteration_ns, r.mods_per_iteration
@@ -452,14 +455,10 @@ fn main() {
     }
 
     if want("chaos") {
-        let quick = std::env::var("MANTIS_BENCH_QUICK").is_ok_and(|v| v != "0");
         let r = bench::chaos::run(quick);
         save("chaos", &r);
         merge_bench_perf("chaos", &r);
-        println!(
-            "== Chaos — seeded fault schedules vs invariant oracles ({}) ==",
-            if quick { "quick" } else { "full" }
-        );
+        println!("== Chaos — seeded fault schedules vs invariant oracles ({size}) ==");
         println!(
             "    {} seeds: {} fabric trials ({} fingerprint-checked), {} mastership trials",
             r.seeds_run, r.fabric_trials, r.fingerprint_checked, r.mastership_trials
@@ -493,13 +492,9 @@ fn main() {
     }
 
     if want("fuzz") {
-        let quick = std::env::var("MANTIS_BENCH_QUICK").is_ok_and(|v| v != "0");
-        let r = bench::fuzz::run(quick);
+        let r = bench::fuzz::run(quick, fuzz_budget);
         save("fuzz", &r);
-        println!(
-            "== Fuzz — differential compiler/interpreter campaign ({}) ==",
-            if quick { "quick" } else { "full" }
-        );
+        println!("== Fuzz — differential compiler/interpreter campaign ({size}) ==");
         println!(
             "    {} programs generated (seeds {}..{}): {} compiled, {} rejected with a diagnostic",
             r.generated,
@@ -556,4 +551,37 @@ fn merge_bench_perf<T: serde::Serialize>(section: &str, value: &T) {
     )
     .expect("write BENCH_perf.json");
     eprintln!("(wrote BENCH_perf.json [{section}])");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wide_env_counts_parse_clamp_and_default() {
+        let name = "MANTIS_FUZZ_BUDGET";
+        // Unset: the quiet default.
+        assert_eq!(parse_env_count_u64(name, None, 500, MAX_FUZZ_BUDGET), 500);
+        // Well-formed values parse, including ones beyond u16.
+        assert_eq!(
+            parse_env_count_u64(name, Some("70000"), 1, MAX_FUZZ_BUDGET),
+            70_000
+        );
+        assert_eq!(
+            parse_env_count_u64(name, Some(" 150 "), 1, MAX_FUZZ_BUDGET),
+            150
+        );
+        // Values above the cap clamp loudly; garbage and zero default.
+        assert_eq!(
+            parse_env_count_u64(name, Some("999999999999"), 1, MAX_FUZZ_BUDGET),
+            MAX_FUZZ_BUDGET
+        );
+        for bad in ["abc", "", "0", "-2", "4.5", "1e5"] {
+            assert_eq!(
+                parse_env_count_u64(name, Some(bad), 7, MAX_FUZZ_BUDGET),
+                7,
+                "{bad:?}"
+            );
+        }
+    }
 }

@@ -156,9 +156,9 @@ control ingress { apply(acl); apply(t); }
 /// Scenario 2: returns `(quarantined_names, quarantine_skips,
 /// healthy_iterations_after_quarantine)`.
 fn quarantine_scenario(iters: usize) -> (Vec<String>, u64, u64) {
-    // In-process driver: fault-figure timings must not drift when the
-    // suite runs under MANTIS_REMOTE=1.
-    let tb = Testbed::from_p4r_local(TWO_REACTIONS_P4R).expect("two-reaction program");
+    // In-process driver: the fault figure times the agent on the switch
+    // CPU, as the paper deploys it.
+    let tb = Testbed::from_p4r(TWO_REACTIONS_P4R).expect("two-reaction program");
     {
         let mut agent = tb.agent.borrow_mut();
         agent.set_breaker_config(BreakerConfig {

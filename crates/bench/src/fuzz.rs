@@ -26,7 +26,7 @@
 use mantis::p4r_compiler::generate::{generate, GenConfig, GenProgram};
 use mantis::p4r_lang::creact::parse_body;
 use mantis::reaction_interp::{CompiledReaction, Interpreter, MockEnv};
-use mantis::{compile_source, parse_env_count_u64, AgentError, CompilerOptions, MantisAgent};
+use mantis::{compile_source, AgentError, CompilerOptions, MantisAgent};
 use mantis::{NativeReaction, ReactionCtx, Testbed};
 use mantis_faults::ddmin;
 use serde::Serialize;
@@ -204,7 +204,7 @@ fn testbed_parity(
     src: &str,
     iface: &mantis::p4r_compiler::iface::ControlInterface,
 ) -> Result<(), String> {
-    let (tb_w, tb_v) = match (Testbed::from_p4r_local(src), Testbed::from_p4r_local(src)) {
+    let (tb_w, tb_v) = match (Testbed::from_p4r(src), Testbed::from_p4r(src)) {
         (Ok(a), Ok(b)) => (a, b),
         // Compiled but not loadable (e.g. resource overflow): nothing to
         // compare — both builds fail identically by construction.
@@ -287,7 +287,7 @@ pub struct Divergence {
 pub struct FuzzReport {
     /// First seed of the campaign (seeds are `base..base + budget`).
     pub seed_base: u64,
-    /// Programs generated (the `MANTIS_FUZZ_BUDGET` knob).
+    /// Programs generated.
     pub budget: u64,
     pub quick: bool,
     pub generated: u64,
@@ -326,16 +326,9 @@ fn write_repro(p: &GenProgram, detail: &str) -> Option<(String, usize)> {
     }
 }
 
-/// Run the fuzz campaign. `quick` (CI) trims the default budget; the
-/// `MANTIS_FUZZ_BUDGET` env var overrides either default (capped).
-pub fn run(quick: bool) -> FuzzReport {
-    let default_budget = if quick { 60 } else { 500 };
-    let budget = parse_env_count_u64(
-        "MANTIS_FUZZ_BUDGET",
-        std::env::var("MANTIS_FUZZ_BUDGET").ok().as_deref(),
-        default_budget,
-        100_000,
-    );
+/// Run the fuzz campaign over `budget` generated programs; `quick` is
+/// recorded in the report.
+pub fn run(quick: bool, budget: u64) -> FuzzReport {
     let seed_base = 0u64;
     let cfg = GenConfig::default();
 

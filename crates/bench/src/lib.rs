@@ -104,10 +104,9 @@ control ingress { apply(acl); apply(t); }
 "#;
 
 fn micro_testbed() -> Testbed {
-    // Pinned to the in-process driver: this testbed feeds the telemetry
-    // timing golden, whose byte-identity must survive `MANTIS_REMOTE=1`
-    // runs of the suite (the remote path is benchmarked in `control`).
-    let tb = Testbed::from_p4r_local(MICRO_P4R).expect("micro program");
+    // The in-process driver: this testbed feeds the telemetry timing
+    // golden (the remote path is benchmarked in `control`).
+    let tb = Testbed::from_p4r(MICRO_P4R).expect("micro program");
     // The paper's Fig. 11/12 loop updates a single malleable each
     // iteration; register the program's reaction to reproduce that.
     tb.agent
@@ -595,7 +594,7 @@ pub struct MemoAblation {
 pub fn memoization_ablation() -> MemoAblation {
     // In-process driver: this ablation times the driver memo itself, not
     // the control channel.
-    let tb = Testbed::from_p4r_local(MICRO_P4R).expect("micro program");
+    let tb = Testbed::from_p4r(MICRO_P4R).expect("micro program");
     let mut agent = tb.agent.borrow_mut();
     let mut entry_commit_us = |n: u128| {
         let t0 = agent.clock().now();

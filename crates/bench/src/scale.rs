@@ -15,9 +15,8 @@
 //! measured at PR 9) is history recorded in EXPERIMENTS.md; that engine
 //! is no longer in the tree to measure against.
 //!
-//! `MANTIS_FLOWS` overrides the flow count (hardened via
-//! [`mantis::flows_from_env`]); `MANTIS_BENCH_QUICK=1` shrinks the block
-//! for CI while keeping every section of the output populated.
+//! Quick mode shrinks the block to 8 000 flows over 0.4 s for CI while
+//! keeping every section of the output populated.
 
 use netsim::{
     scale_totals, spawn_scale_flows, ScaleConfig, ScaleHost, Simulator, Topology, HOST_PORTS,
@@ -227,12 +226,11 @@ fn run_engine(cfg: &ScaleConfig) -> (ScaleRun, ScaleGauges) {
 /// Run the scale benchmark. `quick` trims the block for CI; the full run
 /// reproduces Fig. 14's ~370 K flows over 20 s of virtual time.
 pub fn run(quick: bool) -> ScaleBenchResult {
-    let (default_flows, duration_ns) = if quick {
+    let (flows, duration_ns) = if quick {
         (8_000u64, 400_000_000u64)
     } else {
         (370_000, 20_000_000_000)
     };
-    let flows = mantis::flows_from_env(default_flows);
     let (headline, gauges) = run_engine(&scale_cfg(flows, duration_ns));
     ScaleBenchResult {
         leaves: LEAVES,
@@ -252,7 +250,6 @@ mod tests {
     /// function of its seed.
     #[test]
     fn quick_scale_bench_is_deterministic_and_fast() {
-        std::env::remove_var("MANTIS_FLOWS");
         let r = run(true);
         assert_eq!(r.headline.fingerprint, "c4efc47d5eb8bda3");
         assert_eq!(r.headline.planned_pkts, r.headline.injected_pkts);

@@ -57,7 +57,7 @@ use std::rc::Rc;
 ///
 /// The prologue is *not* run — callers drive it exactly like the local
 /// path (`agent.prologue()`), so construction order matches
-/// `Fabric::with_config`.
+/// `Fabric::with_driver_mode`.
 pub fn remote_agent(
     switch: SharedSwitch,
     compiled: &Compiled,

@@ -104,109 +104,6 @@ impl fmt::Display for TestbedError {
 
 impl std::error::Error for TestbedError {}
 
-/// Upper clamp for `MANTIS_*` count knobs. Far beyond anything the
-/// simulator meaningfully models, but low enough that a fat-fingered CI
-/// matrix entry degrades loudly instead of allocating absurd state.
-pub const MAX_ENV_COUNT: u16 = 64;
-
-/// Parse a `MANTIS_*` count knob: a positive integer clamped to
-/// [`MAX_ENV_COUNT`], or `default` with a one-line warning on stderr when
-/// the value is malformed or zero (a misspelled CI matrix entry should
-/// degrade loudly, not silently). Unset (`None`) is the quiet default.
-pub fn parse_env_count(name: &str, raw: Option<&str>, default: u16) -> u16 {
-    let Some(raw) = raw else {
-        return default;
-    };
-    match raw.trim().parse::<u16>() {
-        Ok(n) if (1..=MAX_ENV_COUNT).contains(&n) => n,
-        Ok(n) if n > MAX_ENV_COUNT => {
-            eprintln!("warning: {name}={raw:?} exceeds the {MAX_ENV_COUNT} cap; clamping");
-            MAX_ENV_COUNT
-        }
-        _ => {
-            eprintln!("warning: {name}={raw:?} is not a positive count; using default {default}");
-            default
-        }
-    }
-}
-
-/// Parse a `MANTIS_*` boolean knob: `1`/`true`/`yes`/`on` and
-/// `0`/`false`/`no`/`off` (case-insensitive, whitespace-tolerant), or
-/// `default` with a warning on anything else. Unset (`None`) is the quiet
-/// default.
-pub fn parse_env_flag(name: &str, raw: Option<&str>, default: bool) -> bool {
-    let Some(raw) = raw else {
-        return default;
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "yes" | "on" => true,
-        "0" | "false" | "no" | "off" => false,
-        _ => {
-            eprintln!("warning: {name}={raw:?} is not a boolean; using default {default}");
-            default
-        }
-    }
-}
-
-/// Number of hardware pipes requested via the `MANTIS_PIPES` environment
-/// variable (tests and CI legs sweep pipe counts this way); 1 when unset,
-/// and 1 with a warning when malformed or zero.
-pub fn pipes_from_env() -> u16 {
-    let raw = std::env::var("MANTIS_PIPES").ok();
-    parse_env_count("MANTIS_PIPES", raw.as_deref(), 1)
-}
-
-/// Number of fabric switches requested via the `MANTIS_SWITCHES`
-/// environment variable — the twin of [`pipes_from_env`] for fabric-aware
-/// tests and CI legs; 1 when unset, and 1 with a warning when malformed
-/// or zero.
-pub fn switches_from_env() -> u16 {
-    let raw = std::env::var("MANTIS_SWITCHES").ok();
-    parse_env_count("MANTIS_SWITCHES", raw.as_deref(), 1)
-}
-
-/// Upper clamp for [`flows_from_env`]: roughly 5× the paper's Fig. 14
-/// block (~370 K flows), so a scaled-up run stays possible while a
-/// garbage value cannot allocate unbounded flow state.
-pub const MAX_ENV_FLOWS: u64 = 2_000_000;
-
-/// Parse a wide `MANTIS_*` count knob (flow counts overflow the `u16`
-/// range [`parse_env_count`] serves): a positive integer clamped to
-/// `cap`, or `default` with a one-line warning on stderr when malformed
-/// or zero. Unset (`None`) is the quiet default.
-pub fn parse_env_count_u64(name: &str, raw: Option<&str>, default: u64, cap: u64) -> u64 {
-    let Some(raw) = raw else {
-        return default;
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(n) if (1..=cap).contains(&n) => n,
-        Ok(n) if n > cap => {
-            eprintln!("warning: {name}={raw:?} exceeds the {cap} cap; clamping");
-            cap
-        }
-        _ => {
-            eprintln!("warning: {name}={raw:?} is not a positive count; using default {default}");
-            default
-        }
-    }
-}
-
-/// Flow count requested via the `MANTIS_FLOWS` environment variable —
-/// used by the scale benchmark (`figures -- scale`) to size its traffic
-/// schedule; `default` when unset, clamped to [`MAX_ENV_FLOWS`].
-pub fn flows_from_env(default: u64) -> u64 {
-    let raw = std::env::var("MANTIS_FLOWS").ok();
-    parse_env_count_u64("MANTIS_FLOWS", raw.as_deref(), default, MAX_ENV_FLOWS)
-}
-
-/// Should testbeds drive their switches through the remote control plane
-/// (`MANTIS_REMOTE=1`)? Routing happens at a zero-RTT default channel so
-/// the whole test suite exercises the wire path without timing drift.
-pub fn remote_from_env() -> bool {
-    let raw = std::env::var("MANTIS_REMOTE").ok();
-    parse_env_flag("MANTIS_REMOTE", raw.as_deref(), false)
-}
-
 /// How a testbed's agents reach their switches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DriverMode {
@@ -218,33 +115,11 @@ pub enum DriverMode {
     Remote(ChannelConfig),
 }
 
-impl DriverMode {
-    /// The mode selected by `MANTIS_REMOTE` (default-config channel when
-    /// set; [`DriverMode::Local`] otherwise).
-    pub fn from_env() -> DriverMode {
-        if remote_from_env() {
-            DriverMode::Remote(ChannelConfig::default())
-        } else {
-            DriverMode::Local
-        }
-    }
-}
-
 impl Testbed {
     /// Compile P4R source, load it into a default-config switch, attach an
-    /// agent (running its prologue), and wrap everything in a simulator.
-    /// Honors `MANTIS_REMOTE=1` (the agent then drives the switch through
-    /// the wire protocol at zero RTT) — use [`Testbed::from_p4r_local`]
-    /// when a test or golden depends on the in-process driver.
+    /// agent (running its prologue) that drives the switch in process, and
+    /// wrap everything in a simulator.
     pub fn from_p4r(src: &str) -> Result<Testbed, TestbedError> {
-        Testbed::with_config(src, SwitchConfig::default(), CostModel::default())
-    }
-
-    /// Like [`Testbed::from_p4r`] but pinned to the in-process driver,
-    /// ignoring `MANTIS_REMOTE`. Timing-golden paths (the telemetry trace
-    /// golden) build through this so their byte-identical contract holds
-    /// under every environment.
-    pub fn from_p4r_local(src: &str) -> Result<Testbed, TestbedError> {
         Testbed::with_config_mode(
             src,
             SwitchConfig::default(),
@@ -253,46 +128,9 @@ impl Testbed {
         )
     }
 
-    /// Like [`Testbed::from_p4r`] but pinned to the remote control plane
-    /// over a channel with `cfg`, ignoring `MANTIS_REMOTE`. The returned
-    /// testbed's [`Testbed::plane`] is `Some`.
-    pub fn from_p4r_remote(src: &str, cfg: ChannelConfig) -> Result<Testbed, TestbedError> {
-        Testbed::with_config_mode(
-            src,
-            SwitchConfig::default(),
-            CostModel::default(),
-            DriverMode::Remote(cfg),
-        )
-    }
-
-    /// Compile and load onto a switch with `num_pipes` hardware pipes
-    /// (other switch and cost settings default). `num_pipes = 1` is
-    /// behaviorally identical to [`Testbed::from_p4r`].
-    pub fn from_p4r_with_pipes(src: &str, num_pipes: u16) -> Result<Testbed, TestbedError> {
-        Testbed::with_config(
-            src,
-            SwitchConfig {
-                num_pipes,
-                ..SwitchConfig::default()
-            },
-            CostModel::default(),
-        )
-    }
-
-    /// Same, with explicit switch/cost configuration. A `Testbed` is the
-    /// 1-node special case of [`Fabric`]: construction delegates to
-    /// [`Fabric::with_config`] on the trivial topology, so the driver mode
-    /// follows `MANTIS_REMOTE` here too.
-    pub fn with_config(
-        src: &str,
-        switch_cfg: SwitchConfig,
-        cost: CostModel,
-    ) -> Result<Testbed, TestbedError> {
-        Testbed::with_config_mode(src, switch_cfg, cost, DriverMode::from_env())
-    }
-
-    /// Full control: explicit switch/cost configuration *and* an explicit
-    /// [`DriverMode`] (no environment sniffing).
+    /// Full control: switch and cost configuration and the [`DriverMode`].
+    /// A `Testbed` is the 1-node special case of [`Fabric`]: construction
+    /// delegates to [`Fabric::with_driver_mode`] on the trivial topology.
     pub fn with_config_mode(
         src: &str,
         switch_cfg: SwitchConfig,
@@ -364,37 +202,26 @@ impl fmt::Debug for Fabric {
 }
 
 impl Fabric {
-    /// Compile one P4R program and run it on every switch of `topo`.
+    /// Compile one P4R program and run it on every switch of `topo`, each
+    /// driven in process by its own agent.
     pub fn from_p4r(src: &str, topo: Topology) -> Result<Fabric, TestbedError> {
         let srcs = vec![src; topo.num_switches()];
-        Fabric::with_config(&srcs, topo, SwitchConfig::default(), CostModel::default())
+        Fabric::with_driver_mode(
+            &srcs,
+            topo,
+            SwitchConfig::default(),
+            CostModel::default(),
+            DriverMode::Local,
+        )
     }
 
-    /// Per-role programs: `srcs[i]` runs on switch `i` (e.g. leaf vs spine
-    /// programs of a Clos fabric). Headers shared by name across programs
-    /// survive inter-switch hops; fields only one program knows do not.
-    pub fn from_p4r_roles(srcs: &[&str], topo: Topology) -> Result<Fabric, TestbedError> {
-        Fabric::with_config(srcs, topo, SwitchConfig::default(), CostModel::default())
-    }
-
-    /// Full control over switch/cost configuration (shared by all
-    /// switches). The driver mode follows `MANTIS_REMOTE`.
-    ///
-    /// # Panics
-    /// Panics when `srcs.len()` does not match the topology.
-    pub fn with_config(
-        srcs: &[&str],
-        topo: Topology,
-        switch_cfg: SwitchConfig,
-        cost: CostModel,
-    ) -> Result<Fabric, TestbedError> {
-        Fabric::with_driver_mode(srcs, topo, switch_cfg, cost, DriverMode::from_env())
-    }
-
-    /// [`Fabric::with_config`] with an explicit [`DriverMode`] instead of
-    /// environment sniffing. Under [`DriverMode::Remote`] each agent talks
-    /// to its switch through a [`RemoteDriver`] over its own channel, and
-    /// the switch-side endpoints are exposed via [`Fabric::planes`].
+    /// Full control: `srcs[i]` runs on switch `i` (e.g. leaf vs spine
+    /// programs of a Clos fabric), under one switch/cost configuration and
+    /// [`DriverMode`]. Headers shared by name across programs survive
+    /// inter-switch hops; fields only one program knows do not. Under
+    /// [`DriverMode::Remote`] each agent talks to its switch through a
+    /// [`RemoteDriver`] over its own channel, and the switch-side endpoints
+    /// are exposed via [`Fabric::planes`].
     ///
     /// # Panics
     /// Panics when `srcs.len()` does not match the topology.
@@ -485,6 +312,13 @@ impl Fabric {
 mod tests {
     use super::*;
 
+    fn modes() -> [DriverMode; 2] {
+        [
+            DriverMode::Local,
+            DriverMode::Remote(ChannelConfig::default()),
+        ]
+    }
+
     #[test]
     fn testbed_compiles_and_reacts() {
         let src = r#"
@@ -496,108 +330,33 @@ table t { actions { touch; } default_action : touch(); }
 reaction r(ing h.a) { ${knob} = h_a + 1; }
 control ingress { apply(t); }
 "#;
-        let mut tb = Testbed::from_p4r(src).unwrap();
-        tb.agent.borrow_mut().register_all_interpreted().unwrap();
-        tb.start_agent(10_000);
-        tb.sim
-            .switch()
-            .borrow_mut()
-            .inject(&rmt_sim::PacketDesc::new(0).field("h", "a", 41).payload(64));
-        tb.sim.run_until(100_000);
-        assert_eq!(tb.agent.borrow().slot("knob"), Some(42));
+        for mode in modes() {
+            let mut tb =
+                Testbed::with_config_mode(src, SwitchConfig::default(), CostModel::default(), mode)
+                    .unwrap();
+            tb.agent.borrow_mut().register_all_interpreted().unwrap();
+            tb.start_agent(10_000);
+            tb.sim
+                .switch()
+                .borrow_mut()
+                .inject(&rmt_sim::PacketDesc::new(0).field("h", "a", 41).payload(64));
+            tb.sim.run_until(100_000);
+            assert_eq!(tb.agent.borrow().slot("knob"), Some(42), "{mode:?}");
+        }
     }
 
     #[test]
     fn bad_source_reports_compile_error() {
-        assert!(matches!(
-            Testbed::from_p4r("this is not p4r"),
-            Err(TestbedError::Compile(_))
-        ));
-    }
-
-    #[test]
-    fn env_counts_default_on_malformed_or_zero() {
-        // Unset: the quiet default.
-        assert_eq!(parse_env_count("MANTIS_PIPES", None, 1), 1);
-        assert_eq!(parse_env_count("MANTIS_SWITCHES", None, 1), 1);
-        // Well-formed values parse (whitespace tolerated).
-        assert_eq!(parse_env_count("MANTIS_PIPES", Some("4"), 1), 4);
-        assert_eq!(parse_env_count("MANTIS_SWITCHES", Some(" 3 "), 1), 3);
-        // Malformed, zero, negative, and overflowing all fall back.
-        for bad in ["abc", "", "0", "-2", "4.5", "1e3", "99999999999"] {
-            assert_eq!(parse_env_count("MANTIS_PIPES", Some(bad), 1), 1, "{bad:?}");
-            assert_eq!(
-                parse_env_count("MANTIS_SWITCHES", Some(bad), 2),
-                2,
-                "{bad:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn wide_env_counts_parse_clamp_and_default() {
-        // Unset: the quiet default.
-        assert_eq!(
-            parse_env_count_u64("MANTIS_FLOWS", None, 370_000, MAX_ENV_FLOWS),
-            370_000
-        );
-        // Well-formed values parse, including ones far beyond u16.
-        assert_eq!(
-            parse_env_count_u64("MANTIS_FLOWS", Some("370000"), 1, MAX_ENV_FLOWS),
-            370_000
-        );
-        assert_eq!(
-            parse_env_count_u64("MANTIS_FLOWS", Some(" 8000 "), 1, MAX_ENV_FLOWS),
-            8_000
-        );
-        // Values above the cap clamp loudly; garbage and zero default.
-        assert_eq!(
-            parse_env_count_u64("MANTIS_FLOWS", Some("999999999999"), 1, MAX_ENV_FLOWS),
-            MAX_ENV_FLOWS
-        );
-        for bad in ["abc", "", "0", "-2", "4.5", "1e5"] {
-            assert_eq!(
-                parse_env_count_u64("MANTIS_FLOWS", Some(bad), 7, MAX_ENV_FLOWS),
-                7,
-                "{bad:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn env_counts_clamp_to_cap() {
-        assert_eq!(
-            parse_env_count("MANTIS_PIPES", Some(&MAX_ENV_COUNT.to_string()), 1),
-            MAX_ENV_COUNT
-        );
-        // In-range u16 values above the cap clamp (overflow still defaults,
-        // covered above).
-        assert_eq!(
-            parse_env_count("MANTIS_PIPES", Some("65"), 1),
-            MAX_ENV_COUNT
-        );
-        assert_eq!(
-            parse_env_count("MANTIS_SWITCHES", Some("65535"), 1),
-            MAX_ENV_COUNT
-        );
-    }
-
-    #[test]
-    fn env_flags_parse_leniently_and_default_on_garbage() {
-        assert!(!parse_env_flag("MANTIS_REMOTE", None, false));
-        assert!(parse_env_flag("MANTIS_REMOTE", None, true));
-        for yes in ["1", "true", "TRUE", " yes ", "On"] {
-            assert!(parse_env_flag("MANTIS_REMOTE", Some(yes), false), "{yes:?}");
-        }
-        for no in ["0", "false", "False", " no ", "OFF"] {
-            assert!(!parse_env_flag("MANTIS_REMOTE", Some(no), true), "{no:?}");
-        }
-        for bad in ["2", "remote", "", "tru e"] {
-            assert!(
-                !parse_env_flag("MANTIS_REMOTE", Some(bad), false),
-                "{bad:?}"
-            );
-            assert!(parse_env_flag("MANTIS_REMOTE", Some(bad), true), "{bad:?}");
+        for mode in modes() {
+            assert!(matches!(
+                Testbed::with_config_mode(
+                    "this is not p4r",
+                    SwitchConfig::default(),
+                    CostModel::default(),
+                    mode,
+                ),
+                Err(TestbedError::Compile(_))
+            ));
         }
     }
 
@@ -612,7 +371,13 @@ table t { actions { touch; } default_action : touch(); }
 reaction r(ing h.a) { ${knob} = h_a + 1; }
 control ingress { apply(t); }
 "#;
-        let mut tb = Testbed::from_p4r_remote(src, ChannelConfig::default()).unwrap();
+        let mut tb = Testbed::with_config_mode(
+            src,
+            SwitchConfig::default(),
+            CostModel::default(),
+            DriverMode::Remote(ChannelConfig::default()),
+        )
+        .unwrap();
         assert!(tb.plane.is_some());
         tb.agent.borrow_mut().register_all_interpreted().unwrap();
         tb.start_agent(10_000);
@@ -626,7 +391,7 @@ control ingress { apply(t); }
         let snap = tb.telemetry_snapshot();
         assert!(snap.contains("control.frames"), "snapshot: {snap}");
         // Local construction exposes no plane.
-        let local = Testbed::from_p4r_local(src).unwrap();
+        let local = Testbed::from_p4r(src).unwrap();
         assert!(local.plane.is_none());
     }
 
@@ -652,30 +417,39 @@ table t { actions { tally; } default_action : tally(); }
 reaction watch(reg seen[0:0]) { ${knob} = seen[0]; }
 control ingress { apply(t); }
 "#;
-        let topo = Topology::new(2).link(Endpoint::new(0, 4), Endpoint::new(1, 4));
-        let mut fab = Fabric::from_p4r_roles(&[fwd, count], topo).unwrap();
-        for agent in &fab.agents {
-            agent.borrow_mut().register_all_interpreted().unwrap();
+        for mode in modes() {
+            let topo = Topology::new(2).link(Endpoint::new(0, 4), Endpoint::new(1, 4));
+            let mut fab = Fabric::with_driver_mode(
+                &[fwd, count],
+                topo,
+                SwitchConfig::default(),
+                CostModel::default(),
+                mode,
+            )
+            .unwrap();
+            for agent in &fab.agents {
+                agent.borrow_mut().register_all_interpreted().unwrap();
+            }
+            fab.start_agents(50_000);
+            for i in 0..5u64 {
+                fab.sim.schedule(i * 10_000, move |s| {
+                    s.switch_at(0)
+                        .borrow_mut()
+                        .inject(&rmt_sim::PacketDesc::new(0).field("h", "a", 7).payload(64));
+                });
+            }
+            fab.sim.run_until(1_000_000);
+            // All five packets crossed the link and were counted on switch 1,
+            // and switch 1's *own agent* observed them.
+            assert_eq!(fab.agents[1].borrow().slot("knob"), Some(5), "{mode:?}");
+            // Fabric-scoped telemetry appears for both switches.
+            let snap = fab.telemetry_snapshot();
+            assert!(snap.contains("sw0.switch.tx"), "snapshot: {snap}");
+            assert!(snap.contains("sw1.switch.rx"), "snapshot: {snap}");
+            // Both agents feed one registry; each one's stats are its own.
+            let iterations = |i: usize| fab.agents[i].borrow().stats().iterations;
+            assert_eq!((iterations(0), iterations(1)), (21, 20));
+            assert_eq!(fab.telemetry.counter("agent.iterations"), 41);
         }
-        fab.start_agents(50_000);
-        for i in 0..5u64 {
-            fab.sim.schedule(i * 10_000, move |s| {
-                s.switch_at(0)
-                    .borrow_mut()
-                    .inject(&rmt_sim::PacketDesc::new(0).field("h", "a", 7).payload(64));
-            });
-        }
-        fab.sim.run_until(1_000_000);
-        // All five packets crossed the link and were counted on switch 1,
-        // and switch 1's *own agent* observed them.
-        assert_eq!(fab.agents[1].borrow().slot("knob"), Some(5));
-        // Fabric-scoped telemetry appears for both switches.
-        let snap = fab.telemetry_snapshot();
-        assert!(snap.contains("sw0.switch.tx"), "snapshot: {snap}");
-        assert!(snap.contains("sw1.switch.rx"), "snapshot: {snap}");
-        // Both agents feed one registry; each one's stats are its own.
-        let iterations = |i: usize| fab.agents[i].borrow().stats().iterations;
-        assert_eq!((iterations(0), iterations(1)), (21, 20));
-        assert_eq!(fab.telemetry.counter("agent.iterations"), 41);
     }
 }

@@ -5,17 +5,19 @@
 //! and converge to the exact configuration a never-crashed run reaches.
 //!
 //! All tests run on 2-pipe switches so the torn-apply surface (a crash
-//! between pipe 0's and pipe 1's commit) is live.
+//! between pipe 0's and pipe 1's commit) is live, and every testbed runs
+//! once per driver mode: in process, and over the wire at zero RTT.
 
 use std::rc::Rc;
 
+use integration_tests::{driver_modes, testbed};
 use mantis::p4_ast::Value;
 use mantis::p4r_compiler::entry::LogicalKey;
 use mantis::rmt_sim::PacketDesc;
 use mantis::{
     compile_source, ChannelConfig, Clock, CompilerOptions, ControlPlane, Controller,
-    ControllerConfig, CostModel, FaultOp, FaultPlan, FaultWindow, MantisAgent, SharedSwitch,
-    Switch, SwitchConfig, Testbed,
+    ControllerConfig, CostModel, DriverMode, FaultOp, FaultPlan, FaultWindow, MantisAgent,
+    SharedSwitch, Switch, SwitchConfig, Testbed,
 };
 
 const PROG: &str = r#"
@@ -56,8 +58,8 @@ fn install_entries(tb: &Testbed) {
         .expect("install acl entries");
 }
 
-fn build() -> Testbed {
-    let tb = Testbed::from_p4r_with_pipes(PROG, 2).expect("program compiles");
+fn build(mode: DriverMode) -> Testbed {
+    let tb = testbed(PROG, 2, mode).expect("program compiles");
     tb.agent
         .borrow_mut()
         .register_all_interpreted()
@@ -140,24 +142,26 @@ fn assert_recovered(tb: &Testbed, baseline_fp: u64, ctx: &str) {
 /// commits, flush): each run must converge to the fault-free fingerprint.
 #[test]
 fn crash_at_every_dialogue_phase_recovers_to_fault_free_state() {
-    let baseline = build();
-    assert!(!drive(&baseline, 10));
-    let base_fp = entry_fp(&baseline);
+    for mode in driver_modes() {
+        let baseline = build(mode);
+        assert!(!drive(&baseline, 10));
+        let base_fp = entry_fp(&baseline);
 
-    let mut fired = 0;
-    for at_op in (1..=50).step_by(2) {
-        let tb = build();
-        tb.agent
-            .borrow_mut()
-            .set_fault_plan(FaultPlan::default().crash_at_op(at_op));
-        if drive(&tb, 10) {
-            fired += 1;
+        let mut fired = 0;
+        for at_op in (1..=50).step_by(2) {
+            let tb = build(mode);
+            tb.agent
+                .borrow_mut()
+                .set_fault_plan(FaultPlan::default().crash_at_op(at_op));
+            if drive(&tb, 10) {
+                fired += 1;
+            }
+            assert_recovered(&tb, base_fp, &format!("crash at op {at_op}, {mode:?}"));
         }
-        assert_recovered(&tb, base_fp, &format!("crash at op {at_op}"));
+        // Every op index inside ten iterations' worth of driver traffic
+        // must actually have killed the agent once.
+        assert_eq!(fired, 25, "{mode:?}: some crash points never fired");
     }
-    // Every op index inside ten iterations' worth of driver traffic
-    // must actually have killed the agent once.
-    assert_eq!(fired, 25, "some crash points never fired");
 }
 
 /// A crash can land between pipe 0's and pipe 1's commit, leaving the
@@ -165,48 +169,50 @@ fn crash_at_every_dialogue_phase_recovers_to_fault_free_state() {
 /// pipe *forward* (pipe 0 always carries the newest state).
 #[test]
 fn torn_apply_is_observed_and_rolled_forward() {
-    let mut torn_seen = 0;
-    for at_op in 1..=40 {
-        let tb = build();
-        tb.agent
-            .borrow_mut()
-            .set_fault_plan(FaultPlan::default().crash_at_op(at_op));
-        let mut k = 0u64;
-        let crash = loop {
-            k += 1;
-            if k > 60 {
-                break false;
+    for mode in driver_modes() {
+        let mut torn_seen = 0;
+        for at_op in 1..=40 {
+            let tb = build(mode);
+            tb.agent
+                .borrow_mut()
+                .set_fault_plan(FaultPlan::default().crash_at_op(at_op));
+            let mut k = 0u64;
+            let crash = loop {
+                k += 1;
+                if k > 60 {
+                    break false;
+                }
+                inject(&tb, k);
+                match tb.agent.borrow_mut().dialogue_iteration() {
+                    Ok(_) => {}
+                    Err(e) if e.is_crash() => break true,
+                    Err(e) => panic!("non-crash failure: {e}"),
+                }
+            };
+            assert!(crash, "crash at op {at_op} never fired, {mode:?}");
+            // Device-side probe before recovery: is the config torn?
+            let torn = tb.agent.borrow_mut().verify_config_atomicity().is_err();
+            if torn {
+                torn_seen += 1;
             }
-            inject(&tb, k);
-            match tb.agent.borrow_mut().dialogue_iteration() {
-                Ok(_) => {}
-                Err(e) if e.is_crash() => break true,
-                Err(e) => panic!("non-crash failure: {e}"),
-            }
-        };
-        assert!(crash, "crash at op {at_op} never fired");
-        // Device-side probe before recovery: is the config torn?
-        let torn = tb.agent.borrow_mut().verify_config_atomicity().is_err();
-        if torn {
-            torn_seen += 1;
+            let mut agent = tb.agent.borrow_mut();
+            agent.set_fault_plan(FaultPlan::default());
+            agent.reconcile().expect("reconcile repairs the tear");
+            agent
+                .verify_config_atomicity()
+                .unwrap_or_else(|d| panic!("crash at op {at_op}: tear survived reconcile: {d}"));
+            let vv = agent.vv();
+            assert!(
+                agent.vv_per_pipe().iter().all(|&v| v == vv),
+                "crash at op {at_op}: vv not uniform after reconcile"
+            );
         }
-        let mut agent = tb.agent.borrow_mut();
-        agent.set_fault_plan(FaultPlan::default());
-        agent.reconcile().expect("reconcile repairs the tear");
-        agent
-            .verify_config_atomicity()
-            .unwrap_or_else(|d| panic!("crash at op {at_op}: tear survived reconcile: {d}"));
-        let vv = agent.vv();
+        // The sweep crosses the inter-pipe commit gap at least once.
         assert!(
-            agent.vv_per_pipe().iter().all(|&v| v == vv),
-            "crash at op {at_op}: vv not uniform after reconcile"
+            torn_seen >= 1,
+            "{mode:?}: no crash point ever produced an observable torn apply"
         );
     }
-    // The sweep crosses the inter-pipe commit gap at least once.
-    assert!(
-        torn_seen >= 1,
-        "no crash point ever produced an observable torn apply"
-    );
 }
 
 /// A restarted process is a *fresh* agent attaching to a live switch: no
@@ -215,89 +221,94 @@ fn torn_apply_is_observed_and_rolled_forward() {
 /// dead agent's exact configuration — then keep the dialogue going.
 #[test]
 fn fresh_agent_reconciles_onto_live_switch() {
-    let tb = build();
-    assert!(!drive(&tb, 5));
-    let (fp, vv, knob) = {
-        let a = tb.agent.borrow();
-        (a.entry_fingerprint(), a.vv(), a.slot("knob"))
-    };
+    for mode in driver_modes() {
+        let tb = build(mode);
+        assert!(!drive(&tb, 5));
+        let (fp, vv, knob) = {
+            let a = tb.agent.borrow();
+            (a.entry_fingerprint(), a.vv(), a.slot("knob"))
+        };
 
-    // The old process dies; a new one attaches to the same switch.
-    let mut fresh = MantisAgent::new(tb.sim.switch().clone(), &tb.compiled, CostModel::default());
-    fresh.reconcile().expect("fresh reconcile");
-    assert_eq!(fresh.vv(), vv, "device version vector not adopted");
-    assert_eq!(fresh.slot("knob"), knob, "committed slot not adopted");
+        // The old process dies; a new one attaches to the same switch.
+        let mut fresh =
+            MantisAgent::new(tb.sim.switch().clone(), &tb.compiled, CostModel::default());
+        fresh.reconcile().expect("fresh reconcile");
+        assert_eq!(fresh.vv(), vv, "device version vector not adopted");
+        assert_eq!(fresh.slot("knob"), knob, "committed slot not adopted");
 
-    fresh
-        .register_all_interpreted()
-        .expect("reactions re-register");
-    fresh
-        .user_init(|ctx| {
-            for i in 0..4u128 {
-                ctx.table_add(
-                    "acl",
-                    vec![LogicalKey::Exact(Value::new(i, 32))],
-                    0,
-                    "fwd",
-                    vec![Value::new(i % 3 + 1, 9)],
-                )?;
-            }
-            Ok(())
-        })
-        .expect("durable init re-runs");
-    assert_eq!(fresh.entry_fingerprint(), fp, "config not re-reached");
+        fresh
+            .register_all_interpreted()
+            .expect("reactions re-register");
+        fresh
+            .user_init(|ctx| {
+                for i in 0..4u128 {
+                    ctx.table_add(
+                        "acl",
+                        vec![LogicalKey::Exact(Value::new(i, 32))],
+                        0,
+                        "fwd",
+                        vec![Value::new(i % 3 + 1, 9)],
+                    )?;
+                }
+                Ok(())
+            })
+            .expect("durable init re-runs");
+        assert_eq!(fresh.entry_fingerprint(), fp, "config not re-reached");
 
-    // The dialogue continues from the adopted state.
-    inject(&tb, 99);
-    fresh.dialogue_iteration().expect("dialogue resumes");
-    fresh
-        .verify_config_atomicity()
-        .expect("atomic after resumed dialogue");
+        // The dialogue continues from the adopted state.
+        inject(&tb, 99);
+        fresh.dialogue_iteration().expect("dialogue resumes");
+        fresh
+            .verify_config_atomicity()
+            .expect("atomic after resumed dialogue");
+    }
 }
 
 /// Repeated crashes — every restart is itself killed a few ops in — must
 /// still end in a converged, atomic configuration once the faults stop.
 #[test]
 fn repeated_crash_restart_cycles_converge() {
-    let baseline = build();
-    assert!(!drive(&baseline, 8));
-    let base_fp = entry_fp(&baseline);
+    for mode in driver_modes() {
+        let baseline = build(mode);
+        assert!(!drive(&baseline, 8));
+        let base_fp = entry_fp(&baseline);
 
-    let tb = build();
-    let mut crashes = 0;
-    let mut k = 0u64;
-    let mut done = 0;
-    // Arm a fresh crash a few ops ahead after every restart, five times.
-    tb.agent
-        .borrow_mut()
-        .set_fault_plan(FaultPlan::default().crash_at_op(7));
-    while done < 8 {
-        k += 1;
-        inject(&tb, k);
-        let r = tb.agent.borrow_mut().dialogue_iteration();
-        match r {
-            Ok(_) => done += 1,
-            Err(e) if e.is_crash() => {
-                crashes += 1;
-                restart(&tb);
-                // Arm the next kill only after recovery finishes: ops are
-                // counted (not injected) while faults are suspended, so a
-                // window set before `reconcile` would be consumed silently.
-                if crashes < 5 {
-                    tb.agent
-                        .borrow_mut()
-                        .set_fault_plan(FaultPlan::default().crash_at_op(5 + crashes));
+        let tb = build(mode);
+        let mut crashes = 0;
+        let mut k = 0u64;
+        let mut done = 0;
+        // Arm a fresh crash a few ops ahead after every restart, five times.
+        tb.agent
+            .borrow_mut()
+            .set_fault_plan(FaultPlan::default().crash_at_op(7));
+        while done < 8 {
+            k += 1;
+            inject(&tb, k);
+            let r = tb.agent.borrow_mut().dialogue_iteration();
+            match r {
+                Ok(_) => done += 1,
+                Err(e) if e.is_crash() => {
+                    crashes += 1;
+                    restart(&tb);
+                    // Arm the next kill only after recovery finishes: ops are
+                    // counted (not injected) while faults are suspended, so a
+                    // window set before `reconcile` would be consumed silently.
+                    if crashes < 5 {
+                        tb.agent
+                            .borrow_mut()
+                            .set_fault_plan(FaultPlan::default().crash_at_op(5 + crashes));
+                    }
                 }
+                Err(e) => panic!("non-crash failure: {e}"),
             }
-            Err(e) => panic!("non-crash failure: {e}"),
+            assert!(
+                k < 200,
+                "never converged: {crashes} crashes, {done} iterations"
+            );
         }
-        assert!(
-            k < 200,
-            "never converged: {crashes} crashes, {done} iterations"
-        );
+        assert!(crashes >= 5, "only {crashes} crashes fired");
+        assert_recovered(&tb, base_fp, "after repeated crash cycles");
     }
-    assert!(crashes >= 5, "only {crashes} crashes fired");
-    assert_recovered(&tb, base_fp, "after repeated crash cycles");
 }
 
 /// The failover race: while the primary is partitioned away, the standby
@@ -483,58 +494,60 @@ fn repeated_reconciles_keep_one_prologue_entry_per_selector() {
     use mantis::apps::programs::ECMP_P4R;
     use mantis::p4_ast::Pipeline;
 
-    let tb = Testbed::from_p4r_with_pipes(ECMP_P4R, 2).expect("ecmp compiles");
-    let selectors = tb.compiled.iface.prologue_entries.clone();
-    assert_eq!(selectors.len(), 4, "two load tables of two selectors");
-    for round in 1..=3 {
-        let mut agent = tb.agent.borrow_mut();
-        agent
-            .reconcile()
-            .unwrap_or_else(|e| panic!("reconcile #{round}: {e}"));
-        agent
-            .register_all_interpreted()
-            .expect("reactions re-register");
-        agent
-            .dialogue_iteration()
-            .unwrap_or_else(|e| panic!("iteration after reconcile #{round}: {e}"));
-    }
-    {
-        let sw = tb.sim.switch().borrow();
-        for table in ["p4r_load_hash_a_", "p4r_load_hash_b_"] {
-            let want = selectors.iter().filter(|pe| pe.table == table).count();
-            let id = sw.table_id(table).expect("load table");
-            assert_eq!(sw.table_len(id), want, "entries in `{table}`");
+    for mode in driver_modes() {
+        let tb = testbed(ECMP_P4R, 2, mode).expect("ecmp compiles");
+        let selectors = tb.compiled.iface.prologue_entries.clone();
+        assert_eq!(selectors.len(), 4, "two load tables of two selectors");
+        for round in 1..=3 {
+            let mut agent = tb.agent.borrow_mut();
+            agent
+                .reconcile()
+                .unwrap_or_else(|e| panic!("reconcile #{round}: {e}"));
+            agent
+                .register_all_interpreted()
+                .expect("reactions re-register");
+            agent
+                .dialogue_iteration()
+                .unwrap_or_else(|e| panic!("iteration after reconcile #{round}: {e}"));
         }
-    }
+        {
+            let sw = tb.sim.switch().borrow();
+            for table in ["p4r_load_hash_a_", "p4r_load_hash_b_"] {
+                let want = selectors.iter().filter(|pe| pe.table == table).count();
+                let id = sw.table_id(table).expect("load table");
+                assert_eq!(sw.table_len(id), want, "entries in `{table}`");
+            }
+        }
 
-    // Which ports do packets differing only in `vary` hash to?
-    let ports_varying = |vary: &str| {
-        let mut sw = tb.sim.switch().borrow_mut();
-        let mut ports = std::collections::BTreeSet::new();
-        for i in 0..32u128 {
-            let field = |name: &str| if name == vary { 1_000 + i * 7_919 } else { 7 };
-            let phv = PacketDesc::new(0)
-                .field("ethernet", "ether_type", 0x0800)
-                .field("ipv4", "src_addr", field("src_addr"))
-                .field("ipv4", "dst_addr", 9)
-                .field("ipv4", "protocol", 17)
-                .field("l4", "sport", field("sport"))
-                .field("l4", "dport", 11)
-                .build(sw.spec());
-            let out = sw.run_pipeline(phv, Pipeline::Ingress);
-            ports.insert(out.egress_spec(sw.spec()));
-        }
-        ports
-    };
-    // `hash_a` starts on ipv4.src_addr: the source address spreads
-    // packets, the source port does not.
-    assert!(ports_varying("src_addr").len() > 1);
-    assert_eq!(ports_varying("sport").len(), 1);
-    tb.agent
-        .borrow_mut()
-        .user_init(|ctx| ctx.shift_field("hash_a", 1))
-        .expect("shift commits");
-    // Shifted to l4.sport: now it is the other way round.
-    assert_eq!(ports_varying("src_addr").len(), 1);
-    assert!(ports_varying("sport").len() > 1);
+        // Which ports do packets differing only in `vary` hash to?
+        let ports_varying = |vary: &str| {
+            let mut sw = tb.sim.switch().borrow_mut();
+            let mut ports = std::collections::BTreeSet::new();
+            for i in 0..32u128 {
+                let field = |name: &str| if name == vary { 1_000 + i * 7_919 } else { 7 };
+                let phv = PacketDesc::new(0)
+                    .field("ethernet", "ether_type", 0x0800)
+                    .field("ipv4", "src_addr", field("src_addr"))
+                    .field("ipv4", "dst_addr", 9)
+                    .field("ipv4", "protocol", 17)
+                    .field("l4", "sport", field("sport"))
+                    .field("l4", "dport", 11)
+                    .build(sw.spec());
+                let out = sw.run_pipeline(phv, Pipeline::Ingress);
+                ports.insert(out.egress_spec(sw.spec()));
+            }
+            ports
+        };
+        // `hash_a` starts on ipv4.src_addr: the source address spreads
+        // packets, the source port does not.
+        assert!(ports_varying("src_addr").len() > 1);
+        assert_eq!(ports_varying("sport").len(), 1);
+        tb.agent
+            .borrow_mut()
+            .user_init(|ctx| ctx.shift_field("hash_a", 1))
+            .expect("shift commits");
+        // Shifted to l4.sport: now it is the other way round.
+        assert_eq!(ports_varying("src_addr").len(), 1);
+        assert!(ports_varying("sport").len() > 1);
+    }
 }

@@ -1,11 +1,12 @@
 //! End-to-end flows spanning every crate: P4R source → compiler → switch
-//! simulator → agent → network simulator.
+//! simulator → agent → network simulator. Every testbed runs once per
+//! driver mode: in process, and over the wire at zero RTT.
 
+use integration_tests::{driver_modes, testbed};
 use mantis::apps::programs::{DOS_P4R, ECMP_P4R, FAILOVER_P4R, RL_P4R};
 use mantis::p4_ast;
 use mantis::p4r_compiler::{compile_source, CompilerOptions};
 use mantis::rmt_sim::PacketDesc;
-use mantis::Testbed;
 
 const ALL_PROGRAMS: [(&str, &str); 4] = [
     ("dos", DOS_P4R),
@@ -16,18 +17,20 @@ const ALL_PROGRAMS: [(&str, &str); 4] = [
 
 #[test]
 fn every_use_case_program_builds_a_testbed() {
-    for (name, src) in ALL_PROGRAMS {
-        let tb = Testbed::from_p4r(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        // Every program has at least one reaction registered and runnable
-        // through the interpreter.
-        tb.agent
-            .borrow_mut()
-            .register_all_interpreted()
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        tb.agent
-            .borrow_mut()
-            .dialogue_iteration()
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+    for mode in driver_modes() {
+        for (name, src) in ALL_PROGRAMS {
+            let tb = testbed(src, 1, mode).unwrap_or_else(|e| panic!("{name} {mode:?}: {e}"));
+            // Every program has at least one reaction registered and runnable
+            // through the interpreter.
+            tb.agent
+                .borrow_mut()
+                .register_all_interpreted()
+                .unwrap_or_else(|e| panic!("{name} {mode:?}: {e}"));
+            tb.agent
+                .borrow_mut()
+                .dialogue_iteration()
+                .unwrap_or_else(|e| panic!("{name} {mode:?}: {e}"));
+        }
     }
 }
 
@@ -104,14 +107,16 @@ reaction tune(ing h.a) {
 }
 control ingress { apply(t); }
 "#;
-    let tb = Testbed::from_p4r(src).unwrap();
-    tb.agent.borrow_mut().register_all_interpreted().unwrap();
-    tb.sim
-        .switch()
-        .borrow_mut()
-        .inject(&PacketDesc::new(0).field("h", "a", 200).payload(64));
-    tb.agent.borrow_mut().dialogue_iteration().unwrap();
-    assert_eq!(tb.agent.borrow().slot("boost"), Some(1));
+    for mode in driver_modes() {
+        let tb = testbed(src, 1, mode).unwrap();
+        tb.agent.borrow_mut().register_all_interpreted().unwrap();
+        tb.sim
+            .switch()
+            .borrow_mut()
+            .inject(&PacketDesc::new(0).field("h", "a", 200).payload(64));
+        tb.agent.borrow_mut().dialogue_iteration().unwrap();
+        assert_eq!(tb.agent.borrow().slot("boost"), Some(1));
+    }
 }
 
 #[test]
@@ -127,20 +132,22 @@ table t { actions { noop; } default_action : noop(); }
 reaction r(ing h.a) { ${knob} = 1; }
 control ingress { apply(t); }
 "#;
-    let tb = Testbed::from_p4r(src).unwrap();
-    tb.agent.borrow_mut().register_all_interpreted().unwrap();
-    tb.agent.borrow_mut().dialogue_iteration().unwrap();
-    assert_eq!(tb.agent.borrow().slot("knob"), Some(1));
+    for mode in driver_modes() {
+        let tb = testbed(src, 1, mode).unwrap();
+        tb.agent.borrow_mut().register_all_interpreted().unwrap();
+        tb.agent.borrow_mut().dialogue_iteration().unwrap();
+        assert_eq!(tb.agent.borrow().slot("knob"), Some(1));
 
-    tb.agent
-        .borrow_mut()
-        .swap_reaction(
-            "r",
-            Box::new(|ctx: &mut mantis::ReactionCtx<'_>| ctx.set_mbl("knob", 42)),
-        )
-        .unwrap();
-    tb.agent.borrow_mut().dialogue_iteration().unwrap();
-    assert_eq!(tb.agent.borrow().slot("knob"), Some(42));
+        tb.agent
+            .borrow_mut()
+            .swap_reaction(
+                "r",
+                Box::new(|ctx: &mut mantis::ReactionCtx<'_>| ctx.set_mbl("knob", 42)),
+            )
+            .unwrap();
+        tb.agent.borrow_mut().dialogue_iteration().unwrap();
+        assert_eq!(tb.agent.borrow().slot("knob"), Some(42));
+    }
 }
 
 #[test]
@@ -156,16 +163,18 @@ reaction first(ing h.a) { ${x} = ${x} + 1; }
 reaction second(ing h.a) { ${y} = ${x} * 10; }
 control ingress { apply(t); }
 "#;
-    let tb = Testbed::from_p4r(src).unwrap();
-    tb.agent.borrow_mut().register_all_interpreted().unwrap();
-    tb.agent.borrow_mut().dialogue_iteration().unwrap();
-    // `second` sees `first`'s staged write within the same dialogue (the
-    // paper: reactions run sequentially; reads return the last written
-    // value).
-    assert_eq!(tb.agent.borrow().slot("x"), Some(1));
-    assert_eq!(tb.agent.borrow().slot("y"), Some(10));
-    tb.agent.borrow_mut().dialogue_iteration().unwrap();
-    assert_eq!(tb.agent.borrow().slot("y"), Some(20));
+    for mode in driver_modes() {
+        let tb = testbed(src, 1, mode).unwrap();
+        tb.agent.borrow_mut().register_all_interpreted().unwrap();
+        tb.agent.borrow_mut().dialogue_iteration().unwrap();
+        // `second` sees `first`'s staged write within the same dialogue (the
+        // paper: reactions run sequentially; reads return the last written
+        // value).
+        assert_eq!(tb.agent.borrow().slot("x"), Some(1));
+        assert_eq!(tb.agent.borrow().slot("y"), Some(10));
+        tb.agent.borrow_mut().dialogue_iteration().unwrap();
+        assert_eq!(tb.agent.borrow().slot("y"), Some(20));
+    }
 }
 
 #[test]
@@ -183,21 +192,23 @@ reaction watch(ing ip.src mask 0xffffff00) {
 }
 control ingress { apply(t); }
 "#;
-    let tb = Testbed::from_p4r(src).unwrap();
-    tb.agent.borrow_mut().register_all_interpreted().unwrap();
-    tb.sim.switch().borrow_mut().inject(
-        &PacketDesc::new(0)
-            .field("ip", "src", 0x0a0b0c0d)
-            .payload(10),
-    );
-    tb.agent.borrow_mut().dialogue_iteration().unwrap();
-    tb.sim.switch().borrow_mut().inject(
-        &PacketDesc::new(0)
-            .field("ip", "src", 0x0a0b0c0d)
-            .payload(10),
-    );
-    tb.agent.borrow_mut().dialogue_iteration().unwrap();
-    assert_eq!(tb.agent.borrow().slot("seen"), Some(0x0a0b0c00));
+    for mode in driver_modes() {
+        let tb = testbed(src, 1, mode).unwrap();
+        tb.agent.borrow_mut().register_all_interpreted().unwrap();
+        tb.sim.switch().borrow_mut().inject(
+            &PacketDesc::new(0)
+                .field("ip", "src", 0x0a0b0c0d)
+                .payload(10),
+        );
+        tb.agent.borrow_mut().dialogue_iteration().unwrap();
+        tb.sim.switch().borrow_mut().inject(
+            &PacketDesc::new(0)
+                .field("ip", "src", 0x0a0b0c0d)
+                .payload(10),
+        );
+        tb.agent.borrow_mut().dialogue_iteration().unwrap();
+        assert_eq!(tb.agent.borrow().slot("seen"), Some(0x0a0b0c00));
+    }
 }
 
 #[test]
@@ -214,23 +225,25 @@ reaction watch(ing hdr flow) {
 }
 control ingress { apply(t); }
 "#;
-    let tb = Testbed::from_p4r(src).unwrap();
-    let binding = tb.compiled.iface.reaction("watch").unwrap();
-    assert_eq!(binding.fields.len(), 3);
-    tb.agent.borrow_mut().register_all_interpreted().unwrap();
-    tb.sim.switch().borrow_mut().inject(
-        &PacketDesc::new(0)
-            .field("flow", "src", 100)
-            .field("flow", "dst", 20)
-            .field("flow", "proto", 3)
-            .payload(10),
-    );
-    tb.agent.borrow_mut().dialogue_iteration().unwrap();
-    assert_eq!(tb.agent.borrow().slot("sum"), Some(123));
-    // Field-argument copies hold only what packets wrote during their
-    // window (§4.2: "users should ensure that any necessary information is
-    // retained across packets"): with no traffic during the next window,
-    // the other copy reads back as empty.
-    tb.agent.borrow_mut().dialogue_iteration().unwrap();
-    assert_eq!(tb.agent.borrow().slot("sum"), Some(0));
+    for mode in driver_modes() {
+        let tb = testbed(src, 1, mode).unwrap();
+        let binding = tb.compiled.iface.reaction("watch").unwrap();
+        assert_eq!(binding.fields.len(), 3);
+        tb.agent.borrow_mut().register_all_interpreted().unwrap();
+        tb.sim.switch().borrow_mut().inject(
+            &PacketDesc::new(0)
+                .field("flow", "src", 100)
+                .field("flow", "dst", 20)
+                .field("flow", "proto", 3)
+                .payload(10),
+        );
+        tb.agent.borrow_mut().dialogue_iteration().unwrap();
+        assert_eq!(tb.agent.borrow().slot("sum"), Some(123));
+        // Field-argument copies hold only what packets wrote during their
+        // window (§4.2: "users should ensure that any necessary information is
+        // retained across packets"): with no traffic during the next window,
+        // the other copy reads back as empty.
+        tb.agent.borrow_mut().dialogue_iteration().unwrap();
+        assert_eq!(tb.agent.borrow().slot("sum"), Some(0));
+    }
 }

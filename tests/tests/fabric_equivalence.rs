@@ -12,19 +12,22 @@
 //!   count-based floor (switch visits per event, pumps that served
 //!   nothing) that does not depend on how fast the runner is — and the
 //!   shard count `ParStats` models changes nothing the run does;
-//! * `MANTIS_SWITCHES` (the CI sweep knob) is honored via
-//!   [`mantis::switches_from_env`];
+//! * the relay loop runs on a line fabric of every length from 1 to 4
+//!   switches, with every agent measuring its own switch;
+//! * every fabric here runs once per driver mode: in process, and over
+//!   the wire protocol at zero RTT;
 //! * switch-scoped telemetry labels (`sw{i}.*`) appear only when the
 //!   fabric has more than one switch, so single-switch traces stay
 //!   byte-identical to the pre-fabric goldens (enforced byte-for-byte by
 //!   `telemetry_determinism.rs`).
 
+use integration_tests::{driver_modes, testbed};
 use mantis::apps::fabric::{build_failover_fabric, leaf_host, EXIT_PORT};
 use mantis::netsim::{
     schedule_link_flaps, spawn_udp_on, Simulator, Topology, UdpConfig, HOST_PORTS,
 };
 use mantis::rmt_sim::PacketDesc;
-use mantis::{schedule_fabric_agents, Fabric, FaultPlan, Testbed};
+use mantis::{schedule_fabric_agents, CostModel, DriverMode, Fabric, FaultPlan, SwitchConfig};
 use proptest::prelude::*;
 
 /// Everything observable per switch after a run: aggregate tx accounting
@@ -193,11 +196,23 @@ reaction watch(reg seen[0:7]) { ${knob} = seen[0]; }
 control ingress { apply(t); }
 "#;
 
+/// An `n`-switch line of [`RELAY_P4R`] whose agents drive their switches
+/// by `mode`.
+fn relay_line(n: usize, mode: DriverMode) -> Fabric {
+    Fabric::with_driver_mode(
+        &vec![RELAY_P4R; n],
+        Topology::line(n),
+        SwitchConfig::default(),
+        CostModel::default(),
+        mode,
+    )
+    .expect("relay fabric")
+}
+
 /// Run a line fabric where packet injections at *equal timestamps* on
 /// distinct switches are inserted into the event queue in `order`.
-fn permuted_run(order: &[usize], rounds: u64) -> Vec<String> {
-    let n = 3;
-    let mut fab = Fabric::from_p4r(RELAY_P4R, Topology::line(n)).expect("relay fabric");
+fn permuted_run(order: &[usize], rounds: u64, mode: DriverMode) -> Vec<String> {
+    let mut fab = relay_line(3, mode);
     for agent in &fab.agents {
         agent
             .borrow_mut()
@@ -239,37 +254,47 @@ proptest! {
                 .wrapping_add(1_442_695_040_888_963_407);
             order.swap(i, (state >> 33) as usize % (i + 1));
         }
-        let baseline = permuted_run(&[0, 1, 2], 6);
-        let permuted = permuted_run(&order, 6);
-        prop_assert_eq!(baseline, permuted, "insertion order {:?} changed a per-switch fingerprint", order);
+        for mode in driver_modes() {
+            let baseline = permuted_run(&[0, 1, 2], 6, mode);
+            let permuted = permuted_run(&order, 6, mode);
+            prop_assert_eq!(
+                baseline,
+                permuted,
+                "insertion order {:?} changed a per-switch fingerprint under {:?}",
+                order,
+                mode
+            );
+        }
     }
 }
 
 #[test]
-fn switch_count_from_env_is_honored() {
-    // The CI `MANTIS_SWITCHES=3` leg drives this at 3 switches; locally
-    // it runs at the default of 1. Either way the fabric loop must work.
-    let n = usize::from(mantis::switches_from_env());
-    let mut fab = Fabric::from_p4r(RELAY_P4R, Topology::line(n)).expect("relay fabric");
-    for agent in &fab.agents {
-        agent
-            .borrow_mut()
-            .register_all_interpreted()
-            .expect("watch registered");
-    }
-    fab.start_agents(50_000);
-    for i in 0..n {
-        fab.sim.schedule(1_000, move |s| {
-            s.switch_at(i)
-                .borrow_mut()
-                .inject(&PacketDesc::new(0).field("h", "a", 7));
-        });
-    }
-    fab.sim.run_until(300_000);
-    assert_eq!(fab.num_switches(), n);
-    // Every switch saw its packet and its agent measured it.
-    for i in 0..n {
-        assert_eq!(fab.agents[i].borrow().slot("knob"), Some(1), "switch {i}");
+fn relay_loop_runs_at_every_switch_count() {
+    for n in 1..=4 {
+        for mode in driver_modes() {
+            let mut fab = relay_line(n, mode);
+            for agent in &fab.agents {
+                agent
+                    .borrow_mut()
+                    .register_all_interpreted()
+                    .expect("watch registered");
+            }
+            fab.start_agents(50_000);
+            for i in 0..n {
+                fab.sim.schedule(1_000, move |s| {
+                    s.switch_at(i)
+                        .borrow_mut()
+                        .inject(&PacketDesc::new(0).field("h", "a", 7));
+                });
+            }
+            fab.sim.run_until(300_000);
+            assert_eq!(fab.num_switches(), n);
+            // Every switch saw its packet and its agent measured it.
+            for i in 0..n {
+                let knob = fab.agents[i].borrow().slot("knob");
+                assert_eq!(knob, Some(1), "switch {i} of {n}, {mode:?}");
+            }
+        }
     }
 }
 
@@ -277,28 +302,30 @@ fn switch_count_from_env_is_honored() {
 fn switch_labels_appear_only_when_multiple_switches_exist() {
     // A single-switch testbed must stay byte-identical to the pre-fabric
     // telemetry goldens, so no switch-scoped metric may be emitted.
-    let single = Testbed::from_p4r(RELAY_P4R).expect("program");
-    single
-        .sim
-        .switch()
-        .borrow_mut()
-        .inject(&PacketDesc::new(0).field("h", "a", 7).payload(64));
-    let snap = single.telemetry_snapshot();
-    assert!(snap.contains("switch.rx"), "{snap}");
-    assert!(
-        !snap.contains("sw0."),
-        "single-switch run leaked switch labels: {snap}"
-    );
-
-    // A 2-switch fabric attributes the same traffic per switch.
-    let fab = Fabric::from_p4r(RELAY_P4R, Topology::line(2)).expect("fabric");
-    for i in 0..2 {
-        fab.sim
-            .switch_at(i)
+    for mode in driver_modes() {
+        let single = testbed(RELAY_P4R, 1, mode).expect("program");
+        single
+            .sim
+            .switch()
             .borrow_mut()
             .inject(&PacketDesc::new(0).field("h", "a", 7).payload(64));
+        let snap = single.telemetry_snapshot();
+        assert!(snap.contains("switch.rx"), "{snap}");
+        assert!(
+            !snap.contains("sw0."),
+            "single-switch run leaked switch labels: {snap}"
+        );
+
+        // A 2-switch fabric attributes the same traffic per switch.
+        let fab = relay_line(2, mode);
+        for i in 0..2 {
+            fab.sim
+                .switch_at(i)
+                .borrow_mut()
+                .inject(&PacketDesc::new(0).field("h", "a", 7).payload(64));
+        }
+        let snap = fab.telemetry_snapshot();
+        assert!(snap.contains("sw0.switch.rx"), "{snap}");
+        assert!(snap.contains("sw1.switch.rx"), "{snap}");
     }
-    let snap = fab.telemetry_snapshot();
-    assert!(snap.contains("sw0.switch.rx"), "{snap}");
-    assert!(snap.contains("sw1.switch.rx"), "{snap}");
 }

@@ -1,11 +1,14 @@
 //! Failure-injection and error-path tests: the agent and compiler must
 //! reject or surface bad inputs instead of corrupting data-plane state.
+//! Every testbed runs once per driver mode: in process, and over the wire
+//! at zero RTT.
 
+use integration_tests::{driver_modes, testbed};
 use mantis::p4_ast::Value;
 use mantis::p4r_compiler::entry::LogicalKey;
 use mantis::p4r_compiler::{compile, CompilerOptions};
 use mantis::rmt_sim::PacketDesc;
-use mantis::{AgentErrorKind, MantisAgent, SharedSwitch, Testbed};
+use mantis::{AgentErrorKind, DriverMode, MantisAgent, SharedSwitch, Testbed};
 
 const PROG: &str = r#"
 header_type h_t { fields { a : 32; b : 32; } }
@@ -24,8 +27,8 @@ reaction r(ing h.a) { ${knob} = h_a; }
 control ingress { apply(small); apply(probe); }
 "#;
 
-fn build() -> Testbed {
-    Testbed::from_p4r(PROG).unwrap()
+fn build(mode: DriverMode) -> Testbed {
+    testbed(PROG, 1, mode).unwrap()
 }
 
 #[test]
@@ -39,29 +42,31 @@ table t { actions { nop; } default_action : nop(); }
 reaction bad(ing h.a) { int x = 1 / (h_a - h_a); }
 control ingress { apply(t); }
 "#;
-    let tb = Testbed::from_p4r(src).unwrap();
-    tb.agent.borrow_mut().register_all_interpreted().unwrap();
-    // Reaction failures are contained: the iteration succeeds and reports
-    // the failure instead of aborting the loop.
-    let rep = tb.agent.borrow_mut().dialogue_iteration().unwrap();
-    assert_eq!(rep.reaction_failures.len(), 1);
-    let failure = &rep.reaction_failures[0];
-    assert_eq!(failure.name, "bad");
-    assert!(
-        failure.error.contains("react phase"),
-        "failure should name the phase: {}",
-        failure.error
-    );
-    // The agent is still usable: swap in a fixed reaction and continue.
-    tb.agent
-        .borrow_mut()
-        .swap_reaction(
-            "bad",
-            Box::new(|ctx: &mut mantis::ReactionCtx<'_>| ctx.set_mbl("k", 7)),
-        )
-        .unwrap();
-    tb.agent.borrow_mut().dialogue_iteration().unwrap();
-    assert_eq!(tb.agent.borrow().slot("k"), Some(7));
+    for mode in driver_modes() {
+        let tb = testbed(src, 1, mode).unwrap();
+        tb.agent.borrow_mut().register_all_interpreted().unwrap();
+        // Reaction failures are contained: the iteration succeeds and reports
+        // the failure instead of aborting the loop.
+        let rep = tb.agent.borrow_mut().dialogue_iteration().unwrap();
+        assert_eq!(rep.reaction_failures.len(), 1);
+        let failure = &rep.reaction_failures[0];
+        assert_eq!(failure.name, "bad");
+        assert!(
+            failure.error.contains("react phase"),
+            "failure should name the phase: {}",
+            failure.error
+        );
+        // The agent is still usable: swap in a fixed reaction and continue.
+        tb.agent
+            .borrow_mut()
+            .swap_reaction(
+                "bad",
+                Box::new(|ctx: &mut mantis::ReactionCtx<'_>| ctx.set_mbl("k", 7)),
+            )
+            .unwrap();
+        tb.agent.borrow_mut().dialogue_iteration().unwrap();
+        assert_eq!(tb.agent.borrow().slot("k"), Some(7));
+    }
 }
 
 #[test]
@@ -69,104 +74,112 @@ fn table_capacity_exhaustion_reports_driver_error() {
     // `small` holds 2 logical entries → 2 (vv) × 2 (alts) = 4 phys each,
     // physical capacity 2 × 2 × 2 = 8. The third logical entry must fail
     // cleanly.
-    let tb = build();
-    for i in 0..2 {
-        tb.agent
+    for mode in driver_modes() {
+        let tb = build(mode);
+        for i in 0..2 {
+            tb.agent
+                .borrow_mut()
+                .user_init(move |ctx| {
+                    ctx.table_add(
+                        "small",
+                        vec![LogicalKey::Exact(Value::new(i, 32))],
+                        0,
+                        "tag",
+                        vec![Value::new(1, 32)],
+                    )?;
+                    Ok(())
+                })
+                .unwrap();
+        }
+        let err = tb
+            .agent
             .borrow_mut()
-            .user_init(move |ctx| {
+            .user_init(|ctx| {
                 ctx.table_add(
                     "small",
-                    vec![LogicalKey::Exact(Value::new(i, 32))],
+                    vec![LogicalKey::Exact(Value::new(99, 32))],
                     0,
                     "tag",
                     vec![Value::new(1, 32)],
                 )?;
                 Ok(())
             })
-            .unwrap();
+            .unwrap_err();
+        assert!(matches!(err.kind, AgentErrorKind::Driver(_)), "{err}");
+        assert!(!err.is_transient(), "capacity exhaustion is permanent");
     }
-    let err = tb
-        .agent
-        .borrow_mut()
-        .user_init(|ctx| {
-            ctx.table_add(
-                "small",
-                vec![LogicalKey::Exact(Value::new(99, 32))],
-                0,
-                "tag",
-                vec![Value::new(1, 32)],
-            )?;
-            Ok(())
-        })
-        .unwrap_err();
-    assert!(matches!(err.kind, AgentErrorKind::Driver(_)), "{err}");
-    assert!(!err.is_transient(), "capacity exhaustion is permanent");
 }
 
 #[test]
 fn invalid_alt_index_rejected_before_staging() {
-    let tb = build();
-    let err = tb
-        .agent
-        .borrow_mut()
-        .user_init(|ctx| {
-            ctx.shift_field("pick", 5)?;
-            Ok(())
-        })
-        .unwrap_err();
-    assert!(matches!(err.kind, AgentErrorKind::Ctx(_)), "{err}");
-    // Committed state unchanged.
-    assert_eq!(tb.agent.borrow().slot("pick"), Some(0));
+    for mode in driver_modes() {
+        let tb = build(mode);
+        let err = tb
+            .agent
+            .borrow_mut()
+            .user_init(|ctx| {
+                ctx.shift_field("pick", 5)?;
+                Ok(())
+            })
+            .unwrap_err();
+        assert!(matches!(err.kind, AgentErrorKind::Ctx(_)), "{err}");
+        // Committed state unchanged.
+        assert_eq!(tb.agent.borrow().slot("pick"), Some(0));
+    }
 }
 
 #[test]
 fn unknown_names_rejected() {
-    let tb = build();
-    let mut agent = tb.agent.borrow_mut();
-    assert!(agent
-        .user_init(|ctx| {
-            ctx.set_mbl("ghost", 1)?;
-            Ok(())
-        })
-        .is_err());
-    assert!(agent
-        .user_init(|ctx| {
-            ctx.table_add("ghost", vec![], 0, "tag", vec![])?;
-            Ok(())
-        })
-        .is_err());
-    assert!(agent
-        .user_init(|ctx| {
-            ctx.table_add(
-                "small",
-                vec![LogicalKey::Exact(Value::new(1, 32))],
-                0,
-                "ghost_action",
-                vec![],
-            )?;
-            Ok(())
-        })
-        .is_err());
-    assert!(agent
-        .user_init(|ctx| {
-            ctx.table_del("small", 424242)?;
-            Ok(())
-        })
-        .is_err());
+    for mode in driver_modes() {
+        let tb = build(mode);
+        let mut agent = tb.agent.borrow_mut();
+        assert!(agent
+            .user_init(|ctx| {
+                ctx.set_mbl("ghost", 1)?;
+                Ok(())
+            })
+            .is_err());
+        assert!(agent
+            .user_init(|ctx| {
+                ctx.table_add("ghost", vec![], 0, "tag", vec![])?;
+                Ok(())
+            })
+            .is_err());
+        assert!(agent
+            .user_init(|ctx| {
+                ctx.table_add(
+                    "small",
+                    vec![LogicalKey::Exact(Value::new(1, 32))],
+                    0,
+                    "ghost_action",
+                    vec![],
+                )?;
+                Ok(())
+            })
+            .is_err());
+        assert!(agent
+            .user_init(|ctx| {
+                ctx.table_del("small", 424242)?;
+                Ok(())
+            })
+            .is_err());
+    }
 }
 
 #[test]
 fn malleable_value_write_is_masked_to_width() {
     // `knob` is 8 bits wide; a reaction writing 0x1ff must commit 0xff.
-    let tb = build();
-    tb.agent
-        .borrow_mut()
-        .user_init(|ctx| {
-            ctx.set_mbl("knob", 0x1ff)?;
-            Ok(())
-        })
-        .unwrap();
-    assert_eq!(tb.agent.borrow().slot("knob"), Some(0xff));
+    for mode in driver_modes() {
+        let tb = build(mode);
+        tb.agent
+            .borrow_mut()
+            .user_init(|ctx| {
+                ctx.set_mbl("knob", 0x1ff)?;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(tb.agent.borrow().slot("knob"), Some(0xff));
+    }
 }
 
 #[test]
@@ -256,29 +269,32 @@ control ingress { apply(t); }
 
 #[test]
 fn queue_overflow_and_port_down_are_counted_not_fatal() {
-    let tb = Testbed::with_config(
-        PROG,
-        mantis::SwitchConfig {
-            queue_capacity_bytes: 64,
-            ..Default::default()
-        },
-        mantis::CostModel::default(),
-    )
-    .unwrap();
-    let sw = tb.sim.switch();
-    // Overflow the default queue.
-    for _ in 0..4 {
+    for mode in driver_modes() {
+        let tb = Testbed::with_config_mode(
+            PROG,
+            mantis::SwitchConfig {
+                queue_capacity_bytes: 64,
+                ..Default::default()
+            },
+            mantis::CostModel::default(),
+            mode,
+        )
+        .unwrap();
+        let sw = tb.sim.switch();
+        // Overflow the default queue.
+        for _ in 0..4 {
+            sw.borrow_mut()
+                .inject(&PacketDesc::new(0).field("h", "a", 1).payload(50));
+        }
+        assert!(sw.borrow().stats.dropped_queue > 0);
+        // Down a port and hit it.
+        sw.borrow_mut().port_set_up(3, false).unwrap();
         sw.borrow_mut()
-            .inject(&PacketDesc::new(0).field("h", "a", 1).payload(50));
+            .inject(&PacketDesc::new(3).field("h", "a", 1).payload(10));
+        assert_eq!(sw.borrow().stats.dropped_port_down, 1);
+        // Out-of-range port rejected.
+        assert!(sw.borrow_mut().port_set_up(1000, false).is_err());
     }
-    assert!(sw.borrow().stats.dropped_queue > 0);
-    // Down a port and hit it.
-    sw.borrow_mut().port_set_up(3, false).unwrap();
-    sw.borrow_mut()
-        .inject(&PacketDesc::new(3).field("h", "a", 1).payload(10));
-    assert_eq!(sw.borrow().stats.dropped_port_down, 1);
-    // Out-of-range port rejected.
-    assert!(sw.borrow_mut().port_set_up(1000, false).is_err());
 }
 
 #[test]
@@ -292,12 +308,14 @@ table t { actions { nop; } default_action : nop(); }
 reaction spin(ing h.a) { while (1) { ${k} = 1; } }
 control ingress { apply(t); }
 "#;
-    let tb = Testbed::from_p4r(src).unwrap();
-    tb.agent.borrow_mut().register_all_interpreted().unwrap();
-    let rep = tb.agent.borrow_mut().dialogue_iteration().unwrap();
-    assert_eq!(rep.reaction_failures.len(), 1, "runaway reaction contained");
-    // Staged effects of the failed reaction are NOT committed.
-    assert_eq!(tb.agent.borrow().slot("k"), Some(0));
+    for mode in driver_modes() {
+        let tb = testbed(src, 1, mode).unwrap();
+        tb.agent.borrow_mut().register_all_interpreted().unwrap();
+        let rep = tb.agent.borrow_mut().dialogue_iteration().unwrap();
+        assert_eq!(rep.reaction_failures.len(), 1, "runaway reaction contained");
+        // Staged effects of the failed reaction are NOT committed.
+        assert_eq!(tb.agent.borrow().slot("k"), Some(0));
+    }
 }
 
 #[test]
@@ -317,42 +335,46 @@ reaction bad(ing h.a) {
 }
 control ingress { apply(t); }
 "#;
-    let tb = Testbed::from_p4r(src).unwrap();
-    tb.agent.borrow_mut().register_all_interpreted().unwrap();
-    let rep = tb.agent.borrow_mut().dialogue_iteration().unwrap();
-    assert_eq!(rep.reaction_failures.len(), 1);
-    // A later, unrelated commit must not carry the orphaned ${k} = 99.
-    tb.agent
-        .borrow_mut()
-        .user_init(|ctx| {
-            ctx.set_mbl("other", 1)?;
-            Ok(())
-        })
-        .unwrap();
-    assert_eq!(tb.agent.borrow().slot("k"), Some(0));
-    assert_eq!(tb.agent.borrow().slot("other"), Some(1));
+    for mode in driver_modes() {
+        let tb = testbed(src, 1, mode).unwrap();
+        tb.agent.borrow_mut().register_all_interpreted().unwrap();
+        let rep = tb.agent.borrow_mut().dialogue_iteration().unwrap();
+        assert_eq!(rep.reaction_failures.len(), 1);
+        // A later, unrelated commit must not carry the orphaned ${k} = 99.
+        tb.agent
+            .borrow_mut()
+            .user_init(|ctx| {
+                ctx.set_mbl("other", 1)?;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(tb.agent.borrow().slot("k"), Some(0));
+        assert_eq!(tb.agent.borrow().slot("other"), Some(1));
+    }
 }
 
 #[test]
 fn failed_user_init_discards_partial_staging() {
-    let tb = build();
-    let err = tb
-        .agent
-        .borrow_mut()
-        .user_init(|ctx| {
-            ctx.set_mbl("knob", 55)?; // staged...
-            ctx.set_mbl("ghost", 1)?; // ...then fails
-            Ok(())
-        })
-        .unwrap_err();
-    assert!(matches!(err.kind, AgentErrorKind::Ctx(_)));
-    tb.agent
-        .borrow_mut()
-        .user_init(|ctx| {
-            ctx.shift_field("pick", 1)?;
-            Ok(())
-        })
-        .unwrap();
-    // The 55 from the failed init never committed.
-    assert_eq!(tb.agent.borrow().slot("knob"), Some(0));
+    for mode in driver_modes() {
+        let tb = build(mode);
+        let err = tb
+            .agent
+            .borrow_mut()
+            .user_init(|ctx| {
+                ctx.set_mbl("knob", 55)?; // staged...
+                ctx.set_mbl("ghost", 1)?; // ...then fails
+                Ok(())
+            })
+            .unwrap_err();
+        assert!(matches!(err.kind, AgentErrorKind::Ctx(_)));
+        tb.agent
+            .borrow_mut()
+            .user_init(|ctx| {
+                ctx.shift_field("pick", 1)?;
+                Ok(())
+            })
+            .unwrap();
+        // The 55 from the failed init never committed.
+        assert_eq!(tb.agent.borrow().slot("knob"), Some(0));
+    }
 }

@@ -7,17 +7,18 @@
 //!   (slots, vv, logical table sizes) regardless of pipe count, and the
 //!   physical tables stay symmetric across pipes;
 //! * transient fault plans are absorbed identically at every pipe count;
-//! * `MANTIS_PIPES` (the CI sweep knob) is honored via
-//!   [`mantis::pipes_from_env`];
+//! * every testbed here runs once per driver mode: in process, and over
+//!   the wire protocol at zero RTT;
 //! * pipe-scoped telemetry labels appear only when `num_pipes > 1`, so a
 //!   single-pipe run's trace is byte-identical to the pre-multi-pipe
 //!   goldens (enforced byte-for-byte by `telemetry_determinism.rs`).
 
+use integration_tests::{driver_modes, testbed};
 use mantis::apps::programs::{DOS_P4R, ECMP_P4R, FAILOVER_P4R, RL_P4R};
 use mantis::p4_ast::Value;
 use mantis::p4r_compiler::entry::LogicalKey;
 use mantis::rmt_sim::PacketDesc;
-use mantis::{FaultPlan, ReactionCtx, RetryPolicy, Testbed};
+use mantis::{DriverMode, FaultPlan, ReactionCtx, RetryPolicy, Testbed};
 
 const PIPE_COUNTS: [u16; 3] = [1, 2, 4];
 
@@ -116,8 +117,8 @@ fn agent_fingerprint(tb: &Testbed) -> String {
     )
 }
 
-fn churn_run(pipes: u16, plan: Option<FaultPlan>, iters: usize) -> String {
-    let tb = Testbed::from_p4r_with_pipes(CHURN_P4R, pipes).expect("churn program");
+fn churn_run(pipes: u16, mode: DriverMode, plan: Option<FaultPlan>, iters: usize) -> String {
+    let tb = testbed(CHURN_P4R, pipes, mode).expect("churn program");
     register_churn(&tb);
     if let Some(plan) = plan {
         let mut agent = tb.agent.borrow_mut();
@@ -131,7 +132,7 @@ fn churn_run(pipes: u16, plan: Option<FaultPlan>, iters: usize) -> String {
         tb.agent
             .borrow_mut()
             .dialogue_iteration()
-            .unwrap_or_else(|e| panic!("pipes={pipes} iteration {k}: {e}"));
+            .unwrap_or_else(|e| panic!("pipes={pipes} {mode:?} iteration {k}: {e}"));
     }
     // The write fan-out must have kept every pipe's copy of every table
     // identical (same handles, keys, actions).
@@ -165,103 +166,119 @@ fn churn_run(pipes: u16, plan: Option<FaultPlan>, iters: usize) -> String {
 
 #[test]
 fn every_use_case_program_runs_under_every_pipe_count() {
-    for pipes in PIPE_COUNTS {
-        for (name, src) in ALL_PROGRAMS {
-            let tb = Testbed::from_p4r_with_pipes(src, pipes)
-                .unwrap_or_else(|e| panic!("{name} @ {pipes} pipes: {e}"));
-            tb.agent
-                .borrow_mut()
-                .register_all_interpreted()
-                .unwrap_or_else(|e| panic!("{name} @ {pipes} pipes: {e}"));
-            for k in 0..3 {
+    for mode in driver_modes() {
+        for pipes in PIPE_COUNTS {
+            for (name, src) in ALL_PROGRAMS {
+                let tb = testbed(src, pipes, mode)
+                    .unwrap_or_else(|e| panic!("{name} @ {pipes} pipes, {mode:?}: {e}"));
                 tb.agent
                     .borrow_mut()
-                    .dialogue_iteration()
-                    .unwrap_or_else(|e| panic!("{name} @ {pipes} pipes, iter {k}: {e}"));
+                    .register_all_interpreted()
+                    .unwrap_or_else(|e| panic!("{name} @ {pipes} pipes, {mode:?}: {e}"));
+                for k in 0..3 {
+                    tb.agent
+                        .borrow_mut()
+                        .dialogue_iteration()
+                        .unwrap_or_else(|e| {
+                            panic!("{name} @ {pipes} pipes, {mode:?}, iter {k}: {e}")
+                        });
+                }
+                let agent = tb.agent.borrow();
+                assert_eq!(agent.vv_per_pipe().len(), usize::from(pipes), "{name}");
+                assert!(
+                    agent.vv_per_pipe().iter().all(|&v| v == agent.vv()),
+                    "{name} @ {pipes} pipes, {mode:?}: vv diverged {:?}",
+                    agent.vv_per_pipe()
+                );
             }
-            let agent = tb.agent.borrow();
-            assert_eq!(agent.vv_per_pipe().len(), usize::from(pipes), "{name}");
-            assert!(
-                agent.vv_per_pipe().iter().all(|&v| v == agent.vv()),
-                "{name} @ {pipes} pipes: vv diverged {:?}",
-                agent.vv_per_pipe()
-            );
         }
     }
 }
 
 #[test]
 fn churn_reaches_the_same_state_at_every_pipe_count() {
-    let baseline = churn_run(1, None, 12);
-    assert!(baseline.contains("knob=Some(12)"), "{baseline}");
-    for pipes in [2, 4] {
-        assert_eq!(
-            churn_run(pipes, None, 12),
-            baseline,
-            "pipes={pipes} diverged from the single-pipe run"
-        );
-    }
-}
-
-#[test]
-fn transient_faults_are_absorbed_identically_at_every_pipe_count() {
-    for pipes in PIPE_COUNTS {
-        let baseline = churn_run(pipes, None, 10);
-        for seed in 0..8u64 {
-            let faulted = churn_run(pipes, Some(FaultPlan::random_transient(seed, 300)), 10);
+    for mode in driver_modes() {
+        let baseline = churn_run(1, mode, None, 12);
+        assert!(baseline.contains("knob=Some(12)"), "{baseline}");
+        for pipes in [2, 4] {
             assert_eq!(
-                faulted, baseline,
-                "pipes={pipes} seed={seed}: faulted run diverged from fault-free state"
+                churn_run(pipes, mode, None, 12),
+                baseline,
+                "pipes={pipes} {mode:?} diverged from the single-pipe run"
             );
         }
     }
 }
 
 #[test]
-fn pipe_count_from_env_is_honored() {
-    // The CI `MANTIS_PIPES=4` leg drives this test at 4 pipes; locally it
-    // runs at the default of 1. Either way the full loop must work.
-    let pipes = mantis::pipes_from_env();
-    let tb = Testbed::from_p4r_with_pipes(CHURN_P4R, pipes).expect("churn program");
-    register_churn(&tb);
-    for _ in 0..5 {
-        tb.agent
-            .borrow_mut()
-            .dialogue_iteration()
-            .expect("iteration");
+fn transient_faults_are_absorbed_identically_at_every_pipe_count() {
+    for mode in driver_modes() {
+        for pipes in PIPE_COUNTS {
+            let baseline = churn_run(pipes, mode, None, 10);
+            for seed in 0..8u64 {
+                let faulted = churn_run(
+                    pipes,
+                    mode,
+                    Some(FaultPlan::random_transient(seed, 300)),
+                    10,
+                );
+                assert_eq!(
+                    faulted, baseline,
+                    "pipes={pipes} {mode:?} seed={seed}: faulted run diverged from fault-free state"
+                );
+            }
+        }
     }
-    let agent = tb.agent.borrow();
-    assert_eq!(agent.vv_per_pipe().len(), usize::from(pipes));
-    assert_eq!(agent.slot("knob"), Some(5));
+}
+
+#[test]
+fn churn_loop_runs_at_every_pipe_count() {
+    for pipes in PIPE_COUNTS {
+        for mode in driver_modes() {
+            let tb = testbed(CHURN_P4R, pipes, mode).expect("churn program");
+            register_churn(&tb);
+            for _ in 0..5 {
+                tb.agent
+                    .borrow_mut()
+                    .dialogue_iteration()
+                    .expect("iteration");
+            }
+            let agent = tb.agent.borrow();
+            assert_eq!(agent.vv_per_pipe().len(), usize::from(pipes), "{mode:?}");
+            assert_eq!(agent.slot("knob"), Some(5), "pipes={pipes} {mode:?}");
+        }
+    }
 }
 
 #[test]
 fn pipe_labels_appear_only_when_multiple_pipes_exist() {
     // pipes=1 must stay byte-identical to the pre-multi-pipe telemetry
     // goldens, so no pipe-scoped metric may be emitted at all.
-    let single = Testbed::from_p4r_with_pipes(CHURN_P4R, 1).expect("program");
-    single
-        .sim
-        .switch()
-        .borrow_mut()
-        .inject(&PacketDesc::new(0).field("h", "a", 7).payload(64));
-    let snap = single.telemetry_snapshot();
-    assert!(snap.contains("switch.rx"), "{snap}");
-    assert!(
-        !snap.contains("pipe0."),
-        "single-pipe run leaked pipe labels: {snap}"
-    );
+    for mode in driver_modes() {
+        let single = testbed(CHURN_P4R, 1, mode).expect("program");
+        single
+            .sim
+            .switch()
+            .borrow_mut()
+            .inject(&PacketDesc::new(0).field("h", "a", 7).payload(64));
+        let snap = single.telemetry_snapshot();
+        assert!(snap.contains("switch.rx"), "{snap}");
+        assert!(
+            !snap.contains("pipe0."),
+            "single-pipe run leaked pipe labels: {snap}"
+        );
 
-    // pipes=4: the same traffic is attributed to its pipe. Port 0 lands in
-    // pipe 0; with 32 ports and 4 pipes, port 16 lands in pipe 2.
-    let quad = Testbed::from_p4r_with_pipes(CHURN_P4R, 4).expect("program");
-    {
-        let mut sw = quad.sim.switch().borrow_mut();
-        assert_eq!(sw.pipe_of_port(16), 2);
-        sw.inject(&PacketDesc::new(0).field("h", "a", 7).payload(64));
-        sw.inject(&PacketDesc::new(16).field("h", "a", 7).payload(64));
+        // pipes=4: the same traffic is attributed to its pipe. Port 0 lands in
+        // pipe 0; with 32 ports and 4 pipes, port 16 lands in pipe 2.
+        let quad = testbed(CHURN_P4R, 4, mode).expect("program");
+        {
+            let mut sw = quad.sim.switch().borrow_mut();
+            assert_eq!(sw.pipe_of_port(16), 2);
+            sw.inject(&PacketDesc::new(0).field("h", "a", 7).payload(64));
+            sw.inject(&PacketDesc::new(16).field("h", "a", 7).payload(64));
+        }
+        let snap = quad.telemetry_snapshot();
+        assert!(snap.contains("pipe0.switch.rx"), "{snap}");
+        assert!(snap.contains("pipe2.switch.rx"), "{snap}");
     }
-    let snap = quad.telemetry_snapshot();
-    assert!(snap.contains("pipe0.switch.rx"), "{snap}");
-    assert!(snap.contains("pipe2.switch.rx"), "{snap}");
 }

@@ -589,7 +589,7 @@ reaction r(ing ip.src) {
 control ingress { apply(t); }
 "#;
     let build = |reference: bool| {
-        let tb = Testbed::from_p4r_local(SRC).expect("program compiles");
+        let tb = Testbed::from_p4r(SRC).expect("program compiles");
         let mut agent = tb.agent.borrow_mut();
         if reference {
             register_reference_walker(&mut agent, 10_000).expect("registers");

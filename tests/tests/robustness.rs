@@ -1,7 +1,8 @@
 //! Robustness: the front end must never panic on arbitrary input (errors
 //! only), and the paper's exact Fig. 6 compound scenario must work end to
-//! end.
+//! end, under both driver modes.
 
+use integration_tests::{driver_modes, testbed};
 use mantis::p4_ast::{Pipeline, Value};
 use mantis::p4r_compiler::entry::LogicalKey;
 use mantis::rmt_sim::PacketDesc;
@@ -85,50 +86,52 @@ malleable table my_table {
 }
 control ingress { apply(my_table); }
 "#;
-    let tb = Testbed::from_p4r(src).unwrap();
-    // Add the paper's entry: ${read_var} = 0 (we use 5 to distinguish from
-    // the miss default of 0).
-    tb.agent
-        .borrow_mut()
-        .user_init(|ctx| {
-            ctx.table_add(
-                "my_table",
-                vec![LogicalKey::Exact(Value::new(5, 32))],
-                0,
-                "my_action",
-                vec![],
-            )?;
-            Ok(())
-        })
-        .unwrap();
+    for mode in driver_modes() {
+        let tb = testbed(src, 1, mode).unwrap();
+        // Add the paper's entry: ${read_var} = 0 (we use 5 to distinguish from
+        // the miss default of 0).
+        tb.agent
+            .borrow_mut()
+            .user_init(|ctx| {
+                ctx.table_add(
+                    "my_table",
+                    vec![LogicalKey::Exact(Value::new(5, 32))],
+                    0,
+                    "my_action",
+                    vec![],
+                )?;
+                Ok(())
+            })
+            .unwrap();
 
-    let probe = |tb: &Testbed, foo: u128, bar: u128, baz: u128| {
-        let mut sw = tb.sim.switch().borrow_mut();
-        let phv = PacketDesc::new(0)
-            .field("hdr", "foo", foo)
-            .field("hdr", "bar", bar)
-            .field("hdr", "baz", baz)
-            .build(sw.spec());
-        let out = sw.run_pipeline(phv, Pipeline::Ingress);
-        out.get(sw.spec().field_id("hdr", "qux").unwrap()).as_u64()
-    };
+        let probe = |tb: &Testbed, foo: u128, bar: u128, baz: u128| {
+            let mut sw = tb.sim.switch().borrow_mut();
+            let phv = PacketDesc::new(0)
+                .field("hdr", "foo", foo)
+                .field("hdr", "bar", bar)
+                .field("hdr", "baz", baz)
+                .build(sw.spec());
+            let out = sw.run_pipeline(phv, Pipeline::Ingress);
+            out.get(sw.spec().field_id("hdr", "qux").unwrap()).as_u64()
+        };
 
-    // read_var → hdr.foo: match on foo=5, and the action adds baz + foo.
-    assert_eq!(probe(&tb, 5, 99, 1000), 1005);
-    // foo≠5 misses even when bar=5 (consistent assignment: the bar column
-    // only matches when the selector says so).
-    assert_eq!(probe(&tb, 7, 5, 1000), 0);
+        // read_var → hdr.foo: match on foo=5, and the action adds baz + foo.
+        assert_eq!(probe(&tb, 5, 99, 1000), 1005);
+        // foo≠5 misses even when bar=5 (consistent assignment: the bar column
+        // only matches when the selector says so).
+        assert_eq!(probe(&tb, 7, 5, 1000), 0);
 
-    // Shift to hdr.bar: now bar=5 matches and the action adds baz + bar.
-    tb.agent
-        .borrow_mut()
-        .user_init(|ctx| {
-            ctx.shift_field("read_var", 1)?;
-            Ok(())
-        })
-        .unwrap();
-    assert_eq!(probe(&tb, 99, 5, 1000), 1005);
-    assert_eq!(probe(&tb, 5, 7, 1000), 0);
+        // Shift to hdr.bar: now bar=5 matches and the action adds baz + bar.
+        tb.agent
+            .borrow_mut()
+            .user_init(|ctx| {
+                ctx.shift_field("read_var", 1)?;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(probe(&tb, 99, 5, 1000), 1005);
+        assert_eq!(probe(&tb, 5, 7, 1000), 0);
+    }
 }
 
 /// Two Mantis agents on two independent pipelines (the §6 note: "if the
@@ -146,25 +149,27 @@ table t { actions { bump; } default_action : bump(); }
 reaction r(ing h.a) { ${knob} = h_a + 1; }
 control ingress { apply(t); }
 "#;
-    let mut pipes: Vec<Testbed> = (0..2).map(|_| Testbed::from_p4r(src).unwrap()).collect();
-    for tb in &pipes {
-        tb.agent.borrow_mut().register_all_interpreted().unwrap();
+    for mode in driver_modes() {
+        let mut pipes: Vec<Testbed> = (0..2).map(|_| testbed(src, 1, mode).unwrap()).collect();
+        for tb in &pipes {
+            tb.agent.borrow_mut().register_all_interpreted().unwrap();
+        }
+        // Different traffic per pipeline.
+        pipes[0]
+            .sim
+            .switch()
+            .borrow_mut()
+            .inject(&PacketDesc::new(0).field("h", "a", 10).payload(8));
+        pipes[1]
+            .sim
+            .switch()
+            .borrow_mut()
+            .inject(&PacketDesc::new(0).field("h", "a", 500).payload(8));
+        for tb in &mut pipes {
+            tb.agent.borrow_mut().dialogue_iteration().unwrap();
+        }
+        // Each agent reacted to its own pipeline's measurement only.
+        assert_eq!(pipes[0].agent.borrow().slot("knob"), Some(11));
+        assert_eq!(pipes[1].agent.borrow().slot("knob"), Some(501));
     }
-    // Different traffic per pipeline.
-    pipes[0]
-        .sim
-        .switch()
-        .borrow_mut()
-        .inject(&PacketDesc::new(0).field("h", "a", 10).payload(8));
-    pipes[1]
-        .sim
-        .switch()
-        .borrow_mut()
-        .inject(&PacketDesc::new(0).field("h", "a", 500).payload(8));
-    for tb in &mut pipes {
-        tb.agent.borrow_mut().dialogue_iteration().unwrap();
-    }
-    // Each agent reacted to its own pipeline's measurement only.
-    assert_eq!(pipes[0].agent.borrow().slot("knob"), Some(11));
-    assert_eq!(pipes[1].agent.borrow().slot("knob"), Some(501));
 }

@@ -2,8 +2,11 @@
 //! the packet stream, every update to malleable entities is atomic — each
 //! packet sees either the entire old configuration or the entire new one,
 //! and once the new configuration is observed, the old one never reappears
-//! (serializable isolation of updates and packet processing).
+//! (serializable isolation of updates and packet processing). Every
+//! testbed runs once per driver mode: in process, and over the wire at
+//! zero RTT.
 
+use integration_tests::{driver_modes, testbed};
 use mantis::p4_ast::{Pipeline, Value};
 use mantis::p4r_compiler::entry::{expand_entry, LogicalKey, PhysEntry, PhysKey};
 use mantis::p4r_compiler::{compile_source, CompilerOptions};
@@ -50,38 +53,40 @@ fn update_is_atomic_for_concurrent_probes() {
     // Old config: entry {pick=5} → classify(100), scale=1 → out=101.
     // New config (one serializable commit): scale=7, entry retargeted to
     // tag 200, reference shifted to h.b → out is 207 for b=5 packets.
-    let tb = Testbed::from_p4r(PROG).unwrap();
-    let handle = Rc::new(RefCell::new(0u64));
-    let h2 = handle.clone();
-    tb.agent
-        .borrow_mut()
-        .user_init(move |ctx| {
-            *h2.borrow_mut() = ctx.table_add(
-                "cls",
-                vec![LogicalKey::Exact(Value::new(5, 32))],
-                0,
-                "classify",
-                vec![Value::new(100, 32)],
-            )?;
-            Ok(())
-        })
-        .unwrap();
-    assert_eq!(probe(&tb, 5, 9), 101); // matched via h.a
-    assert_eq!(probe(&tb, 9, 5), 0); // h.b not referenced yet
+    for mode in driver_modes() {
+        let tb = testbed(PROG, 1, mode).unwrap();
+        let handle = Rc::new(RefCell::new(0u64));
+        let h2 = handle.clone();
+        tb.agent
+            .borrow_mut()
+            .user_init(move |ctx| {
+                *h2.borrow_mut() = ctx.table_add(
+                    "cls",
+                    vec![LogicalKey::Exact(Value::new(5, 32))],
+                    0,
+                    "classify",
+                    vec![Value::new(100, 32)],
+                )?;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(probe(&tb, 5, 9), 101); // matched via h.a
+        assert_eq!(probe(&tb, 9, 5), 0); // h.b not referenced yet
 
-    let h = *handle.borrow();
-    tb.agent
-        .borrow_mut()
-        .user_init(move |ctx| {
-            ctx.set_mbl("scale", 7)?;
-            ctx.shift_field("pick", 1)?;
-            ctx.table_mod("cls", h, "classify", vec![Value::new(200, 32)])?;
-            Ok(())
-        })
-        .unwrap();
-    // Entirely new world: matching now keys on h.b with the new tag+scale.
-    assert_eq!(probe(&tb, 9, 5), 207);
-    assert_eq!(probe(&tb, 5, 9), 0);
+        let h = *handle.borrow();
+        tb.agent
+            .borrow_mut()
+            .user_init(move |ctx| {
+                ctx.set_mbl("scale", 7)?;
+                ctx.shift_field("pick", 1)?;
+                ctx.table_mod("cls", h, "classify", vec![Value::new(200, 32)])?;
+                Ok(())
+            })
+            .unwrap();
+        // Entirely new world: matching now keys on h.b with the new tag+scale.
+        assert_eq!(probe(&tb, 9, 5), 207);
+        assert_eq!(probe(&tb, 5, 9), 0);
+    }
 }
 
 // -- cross-pipe isolation (DESIGN.md §9) ------------------------------------
@@ -336,50 +341,52 @@ proptest! {
         new_scale in 2u32..1000,
         new_tag in 2u32..1000,
     ) {
-        let tb = Testbed::from_p4r_with_pipes(PIPE_PROG, NUM_PIPES).unwrap();
-        let handle = Rc::new(RefCell::new(0u64));
-        let h2 = handle.clone();
-        tb.agent
-            .borrow_mut()
-            .user_init(move |ctx| {
-                *h2.borrow_mut() = ctx.table_add(
-                    "cls",
-                    vec![LogicalKey::Exact(Value::new(5, 32))],
-                    0,
-                    "classify",
-                    vec![Value::new(100, 32)],
-                )?;
-                Ok(())
-            })
-            .unwrap();
-        let probe_on = |pipe: u16| {
-            let mut sw = tb.sim.switch().borrow_mut();
-            let port = pipe * sw.config().num_ports.div_ceil(NUM_PIPES);
-            let phv = PacketDesc::new(port).field("h", "k", 5).build(sw.spec());
-            let out = sw.run_pipeline(phv, Pipeline::Ingress);
-            out.get(sw.spec().field_id("h", "out").unwrap()).as_u64()
-        };
-        for p in 0..NUM_PIPES {
-            prop_assert_eq!(probe_on(p), OLD_WORLD, "pipe {} before", p);
+        for mode in driver_modes() {
+            let tb = testbed(PIPE_PROG, NUM_PIPES, mode).unwrap();
+            let handle = Rc::new(RefCell::new(0u64));
+            let h2 = handle.clone();
+            tb.agent
+                .borrow_mut()
+                .user_init(move |ctx| {
+                    *h2.borrow_mut() = ctx.table_add(
+                        "cls",
+                        vec![LogicalKey::Exact(Value::new(5, 32))],
+                        0,
+                        "classify",
+                        vec![Value::new(100, 32)],
+                    )?;
+                    Ok(())
+                })
+                .unwrap();
+            let probe_on = |pipe: u16| {
+                let mut sw = tb.sim.switch().borrow_mut();
+                let port = pipe * sw.config().num_ports.div_ceil(NUM_PIPES);
+                let phv = PacketDesc::new(port).field("h", "k", 5).build(sw.spec());
+                let out = sw.run_pipeline(phv, Pipeline::Ingress);
+                out.get(sw.spec().field_id("h", "out").unwrap()).as_u64()
+            };
+            for p in 0..NUM_PIPES {
+                prop_assert_eq!(probe_on(p), OLD_WORLD, "pipe {} before", p);
+            }
+            let h = *handle.borrow();
+            tb.agent
+                .borrow_mut()
+                .user_init(move |ctx| {
+                    ctx.set_mbl("scale", i128::from(new_scale))?;
+                    ctx.table_mod("cls", h, "classify", vec![Value::new(u128::from(new_tag), 32)])?;
+                    Ok(())
+                })
+                .unwrap();
+            let expect = u64::from(new_scale) + u64::from(new_tag);
+            for p in 0..NUM_PIPES {
+                prop_assert_eq!(probe_on(p), expect, "pipe {} after", p);
+            }
+            // The per-pipe version vector converged.
+            let agent = tb.agent.borrow();
+            let vvs = agent.vv_per_pipe();
+            prop_assert_eq!(vvs.len(), usize::from(NUM_PIPES));
+            prop_assert!(vvs.iter().all(|v| *v == vvs[0]), "vv diverged: {:?}", vvs);
         }
-        let h = *handle.borrow();
-        tb.agent
-            .borrow_mut()
-            .user_init(move |ctx| {
-                ctx.set_mbl("scale", i128::from(new_scale))?;
-                ctx.table_mod("cls", h, "classify", vec![Value::new(u128::from(new_tag), 32)])?;
-                Ok(())
-            })
-            .unwrap();
-        let expect = u64::from(new_scale) + u64::from(new_tag);
-        for p in 0..NUM_PIPES {
-            prop_assert_eq!(probe_on(p), expect, "pipe {} after", p);
-        }
-        // The per-pipe version vector converged.
-        let agent = tb.agent.borrow();
-        let vvs = agent.vv_per_pipe();
-        prop_assert_eq!(vvs.len(), usize::from(NUM_PIPES));
-        prop_assert!(vvs.iter().all(|v| *v == vvs[0]), "vv diverged: {:?}", vvs);
     }
 }
 
@@ -395,100 +402,102 @@ proptest! {
     fn committed_state_always_matches_logical_model(
         ops in proptest::collection::vec((0u8..4, 0u32..8, 1u32..1000), 1..12)
     ) {
-        let tb = Testbed::from_p4r(PROG).unwrap();
-        // Logical model state.
-        let mut scale: u64 = 1;
-        let mut pick_b = false;
-        let mut entries: Vec<(u32, u64, u64)> = Vec::new(); // (key, tag, handle)
+        for mode in driver_modes() {
+            let tb = testbed(PROG, 1, mode).unwrap();
+            // Logical model state.
+            let mut scale: u64 = 1;
+            let mut pick_b = false;
+            let mut entries: Vec<(u32, u64, u64)> = Vec::new(); // (key, tag, handle)
 
-        for (kind, key, val) in ops {
-            match kind {
-                0 => {
-                    // set scale
-                    tb.agent.borrow_mut().user_init(move |ctx| {
-                        ctx.set_mbl("scale", i128::from(val))
-                    }).unwrap();
-                    scale = u64::from(val);
-                }
-                1 => {
-                    // shift reference
-                    let idx = (val % 2) as usize;
-                    tb.agent.borrow_mut().user_init(move |ctx| {
-                        ctx.shift_field("pick", idx)
-                    }).unwrap();
-                    pick_b = idx == 1;
-                }
-                2 => {
-                    // add (or re-tag) entry for `key`
-                    if let Some(e) = entries.iter_mut().find(|(k, _, _)| *k == key) {
-                        let h = e.2;
+            for &(kind, key, val) in &ops {
+                match kind {
+                    0 => {
+                        // set scale
                         tb.agent.borrow_mut().user_init(move |ctx| {
-                            ctx.table_mod("cls", h, "classify",
-                                vec![Value::new(u128::from(val), 32)])
+                            ctx.set_mbl("scale", i128::from(val))
                         }).unwrap();
-                        e.1 = u64::from(val);
+                        scale = u64::from(val);
+                    }
+                    1 => {
+                        // shift reference
+                        let idx = (val % 2) as usize;
+                        tb.agent.borrow_mut().user_init(move |ctx| {
+                            ctx.shift_field("pick", idx)
+                        }).unwrap();
+                        pick_b = idx == 1;
+                    }
+                    2 => {
+                        // add (or re-tag) entry for `key`
+                        if let Some(e) = entries.iter_mut().find(|(k, _, _)| *k == key) {
+                            let h = e.2;
+                            tb.agent.borrow_mut().user_init(move |ctx| {
+                                ctx.table_mod("cls", h, "classify",
+                                    vec![Value::new(u128::from(val), 32)])
+                            }).unwrap();
+                            e.1 = u64::from(val);
+                        } else {
+                            let hcell = Rc::new(RefCell::new(0u64));
+                            let h2 = hcell.clone();
+                            tb.agent.borrow_mut().user_init(move |ctx| {
+                                *h2.borrow_mut() = ctx.table_add(
+                                    "cls",
+                                    vec![LogicalKey::Exact(Value::new(u128::from(key), 32))],
+                                    0,
+                                    "classify",
+                                    vec![Value::new(u128::from(val), 32)],
+                                )?;
+                                Ok(())
+                            }).unwrap();
+                            entries.push((key, u64::from(val), *hcell.borrow()));
+                        }
+                    }
+                    _ => {
+                        // delete entry for `key` if present
+                        if let Some(pos) = entries.iter().position(|(k, _, _)| *k == key) {
+                            let h = entries.remove(pos).2;
+                            tb.agent.borrow_mut().user_init(move |ctx| {
+                                ctx.table_del("cls", h)
+                            }).unwrap();
+                        }
+                    }
+                }
+
+                // Probe every key with the malleable reference on both sides.
+                for k in 0..8u32 {
+                    // Packet whose h.a = k, h.b = k+100 (so only one side can
+                    // match entries keyed 0..8).
+                    let got = probe(&tb, u128::from(k), u128::from(k) + 100);
+                    let expect = if pick_b {
+                        0 // reference points at h.b = k+100, never a stored key
                     } else {
-                        let hcell = Rc::new(RefCell::new(0u64));
-                        let h2 = hcell.clone();
-                        tb.agent.borrow_mut().user_init(move |ctx| {
-                            *h2.borrow_mut() = ctx.table_add(
-                                "cls",
-                                vec![LogicalKey::Exact(Value::new(u128::from(key), 32))],
-                                0,
-                                "classify",
-                                vec![Value::new(u128::from(val), 32)],
-                            )?;
-                            Ok(())
-                        }).unwrap();
-                        entries.push((key, u64::from(val), *hcell.borrow()));
-                    }
+                        entries
+                            .iter()
+                            .find(|(ek, _, _)| *ek == k)
+                            .map(|(_, tag, _)| tag + scale)
+                            .unwrap_or(0)
+                    };
+                    prop_assert_eq!(got, expect, "key {} after op", k);
+
+                    // And the mirrored packet (h.b = k).
+                    let got_b = probe(&tb, u128::from(k) + 100, u128::from(k));
+                    let expect_b = if pick_b {
+                        entries
+                            .iter()
+                            .find(|(ek, _, _)| *ek == k)
+                            .map(|(_, tag, _)| tag + scale)
+                            .unwrap_or(0)
+                    } else {
+                        0
+                    };
+                    prop_assert_eq!(got_b, expect_b, "mirror key {} after op", k);
                 }
-                _ => {
-                    // delete entry for `key` if present
-                    if let Some(pos) = entries.iter().position(|(k, _, _)| *k == key) {
-                        let h = entries.remove(pos).2;
-                        tb.agent.borrow_mut().user_init(move |ctx| {
-                            ctx.table_del("cls", h)
-                        }).unwrap();
-                    }
-                }
+
+                // Invariant: both vv copies hold the same logical content —
+                // physical entry count is 2 copies × 2 alts × logical entries.
+                let sw = tb.sim.switch().borrow();
+                let t = sw.table_id("cls").unwrap();
+                prop_assert_eq!(sw.table_len(t), entries.len() * 4);
             }
-
-            // Probe every key with the malleable reference on both sides.
-            for k in 0..8u32 {
-                // Packet whose h.a = k, h.b = k+100 (so only one side can
-                // match entries keyed 0..8).
-                let got = probe(&tb, u128::from(k), u128::from(k) + 100);
-                let expect = if pick_b {
-                    0 // reference points at h.b = k+100, never a stored key
-                } else {
-                    entries
-                        .iter()
-                        .find(|(ek, _, _)| *ek == k)
-                        .map(|(_, tag, _)| tag + scale)
-                        .unwrap_or(0)
-                };
-                prop_assert_eq!(got, expect, "key {} after op", k);
-
-                // And the mirrored packet (h.b = k).
-                let got_b = probe(&tb, u128::from(k) + 100, u128::from(k));
-                let expect_b = if pick_b {
-                    entries
-                        .iter()
-                        .find(|(ek, _, _)| *ek == k)
-                        .map(|(_, tag, _)| tag + scale)
-                        .unwrap_or(0)
-                } else {
-                    0
-                };
-                prop_assert_eq!(got_b, expect_b, "mirror key {} after op", k);
-            }
-
-            // Invariant: both vv copies hold the same logical content —
-            // physical entry count is 2 copies × 2 alts × logical entries.
-            let sw = tb.sim.switch().borrow();
-            let t = sw.table_id("cls").unwrap();
-            prop_assert_eq!(sw.table_len(t), entries.len() * 4);
         }
     }
 
@@ -501,51 +510,53 @@ proptest! {
         new_scale in 2u32..1000,
         new_tag in 2u32..1000,
     ) {
-        let tb = Testbed::from_p4r(PROG).unwrap();
-        tb.agent.borrow_mut().user_init(|ctx| {
-            ctx.table_add(
-                "cls",
-                vec![LogicalKey::Exact(Value::new(5, 32))],
-                0,
-                "classify",
-                vec![Value::new(1, 32)],
-            )?;
-            Ok(())
-        }).unwrap();
-        let old = probe(&tb, 5, 0);
-        prop_assert_eq!(old, 2); // tag 1 + scale 1
+        for mode in driver_modes() {
+            let tb = testbed(PROG, 1, mode).unwrap();
+            tb.agent.borrow_mut().user_init(|ctx| {
+                ctx.table_add(
+                    "cls",
+                    vec![LogicalKey::Exact(Value::new(5, 32))],
+                    0,
+                    "classify",
+                    vec![Value::new(1, 32)],
+                )?;
+                Ok(())
+            }).unwrap();
+            let old = probe(&tb, 5, 0);
+            prop_assert_eq!(old, 2); // tag 1 + scale 1
 
-        // Run the update while probing after each dialogue step: the
-        // user_init path performs prepare→commit→mirror internally; probes
-        // before it must see old, after it new. (Step-level interleaving of
-        // the data plane is exercised in rmt-sim's staged-execution tests;
-        // here we verify the observable contract end to end.)
-        let handle = 1u64; // first logical handle in `cls`
-        let mut observations = vec![old];
-        tb.agent.borrow_mut().user_init(move |ctx| {
-            ctx.set_mbl("scale", i128::from(new_scale))?;
-            ctx.table_mod("cls", handle, "classify",
-                vec![Value::new(u128::from(new_tag), 32)])?;
-            Ok(())
-        }).unwrap();
-        observations.push(probe(&tb, 5, 0));
+            // Run the update while probing after each dialogue step: the
+            // user_init path performs prepare→commit→mirror internally; probes
+            // before it must see old, after it new. (Step-level interleaving of
+            // the data plane is exercised in rmt-sim's staged-execution tests;
+            // here we verify the observable contract end to end.)
+            let handle = 1u64; // first logical handle in `cls`
+            let mut observations = vec![old];
+            tb.agent.borrow_mut().user_init(move |ctx| {
+                ctx.set_mbl("scale", i128::from(new_scale))?;
+                ctx.table_mod("cls", handle, "classify",
+                    vec![Value::new(u128::from(new_tag), 32)])?;
+                Ok(())
+            }).unwrap();
+            observations.push(probe(&tb, 5, 0));
 
-        let old_world = 2u64;
-        let new_world = u64::from(new_scale) + u64::from(new_tag);
-        let mut seen_new = false;
-        for obs in observations {
-            prop_assert!(
-                obs == old_world || obs == new_world,
-                "blended observation {} (old {}, new {})",
-                obs, old_world, new_world
-            );
-            if obs == new_world {
-                seen_new = true;
-            } else {
-                prop_assert!(!seen_new, "old world reappeared after new");
+            let old_world = 2u64;
+            let new_world = u64::from(new_scale) + u64::from(new_tag);
+            let mut seen_new = false;
+            for obs in observations {
+                prop_assert!(
+                    obs == old_world || obs == new_world,
+                    "blended observation {} (old {}, new {})",
+                    obs, old_world, new_world
+                );
+                if obs == new_world {
+                    seen_new = true;
+                } else {
+                    prop_assert!(!seen_new, "old world reappeared after new");
+                }
             }
+            prop_assert!(seen_new);
         }
-        prop_assert!(seen_new);
     }
 }
 
