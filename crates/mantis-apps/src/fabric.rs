@@ -485,14 +485,17 @@ pub struct FabricEcmpOutcome {
     pub max_over_min: f64,
 }
 
-/// End-to-end ECMP across the spines: leaf 0 runs [`ECMP_P4R`] hashing
-/// every flow across its 4 spine uplinks; spines relay to leaf 1, which
-/// runs [`FAILOVER_P4R`] and delivers at its host port. Flow diversity
-/// comes from the source addresses; the spine split and the delivered
-/// count are measured after the full multi-hop path.
-pub fn run_fabric_ecmp(flows: usize, duration_ns: Nanos) -> FabricEcmpOutcome {
-    let leaves = 2;
-    let spines = 4; // ECMP_P4R's pick_path spreads over 4 consecutive ports
+/// The ECMP fabric's leaves and spines (`ECMP_P4R`'s `pick_path` spreads
+/// over 4 consecutive ports).
+const ECMP_FABRIC: (usize, usize) = (2, 4);
+
+/// The fabric of [`run_fabric_ecmp`], its `flows` sources spawned and
+/// nothing run yet: leaf 0 runs [`ECMP_P4R`] hashing every flow across
+/// its 4 spine uplinks; spines relay to leaf 1, which runs
+/// [`FAILOVER_P4R`] and delivers at its host port. Flow diversity comes
+/// from the source addresses.
+pub fn build_ecmp_fabric(flows: usize) -> (Simulator, Vec<Rc<RefCell<UdpState>>>) {
+    let (leaves, spines) = ECMP_FABRIC;
     let ecmp_compiled =
         compile_source(ECMP_P4R, &CompilerOptions::default()).expect("ECMP_P4R compiles");
     let leaf_compiled =
@@ -600,6 +603,14 @@ pub fn run_fabric_ecmp(flows: usize, duration_ns: Nanos) -> FabricEcmpOutcome {
         ));
     }
 
+    (sim, states)
+}
+
+/// End-to-end ECMP across the spines of [`build_ecmp_fabric`]: the spine
+/// split and the delivered count are measured after the multi-hop path.
+pub fn run_fabric_ecmp(flows: usize, duration_ns: Nanos) -> FabricEcmpOutcome {
+    let (leaves, spines) = ECMP_FABRIC;
+    let (mut sim, states) = build_ecmp_fabric(flows);
     sim.run_until(duration_ns);
 
     let per_spine_tx: Vec<u64> = (0..spines).map(|j| sim.tx_count_on(leaves + j)).collect();

@@ -506,13 +506,12 @@ impl Simulator {
         let map = self.xfer[src][dest].as_deref().expect("just built");
         let mut sw = self.switches[dest].borrow_mut();
         if map.is_identity() {
-            // Identical specs on both ends (the common fabric case): the
-            // buffer itself crosses the wire. Wiping the metadata and
-            // stamping the receiver intrinsics leaves exactly the state a
-            // copy into a fresh PHV would have produced, minus the copy.
+            // One wire layout on both ends (every fabric hop of the shipped
+            // programs): the buffer itself crosses the wire, rebased onto
+            // the receiver's program — the state a copy into a fresh PHV
+            // would have produced, minus the copy.
             let mut phv = phv;
-            phv.reset_metadata(sw.spec());
-            phv.stamp_arrival(port, sw.spec());
+            phv.rebase(port, sw.spec());
             sw.inject_phv_at(phv, arrival);
         } else {
             let mut dst_phv = self.freelist(dest).borrow_mut().take(sw.spec());

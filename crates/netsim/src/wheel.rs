@@ -13,24 +13,30 @@
 //! same-slot events are almost always same-instant); each higher level is
 //! `SLOTS`× coarser. Together they cover `2^62` ns (~146 virtual years)
 //! past the wheel's `boundary`; anything beyond that sits in a small
-//! overflow heap that is migrated when the buckets drain.
+//! sorted overflow run that is migrated when the buckets drain.
 //!
-//! Ordering contract (property-tested against a `BinaryHeap` oracle in
+//! Ordering contract (property-tested against a binary-heap oracle in
 //! `tests/timing_wheel_property.rs`): [`TimingWheel::pop_due`] yields
-//! events in exactly `(at, seq)` order — the same total order the old
-//! `BinaryHeap<Reverse<Scheduled>>` produced, including FIFO tie-break of
-//! same-time events via the caller-supplied monotone `seq`.
+//! events in exactly `(at, seq)` order — the total order a min-heap of
+//! `(at, seq)` keys produces, including FIFO tie-break of same-time
+//! events via the caller-supplied monotone `seq`.
+//!
+//! The events due next form the `near` run, a deque sorted by
+//! `(at, seq)`. A level-0 slot is flushed only once `near` is empty, so
+//! its buffer is sorted once and becomes the run (the run's drained one
+//! goes to the slot); an event scheduled behind the boundary is inserted
+//! at its position, searched from the back.
 //!
 //! Invariants:
 //! - `boundary` is 64-aligned and monotone non-decreasing; every pending
-//!   event with `at < boundary` is in the `near` heap.
-//! - an event beyond the bucket span lives in `overflow`, and is strictly
-//!   later than every bucketed event (both live in disjoint `2^62` ns
-//!   regions), so overflow is only consulted when the buckets are empty.
+//!   event with `at < boundary` is in `near`, which is sorted.
+//! - an event beyond the bucket span lives in `overflow`, sorted alike,
+//!   and is strictly later than every bucketed event (both live in
+//!   disjoint `2^62` ns regions), so overflow is only consulted when the
+//!   buckets are empty.
 
 use rmt_sim::Nanos;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// log2 of slots per level.
 const SLOT_BITS: u32 = 8;
@@ -47,8 +53,11 @@ const OCC_WORDS: usize = SLOTS / 64;
 /// of virtual time to wrap — so without a pre-sized buffer the first push
 /// into a cold slot allocates *mid-run*, long after the rest of the
 /// engine reached steady state. Pre-sizing every slot bounds that to a
-/// fixed construction-time footprint (`LEVELS × SLOTS × 8` entries).
-const SLOT_PREALLOC: usize = 8;
+/// fixed construction-time footprint (`LEVELS × SLOTS × 16` entries). A
+/// level-1 slot spans 16 µs, which 4 Gb/s of 1 KB frames (the ECMP
+/// fabric) fills with about eight events: at eight entries, slot after
+/// slot outgrew its buffer for hundreds of virtual milliseconds.
+const SLOT_PREALLOC: usize = 16;
 
 /// One pending event.
 #[derive(Debug)]
@@ -58,26 +67,14 @@ struct Entry<T> {
     item: T,
 }
 
-/// Max-heap entry wrapper inverted to a min-heap on `(at, seq)`.
-#[derive(Debug)]
-struct NearEntry<T>(Entry<T>);
-
-impl<T> PartialEq for NearEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.seq == other.0.seq
+/// Insert `e` into the `(at, seq)`-sorted `run` at its position,
+/// searching from the back: events are mostly scheduled in time order.
+fn insert_sorted<T>(run: &mut VecDeque<Entry<T>>, e: Entry<T>) {
+    let mut i = run.len();
+    while i > 0 && (run[i - 1].at, run[i - 1].seq) > (e.at, e.seq) {
+        i -= 1;
     }
-}
-impl<T> Eq for NearEntry<T> {}
-impl<T> PartialOrd for NearEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for NearEntry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        (other.0.at, other.0.seq).cmp(&(self.0.at, self.0.seq))
-    }
+    run.insert(i, e);
 }
 
 #[derive(Debug)]
@@ -120,12 +117,13 @@ pub struct TimingWheel<T> {
     /// 64-aligned lower edge of the bucket span. All pending events below
     /// it have been cascaded into `near`.
     boundary: Nanos,
-    /// Events already known to precede the bucket span, served in
-    /// `(at, seq)` order.
-    near: BinaryHeap<NearEntry<T>>,
+    /// Events already known to precede the bucket span, sorted by
+    /// `(at, seq)`: the front is served next.
+    near: VecDeque<Entry<T>>,
     levels: Vec<Level<T>>,
-    /// Events beyond the bucket span (≥ 2^62 ns past `boundary`).
-    overflow: BinaryHeap<NearEntry<T>>,
+    /// Events beyond the bucket span (≥ 2^62 ns past `boundary`), sorted
+    /// by `(at, seq)`.
+    overflow: VecDeque<Entry<T>>,
     /// Events currently resident in `levels`.
     bucketed: usize,
     /// The boundary the level ≥ 1 boundary slots were last cascaded at.
@@ -135,11 +133,6 @@ pub struct TimingWheel<T> {
     /// once.
     cascaded: Option<Nanos>,
     len: usize,
-    /// Spare slot buffer swapped into a slot when it is flushed, so slot
-    /// capacity circulates instead of being freed — cascades allocate
-    /// nothing once every visited slot's buffer has grown to its
-    /// high-water mark.
-    spare: Vec<Entry<T>>,
 }
 
 impl<T> Default for TimingWheel<T> {
@@ -152,31 +145,33 @@ impl<T> TimingWheel<T> {
     pub fn new() -> Self {
         TimingWheel {
             boundary: 0,
-            near: BinaryHeap::new(),
+            near: VecDeque::with_capacity(SLOT_PREALLOC),
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            overflow: BinaryHeap::new(),
+            overflow: VecDeque::new(),
             bucketed: 0,
             cascaded: None,
             len: 0,
-            spare: Vec::with_capacity(SLOT_PREALLOC),
         }
     }
 
-    /// Empty `slot` at `level`, leaving the spare buffer in its place so
-    /// the slot keeps warmed capacity for future pushes. The returned
-    /// buffer must come back via [`TimingWheel::restore_spare`] once
-    /// drained.
+    /// Take the events of `slot` at `level` out. An empty buffer must come
+    /// back via [`TimingWheel::restore_slot`]: a cascaded slot's own, so
+    /// that it keeps the capacity it has grown to, or a level-0 slot's the
+    /// one `near` drained. Nothing allocates once the buffers the traffic
+    /// visits have reached their high-water marks.
     fn flush_slot(&mut self, level: usize, slot: usize) -> Vec<Entry<T>> {
         let l = &mut self.levels[level];
         l.occ[slot / 64] &= !(1u64 << (slot % 64));
-        let events = std::mem::replace(&mut l.slots[slot], std::mem::take(&mut self.spare));
+        let events = std::mem::take(&mut l.slots[slot]);
         self.bucketed -= events.len();
         events
     }
 
-    fn restore_spare(&mut self, drained: Vec<Entry<T>>) {
-        debug_assert!(drained.is_empty());
-        self.spare = drained;
+    /// Draining never files an event into the slot being drained: a
+    /// level-0 slot feeds `near`, a cascade places strictly lower.
+    fn restore_slot(&mut self, level: usize, slot: usize, drained: Vec<Entry<T>>) {
+        debug_assert!(drained.is_empty() && self.levels[level].slots[slot].is_empty());
+        self.levels[level].slots[slot] = drained;
     }
 
     pub fn len(&self) -> usize {
@@ -227,11 +222,11 @@ impl<T> TimingWheel<T> {
 
     fn place(&mut self, e: Entry<T>) {
         if e.at < self.boundary {
-            self.near.push(NearEntry(e));
+            insert_sorted(&mut self.near, e);
             return;
         }
         match self.level_for(e.at) {
-            None => self.overflow.push(NearEntry(e)),
+            None => insert_sorted(&mut self.overflow, e),
             Some(level) => {
                 let slot = Self::slot_index(e.at, level);
                 let l = &mut self.levels[level];
@@ -282,28 +277,28 @@ impl<T> TimingWheel<T> {
                 for e in events.drain(..) {
                     self.place(e);
                 }
-                self.restore_spare(events);
+                self.restore_slot(level, slot, events);
             }
         }
     }
 
     /// Cascade until the earliest pending event (if due by `until`) sits
-    /// at the top of `near`. Returns whether such an event exists.
+    /// at the front of `near`. Returns whether such an event exists.
     fn expose_due(&mut self, until: Nanos) -> bool {
         loop {
             if self.bucketed > 0 {
                 self.flush_boundary_slots();
             }
-            if let Some(head) = self.near.peek() {
-                if head.0.at <= until {
+            if let Some(head) = self.near.front() {
+                if head.at <= until {
                     return true;
                 }
             }
             if self.bucketed == 0 {
-                // Buckets empty: the overflow heap (strictly later than
+                // Buckets empty: the overflow run (strictly later than
                 // anything bucketed) may now be within reach.
-                match self.overflow.peek() {
-                    Some(h) if h.0.at <= until => self.migrate_overflow(),
+                match self.overflow.front() {
+                    Some(h) if h.at <= until => self.migrate_overflow(),
                     _ => return false,
                 }
                 continue;
@@ -313,37 +308,40 @@ impl<T> TimingWheel<T> {
             if start > until {
                 return false;
             }
-            // Flush the slot: level 0 slots are already totally ordered by
-            // the near heap; higher slots cascade their events down.
+            // Flush the slot: a level-0 slot, sorted once, becomes the
+            // near run (empty, or its head would have been served first);
+            // higher slots cascade their events down.
             let mut events = self.flush_slot(level, slot);
             if level == 0 {
                 // Saturating: at the u64 horizon the boundary pins at MAX
                 // (horizon events keep cycling through the final slot in
                 // order) instead of wrapping back to zero.
                 self.boundary = start.saturating_add(1 << SHIFT0);
-                for e in events.drain(..) {
-                    self.near.push(NearEntry(e));
-                }
+                debug_assert!(self.near.is_empty());
+                events.sort_unstable_by_key(|e| (e.at, e.seq));
+                // The sorted buffer becomes the run and the run's drained
+                // one the slot's: no event is copied.
+                events = Vec::from(std::mem::replace(&mut self.near, events.into()));
             } else {
                 self.boundary = start;
                 for e in events.drain(..) {
                     self.place(e);
                 }
             }
-            self.restore_spare(events);
+            self.restore_slot(level, slot, events);
         }
     }
 
     /// Advance the boundary to the overflow head and pull every overflow
     /// event that now fits the bucket span back in.
     fn migrate_overflow(&mut self) {
-        let head_at = self.overflow.peek().expect("overflow non-empty").0.at;
+        let head_at = self.overflow.front().expect("overflow non-empty").at;
         self.boundary = (head_at >> SHIFT0) << SHIFT0;
-        while let Some(h) = self.overflow.peek() {
-            if self.level_for(h.0.at).is_none() {
+        while let Some(h) = self.overflow.front() {
+            if self.level_for(h.at).is_none() {
                 break;
             }
-            let NearEntry(e) = self.overflow.pop().expect("peeked");
+            let e = self.overflow.pop_front().expect("peeked");
             self.place(e);
         }
     }
@@ -359,7 +357,7 @@ impl<T> TimingWheel<T> {
         if !self.expose_due(until) {
             return None;
         }
-        let NearEntry(e) = self.near.pop().expect("expose_due placed a head");
+        let e = self.near.pop_front().expect("expose_due placed a head");
         self.len -= 1;
         Some((e.at, e.seq, e.item))
     }

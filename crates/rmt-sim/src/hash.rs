@@ -2,22 +2,18 @@
 
 use p4_ast::{HashAlgorithm, Value};
 
-/// Serialize field values to the byte string a hardware hash unit would see
-/// (each field big-endian, padded to whole bytes).
-pub fn field_bytes(inputs: &[Value]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for v in inputs {
-        let n = v.byte_width();
-        let bytes = v.bits().to_be_bytes();
-        out.extend_from_slice(&bytes[16 - n..]);
-    }
-    out
+/// The byte string a hardware hash unit would see (each field big-endian,
+/// padded to whole bytes), streamed so that hashing allocates nothing.
+pub fn field_bytes(inputs: &[Value]) -> impl Iterator<Item = u8> + '_ {
+    inputs
+        .iter()
+        .flat_map(|v| v.bits().to_be_bytes().into_iter().skip(16 - v.byte_width()))
 }
 
 /// CRC-16/ARC (poly 0x8005 reflected = 0xA001), the P4-14 `crc16` default.
-pub fn crc16(data: &[u8]) -> u16 {
+pub fn crc16(data: impl IntoIterator<Item = u8>) -> u16 {
     let mut crc: u16 = 0;
-    for &b in data {
+    for b in data {
         crc ^= u16::from(b);
         for _ in 0..8 {
             if crc & 1 != 0 {
@@ -31,9 +27,9 @@ pub fn crc16(data: &[u8]) -> u16 {
 }
 
 /// CRC-32 (IEEE 802.3, reflected poly 0xEDB88320).
-pub fn crc32(data: &[u8]) -> u32 {
+pub fn crc32(data: impl IntoIterator<Item = u8>) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
+    for b in data {
         crc ^= u32::from(b);
         for _ in 0..8 {
             if crc & 1 != 0 {
@@ -48,9 +44,9 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// A xorshift-style mixer — models an alternative, differently-polarizing
 /// hash strategy for the ECMP use case.
-pub fn xor_mix(data: &[u8]) -> u64 {
+pub fn xor_mix(data: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-    for &b in data {
+    for b in data {
         h ^= u64::from(b);
         h ^= h << 13;
         h ^= h >> 7;
@@ -71,9 +67,9 @@ pub fn identity(inputs: &[Value]) -> u128 {
 /// Evaluate a hash over field values, truncated to `output_width` bits.
 pub fn compute(alg: HashAlgorithm, inputs: &[Value], output_width: u16) -> Value {
     let raw: u128 = match alg {
-        HashAlgorithm::Crc16 => u128::from(crc16(&field_bytes(inputs))),
-        HashAlgorithm::Crc32 => u128::from(crc32(&field_bytes(inputs))),
-        HashAlgorithm::XorMix => u128::from(xor_mix(&field_bytes(inputs))),
+        HashAlgorithm::Crc16 => u128::from(crc16(field_bytes(inputs))),
+        HashAlgorithm::Crc32 => u128::from(crc32(field_bytes(inputs))),
+        HashAlgorithm::XorMix => u128::from(xor_mix(field_bytes(inputs))),
         HashAlgorithm::Identity => identity(inputs),
     };
     Value::new(raw, output_width.max(1))
@@ -86,19 +82,19 @@ mod tests {
     #[test]
     fn crc16_known_vector() {
         // CRC-16/ARC("123456789") = 0xBB3D
-        assert_eq!(crc16(b"123456789"), 0xBB3D);
+        assert_eq!(crc16(*b"123456789"), 0xBB3D);
     }
 
     #[test]
     fn crc32_known_vector() {
         // CRC-32("123456789") = 0xCBF43926
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(*b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
     fn field_bytes_big_endian_padded() {
         let v = vec![Value::new(0x0102, 16), Value::new(0x3, 4)];
-        assert_eq!(field_bytes(&v), vec![0x01, 0x02, 0x03]);
+        assert_eq!(field_bytes(&v).collect::<Vec<_>>(), vec![0x01, 0x02, 0x03]);
     }
 
     #[test]
@@ -127,7 +123,7 @@ mod tests {
 
     #[test]
     fn xor_mix_is_deterministic() {
-        assert_eq!(xor_mix(b"abc"), xor_mix(b"abc"));
-        assert_ne!(xor_mix(b"abc"), xor_mix(b"abd"));
+        assert_eq!(xor_mix(*b"abc"), xor_mix(*b"abc"));
+        assert_ne!(xor_mix(*b"abc"), xor_mix(*b"abd"));
     }
 }

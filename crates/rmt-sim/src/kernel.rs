@@ -250,7 +250,11 @@ fn run_action(
                 hash_scratch.extend(c.inputs.iter().map(|f| phv.get(*f)));
                 let h = hash::compute(c.algorithm, hash_scratch, c.output_width);
                 let size = size.bits(data, phv).max(1);
-                let bits = base.bits(data, phv).wrapping_add(h.bits() % size);
+                let bucket = match (u64::try_from(h.bits()), u64::try_from(size)) {
+                    (Ok(h), Ok(size)) => u128::from(h % size),
+                    _ => h.bits() % size,
+                };
+                let bits = base.bits(data, phv).wrapping_add(bucket);
                 phv.set_bits(dst, bits);
             }
         }

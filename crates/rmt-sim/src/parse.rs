@@ -91,9 +91,7 @@ pub fn parse_packet(
         }
     }
     phv.payload_len = (bytes.len() - offset_bits / 8) as u32;
-    phv.set_intr(spec, "ingress_port", u64::from(port));
-    let len = phv.frame_len(spec);
-    phv.set_intr(spec, "pkt_len", u64::from(len));
+    phv.stamp_arrival(port, spec);
     Ok(phv)
 }
 

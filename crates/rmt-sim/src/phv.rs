@@ -91,8 +91,7 @@ impl Phv {
         self.bits[id.0 as usize] as u64
     }
 
-    /// Write a `u64`, truncating to the container width (the id-resolved
-    /// form of [`Phv::set_intr`]).
+    /// Write a `u64`, truncating to the container width.
     #[inline]
     pub fn set_u64(&mut self, id: FieldId, v: u64) {
         self.set_bits(id, u128::from(v));
@@ -101,12 +100,6 @@ impl Phv {
     /// Convenience: read an intrinsic field by name.
     pub fn intr(&self, spec: &DataPlaneSpec, name: &str) -> Value {
         self.get(spec.field_id(INTR, name).expect("intrinsic field"))
-    }
-
-    /// Convenience: write an intrinsic field by name.
-    pub fn set_intr(&mut self, spec: &DataPlaneSpec, name: &str, v: u64) {
-        let id = spec.field_id(INTR, name).expect("intrinsic field");
-        self.set(id, Value::new(u128::from(v), 64));
     }
 
     pub fn ingress_port(&self, spec: &DataPlaneSpec) -> PortId {
@@ -171,19 +164,26 @@ impl Phv {
         );
     }
 
-    /// Reset only the metadata headers' fields to their init values,
-    /// leaving wire headers (values and validity) and the payload intact.
-    /// This is the state a wire transfer between *identical* specs
-    /// produces: [`TransferMap::apply`] into a fresh PHV copies the wire
-    /// headers and nothing else, so moving the buffer and wiping the
-    /// metadata is byte-equivalent — without the copy.
+    /// Make a PHV that crossed a wire the receiver's: metadata and invalid
+    /// wire headers take `spec`'s image, the PHV takes `spec`'s width
+    /// layout, and the arrival is stamped. Between programs of one wire layout
+    /// ([`TransferMap::is_identity`]) that is the state
+    /// [`TransferMap::apply`] into a fresh PHV produces, without the copy.
     #[inline]
-    pub fn reset_metadata(&mut self, spec: &DataPlaneSpec) {
+    pub fn rebase(&mut self, port: PortId, spec: &DataPlaneSpec) {
         let image = spec.image();
-        for &(start, end) in &image.metadata_runs {
-            self.bits[start..end].copy_from_slice(&image.bits[start..end]);
+        for (h, &(start, end)) in image.header_runs.iter().enumerate() {
+            // Metadata is valid in the image, so it is always rewritten.
+            if image.valid[h] || !self.valid[h] {
+                self.bits[start..end].copy_from_slice(&image.bits[start..end]);
+                self.valid[h] = image.valid[h];
+            }
+        }
+        if !Rc::ptr_eq(&self.widths, &image.widths) {
+            self.widths = image.widths.clone();
         }
         self.dropped = false;
+        self.stamp_arrival(port, spec);
     }
 
     /// Stamp the receiver-side intrinsics of a packet whose headers are in
@@ -423,10 +423,9 @@ impl PacketTemplate {
 #[derive(Clone, Debug, Default)]
 pub struct TransferMap {
     headers: Vec<HeaderXfer>,
-    /// True when the two specs are structurally identical, so a transfer
-    /// is the identity: the receiving side may *move* the source PHV
-    /// (after [`Phv::reset_metadata`]) instead of copying it field by
-    /// field into a fresh buffer.
+    /// True when the two specs share one wire layout ([`same_wire_layout`]),
+    /// so the receiver may *move* the source PHV and [`Phv::rebase`] it
+    /// instead of copying it field by field into a fresh buffer.
     identity: bool,
 }
 
@@ -442,25 +441,21 @@ struct HeaderXfer {
     resized: Vec<(FieldId, FieldId)>,
 }
 
-/// Structural equality of two specs' PHV layouts: same headers (name,
-/// metadata flag, field list) and same fields (names, widths, inits) at
-/// the same indices. When this holds, a PHV shaped for one spec is
-/// directly usable under the other.
-fn specs_identical(a: &DataPlaneSpec, b: &DataPlaneSpec) -> bool {
-    if std::ptr::eq(a, b) {
-        return true;
-    }
+/// Whether a PHV laid out for `a` can become `b`'s by [`Phv::rebase`]:
+/// same field and header counts, wire headers identical (name, fields,
+/// widths, inits) at the same indices, metadata fields at the same
+/// indices. Metadata may differ otherwise: the rebase rewrites all of it.
+fn same_wire_layout(a: &DataPlaneSpec, b: &DataPlaneSpec) -> bool {
+    let same_field = |f: &FieldId| {
+        let (x, y) = (&a.fields[f.0 as usize], &b.fields[f.0 as usize]);
+        x.field == y.field && x.width == y.width && x.init == y.init
+    };
     a.fields.len() == b.fields.len()
         && a.headers.len() == b.headers.len()
-        && a.fields.iter().zip(&b.fields).all(|(x, y)| {
-            x.instance == y.instance
-                && x.field == y.field
-                && x.width == y.width
-                && x.is_metadata == y.is_metadata
-                && x.init == y.init
-        })
         && a.headers.iter().zip(&b.headers).all(|(x, y)| {
-            x.name == y.name && x.is_metadata == y.is_metadata && x.fields == y.fields
+            x.is_metadata == y.is_metadata
+                && x.fields == y.fields
+                && (x.is_metadata || x.name == y.name && x.fields.iter().all(same_field))
         })
 }
 
@@ -502,11 +497,11 @@ impl TransferMap {
         }
         TransferMap {
             headers,
-            identity: specs_identical(src, dst),
+            identity: same_wire_layout(src, dst),
         }
     }
 
-    /// Whether this transfer is between structurally identical specs (see
+    /// Whether this transfer is between programs of one wire layout (see
     /// the `identity` field).
     #[inline]
     pub fn is_identity(&self) -> bool {
@@ -807,8 +802,17 @@ header v_t v;
             for (f, w) in widths.iter().enumerate() {
                 write!(src, " f{f} : {w};").unwrap();
             }
-            let kind = if *is_metadata { "metadata" } else { "header" };
-            writeln!(src, " }} }}\n{kind} h{i}_t h{i};").unwrap();
+            if !is_metadata {
+                writeln!(src, " }} }}\nheader h{i}_t h{i};").unwrap();
+                continue;
+            }
+            // Inits that depend on the widths, so two programs whose
+            // metadata differs in width differ in init too.
+            write!(src, " }} }}\nmetadata h{i}_t h{i} {{").unwrap();
+            for (f, w) in widths.iter().enumerate() {
+                write!(src, " f{f} : {};", (i * 7 + f * 3) as u32 + u32::from(*w)).unwrap();
+            }
+            writeln!(src, " }}").unwrap();
         }
         load(&parse_program(&src).unwrap()).unwrap()
     }
@@ -820,7 +824,85 @@ header v_t v;
         )
     }
 
+    /// A write into an invalid wire header (`modify_field` on a packet
+    /// without it) does not cross the wire: the copy path lands the
+    /// receiver's init bits, and so must the move path.
+    #[test]
+    fn a_moved_phv_drops_bits_of_invalid_headers() {
+        let prog = r#"
+header_type eth_t { fields { dst : 48; src : 48; etype : 16; } }
+header eth_t eth;
+header_type v_t { fields { q : 8; } }
+header v_t v;
+header_type m_t { fields { x : 8; } }
+metadata m_t m { x : 5; }
+"#;
+        let s = load(&parse_program(prog).unwrap()).unwrap();
+        let map = TransferMap::build(&s, &s);
+        assert!(map.is_identity());
+        let mut phv = PacketDesc::new(1).field("eth", "dst", 0xaabb).build(&s);
+        let q = s.field_id("v", "q").unwrap();
+        phv.set(q, Value::new(0xab, 8));
+        let mut copied = Phv::new(&s);
+        map.apply(&phv, &mut copied, 4, &s);
+        assert_eq!(copied.get_u64(q), 0);
+        phv.rebase(4, &s);
+        assert!(phv_eq(&phv, &copied));
+    }
+
+    /// `(is_metadata, field widths)` per header, as [`spec_of`] takes.
+    type Headers = Vec<(bool, Vec<u16>)>;
+
+    /// Header lists that differ only in their metadata's widths (and so
+    /// inits): one wire layout, two programs.
+    fn same_wire_layout_pair() -> impl Strategy<Value = (Headers, Headers)> {
+        let widths = prop::collection::vec(1u16..=128, 20);
+        (headers(), widths).prop_map(|(src, mut widths)| {
+            let dst = src
+                .iter()
+                .map(|(is_metadata, w)| {
+                    let w = if *is_metadata {
+                        widths.drain(..w.len()).collect()
+                    } else {
+                        w.clone()
+                    };
+                    (*is_metadata, w)
+                })
+                .collect();
+            (src, dst)
+        })
+    }
+
     proptest! {
+        #[test]
+        fn a_moved_phv_equals_the_copied_one(
+            pair in same_wire_layout_pair(),
+            bits in prop::collection::vec(any::<u128>(), 1..64),
+            valid in prop::collection::vec(any::<bool>(), 6),
+            payload in 0u32..(1 << 20),
+            dropped in any::<bool>(),
+        ) {
+            let (src, dst) = (spec_of(&pair.0), spec_of(&pair.1));
+            let map = TransferMap::build(&src, &dst);
+            prop_assert!(map.is_identity());
+            // Arbitrary bits everywhere — in invalid headers too — and
+            // arbitrary wire-header validity.
+            let mut phv = Phv::new(&src);
+            for i in 0..src.fields.len() {
+                phv.set_bits(FieldId(i as u32), bits[i % bits.len()]);
+            }
+            for (h, info) in src.headers.iter().enumerate() {
+                if !info.is_metadata {
+                    phv.set_valid(h, valid[h % valid.len()]);
+                }
+            }
+            (phv.payload_len, phv.dropped) = (payload, dropped);
+            let mut copied = Phv::new(&dst);
+            map.apply(&phv, &mut copied, 3, &dst);
+            phv.rebase(3, &dst);
+            prop_assert!(phv_eq(&phv, &copied));
+        }
+
         #[test]
         fn frame_len_matches_the_header_walk(
             src_headers in headers(),

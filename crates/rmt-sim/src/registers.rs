@@ -35,15 +35,20 @@ impl RegisterArray {
         self.width
     }
 
-    /// Data-plane read. Out-of-range indexes wrap (hardware masks the
-    /// index), keeping packet processing total.
+    /// The cell a data-plane `index` addresses: out-of-range indexes wrap
+    /// (hardware masks the index); one in range costs no division.
+    #[inline]
+    fn cell(&self, index: usize) -> Option<usize> {
+        (index < self.cells.len())
+            .then_some(index)
+            .or_else(|| index.checked_rem(self.cells.len()))
+    }
+
+    /// Data-plane read; the index wraps.
     #[inline]
     pub fn read(&self, index: usize) -> Value {
-        let n = self.cells.len();
-        if n == 0 {
-            return Value::zero(self.width);
-        }
-        self.cells[index % n]
+        self.cell(index)
+            .map_or(Value::zero(self.width), |i| self.cells[i])
     }
 
     /// Data-plane write; the value is truncated to the register width and
@@ -57,24 +62,18 @@ impl RegisterArray {
     /// cell width, the index wraps.
     #[inline]
     pub(crate) fn write_bits(&mut self, index: usize, bits: u128) {
-        let n = self.cells.len();
-        if n == 0 {
-            return;
+        if let Some(i) = self.cell(index) {
+            let cell = &mut self.cells[i];
+            *cell = cell.with_bits(bits);
         }
-        let cell = &mut self.cells[index % n];
-        *cell = cell.with_bits(bits);
     }
 
     /// Data-plane read-modify-write increment (`count` primitive and
     /// timestamp registers).
     #[inline]
     pub fn increment(&mut self, index: usize, by: u64) {
-        let n = self.cells.len();
-        if n == 0 {
-            return;
-        }
-        let cell = &mut self.cells[index % n];
-        *cell = cell.with_bits(cell.bits().wrapping_add(u128::from(by)));
+        let bits = self.read(index).bits().wrapping_add(u128::from(by));
+        self.write_bits(index, bits);
     }
 
     /// The cells `lo..=hi` (clamped to the array; empty when inverted).

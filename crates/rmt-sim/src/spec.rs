@@ -315,7 +315,7 @@ pub struct DataPlaneSpec {
 
 /// The PHV of a fresh packet under one spec — what [`crate::Phv::new`]
 /// produces — kept as flat slices, so taking a pooled PHV, resetting it
-/// and wiping its metadata at a wire hop are slice copies instead of
+/// and rebasing a moved one at a wire hop are slice copies instead of
 /// walks over [`FieldInfo`]s.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PhvImage {
@@ -326,30 +326,23 @@ pub(crate) struct PhvImage {
     pub widths: Rc<[u16]>,
     /// Header validity: metadata instances valid, wire headers not.
     pub valid: Box<[bool]>,
-    /// `start..end` field-index runs owned by metadata instances
-    /// (adjacent instances coalesced).
-    pub metadata_runs: Vec<(usize, usize)>,
+    /// Each header's `start..end` field-index run (an instance's fields
+    /// are allocated consecutively by `load`).
+    pub header_runs: Box<[(usize, usize)]>,
 }
 
 impl PhvImage {
     fn build(fields: &[FieldInfo], headers: &[HeaderInfo]) -> PhvImage {
-        let mut metadata_runs: Vec<(usize, usize)> = Vec::new();
-        for h in headers.iter().filter(|h| h.is_metadata) {
-            let Some(first) = h.fields.first() else {
-                continue;
-            };
-            // An instance's fields are allocated consecutively by `load`.
-            let (start, end) = (first.0 as usize, first.0 as usize + h.fields.len());
-            match metadata_runs.last_mut() {
-                Some(run) if run.1 == start => run.1 = end,
-                _ => metadata_runs.push((start, end)),
-            }
-        }
+        let run = |h: &HeaderInfo| {
+            h.fields
+                .first()
+                .map_or((0, 0), |f| (f.0 as usize, f.0 as usize + h.fields.len()))
+        };
         PhvImage {
             bits: fields.iter().map(|f| f.init.bits()).collect(),
             widths: layout(fields.iter().map(|f| f.width).collect()),
             valid: headers.iter().map(|h| h.is_metadata).collect(),
-            metadata_runs,
+            header_runs: headers.iter().map(run).collect(),
         }
     }
 }

@@ -296,10 +296,12 @@ pub struct Switch {
     config: SwitchConfig,
     clock: Clock,
     pipes: Vec<Pipe>,
-    /// Ports per pipe (`ceil(num_ports / num_pipes)`); the port→pipe map
-    /// is `pipe = port / ports_per_pipe`, contiguous like real front
-    /// panels.
+    /// Ports per pipe (`ceil(num_ports / num_pipes)`), contiguous like real
+    /// front panels: port `p` is in pipe `p / ports_per_pipe`.
     ports_per_pipe: u16,
+    /// That map as `(pipe, local slot)` per port, so the packet path never
+    /// divides; ports past its end belong to the last pipe.
+    port_map: Box<[(u16, u16)]>,
     /// Per-table next entry handle, shared across pipes so a fan-out
     /// `table_add` lands under the same handle in every pipe.
     next_handles: Vec<u64>,
@@ -396,6 +398,9 @@ impl Switch {
             clock,
             pipes,
             ports_per_pipe,
+            port_map: (0..ports_per_pipe.saturating_mul(num_pipes))
+                .map(|p| (p / ports_per_pipe, p % ports_per_pipe))
+                .collect(),
             next_handles,
             checkpoints: Vec::new(),
             next_checkpoint: 0,
@@ -430,17 +435,17 @@ impl Switch {
         if port >= self.config.num_ports {
             return None;
         }
-        Some((
-            (port / self.ports_per_pipe) as usize,
-            (port % self.ports_per_pipe) as usize,
-        ))
+        let (pipe, local) = self.port_map[usize::from(port)];
+        Some((usize::from(pipe), usize::from(local)))
     }
 
     /// The pipe a port belongs to, clamping out-of-panel ports (like the
     /// recirculation port) to the last pipe — execution needs *some* pipe.
     #[inline]
     pub fn pipe_of_port(&self, port: PortId) -> u16 {
-        (port / self.ports_per_pipe).min(self.config.num_pipes - 1)
+        self.port_map
+            .get(usize::from(port))
+            .map_or(self.config.num_pipes - 1, |&(pipe, _)| pipe)
     }
 
     /// Attach a shared telemetry handle: the traffic manager publishes
@@ -799,7 +804,7 @@ impl Switch {
     /// Serve `port`'s queue (in pipe `pipe`) up to `now`: dequeue, egress
     /// pipeline, transmit. Returns the packets served.
     fn serve_port(&mut self, port: PortId, pipe: usize, now: Nanos, pipe_ns: Nanos) -> u64 {
-        let local = usize::from(port % self.ports_per_pipe);
+        let local = usize::from(self.port_map[usize::from(port)].1);
         let intr = self.spec.intr_ids().expect("intrinsic field");
         let mut served = 0;
         loop {

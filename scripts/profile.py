@@ -14,6 +14,23 @@ the compiler inlined has no frame of its own and is charged to its caller.
     scripts/profile.py --workload fabric_fwd --by crate --top 15
     scripts/profile.py --no-build --workload react_local   # binary as built
 
+Two filters narrow the view. `--under SYMBOL` keeps only the samples whose
+call chain passes through a symbol containing SYMBOL, and reports shares
+of those samples:
+
+    scripts/profile.py --workload react_local --under dialogue_iteration
+    scripts/profile.py --under run_until --top 15
+
+`--lines SYMBOL` breaks the self samples of the symbols containing SYMBOL
+down by source line, inline frames included: each row is the innermost
+`file:line` of the sampled instruction followed by the lines it was
+inlined through, outermost last. The build carries line tables
+(`CARGO_PROFILE_RELEASE_DEBUG=line-tables-only`, which changes no
+generated code), and `addr2line -i` from binutils resolves them:
+
+    scripts/profile.py --lines 'Simulator::run_until'
+    scripts/profile.py --workload fabric_fwd --lines 'Switch::pump' --top 20
+
 Linux on x86_64 or aarch64.
 """
 
@@ -220,7 +237,9 @@ class Symbolizer:
             self.cache[ip] = self.lookup(ip)
         return self.cache[ip]
 
-    def lookup(self, ip):
+    def vaddr(self, ip):
+        """The benchmark binary's own address of `ip`, or the bracketed
+        name of the mapping it falls in instead."""
         for start, end, offset, path in self.maps:
             if start <= ip < end:
                 fileoff = ip - start + offset
@@ -231,10 +250,13 @@ class Symbolizer:
             return f"[{os.path.basename(path)}]"
         for p_offset, p_vaddr, p_filesz in self.segments:
             if p_offset <= fileoff < p_offset + p_filesz:
-                vaddr = fileoff - p_offset + p_vaddr
-                break
-        else:
-            return "[unknown]"
+                return fileoff - p_offset + p_vaddr
+        return "[unknown]"
+
+    def lookup(self, ip):
+        vaddr = self.vaddr(ip)
+        if isinstance(vaddr, str):
+            return vaddr
         i = bisect.bisect_right(self.addrs, vaddr) - 1
         if i < 0:
             return "[unknown]"
@@ -249,6 +271,24 @@ def crate_of(symbol):
     return re.split(r"::|<|>| ", symbol.lstrip("<"))[0] or symbol
 
 
+def source_lines(vaddrs):
+    """`{vaddr: "file:line ← caller:line ← …"}` through `addr2line -i`,
+    innermost inline frame first, paths shortened to the repository."""
+    vaddrs = sorted(vaddrs)
+    out = subprocess.run(["addr2line", "-i", "-a", "-e", BINARY] + [hex(a) for a in vaddrs],
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    root = os.path.realpath(ROOT) + os.sep
+    chains, current = {}, None
+    for line in out:
+        if line.startswith("0x"):
+            current = int(line, 16)
+            chains[current] = []
+        elif current is not None:
+            where = re.sub(r" \(discriminator \d+\)$", "", line).replace(root, "")
+            chains[current].append(re.sub(r"^.*/(library|\.cargo)/", r"\1/", where))
+    return {a: " ← ".join(chains.get(a) or ["??:0"]) for a in vaddrs}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", default="reactive_fabric")
@@ -258,10 +298,15 @@ def main():
     ap.add_argument("--top", type=int, default=30)
     ap.add_argument("--by", choices=["symbol", "crate"], default="symbol")
     ap.add_argument("--no-build", action="store_true", help="use the binary as built")
+    ap.add_argument("--under", metavar="SYMBOL",
+                    help="only samples whose call chain passes through SYMBOL")
+    ap.add_argument("--lines", metavar="SYMBOL",
+                    help="break SYMBOL's self samples down by file:line")
     args = ap.parse_args()
 
     if not args.no_build:
-        env = dict(os.environ, RUSTFLAGS="-C force-frame-pointers=yes", CARGO_TARGET_DIR=TARGET)
+        env = dict(os.environ, RUSTFLAGS="-C force-frame-pointers=yes", CARGO_TARGET_DIR=TARGET,
+                   CARGO_PROFILE_RELEASE_DEBUG="line-tables-only")
         subprocess.run(["cargo", "build", "--release", "--quiet", "--offline", "--manifest-path",
                         os.path.join(ROOT, "benchmark", "Cargo.toml")], env=env, check=True)
     argv = [BINARY, "--workload", args.workload, "--seed", str(args.seed),
@@ -276,15 +321,39 @@ def main():
         return crate_of(symbol(ip)) if args.by == "crate" else symbol(ip)
 
     self_n, incl_n = collections.Counter(), collections.Counter()
+    leaf_ips, total = collections.Counter(), 0
     for chain in chains:
+        if not chain:
+            continue
         # Return addresses point past their call: step back into it.
-        frames = [name(ip if k == 0 else ip - 1) for k, ip in enumerate(chain)]
-        if frames:
-            self_n[frames[0]] += 1
-            incl_n.update(set(frames))
-    total = len(chains)
-    print(f"# {args.workload} seed {args.seed} seconds {args.seconds}: {total} samples at "
-          f"{args.hz} Hz of task clock, {lost} lost")
+        ips = [ip if k == 0 else ip - 1 for k, ip in enumerate(chain)]
+        if args.under and not any(args.under in symbol(ip) for ip in ips):
+            continue
+        frames = [name(ip) for ip in ips]
+        total += 1
+        self_n[frames[0]] += 1
+        incl_n.update(set(frames))
+        if args.lines and args.lines in symbol(ips[0]):
+            leaf_ips[ips[0]] += 1
+    if not total:
+        sys.exit(f"no samples pass through {args.under}")
+    under = f", {total} under {args.under}" if args.under else ""
+    print(f"# {args.workload} seed {args.seed} seconds {args.seconds}: {len(chains)} samples at "
+          f"{args.hz} Hz of task clock, {lost} lost{under}")
+    if args.lines:
+        by_line = collections.Counter()
+        vaddrs = {ip: symbol.vaddr(ip) for ip in leaf_ips}
+        where = source_lines({v for v in vaddrs.values() if not isinstance(v, str)})
+        for ip, n in leaf_ips.items():
+            by_line[where.get(vaddrs[ip], "??:0")] += n
+        own = sum(by_line.values())
+        if not own:
+            sys.exit(f"no self samples in symbols containing {args.lines}")
+        print(f"{own} self samples in symbols containing {args.lines} "
+              f"({100 * own / total:.2f}% of all):\n{'share':>7}  file:line ← inlined into")
+        for line, n in by_line.most_common(args.top):
+            print(f"{100 * n / own:6.2f}%  {line}")
+        return
     print(f"{'self':>7} {'incl':>7}  {args.by}")
     ranked = sorted(set(self_n) | set(incl_n), key=lambda s: (-self_n[s], -incl_n[s], s))
     for sym in ranked[:args.top]:

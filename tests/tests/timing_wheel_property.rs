@@ -2,7 +2,10 @@
 //! `BinaryHeap` oracle: `pop_due` must yield exactly the `(at, seq)`
 //! order the old `BinaryHeap<Reverse<Scheduled>>` event queue produced —
 //! same-time events FIFO by schedule order, cascades across levels
-//! invisible, far-future (overflow-heap) events included.
+//! invisible, far-future (overflow-run) events included. Single pops
+//! leave a window partly drained, so events scheduled behind the
+//! boundary — before the head of the sorted run, tied with it, or after
+//! it — are checked against the oracle too.
 
 use mantis::netsim::TimingWheel;
 use proptest::prelude::*;
@@ -17,8 +20,15 @@ enum Op {
     Schedule(u64),
     /// Schedule an event at absolute time `at`.
     ScheduleAt(u64),
+    /// Schedule an event `offset` ns from the latest popped instant
+    /// (clamped at zero): at that instant, elsewhere in its 64 ns window,
+    /// or before it.
+    ScheduleNearPop(i64),
     /// Drain everything due by `now + delta`, advancing `now`.
     Drain(u64),
+    /// Pop at most one event due by `now + delta`, leaving the rest of
+    /// its window pending.
+    PopOne(u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -34,7 +44,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             (1u64 << 61)..u64::MAX / 2,
         ]
         .prop_map(Op::Schedule),
+        (0u64..4_000_000).prop_map(Op::ScheduleAt),
+        prop_oneof![Just(0i64), -64i64..64, -2_000i64..0].prop_map(Op::ScheduleNearPop),
         (0u64..2_000_000).prop_map(Op::Drain),
+        prop_oneof![Just(0u64), 0u64..128, 0u64..2_000_000].prop_map(Op::PopOne),
     ]
 }
 
@@ -50,12 +63,43 @@ fn push(
     *seq += 1;
 }
 
+/// Pop the next event due by `until` from both queues and check they
+/// agree; returns the popped time, `None` once nothing is due.
+fn pop_both(
+    wheel: &mut TimingWheel<u64>,
+    oracle: &mut BinaryHeap<Reverse<(u64, u64)>>,
+    until: u64,
+) -> Option<u64> {
+    let due = wheel.has_due(until);
+    let got = wheel.pop_due(until);
+    let want = match oracle.peek() {
+        Some(&Reverse((at, _))) if at <= until => oracle.pop().map(|Reverse(pair)| pair),
+        _ => None,
+    };
+    match (got, want) {
+        (None, None) => {
+            assert!(!due, "has_due said yes, pop_due said no (until {until})");
+            None
+        }
+        (Some((ga, gs, item)), Some((wa, ws))) => {
+            assert!(due, "popped ({ga},{gs}) but has_due said no");
+            assert_eq!((ga, gs), (wa, ws), "order diverged at until {until}");
+            assert_eq!(item, gs, "payload follows its key");
+            Some(ga)
+        }
+        (got, want) => {
+            panic!("presence diverged at until {until}: wheel {got:?} oracle {want:?}")
+        }
+    }
+}
+
 /// Apply one op list to both queues and compare every pop.
 fn check(ops: &[Op]) {
     let mut wheel: TimingWheel<u64> = TimingWheel::new();
     let mut oracle: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
     let mut seq = 0u64;
     let mut now = 0u64;
+    let mut popped = 0u64;
     for op in ops {
         match op {
             Op::Schedule(delta) => push(
@@ -65,36 +109,22 @@ fn check(ops: &[Op]) {
                 now.saturating_add(*delta),
             ),
             Op::ScheduleAt(at) => push(&mut wheel, &mut oracle, &mut seq, *at),
+            Op::ScheduleNearPop(offset) => {
+                let at = popped.saturating_add_signed(*offset);
+                push(&mut wheel, &mut oracle, &mut seq, at);
+            }
             Op::Drain(delta) => {
                 let until = now.saturating_add(*delta);
-                loop {
-                    let due = wheel.has_due(until);
-                    let got = wheel.pop_due(until);
-                    let want = match oracle.peek() {
-                        Some(&Reverse((at, _))) if at <= until => {
-                            oracle.pop().map(|Reverse(pair)| pair)
-                        }
-                        _ => None,
-                    };
-                    match (got, want) {
-                        (None, None) => {
-                            assert!(!due, "has_due said yes, pop_due said no (until {until})");
-                            break;
-                        }
-                        (Some((ga, gs, item)), Some((wa, ws))) => {
-                            assert!(due, "popped ({ga},{gs}) but has_due said no");
-                            assert_eq!((ga, gs), (wa, ws), "order diverged at until {until}");
-                            assert_eq!(item, gs, "payload follows its key");
-                            now = now.max(ga);
-                        }
-                        (got, want) => {
-                            panic!(
-                                "presence diverged at until {until}: wheel {got:?} oracle {want:?}"
-                            )
-                        }
-                    }
+                while let Some(at) = pop_both(&mut wheel, &mut oracle, until) {
+                    popped = at;
                 }
                 now = until;
+            }
+            Op::PopOne(delta) => {
+                if let Some(at) = pop_both(&mut wheel, &mut oracle, now.saturating_add(*delta)) {
+                    popped = at;
+                    now = now.max(at);
+                }
             }
         }
     }

@@ -18,12 +18,16 @@
 //! allocations.
 //!
 //! The route program's fabric is one spec end to end, so its wire hops
-//! are identity transfers. The third block runs the failover fabric,
-//! whose leaves and spines run different programs: every hop there goes
-//! through a compiled [`TransferMap`](mantis::rmt_sim::TransferMap) into
-//! a PHV taken from the receiver's pool, spine heartbeats are relayed by
-//! an exact-match table and counted-and-dropped by a register ALU on the
-//! leaf, and data crosses leaf → spine → leaf over LPM routes — the PHV
+//! move their buffers. The third block runs the failover fabric, whose
+//! leaves and spines run different programs of one wire layout: every hop
+//! there moves its buffer too and rebases it onto the receiver's program,
+//! spine heartbeats are relayed by an exact-match table and
+//! counted-and-dropped by a register ALU on the leaf, and data crosses
+//! leaf → spine → leaf over LPM routes. The fourth runs the ECMP fabric,
+//! whose sending leaf declares an `l4` header the spines do not: each of
+//! its uplink hops goes through a compiled
+//! [`TransferMap`](mantis::rmt_sim::TransferMap) into a PHV taken from
+//! the receiver's pool, after a hash micro-op picked the uplink — the PHV
 //! images, transfer runs and micro-op buffers all in play, none of them
 //! allocating.
 //!
@@ -33,7 +37,7 @@
 //! the freelist the whole line shares — by tx-log eviction, or, with no
 //! log kept at all, as the packet exits.
 
-use mantis::apps::fabric::{build_failover_fabric, leaf_host, EXIT_PORT};
+use mantis::apps::fabric::{build_ecmp_fabric, build_failover_fabric, leaf_host, EXIT_PORT};
 use mantis::netsim::{
     spawn_heartbeats_on, spawn_scale_flows, spawn_udp_on, Endpoint, HeartbeatConfig, ScaleConfig,
     ScaleHost, Simulator, Topology, UdpConfig, HOST_PORTS,
@@ -257,11 +261,20 @@ fn heartbeat_and_cross_program_hops_do_not_allocate() {
     let mut tb = build_failover_fabric(2, 2, 1_000, 0.2);
     tb.sim.tx_log_cap = 64;
     {
+        // Different programs, one wire layout: every hop moves its buffer.
         let (leaf, spine) = (tb.sim.switch_at(0).borrow(), tb.sim.switch_at(2).borrow());
+        let (lf, sf) = (&leaf.spec().fields, &spine.spec().fields);
+        let metadata_differs = lf.iter().zip(sf).any(|(a, b)| {
+            a.is_metadata && (a.instance != b.instance || a.field != b.field || a.init != b.init)
+        });
+        assert!(
+            metadata_differs,
+            "leaf and spine must run different programs"
+        );
         for (from, to) in [(&leaf, &spine), (&spine, &leaf)] {
             assert!(
-                !TransferMap::build(from.spec(), to.spec()).is_identity(),
-                "leaf and spine programs must differ for this block to mean anything"
+                TransferMap::build(from.spec(), to.spec()).is_identity(),
+                "leaf and spine programs share one wire layout: their hops move"
             );
         }
     }
@@ -311,6 +324,44 @@ fn heartbeat_and_cross_program_hops_do_not_allocate() {
         after - before,
         0,
         "cross-program steady state allocated {} times",
+        after - before
+    );
+}
+
+#[test]
+fn hops_between_different_wire_layouts_do_not_allocate() {
+    // Sixteen flows, 4 Gb/s in all, hashed over four spines.
+    let (mut sim, flows) = build_ecmp_fabric(16);
+    sim.tx_log_cap = 64;
+    let spines = 2..6;
+    {
+        let (leaf, receiver) = (sim.switch_at(0).borrow(), sim.switch_at(1).borrow());
+        for j in spines.clone() {
+            let spine = sim.switch_at(j).borrow();
+            assert!(
+                !TransferMap::build(leaf.spec(), spine.spec()).is_identity(),
+                "the ECMP leaf's `l4` header must make its uplink hops copy"
+            );
+            assert!(TransferMap::build(spine.spec(), receiver.spec()).is_identity());
+        }
+    }
+    let relayed = |sim: &Simulator| -> u64 { spines.clone().map(|j| sim.tx_count_on(j)).sum() };
+
+    sim.run_until(1_000_000);
+    let (exits0, relayed0) = (sim.tx_count_on(1), relayed(&sim));
+    let before = allocs();
+    sim.run_until(2_000_000);
+    let after = allocs();
+
+    // ~500 packets in the measured millisecond, each copied into a spine
+    // PHV on its first hop and moved on its second.
+    assert!(relayed(&sim) - relayed0 > 400, "spines relayed too little");
+    assert!(sim.tx_count_on(1) - exits0 > 400, "data did not cross");
+    assert!(flows.iter().all(|f| f.borrow().dropped_pkts == 0));
+    assert_eq!(
+        after - before,
+        0,
+        "cross-layout steady state allocated {} times",
         after - before
     );
 }
