@@ -497,7 +497,7 @@ impl DriverApi for LocalDriver {
             DriverOp::TableDefaultOn { pipe, table } => {
                 self.account(Op::DefaultRead, Some(pipe), self.cost.pcie_base_ns)?;
                 let sw = self.switch.borrow();
-                let (action, data) = match sw.table_ref_on(pipe, table).default_action() {
+                let (action, data) = match sw.table_ref(table).default_action_on(pipe) {
                     Some((action, data)) => (*action, data.to_vec()),
                     None => (ActionId(0), Vec::new()),
                 };

@@ -163,9 +163,9 @@ pub enum DriverOp {
         pipe: u16,
         table: TableId,
     },
-    /// Dump every installed entry of a table (pipe 0's view; symmetric ops
-    /// keep all pipes equal) — how a restarted agent discovers what the
-    /// dead one left installed.
+    /// Dump every installed entry of a table (every pipe matches the
+    /// same entries) — how a restarted agent discovers what the dead one
+    /// left installed.
     TableDump {
         table: TableId,
     },

@@ -378,8 +378,8 @@ impl Isolation {
         Ok(())
     }
 
-    /// Commit: flip `vv` to the shadow copy pipe by pipe. Every pipe's
-    /// shadow copy was fully prepared (table writes fan out), so each
+    /// Commit: flip `vv` to the shadow copy pipe by pipe. The shadow copy
+    /// was fully prepared in the one table every pipe matches, so each
     /// per-pipe flip moves that pipe atomically from the old config to the
     /// complete new one. A mid-sequence failure leaves the device mixed,
     /// for the driver's restore or a successor's
@@ -570,9 +570,9 @@ control ingress { apply(t); apply(u); }
         fn init_data(&self, pipe: usize, t: usize, vv: u8) -> Vec<Value> {
             let sw = self.switch.borrow();
             let table = sw.table_id(&self.compiled.iface.init_tables[t].table);
-            let table = sw.table_ref_on(pipe as u16, table.unwrap());
+            let table = sw.table_ref(table.unwrap());
             if t == 0 {
-                return table.default_action().unwrap().1.to_vec();
+                return table.default_action_on(pipe as u16).unwrap().1.to_vec();
             }
             let mut entries = table.entries();
             let hit = entries.find(|e| e.key[0] == vv_key(vv)).unwrap();

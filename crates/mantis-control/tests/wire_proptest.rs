@@ -474,15 +474,18 @@ fn fit(
     })
 }
 
-/// Everything a driver op can change on a device, per pipe.
+/// Everything a driver op can change on a device: each table's entries,
+/// then per pipe the tables' defaults and the registers.
 fn device_state(sw: &Switch) -> Vec<String> {
     let spec = sw.spec();
-    let mut out = Vec::new();
+    let tables = (0..spec.tables.len() as u32).map(|t| sw.table_ref(TableId(t)));
+    let mut out: Vec<String> = tables
+        .clone()
+        .map(|table| format!("{:?}", table.entries().collect::<Vec<_>>()))
+        .collect();
     for pipe in 0..sw.num_pipes() {
-        for t in 0..spec.tables.len() as u32 {
-            let table = sw.table_ref_on(pipe, TableId(t));
-            let entries: Vec<_> = table.entries().collect();
-            out.push(format!("{:?} {entries:?}", table.default_action()));
+        for table in tables.clone() {
+            out.push(format!("{:?}", table.default_action_on(pipe)));
         }
         for (r, rs) in spec.registers.iter().enumerate() {
             let r = RegisterId(r as u32);

@@ -145,7 +145,7 @@ pub struct FaultRule {
     /// Restrict the rule to ops addressed at one hardware pipe.
     /// `None` matches every op; `Some(p)` matches only ops the driver
     /// reports as targeting pipe `p` (ops with no pipe affinity — e.g.
-    /// fan-out writes — never match a pipe-scoped rule).
+    /// all-pipes writes — never match a pipe-scoped rule).
     pub pipe: Option<u16>,
     /// Restrict the rule to one fabric switch's driver. `None` matches
     /// every switch; `Some(s)` matches only injectors whose identity
@@ -468,7 +468,7 @@ impl FaultInjector {
     /// Consult the plan for one driver op at virtual time `now`. Always
     /// counts the op; returns the first armed matching rule's effect, or
     /// `None`. Suspended injectors count but never inject. Ops with no
-    /// pipe affinity (fan-out writes, aggregated reads) never match
+    /// pipe affinity (all-pipes writes, aggregated reads) never match
     /// pipe-scoped rules; use [`decide_on`](FaultInjector::decide_on) for
     /// ops addressed at one pipe.
     pub fn decide(&mut self, op: &str, now: Nanos) -> Option<Injection> {

@@ -40,5 +40,5 @@ pub use shared::SharedSwitch;
 pub use spec::{
     load, ActionId, DataPlaneSpec, FieldId, IntrIds, LoadError, PortId, RegisterId, TableId,
 };
-pub use switch::{switch_from_source, DriverError, Pipe, ReadAgg, Switch, SwitchConfig, TxPacket};
+pub use switch::{switch_from_source, DriverError, ReadAgg, Switch, SwitchConfig, TxPacket};
 pub use table::{EntryHandle, KeyField, Table, TableError};

@@ -31,8 +31,9 @@ pub struct SwitchConfig {
     pub num_ports: u16,
     /// Number of independent hardware pipes. Ports are partitioned
     /// contiguously across pipes (`ceil(num_ports / num_pipes)` per pipe);
-    /// each pipe has its own tables, registers, port state, and TM queues,
-    /// while the stage layout (`DataPlaneSpec`) is shared. `0` is
+    /// a packet runs in its port's pipe. Each pipe has its own register
+    /// file and its own default action per table; the stage layout, the
+    /// table entries, port state and TM queues are stored once. `0` is
     /// normalized to `1`.
     pub num_pipes: u16,
     /// Port line rate in bits per second (uniform).
@@ -107,13 +108,9 @@ enum Fate {
     /// Accepted into `port`'s queue, now `depth` bytes deep.
     Queued { port: PortId, depth: u32 },
     /// Arrived on a port that is down.
-    PortDown { port: PortId, pipe: usize },
+    PortDown { port: PortId },
     /// Tail-dropped at `port`'s queue, `depth` bytes deep.
-    QueueFull {
-        port: PortId,
-        depth: u32,
-        pipe: usize,
-    },
+    QueueFull { port: PortId, depth: u32 },
     /// Dropped by the program, the recirculation guard, or an egress spec
     /// off the front panel.
     Dropped,
@@ -126,28 +123,6 @@ struct PortQueue {
     depth_bytes: u32,
     /// Time the port finishes serializing the current packet.
     busy_until: Nanos,
-}
-
-/// One hardware pipe: its own table entry stores, register files, port
-/// state, and traffic-manager queues. The stage layout (`DataPlaneSpec`)
-/// and the flattened apply plans are shared across pipes — pipes differ
-/// only in runtime state, matching a multi-pipe ASIC where every pipe
-/// runs the same compiled program.
-pub struct Pipe {
-    tables: Vec<Table>,
-    registers: Vec<RegisterArray>,
-    ports: Vec<PortState>,
-    queues: Vec<PortQueue>,
-}
-
-impl fmt::Debug for Pipe {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Pipe")
-            .field("tables", &self.tables.len())
-            .field("registers", &self.registers.len())
-            .field("ports", &self.ports.len())
-            .finish()
-    }
 }
 
 /// How a control-plane register read combines per-pipe values into one
@@ -289,22 +264,23 @@ struct SwitchMetrics {
     drop_queue_full: NameId,
 }
 
-/// The simulated switch: `num_pipes` independent [`Pipe`]s sharing one
-/// compiled [`DataPlaneSpec`].
+/// The simulated switch: `num_pipes` hardware pipes running one compiled
+/// [`DataPlaneSpec`] over one copy of each table.
 pub struct Switch {
     spec: DataPlaneSpec,
     config: SwitchConfig,
     clock: Clock,
-    pipes: Vec<Pipe>,
-    /// Ports per pipe (`ceil(num_ports / num_pipes)`), contiguous like real
-    /// front panels: port `p` is in pipe `p / ports_per_pipe`.
-    ports_per_pipe: u16,
-    /// That map as `(pipe, local slot)` per port, so the packet path never
-    /// divides; ports past its end belong to the last pipe.
-    port_map: Box<[(u16, u16)]>,
-    /// Per-table next entry handle, shared across pipes so a fan-out
-    /// `table_add` lands under the same handle in every pipe.
-    next_handles: Vec<u64>,
+    /// One per spec table; each holds a default action per pipe.
+    tables: Vec<Table>,
+    /// One register file per pipe: the data plane writes its own pipe's.
+    registers: Vec<Vec<RegisterArray>>,
+    /// Per front-panel port, by global port number.
+    ports: Vec<PortState>,
+    queues: Vec<PortQueue>,
+    /// The pipe of each port, contiguous like real front panels (port `p`
+    /// is in pipe `p / ceil(num_ports / num_pipes)`), so the packet path
+    /// never divides; ports past its end belong to the last pipe.
+    port_map: Box<[u16]>,
     /// Live table checkpoints, oldest first: `(token, table)`.
     checkpoints: Vec<(u64, TableId)>,
     next_checkpoint: u64,
@@ -358,8 +334,8 @@ pub struct Switch {
 impl fmt::Debug for Switch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Switch")
-            .field("pipes", &self.pipes.len())
-            .field("tables", &self.next_handles.len())
+            .field("pipes", &self.registers.len())
+            .field("tables", &self.tables.len())
             .field("ports", &(self.config.num_ports as usize))
             .field("stats", &self.stats)
             .finish()
@@ -371,37 +347,29 @@ impl Switch {
         config.num_pipes = config.num_pipes.max(1);
         let num_pipes = config.num_pipes;
         let ports_per_pipe = config.num_ports.div_ceil(num_pipes);
-        let pipes = (0..num_pipes)
-            .map(|p| {
-                let lo = p * ports_per_pipe;
-                let hi = (lo + ports_per_pipe).min(config.num_ports);
-                let local_ports = hi.saturating_sub(lo);
-                Pipe {
-                    tables: spec.tables.iter().map(Table::new).collect(),
-                    registers: spec.registers.iter().map(RegisterArray::new).collect(),
-                    ports: (0..local_ports)
-                        .map(|_| PortState {
-                            up: true,
-                            ..Default::default()
-                        })
-                        .collect(),
-                    queues: (0..local_ports).map(|_| PortQueue::default()).collect(),
-                }
-            })
-            .collect();
-        let next_handles = vec![1u64; spec.tables.len()];
+        let num_ports = usize::from(config.num_ports);
+        let up = PortState {
+            up: true,
+            ..Default::default()
+        };
         let program = Program::lower(&spec);
-        let mask_words = usize::from(config.num_ports.div_ceil(64));
         Switch {
+            tables: spec
+                .tables
+                .iter()
+                .map(|t| Table::with_pipes(t, num_pipes))
+                .collect(),
+            registers: (0..num_pipes)
+                .map(|_| spec.registers.iter().map(RegisterArray::new).collect())
+                .collect(),
+            ports: vec![up; num_ports],
+            queues: vec![PortQueue::default(); num_ports],
+            port_map: (0..ports_per_pipe.saturating_mul(num_pipes))
+                .map(|p| p / ports_per_pipe)
+                .collect(),
             spec,
             config,
             clock,
-            pipes,
-            ports_per_pipe,
-            port_map: (0..ports_per_pipe.saturating_mul(num_pipes))
-                .map(|p| (p / ports_per_pipe, p % ports_per_pipe))
-                .collect(),
-            next_handles,
             checkpoints: Vec::new(),
             next_checkpoint: 0,
             program,
@@ -415,7 +383,7 @@ impl Switch {
             hash_scratch: Vec::new(),
             phv_pool: Rc::new(RefCell::new(PhvPool::new(PHV_POOL_CAP))),
             queued_pkts: 0,
-            queue_mask: vec![0u64; mask_words],
+            queue_mask: vec![0u64; num_ports.div_ceil(64)],
             next_ready: Nanos::MAX,
             wire_memo: (0, 0),
         }
@@ -428,24 +396,13 @@ impl Switch {
         self.config.num_pipes
     }
 
-    /// Map a global port to `(pipe, local_port)`; `None` for ports outside
-    /// the front panel (e.g. the recirculation port).
-    #[inline]
-    pub fn port_slot(&self, port: PortId) -> Option<(usize, usize)> {
-        if port >= self.config.num_ports {
-            return None;
-        }
-        let (pipe, local) = self.port_map[usize::from(port)];
-        Some((usize::from(pipe), usize::from(local)))
-    }
-
     /// The pipe a port belongs to, clamping out-of-panel ports (like the
     /// recirculation port) to the last pipe — execution needs *some* pipe.
     #[inline]
     pub fn pipe_of_port(&self, port: PortId) -> u16 {
         self.port_map
             .get(usize::from(port))
-            .map_or(self.config.num_pipes - 1, |&(pipe, _)| pipe)
+            .map_or(self.config.num_pipes - 1, |&pipe| pipe)
     }
 
     /// Attach a shared telemetry handle: the traffic manager publishes
@@ -603,17 +560,13 @@ impl Switch {
     /// traffic manager's admission.
     fn ingress(&mut self, mut phv: Phv, in_port: PortId, at: Nanos) -> Fate {
         let intr = self.spec.intr_ids().expect("intrinsic field");
-        if let Some((pipe, local)) = self.port_slot(in_port) {
-            if !self.pipes[pipe].ports[local].up {
+        let rx_bytes = u64::from(phv.frame_len(&self.spec));
+        if let Some(p) = self.ports.get_mut(usize::from(in_port)) {
+            if !p.up {
                 self.stats.dropped_port_down += 1;
                 self.recycle_phv(phv);
-                return Fate::PortDown {
-                    port: in_port,
-                    pipe,
-                };
+                return Fate::PortDown { port: in_port };
             }
-            let rx_bytes = u64::from(phv.frame_len(&self.spec));
-            let p = &mut self.pipes[pipe].ports[local];
             p.rx_packets += 1;
             p.rx_bytes += rx_bytes;
         }
@@ -663,8 +616,9 @@ impl Switch {
         let multi_pipe = self.config.num_pipes > 1;
         match fate {
             Fate::Queued { depth, .. } => rec.set(gauge, i128::from(depth)),
-            Fate::PortDown { port, pipe } => {
-                let args = [("port", i128::from(port)), ("pipe", pipe as i128)];
+            Fate::PortDown { port } => {
+                let pipe = self.pipe_of_port(port);
+                let args = [("port", i128::from(port)), ("pipe", i128::from(pipe))];
                 let nargs = if multi_pipe { 2 } else { 1 };
                 rec.mark(
                     Scope::Switch,
@@ -673,11 +627,11 @@ impl Switch {
                     &args[..nargs],
                 );
             }
-            Fate::QueueFull { port, depth, pipe } => {
+            Fate::QueueFull { port, depth } => {
                 let args = [
                     ("port", i128::from(port)),
                     ("depth_bytes", i128::from(depth)),
-                    ("pipe", pipe as i128),
+                    ("pipe", i128::from(self.pipe_of_port(port))),
                 ];
                 let nargs = if multi_pipe { 3 } else { 2 };
                 rec.mark(
@@ -694,19 +648,18 @@ impl Switch {
     /// Admit an ingress-complete PHV to its egress port's queue.
     fn enqueue(&mut self, port: PortId, mut phv: Phv, at: Nanos) -> Fate {
         let bytes = phv.frame_len(&self.spec);
-        let Some((pipe, local)) = self.port_slot(port) else {
+        let pipe_ns = self.egress_pipe_ns();
+        let Some(q) = self.queues.get_mut(usize::from(port)) else {
             self.stats.dropped_ingress += 1;
             self.recycle_phv(phv);
             return Fate::Dropped;
         };
-        let pipe_ns = self.egress_pipe_ns();
-        let q = &mut self.pipes[pipe].queues[local];
         if q.depth_bytes + bytes > self.config.queue_capacity_bytes {
             let depth = q.depth_bytes;
             self.stats.dropped_queue += 1;
-            self.pipes[pipe].ports[local].queue_drops += 1;
+            self.ports[usize::from(port)].queue_drops += 1;
             self.recycle_phv(phv);
-            return Fate::QueueFull { port, depth, pipe };
+            return Fate::QueueFull { port, depth };
         }
         // Record the queue depth seen at enqueue (DCTCP-style marking uses
         // this).
@@ -733,18 +686,26 @@ impl Switch {
     /// egress, transmit (or recirculate). Call after advancing the clock.
     /// Returns the number of packets served (the drain's work unit).
     ///
-    /// Pumping is pipe-major — but since ports are assigned to pipes in
-    /// contiguous front-panel blocks (`pipe = port / ports_per_pipe`),
-    /// pipe-major order *is* global port order, so this is byte-identical
-    /// to the historical single loop over all ports.
+    /// Ports are served in global port order. Ports are assigned to pipes
+    /// in contiguous front-panel blocks, so this is also pipe-major order.
     pub fn pump(&mut self) -> u64 {
         // A full pump sees every blocked queue head, so the readiness
         // bound can be recomputed exactly (enqueues during the pump —
         // recirculation — lower it again via `enqueue`).
         self.next_ready = Nanos::MAX;
+        let now = self.clock.now();
+        let pipe_ns = self.egress_pipe_ns();
         let mut served = 0;
-        for pipe in 0..self.config.num_pipes {
-            served += self.pump_pipe_inner(pipe);
+        for w in 0..self.queue_mask.len() {
+            // Idle ports (no queued packets) are invisible to a pump: no
+            // telemetry, no state changes — walking only the set bits of
+            // the queue mask is byte-exact.
+            let mut word = self.queue_mask[w];
+            while word != 0 {
+                let port = (w * 64) as u16 + word.trailing_zeros() as u16;
+                word &= word - 1;
+                served += self.serve_port(port, now, pipe_ns);
+            }
         }
         served
     }
@@ -775,40 +736,14 @@ impl Switch {
         t.fixed / 2 + u64::from(self.spec.egress_stages) * t.per_stage
     }
 
-    fn pump_pipe_inner(&mut self, pipe_idx: u16) -> u64 {
-        let now = self.clock.now();
-        let pipe_ns = self.egress_pipe_ns();
-        let mut served: u64 = 0;
-        let lo = pipe_idx * self.ports_per_pipe;
-        let hi = (lo + self.ports_per_pipe).min(self.config.num_ports);
-        for w in usize::from(lo / 64)..usize::from(hi.div_ceil(64)) {
-            // This word's share of the pipe's ports `lo..hi`, as bits.
-            let base = (w * 64) as u16;
-            let below = |p: u16| match p.saturating_sub(base).min(64) {
-                64 => !0u64,
-                n => (1u64 << n) - 1,
-            };
-            // Idle ports (no queued packets) are invisible to a pump: no
-            // telemetry, no state changes — walking only the set bits of
-            // the queue mask is byte-exact.
-            let mut word = below(hi) & !below(lo) & self.queue_mask[w];
-            while word != 0 {
-                let port = base + word.trailing_zeros() as u16;
-                word &= word - 1;
-                served += self.serve_port(port, usize::from(pipe_idx), now, pipe_ns);
-            }
-        }
-        served
-    }
-
-    /// Serve `port`'s queue (in pipe `pipe`) up to `now`: dequeue, egress
-    /// pipeline, transmit. Returns the packets served.
-    fn serve_port(&mut self, port: PortId, pipe: usize, now: Nanos, pipe_ns: Nanos) -> u64 {
-        let local = usize::from(self.port_map[usize::from(port)].1);
+    /// Serve `port`'s queue up to `now`: dequeue, egress pipeline,
+    /// transmit. Returns the packets served.
+    fn serve_port(&mut self, port: PortId, now: Nanos, pipe_ns: Nanos) -> u64 {
         let intr = self.spec.intr_ids().expect("intrinsic field");
+        let slot = usize::from(port);
         let mut served = 0;
         loop {
-            let q = &mut self.pipes[pipe].queues[local];
+            let q = &mut self.queues[slot];
             let Some(head) = q.packets.front() else {
                 self.queue_mask[usize::from(port / 64)] &= !(1u64 << (port % 64));
                 break;
@@ -830,7 +765,7 @@ impl Switch {
             q.depth_bytes -= bytes;
             let wire_ns = self.wire_time_memo(bytes);
             let tx_time = tx_start.saturating_add(wire_ns);
-            self.pipes[pipe].queues[local].busy_until = tx_time;
+            self.queues[slot].busy_until = tx_time;
             let depth = self.mirror_qdepth_register(port);
 
             phv.set_u64(intr.egress_port, u64::from(port));
@@ -839,18 +774,18 @@ impl Switch {
             let transmitted = if phv.dropped {
                 self.stats.dropped_ingress += 1;
                 false
-            } else if !self.pipes[pipe].ports[local].up {
+            } else if !self.ports[slot].up {
                 self.stats.dropped_port_down += 1;
                 false
             } else {
-                let p = &mut self.pipes[pipe].ports[local];
+                let p = &mut self.ports[slot];
                 p.tx_packets += 1;
                 p.tx_bytes += u64::from(bytes);
                 self.stats.tx += 1;
                 true
             };
             if self.telemetry.is_enabled() {
-                self.record_served(port, pipe, depth, tx_start, tx_time, transmitted);
+                self.record_served(port, depth, tx_start, tx_time, transmitted);
             }
             if transmitted {
                 self.transmitted.push((
@@ -875,13 +810,13 @@ impl Switch {
     fn record_served(
         &mut self,
         port: PortId,
-        pipe: usize,
         depth: u32,
         tx_start: Nanos,
         tx_time: Nanos,
         transmitted: bool,
     ) {
         let gauge = self.qdepth_gauge(port);
+        let pipe = usize::from(self.pipe_of_port(port));
         let rec = &self.telemetry;
         rec.set(gauge, i128::from(depth));
         let name = self.metrics.egress_pass;
@@ -934,23 +869,21 @@ impl Switch {
 
     /// Current queue depth in bytes for a port.
     pub fn queue_depth(&self, port: PortId) -> u32 {
-        self.port_slot(port)
-            .map(|(pipe, local)| self.pipes[pipe].queues[local].depth_bytes)
-            .unwrap_or(0)
+        self.queues
+            .get(usize::from(port))
+            .map_or(0, |q| q.depth_bytes)
     }
 
     /// Mirror front-panel `port`'s queue depth into the qdepth register
     /// (if one is bound); returns the depth.
     fn mirror_qdepth_register(&mut self, port: PortId) -> u32 {
         let depth = self.queue_depth(port);
-        let Some((pipe, _)) = self.port_slot(port) else {
-            return depth;
-        };
         if let Some(rid) = self.qdepth_register {
             // Only the owning pipe sees its ports' depths, at the *global*
             // port index — a cross-pipe aggregated read therefore
             // reconstructs the full panel (every other pipe holds zero).
-            self.pipes[pipe].registers[rid.0 as usize]
+            let pipe = usize::from(self.pipe_of_port(port));
+            self.registers[pipe][rid.0 as usize]
                 .write(port as usize, Value::new(u128::from(depth), 64));
         }
         depth
@@ -973,8 +906,17 @@ impl Switch {
     /// derived from the packet's port: ingress port for ingress passes,
     /// the `egress_port` intrinsic for egress passes.
     pub fn exec_start(&self, phv: Phv, pipeline: Pipeline) -> Execution {
-        let pipe = self.exec_pipe(&phv, pipeline);
-        self.exec_start_on(phv, pipeline, pipe)
+        let total_stages = match pipeline {
+            Pipeline::Ingress => self.spec.ingress_stages,
+            Pipeline::Egress => self.spec.egress_stages,
+        };
+        Execution {
+            pipe: self.exec_pipe(&phv, pipeline),
+            phv,
+            pipeline,
+            next_stage: 0,
+            total_stages,
+        }
     }
 
     /// The pipe a packet executes `pipeline` in (see
@@ -987,23 +929,6 @@ impl Switch {
             Pipeline::Egress => phv.get_u64(intr.egress_port) as PortId,
         };
         self.pipe_of_port(port)
-    }
-
-    /// Begin a staged execution pinned to a specific pipe (out-of-range
-    /// pipes are clamped). Isolation tests use this to interleave packets
-    /// across pipes explicitly.
-    pub fn exec_start_on(&self, phv: Phv, pipeline: Pipeline, pipe: u16) -> Execution {
-        let total_stages = match pipeline {
-            Pipeline::Ingress => self.spec.ingress_stages,
-            Pipeline::Egress => self.spec.egress_stages,
-        };
-        Execution {
-            phv,
-            pipeline,
-            next_stage: 0,
-            total_stages,
-            pipe: pipe.min(self.config.num_pipes - 1),
-        }
     }
 
     /// Execute one stage. Control-plane operations performed between calls
@@ -1022,23 +947,22 @@ impl Switch {
     #[inline]
     fn run_stage(&mut self, pipeline: Pipeline, stage: u32, pipe: usize, phv: &mut Phv) {
         // Split borrows: the spec and the lowered program are read-only
-        // while the pipe's tables and registers and the scratch buffers
+        // while the tables, the pipe's registers and the scratch buffers
         // (switch-owned, reused across packets) are mutated.
         let Switch {
             spec,
             program,
-            pipes,
+            tables,
+            registers,
             apply_scratch,
             hash_scratch,
             ..
         } = self;
         program.passing_tables(pipeline == Pipeline::Egress, stage, phv, apply_scratch);
-        let Pipe {
-            tables, registers, ..
-        } = &mut pipes[pipe];
+        let registers = &mut registers[pipe];
         for tid in apply_scratch.iter() {
             let t = tid.0 as usize;
-            let (action, data) = match tables[t].lookup(&spec.tables[t], phv) {
+            let (action, data) = match tables[t].lookup_in(pipe, &spec.tables[t], phv) {
                 Lookup::Hit {
                     action,
                     action_data,
@@ -1065,7 +989,7 @@ impl Switch {
     }
 
     /// Every stage of one pipeline, in place — the packet path's form of
-    /// [`exec_start_on`](Switch::exec_start_on) + [`exec_step`](Switch::exec_step)
+    /// [`exec_start`](Switch::exec_start) + [`exec_step`](Switch::exec_step)
     /// until done, without moving the PHV in and out of an [`Execution`].
     #[inline]
     fn run_stages(&mut self, pipeline: Pipeline, pipe: u16, phv: &mut Phv) {
@@ -1089,25 +1013,8 @@ impl Switch {
         phv
     }
 
-    /// Execute an action body against a PHV (in pipe 0).
-    pub fn run_action(&mut self, action: ActionId, data: &[Value], phv: &mut Phv) {
-        self.run_action_on(action, data, 0, phv);
-    }
-
-    /// Execute an action body against a PHV in a specific pipe.
-    pub fn run_action_on(&mut self, action: ActionId, data: &[Value], pipe: u16, phv: &mut Phv) {
-        self.program.run_action(
-            action.0 as usize,
-            &self.spec.calcs,
-            &mut self.pipes[pipe as usize].registers,
-            &mut self.hash_scratch,
-            data,
-            phv,
-        );
-    }
-
     /// Publish per-table lookup/hit counters as telemetry gauges (no-op on
-    /// a disabled handle), summed across pipes. Called explicitly — e.g.
+    /// a disabled handle), over every pipe's packets. Called explicitly — e.g.
     /// by the bench/figures profiling paths — rather than per packet, so
     /// the hot path stays free of telemetry work and existing golden
     /// traces are unaffected.
@@ -1116,23 +1023,16 @@ impl Switch {
         if !tel.is_enabled() {
             return;
         }
-        for (i, tspec) in self.spec.tables.iter().enumerate() {
-            let (lookups, hits) = self.pipes.iter().fold((0u64, 0u64), |(l, h), p| {
-                (l + p.tables[i].lookups, h + p.tables[i].hits)
-            });
+        for (t, tspec) in self.tables.iter().zip(&self.spec.tables) {
             let name = &tspec.name;
-            tel.gauge_set(&format!("table.{name}.lookups"), lookups as i128);
-            tel.gauge_set(&format!("table.{name}.hits"), hits as i128);
+            tel.gauge_set(&format!("table.{name}.lookups"), t.lookups as i128);
+            tel.gauge_set(&format!("table.{name}.hits"), t.hits as i128);
         }
     }
 
     // -- driver API -----------------------------------------------------------
 
-    /// Install an entry in *every* pipe under one shared handle (symmetric
-    /// fan-out, like a Tofino driver writing a table in all-pipes scope).
-    /// Validation runs against pipe 0; because symmetric operations keep
-    /// all pipes identical, a failure there means no pipe was mutated, and
-    /// success there must succeed everywhere.
+    /// Install an entry, matched by packets of every pipe.
     pub fn table_add(
         &mut self,
         table: TableId,
@@ -1150,35 +1050,10 @@ impl Switch {
                 got: key.len(),
             }));
         }
-        let mut key = Table::normalize_key(tspec, key);
-        let (param_count, data) = fit_action_data(&self.spec, action, action_data.as_ref());
-        let handle = EntryHandle(self.next_handles[table.0 as usize]);
-        let pipes = self.pipes.len();
-        for (i, p) in self.pipes.iter_mut().enumerate() {
-            // Only the last pipe may consume the key.
-            let key = if i + 1 == pipes {
-                std::mem::take(&mut key)
-            } else {
-                key.clone()
-            };
-            let data = data.clone();
-            let res = p.tables[table.0 as usize].add_entry_shared(
-                tspec,
-                handle,
-                key,
-                priority,
-                action,
-                data,
-                param_count,
-            );
-            if i == 0 {
-                res?;
-            } else {
-                res.expect("invariant: symmetric table_add diverged across pipes");
-            }
-        }
-        self.next_handles[table.0 as usize] = handle.0 + 1;
-        Ok(handle)
+        let key = Table::normalize_key(tspec, key);
+        let (arity, data) = fit_action_data(&self.spec, table, action, action_data.as_ref())?;
+        let t = &mut self.tables[table.0 as usize];
+        Ok(t.add_entry(tspec, key, priority, action, data, arity)?)
     }
 
     pub fn table_mod(
@@ -1188,46 +1063,22 @@ impl Switch {
         action: ActionId,
         action_data: impl AsRef<[Value]>,
     ) -> Result<(), DriverError> {
-        let (param_count, data) = fit_action_data(&self.spec, action, action_data.as_ref());
+        let (arity, data) = fit_action_data(&self.spec, table, action, action_data.as_ref())?;
         let tspec = &self.spec.tables[table.0 as usize];
-        let mut pipes = self.pipes.iter_mut();
-        let first = pipes
-            .next()
-            .expect("invariant: switch has at least one pipe");
-        first.tables[table.0 as usize].mod_entry_shared(
-            tspec,
-            handle,
-            action,
-            data.clone(),
-            param_count,
-        )?;
-        for p in pipes {
-            p.tables[table.0 as usize]
-                .mod_entry_shared(tspec, handle, action, data.clone(), param_count)
-                .expect("invariant: symmetric table_mod diverged across pipes");
-        }
-        Ok(())
+        let t = &mut self.tables[table.0 as usize];
+        Ok(t.mod_entry(tspec, handle, action, data, arity)?)
     }
 
     pub fn table_del(&mut self, table: TableId, handle: EntryHandle) -> Result<(), DriverError> {
-        let mut pipes = self.pipes.iter_mut();
-        let first = pipes
-            .next()
-            .expect("invariant: switch has at least one pipe");
-        first.tables[table.0 as usize].del_entry(handle)?;
-        for p in pipes {
-            p.tables[table.0 as usize]
-                .del_entry(handle)
-                .expect("invariant: symmetric table_del diverged across pipes");
-        }
+        self.tables[table.0 as usize].del_entry(handle)?;
         Ok(())
     }
 
-    /// Open a checkpoint of one table in every pipe and name it with a
-    /// token unique on this switch. Real drivers keep a software shadow of
-    /// every table; a checkpoint is a mark on that shadow's undo journal
-    /// (see the [`table`](crate::table) module docs), so taking one costs
-    /// nothing and holding one costs an inverse op per mutation.
+    /// Open a checkpoint of one table and name it with a token unique on
+    /// this switch. Real drivers keep a software shadow of every table; a
+    /// checkpoint is a mark on that shadow's undo journal (see the
+    /// [`table`](crate::table) module docs), so taking one costs nothing
+    /// and holding one costs an inverse op per mutation.
     ///
     /// Tokens of one table form a stack: [`table_restore`](Self::table_restore)
     /// keeps the token it restores and retires every younger token of that
@@ -1236,9 +1087,7 @@ impl Switch {
     pub fn table_checkpoint(&mut self, table: TableId) -> u64 {
         let token = self.next_checkpoint;
         self.next_checkpoint += 1;
-        for p in &mut self.pipes {
-            p.tables[table.0 as usize].checkpoint(token);
-        }
+        self.tables[table.0 as usize].checkpoint(token);
         self.checkpoints.push((token, table));
         token
     }
@@ -1249,23 +1098,18 @@ impl Switch {
         live.map(|(_, table)| *table)
     }
 
-    /// Roll a table (in every pipe) back to a live checkpoint of it.
+    /// Roll a table — its entries and every pipe's default — back to a
+    /// live checkpoint of it.
     pub fn table_restore(&mut self, table: TableId, token: u64) -> Result<(), DriverError> {
         if self.checkpoint_table(token) != Some(table) {
             let token = EntryHandle(token);
             return Err(DriverError::Table(TableError::UnknownHandle(token)));
         }
         let tspec = &self.spec.tables[table.0 as usize];
-        for p in &mut self.pipes {
-            let restored = p.tables[table.0 as usize].restore(tspec, token);
-            debug_assert!(
-                restored,
-                "invariant: a listed checkpoint is live in every pipe"
-            );
-        }
+        let restored = self.tables[table.0 as usize].restore(tspec, token);
+        debug_assert!(restored, "invariant: a listed checkpoint is live");
         self.checkpoints
             .retain(|(t, of)| *of != table || *t <= token);
-        self.next_handles[table.0 as usize] = self.pipes[0].tables[table.0 as usize].next_handle();
         Ok(())
     }
 
@@ -1274,27 +1118,19 @@ impl Switch {
         let Some(table) = self.checkpoint_table(token) else {
             return;
         };
-        for p in &mut self.pipes {
-            p.tables[table.0 as usize].discard(token);
-        }
+        self.tables[table.0 as usize].discard(token);
         self.checkpoints.retain(|(t, _)| *t != token);
     }
 
-    /// Set a table's default action in every pipe (symmetric fan-out).
+    /// Set a table's default action in every pipe.
     pub fn table_set_default(
         &mut self,
         table: TableId,
         action: ActionId,
         action_data: impl AsRef<[Value]>,
     ) -> Result<(), DriverError> {
-        let tspec = &self.spec.tables[table.0 as usize];
-        if !tspec.actions.contains(&action) {
-            return Err(DriverError::Table(TableError::UnknownAction(action)));
-        }
-        let (_, data) = fit_action_data(&self.spec, action, action_data.as_ref());
-        for p in &mut self.pipes {
-            p.tables[table.0 as usize].set_default_shared(action, data.clone());
-        }
+        let (_, data) = fit_action_data(&self.spec, table, action, action_data.as_ref())?;
+        self.tables[table.0 as usize].set_default(None, action, data);
         Ok(())
     }
 
@@ -1311,28 +1147,20 @@ impl Switch {
         if pipe >= self.config.num_pipes {
             return Err(DriverError::BadPipe(pipe));
         }
-        let tspec = &self.spec.tables[table.0 as usize];
-        if !tspec.actions.contains(&action) {
-            return Err(DriverError::Table(TableError::UnknownAction(action)));
-        }
-        let (_, data) = fit_action_data(&self.spec, action, action_data.as_ref());
-        self.pipes[pipe as usize].tables[table.0 as usize].set_default_shared(action, data);
+        let (_, data) = fit_action_data(&self.spec, table, action, action_data.as_ref())?;
+        self.tables[table.0 as usize].set_default(Some(pipe), action, data);
         Ok(())
     }
 
-    /// Entry count (pipe 0 view; symmetric ops keep all pipes equal).
+    /// Entry count.
     pub fn table_len(&self, table: TableId) -> usize {
-        self.pipes[0].tables[table.0 as usize].len()
+        self.tables[table.0 as usize].len()
     }
 
-    /// Table view in pipe 0 (symmetric ops keep all pipes equal).
+    /// A table: its entries, and each pipe's default through
+    /// [`Table::default_action_on`].
     pub fn table_ref(&self, table: TableId) -> &Table {
-        &self.pipes[0].tables[table.0 as usize]
-    }
-
-    /// Table view in a specific pipe.
-    pub fn table_ref_on(&self, pipe: u16, table: TableId) -> &Table {
-        &self.pipes[pipe as usize].tables[table.0 as usize]
+        &self.tables[table.0 as usize]
     }
 
     /// Read a register range aggregated across pipes with [`ReadAgg::Sum`]
@@ -1360,9 +1188,9 @@ impl Switch {
         out: &mut Vec<Value>,
     ) {
         out.clear();
-        out.extend_from_slice(self.pipes[0].registers[reg.0 as usize].range(lo, hi));
-        for p in &self.pipes[1..] {
-            let vals = p.registers[reg.0 as usize].range(lo, hi);
+        out.extend_from_slice(self.registers[0][reg.0 as usize].range(lo, hi));
+        for p in &self.registers[1..] {
+            let vals = p[reg.0 as usize].range(lo, hi);
             for (a, v) in out.iter_mut().zip(vals) {
                 *a = match agg {
                     ReadAgg::Sum => a.wrapping_add(*v),
@@ -1386,32 +1214,26 @@ impl Switch {
         lo: u32,
         hi: u32,
     ) -> Vec<Value> {
-        self.pipes[pipe as usize].registers[reg.0 as usize].read_range(lo, hi)
+        self.registers[pipe as usize][reg.0 as usize].read_range(lo, hi)
     }
 
     /// Control-plane register write, fanned out to every pipe. Registers
     /// written this way should be read back with [`ReadAgg::Max`] (or
     /// per-pipe) — a sum would multiply the value by `num_pipes`.
     pub fn register_write(&mut self, reg: RegisterId, index: u32, value: Value) {
-        for p in &mut self.pipes {
-            p.registers[reg.0 as usize].write(index as usize, value);
+        for p in &mut self.registers {
+            p[reg.0 as usize].write(index as usize, value);
         }
     }
 
-    /// Control-plane register write to a single pipe.
-    pub fn register_write_on(&mut self, pipe: u16, reg: RegisterId, index: u32, value: Value) {
-        self.pipes[pipe as usize].registers[reg.0 as usize].write(index as usize, value);
-    }
-
     pub fn port_set_up(&mut self, port: PortId, up: bool) -> Result<(), DriverError> {
-        let (pipe, local) = self.port_slot(port).ok_or(DriverError::BadPort(port))?;
-        self.pipes[pipe].ports[local].up = up;
+        let p = self.ports.get_mut(usize::from(port));
+        p.ok_or(DriverError::BadPort(port))?.up = up;
         Ok(())
     }
 
     pub fn port(&self, port: PortId) -> Option<&PortState> {
-        self.port_slot(port)
-            .map(|(pipe, local)| &self.pipes[pipe].ports[local])
+        self.ports.get(usize::from(port))
     }
 
     // -- name-based conveniences (examples and tests) -------------------------
@@ -1439,17 +1261,28 @@ impl Switch {
     }
 }
 
-/// Copy action data, resized to the action's parameter widths, behind the
-/// `Arc` every pipe's entry shares — the one allocation a table write
+/// Check that `action` belongs to `table` and that `data` has one value
+/// per parameter, then copy the data, resized to the parameter widths,
+/// behind the `Arc` the table keeps — the one allocation a table write
 /// makes. Returns the action's arity beside it.
 fn fit_action_data(
     spec: &DataPlaneSpec,
+    table: TableId,
     action: ActionId,
     data: &[Value],
-) -> (usize, Arc<[Value]>) {
+) -> Result<(usize, Arc<[Value]>), TableError> {
+    if !spec.tables[table.0 as usize].actions.contains(&action) {
+        return Err(TableError::UnknownAction(action));
+    }
     let widths = &spec.actions[action.0 as usize].param_widths;
+    if data.len() != widths.len() {
+        return Err(TableError::ActionDataArity {
+            expected: widths.len(),
+            got: data.len(),
+        });
+    }
     let fitted = data.iter().zip(widths).map(|(v, w)| v.resize(*w));
-    (widths.len(), fitted.collect())
+    Ok((widths.len(), fitted.collect()))
 }
 
 /// Build a switch directly from plain-P4 source (test/example convenience).
@@ -1744,12 +1577,10 @@ control ingress { apply(t); }
     fn port_pipe_map_is_contiguous() {
         let sw = mk_pipes(4); // 32 ports → 8 per pipe
         assert_eq!(sw.num_pipes(), 4);
-        assert_eq!(sw.port_slot(0), Some((0, 0)));
-        assert_eq!(sw.port_slot(7), Some((0, 7)));
-        assert_eq!(sw.port_slot(8), Some((1, 0)));
-        assert_eq!(sw.port_slot(31), Some((3, 7)));
-        assert_eq!(sw.port_slot(32), None);
-        assert_eq!(sw.port_slot(68), None); // recirc port is off-panel
+        let pipes: Vec<u16> = (0..32).map(|p| sw.pipe_of_port(p)).collect();
+        assert_eq!(pipes, (0..32).map(|p| p / 8).collect::<Vec<u16>>());
+        assert!(sw.port(31).is_some());
+        assert!(sw.port(32).is_none() && sw.port(68).is_none()); // recirc port is off-panel
         assert_eq!(sw.pipe_of_port(68), 3); // ...but clamps for execution
     }
 
@@ -1760,24 +1591,29 @@ control ingress { apply(t); }
         assert_eq!(sw.config().num_pipes, 1);
     }
 
+    /// A packet to `dst` into each pipe of a 32-port switch of `pipes`
+    /// pipes (port 1 of each pipe's block): which were accepted into a
+    /// queue.
+    fn accepted_per_pipe(sw: &mut Switch, pipes: u16, dst: u128) -> Vec<bool> {
+        let port = |p: u16| 1 + p * (32 / pipes);
+        (0..pipes)
+            .map(|p| sw.inject(&PacketDesc::new(port(p)).field("eth", "dst", dst)))
+            .collect()
+    }
+
     #[test]
     fn table_add_fans_out_to_all_pipes() {
         let mut sw = mk_pipes(4);
         add_fwd(&mut sw, 0xAA, 3);
-        // Ports 1 (pipe 0) and 9 (pipe 1) both match the fanned-out entry.
-        assert!(sw.inject(&PacketDesc::new(1).field("eth", "dst", 0xAA).payload(100)));
-        assert!(sw.inject(&PacketDesc::new(9).field("eth", "dst", 0xAA).payload(100)));
+        // A packet in every pipe hits the one entry and is forwarded.
+        assert_eq!(accepted_per_pipe(&mut sw, 4, 0xAA), [true; 4]);
         sw.clock().advance(10_000);
         sw.pump();
-        assert_eq!(sw.stats.tx, 2);
-        let t = sw.table_id("l2").unwrap();
-        for pipe in 0..4 {
-            assert_eq!(
-                sw.table_ref_on(pipe, t).len(),
-                1,
-                "pipe {pipe} missing entry"
-            );
-        }
+        assert_eq!(sw.stats.tx, 4);
+        assert_eq!(sw.port(3).unwrap().tx_packets, 4);
+        // A miss in every pipe takes that pipe's (drop) default.
+        assert_eq!(accepted_per_pipe(&mut sw, 4, 0xBB), [false; 4]);
+        assert_eq!(sw.table_ref(sw.table_id("l2").unwrap()).len(), 1);
     }
 
     #[test]
@@ -1813,9 +1649,17 @@ control ingress { apply(t); }
         assert_eq!(sw.register_read_range_on(0, r, 3, 3)[0].as_u64(), 7);
         assert_eq!(sw.register_read_range_on(1, r, 3, 3)[0].as_u64(), 7);
         assert_eq!(sw.register_read_agg(r, 3, 3, ReadAgg::Max)[0].as_u64(), 7);
-        sw.register_write_on(1, r, 3, Value::new(9, 64));
+        // A packet in pipe 1 (port 17) writes its 64-byte frame length over
+        // pipe 1's copy only.
+        let t = sw.table_id("l2").unwrap();
+        let a = sw.action_id("fwd_count").unwrap();
+        let key = vec![KeyField::Exact(Value::new(0xCC, 48))];
+        let data = [Value::new(2, 64), Value::new(3, 64)];
+        sw.table_add(t, key, 0, a, data).unwrap();
+        sw.inject(&PacketDesc::new(17).field("eth", "dst", 0xCC).payload(50));
         assert_eq!(sw.register_read_range_on(0, r, 3, 3)[0].as_u64(), 7);
-        assert_eq!(sw.register_read_agg(r, 3, 3, ReadAgg::Max)[0].as_u64(), 9);
+        assert_eq!(sw.register_read_range_on(1, r, 3, 3)[0].as_u64(), 64);
+        assert_eq!(sw.register_read_agg(r, 3, 3, ReadAgg::Max)[0].as_u64(), 64);
     }
 
     #[test]
@@ -1842,18 +1686,23 @@ control ingress { apply(t); }
         let cp = sw.table_checkpoint(t);
         let h2 = add_fwd(&mut sw, 0xBB, 4);
         assert_ne!(h1, h2);
+        // Pipe 1 forwards misses while the checkpoint is open.
+        let fwd = sw.action_id("fwd").unwrap();
+        sw.table_set_default_on(1, t, fwd, [Value::new(2, 64)])
+            .unwrap();
+        assert_eq!(accepted_per_pipe(&mut sw, 2, 0xEE), [false, true]);
         sw.table_restore(t, cp).unwrap();
-        for pipe in 0..2 {
-            assert_eq!(sw.table_ref_on(pipe, t).len(), 1);
-        }
+        // In both pipes 0xAA hits, 0xBB is gone, and a miss drops again.
+        assert_eq!(accepted_per_pipe(&mut sw, 2, 0xAA), [true, true]);
+        assert_eq!(accepted_per_pipe(&mut sw, 2, 0xBB), [false, false]);
+        assert_eq!(accepted_per_pipe(&mut sw, 2, 0xEE), [false, false]);
         // The handle counter rewinds with the checkpoint, and re-adding
-        // reuses the same handle in every pipe.
+        // reuses the same handle.
         let h3 = add_fwd(&mut sw, 0xBB, 4);
         assert_eq!(h2, h3);
+        assert_eq!(accepted_per_pipe(&mut sw, 2, 0xBB), [true, true]);
         sw.table_del(t, h3).unwrap();
-        for pipe in 0..2 {
-            assert_eq!(sw.table_ref_on(pipe, t).len(), 1);
-        }
+        assert_eq!(accepted_per_pipe(&mut sw, 2, 0xBB), [false, false]);
         // The restored token is good for another attempt; a discarded one
         // is refused.
         sw.table_restore(t, cp).unwrap();
@@ -1864,6 +1713,28 @@ control ingress { apply(t); }
                 cp
             ))))
         );
+    }
+
+    /// Every table write refuses action data of the wrong length, and
+    /// changes nothing when it does.
+    #[test]
+    fn table_writes_refuse_action_data_of_the_wrong_length() {
+        let mut sw = mk_pipes(2);
+        let t = sw.table_id("l2").unwrap();
+        let fwd = sw.action_id("fwd").unwrap(); // fwd(port): one parameter
+        let h = add_fwd(&mut sw, 0xAA, 3);
+        let key = || vec![KeyField::Exact(Value::new(0xBB, 48))];
+        for data in [vec![], vec![Value::new(3, 64); 3]] {
+            let got = data.len();
+            let refused = DriverError::Table(TableError::ActionDataArity { expected: 1, got });
+            assert_eq!(sw.table_add(t, key(), 0, fwd, &data), Err(refused.clone()));
+            assert_eq!(sw.table_mod(t, h, fwd, &data), Err(refused.clone()));
+            assert_eq!(sw.table_set_default(t, fwd, &data), Err(refused.clone()));
+            assert_eq!(sw.table_set_default_on(1, t, fwd, &data), Err(refused));
+        }
+        assert_eq!(sw.table_len(t), 1);
+        assert_eq!(accepted_per_pipe(&mut sw, 2, 0xAA), [true, true]);
+        assert_eq!(accepted_per_pipe(&mut sw, 2, 0xBB), [false, false]);
     }
 
     #[test]

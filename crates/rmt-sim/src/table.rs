@@ -13,6 +13,10 @@
 //! processing — exactly the guarantee the Mantis paper builds its
 //! serializable update protocol on.
 //!
+//! A switch stores each table once, and every hardware pipe matches its
+//! entries. The default action is the one piece kept per pipe: a packet
+//! that hits nothing gets its own pipe's default (DESIGN.md §9).
+//!
 //! Duplicate keys: exact-only tables resolve a re-added identical key to
 //! the newest entry (the hash index is overwritten); scan-matched tables
 //! (ternary/LPM) tie-break by insertion order, oldest first. The Mantis
@@ -338,7 +342,10 @@ pub struct Table {
     /// Handle → position in `entries`.
     slot_of: HashMap<EntryHandle, usize>,
     index: Index,
-    default_action: Option<(ActionId, Arc<[Value]>)>,
+    /// The default action of each hardware pipe, in pipe order: the one
+    /// piece of table state pipes do not share (a per-pipe version flip,
+    /// DESIGN.md §9). A standalone table has one pipe.
+    defaults: Vec<Option<(ActionId, Arc<[Value]>)>>,
     next_handle: u64,
     next_seq: u64,
     capacity: u32,
@@ -365,8 +372,11 @@ enum Undo {
     },
     /// A delete removed this entry from position `pos`.
     Deleted { pos: usize, entry: Entry },
-    /// A set-default replaced this default action.
-    Default(Option<(ActionId, Arc<[Value]>)>),
+    /// A set-default replaced this pipe's default action.
+    Default {
+        pipe: usize,
+        old: Option<(ActionId, Arc<[Value]>)>,
+    },
 }
 
 /// A live checkpoint: where its journal suffix starts, and the counters
@@ -423,7 +433,14 @@ impl Lookup<'_> {
 }
 
 impl Table {
+    /// A one-pipe table.
     pub fn new(spec: &TableSpec) -> Self {
+        Table::with_pipes(spec, 1)
+    }
+
+    /// A table whose entries every one of `pipes` pipes matches, each pipe
+    /// with its own default action (initially the spec's).
+    pub(crate) fn with_pipes(spec: &TableSpec, pipes: u16) -> Self {
         let index = if !spec.key.is_empty() && spec.key.iter().all(|k| k.kind == MatchKind::Exact) {
             Index::Exact(HashMap::default())
         } else if let Some(lpm_pos) = single_lpm_pos(spec) {
@@ -435,14 +452,15 @@ impl Table {
         } else {
             Index::Scan(ScanIndex::default())
         };
+        let default = spec
+            .default_action
+            .as_ref()
+            .map(|(a, d)| (*a, Arc::from(d.as_slice())));
         Table {
             entries: Vec::new(),
             slot_of: HashMap::default(),
             index,
-            default_action: spec
-                .default_action
-                .as_ref()
-                .map(|(a, d)| (*a, Arc::from(d.as_slice()))),
+            defaults: vec![default; usize::from(pipes)],
             next_handle: 1,
             next_seq: 0,
             capacity: spec.size,
@@ -470,31 +488,33 @@ impl Table {
         self.entries.iter()
     }
 
+    /// Pipe 0's default action.
     pub fn default_action(&self) -> Option<&(ActionId, Arc<[Value]>)> {
-        self.default_action.as_ref()
+        self.default_action_on(0)
     }
 
-    pub fn set_default(&mut self, action: ActionId, data: Vec<Value>) {
-        self.set_default_shared(action, Arc::from(data));
+    /// Pipe `pipe`'s default action (`None` past the last pipe).
+    pub fn default_action_on(&self, pipe: u16) -> Option<&(ActionId, Arc<[Value]>)> {
+        self.defaults.get(usize::from(pipe))?.as_ref()
     }
 
-    /// [`set_default`](Self::set_default) with data already behind an
-    /// `Arc` (the switch shares one copy across its pipes).
-    pub(crate) fn set_default_shared(&mut self, action: ActionId, data: Arc<[Value]>) {
-        let old = self.default_action.replace((action, data));
-        if self.journalling() {
-            self.journal.undo.push(Undo::Default(old));
+    /// Set the default action of one pipe, or of every pipe (`None`).
+    pub(crate) fn set_default(&mut self, pipe: Option<u16>, action: ActionId, data: Arc<[Value]>) {
+        let pipes = match pipe {
+            Some(p) => usize::from(p)..usize::from(p) + 1,
+            None => 0..self.defaults.len(),
+        };
+        for pipe in pipes {
+            let old = self.defaults[pipe].replace((action, data.clone()));
+            if self.journalling() {
+                self.journal.undo.push(Undo::Default { pipe, old });
+            }
         }
     }
 
     /// The installed entry with this handle.
     pub fn get(&self, handle: EntryHandle) -> Option<&Entry> {
         self.slot_of.get(&handle).map(|&i| &self.entries[i])
-    }
-
-    /// Next handle [`add_entry`](Self::add_entry) would assign.
-    pub(crate) fn next_handle(&self) -> u64 {
-        self.next_handle
     }
 
     fn validate_key(&self, spec: &TableSpec, key: &[KeyField]) -> Result<(), TableError> {
@@ -541,62 +561,18 @@ impl Table {
     }
 
     /// Install a new entry. `param_count` is the arity of `action` (the
-    /// switch resolves it from the action table).
-    #[allow(clippy::too_many_arguments)]
+    /// switch resolves it from the action table). The data is kept behind
+    /// an `Arc`; one given as an `Arc` is kept without a copy.
     pub fn add_entry(
         &mut self,
         spec: &TableSpec,
         key: Vec<KeyField>,
         priority: u32,
         action: ActionId,
-        action_data: Vec<Value>,
+        action_data: impl Into<Arc<[Value]>>,
         param_count: usize,
     ) -> Result<EntryHandle, TableError> {
-        let handle = EntryHandle(self.next_handle);
-        self.add_entry_at(
-            spec,
-            handle,
-            key,
-            priority,
-            action,
-            action_data,
-            param_count,
-        )?;
-        Ok(handle)
-    }
-
-    /// Install a new entry under a caller-chosen handle. The switch uses
-    /// this to fan one logical add out to every pipe under a single
-    /// shared handle; the local counter is advanced past `handle` so
-    /// later self-allocated adds never collide.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_entry_at(
-        &mut self,
-        spec: &TableSpec,
-        handle: EntryHandle,
-        key: Vec<KeyField>,
-        priority: u32,
-        action: ActionId,
-        action_data: Vec<Value>,
-        param_count: usize,
-    ) -> Result<(), TableError> {
-        let data = Arc::from(action_data);
-        self.add_entry_shared(spec, handle, key, priority, action, data, param_count)
-    }
-
-    /// [`add_entry_at`](Self::add_entry_at) with data already behind an
-    /// `Arc`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn add_entry_shared(
-        &mut self,
-        spec: &TableSpec,
-        handle: EntryHandle,
-        key: Vec<KeyField>,
-        priority: u32,
-        action: ActionId,
-        action_data: Arc<[Value]>,
-        param_count: usize,
-    ) -> Result<(), TableError> {
+        let action_data = action_data.into();
         self.validate_key(spec, &key)?;
         self.validate_action(spec, action, action_data.len(), param_count)?;
         if self.entries.len() as u32 >= self.capacity {
@@ -604,7 +580,8 @@ impl Table {
                 capacity: self.capacity,
             });
         }
-        self.next_handle = self.next_handle.max(handle.0 + 1);
+        let handle = EntryHandle(self.next_handle);
+        self.next_handle += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
         let idx = self.entries.len();
@@ -620,7 +597,7 @@ impl Table {
         if self.journalling() {
             self.journal.undo.push(Undo::Added(handle));
         }
-        Ok(())
+        Ok(handle)
     }
 
     /// Replace the action/action-data of an existing entry (the key and
@@ -630,21 +607,10 @@ impl Table {
         spec: &TableSpec,
         handle: EntryHandle,
         action: ActionId,
-        action_data: Vec<Value>,
+        action_data: impl Into<Arc<[Value]>>,
         param_count: usize,
     ) -> Result<(), TableError> {
-        self.mod_entry_shared(spec, handle, action, Arc::from(action_data), param_count)
-    }
-
-    /// [`mod_entry`](Self::mod_entry) with data already behind an `Arc`.
-    pub(crate) fn mod_entry_shared(
-        &mut self,
-        spec: &TableSpec,
-        handle: EntryHandle,
-        action: ActionId,
-        action_data: Arc<[Value]>,
-        param_count: usize,
-    ) -> Result<(), TableError> {
+        let action_data = action_data.into();
         self.validate_action(spec, action, action_data.len(), param_count)?;
         let idx = *self
             .slot_of
@@ -811,7 +777,7 @@ impl Table {
                     e.action_data = action_data;
                 }
                 Undo::Deleted { pos, entry } => self.insert_at(spec, pos, entry),
-                Undo::Default(old) => self.default_action = old,
+                Undo::Default { pipe, old } => self.defaults[pipe] = old,
             }
         }
         self.next_handle = next_handle;
@@ -828,13 +794,21 @@ impl Table {
         }
     }
 
-    /// Look up the winning entry for the current PHV.
+    /// Look up the winning entry for the current PHV; a packet that hits
+    /// nothing gets pipe 0's default.
     #[inline]
     pub fn lookup(&mut self, spec: &TableSpec, phv: &Phv) -> Lookup<'_> {
+        self.lookup_in(0, spec, phv)
+    }
+
+    /// [`lookup`](Self::lookup) for a packet in pipe `pipe`: a miss gets
+    /// that pipe's default.
+    #[inline]
+    pub(crate) fn lookup_in(&mut self, pipe: usize, spec: &TableSpec, phv: &Phv) -> Lookup<'_> {
         self.lookups += 1;
         if spec.key.is_empty() {
             // Keyless tables always run their default action.
-            return self.default_lookup();
+            return self.default_lookup(pipe);
         }
 
         // Static-masked field bits, reusing the table-owned scratch buffer.
@@ -866,12 +840,12 @@ impl Table {
                 action_data: &e.action_data,
             };
         }
-        self.default_lookup()
+        self.default_lookup(pipe)
     }
 
     #[inline]
-    fn default_lookup(&self) -> Lookup<'_> {
-        match &self.default_action {
+    fn default_lookup(&self, pipe: usize) -> Lookup<'_> {
+        match &self.defaults[pipe] {
             Some((a, d)) => Lookup::Default {
                 action: *a,
                 action_data: d,
@@ -905,7 +879,7 @@ impl Table {
     /// duplicate-key rule (newest entry wins — see the module docs).
     pub fn lookup_linear(&self, spec: &TableSpec, phv: &Phv) -> Lookup<'_> {
         if spec.key.is_empty() {
-            return self.default_lookup();
+            return self.default_lookup(0);
         }
         let field_vals: Vec<Value> = spec
             .key
@@ -936,7 +910,7 @@ impl Table {
                     action_data: &e.action_data,
                 };
             }
-            return self.default_lookup();
+            return self.default_lookup(0);
         }
         let mut best: Option<&Entry> = None;
         let mut best_prefix: u32 = 0;
@@ -969,7 +943,7 @@ impl Table {
                 action_data: &e.action_data,
             };
         }
-        self.default_lookup()
+        self.default_lookup(0)
     }
 }
 

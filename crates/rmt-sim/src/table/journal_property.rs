@@ -1,13 +1,14 @@
 //! The undo journal against the checkpoint it replaced.
 //!
-//! Until this journal a checkpoint was a deep copy of the table in every
-//! pipe and a restore put the copy back. That copy is kept here as the
-//! reference: random add / mod / del / set-default / checkpoint / restore /
-//! discard sequences run over an exact, an LPM and a scan-indexed table of
-//! a 1- and a 2-pipe switch, a `Table::clone` is taken beside every mark,
-//! and after every restore the journalled table must *be* that clone —
-//! entries in order, defaults, both counters, the handle map, and an index
-//! that answers every probe as the linear scan does. The token contract is
+//! Until this journal a checkpoint was a deep copy of the table and a
+//! restore put the copy back. That copy is kept here as the reference:
+//! random add / mod / del / set-default (of every pipe or of one) /
+//! checkpoint / restore / discard sequences run over an exact, an LPM and a
+//! scan-indexed table of a 1- and a 2-pipe switch, a `Table::clone` is
+//! taken beside every mark, and after every restore the journalled table
+//! must *be* that clone — entries in order, each pipe's default, both
+//! counters, the handle map, and an index that answers every probe as the
+//! linear scan does. The token contract is
 //! checked on the way: a restored token stays live, younger tokens of the
 //! same table die with the restore, dead tokens are refused and change
 //! nothing.
@@ -57,18 +58,17 @@ fn key(t: usize, x: u64) -> Vec<KeyField> {
 fn state(t: &Table) -> String {
     let mut slots: Vec<_> = t.slot_of.iter().map(|(h, i)| (*h, *i)).collect();
     slots.sort();
-    let (entries, default) = (&t.entries, &t.default_action);
+    let (entries, defaults) = (&t.entries, &t.defaults);
     let counters = (t.next_handle, t.next_seq);
-    format!("{entries:?} {slots:?} {default:?} {counters:?}")
+    format!("{entries:?} {slots:?} {defaults:?} {counters:?}")
 }
 
 /// What one mark must bring back.
 struct Reference {
     table: usize,
     token: u64,
-    /// The clone-based checkpoint: one copy per pipe.
-    pipes: Vec<Table>,
-    switch_next_handle: u64,
+    /// The clone-based checkpoint.
+    copy: Table,
 }
 
 struct Harness {
@@ -101,32 +101,29 @@ impl Harness {
         table.entries().map(|e| e.handle).collect()
     }
 
-    fn tables(&self, t: usize) -> Vec<Table> {
-        let pipes = 0..self.sw.num_pipes();
-        pipes
-            .map(|p| self.sw.table_ref_on(p, self.ids[t]).clone())
-            .collect()
+    fn table(&self, t: usize) -> Table {
+        self.sw.table_ref(self.ids[t]).clone()
     }
 
-    /// The journalled tables are the reference's, in every pipe, and their
-    /// indexes answer as a linear scan of the reference does.
+    /// The journalled table is the reference's, every pipe's default
+    /// included, and its index answers as a linear scan of the reference
+    /// does.
     fn check_restored(&self, r: &Reference, probes: &[u64]) -> Result<(), TestCaseError> {
         let spec = self.sw.spec();
         let tspec = spec.table(self.ids[r.table]);
-        for (mut got, want) in self.tables(r.table).into_iter().zip(&r.pipes) {
-            prop_assert_eq!(state(&got), state(want));
-            for h in want.entries().map(|e| e.handle) {
-                prop_assert!(got.get(h).is_some(), "{:?} was live at the mark", h);
+        let (mut got, want) = (self.table(r.table), &r.copy);
+        prop_assert_eq!(state(&got), state(want));
+        for h in want.entries().map(|e| e.handle) {
+            prop_assert!(got.get(h).is_some(), "{:?} was live at the mark", h);
+        }
+        for x in probes {
+            let mut phv = Phv::new(spec);
+            for (f, bits) in [("a", x % 5), ("b", (x >> 8) << 26), ("c", (x >> 4) << 27)] {
+                phv.set_u64(spec.field_id("m", f).unwrap(), bits);
             }
-            for x in probes {
-                let mut phv = Phv::new(spec);
-                for (f, bits) in [("a", x % 5), ("b", (x >> 8) << 26), ("c", (x >> 4) << 27)] {
-                    phv.set_u64(spec.field_id("m", f).unwrap(), bits);
-                }
-                let fast = got.lookup(tspec, &phv).detach();
-                prop_assert_eq!(&fast, &got.lookup_linear(tspec, &phv).detach());
-                prop_assert_eq!(&fast, &want.lookup_linear(tspec, &phv).detach());
-            }
+            let fast = got.lookup(tspec, &phv).detach();
+            prop_assert_eq!(&fast, &got.lookup_linear(tspec, &phv).detach());
+            prop_assert_eq!(&fast, &want.lookup_linear(tspec, &phv).detach());
         }
         Ok(())
     }
@@ -159,15 +156,20 @@ impl Harness {
                 }
             }
             8 => self.sw.table_set_default(id, action, data(action)).unwrap(),
+            15 => {
+                // One pipe's default moves: a restore must bring back each
+                // pipe's separately.
+                let pipe = (x >> 3) as u16 % self.sw.num_pipes();
+                let set = self.sw.table_set_default_on(pipe, id, action, data(action));
+                set.unwrap();
+            }
             9 | 10 => {
-                let pipes = self.tables(t);
-                let switch_next_handle = pipes[0].next_handle();
+                let copy = self.table(t);
                 let token = self.sw.table_checkpoint(id);
                 self.marks.push(Reference {
                     table: t,
                     token,
-                    pipes,
-                    switch_next_handle,
+                    copy,
                 });
             }
             11 | 12 => {
@@ -178,7 +180,7 @@ impl Harness {
                 let after_mark: Vec<EntryHandle> = self
                     .handles(table)
                     .into_iter()
-                    .filter(|h| h.0 >= self.marks[i].switch_next_handle)
+                    .filter(|h| h.0 >= self.marks[i].copy.next_handle)
                     .collect();
                 self.sw.table_restore(self.ids[table], token).unwrap();
                 // Younger marks of that table named states that are gone.
@@ -193,12 +195,12 @@ impl Harness {
                     let gone = self.sw.table_ref(self.ids[table]).get(h).is_none();
                     prop_assert!(gone, "{:?} was added after the mark", h);
                 }
-                // The shared handle counter rewound with the tables.
+                // The handle counter rewound with the table.
                 if let Ok(h) =
                     self.sw
                         .table_add(self.ids[table], key(table, x), 0, ActionId(1), vec![])
                 {
-                    prop_assert_eq!(h.0, r.switch_next_handle);
+                    prop_assert_eq!(h.0, r.copy.next_handle);
                     self.sw.table_del(self.ids[table], h).unwrap();
                     // (That probe is journalled too: restore once more so
                     // the reference still describes the table.)
@@ -233,7 +235,7 @@ impl Harness {
 proptest! {
     #[test]
     fn a_restore_is_the_clone_it_replaced(
-        ops in prop::collection::vec((0u8..15, 0usize..3, any::<u64>(), any::<u64>()), 1..120),
+        ops in prop::collection::vec((0u8..16, 0usize..3, any::<u64>(), any::<u64>()), 1..120),
         two_pipes in any::<bool>(),
     ) {
         let mut h = Harness::new(if two_pipes { 2 } else { 1 });
@@ -248,9 +250,8 @@ proptest! {
         }
         // With every mark gone no table is still recording.
         for t in 0..TABLES.len() {
-            for table in h.tables(t) {
-                prop_assert!(table.journal.undo.is_empty() && table.journal.marks.is_empty());
-            }
+            let journal = h.table(t).journal;
+            prop_assert!(journal.undo.is_empty() && journal.marks.is_empty());
         }
     }
 }

@@ -26,8 +26,8 @@
 //!
 //! * every physical table write — `SetDefaultOn` (the measurement flip,
 //!   the commit flip), `TableMod` — makes one allocation: the
-//!   `Arc<[Value]>` the table keeps the action data in, shared by every
-//!   pipe's copy and by the undo journal of an open checkpoint;
+//!   `Arc<[Value]>` the table keeps the action data in, shared with the
+//!   undo journal of an open checkpoint;
 //! * a reaction that stages `table_mod(.., vec![..])` allocates that
 //!   vector itself.
 //!

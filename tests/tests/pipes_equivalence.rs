@@ -4,8 +4,7 @@
 //! * every use-case program runs end-to-end under each pipe count, and
 //!   the agent's per-pipe version bits converge after every iteration;
 //! * a deterministic churn workload reaches the same agent-visible state
-//!   (slots, vv, logical table sizes) regardless of pipe count, and the
-//!   physical tables stay symmetric across pipes;
+//!   (slots, vv, logical table sizes) regardless of pipe count;
 //! * transient fault plans are absorbed identically at every pipe count;
 //! * every testbed here runs once per driver mode: in process, and over
 //!   the wire protocol at zero RTT;
@@ -133,33 +132,6 @@ fn churn_run(pipes: u16, mode: DriverMode, plan: Option<FaultPlan>, iters: usize
             .borrow_mut()
             .dialogue_iteration()
             .unwrap_or_else(|e| panic!("pipes={pipes} {mode:?} iteration {k}: {e}"));
-    }
-    // The write fan-out must have kept every pipe's copy of every table
-    // identical (same handles, keys, actions).
-    {
-        let sw = tb.sim.switch().borrow();
-        let t = sw.table_id("acl").expect("acl exists");
-        let dump = |p: u16| {
-            let mut rows: Vec<String> = sw
-                .table_ref_on(p, t)
-                .entries()
-                .map(|e| {
-                    format!(
-                        "{:?}|{:?}|{:?}|{:?}",
-                        e.handle, e.key, e.action, e.action_data
-                    )
-                })
-                .collect();
-            rows.sort();
-            rows.join(";")
-        };
-        for p in 1..pipes {
-            assert_eq!(
-                dump(0),
-                dump(p),
-                "pipes={pipes}: pipe {p} diverged from pipe 0"
-            );
-        }
     }
     agent_fingerprint(&tb)
 }

@@ -116,7 +116,7 @@ const NUM_PIPES: u16 = 4;
 const OLD_WORLD: u64 = 101; // tag 100 + scale 1
 const NEW_WORLD: u64 = 207; // tag 200 + scale 7
 
-/// Switch-level multi-pipe harness: drives prepare (fan-out) and per-pipe
+/// Switch-level multi-pipe harness: drives prepare (all pipes) and per-pipe
 /// commits as individual driver ops, the way the agent's commit loop
 /// issues them, so probes can land between any two per-pipe flips.
 struct PipeHarness {
@@ -153,7 +153,7 @@ impl PipeHarness {
             shadow_handles: Vec::new(),
         };
         // Initial config in every pipe: vv=1, mv=0, scale=1; the logical
-        // entry {k=5 → classify(100)} in both copies (adds fan out).
+        // entry {k=5 → classify(100)} in both copies (every pipe matches them).
         h.set_master_all(1, 1);
         h.add_copy(1, 100);
         h.shadow_handles = h.add_copy(0, 100);
@@ -185,8 +185,8 @@ impl PipeHarness {
             .collect()
     }
 
-    /// Prepare: rewrite the shadow (vv=0) copy to the new tag. Table
-    /// writes fan out to every pipe, invisible until that pipe's flip.
+    /// Prepare: rewrite the shadow (vv=0) copy to the new tag. Every pipe
+    /// matches the rewritten entries, invisible until that pipe's flip.
     fn prepare(&mut self, tag: u64) {
         let entries = self.expand(0, tag);
         for (h, pe) in self.shadow_handles.clone().iter().zip(entries.iter()) {
