@@ -31,8 +31,8 @@ pub type FieldTemplate = Vec<(String, String, u128)>;
 #[derive(Default)]
 pub(crate) struct FlowRegistry {
     pub tcp: Vec<Rc<RefCell<TcpState>>>,
+    /// Constant-rate sources: UDP senders and heartbeat sources.
     pub udp: Vec<UdpFlow>,
-    pub hb: Vec<HbFlow>,
     /// Scale-flow shards, one per injection switch. `None` only while the
     /// shard is checked out by its own wake event.
     pub scale: Vec<Option<FlowShard>>,
@@ -341,13 +341,15 @@ pub struct UdpState {
     pub stopped: bool,
 }
 
-/// Registry entry for a CBR UDP sender.
+/// Registry entry for a constant-rate source: a CBR UDP sender, or —
+/// without counters — a heartbeat source.
 pub(crate) struct UdpFlow {
     switch: usize,
     stop_ns: Option<Nanos>,
     interval: Nanos,
     tmpl: PacketTemplate,
-    state: Rc<RefCell<UdpState>>,
+    /// A UDP sender's counters; `None` for a heartbeat source.
+    state: Option<Rc<RefCell<UdpState>>>,
 }
 
 /// Spawn a CBR UDP sender into switch 0.
@@ -366,39 +368,49 @@ pub fn spawn_udp_on(sim: &mut Simulator, switch: usize, cfg: UdpConfig) -> Rc<Re
         &cfg.fields,
         cfg.payload_bytes,
     );
-    let flow = u32::try_from(sim.flows.udp.len()).expect("udp flow count fits u32");
-    sim.flows.udp.push(UdpFlow {
+    let flow = UdpFlow {
         switch,
         stop_ns: cfg.stop_ns,
         interval,
         tmpl,
-        state: state.clone(),
-    });
-    sim.schedule_kind(
-        cfg.start_ns,
-        EventKind::UdpSend {
-            flow,
-            nominal: cfg.start_ns,
-        },
-    );
+        state: Some(state.clone()),
+    };
+    push_constant_rate(sim, flow, cfg.start_ns);
     state
 }
 
-/// One UDP packet send (the `EventKind::UdpSend` handler).
+/// Register a constant-rate source and schedule its first send at `start`.
+fn push_constant_rate(sim: &mut Simulator, flow: UdpFlow, start: Nanos) {
+    let id = u32::try_from(sim.flows.udp.len()).expect("udp flow count fits u32");
+    sim.flows.udp.push(flow);
+    sim.schedule_kind(
+        start,
+        EventKind::UdpSend {
+            flow: id,
+            nominal: start,
+        },
+    );
+}
+
+/// One constant-rate send (the `EventKind::UdpSend` handler). A UDP
+/// sender's `stopped` flag and counters are read and written here; a
+/// heartbeat source has neither.
 pub(crate) fn udp_send_event(sim: &mut Simulator, flow: u32, nominal: Nanos) {
     let i = flow as usize;
-    let (switch, stop_ns, interval) = {
-        let f = &sim.flows.udp[i];
-        (f.switch, f.stop_ns, f.interval)
-    };
-    let state = sim.flows.udp[i].state.clone();
-    if state.borrow().stopped || stop_ns.is_some_and(|t| sim.now() >= t) {
-        state.borrow_mut().stopped = true;
+    let f = &sim.flows.udp[i];
+    let (switch, interval, state) = (f.switch, f.interval, f.state.clone());
+    let mut stop = f.stop_ns.is_some_and(|t| sim.now() >= t);
+    if let Some(st) = &state {
+        let mut st = st.borrow_mut();
+        stop |= st.stopped;
+        st.stopped = stop;
+    }
+    if stop {
         return;
     }
     let ok = sim.inject_on(switch, |sw, flows| sw.inject_template(&flows.udp[i].tmpl));
-    {
-        let mut st = state.borrow_mut();
+    if let Some(st) = &state {
+        let mut st = st.borrow_mut();
         st.sent_pkts += 1;
         if ok {
             st.accepted_pkts += 1;
@@ -436,58 +448,22 @@ pub struct HeartbeatConfig {
     pub stop_ns: Option<Nanos>,
 }
 
-/// Registry entry for a heartbeat source.
-pub(crate) struct HbFlow {
-    switch: usize,
-    stop_ns: Option<Nanos>,
-    interval: Nanos,
-    tmpl: PacketTemplate,
-}
-
 pub fn spawn_heartbeats(sim: &mut Simulator, cfg: HeartbeatConfig) {
     spawn_heartbeats_on(sim, 0, cfg);
 }
 
-/// Heartbeat generator injecting into fabric switch `switch`.
+/// Heartbeat generator injecting into fabric switch `switch`: a
+/// constant-rate source without counters.
 pub fn spawn_heartbeats_on(sim: &mut Simulator, switch: usize, cfg: HeartbeatConfig) {
     let tmpl = compile_template(sim, switch, cfg.port, &cfg.fields, 0);
-    let flow = u32::try_from(sim.flows.hb.len()).expect("hb flow count fits u32");
-    sim.flows.hb.push(HbFlow {
+    let flow = UdpFlow {
         switch,
         stop_ns: cfg.stop_ns,
         interval: cfg.interval_ns,
         tmpl,
-    });
-    sim.schedule_kind(
-        cfg.start_ns,
-        EventKind::HbSend {
-            flow,
-            nominal: cfg.start_ns,
-        },
-    );
-}
-
-/// One heartbeat send (the `EventKind::HbSend` handler).
-pub(crate) fn hb_send_event(sim: &mut Simulator, flow: u32, nominal: Nanos) {
-    let i = flow as usize;
-    let (switch, stop_ns, interval) = {
-        let f = &sim.flows.hb[i];
-        (f.switch, f.stop_ns, f.interval)
+        state: None,
     };
-    if stop_ns.is_some_and(|t| sim.now() >= t) {
-        return;
-    }
-    sim.inject_on(switch, |sw, flows| sw.inject_template(&flows.hb[i].tmpl));
-    let Some(next) = nominal.checked_add(interval.max(1)) else {
-        return;
-    };
-    sim.schedule_kind(
-        next,
-        EventKind::HbSend {
-            flow,
-            nominal: next,
-        },
-    );
+    push_constant_rate(sim, flow, cfg.start_ns);
 }
 
 // ---------------------------------------------------------------------------

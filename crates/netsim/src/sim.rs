@@ -52,10 +52,9 @@ pub(crate) enum EventKind {
     TcpSend { flow: u32, gen: u64 },
     /// One TCP flow's periodic AIMD rate tick.
     TcpTick { flow: u32, nominal: Nanos },
-    /// One UDP flow's periodic constant-rate send.
+    /// One constant-rate source's (UDP sender's or heartbeat source's)
+    /// periodic send.
     UdpSend { flow: u32, nominal: Nanos },
-    /// One heartbeat source's periodic send.
-    HbSend { flow: u32, nominal: Nanos },
     /// Drain every due arrival of scale-flow shard `shard` in one batch.
     FlowWake { shard: u32 },
 }
@@ -493,7 +492,6 @@ impl Simulator {
             EventKind::UdpSend { flow, nominal } => {
                 crate::flows::udp_send_event(self, flow, nominal)
             }
-            EventKind::HbSend { flow, nominal } => crate::flows::hb_send_event(self, flow, nominal),
             EventKind::FlowWake { shard } => crate::flows::flow_wake_event(self, shard),
         }
     }
@@ -633,7 +631,7 @@ impl Simulator {
             let shards = self.shard_load.len();
             for &i in &due {
                 let mut sw = self.switches[i].borrow_mut();
-                let pumped = sw.tm_queued() > 0 && sw.tx_ready();
+                let pumped = sw.tm_queued() > 0 && sw.next_ready_at() <= now;
                 let mut served = 0;
                 if pumped {
                     served = sw.pump();

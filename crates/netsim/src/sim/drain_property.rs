@@ -16,11 +16,12 @@ impl Simulator {
     pub(super) fn drain_reference(&mut self) {
         let mut drain_work = 0;
         let mut batch = Vec::new();
+        let now = self.clock.now();
         for i in 0..self.switches.len() {
             {
                 let mut sw = self.switches[i].borrow_mut();
                 self.par_stats.switch_visits += 1;
-                if sw.tm_queued() == 0 || !sw.tx_ready() {
+                if sw.tm_queued() == 0 || sw.next_ready_at() > now {
                     continue;
                 }
                 drain_work += sw.pump();

@@ -1,5 +1,7 @@
 //! The switch: ports, ingress/egress pipelines, traffic manager, stateful
-//! registers, and the raw driver API the control plane uses.
+//! registers, and the raw driver API the control plane uses. A [`Table`]'s
+//! undo journal is the only record of a live checkpoint token; DESIGN.md
+//! §14, "Switch components", names the writers of every other field.
 //!
 //! Execution is deterministic and driven by the shared virtual [`Clock`].
 //! Packets can be processed in one call (fast path) or stage-by-stage via
@@ -281,8 +283,7 @@ pub struct Switch {
     /// is in pipe `p / ceil(num_ports / num_pipes)`), so the packet path
     /// never divides; ports past its end belong to the last pipe.
     port_map: Box<[u16]>,
-    /// Live table checkpoints, oldest first: `(token, table)`.
-    checkpoints: Vec<(u64, TableId)>,
+    /// The next checkpoint token; a live one is held by its table's journal.
     next_checkpoint: u64,
     /// The spec's action bodies and control blocks lowered to micro-ops
     /// ([`crate::kernel`]); what the packet path executes.
@@ -329,6 +330,9 @@ pub struct Switch {
     /// One-entry `(bytes, ns)` memo for [`Switch::wire_time`]; starts at
     /// `(0, 0)`, which is itself the correct mapping for zero bytes.
     wire_memo: (u32, Nanos),
+    /// Latency from enqueue to the first wire byte (egress pipeline +
+    /// fixed overheads; the ingress half happens before enqueue).
+    egress_ns: Nanos,
 }
 
 impl fmt::Debug for Switch {
@@ -353,6 +357,8 @@ impl Switch {
             ..Default::default()
         };
         let program = Program::lower(&spec);
+        let t = &config.timing;
+        let egress_ns = t.fixed / 2 + u64::from(spec.egress_stages) * t.per_stage;
         Switch {
             tables: spec
                 .tables
@@ -370,7 +376,6 @@ impl Switch {
             spec,
             config,
             clock,
-            checkpoints: Vec::new(),
             next_checkpoint: 0,
             program,
             transmitted: Vec::new(),
@@ -386,6 +391,7 @@ impl Switch {
             queue_mask: vec![0u64; num_ports.div_ceil(64)],
             next_ready: Nanos::MAX,
             wire_memo: (0, 0),
+            egress_ns,
         }
     }
 
@@ -648,7 +654,6 @@ impl Switch {
     /// Admit an ingress-complete PHV to its egress port's queue.
     fn enqueue(&mut self, port: PortId, mut phv: Phv, at: Nanos) -> Fate {
         let bytes = phv.frame_len(&self.spec);
-        let pipe_ns = self.egress_pipe_ns();
         let Some(q) = self.queues.get_mut(usize::from(port)) else {
             self.stats.dropped_ingress += 1;
             self.recycle_phv(phv);
@@ -672,7 +677,7 @@ impl Switch {
             // egress pipeline and whatever the wire is still serializing.
             // Only heads move the switch's ready time — a packet behind
             // one waits for it — which keeps `next_ready` exact.
-            let tx_start = q.busy_until.max(enq_ns.saturating_add(pipe_ns));
+            let tx_start = q.busy_until.max(enq_ns.saturating_add(self.egress_ns));
             self.next_ready = self.next_ready.min(tx_start);
         }
         q.packets.push_back(Queued { phv, bytes, enq_ns });
@@ -694,7 +699,6 @@ impl Switch {
         // recirculation — lower it again via `enqueue`).
         self.next_ready = Nanos::MAX;
         let now = self.clock.now();
-        let pipe_ns = self.egress_pipe_ns();
         let mut served = 0;
         for w in 0..self.queue_mask.len() {
             // Idle ports (no queued packets) are invisible to a pump: no
@@ -704,7 +708,7 @@ impl Switch {
             while word != 0 {
                 let port = (w * 64) as u16 + word.trailing_zeros() as u16;
                 word &= word - 1;
-                served += self.serve_port(port, now, pipe_ns);
+                served += self.serve_port(port, now);
             }
         }
         served
@@ -723,22 +727,9 @@ impl Switch {
         }
     }
 
-    /// Whether a pump at the current virtual time could serve anything.
-    #[inline]
-    pub fn tx_ready(&self) -> bool {
-        self.clock.now() >= self.next_ready
-    }
-
-    /// Latency from enqueue to the first wire byte (egress pipeline +
-    /// fixed overheads; the ingress half happens before enqueue).
-    fn egress_pipe_ns(&self) -> Nanos {
-        let t = &self.config.timing;
-        t.fixed / 2 + u64::from(self.spec.egress_stages) * t.per_stage
-    }
-
     /// Serve `port`'s queue up to `now`: dequeue, egress pipeline,
     /// transmit. Returns the packets served.
-    fn serve_port(&mut self, port: PortId, now: Nanos, pipe_ns: Nanos) -> u64 {
+    fn serve_port(&mut self, port: PortId, now: Nanos) -> u64 {
         let intr = self.spec.intr_ids().expect("intrinsic field");
         let slot = usize::from(port);
         let mut served = 0;
@@ -752,7 +743,7 @@ impl Switch {
             // the packet to clear the egress pipeline. Saturating: a
             // packet enqueued at the u64 horizon stays schedulable
             // instead of wrapping into the past.
-            let tx_start = q.busy_until.max(head.enq_ns.saturating_add(pipe_ns));
+            let tx_start = q.busy_until.max(head.enq_ns.saturating_add(self.egress_ns));
             if tx_start > now {
                 self.next_ready = self.next_ready.min(tx_start);
                 break;
@@ -763,7 +754,7 @@ impl Switch {
             served += 1;
             self.queued_pkts -= 1;
             q.depth_bytes -= bytes;
-            let wire_ns = self.wire_time_memo(bytes);
+            let wire_ns = self.wire_time(bytes);
             let tx_time = tx_start.saturating_add(wire_ns);
             self.queues[slot].busy_until = tx_time;
             let depth = self.mirror_qdepth_register(port);
@@ -833,24 +824,17 @@ impl Switch {
         }
     }
 
-    /// Wire serialization time for `bytes` at the port rate (saturating:
-    /// a degenerate sub-bit/s rate yields the u64 horizon, not a wrap).
-    pub fn wire_time(&self, bytes: u32) -> Nanos {
-        let ns = u128::from(bytes) * 8 * 1_000_000_000 / u128::from(self.config.port_rate_bps);
-        Nanos::try_from(ns).unwrap_or(Nanos::MAX)
-    }
-
-    /// [`wire_time`](Switch::wire_time) with a one-entry memo: traffic is
-    /// dominated by runs of equal-length frames, and the u128 division is
-    /// measurable on the per-packet path.
-    fn wire_time_memo(&mut self, bytes: u32) -> Nanos {
-        let (last_bytes, last_ns) = self.wire_memo;
-        if bytes == last_bytes {
-            return last_ns;
+    /// Wire serialization time for `bytes` at the port rate (saturating: a
+    /// degenerate sub-bit/s rate yields the u64 horizon, not a wrap), with
+    /// a one-entry memo: traffic is dominated by runs of equal-length
+    /// frames, and the u128 division is measurable per packet.
+    fn wire_time(&mut self, bytes: u32) -> Nanos {
+        if bytes != self.wire_memo.0 {
+            let rate = u128::from(self.config.port_rate_bps);
+            let ns = u128::from(bytes) * 8 * 1_000_000_000 / rate;
+            self.wire_memo = (bytes, Nanos::try_from(ns).unwrap_or(Nanos::MAX));
         }
-        let ns = self.wire_time(bytes);
-        self.wire_memo = (bytes, ns);
-        ns
+        self.wire_memo.1
     }
 
     /// Drain transmitted packets.
@@ -1088,38 +1072,32 @@ impl Switch {
         let token = self.next_checkpoint;
         self.next_checkpoint += 1;
         self.tables[table.0 as usize].checkpoint(token);
-        self.checkpoints.push((token, table));
         token
     }
 
-    /// The table a live checkpoint token was taken of.
+    /// The table whose journal holds a live checkpoint token.
     pub fn checkpoint_table(&self, token: u64) -> Option<TableId> {
-        let live = self.checkpoints.iter().find(|(t, _)| *t == token);
-        live.map(|(_, table)| *table)
+        let t = self.tables.iter().position(|t| t.has_checkpoint(token))?;
+        Some(TableId(t as u32))
     }
 
     /// Roll a table — its entries and every pipe's default — back to a
-    /// live checkpoint of it.
+    /// live checkpoint of it. A token its journal does not hold (dead, or
+    /// taken of another table) and a table out of range are refused.
     pub fn table_restore(&mut self, table: TableId, token: u64) -> Result<(), DriverError> {
-        if self.checkpoint_table(token) != Some(table) {
-            let token = EntryHandle(token);
-            return Err(DriverError::Table(TableError::UnknownHandle(token)));
+        let t = table.0 as usize;
+        let pair = self.tables.get_mut(t).zip(self.spec.tables.get(t));
+        if !pair.is_some_and(|(tbl, tspec)| tbl.restore(tspec, token)) {
+            return Err(TableError::UnknownHandle(EntryHandle(token)).into());
         }
-        let tspec = &self.spec.tables[table.0 as usize];
-        let restored = self.tables[table.0 as usize].restore(tspec, token);
-        debug_assert!(restored, "invariant: a listed checkpoint is live");
-        self.checkpoints
-            .retain(|(t, of)| *of != table || *t <= token);
         Ok(())
     }
 
     /// Drop a checkpoint; a dead token is ignored.
     pub fn checkpoint_discard(&mut self, token: u64) {
-        let Some(table) = self.checkpoint_table(token) else {
-            return;
-        };
-        self.tables[table.0 as usize].discard(token);
-        self.checkpoints.retain(|(t, _)| *t != token);
+        if let Some(t) = self.tables.iter_mut().find(|t| t.has_checkpoint(token)) {
+            t.discard(token);
+        }
     }
 
     /// Set a table's default action in every pipe.
@@ -1167,18 +1145,14 @@ impl Switch {
     /// — the right default for data-plane counters, and the identity at
     /// `num_pipes = 1`.
     pub fn register_read_range(&self, reg: RegisterId, lo: u32, hi: u32) -> Vec<Value> {
-        self.register_read_agg(reg, lo, hi, ReadAgg::Sum)
+        let mut out = Vec::new();
+        self.register_read_agg_into(reg, lo, hi, ReadAgg::Sum, &mut out);
+        out
     }
 
-    /// Read a register range, combining per-pipe values element-wise.
-    pub fn register_read_agg(&self, reg: RegisterId, lo: u32, hi: u32, agg: ReadAgg) -> Vec<Value> {
-        let mut acc = Vec::new();
-        self.register_read_agg_into(reg, lo, hi, agg, &mut acc);
-        acc
-    }
-
-    /// [`register_read_agg`](Self::register_read_agg) into a vector the
-    /// caller keeps: `out` is cleared and refilled, its capacity reused.
+    /// Read a register range, combining per-pipe values element-wise, into
+    /// a vector the caller keeps: `out` is cleared and refilled, its
+    /// capacity reused.
     pub fn register_read_agg_into(
         &self,
         reg: RegisterId,
@@ -1297,6 +1271,9 @@ pub fn switch_from_source(
 }
 
 #[cfg(test)]
+mod queue_property;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1379,7 +1356,7 @@ control ingress { apply(l2); }
         }
         let (mut at, wire) = (0, sw.wire_time(114));
         for depth in [228, 114, 0] {
-            let start = at.max(sw.egress_pipe_ns());
+            let start = at.max(sw.egress_ns);
             direct.gauge_set("tm.q3_depth_bytes", depth);
             direct.span_begin(Scope::Switch, "egress_pass", start);
             direct.span_end(Scope::Switch, "egress_pass", start + wire);
@@ -1461,9 +1438,23 @@ control ingress { apply(l2); }
 
     #[test]
     fn wire_time_matches_rate() {
-        let sw = mk(); // 25 Gbps
-                       // 1250 bytes = 10000 bits at 25Gbps = 400ns
+        // 1250 bytes = 10000 bits at 25 Gbps = 400 ns.
+        let mut sw = mk();
         assert_eq!(sw.wire_time(1250), 400);
+    }
+
+    /// The memo answers for the last length only, and a rate too slow to
+    /// fit the answer in `Nanos` saturates instead of wrapping.
+    #[test]
+    fn wire_time_follows_the_length_and_saturates() {
+        let mut sw = mk(); // 25 Gbps
+        assert_eq!([1250, 125, 1250].map(|b| sw.wire_time(b)), [400, 40, 400]);
+        let config = SwitchConfig {
+            port_rate_bps: 1,
+            ..SwitchConfig::default()
+        };
+        let mut slow = switch_from_source(L2, config, Clock::new()).unwrap();
+        assert_eq!(slow.wire_time(u32::MAX), Nanos::MAX);
     }
 
     #[test]
@@ -1616,6 +1607,13 @@ control ingress { apply(t); }
         assert_eq!(sw.table_ref(sw.table_id("l2").unwrap()).len(), 1);
     }
 
+    /// Cell `i` of register `r`, the maximum over pipes.
+    fn read_max(sw: &Switch, r: RegisterId, i: u32) -> u64 {
+        let mut out = Vec::new();
+        sw.register_read_agg_into(r, i, i, ReadAgg::Max, &mut out);
+        out[0].as_u64()
+    }
+
     #[test]
     fn data_plane_registers_are_per_pipe_and_sum_aggregates() {
         let mut sw = mk_pipes(4);
@@ -1638,7 +1636,7 @@ control ingress { apply(t); }
         assert_eq!(sw.register_read_range_on(1, r, 1, 1)[0].as_u64(), 64);
         assert_eq!(sw.register_read_range_on(2, r, 1, 1)[0].as_u64(), 0);
         assert_eq!(sw.register_read_range(r, 1, 1)[0].as_u64(), 128); // Sum
-        assert_eq!(sw.register_read_agg(r, 1, 1, ReadAgg::Max)[0].as_u64(), 64);
+        assert_eq!(read_max(&sw, r, 1), 64);
     }
 
     #[test]
@@ -1648,7 +1646,7 @@ control ingress { apply(t); }
         sw.register_write(r, 3, Value::new(7, 64));
         assert_eq!(sw.register_read_range_on(0, r, 3, 3)[0].as_u64(), 7);
         assert_eq!(sw.register_read_range_on(1, r, 3, 3)[0].as_u64(), 7);
-        assert_eq!(sw.register_read_agg(r, 3, 3, ReadAgg::Max)[0].as_u64(), 7);
+        assert_eq!(read_max(&sw, r, 3), 7);
         // A packet in pipe 1 (port 17) writes its 64-byte frame length over
         // pipe 1's copy only.
         let t = sw.table_id("l2").unwrap();
@@ -1659,7 +1657,7 @@ control ingress { apply(t); }
         sw.inject(&PacketDesc::new(17).field("eth", "dst", 0xCC).payload(50));
         assert_eq!(sw.register_read_range_on(0, r, 3, 3)[0].as_u64(), 7);
         assert_eq!(sw.register_read_range_on(1, r, 3, 3)[0].as_u64(), 64);
-        assert_eq!(sw.register_read_agg(r, 3, 3, ReadAgg::Max)[0].as_u64(), 64);
+        assert_eq!(read_max(&sw, r, 3), 64);
     }
 
     #[test]

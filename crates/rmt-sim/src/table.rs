@@ -743,7 +743,7 @@ impl Table {
         });
     }
 
-    fn has_checkpoint(&self, token: u64) -> bool {
+    pub(crate) fn has_checkpoint(&self, token: u64) -> bool {
         self.journal.marks.iter().any(|m| m.token == token)
     }
 

@@ -11,7 +11,10 @@
 //! linear scan does. The token contract is
 //! checked on the way: a restored token stays live, younger tokens of the
 //! same table die with the restore, dead tokens are refused and change
-//! nothing.
+//! nothing. After every step the switch's answer to `checkpoint_table` —
+//! which it reads from the tables' journals — is the model's set of live
+//! tokens, and a live token named with another table (or a table out of
+//! range) is refused and changes nothing.
 
 use super::*;
 use crate::clock::Clock;
@@ -128,6 +131,35 @@ impl Harness {
         Ok(())
     }
 
+    /// Every live token names its table and every dead one nothing; a live
+    /// token restored on a table that did not take it is refused, and no
+    /// table moves.
+    fn check_tokens(&mut self, x: u64) -> Result<(), TestCaseError> {
+        for m in &self.marks {
+            prop_assert_eq!(self.sw.checkpoint_table(m.token), Some(self.ids[m.table]));
+        }
+        for &(_, token) in &self.dead {
+            prop_assert_eq!(self.sw.checkpoint_table(token), None);
+        }
+        let Some(m) = self.marks.get(x as usize % self.marks.len().max(1)) else {
+            return Ok(());
+        };
+        let token = m.token;
+        let other = (m.table + 1 + (x >> 8) as usize % (TABLES.len() - 1)) % TABLES.len();
+        let before: Vec<String> = (0..TABLES.len()).map(|t| state(&self.table(t))).collect();
+        let want = Err(DriverError::Table(TableError::UnknownHandle(EntryHandle(
+            token,
+        ))));
+        prop_assert_eq!(self.sw.table_restore(self.ids[other], token), want.clone());
+        prop_assert_eq!(
+            self.sw.table_restore(TableId(TABLES.len() as u32), token),
+            want
+        );
+        let after: Vec<String> = (0..TABLES.len()).map(|t| state(&self.table(t))).collect();
+        prop_assert_eq!(before, after);
+        Ok(())
+    }
+
     fn step(&mut self, (kind, t, x, y): (u8, usize, u64, u64)) -> Result<(), TestCaseError> {
         let id = self.ids[t];
         let pick = |n: usize| (n > 0).then(|| x as usize % n.max(1));
@@ -241,6 +273,7 @@ proptest! {
         let mut h = Harness::new(if two_pipes { 2 } else { 1 });
         for op in ops {
             h.step(op)?;
+            h.check_tokens(op.2 ^ op.3)?;
         }
         // Every mark still live restores, youngest first so each is reached.
         while let Some(r) = h.marks.pop() {

@@ -296,16 +296,26 @@ def main():
     # shared-handle counter, the table's `_shared` twins and the switch's
     # `_on` twins went. `rmt-sim` 5 113 → 4 920, the workspace
     # 34 127 → 33 934.
+    # Each object a reaction touches has one owner (DESIGN.md §14, "Switch
+    # components"): a live checkpoint token is recorded only in its
+    # table's journal, three twins went, and `netsim`'s heartbeat source
+    # became a UDP sender without counters. A crate-private traffic
+    # manager owning the ports and queues was built and measured at about
+    # 90 lines more than the queue code it would replace, so the queues
+    # stay in `switch.rs` (ROADMAP item 4). `rmt-sim` 4 920 → 4 895,
+    # `netsim` 2 484 → 2 458, the workspace 33 934 → 33 883. `switch.rs`
+    # gets a file ceiling where it landed (1 298 → 1 273), in the form of
+    # the agent's rule.
     ceilings = {
         "bench": 3793,
         "mantis": 310,
         "mantis-agent": 4750,
         "mantis-telemetry": 1001,
-        "netsim": 2484,
+        "netsim": 2458,
         "reaction-interp": 2368,
-        "rmt-sim": 4920,
+        "rmt-sim": 4895,
     }
-    total_ceiling = 33934
+    total_ceiling = 33883
     agent = crates["mantis-agent"]
     broken = []
     for path, n in agent.items():
@@ -313,6 +323,9 @@ def main():
         ceiling = 600 if name == "agent.rs" else 800
         if os.path.dirname(path).endswith("src") and n > ceiling:
             broken.append(f"{path} has {n} non-test lines (ceiling {ceiling})")
+    for path, n in crates["rmt-sim"].items():
+        if os.path.basename(path) == "switch.rs" and n > 1273:
+            broken.append(f"{path} has {n} non-test lines (ceiling 1273)")
     for crate, ceiling in ceilings.items():
         lines = sum(crates[crate].values())
         if lines > ceiling:
