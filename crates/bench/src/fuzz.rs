@@ -160,14 +160,7 @@ fn pure_parity(
     let mut walker = Interpreter::new(body.clone());
     vm.step_limit = limit;
     walker.step_limit = limit;
-    let clone_env = |e: &MockEnv| MockEnv {
-        scalars: e.scalars.clone(),
-        arrays: e.arrays.clone(),
-        mbls: e.mbls.clone(),
-        table_ops: e.table_ops.clone(),
-        builtins: e.builtins.clone(),
-    };
-    let mut env_vm = clone_env(&env_seed);
+    let mut env_vm = env_seed.clone();
     let mut env_walker = env_seed;
     for run in 0..RUNS {
         let r_vm = vm.run(&mut env_vm);

@@ -13,7 +13,7 @@ use crate::logical::{LogicalHandle, LogicalTable, Staged, StagedOp};
 use crate::measure::Snapshot;
 use p4_ast::Value;
 use p4r_compiler::entry::LogicalKey;
-use reaction_interp::{Binding, InterpError, ReactionEnv};
+use reaction_interp::{array_arg, Binding, InterpError, ReactionEnv};
 use rmt_sim::Nanos;
 use std::fmt;
 
@@ -54,7 +54,8 @@ pub(crate) fn table_named(tables: &[LogicalTable], name: &str) -> Option<usize> 
 /// Everything `name` can mean to a reaction registered with arguments
 /// `snapshot` on an agent with these `slots` and `tables` — what
 /// [`CompiledReaction::bind`](reaction_interp::CompiledReaction::bind)
-/// stores and the `*_at` calls below receive.
+/// stores, what [`ReactionCtx`]'s `resolve` answers, and the ids the
+/// `ReactionEnv` calls below receive.
 pub(crate) fn bind_name(
     name: &str,
     snapshot: &Snapshot,
@@ -80,7 +81,10 @@ pub enum CtxError {
         table: String,
         action: String,
     },
-    UnknownHandle(LogicalHandle),
+    /// A handle no entry can have: it does not fit a [`LogicalHandle`].
+    UnknownHandle(i128),
+    /// A port number no port can have: it does not fit a `PortId`.
+    BadPort(i128),
     AltOutOfRange {
         mbl: String,
         index: i128,
@@ -103,6 +107,7 @@ impl fmt::Display for CtxError {
                 write!(f, "table `{table}` has no action `{action}`")
             }
             CtxError::UnknownHandle(h) => write!(f, "unknown logical entry handle {h}"),
+            CtxError::BadPort(p) => write!(f, "no port {p}"),
             CtxError::AltOutOfRange { mbl, index, alts } => write!(
                 f,
                 "alternative index {index} out of range for `{mbl}` ({alts} alts)"
@@ -160,11 +165,7 @@ impl<'a> ReactionCtx<'a> {
     /// Element of an array argument at its original register index.
     pub fn arg_index(&self, name: &str, index: i128) -> Option<i128> {
         let (lo, vals) = self.arg_array(name)?;
-        let off = index.checked_sub(lo)?;
-        if off < 0 {
-            return None;
-        }
-        vals.get(off as usize).copied()
+        array_arg(name, lo, vals, index).ok()
     }
 
     fn slot_id(&self, name: &str) -> Result<usize, CtxError> {
@@ -199,7 +200,7 @@ impl<'a> ReactionCtx<'a> {
         let slot = &self.slots[id];
         let value = match slot.alts {
             None => value & mask_i128(slot.width),
-            Some(alts) if value < 0 || value as usize >= alts => {
+            Some(alts) if !usize::try_from(value).is_ok_and(|v| v < alts) => {
                 return Err(CtxError::AltOutOfRange {
                     mbl: slot.name.clone(),
                     index: value,
@@ -325,11 +326,11 @@ fn mask_i128(width: u16) -> i128 {
 }
 
 /// The [`ReactionEnv`] impl lets interpreted (C-like) reaction bodies run
-/// against the same context native reactions use. The bytecode VM comes in
-/// by the ids [`bind_name`] resolved, anything else (a harness's reference
-/// tree-walker, an unbound VM) by name; a name is
-/// turned into its id at the top of each by-name call and both meet in the
-/// `*_at` body.
+/// against the same context native reactions use. It keys every call on
+/// the id: the bytecode VM passes the ids [`bind_name`] resolved at
+/// registration, a harness's reference tree-walker the ones `resolve` —
+/// the same [`bind_name`] — answers at each access. The name is only for
+/// error text.
 ///
 /// Interpreted table-method convention (documented in the README):
 ///
@@ -342,76 +343,43 @@ fn mask_i128(width: u16) -> i128 {
 /// where `action_ordinal` indexes the table's original action list and keys
 /// are exact values, one per user-visible key column.
 impl ReactionEnv for ReactionCtx<'_> {
-    fn read_scalar_arg(&self, name: &str) -> Option<i128> {
-        self.arg(name)
+    fn resolve(&self, name: &str) -> Binding {
+        bind_name(name, self.snapshot, self.slots, self.tables)
     }
 
-    fn read_scalar_arg_at(&self, id: u16, _name: &str) -> Option<i128> {
+    fn read_scalar_arg(&self, id: u16, _name: &str) -> Option<i128> {
         self.snapshot.scalar(usize::from(id))
     }
 
-    fn read_array_arg(&self, name: &str, index: i128) -> Option<Result<i128, InterpError>> {
-        self.read_array_arg_at(id16(self.snapshot.array_id(name)), name, index)
-    }
-
-    fn read_array_arg_at(
+    fn read_array_arg(
         &self,
         id: u16,
         name: &str,
         index: i128,
     ) -> Option<Result<i128, InterpError>> {
         let (lo, vals) = self.snapshot.array(usize::from(id))?;
-        let off = index - lo;
-        Some(if off < 0 || off as usize >= vals.len() {
-            Err(InterpError::IndexOutOfBounds {
-                name: name.to_string(),
-                index,
-                len: vals.len(),
-            })
-        } else {
-            Ok(vals[off as usize])
-        })
+        Some(array_arg(name, lo, vals, index))
     }
 
-    fn is_array_arg(&self, name: &str) -> bool {
-        self.snapshot.array_id(name).is_some()
-    }
-
-    fn is_array_arg_at(&self, id: u16, _name: &str) -> bool {
+    fn is_array_arg(&self, id: u16, _name: &str) -> bool {
         self.snapshot.array(usize::from(id)).is_some()
     }
 
-    fn read_mbl(&mut self, name: &str) -> Result<i128, InterpError> {
-        self.read_mbl_at(id16(slot_named(self.slots, name)), name)
-    }
-
-    fn read_mbl_at(&mut self, id: u16, name: &str) -> Result<i128, InterpError> {
+    fn read_mbl(&mut self, id: u16, name: &str) -> Result<i128, InterpError> {
         if usize::from(id) < self.slots.len() {
             return Ok(self.slot_value(usize::from(id)));
         }
         Err(env_err(CtxError::UnknownMalleable(name.to_string())))
     }
 
-    fn write_mbl(&mut self, name: &str, value: i128) -> Result<(), InterpError> {
-        self.write_mbl_at(id16(slot_named(self.slots, name)), name, value)
-    }
-
-    fn write_mbl_at(&mut self, id: u16, name: &str, value: i128) -> Result<(), InterpError> {
+    fn write_mbl(&mut self, id: u16, name: &str, value: i128) -> Result<(), InterpError> {
         if usize::from(id) < self.slots.len() {
             return self.stage_slot(usize::from(id), value).map_err(env_err);
         }
         Err(env_err(CtxError::UnknownMalleable(name.to_string())))
     }
 
-    fn table_op(&mut self, table: &str, method: &str, args: &[i128]) -> Result<i128, InterpError> {
-        let ids = (
-            id16(table_named(self.tables, table)),
-            id_of(&METHODS, method),
-        );
-        self.table_op_at(ids, table, method, args)
-    }
-
-    fn table_op_at(
+    fn table_op(
         &mut self,
         (t, m): (u16, u16),
         table: &str,
@@ -433,17 +401,19 @@ impl ReactionEnv for ReactionCtx<'_> {
         // Action ordinal `args[at]` and the data values behind it.
         let action_and_data = |lt: &LogicalTable, at: usize, data_from: usize| {
             let ord = args[at];
-            if lt.actions.get(ord as usize).is_none() {
+            let Some(action) = usize::try_from(ord).ok().filter(|a| *a < lt.actions.len()) else {
                 return Err(env_err(CtxError::UnknownAction {
                     table: table.to_string(),
                     action: format!("#{ord}"),
                 }));
-            }
+            };
             let data = args[data_from..].iter();
-            Ok((
-                ord as usize,
-                data.map(|v| Value::new(*v as u128, 64)).collect(),
-            ))
+            Ok((action, data.map(|v| Value::new(*v as u128, 64)).collect()))
+        };
+        // The entry handle `args[0]` names.
+        let handle_arg = || {
+            let h = LogicalHandle::try_from(args[0]);
+            h.map_err(|_| env_err(CtxError::UnknownHandle(args[0])))
         };
         let op = match m {
             ADD_ENTRY => {
@@ -469,7 +439,7 @@ impl ReactionEnv for ReactionCtx<'_> {
                     action,
                     action_data,
                 });
-                return Ok(handle as i128);
+                return Ok(i128::from(handle));
             }
             MOD_ENTRY => {
                 if args.len() < 2 {
@@ -478,7 +448,7 @@ impl ReactionEnv for ReactionCtx<'_> {
                 let (action, action_data) = action_and_data(lt, 1, 2)?;
                 StagedOp::Mod {
                     table: t,
-                    handle: args[0] as LogicalHandle,
+                    handle: handle_arg()?,
                     action,
                     action_data,
                 }
@@ -489,7 +459,7 @@ impl ReactionEnv for ReactionCtx<'_> {
                 }
                 StagedOp::Del {
                     table: t,
-                    handle: args[0] as LogicalHandle,
+                    handle: handle_arg()?,
                 }
             }
             SET_DEFAULT => {
@@ -510,26 +480,16 @@ impl ReactionEnv for ReactionCtx<'_> {
         Ok(0)
     }
 
-    fn call(&mut self, name: &str, args: &[i128]) -> Option<Result<i128, InterpError>> {
-        self.call_at(id_of(&BUILTINS, name), name, args)
-    }
-
-    fn call_at(
-        &mut self,
-        id: u16,
-        _name: &str,
-        args: &[i128],
-    ) -> Option<Result<i128, InterpError>> {
+    fn call(&mut self, id: u16, _name: &str, args: &[i128]) -> Option<Result<i128, InterpError>> {
         match (id, args) {
-            (NOW_NS, []) => Some(Ok(self.now_ns as i128)),
-            (NOW_US, []) => Some(Ok((self.now_ns / 1_000) as i128)),
-            (SNAPSHOT_NS, []) => Some(Ok(self.snapshot.taken_at as i128)),
-            (PORT_DOWN, [p]) => {
-                self.set_port_up(*p as rmt_sim::PortId, false);
-                Some(Ok(0))
-            }
-            (PORT_UP, [p]) => {
-                self.set_port_up(*p as rmt_sim::PortId, true);
+            (NOW_NS, []) => Some(Ok(i128::from(self.now_ns))),
+            (NOW_US, []) => Some(Ok(i128::from(self.now_ns / 1_000))),
+            (SNAPSHOT_NS, []) => Some(Ok(i128::from(self.snapshot.taken_at))),
+            (PORT_DOWN | PORT_UP, [p]) => {
+                let Ok(port) = rmt_sim::PortId::try_from(*p) else {
+                    return Some(Err(env_err(CtxError::BadPort(*p))));
+                };
+                self.set_port_up(port, id == PORT_UP);
                 Some(Ok(0))
             }
             _ => None,

@@ -619,6 +619,59 @@ control ingress { apply(acl); }
         assert_eq!(switch.borrow().stats.dropped_ingress, dropped_before + 1);
     }
 
+    /// A value a body supplies that does not fit the type it names is out
+    /// of range, never truncated onto a small one: an array index
+    /// `lo + 2^64`, an action ordinal, an entry handle and a field selector
+    /// past `u64`, a port past `u16`. Nothing is staged.
+    #[test]
+    fn body_values_past_their_type_are_out_of_range() {
+        use reaction_interp::ReactionEnv;
+        const BEYOND: i128 = 1 << 64;
+        let (sw, mut agent, _clock) = build();
+        let errors = Rc::new(RefCell::new(Vec::new()));
+        let out = errors.clone();
+        agent
+            .register_native(
+                "watch",
+                Box::new(move |ctx: &mut ReactionCtx<'_>| {
+                    assert!(ctx.arg_index("total_bytes", 0).is_some());
+                    assert_eq!(ctx.arg_index("total_bytes", BEYOND), None);
+                    let method = |ctx: &ReactionCtx<'_>, m| {
+                        (ctx.resolve("acl").table, ctx.resolve(m).method)
+                    };
+                    let add = method(ctx, "addEntry");
+                    let added = ctx.table_op(add, "acl", "addEntry", &[BEYOND + 1, 666]);
+                    let del = method(ctx, "delEntry");
+                    let deleted = ctx.table_op(del, "acl", "delEntry", &[BEYOND + 1]);
+                    let target = ctx.resolve("target").mbl;
+                    let shifted = ctx.write_mbl(target, "target", BEYOND + 1).map(|()| 0);
+                    let down = ctx.resolve("port_down").builtin;
+                    let downed = ctx.call(down, "port_down", &[1 << 16]).unwrap();
+                    let results = [added, deleted, shifted, downed];
+                    out.borrow_mut()
+                        .extend(results.map(|r| r.unwrap_err().to_string()));
+                    assert!(ctx.staged.is_empty());
+                    Ok(())
+                }),
+            )
+            .unwrap();
+        inject(&sw, 1, 1);
+        agent.dialogue_iteration().unwrap();
+        let env = "environment error:";
+        assert_eq!(
+            *errors.borrow(),
+            [
+                format!("{env} table `acl` has no action `#18446744073709551617`"),
+                format!("{env} unknown logical entry handle 18446744073709551617"),
+                format!(
+                    "{env} alternative index 18446744073709551617 out of range for `target` (2 alts)"
+                ),
+                format!("{env} no port 65536"),
+            ]
+        );
+        assert_eq!(agent.logical_len("acl"), Some(0));
+    }
+
     /// Every entry point leaves what it recorded in the registry on the way
     /// out — the failing ways included: a reader holding the registry
     /// itself never finds records missing, and the switch never records

@@ -76,85 +76,51 @@ impl std::error::Error for InterpError {}
 /// Argument reads hit the agent's *polled snapshot* (serializable isolation:
 /// the snapshot was captured before the body runs); malleable writes are
 /// staged by the agent and committed atomically after the body finishes.
+///
+/// One entrance: [`resolve`](Self::resolve) turns a name into the
+/// environment's ids, and every call takes the id for its role together
+/// with the source name. The id comes from `resolve` — once, at
+/// [`CompiledReaction::bind`], or at each access, as the reference walker
+/// does — or is [`Binding::NONE`] when the caller never resolved the name
+/// (an unbound VM). The name is there for error text and for environments
+/// that are maps of names. An environment keys on whichever it has: the
+/// agent's context on the id, [`MockEnv`] on the name.
 pub trait ReactionEnv {
-    /// Read a scalar reaction argument (a measured field) by binding name.
-    fn read_scalar_arg(&self, name: &str) -> Option<i128>;
+    /// Everything `name` means to this environment, one id per role.
+    fn resolve(&self, name: &str) -> Binding;
+
+    /// Read a scalar reaction argument (a measured field).
+    fn read_scalar_arg(&self, id: u16, name: &str) -> Option<i128>;
 
     /// Read one element of an array argument (a measured register slice).
     /// `index` uses the *original register indexing* (the `reg r[lo:hi]`
-    /// declaration range).
-    fn read_array_arg(&self, name: &str, index: i128) -> Option<Result<i128, InterpError>>;
+    /// declaration range); [`array_arg`] is the bounds rule.
+    fn read_array_arg(&self, id: u16, name: &str, index: i128)
+        -> Option<Result<i128, InterpError>>;
 
     /// Whether `name` is an array argument (for arity checking).
-    fn is_array_arg(&self, name: &str) -> bool;
+    fn is_array_arg(&self, id: u16, name: &str) -> bool;
 
     /// Read the last-written value of a malleable.
-    fn read_mbl(&mut self, name: &str) -> Result<i128, InterpError>;
+    fn read_mbl(&mut self, id: u16, name: &str) -> Result<i128, InterpError>;
 
     /// Stage a write to a malleable value or field selector.
-    fn write_mbl(&mut self, name: &str, value: i128) -> Result<(), InterpError>;
+    fn write_mbl(&mut self, id: u16, name: &str, value: i128) -> Result<(), InterpError>;
 
     /// Invoke a malleable-table method (`addEntry`/`modEntry`/`delEntry`/
-    /// `setDefault`...). Returns a handle or status value.
-    fn table_op(&mut self, table: &str, method: &str, args: &[i128]) -> Result<i128, InterpError>;
-
-    /// Agent-provided builtin functions (e.g. `now_us()`); return `None`
-    /// for unknown names.
-    fn call(&mut self, name: &str, args: &[i128]) -> Option<Result<i128, InterpError>>;
-
-    // -- the same calls by id ------------------------------------------------
-    //
-    // The bytecode VM calls these, passing the [`Binding`] ids its names
-    // were resolved to ([`CompiledReaction::bind`]) beside the name. An
-    // environment that hands out ids overrides them to index instead of
-    // hashing; by default the id is ignored and the name decides, so an
-    // unbound VM and an id-less environment meet on the calls above.
-
-    fn read_scalar_arg_at(&self, _id: u16, name: &str) -> Option<i128> {
-        self.read_scalar_arg(name)
-    }
-
-    fn read_array_arg_at(
-        &self,
-        _id: u16,
-        name: &str,
-        index: i128,
-    ) -> Option<Result<i128, InterpError>> {
-        self.read_array_arg(name, index)
-    }
-
-    fn is_array_arg_at(&self, _id: u16, name: &str) -> bool {
-        self.is_array_arg(name)
-    }
-
-    fn read_mbl_at(&mut self, _id: u16, name: &str) -> Result<i128, InterpError> {
-        self.read_mbl(name)
-    }
-
-    fn write_mbl_at(&mut self, _id: u16, name: &str, value: i128) -> Result<(), InterpError> {
-        self.write_mbl(name, value)
-    }
-
-    /// `ids` are the receiver's `table` id and the method name's `method`
-    /// id.
-    fn table_op_at(
+    /// `setDefault`...). `ids` are the receiver's `table` id and the method
+    /// name's `method` id. Returns a handle or status value.
+    fn table_op(
         &mut self,
-        _ids: (u16, u16),
+        ids: (u16, u16),
         table: &str,
         method: &str,
         args: &[i128],
-    ) -> Result<i128, InterpError> {
-        self.table_op(table, method, args)
-    }
+    ) -> Result<i128, InterpError>;
 
-    fn call_at(
-        &mut self,
-        _id: u16,
-        name: &str,
-        args: &[i128],
-    ) -> Option<Result<i128, InterpError>> {
-        self.call(name, args)
-    }
+    /// Agent-provided builtin functions (e.g. `now_us()`); return `None`
+    /// for unknown names.
+    fn call(&mut self, id: u16, name: &str, args: &[i128]) -> Option<Result<i128, InterpError>>;
 }
 
 /// What one name of a reaction body means to the environment it will run
@@ -229,6 +195,38 @@ pub(crate) fn coerce(ty: CType, v: i128) -> i128 {
     } else {
         raw
     }
+}
+
+/// Element `i` of array `n`, or `IndexOutOfBounds`: the one bounds rule of
+/// every array a body indexes — locals and statics on both engines here,
+/// environment arguments through [`array_arg`].
+#[inline]
+pub(crate) fn elem<'a>(a: &'a mut [i128], i: i128, n: &str) -> Result<&'a mut i128, InterpError> {
+    let len = a.len();
+    let oob = || InterpError::IndexOutOfBounds {
+        name: n.into(),
+        index: i,
+        len,
+    };
+    usize::try_from(i)
+        .ok()
+        .and_then(|i| a.get_mut(i))
+        .ok_or_else(oob)
+}
+
+/// Element `index` of the environment array argument `name` whose first
+/// element is numbered `lo` (the `reg r[lo:hi]` range), or
+/// `IndexOutOfBounds`: [`elem`]'s rule, for an environment's
+/// [`ReactionEnv::read_array_arg`].
+#[inline]
+pub fn array_arg(name: &str, lo: i128, vals: &[i128], index: i128) -> Result<i128, InterpError> {
+    let off = index.checked_sub(lo).and_then(|o| usize::try_from(o).ok());
+    off.and_then(|o| vals.get(o).copied())
+        .ok_or_else(|| InterpError::IndexOutOfBounds {
+            name: name.into(),
+            index,
+            len: vals.len(),
+        })
 }
 
 /// The type a cast builtin names: `(uintN_t) e` parses to
@@ -464,7 +462,7 @@ impl<'a> Exec<'a> {
         match e {
             Expr::Num(n) => Ok(*n),
             Expr::Var(name) => self.read_var(name),
-            Expr::Mbl(name) => self.env.read_mbl(name),
+            Expr::Mbl(name) => self.env.read_mbl(self.env.resolve(name).mbl, name),
             Expr::Index(name, idx) => {
                 let i = self.eval(idx)?;
                 self.read_index(name, i)
@@ -495,7 +493,9 @@ impl<'a> Exec<'a> {
                 for a in args {
                     vals.push(self.eval(a)?);
                 }
-                self.env.table_op(receiver, method, &vals)
+                let (t, m) = (self.env.resolve(receiver), self.env.resolve(method));
+                self.env
+                    .table_op((t.table, m.method), receiver, method, &vals)
             }
             Expr::Assign { target, op, value } => {
                 let rhs = self.eval(value)?;
@@ -567,7 +567,7 @@ impl<'a> Exec<'a> {
         if let (Some(ty), [x]) = (cast_type(name), vals.as_slice()) {
             return Ok(coerce(ty, *x));
         }
-        match self.env.call(name, &vals) {
+        match self.env.call(self.env.resolve(name).builtin, name, &vals) {
             Some(r) => r,
             None => Err(InterpError::UnknownBuiltin(name.to_string())),
         }
@@ -580,10 +580,11 @@ impl<'a> Exec<'a> {
                 Storage::Array(_) => Err(InterpError::NotAScalar(name.to_string())),
             };
         }
-        if let Some(v) = self.env.read_scalar_arg(name) {
+        let b = self.env.resolve(name);
+        if let Some(v) = self.env.read_scalar_arg(b.scalar, name) {
             return Ok(v);
         }
-        if self.env.is_array_arg(name) {
+        if self.env.is_array_arg(b.array, name) {
             return Err(InterpError::NotAScalar(name.to_string()));
         }
         Err(InterpError::UnknownVariable(name.to_string()))
@@ -591,26 +592,16 @@ impl<'a> Exec<'a> {
 
     fn read_index(&mut self, name: &str, index: i128) -> Result<i128, InterpError> {
         if let Some(v) = self.find_var(name) {
-            return match &v.storage {
-                Storage::Array(a) => {
-                    let len = a.len();
-                    if index < 0 || index as usize >= len {
-                        Err(InterpError::IndexOutOfBounds {
-                            name: name.to_string(),
-                            index,
-                            len,
-                        })
-                    } else {
-                        Ok(a[index as usize])
-                    }
-                }
+            return match &mut v.storage {
+                Storage::Array(a) => elem(a, index, name).map(|e| *e),
                 Storage::Scalar(_) => Err(InterpError::NotAnArray(name.to_string())),
             };
         }
-        match self.env.read_array_arg(name, index) {
+        let b = self.env.resolve(name);
+        match self.env.read_array_arg(b.array, name, index) {
             Some(r) => r,
             None => {
-                if self.env.read_scalar_arg(name).is_some() {
+                if self.env.read_scalar_arg(b.scalar, name).is_some() {
                     Err(InterpError::NotAnArray(name.to_string()))
                 } else {
                     Err(InterpError::UnknownVariable(name.to_string()))
@@ -635,14 +626,14 @@ impl<'a> Exec<'a> {
     fn read_resolved(&mut self, lv: &ResolvedLValue) -> Result<i128, InterpError> {
         match lv {
             ResolvedLValue::Var(n) => self.read_var(n),
-            ResolvedLValue::Mbl(n) => self.env.read_mbl(n),
+            ResolvedLValue::Mbl(n) => self.env.read_mbl(self.env.resolve(n).mbl, n),
             ResolvedLValue::Index(n, i) => self.read_index(n, *i),
         }
     }
 
     fn write_resolved(&mut self, lv: &ResolvedLValue, value: i128) -> Result<(), InterpError> {
         match lv {
-            ResolvedLValue::Mbl(n) => self.env.write_mbl(n, value),
+            ResolvedLValue::Mbl(n) => self.env.write_mbl(self.env.resolve(n).mbl, n, value),
             ResolvedLValue::Var(n) => self.write_var_scalar(n, value),
             ResolvedLValue::Index(n, i) => self.write_index(n, *i, value),
         }
@@ -668,17 +659,8 @@ impl<'a> Exec<'a> {
             let ty = v.ty;
             match &mut v.storage {
                 Storage::Array(a) => {
-                    let len = a.len();
-                    if i < 0 || i as usize >= len {
-                        Err(InterpError::IndexOutOfBounds {
-                            name: n.to_string(),
-                            index: i,
-                            len,
-                        })
-                    } else {
-                        a[i as usize] = coerce(ty, value);
-                        Ok(())
-                    }
+                    *elem(a, i, n)? = coerce(ty, value);
+                    Ok(())
                 }
                 Storage::Scalar(_) => Err(InterpError::NotAnArray(n.to_string())),
             }
@@ -737,8 +719,9 @@ pub(crate) fn apply_binop(op: BinOp, l: i128, r: i128) -> Result<i128, InterpErr
 // A simple map-backed environment for tests and examples.
 // ---------------------------------------------------------------------------
 
-/// In-memory [`ReactionEnv`] used by unit tests, examples, and dry runs.
-#[derive(Debug, Default)]
+/// In-memory [`ReactionEnv`] used by unit tests, examples, and dry runs. It
+/// is a map of names: it hands out no ids and keys every call on the name.
+#[derive(Clone, Debug, Default)]
 pub struct MockEnv {
     pub scalars: HashMap<String, i128>,
     /// Arrays with their base index: `(lo, values)`.
@@ -751,47 +734,53 @@ pub struct MockEnv {
 }
 
 impl ReactionEnv for MockEnv {
-    fn read_scalar_arg(&self, name: &str) -> Option<i128> {
+    fn resolve(&self, _name: &str) -> Binding {
+        Binding::UNBOUND
+    }
+
+    fn read_scalar_arg(&self, _id: u16, name: &str) -> Option<i128> {
         self.scalars.get(name).copied()
     }
 
-    fn read_array_arg(&self, name: &str, index: i128) -> Option<Result<i128, InterpError>> {
+    fn read_array_arg(
+        &self,
+        _id: u16,
+        name: &str,
+        index: i128,
+    ) -> Option<Result<i128, InterpError>> {
         let (lo, vals) = self.arrays.get(name)?;
-        let off = index - lo;
-        Some(if off < 0 || off as usize >= vals.len() {
-            Err(InterpError::IndexOutOfBounds {
-                name: name.to_string(),
-                index,
-                len: vals.len(),
-            })
-        } else {
-            Ok(vals[off as usize])
-        })
+        Some(array_arg(name, *lo, vals, index))
     }
 
-    fn is_array_arg(&self, name: &str) -> bool {
+    fn is_array_arg(&self, _id: u16, name: &str) -> bool {
         self.arrays.contains_key(name)
     }
 
-    fn read_mbl(&mut self, name: &str) -> Result<i128, InterpError> {
+    fn read_mbl(&mut self, _id: u16, name: &str) -> Result<i128, InterpError> {
         self.mbls
             .get(name)
             .copied()
             .ok_or_else(|| InterpError::Env(format!("unknown malleable `{name}`")))
     }
 
-    fn write_mbl(&mut self, name: &str, value: i128) -> Result<(), InterpError> {
+    fn write_mbl(&mut self, _id: u16, name: &str, value: i128) -> Result<(), InterpError> {
         self.mbls.insert(name.to_string(), value);
         Ok(())
     }
 
-    fn table_op(&mut self, table: &str, method: &str, args: &[i128]) -> Result<i128, InterpError> {
+    fn table_op(
+        &mut self,
+        _ids: (u16, u16),
+        table: &str,
+        method: &str,
+        args: &[i128],
+    ) -> Result<i128, InterpError> {
         self.table_ops
             .push((table.to_string(), method.to_string(), args.to_vec()));
         Ok(self.table_ops.len() as i128)
     }
 
-    fn call(&mut self, name: &str, _args: &[i128]) -> Option<Result<i128, InterpError>> {
+    fn call(&mut self, _id: u16, name: &str, _args: &[i128]) -> Option<Result<i128, InterpError>> {
         self.builtins.get(name).map(|v| Ok(*v))
     }
 }

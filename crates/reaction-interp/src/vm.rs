@@ -36,7 +36,7 @@
 //! and, to both engines, an ordinary (unknown) builtin call.
 
 use crate::slots::ReactionSlots;
-use crate::{apply_binop, cast_type, coerce, Binding, InterpError, ReactionEnv};
+use crate::{apply_binop, cast_type, coerce, elem, Binding, InterpError, ReactionEnv};
 use p4r_lang::creact::{BinOp, Body, CType, Declarator, Expr, LValue, Stmt, UnOp};
 use std::collections::HashMap;
 use std::fmt;
@@ -265,9 +265,10 @@ impl CompiledReaction {
     }
 
     /// Resolve every name the body mentions against the environment it
-    /// will run in, once: `resolve` maps a name to that environment's ids.
-    /// Runs then reach the environment through the `*_at` calls of
-    /// [`ReactionEnv`] with these ids.
+    /// will run in, once: `resolve` maps a name to that environment's ids,
+    /// as [`ReactionEnv::resolve`] does. Every call a run then makes into
+    /// the environment passes these ids beside the name; unbound, it
+    /// passes [`Binding::NONE`].
     pub fn bind(&mut self, resolve: impl Fn(&str) -> Binding) {
         for (b, name) in self.bound.iter_mut().zip(&self.program.names) {
             *b = resolve(name);
@@ -403,23 +404,23 @@ impl CompiledReaction {
                     }
                     Op::ReadMbl(n, dst) => {
                         let (id, n) = (bound[n as usize].mbl, &names[n as usize]);
-                        put!(dst, env.read_mbl_at(id, n)?);
+                        put!(dst, env.read_mbl(id, n)?);
                     }
                     Op::AssignMbl(n, src, dst) => {
                         let (id, n) = (bound[n as usize].mbl, &names[n as usize]);
-                        env.write_mbl_at(id, n, reg!(src))?;
-                        put!(dst, env.read_mbl_at(id, n)?);
+                        env.write_mbl(id, n, reg!(src))?;
+                        put!(dst, env.read_mbl(id, n)?);
                     }
                     Op::IncrMbl(n, delta, post, dst) => {
                         let (id, n) = (bound[n as usize].mbl, &names[n as usize]);
-                        let cur = env.read_mbl_at(id, n)?;
-                        env.write_mbl_at(id, n, cur.wrapping_add(i128::from(delta)))?;
-                        put!(dst, if post { cur } else { env.read_mbl_at(id, n)? });
+                        let cur = env.read_mbl(id, n)?;
+                        env.write_mbl(id, n, cur.wrapping_add(i128::from(delta)))?;
+                        put!(dst, if post { cur } else { env.read_mbl(id, n)? });
                     }
                     Op::Native(f, a, b, dst) => put!(dst, native(f, reg!(a), reg!(b))),
                     Op::EnvCall(n, a, dst) => {
                         let (id, n) = (bound[n as usize].builtin, &names[n as usize]);
-                        match env.call_at(id, n, args!(a)) {
+                        match env.call(id, n, args!(a)) {
                             Some(r) => put!(dst, r?),
                             None => return Err(InterpError::UnknownBuiltin(n.clone())),
                         }
@@ -427,7 +428,7 @@ impl CompiledReaction {
                     Op::TableCall(r, m, a, dst) => {
                         let ids = (bound[r as usize].table, bound[m as usize].method);
                         let (r, m) = (&names[r as usize], &names[m as usize]);
-                        put!(dst, env.table_op_at(ids, r, m, args!(a))?);
+                        put!(dst, env.table_op(ids, r, m, args!(a))?);
                     }
                     Op::Ret(v) => return Ok(v.map(|r| reg!(r))),
                 }
@@ -534,21 +535,6 @@ fn native(f: Native, a: i128, b: i128) -> i128 {
     }
 }
 
-/// Element `i` of array `n`, bounds-checked.
-#[inline]
-fn elem<'a>(a: &'a mut [i128], i: i128, n: &str) -> Result<&'a mut i128, InterpError> {
-    let len = a.len();
-    let oob = || InterpError::IndexOutOfBounds {
-        name: n.into(),
-        index: i,
-        len,
-    };
-    usize::try_from(i)
-        .ok()
-        .and_then(|i| a.get_mut(i))
-        .ok_or_else(oob)
-}
-
 /// The cell of a static slot (none for [`NO_STATIC`]) once it is live.
 #[inline]
 fn live(statics: &[StaticCell], slot: u16) -> Option<StaticCell> {
@@ -570,9 +556,9 @@ fn read_dyn_var(
     match live(statics, slot) {
         Some(StaticCell::Scalar(_)) => Ok(regs[slot as usize]),
         Some(_) => Err(InterpError::NotAScalar(n.into())),
-        None => match env.read_scalar_arg_at(b.scalar, n) {
+        None => match env.read_scalar_arg(b.scalar, n) {
             Some(v) => Ok(v),
-            None if env.is_array_arg_at(b.array, n) => Err(InterpError::NotAScalar(n.into())),
+            None if env.is_array_arg(b.array, n) => Err(InterpError::NotAScalar(n.into())),
             None => Err(InterpError::UnknownVariable(n.into())),
         },
     }
@@ -613,9 +599,9 @@ fn read_dyn_elem(
     match live(statics, slot) {
         Some(StaticCell::Array(_)) => elem(&mut arrays[slot as usize], i, n).map(|v| *v),
         Some(_) => Err(InterpError::NotAnArray(n.into())),
-        None => match env.read_array_arg_at(b.array, n, i) {
+        None => match env.read_array_arg(b.array, n, i) {
             Some(r) => r,
-            None if env.read_scalar_arg_at(b.scalar, n).is_some() => {
+            None if env.read_scalar_arg(b.scalar, n).is_some() => {
                 Err(InterpError::NotAnArray(n.into()))
             }
             None => Err(InterpError::UnknownVariable(n.into())),

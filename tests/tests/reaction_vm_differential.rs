@@ -13,14 +13,17 @@
 use mantis::apps::programs::{DOS_P4R, ECMP_P4R, FAILOVER_P4R, RL_P4R};
 use mantis::p4r_compiler::generate::{generate, GenConfig};
 use mantis::p4r_lang::creact::parse_body;
-use mantis::reaction_interp::{CompiledReaction, InterpError, Interpreter, MockEnv, ReactionEnv};
+use mantis::reaction_interp::{
+    Binding, CompiledReaction, InterpError, Interpreter, MockEnv, ReactionEnv,
+};
 use mantis::{compile_source, CompilerOptions};
+use proptest::prelude::*;
 use std::cell::RefCell;
 
 /// A [`MockEnv`] that logs every call made into it, in order — reads
-/// included, which leave nothing else behind. The VM's by-id calls reach
-/// the by-name ones through the trait's defaults, so both engines are
-/// logged alike.
+/// included, which leave nothing else behind. `resolve` is forwarded and not
+/// logged: the walker resolves at each access and an unbound VM never does,
+/// so only the calls themselves are the engines' common record.
 struct Logged {
     env: MockEnv,
     calls: RefCell<Vec<String>>,
@@ -33,39 +36,54 @@ impl Logged {
 }
 
 impl ReactionEnv for Logged {
-    fn read_scalar_arg(&self, name: &str) -> Option<i128> {
+    fn resolve(&self, name: &str) -> Binding {
+        self.env.resolve(name)
+    }
+
+    fn read_scalar_arg(&self, id: u16, name: &str) -> Option<i128> {
         self.log(format!("scalar {name}"));
-        self.env.read_scalar_arg(name)
+        self.env.read_scalar_arg(id, name)
     }
 
-    fn read_array_arg(&self, name: &str, index: i128) -> Option<Result<i128, InterpError>> {
+    fn read_array_arg(
+        &self,
+        id: u16,
+        name: &str,
+        index: i128,
+    ) -> Option<Result<i128, InterpError>> {
         self.log(format!("array {name}[{index}]"));
-        self.env.read_array_arg(name, index)
+        self.env.read_array_arg(id, name, index)
     }
 
-    fn is_array_arg(&self, name: &str) -> bool {
+    fn is_array_arg(&self, id: u16, name: &str) -> bool {
         self.log(format!("is_array {name}"));
-        self.env.is_array_arg(name)
+        self.env.is_array_arg(id, name)
     }
 
-    fn read_mbl(&mut self, name: &str) -> Result<i128, InterpError> {
+    fn read_mbl(&mut self, id: u16, name: &str) -> Result<i128, InterpError> {
         self.log(format!("read ${name}"));
-        self.env.read_mbl(name)
+        self.env.read_mbl(id, name)
     }
 
-    fn write_mbl(&mut self, name: &str, value: i128) -> Result<(), InterpError> {
+    fn write_mbl(&mut self, id: u16, name: &str, value: i128) -> Result<(), InterpError> {
         self.log(format!("write ${name} {value}"));
-        self.env.write_mbl(name, value)
+        self.env.write_mbl(id, name, value)
     }
 
-    fn table_op(&mut self, table: &str, method: &str, args: &[i128]) -> Result<i128, InterpError> {
+    fn table_op(
+        &mut self,
+        ids: (u16, u16),
+        table: &str,
+        method: &str,
+        args: &[i128],
+    ) -> Result<i128, InterpError> {
         self.log(format!("{table}.{method}{args:?}"));
-        self.env.table_op(table, method, args)
+        self.env.table_op(ids, table, method, args)
     }
 
-    fn call(&mut self, name: &str, args: &[i128]) -> Option<Result<i128, InterpError>> {
+    fn call(&mut self, id: u16, name: &str, args: &[i128]) -> Option<Result<i128, InterpError>> {
         self.log(format!("{name}{args:?}"));
-        self.env.call(name, args)
+        self.env.call(id, name, args)
     }
 }
 
@@ -171,7 +189,7 @@ fn app_reactions_match_walker() {
         assert!(!reactions.is_empty(), "{app}: no reactions compiled");
         for (name, body_src, env) in &reactions {
             let label = format!("{app}/{name}");
-            assert_parity(&label, body_src, || clone_env(env), 50_000_000, 4);
+            assert_parity(&label, body_src, || env.clone(), 50_000_000, 4);
         }
     }
 }
@@ -186,20 +204,13 @@ fn app_reactions_match_walker() {
 /// limit tried.
 fn sweep_step_limits(label: &str, src: &str, env: &MockEnv, cap: u64) -> u64 {
     let mut limit = 1;
-    while assert_parity(
-        &format!("{label}@{limit}"),
-        src,
-        || clone_env(env),
-        limit,
-        2,
-    ) && limit < cap
-    {
+    while assert_parity(&format!("{label}@{limit}"), src, || env.clone(), limit, 2) && limit < cap {
         limit += 1;
     }
     assert_parity(
         &format!("{label}@{}", limit + 1),
         src,
-        || clone_env(env),
+        || env.clone(),
         limit + 1,
         2,
     );
@@ -275,16 +286,6 @@ fn generated_reactions_match_walker_under_every_step_limit() {
         if swept == 100 {
             break;
         }
-    }
-}
-
-fn clone_env(env: &MockEnv) -> MockEnv {
-    MockEnv {
-        scalars: env.scalars.clone(),
-        arrays: env.arrays.clone(),
-        mbls: env.mbls.clone(),
-        table_ops: env.table_ops.clone(),
-        builtins: env.builtins.clone(),
     }
 }
 
@@ -395,6 +396,109 @@ fn runtime_errors_are_identical() {
     let r_walker = walker.run(&mut env_walker);
     assert_eq!(r_vm, r_walker);
     assert!(matches!(r_vm, Err(InterpError::UnknownVariable(_))));
+
+    // Indices at or beyond 2^64, and `i128::MIN`: out of bounds on both
+    // engines — never an alias of a small index, never an overflow panic.
+    let mut env = MockEnv::default();
+    env.arrays.insert("a".into(), (5, vec![10, 20, 30, 40]));
+    let beyond = 1i128 << 64;
+    for (src, name, index) in [
+        (
+            "int b[4]; b[1] = 7; return b[18446744073709551617];",
+            "b",
+            beyond + 1,
+        ),
+        (
+            "int b[4]; b[18446744073709551617] = 9; return b[1];",
+            "b",
+            beyond + 1,
+        ),
+        (
+            "static int s[4]; s[1] = 7; return s[18446744073709551617];",
+            "s",
+            beyond + 1,
+        ),
+        ("return a[18446744073709551616 + 6];", "a", beyond + 6),
+        (
+            "return a[(0 - 170141183460469231731687303715884105727) - 1];",
+            "a",
+            i128::MIN,
+        ),
+    ] {
+        let oob = Err(InterpError::IndexOutOfBounds {
+            name: name.into(),
+            index,
+            len: 4,
+        });
+        assert_eq!(run_both(src, &env), (oob.clone(), oob), "{src}");
+    }
+}
+
+/// `src` run once on a fresh VM and a fresh walker, each against its own
+/// copy of `env`: `(vm, walker)`.
+fn run_both(src: &str, env: &MockEnv) -> (RunResult, RunResult) {
+    let body = parse_body(src).unwrap();
+    let mut vm = CompiledReaction::compile(&body).unwrap();
+    let mut walker = Interpreter::new(body);
+    (vm.run(&mut env.clone()), walker.run(&mut env.clone()))
+}
+
+type RunResult = Result<Option<i128>, InterpError>;
+
+/// An index anywhere in `i128`, weighted toward the edges a narrowing
+/// conversion gets wrong: small values, ±2^64 and the extremes.
+fn any_index() -> impl Strategy<Value = i128> {
+    prop_oneof![
+        any::<i128>(),
+        (-6i64..10).prop_map(i128::from),
+        (-6i64..10).prop_map(|d| (1i128 << 64) + i128::from(d)),
+        (-6i64..10).prop_map(|d| i128::from(d) - (1i128 << 64)),
+        Just(i128::MIN),
+        Just(i128::MAX),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One bounds rule for every array a body indexes, on both engines: an
+    /// element iff `index − lo ∈ [0, len)`, else `IndexOutOfBounds` — local
+    /// and static arrays (`lo` 0) read and written, environment arrays read
+    /// with any `lo`, the index anywhere in `i128`.
+    #[test]
+    fn every_array_index_follows_one_bounds_rule(index in any_index(), lo in any_index()) {
+        let vals = [10i128, 11, 12, 13];
+        // The model, stated without the code's `checked_sub`: `index` is at
+        // or above `lo` and less than `len` past it — when `index >= lo` the
+        // true difference lies in [0, 2^128) and is the wrapping one read
+        // unsigned.
+        let off = |lo: i128| {
+            let d = index.wrapping_sub(lo) as u128;
+            (index >= lo && d < 4).then_some(d as usize)
+        };
+        let oob = |name: &str| Err(InterpError::IndexOutOfBounds {
+            name: name.into(),
+            index,
+            len: 4,
+        });
+        let read = |name: &str, lo| off(lo).map_or_else(|| oob(name), |k| Ok(Some(vals[k])));
+        let write = |name: &str| off(0).map_or_else(|| oob(name), |k| Ok(Some(9 * 10i128.pow(k as u32))));
+        let mut env = MockEnv::default();
+        env.scalars.insert("i".into(), index);
+        env.arrays.insert("a".into(), (lo, vals.to_vec()));
+        let fill = "b[0] = 10; b[1] = 11; b[2] = 12; b[3] = 13;";
+        let sum = "b[0] + 10 * b[1] + 100 * b[2] + 1000 * b[3]";
+        for decl in ["int b[4];", "static int b[4];"] {
+            for (src, want) in [
+                (format!("{decl} {fill} return b[i];"), read("b", 0)),
+                (format!("{decl} b[i] = 9; return {sum};"), write("b")),
+            ] {
+                prop_assert_eq!(run_both(&src, &env), (want.clone(), want), "{}", src);
+            }
+        }
+        let want = read("a", lo);
+        prop_assert_eq!(run_both("return a[i];", &env), (want.clone(), want));
+    }
 }
 
 #[test]
@@ -421,13 +525,13 @@ ${after} = calls * 10;
 /// The cases above run both engines against `MockEnv`, which knows names
 /// only. In the agent the VM is *bound*: registration resolves every name
 /// of the body to an id of the agent's (argument, malleable slot, table,
-/// method, builtin) and the run reaches the `ReactionCtx` through the
-/// id-based calls, while the walker comes in by name. Twin testbeds — one
-/// registered the way every agent registers (the VM), one with the
-/// reference walker registered from outside as a native reaction — under
-/// the same phased traffic must stage the same updates every iteration:
-/// same virtual timing, same staged op counts, same failure strings, same
-/// committed slots and entries.
+/// method, builtin) once, while the walker asks the `ReactionCtx` to resolve
+/// each name at each access — the same resolver, so the same ids. Twin
+/// testbeds — one registered the way every agent registers (the VM), one
+/// with the reference walker registered from outside as a native reaction
+/// — under the same phased traffic must stage the same updates every
+/// iteration: same virtual timing, same staged op counts, same failure
+/// strings, same committed slots and entries.
 #[test]
 fn bound_vm_matches_walker_through_a_real_reaction_ctx() {
     use bench::fuzz::register_reference_walker;
