@@ -144,6 +144,12 @@ fn time_ns(iters: u64, mut f: impl FnMut(u64)) -> u64 {
     (t0.elapsed().as_nanos() as u64).max(1)
 }
 
+/// Install `key` at `priority` for action `action`, with no action data.
+fn add(t: &mut Table, spec: &TableSpec, key: KeyField, priority: u32, action: u32) {
+    let installed = t.add_entry(spec, vec![key], priority, ActionId(action), vec![], 0);
+    installed.expect("bench entry installs");
+}
+
 fn lookup_bench(
     workload: &str,
     spec: &TableSpec,
@@ -189,15 +195,8 @@ fn exact_bench(indexed_iters: u64, linear_iters: u64) -> LookupBench {
     let spec = table_spec(&dps, &[MatchKind::Exact], TABLE_ENTRIES as u32 + 8);
     let mut t = Table::new(&spec);
     for i in 0..TABLE_ENTRIES {
-        t.add_entry(
-            &spec,
-            vec![KeyField::Exact(Value::new(i as u128, 32))],
-            0,
-            ActionId(0),
-            vec![],
-            0,
-        )
-        .expect("exact entry");
+        let key = KeyField::Exact(Value::new(i as u128, 32));
+        add(&mut t, &spec, key, 0, 0);
     }
     let mut rng = Rng(0x243f6a8885a308d3);
     let probes: Vec<Phv> = (0..PROBES)
@@ -213,47 +212,12 @@ fn lpm_bench(indexed_iters: u64, linear_iters: u64) -> LookupBench {
     // A routing-table shape: mostly /24s under 10.0.0.0/8, a layer of /16
     // aggregates, and a /8 catch-all.
     let n24 = TABLE_ENTRIES - 18;
-    for i in 0..n24 {
-        t.add_entry(
-            &spec,
-            vec![KeyField::Lpm {
-                value: Value::new(0x0a00_0000 | ((i as u128) << 8), 32),
-                prefix_len: 24,
-            }],
-            0,
-            ActionId(0),
-            vec![],
-            0,
-        )
-        .expect("lpm /24");
-    }
-    for i in 0..16u128 {
-        t.add_entry(
-            &spec,
-            vec![KeyField::Lpm {
-                value: Value::new(0x0a00_0000 | (i << 16), 32),
-                prefix_len: 16,
-            }],
-            0,
-            ActionId(0),
-            vec![],
-            0,
-        )
-        .expect("lpm /16");
-    }
-    for value in [0x0a00_0000u128, 0x0b00_0000] {
-        t.add_entry(
-            &spec,
-            vec![KeyField::Lpm {
-                value: Value::new(value, 32),
-                prefix_len: 8,
-            }],
-            0,
-            ActionId(0),
-            vec![],
-            0,
-        )
-        .expect("lpm /8");
+    let prefixes = (0..n24 as u128).map(|i| (0x0a00_0000 | (i << 8), 24));
+    let aggregates = (0..16u128).map(|i| (0x0a00_0000 | (i << 16), 16));
+    let catch_alls = [(0x0a00_0000, 8), (0x0b00_0000, 8)];
+    for (value, prefix_len) in prefixes.chain(aggregates).chain(catch_alls) {
+        let value = Value::new(value, 32);
+        add(&mut t, &spec, KeyField::Lpm { value, prefix_len }, 0, 0);
     }
     let mut rng = Rng(0x13198a2e03707344);
     let probes: Vec<Phv> = (0..PROBES)
@@ -273,31 +237,12 @@ fn ternary_bench(indexed_iters: u64, linear_iters: u64) -> LookupBench {
     let mut t = Table::new(&spec);
     // ACL shape: specific rules with descending priority, wildcard last.
     for i in 0..TABLE_ENTRIES {
-        t.add_entry(
-            &spec,
-            vec![KeyField::Ternary {
-                value: Value::new(i as u128, 32),
-                mask: Value::ones(32),
-            }],
-            (TABLE_ENTRIES - i) as u32,
-            ActionId(0),
-            vec![],
-            0,
-        )
-        .expect("ternary rule");
+        let (value, mask) = (Value::new(i as u128, 32), Value::ones(32));
+        let key = KeyField::Ternary { value, mask };
+        add(&mut t, &spec, key, (TABLE_ENTRIES - i) as u32, 0);
     }
-    t.add_entry(
-        &spec,
-        vec![KeyField::Ternary {
-            value: Value::zero(32),
-            mask: Value::zero(32),
-        }],
-        0,
-        ActionId(1),
-        vec![],
-        0,
-    )
-    .expect("ternary wildcard");
+    let (value, mask) = (Value::zero(32), Value::zero(32));
+    add(&mut t, &spec, KeyField::Ternary { value, mask }, 0, 1);
     // Hot-flow skew: probe traffic hits the 64 highest-priority rules
     // (blocklist-style), which the precedence-sorted scan resolves in its
     // first rows while the linear reference walks all 1 K+ entries.
@@ -346,6 +291,9 @@ fn reaction_env() -> MockEnv {
     env
 }
 
+/// Blocks the VM and walker runs are split into; divides both run counts.
+const REACTION_BLOCKS: u64 = 10;
+
 fn reaction_bench(vm_iters: u64, walker_iters: u64) -> ReactionBench {
     let body = p4r_lang::creact::parse_body(REACTION_SRC).expect("bench reaction parses");
     let mut vm = CompiledReaction::compile(&body).expect("bench reaction compiles");
@@ -362,14 +310,20 @@ fn reaction_bench(vm_iters: u64, walker_iters: u64) -> ReactionBench {
         "reaction engines diverged on malleable writes"
     );
 
+    // Interleaved blocks, so that a slow spell of a shared host falls on
+    // both engines alike: the speedup is the median of the blocks' ratios.
     let mut env = reaction_env();
-    let vm_ns = time_ns(vm_iters, |_| {
-        std::hint::black_box(vm.run(&mut env).expect("vm run"));
-    });
-    let walker_ns = time_ns(walker_iters, |_| {
-        std::hint::black_box(walker.run(&mut env).expect("walker run"));
-    });
-
+    let (mut vm_ns, mut walker_ns, mut ratios) = (0, 0, Vec::new());
+    for _ in 0..REACTION_BLOCKS {
+        let vm_block = time_ns(vm_iters / REACTION_BLOCKS, |_| {
+            std::hint::black_box(vm.run(&mut env).expect("vm run"));
+        });
+        let walker_block = time_ns(walker_iters / REACTION_BLOCKS, |_| {
+            std::hint::black_box(walker.run(&mut env).expect("walker run"));
+        });
+        ratios.push((walker_block * vm_iters) as f64 / (vm_block * walker_iters) as f64);
+        (vm_ns, walker_ns) = (vm_ns + vm_block, walker_ns + walker_block);
+    }
     let vm_per = vm_ns as f64 / vm_iters as f64;
     let walker_per = walker_ns as f64 / walker_iters as f64;
     ReactionBench {
@@ -380,7 +334,7 @@ fn reaction_bench(vm_iters: u64, walker_iters: u64) -> ReactionBench {
         walker_ns_per_run: walker_per,
         vm_runs_per_sec: 1e9 / vm_per,
         walker_runs_per_sec: 1e9 / walker_per,
-        speedup: walker_per / vm_per,
+        speedup: netsim::median(&ratios),
     }
 }
 

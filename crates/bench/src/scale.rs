@@ -64,8 +64,8 @@ pub struct ScaleRun {
     pub fingerprint: String,
 }
 
-/// Flow-engine gauges snapshotted after the headline run (the same values
-/// `netsim.scale.*` telemetry gauges publish in scale scenarios).
+/// Flow-engine gauges snapshotted after the headline run (`scale_totals`
+/// and the simulator's wheel and arena gauges).
 #[derive(Clone, Debug, Serialize)]
 pub struct ScaleGauges {
     pub shards: usize,

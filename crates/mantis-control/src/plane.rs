@@ -53,15 +53,22 @@ struct DedupRing {
     /// Where the next response goes: the end while the ring grows, then
     /// the oldest entry.
     next: usize,
+    /// The highest sequence number ever kept, so that a fresh one — the
+    /// common case — misses without a scan.
+    newest: Option<u64>,
 }
 
 impl DedupRing {
     fn find(&self, seq: u64) -> Option<&[u8]> {
+        if self.newest.is_none_or(|newest| seq > newest) {
+            return None;
+        }
         let hit = self.kept.iter().find(|(kept, _)| *kept == seq);
         hit.map(|(_, bytes)| bytes.as_slice())
     }
 
     fn keep(&mut self, seq: u64, response: &[u8]) {
+        self.newest = self.newest.max(Some(seq));
         if self.kept.len() < DEDUP_WINDOW {
             self.kept.resize_with(self.next + 1, Default::default);
         }
@@ -445,6 +452,24 @@ control ingress { apply(t); }
             [DriverResponse::Handle(_)]
         ));
         assert_eq!(switch.borrow().table_len(t), 1);
+    }
+
+    /// A number above the newest kept misses before any scan, a
+    /// retransmit inside the window hits, and one that fell out of the
+    /// window misses even though it is below the newest.
+    #[test]
+    fn dedup_ring_misses_fresh_and_evicted_numbers_and_hits_retransmits() {
+        let mut ring = DedupRing::default();
+        assert_eq!(ring.find(0), None, "an empty ring keeps nothing");
+        for seq in 0..DEDUP_WINDOW as u64 + 8 {
+            ring.keep(seq, &seq.to_le_bytes());
+        }
+        let newest = DEDUP_WINDOW as u64 + 7;
+        assert_eq!(ring.newest, Some(newest));
+        assert_eq!(ring.find(newest + 1), None, "fresh");
+        assert_eq!(ring.find(newest), Some(&newest.to_le_bytes()[..]));
+        assert_eq!(ring.find(9), Some(&9u64.to_le_bytes()[..]), "retransmit");
+        assert_eq!(ring.find(7), None, "older than the window");
     }
 
     /// The dedup ring is the `(client, seq)` → response map it replaced: a

@@ -302,25 +302,6 @@ pub fn ports_across_pipes(sim: &Simulator, n: usize) -> Vec<PortId> {
     out
 }
 
-/// Spawn `n` TCP flows from `base`, with ingress ports spread across the
-/// switch's hardware pipes via [`ports_across_pipes`] so a multi-pipe run
-/// exercises every pipe's packet path concurrently.
-pub fn spawn_tcp_across_pipes(
-    sim: &mut Simulator,
-    base: TcpConfig,
-    n: usize,
-) -> Vec<Rc<RefCell<TcpState>>> {
-    let ports = ports_across_pipes(sim, n);
-    ports
-        .into_iter()
-        .map(|port| {
-            let mut cfg = base.clone();
-            cfg.ingress_port = port;
-            spawn_tcp(sim, cfg)
-        })
-        .collect()
-}
-
 /// Configuration of a constant-bit-rate UDP sender (the Fig. 15 attacker).
 #[derive(Clone, Debug)]
 pub struct UdpConfig {
@@ -479,7 +460,7 @@ pub struct ScaleConfig {
     pub seed: u64,
     /// Number of flows to generate.
     pub flows: u32,
-    /// Every packet of every flow lands inside `[0, duration_ns)`.
+    /// Flows start inside `[0, duration_ns)`; a long one may end past it.
     pub duration_ns: Nanos,
     /// Pareto shape for the per-flow packet count (heavy tail).
     pub pareto_alpha: f64,
@@ -520,16 +501,6 @@ pub struct ScaleHost {
     pub addr: u64,
 }
 
-/// One packet arrival of the materialized schedule.
-struct Arrival {
-    at: Nanos,
-    src: u64,
-    dst: u64,
-    port: PortId,
-    /// Final packet of its flow (drives the live-flows gauge).
-    last: bool,
-}
-
 #[derive(Clone, Copy, Debug, Default)]
 struct ShardStats {
     injected: u64,
@@ -539,6 +510,10 @@ struct ShardStats {
     max_batch: u64,
 }
 
+/// Host-index bits of a schedule word, per end: the word is
+/// `tick << 32 | src << (HOST_BITS + 1) | dst << 1 | last`.
+const HOST_BITS: u32 = 15;
+
 /// All scale-flow state of one injection switch: a shared compiled
 /// template (slot 0 = src, slot 1 = dst) plus the shard's arrival
 /// schedule. Exactly one `FlowWake` event is outstanding per shard — at
@@ -547,25 +522,33 @@ struct ShardStats {
 ///
 /// Scale flows are open-loop: every arrival time is `start + k·gap`,
 /// fixed at spawn with no feedback from the fabric. That makes the whole
-/// schedule static, so it is materialized and sorted once and replayed
-/// with a cursor. Steady state is then a sequential, prefetch-friendly
-/// scan — no per-packet priority-queue ops and no random flow-table
-/// access (a per-shard heap of ~90 K pending arrivals thrashed cache and
-/// cost the full Fig. 14 block ~30% of its throughput versus the quick
-/// block). Memory is ~32 B per planned packet, bounded by the same
-/// Pareto cap that bounds the schedule itself.
+/// schedule static, so it is materialized and ordered once and replayed
+/// with a cursor: a sequential scan, no per-packet priority-queue ops. An
+/// arrival is one `u64` word decoded against the shard's copy of the host
+/// table: 8 B per planned packet, allocated at the schedule's exact length.
 pub(crate) struct FlowShard {
     switch: usize,
     tmpl: PacketTemplate,
-    /// Materialized schedule, sorted by `(time, flow index)`.
-    arrivals: Vec<Arrival>,
+    tick: Nanos,
+    hosts: Box<[ScaleHost]>,
+    /// Materialized schedule, ordered by `(time, flow index)`.
+    arrivals: Vec<u64>,
     /// Replay cursor into `arrivals`.
     next: usize,
     stats: ShardStats,
 }
 
+impl FlowShard {
+    /// Schedule word `w` as `(time, source, destination, last packet)`.
+    fn arrival(&self, w: u64) -> (Nanos, ScaleHost, ScaleHost, bool) {
+        let host = |shift: u32| self.hosts[(w >> shift) as usize & ((1 << HOST_BITS) - 1)];
+        let at = (w >> 32) * self.tick;
+        (at, host(HOST_BITS + 1), host(1), w & 1 == 1)
+    }
+}
+
 /// Aggregate scale-engine counters across all shards.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScaleTotals {
     /// Packets handed to a switch so far.
     pub injected_pkts: u64,
@@ -579,11 +562,15 @@ pub struct ScaleTotals {
     pub max_batch: u64,
     /// Number of shards (injection switches).
     pub shards: usize,
+    /// Bytes the shards' schedules hold: 8 per planned packet.
+    pub schedule_bytes: u64,
 }
 
 /// Generate `cfg.flows` flows over `hosts` and register them with the
 /// simulator, sharded by injection switch. Returns the total number of
-/// packets the schedule will inject.
+/// packets the schedule will inject. Refuses hosts off the fabric and what
+/// a schedule word cannot hold: more than 2^15 hosts, or a tick index past
+/// 32 bits (the last arrival lies before `duration_ns + max_pkts·tick_ns`).
 ///
 /// Deterministic: the same `(cfg, hosts)` produces the identical schedule,
 /// shard layout, and event order on every run.
@@ -595,13 +582,22 @@ pub fn spawn_scale_flows(
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    if hosts.len() < 2 {
-        return Err("scale flows need at least two hosts".into());
+    let on_fabric = hosts.iter().all(|h| h.switch < sim.num_switches());
+    if !on_fabric || !(2..=1 << HOST_BITS).contains(&hosts.len()) {
+        let most = 1 << HOST_BITS;
+        return Err(format!("scale flows need 2 to {most} hosts on the fabric"));
     }
     let tick = cfg.tick_ns.max(1);
     let duration = cfg.duration_ns.max(tick);
     let min_pkts = cfg.min_pkts.max(1);
     let max_pkts = cfg.max_pkts.max(min_pkts);
+    let ticks = (u64::from(max_pkts).checked_mul(tick))
+        .and_then(|span| span.checked_add(duration))
+        .ok_or("scale flows: duration_ns + max_pkts·tick_ns overflows u64")?
+        / tick;
+    if ticks > u64::from(u32::MAX) {
+        return Err(format!("scale flows: {ticks} ticks overflow u32"));
+    }
 
     // One shard per injection switch, created in first-appearance order of
     // `hosts` (deterministic given the caller's host list).
@@ -621,6 +617,8 @@ pub fn spawn_scale_flows(
             shards.push(FlowShard {
                 switch: h.switch,
                 tmpl,
+                tick,
+                hosts: hosts.into(),
                 arrivals: Vec::new(),
                 next: 0,
                 stats: ShardStats::default(),
@@ -628,70 +626,84 @@ pub fn spawn_scale_flows(
         }
     }
 
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut total: u64 = 0;
-    for _ in 0..cfg.flows {
-        let s = rng.gen_range(0..hosts.len());
-        let mut d = rng.gen_range(0..hosts.len() - 1);
-        if d >= s {
-            d += 1; // src ≠ dst
+    // The same draws twice: the first pass sizes each shard's schedule,
+    // the second writes it, in flow-creation order.
+    let mut lens = vec![0; shards.len()];
+    for pass in 0..2 {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        for _ in 0..cfg.flows {
+            let s = rng.gen_range(0..hosts.len());
+            let mut d = rng.gen_range(0..hosts.len() - 1);
+            if d >= s {
+                d += 1; // src ≠ dst
+            }
+            // Pareto-tailed packet count.
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let raw = f64::from(min_pkts) * u.powf(-1.0 / cfg.pareto_alpha.max(0.1));
+            let count = if raw >= f64::from(max_pkts) {
+                max_pkts
+            } else {
+                (raw as u32).clamp(min_pkts, max_pkts)
+            };
+            // Start and gap in ticks, the gap capped so the whole flow
+            // finishes inside the duration where it can.
+            let start = rng.gen_range(0..duration) / tick;
+            let gap = if count > 1 {
+                let span_ticks = (duration - start * tick) / tick / u64::from(count - 1);
+                rng.gen_range(1..=span_ticks.max(1))
+            } else {
+                1
+            };
+            let shard = shard_of[hosts[s].switch].expect("host switch has a shard");
+            if pass == 0 {
+                lens[shard] += count as usize;
+                continue;
+            }
+            let ends = (s as u64) << (HOST_BITS + 1) | (d as u64) << 1;
+            let sh = &mut shards[shard];
+            let words = (0..u64::from(count)).map(|k| (start + k * gap) << 32 | ends);
+            sh.arrivals.extend(words);
+            *sh.arrivals.last_mut().expect("a flow sends a packet") |= 1;
+            sh.stats.live += 1;
         }
-        let (src, dst) = (hosts[s], hosts[d]);
-        // Pareto-tailed packet count.
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let raw = f64::from(min_pkts) * u.powf(-1.0 / cfg.pareto_alpha.max(0.1));
-        let count = if raw >= f64::from(max_pkts) {
-            max_pkts
-        } else {
-            (raw as u32).clamp(min_pkts, max_pkts)
-        };
-        // Start and gap are tick-quantized, with the gap capped so the
-        // whole flow finishes inside the duration.
-        let start = rng.gen_range(0..duration) / tick * tick;
-        let gap = if count > 1 {
-            let span_ticks = (duration - start) / tick / u64::from(count - 1);
-            rng.gen_range(1..=span_ticks.max(1)) * tick
-        } else {
-            tick
-        };
-        let shard = shard_of[src.switch].expect("host switch has a shard");
-        let sh = &mut shards[shard];
-        // Materialize the flow's arrivals up front (retiring early at the
-        // u64 horizon, like the incremental scheduler did).
-        let mut at = start;
-        for k in 0..count {
-            sh.arrivals.push(Arrival {
-                at,
-                src: src.addr,
-                dst: dst.addr,
-                port: src.port,
-                last: k + 1 == count,
-            });
-            match at.checked_add(gap) {
-                Some(next) => at = next,
-                None => {
-                    sh.arrivals.last_mut().expect("just pushed").last = true;
-                    break;
-                }
+        if pass == 0 {
+            for (sh, &len) in shards.iter_mut().zip(&lens) {
+                sh.arrivals = Vec::with_capacity(len);
             }
         }
-        sh.stats.live += 1;
-        total += u64::from(count);
     }
 
+    // Stable: same-tick arrivals keep flow-creation order — the same
+    // `(time, flow index)` order a priority queue keyed that way produced.
+    let mut scratch = vec![0; lens.iter().copied().max().unwrap_or(0)];
     for mut sh in shards {
-        // Stable sort: same-time arrivals keep flow-creation order — the
-        // same `(time, flow index)` total order a priority queue keyed
-        // that way produced.
-        sh.arrivals.sort_by_key(|a| a.at);
-        let first = sh.arrivals.first().map(|a| a.at);
+        sort_by_tick(&mut sh.arrivals, &mut scratch);
+        let first = sh.arrivals.first().map(|&w| sh.arrival(w).0);
         let id = u32::try_from(sim.flows.scale.len()).expect("shard count fits u32");
         sim.flows.scale.push(Some(sh));
         if let Some(t) = first {
             sim.schedule_kind(t, EventKind::FlowWake { shard: id });
         }
     }
-    Ok(total)
+    Ok(lens.iter().sum::<usize>() as u64)
+}
+
+/// Stable LSD radix sort of schedule words by their 32-bit tick index,
+/// eight bits a pass; `scratch` holds at least `words.len()` words.
+fn sort_by_tick(words: &mut [u64], scratch: &mut [u64]) {
+    let (mut to, mut from) = (&mut scratch[..words.len()], words);
+    for shift in [32, 40, 48, 56] {
+        let digit = |w: u64| (w >> shift) as usize & 0xff;
+        let (mut at, mut sum) = ([0; 256], 0);
+        from.iter().for_each(|&w| at[digit(w)] += 1);
+        at.iter_mut().for_each(|n| (*n, sum) = (sum, sum + *n));
+        for &w in from.iter() {
+            to[at[digit(w)]] = w;
+            at[digit(w)] += 1;
+        }
+        // An even number of passes ends back in `words`.
+        std::mem::swap(&mut from, &mut to);
+    }
 }
 
 /// Drain every due arrival of one shard (the `EventKind::FlowWake`
@@ -706,28 +718,29 @@ pub(crate) fn flow_wake_event(sim: &mut Simulator, shard: u32) {
     let mut batch: u64 = 0;
     // The whole wake batch goes in under one borrow of the shard's switch.
     sim.inject_on(sh.switch, |sw, _| {
-        while let Some(a) = sh.arrivals.get(sh.next) {
-            if a.at > now {
+        while let Some(&w) = sh.arrivals.get(sh.next) {
+            let (at, src, dst, last) = sh.arrival(w);
+            if at > now {
                 break;
             }
             sh.next += 1;
-            sh.tmpl.set_value(0, u128::from(a.src));
-            sh.tmpl.set_value(1, u128::from(a.dst));
-            sh.tmpl.set_port(a.port);
+            sh.tmpl.set_value(0, u128::from(src.addr));
+            sh.tmpl.set_value(1, u128::from(dst.addr));
+            sh.tmpl.set_port(src.port);
             let ok = sw.inject_template(&sh.tmpl);
             sh.stats.injected += 1;
             if ok {
                 sh.stats.accepted += 1;
             }
             batch += 1;
-            if a.last {
+            if last {
                 sh.stats.live -= 1;
             }
         }
     });
     sh.stats.batches += 1;
     sh.stats.max_batch = sh.stats.max_batch.max(batch);
-    let next_wake = sh.arrivals.get(sh.next).map(|a| a.at);
+    let next_wake = sh.arrivals.get(sh.next).map(|&w| sh.arrival(w).0);
     sim.flows.scale[s] = Some(sh);
     if let Some(t) = next_wake {
         sim.schedule_kind(t, EventKind::FlowWake { shard });
@@ -744,27 +757,9 @@ pub fn scale_totals(sim: &Simulator) -> ScaleTotals {
         t.batches += sh.stats.batches;
         t.max_batch = t.max_batch.max(sh.stats.max_batch);
         t.shards += 1;
+        t.schedule_bytes += 8 * sh.arrivals.capacity() as u64;
     }
     t
-}
-
-/// Publish the scale engine's gauges (`netsim.scale.*`): active flows,
-/// wheel-slot occupancy, PHV arena bytes, and batch statistics. Only scale
-/// scenarios call this — the standing experiment goldens never see these
-/// names, so they stay byte-identical.
-pub fn publish_scale_telemetry(sim: &Simulator) {
-    let tel = sim.telemetry();
-    if !tel.is_enabled() {
-        return;
-    }
-    let t = scale_totals(sim);
-    tel.gauge_set("netsim.scale.active_flows", t.active_flows as i128);
-    tel.gauge_set("netsim.scale.injected_pkts", t.injected_pkts as i128);
-    tel.gauge_set("netsim.scale.accepted_pkts", t.accepted_pkts as i128);
-    tel.gauge_set("netsim.scale.batches", t.batches as i128);
-    tel.gauge_set("netsim.scale.max_batch", t.max_batch as i128);
-    tel.gauge_set("netsim.scale.wheel_slots", sim.wheel_slots() as i128);
-    tel.gauge_set("netsim.scale.arena_bytes", sim.arena_bytes() as i128);
 }
 
 #[cfg(test)]
@@ -1078,5 +1073,247 @@ control ingress { apply(hb); apply(route); }
             addr: 1,
         }];
         assert!(spawn_scale_flows(&mut sim, &ScaleConfig::default(), &hosts).is_err());
+    }
+
+    /// `n` unlinked switches of `PROG`, queues deep enough to admit every
+    /// packet of the blocks below.
+    fn unlinked(n: usize) -> Simulator {
+        let clock = Clock::new();
+        let cfg = SwitchConfig {
+            queue_capacity_bytes: 1 << 24,
+            ..Default::default()
+        };
+        let switches = (0..n)
+            .map(|_| {
+                SharedSwitch::new(switch_from_source(PROG, cfg.clone(), clock.clone()).unwrap())
+            })
+            .collect();
+        Simulator::fabric(switches, crate::Topology::new(n))
+    }
+
+    /// One arrival of the schedule as it was built before arrivals were
+    /// packed into words: 32 bytes a packet, ordered by a stable sort.
+    #[derive(Debug, PartialEq)]
+    struct Arrival {
+        at: Nanos,
+        src: u64,
+        dst: u64,
+        port: PortId,
+        last: bool,
+    }
+
+    /// That schedule, one list per shard, and each flow's packet count:
+    /// the same draws, expanded into `Arrival`s and `sort_by_key`ed.
+    fn reference(cfg: &ScaleConfig, hosts: &[ScaleHost]) -> (Vec<Vec<Arrival>>, Vec<u32>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let tick = cfg.tick_ns.max(1);
+        let duration = cfg.duration_ns.max(tick);
+        let min_pkts = cfg.min_pkts.max(1);
+        let max_pkts = cfg.max_pkts.max(min_pkts);
+        let mut switches: Vec<usize> = Vec::new();
+        for h in hosts {
+            if !switches.contains(&h.switch) {
+                switches.push(h.switch);
+            }
+        }
+        let mut shards: Vec<Vec<Arrival>> = switches.iter().map(|_| Vec::new()).collect();
+        let mut counts = Vec::new();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        for _ in 0..cfg.flows {
+            let s = rng.gen_range(0..hosts.len());
+            let mut d = rng.gen_range(0..hosts.len() - 1);
+            if d >= s {
+                d += 1;
+            }
+            let (src, dst) = (hosts[s], hosts[d]);
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let raw = f64::from(min_pkts) * u.powf(-1.0 / cfg.pareto_alpha.max(0.1));
+            let count = if raw >= f64::from(max_pkts) {
+                max_pkts
+            } else {
+                (raw as u32).clamp(min_pkts, max_pkts)
+            };
+            let start = rng.gen_range(0..duration) / tick * tick;
+            let gap = if count > 1 {
+                let span_ticks = (duration - start) / tick / u64::from(count - 1);
+                rng.gen_range(1..=span_ticks.max(1)) * tick
+            } else {
+                tick
+            };
+            let shard = switches.iter().position(|&sw| sw == src.switch).unwrap();
+            for k in 0..count {
+                shards[shard].push(Arrival {
+                    at: start + u64::from(k) * gap,
+                    src: src.addr,
+                    dst: dst.addr,
+                    port: src.port,
+                    last: k + 1 == count,
+                });
+            }
+            counts.push(count);
+        }
+        for sh in &mut shards {
+            sh.sort_by_key(|a| a.at);
+        }
+        (shards, counts)
+    }
+
+    /// The packed schedule decodes to the reference's `(at, src, dst,
+    /// port, last)` sequence on every shard, and replaying it gives the
+    /// totals that sequence predicts — mid-run and at the end — over
+    /// seeds, 1–4 shards, ticks from 1 ns to 10 µs, 200-tick blocks (ties
+    /// everywhere) and 2^30-tick ones, with one-packet flows, flows at the
+    /// Pareto cap, and flows that run past `duration_ns`.
+    #[test]
+    fn packed_schedule_replays_the_sorted_arrival_list() {
+        use rand::{Rng, SeedableRng};
+        let mut seeds = rand::rngs::StdRng::seed_from_u64(46);
+        let (mut single, mut capped, mut overrun) = (0, 0, 0);
+        for case in 0..24 {
+            let shards = 1 + case % 4;
+            let tick = [1, 1_000, 10_000][case / 4 % 3];
+            let hosts: Vec<ScaleHost> = (0..8)
+                .map(|i| ScaleHost {
+                    switch: i % shards,
+                    port: (i / shards) as PortId,
+                    addr: 100 + i as u64,
+                })
+                .collect();
+            let cfg = ScaleConfig {
+                seed: seeds.gen(),
+                flows: 150,
+                // Short blocks tie and overrun; long ones need all four
+                // radix digits of the tick index.
+                duration_ns: [200, 1 << 30][case / 12] * tick,
+                pareto_alpha: 0.8,
+                min_pkts: 1,
+                max_pkts: 64,
+                tick_ns: tick,
+                ..Default::default()
+            };
+            let mut sim = unlinked(shards);
+            let planned = spawn_scale_flows(&mut sim, &cfg, &hosts).unwrap();
+            let (want, counts) = reference(&cfg, &hosts);
+            let got: Vec<Vec<Arrival>> = (sim.flows.scale.iter().flatten())
+                .map(|sh| {
+                    (sh.arrivals.iter())
+                        .map(|&w| {
+                            let (at, src, dst, last) = sh.arrival(w);
+                            let (src, dst, port) = (src.addr, dst.addr, src.port);
+                            Arrival {
+                                at,
+                                src,
+                                dst,
+                                port,
+                                last,
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_eq!(got, want, "case {case}");
+            assert_eq!(planned, counts.iter().map(|&c| u64::from(c)).sum::<u64>());
+            single += counts.iter().filter(|&&c| c == 1).count();
+            capped += counts.iter().filter(|&&c| c == cfg.max_pkts).count();
+            overrun += want
+                .iter()
+                .flatten()
+                .filter(|a| a.at >= cfg.duration_ns)
+                .count();
+
+            let expect = |until: Nanos| {
+                let mut t = ScaleTotals {
+                    active_flows: counts.len() as u64,
+                    shards,
+                    schedule_bytes: 8 * planned,
+                    ..Default::default()
+                };
+                for sh in &want {
+                    let due = &sh[..sh.partition_point(|a| a.at <= until)];
+                    for batch in due.chunk_by(|a, b| a.at == b.at) {
+                        t.batches += 1;
+                        t.max_batch = t.max_batch.max(batch.len() as u64);
+                    }
+                    t.injected_pkts += due.len() as u64;
+                    t.active_flows -= due.iter().filter(|a| a.last).count() as u64;
+                }
+                t.accepted_pkts = t.injected_pkts;
+                t
+            };
+            for until in [cfg.duration_ns / 2, cfg.duration_ns + 100 * tick] {
+                sim.run_until(until);
+                assert_eq!(scale_totals(&sim), expect(until), "case {case} at {until}");
+            }
+            assert_eq!(scale_totals(&sim).active_flows, 0);
+        }
+        assert!(
+            single > 0 && capped > 0 && overrun > 0,
+            "{single} {capped} {overrun}"
+        );
+    }
+
+    fn two_hosts() -> [ScaleHost; 2] {
+        [0, 1].map(|port| ScaleHost {
+            switch: 0,
+            port,
+            addr: 100 + u64::from(port),
+        })
+    }
+
+    #[test]
+    fn scale_flows_reject_a_tick_index_past_32_bits() {
+        // 512 packets a tick apart after the last start: the word's tick
+        // index reaches `duration + 512` ticks.
+        let cfg = |duration_ns| ScaleConfig {
+            flows: 0,
+            duration_ns,
+            tick_ns: 1,
+            ..Default::default()
+        };
+        let fits = u64::from(u32::MAX) - 512;
+        let mut sim = mk(1 << 20);
+        assert_eq!(spawn_scale_flows(&mut sim, &cfg(fits), &two_hosts()), Ok(0));
+        let err = spawn_scale_flows(&mut sim, &cfg(fits + 1), &two_hosts()).unwrap_err();
+        assert!(err.contains("ticks overflow u32"), "{err}");
+    }
+
+    #[test]
+    fn scale_flows_reject_hosts_a_word_cannot_index() {
+        let hosts = |n: usize| -> Vec<ScaleHost> {
+            (0..n as u64)
+                .map(|addr| ScaleHost {
+                    switch: 0,
+                    port: 0,
+                    addr,
+                })
+                .collect()
+        };
+        let cfg = ScaleConfig {
+            flows: 10,
+            ..Default::default()
+        };
+        let mut sim = mk(1 << 20);
+        assert!(spawn_scale_flows(&mut sim, &cfg, &hosts(1 << HOST_BITS)).is_ok());
+        let err = spawn_scale_flows(&mut sim, &cfg, &hosts((1 << HOST_BITS) + 1)).unwrap_err();
+        assert!(err.contains("hosts"), "{err}");
+        let mut elsewhere = two_hosts();
+        elsewhere[1].switch = 1;
+        let err = spawn_scale_flows(&mut sim, &cfg, &elsewhere).unwrap_err();
+        assert!(err.contains("hosts on the fabric"), "{err}");
+    }
+
+    #[test]
+    fn scale_flows_reject_a_horizon_past_u64() {
+        let mut sim = mk(1 << 20);
+        for (duration_ns, tick_ns) in [(u64::MAX - 1_000, 1_000), (1_000, u64::MAX / 2)] {
+            let cfg = ScaleConfig {
+                duration_ns,
+                tick_ns,
+                ..Default::default()
+            };
+            let err = spawn_scale_flows(&mut sim, &cfg, &two_hosts()).unwrap_err();
+            assert!(err.contains("overflows u64"), "{err}");
+        }
     }
 }

@@ -39,8 +39,8 @@
 
 use mantis::apps::fabric::{build_ecmp_fabric, build_failover_fabric, leaf_host, EXIT_PORT};
 use mantis::netsim::{
-    spawn_heartbeats_on, spawn_scale_flows, spawn_udp_on, Endpoint, HeartbeatConfig, ScaleConfig,
-    ScaleHost, Simulator, Topology, UdpConfig, HOST_PORTS,
+    scale_totals, spawn_heartbeats_on, spawn_scale_flows, spawn_udp_on, Endpoint, HeartbeatConfig,
+    ScaleConfig, ScaleHost, Simulator, Topology, UdpConfig, HOST_PORTS,
 };
 use mantis::p4_ast::Value;
 use mantis::rmt_sim::{switch_from_source, KeyField, PortId, TransferMap};
@@ -57,27 +57,50 @@ thread_local! {
     /// their set-up, their asserts, the harness reporting them — is not
     /// counted against its measured half.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread's allocations hold, and their high-water mark
+    /// since the last [`reset_peak`]. Signed: a block frees on its own
+    /// thread what it allocated there, but a thread may free another's.
+    static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
 }
 
-fn count_alloc() {
+fn count_alloc(grow: usize) {
     // `try_with`: a thread being torn down may still allocate.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    count_bytes(grow as i64);
+}
+
+fn count_bytes(delta: i64) {
+    let _ = LIVE.try_with(|c| {
+        let (live, peak) = c.get();
+        c.set((live + delta, peak.max(live + delta)));
+    });
 }
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// Start a new high-water mark at the bytes held now; returns them.
+fn reset_peak() -> i64 {
+    LIVE.with(|c| {
+        let (live, _) = c.get();
+        c.set((live, live));
+        live
+    })
+}
+
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
+        count_alloc(0);
+        count_bytes(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -160,8 +183,9 @@ struct MeasuredHalf {
     planned: u64,
 }
 
-fn run_block(config: &SwitchConfig, telemetry: Option<&Arc<Telemetry>>) -> MeasuredHalf {
-    let hosts: Vec<ScaleHost> = (0..LEAVES)
+/// The scale block of these tests: 3 000 flows over every leaf host.
+fn scale_block() -> (Vec<ScaleHost>, ScaleConfig) {
+    let hosts = (0..LEAVES)
         .flat_map(|leaf| {
             (0..HOST_PORTS as usize).map(move |h| ScaleHost {
                 switch: leaf,
@@ -176,7 +200,11 @@ fn run_block(config: &SwitchConfig, telemetry: Option<&Arc<Telemetry>>) -> Measu
         duration_ns: 2_000_000_000,
         ..Default::default()
     };
+    (hosts, cfg)
+}
 
+fn run_block(config: &SwitchConfig, telemetry: Option<&Arc<Telemetry>>) -> MeasuredHalf {
+    let (hosts, cfg) = scale_block();
     let mut sim = build_fabric(config, telemetry);
     let planned = spawn_scale_flows(&mut sim, &cfg, &hosts).expect("flows spawn");
     assert!(planned > 10_000, "block too small to exercise steady state");
@@ -203,6 +231,40 @@ fn run_block(config: &SwitchConfig, telemetry: Option<&Arc<Telemetry>>) -> Measu
         queue_drops: queue_drops(&sim) - drops0,
         planned,
     }
+}
+
+/// What spawning the scale block may hold at once besides its schedule:
+/// the shards (a compiled template and a copy of the host table each),
+/// the shard list, a first wake per shard and the per-shard lengths.
+const SPAWN_SLACK_BYTES: i64 = 16 << 10;
+
+/// Spawning holds at most the schedule at 8 B a planned packet, one radix
+/// scratch (the largest shard's length, at most the whole schedule) and
+/// [`SPAWN_SLACK_BYTES`] at once; it returns holding the schedule alone,
+/// every shard's schedule allocated at exactly its length.
+#[test]
+fn spawning_a_scale_block_holds_eight_bytes_a_packet() {
+    let (hosts, cfg) = scale_block();
+    let mut sim = build_fabric(&SwitchConfig::default(), None);
+    let base = reset_peak();
+    let planned = spawn_scale_flows(&mut sim, &cfg, &hosts).expect("flows spawn");
+    let (live, peak) = LIVE.with(Cell::get);
+    let schedule = 8 * planned as i64;
+    assert!(
+        peak - base <= 2 * schedule + SPAWN_SLACK_BYTES,
+        "spawn peaked at {} B for {planned} packets",
+        peak - base
+    );
+    assert!(
+        live - base <= schedule + SPAWN_SLACK_BYTES,
+        "spawn kept {} B for {planned} packets",
+        live - base
+    );
+    let totals = scale_totals(&sim);
+    assert_eq!(totals.shards, LEAVES);
+    // Each shard's capacity is at least its length and the lengths sum to
+    // `planned`: equal sums mean every capacity equals its length.
+    assert_eq!(totals.schedule_bytes, 8 * planned);
 }
 
 #[test]
