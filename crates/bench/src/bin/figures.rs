@@ -3,12 +3,12 @@
 //! ```sh
 //! cargo run --release -p bench --bin figures -- all
 //! cargo run --release -p bench --bin figures -- fig10a fig13 table1
+//! cargo run --release -p bench --bin figures -- --quick --fuzz-budget 150 fuzz
 //! ```
 //!
 //! Each figure prints a human-readable rendering and writes its raw series
-//! to `results/<name>.json`. `MANTIS_BENCH_QUICK=1` runs every section at
-//! smoke size; `MANTIS_FUZZ_BUDGET=n` sets how many programs `fuzz`
-//! generates.
+//! to `results/<name>.json`. `--quick` runs every section at smoke size;
+//! `--fuzz-budget N` sets how many programs `fuzz` generates.
 
 use std::fs;
 use std::path::Path;
@@ -17,65 +17,52 @@ use std::path::Path;
 const KNOWN: &str = "all fig10a fig10b fig11 fig12 fig13 fig14 fig15 fig16 table1 updates memo \
                      recirc ecmp rl telemetry perf scale faults fabric control chaos fuzz";
 
-/// Upper clamp for `MANTIS_FUZZ_BUDGET`, so a garbage value cannot make
-/// the campaign unbounded.
+/// Upper clamp for `--fuzz-budget`, so a typo cannot make the campaign
+/// unbounded.
 const MAX_FUZZ_BUDGET: u64 = 100_000;
 
-/// Parse a count knob: a positive integer clamped to `cap`, or `default`
-/// with a one-line warning on stderr when malformed or zero. Unset
-/// (`None`) is the quiet default.
-fn parse_env_count_u64(name: &str, raw: Option<&str>, default: u64, cap: u64) -> u64 {
-    let Some(raw) = raw else {
-        return default;
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(n) if (1..=cap).contains(&n) => n,
-        Ok(n) if n > cap => {
-            eprintln!("warning: {name}={raw:?} exceeds the {cap} cap; clamping");
-            cap
-        }
-        _ => {
-            eprintln!("warning: {name}={raw:?} is not a positive count; using default {default}");
-            default
+/// Read a command line into the figure names it asks for (none means
+/// all), `--quick` (every section at smoke size) and `--fuzz-budget N`
+/// (programs `fuzz` generates: a positive count clamped to
+/// [`MAX_FUZZ_BUDGET`]; 500, or 60 with `--quick`, when absent). An
+/// unknown word or a malformed count is an error, not a guess.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(Vec<String>, bool, u64), String> {
+    let (mut names, mut unknown, mut quick, mut budget) = (Vec::new(), Vec::new(), false, None);
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--fuzz-budget" => {
+                let raw = args.next().unwrap_or_default();
+                let n = (raw.trim().parse::<u64>().ok().filter(|&n| n > 0))
+                    .ok_or(format!("--fuzz-budget {raw:?} is not a positive count"))?;
+                if n > MAX_FUZZ_BUDGET {
+                    eprintln!("warning: --fuzz-budget {n} clamped to {MAX_FUZZ_BUDGET}");
+                }
+                budget = Some(n.min(MAX_FUZZ_BUDGET));
+            }
+            name if KNOWN.split(' ').any(|k| k == name) => names.push(arg),
+            _ => unknown.push(arg),
         }
     }
+    if !unknown.is_empty() {
+        let known = KNOWN.replace(' ', ", ");
+        let flags = "--quick, --fuzz-budget N";
+        return Err(format!(
+            "unknown name(s) {unknown:?}; known: {known}; flags: {flags}"
+        ));
+    }
+    Ok((names, quick, budget.unwrap_or(if quick { 60 } else { 500 })))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let unknown: Vec<&String> = args
-        .iter()
-        .filter(|a| !KNOWN.split(' ').any(|k| k == a.as_str()))
-        .collect();
-    if !unknown.is_empty() {
-        eprintln!(
-            "error: unknown figure name(s) {:?}; known: {}",
-            unknown,
-            KNOWN.replace(' ', ", ")
-        );
+    let (names, quick, fuzz_budget) = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
         std::process::exit(2);
-    }
-    // The only environment this workspace reads: the smoke size CI runs
-    // every section at, and the fuzz campaign's size. The quick flag is
-    // `0` or `1`; anything else is an error, not a guess.
-    let env = |name: &str| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    let quick = match env("MANTIS_BENCH_QUICK").as_deref() {
-        None | Some("0") => false,
-        Some("1") => true,
-        Some(other) => {
-            eprintln!("error: MANTIS_BENCH_QUICK={other:?} must be 0 or 1");
-            std::process::exit(2);
-        }
-    };
-    let fuzz_budget = parse_env_count_u64(
-        "MANTIS_FUZZ_BUDGET",
-        env("MANTIS_FUZZ_BUDGET").as_deref(),
-        if quick { 60 } else { 500 },
-        MAX_FUZZ_BUDGET,
-    );
+    });
     let size = if quick { "quick" } else { "full" };
-    let all = args.is_empty() || args.iter().any(|a| a == "all");
-    let want = |name: &str| all || args.iter().any(|a| a == name);
+    let all = names.is_empty() || names.iter().any(|a| a == "all");
+    let want = |name: &str| all || names.iter().any(|a| a == name);
     fs::create_dir_all("results").expect("create results/");
 
     if want("fig10a") {
@@ -557,31 +544,38 @@ fn merge_bench_perf<T: serde::Serialize>(section: &str, value: &T) {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<(Vec<String>, bool, u64), String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
     #[test]
-    fn wide_env_counts_parse_clamp_and_default() {
-        let name = "MANTIS_FUZZ_BUDGET";
-        // Unset: the quiet default.
-        assert_eq!(parse_env_count_u64(name, None, 500, MAX_FUZZ_BUDGET), 500);
+    fn fuzz_budgets_parse_clamp_and_refuse_garbage() {
+        let budget = |args: &[&str]| parse(args).map(|(_, _, budget)| budget);
+        // Absent: the default of the size asked for.
+        assert_eq!(budget(&["fuzz"]), Ok(500));
+        assert_eq!(budget(&["--quick", "fuzz"]), Ok(60));
         // Well-formed values parse, including ones beyond u16.
+        assert_eq!(budget(&["--fuzz-budget", "70000"]), Ok(70_000));
+        assert_eq!(budget(&["--fuzz-budget", " 150 ", "--quick"]), Ok(150));
+        // Values above the cap clamp loudly; garbage, zero and a missing
+        // value are errors.
         assert_eq!(
-            parse_env_count_u64(name, Some("70000"), 1, MAX_FUZZ_BUDGET),
-            70_000
-        );
-        assert_eq!(
-            parse_env_count_u64(name, Some(" 150 "), 1, MAX_FUZZ_BUDGET),
-            150
-        );
-        // Values above the cap clamp loudly; garbage and zero default.
-        assert_eq!(
-            parse_env_count_u64(name, Some("999999999999"), 1, MAX_FUZZ_BUDGET),
-            MAX_FUZZ_BUDGET
+            budget(&["--fuzz-budget", "999999999999"]),
+            Ok(MAX_FUZZ_BUDGET)
         );
         for bad in ["abc", "", "0", "-2", "4.5", "1e5"] {
-            assert_eq!(
-                parse_env_count_u64(name, Some(bad), 7, MAX_FUZZ_BUDGET),
-                7,
-                "{bad:?}"
-            );
+            let err = budget(&["--fuzz-budget", bad]).unwrap_err();
+            assert!(err.contains("not a positive count"), "{bad:?}: {err}");
         }
+        assert!(budget(&["fuzz", "--fuzz-budget"]).is_err());
+    }
+
+    #[test]
+    fn names_and_flags_mix_in_any_order() {
+        let (names, quick, _) = parse(&["perf", "--quick", "table1"]).unwrap();
+        assert_eq!((names, quick), (vec!["perf".into(), "table1".into()], true));
+        let err = parse(&["perf", "--quik", "fig99"]).unwrap_err();
+        assert!(err.contains(r#"["--quik", "fig99"]"#), "{err}");
+        assert!(parse(&[]).unwrap().0.is_empty());
     }
 }

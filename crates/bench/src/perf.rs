@@ -144,6 +144,29 @@ fn time_ns(iters: u64, mut f: impl FnMut(u64)) -> u64 {
     (t0.elapsed().as_nanos() as u64).max(1)
 }
 
+/// Blocks each comparison's runs are split into; divides every run count.
+const BLOCKS: u64 = 10;
+
+/// Time `fast_iters` calls of `fast` and `slow_iters` of `slow` in
+/// [`BLOCKS`] interleaved blocks, so that a slow spell of a shared host
+/// falls on both alike. Returns each one's nanoseconds a call and the
+/// median of the blocks' ratios, slow over fast.
+fn interleaved(fast: (u64, impl FnMut(u64)), slow: (u64, impl FnMut(u64))) -> (f64, f64, f64) {
+    let ((fast_iters, mut fast), (slow_iters, mut slow)) = (fast, slow);
+    let (fast_n, slow_n) = (fast_iters / BLOCKS, slow_iters / BLOCKS);
+    let (mut fast_ns, mut slow_ns, mut ratios) = (0, 0, Vec::new());
+    for b in 0..BLOCKS {
+        // Block `b` goes on from call `b·n`, as one unbroken run would.
+        let f = time_ns(fast_n, |i| fast(b * fast_n + i));
+        let s = time_ns(slow_n, |i| slow(b * slow_n + i));
+        ratios.push((s * fast_iters) as f64 / (f * slow_iters) as f64);
+        (fast_ns, slow_ns) = (fast_ns + f, slow_ns + s);
+    }
+    let per = |ns: u64, iters: u64| ns as f64 / iters as f64;
+    let speedup = netsim::median(&ratios);
+    (per(fast_ns, fast_iters), per(slow_ns, slow_iters), speedup)
+}
+
 /// Install `key` at `priority` for action `action`, with no action data.
 fn add(t: &mut Table, spec: &TableSpec, key: KeyField, priority: u32, action: u32) {
     let installed = t.add_entry(spec, vec![key], priority, ActionId(action), vec![], 0);
@@ -166,17 +189,17 @@ fn lookup_bench(
         assert_eq!(fast, slow, "{workload}: indexed lookup diverged");
     }
 
-    let indexed_ns = time_ns(indexed_iters, |i| {
-        let phv = &probes[(i as usize) % probes.len()];
-        std::hint::black_box(table.lookup(spec, phv));
-    });
-    let linear_ns = time_ns(linear_iters, |i| {
-        let phv = &probes[(i as usize) % probes.len()];
-        std::hint::black_box(table.lookup_linear(spec, phv));
-    });
-
-    let indexed_per = indexed_ns as f64 / indexed_iters as f64;
-    let linear_per = linear_ns as f64 / linear_iters as f64;
+    // The scan reads a copy, so that each engine's calls hold their own table.
+    let reference = table.clone();
+    let probe = |i: u64| &probes[(i as usize) % probes.len()];
+    let (indexed_per, linear_per, speedup) = interleaved(
+        (indexed_iters, |i| {
+            std::hint::black_box(table.lookup(spec, probe(i)));
+        }),
+        (linear_iters, |i| {
+            std::hint::black_box(reference.lookup_linear(spec, probe(i)));
+        }),
+    );
     LookupBench {
         workload: workload.into(),
         entries: table.len(),
@@ -186,7 +209,7 @@ fn lookup_bench(
         linear_ns_per_lookup: linear_per,
         indexed_lookups_per_sec: 1e9 / indexed_per,
         linear_lookups_per_sec: 1e9 / linear_per,
-        speedup: linear_per / indexed_per,
+        speedup,
     }
 }
 
@@ -291,9 +314,6 @@ fn reaction_env() -> MockEnv {
     env
 }
 
-/// Blocks the VM and walker runs are split into; divides both run counts.
-const REACTION_BLOCKS: u64 = 10;
-
 fn reaction_bench(vm_iters: u64, walker_iters: u64) -> ReactionBench {
     let body = p4r_lang::creact::parse_body(REACTION_SRC).expect("bench reaction parses");
     let mut vm = CompiledReaction::compile(&body).expect("bench reaction compiles");
@@ -310,22 +330,14 @@ fn reaction_bench(vm_iters: u64, walker_iters: u64) -> ReactionBench {
         "reaction engines diverged on malleable writes"
     );
 
-    // Interleaved blocks, so that a slow spell of a shared host falls on
-    // both engines alike: the speedup is the median of the blocks' ratios.
-    let mut env = reaction_env();
-    let (mut vm_ns, mut walker_ns, mut ratios) = (0, 0, Vec::new());
-    for _ in 0..REACTION_BLOCKS {
-        let vm_block = time_ns(vm_iters / REACTION_BLOCKS, |_| {
-            std::hint::black_box(vm.run(&mut env).expect("vm run"));
-        });
-        let walker_block = time_ns(walker_iters / REACTION_BLOCKS, |_| {
-            std::hint::black_box(walker.run(&mut env).expect("walker run"));
-        });
-        ratios.push((walker_block * vm_iters) as f64 / (vm_block * walker_iters) as f64);
-        (vm_ns, walker_ns) = (vm_ns + vm_block, walker_ns + walker_block);
-    }
-    let vm_per = vm_ns as f64 / vm_iters as f64;
-    let walker_per = walker_ns as f64 / walker_iters as f64;
+    let (vm_per, walker_per, speedup) = interleaved(
+        (vm_iters, |_| {
+            std::hint::black_box(vm.run(&mut env_vm).expect("vm run"));
+        }),
+        (walker_iters, |_| {
+            std::hint::black_box(walker.run(&mut env_walker).expect("walker run"));
+        }),
+    );
     ReactionBench {
         body_ops: vm.ops_len(),
         vm_iters,
@@ -334,7 +346,7 @@ fn reaction_bench(vm_iters: u64, walker_iters: u64) -> ReactionBench {
         walker_ns_per_run: walker_per,
         vm_runs_per_sec: 1e9 / vm_per,
         walker_runs_per_sec: 1e9 / walker_per,
-        speedup: netsim::median(&ratios),
+        speedup,
     }
 }
 
@@ -342,7 +354,7 @@ fn reaction_bench(vm_iters: u64, walker_iters: u64) -> ReactionBench {
 /// counts so CI can smoke-test the harness in well under a second.
 pub fn run(quick: bool) -> PerfReport {
     let (idx_iters, lin_iters, vm_iters, walker_iters) = if quick {
-        (2_000, 500, 2_000, 500)
+        (20_000, 2_000, 2_000, 500)
     } else {
         (200_000, 20_000, 50_000, 10_000)
     };

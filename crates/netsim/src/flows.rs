@@ -282,26 +282,6 @@ pub(crate) fn tcp_tick_event(sim: &mut Simulator, flow: u32, nominal: Nanos) {
     );
 }
 
-/// Ingress ports spread round-robin across the switch's hardware pipes:
-/// entry `i` is the `i / num_pipes`-th port of pipe `i % num_pipes`.
-/// On a single-pipe switch this degenerates to `0, 1, 2, ...`. Ports past
-/// the end of a pipe's contiguous range wrap back into pipe order, so the
-/// result always holds `n` valid ports as long as the switch has any.
-pub fn ports_across_pipes(sim: &Simulator, n: usize) -> Vec<PortId> {
-    let sw = sim.switch().borrow();
-    let num_ports = sw.config().num_ports;
-    let num_pipes = sw.num_pipes();
-    let ports_per_pipe = num_ports.div_ceil(num_pipes);
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let pipe = (i as u16) % num_pipes;
-        let offset = (i as u16) / num_pipes;
-        let port = pipe * ports_per_pipe + offset % ports_per_pipe;
-        out.push(port.min(num_ports.saturating_sub(1)));
-    }
-    out
-}
-
 /// Configuration of a constant-bit-rate UDP sender (the Fig. 15 attacker).
 #[derive(Clone, Debug)]
 pub struct UdpConfig {
@@ -522,10 +502,11 @@ const HOST_BITS: u32 = 15;
 ///
 /// Scale flows are open-loop: every arrival time is `start + k·gap`,
 /// fixed at spawn with no feedback from the fabric. That makes the whole
-/// schedule static, so it is materialized and ordered once and replayed
-/// with a cursor: a sequential scan, no per-packet priority-queue ops. An
-/// arrival is one `u64` word decoded against the shard's copy of the host
-/// table: 8 B per planned packet, allocated at the schedule's exact length.
+/// schedule static, so it is placed in tick order once, bucket by bucket as
+/// it is drawn, and replayed with a cursor: a sequential scan, no
+/// per-packet priority-queue ops. An arrival is one `u64` word decoded
+/// against the shard's copy of the host table: 8 B per planned packet,
+/// allocated at the schedule's exact length.
 pub(crate) struct FlowShard {
     switch: usize,
     tmpl: PacketTemplate,
@@ -609,10 +590,7 @@ pub fn spawn_scale_flows(
                 .field(&cfg.header, &cfg.src_field, 0)
                 .field(&cfg.header, &cfg.dst_field, 0)
                 .payload(cfg.payload_bytes);
-            let tmpl = {
-                let sw = sim.switch_at(h.switch).borrow();
-                PacketTemplate::compile(&desc, sw.spec())?
-            };
+            let tmpl = PacketTemplate::compile(&desc, sim.switch_at(h.switch).borrow().spec())?;
             shard_of[h.switch] = Some(shards.len());
             shards.push(FlowShard {
                 switch: h.switch,
@@ -626,9 +604,12 @@ pub fn spawn_scale_flows(
         }
     }
 
-    // The same draws twice: the first pass sizes each shard's schedule,
-    // the second writes it, in flow-creation order.
-    let mut lens = vec![0; shards.len()];
+    // The same draws twice: pass 1 counts each shard's arrivals per bucket
+    // of ticks, which gives each bucket its start; pass 2 writes every word
+    // at its bucket's cursor, in flow-creation order.
+    let shift = bucket_shift(ticks, u64::from(cfg.flows) * u64::from(min_pkts));
+    let mut at = vec![vec![0; ((ticks - 1) >> shift) as usize + 1]; shards.len()];
+    let mut planned = 0;
     for pass in 0..2 {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         for _ in 0..cfg.flows {
@@ -640,44 +621,50 @@ pub fn spawn_scale_flows(
             // Pareto-tailed packet count.
             let u: f64 = rng.gen_range(f64::EPSILON..1.0);
             let raw = f64::from(min_pkts) * u.powf(-1.0 / cfg.pareto_alpha.max(0.1));
-            let count = if raw >= f64::from(max_pkts) {
+            let count = u64::from(if raw >= f64::from(max_pkts) {
                 max_pkts
             } else {
                 (raw as u32).clamp(min_pkts, max_pkts)
-            };
+            });
             // Start and gap in ticks, the gap capped so the whole flow
             // finishes inside the duration where it can.
             let start = rng.gen_range(0..duration) / tick;
             let gap = if count > 1 {
-                let span_ticks = (duration - start * tick) / tick / u64::from(count - 1);
+                let span_ticks = (duration - start * tick) / tick / (count - 1);
                 rng.gen_range(1..=span_ticks.max(1))
             } else {
                 1
             };
             let shard = shard_of[hosts[s].switch].expect("host switch has a shard");
-            if pass == 0 {
-                lens[shard] += count as usize;
-                continue;
-            }
+            let (sh, at) = (&mut shards[shard], &mut at[shard]);
             let ends = (s as u64) << (HOST_BITS + 1) | (d as u64) << 1;
-            let sh = &mut shards[shard];
-            let words = (0..u64::from(count)).map(|k| (start + k * gap) << 32 | ends);
-            sh.arrivals.extend(words);
-            *sh.arrivals.last_mut().expect("a flow sends a packet") |= 1;
-            sh.stats.live += 1;
+            for k in 0..count {
+                let t = start + k * gap;
+                let next = &mut at[(t >> shift) as usize];
+                if pass == 1 {
+                    sh.arrivals[*next] = t << 32 | ends | u64::from(k + 1 == count);
+                }
+                *next += 1;
+            }
+            sh.stats.live += u64::from(pass == 1);
         }
         if pass == 0 {
-            for (sh, &len) in shards.iter_mut().zip(&lens) {
-                sh.arrivals = Vec::with_capacity(len);
+            for (sh, at) in shards.iter_mut().zip(&mut at) {
+                let mut sum = 0;
+                at.iter_mut().for_each(|n| (*n, sum) = (sum, sum + *n));
+                (sh.arrivals, planned) = (vec![0; sum], planned + sum);
             }
         }
     }
 
-    // Stable: same-tick arrivals keep flow-creation order — the same
-    // `(time, flow index)` order a priority queue keyed that way produced.
-    let mut scratch = vec![0; lens.iter().copied().max().unwrap_or(0)];
-    for mut sh in shards {
-        sort_by_tick(&mut sh.arrivals, &mut scratch);
+    // Each cursor now ends its bucket. A stable sort of each on the tick
+    // bits below its index gives the `(time, flow index)` order.
+    for (mut sh, ends) in shards.into_iter().zip(at) {
+        let mut start = 0;
+        for end in ends {
+            sort_by_tick(&mut sh.arrivals[start..end], shift);
+            start = end;
+        }
         let first = sh.arrivals.first().map(|&w| sh.arrival(w).0);
         let id = u32::try_from(sim.flows.scale.len()).expect("shard count fits u32");
         sim.flows.scale.push(Some(sh));
@@ -685,15 +672,25 @@ pub fn spawn_scale_flows(
             sim.schedule_kind(t, EventKind::FlowWake { shard: id });
         }
     }
-    Ok(lens.iter().sum::<usize>() as u64)
+    Ok(planned as u64)
 }
 
-/// Stable LSD radix sort of schedule words by their 32-bit tick index,
-/// eight bits a pass; `scratch` holds at least `words.len()` words.
-fn sort_by_tick(words: &mut [u64], scratch: &mut [u64]) {
-    let (mut to, mut from) = (&mut scratch[..words.len()], words);
-    for shift in [32, 40, 48, 56] {
-        let digit = |w: u64| (w >> shift) as usize & 0xff;
+/// Tick shift of the buckets a shard's schedule is placed in, for a block
+/// of `ticks` ticks sure to hold `words` words: the narrowest width that
+/// makes at most one bucket per 2^10 of those words, and 2^10 buckets.
+fn bucket_shift(ticks: u64, words: u64) -> u32 {
+    let most = (words >> 10).clamp(1, 1 << 10);
+    u64::BITS - ((ticks - 1) / most).leading_zeros()
+}
+
+/// Stable LSD radix sort of one bucket's schedule words by the low `bits`
+/// bits of their tick index, the bits below the bucket index, eight bits a
+/// pass through a scratch of the bucket's size.
+fn sort_by_tick(words: &mut [u64], bits: u32) {
+    let mut scratch = vec![0; words.len()];
+    let (mut from, mut to) = (words, &mut scratch[..]);
+    for low in (0..bits).step_by(8) {
+        let digit = |w: u64| (w >> (32 + low)) as usize & ((1 << (bits - low).min(8)) - 1);
         let (mut at, mut sum) = ([0; 256], 0);
         from.iter().for_each(|&w| at[digit(w)] += 1);
         at.iter_mut().for_each(|n| (*n, sum) = (sum, sum + *n));
@@ -701,8 +698,11 @@ fn sort_by_tick(words: &mut [u64], scratch: &mut [u64]) {
             to[at[digit(w)]] = w;
             at[digit(w)] += 1;
         }
-        // An even number of passes ends back in `words`.
         std::mem::swap(&mut from, &mut to);
+    }
+    // An odd number of passes ends in `scratch`.
+    if bits.div_ceil(8) % 2 == 1 {
+        to.copy_from_slice(from);
     }
 }
 
@@ -930,31 +930,6 @@ control ingress { apply(hb); apply(route); }
     }
 
     #[test]
-    fn ports_spread_round_robin_across_pipes() {
-        let clock = Clock::new();
-        let sw: Switch = switch_from_source(
-            PROG,
-            SwitchConfig {
-                num_ports: 8,
-                num_pipes: 4,
-                ..Default::default()
-            },
-            clock,
-        )
-        .unwrap();
-        let sim = Simulator::new(SharedSwitch::new(sw));
-        let ports = ports_across_pipes(&sim, 8);
-        let pipes: Vec<u16> = {
-            let sw = sim.switch().borrow();
-            ports.iter().map(|p| sw.pipe_of_port(*p)).collect()
-        };
-        // 4 pipes, 2 ports each: the first four flows land on distinct
-        // pipes, then the assignment wraps onto each pipe's second port.
-        assert_eq!(pipes, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-        assert_eq!(ports, vec![0, 2, 4, 6, 1, 3, 5, 7]);
-    }
-
-    #[test]
     fn heartbeats_counted_in_dataplane_until_port_fails() {
         let mut sim = mk(1 << 20);
         spawn_heartbeats(
@@ -1159,39 +1134,84 @@ control ingress { apply(hb); apply(route); }
         (shards, counts)
     }
 
+    /// `n` hosts, host `i` behind switch `switch(i)` on port `i % 4`.
+    fn hosts_on(n: usize, switch: impl Fn(usize) -> usize) -> Vec<ScaleHost> {
+        (0..n)
+            .map(|i| ScaleHost {
+                switch: switch(i),
+                port: (i % 4) as PortId,
+                addr: 100 + i as u64,
+            })
+            .collect()
+    }
+
     /// The packed schedule decodes to the reference's `(at, src, dst,
     /// port, last)` sequence on every shard, and replaying it gives the
     /// totals that sequence predicts — mid-run and at the end — over
     /// seeds, 1–4 shards, ticks from 1 ns to 10 µs, 200-tick blocks (ties
     /// everywhere) and 2^30-tick ones, with one-packet flows, flows at the
-    /// Pareto cap, and flows that run past `duration_ns`.
+    /// Pareto cap, and flows that run past `duration_ns`. Those blocks fit
+    /// in one bucket; the last five cases are sized for the buckets' edges:
+    /// arrivals on the last tick of one bucket and the first of the next,
+    /// a near-empty shard whose empty buckets lie between full ones, and
+    /// tick indices up to `u32::MAX`, in one bucket and in several.
     #[test]
     fn packed_schedule_replays_the_sorted_arrival_list() {
         use rand::{Rng, SeedableRng};
         let mut seeds = rand::rngs::StdRng::seed_from_u64(46);
-        let (mut single, mut capped, mut overrun) = (0, 0, 0);
-        for case in 0..24 {
-            let shards = 1 + case % 4;
-            let tick = [1, 1_000, 10_000][case / 4 % 3];
-            let hosts: Vec<ScaleHost> = (0..8)
-                .map(|i| ScaleHost {
-                    switch: i % shards,
-                    port: (i / shards) as PortId,
-                    addr: 100 + i as u64,
-                })
-                .collect();
+        let small = |tick| ScaleConfig {
+            flows: 150,
+            pareto_alpha: 0.8,
+            min_pkts: 1,
+            max_pkts: 64,
+            tick_ns: tick,
+            ..Default::default()
+        };
+        let mut cases: Vec<(Vec<ScaleHost>, ScaleConfig)> = (0..24)
+            .map(|case| {
+                let shards = 1 + case % 4;
+                let tick = [1, 1_000, 10_000][case / 4 % 3];
+                let cfg = ScaleConfig {
+                    // Short blocks tie and overrun; long ones need all four
+                    // radix digits of the tick index.
+                    duration_ns: [200, 1 << 30][case / 12] * tick,
+                    ..small(tick)
+                };
+                (hosts_on(8, |i| i % shards), cfg)
+            })
+            .collect();
+        let dense = |shards, duration_ns, flows| {
             let cfg = ScaleConfig {
-                seed: seeds.gen(),
-                flows: 150,
-                // Short blocks tie and overrun; long ones need all four
-                // radix digits of the tick index.
-                duration_ns: [200, 1 << 30][case / 12] * tick,
-                pareto_alpha: 0.8,
-                min_pkts: 1,
-                max_pkts: 64,
-                tick_ns: tick,
-                ..Default::default()
+                duration_ns,
+                flows,
+                payload_bytes: 64, // every packet fits the queues
+                ..small(1)
             };
+            (hosts_on(8, move |i| i % shards), cfg)
+        };
+        cases.push(dense(1, 1 << 12, 4_000));
+        cases.push(dense(2, 1 << 14, 6_000));
+        // Host 0 of 10 000 alone behind switch 1: a few one- or two-packet
+        // flows, bucketed as finely as switch 0's tens of thousands.
+        let sparse = ScaleConfig {
+            flows: 40_000,
+            duration_ns: 1 << 16,
+            pareto_alpha: 4.0,
+            max_pkts: 2,
+            payload_bytes: 64,
+            ..small(1)
+        };
+        cases.push((hosts_on(10_000, |i| usize::from(i == 0)), sparse));
+        // Tick indices up to `u32::MAX - 1`: in one bucket, then in two
+        // split on the tick's top bit.
+        cases.push(dense(1, u64::from(u32::MAX) - 64, 40));
+        cases.push(dense(1, u64::from(u32::MAX) - 64, 4_000));
+
+        let (mut single, mut capped, mut overrun) = (0, 0, 0);
+        let (mut one_bucket, mut edges, mut holes, mut top) = (0, 0, 0, 0);
+        for (case, (hosts, mut cfg)) in cases.into_iter().enumerate() {
+            cfg.seed = seeds.gen();
+            let shards = hosts.iter().map(|h| h.switch).max().unwrap() + 1;
             let mut sim = unlinked(shards);
             let planned = spawn_scale_flows(&mut sim, &cfg, &hosts).unwrap();
             let (want, counts) = reference(&cfg, &hosts);
@@ -1222,6 +1242,26 @@ control ingress { apply(hb); apply(route); }
                 .filter(|a| a.at >= cfg.duration_ns)
                 .count();
 
+            // Which bucket edges the case crossed.
+            let ticks = cfg.duration_ns / cfg.tick_ns + u64::from(cfg.max_pkts);
+            let shift = bucket_shift(ticks, u64::from(cfg.flows * cfg.min_pkts));
+            one_bucket += usize::from((ticks - 1) >> shift == 0);
+            for sh in &want {
+                let tick = |a: &Arrival| a.at / cfg.tick_ns;
+                let mut filled = vec![false; ((ticks - 1) >> shift) as usize + 1];
+                for a in sh {
+                    filled[(tick(a) >> shift) as usize] = true;
+                }
+                let first = filled.iter().position(|&f| f).unwrap_or(0);
+                let last = filled.iter().rposition(|&f| f).unwrap_or(0);
+                holes += filled[first..last].iter().filter(|&&f| !f).count();
+                edges += (sh.windows(2))
+                    .filter(|p| (tick(&p[0]) >> shift) + 1 == tick(&p[1]) >> shift)
+                    .filter(|p| tick(&p[0]) + 1 == tick(&p[1]))
+                    .count();
+                top += usize::from(sh.iter().any(|a| tick(a) >> 31 == 1));
+            }
+
             let expect = |until: Nanos| {
                 let mut t = ScaleTotals {
                     active_flows: counts.len() as u64,
@@ -1241,7 +1281,7 @@ control ingress { apply(hb); apply(route); }
                 t.accepted_pkts = t.injected_pkts;
                 t
             };
-            for until in [cfg.duration_ns / 2, cfg.duration_ns + 100 * tick] {
+            for until in [cfg.duration_ns / 2, cfg.duration_ns + 100 * cfg.tick_ns] {
                 sim.run_until(until);
                 assert_eq!(scale_totals(&sim), expect(until), "case {case} at {until}");
             }
@@ -1250,6 +1290,10 @@ control ingress { apply(hb); apply(route); }
         assert!(
             single > 0 && capped > 0 && overrun > 0,
             "{single} {capped} {overrun}"
+        );
+        assert!(
+            one_bucket > 24 && edges > 0 && holes > 0 && top > 1,
+            "{one_bucket} {edges} {holes} {top}"
         );
     }
 

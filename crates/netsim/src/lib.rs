@@ -25,9 +25,9 @@ pub mod wheel;
 
 pub use faults::{schedule_link_flap, schedule_link_flaps};
 pub use flows::{
-    ports_across_pipes, scale_totals, spawn_heartbeats, spawn_heartbeats_on, spawn_scale_flows,
-    spawn_tcp, spawn_tcp_on, spawn_udp, spawn_udp_on, HeartbeatConfig, ScaleConfig, ScaleHost,
-    ScaleTotals, TcpConfig, TcpState, UdpConfig, UdpState,
+    scale_totals, spawn_heartbeats, spawn_heartbeats_on, spawn_scale_flows, spawn_tcp,
+    spawn_tcp_on, spawn_udp, spawn_udp_on, HeartbeatConfig, ScaleConfig, ScaleHost, ScaleTotals,
+    TcpConfig, TcpState, UdpConfig, UdpState,
 };
 pub use metrics::{mad, mean, mean_abs_dev, median, percentile, BucketSeries};
 pub use sim::{ParStats, Simulator};

@@ -233,15 +233,27 @@ fn run_block(config: &SwitchConfig, telemetry: Option<&Arc<Telemetry>>) -> Measu
     }
 }
 
-/// What spawning the scale block may hold at once besides its schedule:
-/// the shards (a compiled template and a copy of the host table each),
-/// the shard list, a first wake per shard and the per-shard lengths.
+/// What spawning the scale block may hold at once besides its schedule,
+/// its bucket cursors and one bucket: the shards (a compiled template and
+/// a copy of the host table each), the shard list and a first wake per
+/// shard.
 const SPAWN_SLACK_BYTES: i64 = 16 << 10;
 
-/// Spawning holds at most the schedule at 8 B a planned packet, one radix
-/// scratch (the largest shard's length, at most the whole schedule) and
-/// [`SPAWN_SLACK_BYTES`] at once; it returns holding the schedule alone,
-/// every shard's schedule allocated at exactly its length.
+/// Bucket cursors: at most 2^10 buckets of 8 B a shard.
+const CURSOR_BYTES: i64 = LEAVES as i64 * (8 << 10);
+
+/// One bucket's sort scratch is 8 B a word of the largest bucket. This
+/// block's two shards hold ≈ 21 K and 22 K words, each in 8 buckets of
+/// 2^18 ticks: one per 2^10 of the 12 000 words that its 3 000 flows of at
+/// least 4 packets are sure to send. The largest bucket, ≈ 4.4 K words, is
+/// under an eighth of the schedule's ≈ 43 K.
+const BUCKET_SHARE: i64 = 8;
+
+/// Spawning places each packet's word straight into its tick bucket, so
+/// it holds at most the schedule at 8 B a planned packet, the bucket
+/// cursors, one bucket's sort scratch and [`SPAWN_SLACK_BYTES`] at once;
+/// it returns holding the schedule alone, every shard's schedule
+/// allocated at exactly its length.
 #[test]
 fn spawning_a_scale_block_holds_eight_bytes_a_packet() {
     let (hosts, cfg) = scale_block();
@@ -251,7 +263,7 @@ fn spawning_a_scale_block_holds_eight_bytes_a_packet() {
     let (live, peak) = LIVE.with(Cell::get);
     let schedule = 8 * planned as i64;
     assert!(
-        peak - base <= 2 * schedule + SPAWN_SLACK_BYTES,
+        peak - base <= schedule + schedule / BUCKET_SHARE + CURSOR_BYTES + SPAWN_SLACK_BYTES,
         "spawn peaked at {} B for {planned} packets",
         peak - base
     );
