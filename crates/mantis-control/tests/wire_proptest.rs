@@ -20,6 +20,7 @@
 //! error in its middle as the batch of ops it replaced did: a model of
 //! that batch (`ModelBatch`) runs beside the driver.
 
+use mantis_agent::driver::EntrySnapshot;
 use mantis_agent::{CostModel, DriverApi, LocalDriver};
 use mantis_control::wire::{
     encode_request_frame, encode_request_frame_into, encode_response_frame,
@@ -201,7 +202,25 @@ fn driver_error_strategy() -> impl Strategy<Value = DriverError> {
             op: OP_NAMES[i],
             persistent,
         }),
+        (0..OP_NAMES.len()).prop_map(|i| DriverError::Crashed { op: OP_NAMES[i] }),
     ]
+}
+
+fn entry_strategy() -> impl Strategy<Value = EntrySnapshot> {
+    (
+        any::<u64>(),
+        vec(key_field_strategy(), 0..4),
+        any::<u32>(),
+        any::<u32>(),
+        vec(value_strategy(), 0..4),
+    )
+        .prop_map(|(h, key, priority, a, data)| EntrySnapshot {
+            handle: EntryHandle(h),
+            key,
+            priority,
+            action: ActionId(a),
+            data,
+        })
 }
 
 fn response_strategy() -> impl Strategy<Value = DriverResponse> {
@@ -223,6 +242,13 @@ fn response_strategy() -> impl Strategy<Value = DriverResponse> {
                 expires,
             }),
         driver_error_strategy().prop_map(DriverResponse::Err),
+        (any::<u32>(), vec(value_strategy(), 0..4)).prop_map(|(a, data)| {
+            DriverResponse::DefaultAction {
+                action: ActionId(a),
+                data,
+            }
+        }),
+        vec(entry_strategy(), 0..3).prop_map(DriverResponse::Entries),
     ]
 }
 
