@@ -29,7 +29,7 @@ pub use flows::{
     spawn_tcp_on, spawn_udp, spawn_udp_on, HeartbeatConfig, ScaleConfig, ScaleHost, ScaleTotals,
     TcpConfig, TcpState, UdpConfig, UdpState,
 };
-pub use metrics::{mad, mean, mean_abs_dev, median, percentile, BucketSeries};
+pub use metrics::{mean, mean_abs_dev, median, percentile, BucketSeries};
 pub use sim::{ParStats, Simulator};
 pub use topo::{Endpoint, Link, Topology, DEFAULT_LINK_LATENCY_NS, HOST_PORTS};
 pub use trace::{generate, Trace, TraceConfig, TracePacket};

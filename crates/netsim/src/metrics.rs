@@ -88,17 +88,6 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// Median Absolute Deviation — the balance metric of the hash-polarization
-/// use case (§8.3.3).
-pub fn mad(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let m = median(xs);
-    let dev: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
-    median(&dev)
-}
-
 /// p-th percentile (0..=100) by nearest-rank. Empty slices give `0.0`;
 /// a single-element slice gives that element at every `p`; NaN elements
 /// sort last and never panic.
@@ -169,14 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn mad_of_balanced_is_zero() {
-        assert_eq!(mad(&[5.0, 5.0, 5.0]), 0.0);
-        // One outlier: MAD stays robust.
-        assert_eq!(mad(&[1.0, 1.0, 1.0, 100.0]), 0.0);
-        assert!(mad(&[1.0, 2.0, 3.0, 4.0]) > 0.0);
-    }
-
-    #[test]
     fn percentile_bounds() {
         let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
         assert_eq!(percentile(&xs, 0.0), 1.0);
@@ -187,8 +168,6 @@ mod tests {
 
     #[test]
     fn mean_abs_dev_detects_single_outlier() {
-        // Median-based MAD of [N,0,0,0] is 0; mean-based is not.
-        assert_eq!(mad(&[100.0, 0.0, 0.0, 0.0]), 0.0);
         assert!(mean_abs_dev(&[100.0, 0.0, 0.0, 0.0]) > 0.0);
         assert_eq!(mean_abs_dev(&[5.0, 5.0, 5.0]), 0.0);
     }
@@ -208,7 +187,6 @@ mod tests {
     #[test]
     fn single_element_slices() {
         assert_eq!(median(&[7.5]), 7.5);
-        assert_eq!(mad(&[7.5]), 0.0);
         assert_eq!(mean_abs_dev(&[7.5]), 0.0);
         assert_eq!(mean(&[7.5]), 7.5);
         for p in [0.0, 50.0, 99.0, 100.0] {
@@ -227,7 +205,6 @@ mod tests {
         // Reductions through NaN stay NaN rather than crashing.
         assert!(mean(&xs).is_nan());
         assert!(mean_abs_dev(&xs).is_nan());
-        let _ = mad(&xs);
     }
 
     #[test]
@@ -235,7 +212,6 @@ mod tests {
         let xs = [f64::NAN, f64::NAN];
         assert!(median(&xs).is_nan());
         assert!(percentile(&xs, 50.0).is_nan());
-        let _ = mad(&xs);
         let _ = mean_abs_dev(&xs);
     }
 

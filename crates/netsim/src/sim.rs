@@ -715,11 +715,6 @@ impl Simulator {
         self.wheel.occupied_slots()
     }
 
-    /// Pending (scheduled, not yet executed) event count.
-    pub fn pending_events(&self) -> usize {
-        self.wheel.len()
-    }
-
     /// Heap bytes parked across the fabric's PHV freelists (the packet
     /// arena steady-state footprint).
     pub fn arena_bytes(&self) -> u64 {
@@ -729,13 +724,8 @@ impl Simulator {
             .sum()
     }
 
-    /// Take the transmitted-packet log (packets that exited the fabric).
-    pub fn take_tx(&mut self) -> Vec<TxPacket> {
-        self.tx_log.drain(..).map(|(_, pkt)| pkt).collect()
-    }
-
-    /// Like [`take_tx`](Simulator::take_tx), keeping the index of the
-    /// switch each packet exited from.
+    /// Take the transmitted-packet log (packets that exited the fabric),
+    /// each with the index of the switch it exited from.
     pub fn take_tx_tagged(&mut self) -> Vec<(usize, TxPacket)> {
         self.tx_log.drain(..).collect()
     }
@@ -839,13 +829,13 @@ control ingress { apply(t); }
             });
         }
         sim.run_until(1_000_000);
-        let tx = sim.take_tx();
+        let tx = sim.take_tx_tagged();
         assert_eq!(tx.len(), 3);
         assert_eq!(sim.tx_count, 3);
         assert_eq!(sim.tx_count_on(0), 3);
-        assert!(tx.iter().all(|p| p.port == 2));
+        assert!(tx.iter().all(|(from, p)| (*from, p.port) == (0, 2)));
         // Timestamps are monotone.
-        assert!(tx.windows(2).all(|w| w[0].time <= w[1].time));
+        assert!(tx.windows(2).all(|w| w[0].1.time <= w[1].1.time));
     }
 
     #[test]
@@ -876,12 +866,12 @@ control ingress { apply(t); }
         sim.run_until(1_000_000);
         // All four transmissions counted, only the two *newest* kept.
         assert_eq!(sim.tx_count, 4);
-        let tx = sim.take_tx();
+        let tx = sim.take_tx_tagged();
         assert_eq!(tx.len(), 2);
         let srcs: Vec<u64> = {
             let sw = sim.switch().borrow();
             let id = sw.spec().field_id("ip", "src").unwrap();
-            tx.iter().map(|p| p.phv.get(id).as_u64()).collect()
+            tx.iter().map(|(_, p)| p.phv.get(id).as_u64()).collect()
         };
         assert_eq!(srcs, vec![2, 3], "older packets must be discarded first");
     }
@@ -935,13 +925,13 @@ control ingress { apply(t); }
         let mut sim = mk_pair(1_000_000);
         burst(&mut sim, 5);
         assert_eq!(sim.in_flight.len(), 5, "all five on the wire");
-        assert_eq!(sim.pending_events(), sim.in_flight.len());
+        assert_eq!(sim.wheel.len(), sim.in_flight.len());
         sim.run_until(3_000_000);
-        assert_eq!((sim.in_flight.len(), sim.pending_events()), (0, 0));
-        assert_eq!(sim.take_tx().len(), 5);
+        assert_eq!((sim.in_flight.len(), sim.wheel.len()), (0, 0));
+        assert_eq!(sim.take_tx_tagged().len(), 5);
         // A second, smaller burst parks in the freed slots.
         burst(&mut sim, 3);
-        assert_eq!((sim.in_flight.len(), sim.pending_events()), (3, 3));
+        assert_eq!((sim.in_flight.len(), sim.wheel.len()), (3, 3));
         assert_eq!(sim.in_flight.slots.len(), 5, "the slab did not grow");
 
         let receiver = sim.switch_at(1).clone();
